@@ -16,7 +16,7 @@ fn main() {
         "parse-once front-end e2e — {} templates, sizes {:?}, 1% edits",
         templates, sizes
     );
-    let rows = e2e::run(&sizes, templates, 10, 0xE2E0, None);
+    let rows = e2e::run(&sizes, templates, 10, 0xE2E0);
     print!("{}", e2e::render(&rows));
 
     for r in &rows {

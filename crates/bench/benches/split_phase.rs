@@ -1,6 +1,6 @@
 //! `cargo bench --bench split_phase` — the fused streaming splitter vs
 //! the legacy two-pass reference (10k / 100k statements, 100 unique
-//! templates), sequential and chunk-parallel.
+//! templates).
 //!
 //! Prints the split table and writes the machine-readable results to
 //! `BENCH_split.json` at the workspace root.
@@ -12,7 +12,7 @@ fn main() {
     let sizes = [10_000usize, 100_000];
     let templates = 100;
     println!("fused split phase — {templates} templates, sizes {sizes:?}");
-    let rows = split::run(&sizes, templates, 0x5117, None);
+    let rows = split::run(&sizes, templates, 0x5117);
     print!("{}", split::render(&rows));
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_split.json");

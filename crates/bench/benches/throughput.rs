@@ -15,7 +15,7 @@ fn main() {
         "batch detection throughput — {} templates, sizes {:?}",
         templates, sizes
     );
-    let rows = throughput::run(&sizes, templates, 0xBA7C4, None);
+    let rows = throughput::run(&sizes, templates, 0xBA7C4);
     print!("{}", throughput::render(&rows));
 
     for r in &rows {

@@ -17,14 +17,11 @@
 //! expdriver incremental-gate # CI gate: warm 1%-edit ≤ 0.35× cold pipeline
 //! expdriver phases         # per-phase timing of the three-phase pipeline
 //! expdriver split          # fused streaming splitter vs legacy two-pass
-//! expdriver scaling        # speedup-vs-threads curves (plain/trigger/skewed)
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! ```
 //!
-//! `--quick` shrinks scales for a fast smoke run. `--threads N` pins the
-//! worker count of the parallel configurations; `--threads 0` (and the
-//! default) auto-detects via `available_parallelism`.
+//! `--quick` shrinks scales for a fast smoke run.
 
 use sqlcheck_bench::experiments::*;
 use sqlcheck_workload::github::CorpusConfig;
@@ -34,20 +31,9 @@ use sqlcheck_workload::user_study::StudyConfig;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    // `--threads 0` means auto-detect, same as omitting the flag: the
-    // thread planners treat `None` as `available_parallelism`.
-    let threads: Option<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|t| t.parse().ok())
-        .filter(|&t: &usize| t != 0);
-    let what = args
-        .iter()
-        .enumerate()
-        .find(|(i, a)| !(a.starts_with("--") || *i > 0 && args[i - 1] == "--threads"))
-        .map(|(_, a)| a.as_str())
-        .unwrap_or("all");
+    let positional: Vec<&str> =
+        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+    let what = positional.first().copied().unwrap_or("all");
 
     if what == "incremental-gate" {
         // The CI ceiling on the delta-based warm re-check: the 1%-edit
@@ -57,7 +43,7 @@ fn main() {
         // leg costs ~20x the pipeline and adds nothing to the ratio.
         section("Incremental gate — warm 1%-edit re-check vs cold pipeline");
         let n = if quick { 2_000 } else { 100_000 };
-        let r = e2e::run_gate("plain", n, 100, 10, 0xE2E0, threads);
+        let r = e2e::run_gate("plain", n, 100, 10, 0xE2E0);
         print!("{}", e2e::render(std::slice::from_ref(&r)));
         print!("{}", e2e::render_warm_phases(std::slice::from_ref(&r)));
         assert!(r.identical, "warm session output diverged from a cold check of the edited script");
@@ -84,14 +70,7 @@ fn main() {
     }
 
     if what == "splitfile" {
-        let path = args
-            .iter()
-            .enumerate()
-            .find(|(i, a)| {
-                !(a.starts_with("--") || a.as_str() == "splitfile" || *i > 0 && args[i - 1] == "--threads")
-            })
-            .map(|(_, a)| a.as_str());
-        let Some(path) = path else {
+        let Some(&path) = positional.get(1) else {
             eprintln!("expdriver splitfile: missing FILE argument");
             std::process::exit(2);
         };
@@ -110,7 +89,7 @@ fn main() {
             script.len(),
             if script.is_mapped() { "memory-mapped" } else { "buffered read" },
         );
-        let rows = vec![split::run_script(&script, threads)];
+        let rows = vec![split::run_script(&script)];
         print!("{}", split::render(&rows));
         return;
     }
@@ -185,7 +164,7 @@ fn main() {
     if run_all || what == "throughput" {
         section("Throughput — batch detection engine vs sequential path");
         let sizes: &[usize] = if quick { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000] };
-        let rows = throughput::run(sizes, 100, 0xBA7C4, threads);
+        let rows = throughput::run(sizes, 100, 0xBA7C4);
         print!("{}", throughput::render(&rows));
         let json = throughput::to_json(&rows);
         let path = "BENCH_throughput.json";
@@ -198,7 +177,7 @@ fn main() {
         section("E2E — parse-once front-end + incremental cache vs legacy front-end");
         let sizes: &[usize] = if quick { &[2_000] } else { &[10_000, 100_000] };
         // 1% of statements edited for the warm re-check.
-        let rows = e2e::run(sizes, 100, 10, 0xE2E0, threads);
+        let rows = e2e::run(sizes, 100, 10, 0xE2E0);
         print!("{}", e2e::render(&rows));
         write_e2e_json(&rows);
     }
@@ -211,7 +190,7 @@ fn main() {
             // O(edits) claim as a measured curve, not one point.
             (100_000, &[1, 10, 100], &["plain", "trigger", "skewed"])
         };
-        let rows = e2e::run_sweep(n, 100, rates, shapes, 0xE2E0, threads);
+        let rows = e2e::run_sweep(n, 100, rates, shapes, 0xE2E0);
         print!("{}", e2e::render(&rows));
         print!("{}", e2e::render_warm_phases(&rows));
         check_identity(&rows);
@@ -243,7 +222,7 @@ fn main() {
         }
         // Column-granular invalidation: a DDL edit to one table must keep
         // every cache entry that does not read the edited column.
-        let ddl = e2e::run_ddl_edit(if quick { 2_000 } else { 20_000 }, 10, 0xDD1, threads);
+        let ddl = e2e::run_ddl_edit(if quick { 2_000 } else { 20_000 }, 10, 0xDD1);
         print!("{}", e2e::render_ddl_edit(&ddl));
         assert!(ddl.identical, "DDL-edit warm re-check diverged from cold check");
         assert!(ddl.hits > 0, "column-granular invalidation kept no entries across a DDL edit");
@@ -251,7 +230,7 @@ fn main() {
     if run_all || what == "phases" {
         section("Phases — per-phase timing of the three-phase batch pipeline");
         let sizes: &[usize] = if quick { &[1_000] } else { &[10_000, 100_000] };
-        let rows = phases::run(sizes, 64, 0x9A5E5, threads);
+        let rows = phases::run(sizes, 64, 0x9A5E5);
         print!("{}", phases::render(&rows));
         for r in &rows {
             assert!(
@@ -273,7 +252,7 @@ fn main() {
     if run_all || what == "split" {
         section("Split — fused streaming splitter vs legacy two-pass reference");
         let sizes: &[usize] = if quick { &[2_000] } else { &[10_000, 100_000] };
-        let rows = split::run(sizes, 100, 0x5117, threads);
+        let rows = split::run(sizes, 100, 0x5117);
         print!("{}", split::render(&rows));
         // `run` asserts the three configurations agree before timing;
         // reaching this point means the byte-identity gate passed.
@@ -283,54 +262,9 @@ fn main() {
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-    if run_all || what == "scaling" {
-        section("Scaling — speedup vs threads (plain / trigger / skewed workloads)");
-        let (n, templates) = if quick { (2_000, 50) } else { (100_000, 100) };
-        let rows = scaling::run(n, templates, 0x5CA1E0, threads);
-        print!("{}", scaling::render(&rows));
-        // `run` asserts byte-identity at every point before returning;
-        // re-assert on the rows so the artifact can never record a
-        // divergence even if the panic path changes.
-        for r in &rows {
-            for p in &r.points {
-                assert!(
-                    p.identical,
-                    "{} at {} thread(s): output diverged from the sequential reference",
-                    r.workload, p.requested
-                );
-            }
-        }
-        // Speedup is only a meaningful expectation when the host has
-        // cores to scale onto; the identity gate above holds regardless.
-        if let Some(hw) = rows.first().map(|r| r.hw_threads) {
-            if hw >= 4 {
-                for r in &rows {
-                    if let Some(p) = r.at(4) {
-                        assert!(
-                            p.speedup_vs_1 >= 1.5,
-                            "{}: expected scaling at 4 threads on a {}-core host, got {:.2}x",
-                            r.workload,
-                            hw,
-                            p.speedup_vs_1
-                        );
-                    }
-                }
-            } else {
-                println!(
-                    "(host has {hw} core(s): speedup expectations skipped; \
-                     byte-identity asserted at every point)"
-                );
-            }
-        }
-        let path = "BENCH_scaling.json";
-        match std::fs::write(path, scaling::to_json(&rows)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
     if run_all || what == "corpus" {
         section("Corpus — acceptance matrix: parse coverage + degradation by corpus");
-        let rows = corpus::run(quick, threads);
+        let rows = corpus::run(quick);
         print!("{}", corpus::render(&rows));
         // CI gate: per-corpus parse-coverage floors and zero isolated rule
         // failures; panics (non-zero exit) on violation.

@@ -177,12 +177,12 @@ fn schema_script(db: &Database) -> String {
 
 /// Check one script (optionally with a database attached), timed. The
 /// row's dialect drives the front door.
-fn check_one(row: &mut CorpusRow, script: &str, db: Option<Database>, threads: Option<usize>) {
+fn check_one(row: &mut CorpusRow, script: &str, db: Option<Database>) {
     let mut tool = SqlCheck::new();
     if let Some(db) = db {
         tool = tool.with_database(db);
     }
-    let opts = BatchOptions { threads, dialect: row.dialect, ..BatchOptions::default() };
+    let opts = BatchOptions { dialect: row.dialect, ..BatchOptions::default() };
     let t = Instant::now();
     let w = tool.check_workload(script, &opts);
     row.micros += t.elapsed().as_micros();
@@ -192,7 +192,7 @@ fn check_one(row: &mut CorpusRow, script: &str, db: Option<Database>, threads: O
 /// Run the acceptance matrix. `quick` shrinks the GitHub corpus and caps
 /// the Kaggle database count for CI smoke runs; coverage floors apply at
 /// every scale.
-pub fn run(quick: bool, threads: Option<usize>) -> Vec<CorpusRow> {
+pub fn run(quick: bool) -> Vec<CorpusRow> {
     let mut rows = Vec::with_capacity(4);
 
     // Django: the 15 Table 7 applications' SQL traces, one check per app
@@ -200,7 +200,7 @@ pub fn run(quick: bool, threads: Option<usize>) -> Vec<CorpusRow> {
     let mut dj = empty_row("django");
     for app in django::APPS {
         let script = django::sql_trace(app);
-        check_one(&mut dj, &script, Some(django::database(app)), threads);
+        check_one(&mut dj, &script, Some(django::database(app)));
     }
     rows.push(dj);
 
@@ -213,7 +213,7 @@ pub fn run(quick: bool, threads: Option<usize>) -> Vec<CorpusRow> {
     };
     for repo in github::generate_corpus(cfg) {
         let script = repo.script();
-        check_one(&mut gh, &script, None, threads);
+        check_one(&mut gh, &script, None);
     }
     rows.push(gh);
 
@@ -221,7 +221,7 @@ pub fn run(quick: bool, threads: Option<usize>) -> Vec<CorpusRow> {
     // attached, so the data-analysis phase runs too.
     let mut gl = empty_row("globaleaks");
     let script = globaleaks::sql_trace();
-    check_one(&mut gl, &script, Some(globaleaks::build_ap_database(Scale::tiny())), threads);
+    check_one(&mut gl, &script, Some(globaleaks::build_ap_database(Scale::tiny())));
     rows.push(gl);
 
     // Kaggle: data-analysis-only databases; the schema script synthesized
@@ -231,22 +231,22 @@ pub fn run(quick: bool, threads: Option<usize>) -> Vec<CorpusRow> {
     for spec in specs {
         let db = kaggle::build(spec, 0xCA661E);
         let script = schema_script(&db);
-        check_one(&mut kg, &script, Some(db), threads);
+        check_one(&mut kg, &script, Some(db));
     }
     rows.push(kg);
 
     // Dialect-tagged corpora: idiomatic scripts that would collide with
     // the tolerant-union front door (MySQL `$$` delimiters, `#`
-    // comments) or forgo parallel splitting (Postgres scripts containing
-    // the word DELIMITER) — each checked under its own dialect, with the
+    // comments) or raise the DELIMITER diagnostic (Postgres scripts
+    // containing the word) — each checked under its own dialect, with the
     // same coverage gate as the clean corpora.
     let dcfg = if quick { DialectCorpusConfig::small() } else { DialectCorpusConfig::default() };
     let mut my = empty_dialect_row("mysqldump", Dialect::MySql);
-    check_one(&mut my, &dialects::mysqldump_script(dcfg), None, threads);
+    check_one(&mut my, &dialects::mysqldump_script(dcfg), None);
     rows.push(my);
 
     let mut pg = empty_dialect_row("plpgsql", Dialect::Postgres);
-    check_one(&mut pg, &dialects::plpgsql_script(dcfg), None, threads);
+    check_one(&mut pg, &dialects::plpgsql_script(dcfg), None);
     rows.push(pg);
 
     rows
@@ -288,8 +288,9 @@ pub fn render(rows: &[CorpusRow]) -> String {
     out
 }
 
-/// Assert the CI gates: per-corpus parse-coverage floors and zero
-/// isolated rule failures. Panics (failing the driver) on violation.
+/// Assert the CI gates: per-corpus parse-coverage floors, zero isolated
+/// rule failures, and statement-level diagnostics that agree with the
+/// coverage numbers. Panics (failing the driver) on violation.
 pub fn assert_floors(rows: &[CorpusRow]) {
     for r in rows {
         let floor = coverage_floor(r.corpus);
@@ -304,6 +305,15 @@ pub fn assert_floors(rows: &[CorpusRow]) {
             r.rule_failures, 0,
             "{}: built-in rules must never panic, {} unit(s) were isolated",
             r.corpus, r.rule_failures
+        );
+        // Every `parse-degraded` diagnostic is a statement that fell back
+        // to `Other`, so it is counted among the degraded unique texts.
+        let parse_degraded = r.diag_counts[DiagKind::ParseDegraded.index()];
+        assert!(
+            parse_degraded <= r.degraded_uniques,
+            "{}: {parse_degraded} parse-degraded diagnostic(s) but only {} degraded unique text(s)",
+            r.corpus,
+            r.degraded_uniques
         );
     }
 }
@@ -352,7 +362,7 @@ mod tests {
 
     #[test]
     fn quick_matrix_meets_floors() {
-        let rows = run(true, Some(2));
+        let rows = run(true);
         assert_eq!(rows.len(), 6);
         assert_floors(&rows);
         for r in &rows {
@@ -368,7 +378,7 @@ mod tests {
 
     #[test]
     fn dialect_rows_hold_the_floor_without_degradation_noise() {
-        let rows = run(true, Some(2));
+        let rows = run(true);
         for r in rows.iter().filter(|r| matches!(r.corpus, "mysqldump" | "plpgsql")) {
             assert!(
                 r.parse_coverage() >= 0.95,
@@ -376,7 +386,7 @@ mod tests {
                 r.corpus,
                 r.parse_coverage()
             );
-            // A Postgres script must keep chunk-parallel splitting: no
+            // `DELIMITER` is a plain word under Postgres: no
             // delimiter-fallback diagnostic may appear.
             if r.corpus == "plpgsql" {
                 assert_eq!(

@@ -5,11 +5,10 @@
 //! Three configurations per workload shape:
 //!
 //! * `legacy` — the pre-PR front-end: every statement parsed and
-//!   annotated individually, single-threaded
-//!   ([`FrontendOptions::legacy`]), followed by batch detection;
+//!   annotated individually ([`FrontendOptions::legacy`]), followed by
+//!   batch detection;
 //! * `pipeline` — the parse-once front-end: split + fingerprint first,
-//!   parse/annotate each unique text once (threaded when available),
-//!   followed by batch detection;
+//!   parse/annotate each unique text once, followed by batch detection;
 //! * `warm` — a [`CheckSession`] retained from a cold check of the
 //!   workload, re-checking an **edit set** (a fraction of statements
 //!   replaced) through [`CheckSession::recheck`]: the script splices,
@@ -44,10 +43,6 @@ pub struct E2eRow {
     pub edit_permille: usize,
     /// Statements whose text was edited for the warm re-check.
     pub edited: usize,
-    /// Effective threads used by the pipeline front-end.
-    pub threads: usize,
-    /// Threads the caller requested (0 = auto-detect).
-    pub requested_threads: usize,
     /// Detections produced on the original script (identical across the
     /// cold configurations).
     pub detections: usize,
@@ -163,31 +158,23 @@ fn sample_full<T>(f: &mut impl FnMut() -> T) -> (T, (u128, u128, f64)) {
 }
 
 /// One full end-to-end check: front-end + batch detection.
-fn check(
-    script: &str,
-    fe: FrontendOptions,
-    opts: &BatchOptions,
-    cache: Option<&IncrementalCache>,
-) -> sqlcheck::BatchReport {
+fn check(script: &str, fe: FrontendOptions, cache: Option<&IncrementalCache>) -> sqlcheck::BatchReport {
     let (ctx, fe_stats) =
         ContextBuilder::new().with_frontend(fe).add_script(script).build_with_stats();
-    let mut batch = Detector::default().detect_batch_with(&ctx, opts, cache);
+    let mut batch = Detector::default().detect_batch_with(&ctx, cache);
     batch.stats.absorb_frontend(&fe_stats);
-    batch.stats.threads = batch.stats.threads.max(fe_stats.threads);
     batch
 }
 
-/// Run the experiment at one workload size and shape. `threads` pins the
-/// worker count of the parallel configurations (`None` = all cores).
+/// Run the experiment at one workload size and shape.
 pub fn run_one(
     workload: &str,
     statements: usize,
     templates: usize,
     edit_permille: usize,
     seed: u64,
-    threads: Option<usize>,
 ) -> E2eRow {
-    run_inner(workload, statements, templates, edit_permille, seed, threads, true)
+    run_inner(workload, statements, templates, edit_permille, seed, true)
 }
 
 /// The CI-gate variant: pipeline + warm legs only (the legacy leg costs
@@ -200,9 +187,8 @@ pub fn run_gate(
     templates: usize,
     edit_permille: usize,
     seed: u64,
-    threads: Option<usize>,
 ) -> E2eRow {
-    run_inner(workload, statements, templates, edit_permille, seed, threads, false)
+    run_inner(workload, statements, templates, edit_permille, seed, false)
 }
 
 fn run_inner(
@@ -211,32 +197,29 @@ fn run_inner(
     templates: usize,
     edit_permille: usize,
     seed: u64,
-    threads: Option<usize>,
     with_legacy: bool,
 ) -> E2eRow {
     let script = script_for_shape(workload, statements, templates, seed);
-    let opts = BatchOptions { parallel: true, threads, ..BatchOptions::default() };
+    let opts = BatchOptions::default();
 
-    // Cold, legacy front-end (the pre-pipeline baseline). Detection uses
-    // the same batch options as the pipeline runs so the measured delta
+    // Cold, legacy front-end (the pre-pipeline baseline). Detection is
+    // the same batch engine as the pipeline runs so the measured delta
     // isolates the front-end.
     let (legacy, legacy_micros) = if with_legacy {
-        let (l, us) = best_of(|| check(&script, FrontendOptions::legacy(), &opts, None));
+        let (l, us) = best_of(|| check(&script, FrontendOptions::legacy(), None));
         (Some(l), us)
     } else {
         (None, 0)
     };
 
     // Cold, parse-once pipeline.
-    let pipeline_fe =
-        FrontendOptions { dedup: true, parallel: true, threads, ..FrontendOptions::default() };
     let (pipeline, (pipeline_micros, pipeline_median_micros, pipeline_spread_pct)) =
-        sample_full(&mut || check(&script, pipeline_fe.clone(), &opts, None));
+        sample_full(&mut || check(&script, FrontendOptions::default(), None));
 
     // Heap traffic per unique statement across one cold pipeline check
     // (only meaningful with the counting allocator compiled in).
     let a0 = alloc_count();
-    let alloc_run = check(&script, pipeline_fe.clone(), &opts, None);
+    let alloc_run = check(&script, FrontendOptions::default(), None);
     let allocs = allocs_per_stmt(a0, alloc_count(), alloc_run.stats.unique_texts.max(1));
 
     // Warm: retain a session over the original workload (cold build,
@@ -273,8 +256,6 @@ fn run_inner(
         templates,
         edit_permille,
         edited,
-        threads: pipeline.stats.threads,
-        requested_threads: threads.unwrap_or(0),
         detections: pipeline.report.detections.len(),
         identical,
         legacy_micros,
@@ -283,7 +264,6 @@ fn run_inner(
         frontend: FrontendStats {
             statements: pipeline.stats.statements,
             unique_texts: pipeline.stats.unique_texts,
-            threads: pipeline.stats.threads,
             split_micros: pipeline.stats.split_micros,
             materialize_micros: pipeline.stats.materialize_micros,
             intake_micros: pipeline.stats.intake_micros,
@@ -322,12 +302,7 @@ pub struct DdlEditRow {
 /// table, and re-check: column-granular invalidation must keep every
 /// entry that does not read the edited column (shown by the hit
 /// counter), while output stays byte-identical to a cold check.
-pub fn run_ddl_edit(
-    statements: usize,
-    tables: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> DdlEditRow {
+pub fn run_ddl_edit(statements: usize, tables: usize, seed: u64) -> DdlEditRow {
     let prelude = super::phases::ddl_prelude(tables);
     let body = super::throughput::workload_script(statements, tables, seed);
     let script = format!("{prelude}{body}");
@@ -339,12 +314,10 @@ pub fn run_ddl_edit(
     );
     assert_ne!(script, edited, "edit must change the DDL");
 
-    let opts = BatchOptions { parallel: true, threads, ..BatchOptions::default() };
-    let fe = FrontendOptions { dedup: true, parallel: true, threads, ..FrontendOptions::default() };
     let cache = IncrementalCache::default();
-    let _ = check(&script, fe.clone(), &opts, Some(&cache));
-    let warm = check(&edited, fe.clone(), &opts, Some(&cache));
-    let cold = check(&edited, FrontendOptions::legacy(), &opts, None);
+    let _ = check(&script, FrontendOptions::default(), Some(&cache));
+    let warm = check(&edited, FrontendOptions::default(), Some(&cache));
+    let cold = check(&edited, FrontendOptions::legacy(), None);
 
     DdlEditRow {
         statements: warm.stats.statements,
@@ -366,14 +339,8 @@ pub fn render_ddl_edit(r: &DdlEditRow) -> String {
 
 /// Run the experiment over several workload sizes at one edit rate
 /// (plain shape — the cross-PR regression reference).
-pub fn run(
-    sizes: &[usize],
-    templates: usize,
-    edit_permille: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> Vec<E2eRow> {
-    sizes.iter().map(|&n| run_one("plain", n, templates, edit_permille, seed, threads)).collect()
+pub fn run(sizes: &[usize], templates: usize, edit_permille: usize, seed: u64) -> Vec<E2eRow> {
+    sizes.iter().map(|&n| run_one("plain", n, templates, edit_permille, seed)).collect()
 }
 
 /// Edit-fraction sweep at one workload size: every shape × every edit
@@ -384,12 +351,11 @@ pub fn run_sweep(
     permilles: &[usize],
     shapes: &[&str],
     seed: u64,
-    threads: Option<usize>,
 ) -> Vec<E2eRow> {
     let mut rows = Vec::with_capacity(shapes.len() * permilles.len());
     for &shape in shapes {
         for &pm in permilles {
-            rows.push(run_one(shape, statements, templates, pm, seed, threads));
+            rows.push(run_one(shape, statements, templates, pm, seed));
         }
     }
     rows
@@ -399,17 +365,16 @@ pub fn run_sweep(
 pub fn render(rows: &[E2eRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>8} {:>7} {:>7} {:>11} {:>11} {:>9} {:>6} {:>6} {:>5} {:>9}\n",
-        "workload", "stmts", "edited", "threads", "legacy_us", "pipeline_us", "warm_us", "cold_x",
-        "w/p", "dirty", "identical"
+        "{:>8} {:>8} {:>7} {:>11} {:>11} {:>9} {:>6} {:>6} {:>5} {:>9}\n",
+        "workload", "stmts", "edited", "legacy_us", "pipeline_us", "warm_us", "cold_x", "w/p",
+        "dirty", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>8} {:>7} {:>7} {:>11} {:>11} {:>9} {:>5.1}x {:>6.2} {:>5} {:>9}\n",
+            "{:>8} {:>8} {:>7} {:>11} {:>11} {:>9} {:>5.1}x {:>6.2} {:>5} {:>9}\n",
             r.workload,
             r.statements,
             r.edited,
-            r.threads,
             r.legacy_micros,
             r.pipeline_micros,
             r.warm_micros,
@@ -457,8 +422,7 @@ pub fn to_json(rows: &[E2eRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
-             \"edit_permille\": {}, \"edited\": {}, \"threads\": {}, \
-             \"requested_threads\": {}, \
+             \"edit_permille\": {}, \"edited\": {}, \
              \"detections\": {}, \"identical\": {}, \"fallbacks\": {}, \
              \"legacy_micros\": {}, \"pipeline_micros\": {}, \"warm_micros\": {}, \
              \"pipeline_median_micros\": {}, \"pipeline_spread_pct\": {:.1}, \
@@ -479,8 +443,6 @@ pub fn to_json(rows: &[E2eRow]) -> String {
             r.templates,
             r.edit_permille,
             r.edited,
-            r.threads,
-            r.requested_threads,
             r.detections,
             r.identical,
             r.fallbacks,
@@ -524,7 +486,7 @@ mod tests {
     #[test]
     fn outputs_identical_at_small_scale() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one("plain", 400, 50, 10, 0xE2E, None);
+        let r = run_one("plain", 400, 50, 10, 0xE2E);
         assert!(r.identical, "all three configurations must agree");
         assert!(r.detections > 0);
         assert!(r.edited > 0, "edit rate must actually edit something");
@@ -539,7 +501,7 @@ mod tests {
     fn trigger_and_skewed_shapes_stay_incremental() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         for shape in ["trigger", "skewed"] {
-            let r = run_one(shape, 300, 30, 20, 0x5A9E, None);
+            let r = run_one(shape, 300, 30, 20, 0x5A9E);
             assert!(r.identical, "{shape}: warm session diverged from cold check");
             assert_eq!(r.fallbacks, 0, "{shape}: edit set must stay incremental");
         }
@@ -558,7 +520,7 @@ mod tests {
     #[test]
     fn gate_variant_skips_legacy_but_keeps_identity() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_gate("plain", 300, 30, 10, 0xE2E, None);
+        let r = run_gate("plain", 300, 30, 10, 0xE2E);
         assert_eq!(r.legacy_micros, 0);
         assert!(r.identical, "warm session must equal the cold check of the edited script");
     }
@@ -566,7 +528,7 @@ mod tests {
     #[test]
     fn ddl_edit_keeps_unrelated_cache_entries() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_ddl_edit(400, 10, 0xDD1, None);
+        let r = run_ddl_edit(400, 10, 0xDD1);
         assert!(r.identical, "warm re-check after a DDL edit must equal a cold check");
         assert!(
             r.hits > 0,
@@ -578,7 +540,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run(&[150], 20, 20, 3, None);
+        let rows = run(&[150], 20, 20, 3);
         let j = to_json(&rows);
         assert!(j.contains("\"statements\": 150"));
         assert!(j.contains("\"workload\": \"plain\""));

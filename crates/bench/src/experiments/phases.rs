@@ -1,6 +1,5 @@
 //! **Per-phase experiment** — timing breakdown of the three-phase batch
-//! detection pipeline (intra-query / inter-query / data-analysis), all
-//! sliced onto the shared worker pool.
+//! detection pipeline (intra-query / inter-query / data-analysis).
 //!
 //! The throughput and e2e experiments measure end-to-end wall clock; this
 //! one records where the time goes. The workload is the template-heavy
@@ -16,7 +15,7 @@
 //! [`Detector::detect`] is asserted before any timing is reported.
 
 use super::throughput::workload_script;
-use sqlcheck::{BatchOptions, BatchStats, ContextBuilder, DataAnalysisConfig, Detector, Report};
+use sqlcheck::{BatchStats, ContextBuilder, DataAnalysisConfig, Detector, Report};
 use sqlcheck_minidb::prelude::*;
 use std::time::Instant;
 
@@ -35,7 +34,7 @@ pub struct PhaseRow {
     pub identical: bool,
     /// Wall-clock microseconds: sequential three-phase path.
     pub seq_micros: u128,
-    /// Wall-clock microseconds: batch three-phase path (all threads).
+    /// Wall-clock microseconds: batch three-phase path.
     pub batch_micros: u128,
     /// Per-phase stats of the timed batch run (front-end populated from
     /// the context build).
@@ -97,12 +96,7 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, u128) {
 }
 
 /// Run the experiment at one workload size.
-pub fn run_one(
-    statements: usize,
-    templates: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> PhaseRow {
+pub fn run_one(statements: usize, templates: usize, seed: u64) -> PhaseRow {
     let profiled = templates.min(8);
     let script = format!("{}{}", ddl_prelude(templates), workload_script(statements, templates, seed));
     let db = sample_database(profiled, 64);
@@ -111,10 +105,9 @@ pub fn run_one(
         .with_database(db, DataAnalysisConfig::default())
         .build_with_stats();
     let det = Detector::default();
-    let opts = BatchOptions { parallel: true, threads, ..BatchOptions::default() };
 
     let (seq, seq_micros) = best_of(|| det.detect(&ctx));
-    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx, &opts));
+    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
 
     let identical = report_key(&seq) == report_key(&batch.report);
     let mut stats = batch.stats;
@@ -133,29 +126,23 @@ pub fn run_one(
 }
 
 /// Run the experiment over several workload sizes.
-pub fn run(
-    sizes: &[usize],
-    templates: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> Vec<PhaseRow> {
-    sizes.iter().map(|&n| run_one(n, templates, seed, threads)).collect()
+pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<PhaseRow> {
+    sizes.iter().map(|&n| run_one(n, templates, seed)).collect()
 }
 
 /// Render rows as an aligned console table (one line per phase set).
 pub fn render(rows: &[PhaseRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "stmts", "threads", "seq_us", "batch_us", "parse", "group", "intra", "fanout",
-        "inter", "data", "identical"
+        "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+        "stmts", "seq_us", "batch_us", "parse", "group", "intra", "fanout", "inter", "data",
+        "identical"
     ));
     for r in rows {
         let s = &r.stats;
         out.push_str(&format!(
-            "{:>9} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+            "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
             r.statements,
-            s.threads,
             r.seq_micros,
             r.batch_micros,
             s.parse_micros,
@@ -179,7 +166,6 @@ pub fn to_json(rows: &[PhaseRow]) -> String {
         let s = &r.stats;
         out.push_str(&format!(
             "    {{\"statements\": {}, \"templates\": {}, \"profiled_tables\": {}, \
-             \"threads\": {}, \"requested_threads\": {}, \
              \"detections\": {}, \"identical\": {}, \
              \"seq_micros\": {}, \"batch_micros\": {}, \
              \"split_micros\": {}, \"parse_micros\": {}, \"annotate_micros\": {}, \
@@ -189,8 +175,6 @@ pub fn to_json(rows: &[PhaseRow]) -> String {
             r.statements,
             r.templates,
             r.profiled_tables,
-            s.threads,
-            s.requested_threads,
             r.detections,
             r.identical,
             r.seq_micros,
@@ -221,7 +205,7 @@ mod tests {
     #[test]
     fn phases_identical_and_measured() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one(300, 24, 0x9A5E, None);
+        let r = run_one(300, 24, 0x9A5E);
         assert!(r.identical, "batch three-phase output must match sequential");
         assert!(r.detections > 0);
         // The inter and data phases both did real, measured work: the
@@ -235,7 +219,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run(&[120], 16, 1, None);
+        let rows = run(&[120], 16, 1);
         let j = to_json(&rows);
         assert!(j.contains("\"inter_micros\""));
         assert!(j.contains("\"data_micros\""));

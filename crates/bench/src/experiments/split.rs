@@ -1,5 +1,5 @@
 //! **Split-phase experiment** — the fused streaming splitter vs the
-//! legacy two-pass reference, sequential and chunk-parallel.
+//! legacy two-pass reference.
 //!
 //! The split phase is the front door of the whole pipeline: every byte of
 //! a workload script passes through it before anything is parsed or
@@ -15,9 +15,7 @@
 //!   content hashes, and template fingerprints as the bytes are lexed;
 //! * `deduped` — [`split_deduped`]: the pipeline's intake path — a
 //!   spans-only boundary scan groups duplicate texts by exact bytes and
-//!   the fused lex+hash pass runs once per **unique** text;
-//! * `parallel` — [`split_stream_parallel`]: the fused pass over
-//!   pre-scanned chunks on scoped worker threads.
+//!   the fused lex+hash pass runs once per **unique** text.
 //!
 //! Every configuration is asserted to produce **identical statements**
 //! (spans, content hashes, template fingerprints) before any timing is
@@ -25,8 +23,8 @@
 
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
 use crate::harness::{sample_of, Sample};
-use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream, split_stream_parallel};
-use sqlcheck_parser::SplitStatement;
+use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream};
+use sqlcheck_parser::{Dialect, SplitStatement};
 use super::throughput::script_for_shape;
 
 /// One measured workload size.
@@ -43,10 +41,6 @@ pub struct SplitRow {
     pub templates: usize,
     /// Script size in bytes.
     pub bytes: usize,
-    /// Effective threads used by the parallel configuration.
-    pub threads: usize,
-    /// Threads the caller requested (0 = auto-detect).
-    pub requested_threads: usize,
     /// Whether all three configurations emitted identical statements.
     pub identical: bool,
     /// Wall-clock microseconds: legacy two-pass splitter (+ per-statement
@@ -57,8 +51,6 @@ pub struct SplitRow {
     /// Wall-clock microseconds: split + byte-level dedup, hashing each
     /// unique text once (the `ContextBuilder::add_script` intake path).
     pub deduped_micros: u128,
-    /// Wall-clock microseconds: fused splitter over parallel chunks.
-    pub parallel_micros: u128,
     /// Median observation for the legacy configuration (noise context
     /// for the min that the headline numbers report).
     pub legacy_median_micros: u128,
@@ -66,8 +58,6 @@ pub struct SplitRow {
     pub fused_median_micros: u128,
     /// Median observation for the deduping configuration.
     pub deduped_median_micros: u128,
-    /// Median observation for the parallel configuration.
-    pub parallel_median_micros: u128,
     /// Relative spread `(max-min)/min` of the fused observations, percent
     /// — the per-row measurement of the host noise the README warns
     /// about.
@@ -97,18 +87,12 @@ impl SplitRow {
         self.mb_per_sec(self.fused_micros)
     }
 
-    /// Parallel throughput in MB/s.
-    pub fn parallel_mbps(&self) -> f64 {
-        self.mb_per_sec(self.parallel_micros)
-    }
-
-    /// Single-threaded speedup of the fused pass over the legacy splitter.
+    /// Speedup of the fused pass over the legacy splitter.
     pub fn fused_speedup(&self) -> f64 {
         self.legacy_micros as f64 / self.fused_micros.max(1) as f64
     }
 
-    /// Single-threaded speedup of the deduping intake path over the
-    /// legacy splitter.
+    /// Speedup of the deduping intake path over the legacy splitter.
     pub fn deduped_speedup(&self) -> f64 {
         self.legacy_micros as f64 / self.deduped_micros.max(1) as f64
     }
@@ -135,29 +119,20 @@ fn legacy_statements(script: &str) -> Vec<SplitStatement> {
 /// Assert the three configurations agree on `script`; returns the number
 /// of statements. Used both by the timed runs (before reporting) and by
 /// CI's bench-smoke byte-identity gate.
-pub fn assert_equivalence(script: &str, threads: Option<usize>) -> usize {
+pub fn assert_equivalence(script: &str) -> usize {
     let fused = split_stream(script);
     let legacy = legacy_statements(script);
     assert_eq!(fused, legacy, "fused splitter diverged from the legacy reference");
-    for t in [2, threads.unwrap_or(4).max(2)] {
+    let d = split_deduped(script, Dialect::Generic);
+    assert_eq!(d.occurrences.len(), fused.len(), "deduped occurrence count");
+    for ((slot, span), s) in d.occurrences.iter().zip(&fused) {
+        assert_eq!(*span, s.span, "deduped occurrence span");
+        let u = &d.uniques[*slot as usize];
         assert_eq!(
-            split_stream_parallel(script, t),
-            fused,
-            "chunk-parallel splitter diverged from sequential at {t} thread(s)"
+            (u.content_hash, u.fingerprint),
+            (s.content_hash, s.fingerprint),
+            "deduped unique hashes"
         );
-    }
-    for t in [1, threads.unwrap_or(4).max(2)] {
-        let d = split_deduped(script, t);
-        assert_eq!(d.occurrences.len(), fused.len(), "deduped occurrence count");
-        for ((slot, span), s) in d.occurrences.iter().zip(&fused) {
-            assert_eq!(*span, s.span, "deduped occurrence span");
-            let u = &d.uniques[*slot as usize];
-            assert_eq!(
-                (u.content_hash, u.fingerprint),
-                (s.content_hash, s.fingerprint),
-                "deduped unique hashes"
-            );
-        }
     }
     fused.len()
 }
@@ -186,7 +161,7 @@ pub const PLAIN_ALLOCS_PER_STMT_CEILING: f64 = 32.0;
 /// work `ContextBuilder::add_script` performs per unique statement.
 /// `None` when the `count-allocs` feature is compiled out.
 fn measure_allocs_per_stmt(script: &str) -> Option<f64> {
-    let d = split_deduped(script, 1);
+    let d = split_deduped(script, Dialect::Generic);
     // Warm thread-local parse state so one-time setup is not billed.
     if let Some(u) = d.uniques.first() {
         std::hint::black_box(sqlcheck_parser::parse_one(&script[u.span.start..u.span.end]));
@@ -199,87 +174,48 @@ fn measure_allocs_per_stmt(script: &str) -> Option<f64> {
 }
 
 /// Run the experiment at one workload size and shape.
-pub fn run_one(
-    workload: &'static str,
-    statements: usize,
-    templates: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> SplitRow {
+pub fn run_one(workload: &'static str, statements: usize, templates: usize, seed: u64) -> SplitRow {
     let script = script_for_shape(workload, statements, templates, seed);
-    let par_threads = threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1);
-
-    let stmt_count = assert_equivalence(&script, threads);
-
-    let legacy = measure(|| legacy_statements(&script));
-    let fused = measure(|| split_stream(&script));
-    let deduped = measure(|| split_deduped(&script, 1));
-    let parallel = measure(|| split_stream_parallel(&script, par_threads));
-    let allocs = measure_allocs_per_stmt(&script);
+    let row = measure_script(workload, templates, &script);
     if workload == "plain" {
-        if let Some(a) = allocs {
+        if let Some(a) = row.allocs_per_stmt {
             assert!(
                 a <= PLAIN_ALLOCS_PER_STMT_CEILING,
                 "allocs_per_stmt regression: {a:.1} > ceiling {PLAIN_ALLOCS_PER_STMT_CEILING}"
             );
         }
     }
-
-    SplitRow {
-        workload,
-        statements: stmt_count,
-        templates,
-        bytes: script.len(),
-        threads: par_threads,
-        requested_threads: threads.unwrap_or(0),
-        identical: true, // asserted above; a divergence panics before this
-        legacy_micros: legacy.min_micros,
-        fused_micros: fused.min_micros,
-        deduped_micros: deduped.min_micros,
-        parallel_micros: parallel.min_micros,
-        legacy_median_micros: legacy.median_micros,
-        fused_median_micros: fused.median_micros,
-        deduped_median_micros: deduped.median_micros,
-        parallel_median_micros: parallel.median_micros,
-        fused_spread_pct: fused.spread_pct(),
-        allocs_per_stmt: allocs,
-    }
+    row
 }
 
 /// Run the split configurations over an externally supplied script (the
 /// `expdriver splitfile FILE` path — typically a memory-mapped real dump
 /// via [`sqlcheck::input::read_script`]). Same equivalence gate and
 /// measurements as [`run_one`]; `templates` is reported as 0 (unknown).
-pub fn run_script(script: &str, threads: Option<usize>) -> SplitRow {
-    let par_threads = threads
-        .or_else(|| std::thread::available_parallelism().map(|n| n.get()).ok())
-        .unwrap_or(1);
-    let stmt_count = assert_equivalence(script, threads);
+pub fn run_script(script: &str) -> SplitRow {
+    measure_script("file", 0, script)
+}
+
+/// Assert equivalence, then time every configuration on `script`.
+fn measure_script(workload: &'static str, templates: usize, script: &str) -> SplitRow {
+    let stmt_count = assert_equivalence(script);
     let legacy = measure(|| legacy_statements(script));
     let fused = measure(|| split_stream(script));
-    let deduped = measure(|| split_deduped(script, 1));
-    let parallel = measure(|| split_stream_parallel(script, par_threads));
-    let allocs = measure_allocs_per_stmt(script);
+    let deduped = measure(|| split_deduped(script, Dialect::Generic));
     SplitRow {
-        workload: "file",
+        workload,
         statements: stmt_count,
-        templates: 0,
+        templates,
         bytes: script.len(),
-        threads: par_threads,
-        requested_threads: threads.unwrap_or(0),
-        identical: true,
+        identical: true, // asserted above; a divergence panics before this
         legacy_micros: legacy.min_micros,
         fused_micros: fused.min_micros,
         deduped_micros: deduped.min_micros,
-        parallel_micros: parallel.min_micros,
         legacy_median_micros: legacy.median_micros,
         fused_median_micros: fused.median_micros,
         deduped_median_micros: deduped.median_micros,
-        parallel_median_micros: parallel.median_micros,
         fused_spread_pct: fused.spread_pct(),
-        allocs_per_stmt: allocs,
+        allocs_per_stmt: measure_allocs_per_stmt(script),
     }
 }
 
@@ -287,14 +223,14 @@ pub fn run_script(script: &str, threads: Option<usize>) -> SplitRow {
 /// the trigger-heavy shape — the trigger rows track the block-tracking
 /// overhead (expected ~free on plain workloads) and put compound
 /// statements through the same byte-identity gate.
-pub fn run(sizes: &[usize], templates: usize, seed: u64, threads: Option<usize>) -> Vec<SplitRow> {
+pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<SplitRow> {
     let mut rows = Vec::with_capacity(sizes.len() * 2);
     // All plain rows first: they are the cross-PR regression reference,
     // so they must run under the same process conditions (allocator
     // state, touched memory) as before the trigger shape existed.
     for workload in ["plain", "trigger", "skewed"] {
         for &n in sizes {
-            rows.push(run_one(workload, n, templates, seed, threads));
+            rows.push(run_one(workload, n, templates, seed));
         }
     }
     rows
@@ -304,13 +240,13 @@ pub fn run(sizes: &[usize], templates: usize, seed: u64, threads: Option<usize>)
 pub fn render(rows: &[SplitRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>10} {:>10} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
+        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>10} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
         "workload", "stmts", "bytes", "legacy_us", "fused_us", "fused_med", "spread%", "dedup_us",
-        "par_us", "leg_MBs", "fus_MBs", "fused_x", "dedup_x", "allocs", "identical"
+        "leg_MBs", "fus_MBs", "fused_x", "dedup_x", "allocs", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>10} {:>10} {:>8.1} {:>8.1} {:>6.1}x {:>6.1}x {:>7} {:>9}\n",
+            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>10} {:>8.1} {:>8.1} {:>6.1}x {:>6.1}x {:>7} {:>9}\n",
             r.workload,
             r.statements,
             r.bytes,
@@ -319,7 +255,6 @@ pub fn render(rows: &[SplitRow]) -> String {
             r.fused_median_micros,
             r.fused_spread_pct,
             r.deduped_micros,
-            r.parallel_micros,
             r.legacy_mbps(),
             r.fused_mbps(),
             r.fused_speedup(),
@@ -337,36 +272,29 @@ pub fn to_json(rows: &[SplitRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \"bytes\": {}, \
-             \"threads\": {}, \"requested_threads\": {}, \
              \"identical\": {}, \"legacy_micros\": {}, \"fused_micros\": {}, \
-             \"deduped_micros\": {}, \"parallel_micros\": {}, \
+             \"deduped_micros\": {}, \
              \"legacy_median_micros\": {}, \"fused_median_micros\": {}, \
-             \"deduped_median_micros\": {}, \"parallel_median_micros\": {}, \
+             \"deduped_median_micros\": {}, \
              \"fused_spread_pct\": {:.1}, \"allocs_per_stmt\": {}, \
-             \"legacy_mb_per_s\": {:.1}, \
-             \"fused_mb_per_s\": {:.1}, \"parallel_mb_per_s\": {:.1}, \
+             \"legacy_mb_per_s\": {:.1}, \"fused_mb_per_s\": {:.1}, \
              \"fused_us_per_stmt\": {:.3}, \"fused_speedup\": {:.2}, \
              \"deduped_speedup\": {:.2}}}{}\n",
             r.workload,
             r.statements,
             r.templates,
             r.bytes,
-            r.threads,
-            r.requested_threads,
             r.identical,
             r.legacy_micros,
             r.fused_micros,
             r.deduped_micros,
-            r.parallel_micros,
             r.legacy_median_micros,
             r.fused_median_micros,
             r.deduped_median_micros,
-            r.parallel_median_micros,
             r.fused_spread_pct,
             r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "null".into()),
             r.legacy_mbps(),
             r.fused_mbps(),
-            r.parallel_mbps(),
             r.fused_us_per_stmt(),
             r.fused_speedup(),
             r.deduped_speedup(),
@@ -383,7 +311,7 @@ mod tests {
 
     #[test]
     fn configurations_agree_at_small_scale() {
-        let r = run_one("plain", 500, 50, 0x5117, None);
+        let r = run_one("plain", 500, 50, 0x5117);
         assert!(r.identical);
         assert_eq!(r.statements, 500);
         assert!(r.bytes > 0);
@@ -393,15 +321,15 @@ mod tests {
     fn trigger_workload_agrees_and_keeps_compound_statements_whole() {
         // Every 6th statement is compound DDL; the count staying exact
         // proves body semicolons never split, and run_one's internal
-        // assert_equivalence pins fused/legacy/parallel/deduped identity.
-        let r = run_one("trigger", 480, 30, 0x5117, None);
+        // assert_equivalence pins fused/legacy/deduped identity.
+        let r = run_one("trigger", 480, 30, 0x5117);
         assert!(r.identical);
         assert_eq!(r.statements, 480);
     }
 
     #[test]
     fn skewed_workload_agrees_including_giant_statement() {
-        let r = run_one("skewed", 300, 30, 0x5117, None);
+        let r = run_one("skewed", 300, 30, 0x5117);
         assert!(r.identical);
         assert_eq!(r.statements, 300, "the giant body must stay one statement");
     }
@@ -412,13 +340,13 @@ mod tests {
         // equivalence assertion with the constructs that hide `;`.
         let nasty = "SELECT 'a;b'; /* ;; /* ;; */ */ SELECT $t$;$t$; \
                      SELECT [c;d] FROM \"e;f\" -- tail;\n; SELECT 2";
-        let n = assert_equivalence(nasty, Some(3));
+        let n = assert_equivalence(nasty);
         assert_eq!(n, 4);
     }
 
     #[test]
     fn json_is_well_formed_enough() {
-        let rows = run(&[120], 20, 3, None);
+        let rows = run(&[120], 20, 3);
         let j = to_json(&rows);
         assert!(j.contains("\"statements\": 120"));
         assert!(j.contains("fused_speedup"));

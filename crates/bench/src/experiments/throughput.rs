@@ -7,14 +7,13 @@
 //! drawn from a fixed pool of unique templates — and measures:
 //!
 //! * `sequential` — [`sqlcheck::Detector::detect`], the seed path;
-//! * `batch` — [`sqlcheck::Detector::detect_batch`] with one thread
-//!   (fingerprint/text dedup only);
-//! * `parallel` — `detect_batch` with all available threads.
+//! * `batch` — [`sqlcheck::Detector::detect_batch`] (fingerprint/text
+//!   dedup).
 //!
-//! Every configuration is verified to produce byte-identical detections
+//! Both configurations are verified to produce byte-identical detections
 //! before any timing is reported.
 
-use sqlcheck::{BatchOptions, ContextBuilder, Detector};
+use sqlcheck::{ContextBuilder, Detector};
 use sqlcheck_minidb::stats::SmallRng;
 use std::time::Instant;
 
@@ -27,20 +26,14 @@ pub struct ThroughputRow {
     pub statements: usize,
     /// Unique templates the workload draws from.
     pub templates: usize,
-    /// Detections produced (identical across all three paths).
+    /// Detections produced (identical across both paths).
     pub detections: usize,
-    /// Whether all three paths produced byte-identical reports.
+    /// Whether both paths produced byte-identical reports.
     pub identical: bool,
     /// Wall-clock microseconds: sequential seed path.
     pub seq_micros: u128,
-    /// Wall-clock microseconds: batch path, single thread.
+    /// Wall-clock microseconds: batch path.
     pub batch_micros: u128,
-    /// Wall-clock microseconds: batch path, all threads.
-    pub parallel_micros: u128,
-    /// Effective threads used by the parallel configuration.
-    pub threads: usize,
-    /// Threads the caller requested (0 = auto-detect).
-    pub requested_threads: usize,
 }
 
 impl ThroughputRow {
@@ -58,24 +51,14 @@ impl ThroughputRow {
         self.stmts_per_sec(self.seq_micros)
     }
 
-    /// Single-thread batch throughput (statements/second).
+    /// Batch throughput (statements/second).
     pub fn batch_throughput(&self) -> f64 {
         self.stmts_per_sec(self.batch_micros)
     }
 
-    /// Parallel batch throughput (statements/second).
-    pub fn parallel_throughput(&self) -> f64 {
-        self.stmts_per_sec(self.parallel_micros)
-    }
-
-    /// Speedup of single-thread batch over sequential.
+    /// Speedup of batch over sequential.
     pub fn batch_speedup(&self) -> f64 {
         self.seq_micros as f64 / self.batch_micros.max(1) as f64
-    }
-
-    /// Speedup of parallel batch over sequential.
-    pub fn parallel_speedup(&self) -> f64 {
-        self.seq_micros as f64 / self.parallel_micros.max(1) as f64
     }
 }
 
@@ -140,8 +123,8 @@ pub fn trigger_workload_script(statements: usize, templates: usize, seed: u64) -
     script
 }
 
-/// Deterministically generate a **skewed** workload — the adversarial
-/// shape for any static work partitioner:
+/// Deterministically generate a **skewed** workload — the unique-heavy
+/// shape:
 ///
 /// * ~90% of the statements instantiate **one hot template** with a
 ///   distinct literal each (distinct texts, so they are distinct intra
@@ -150,11 +133,6 @@ pub fn trigger_workload_script(statements: usize, templates: usize, seed: u64) -
 ///   body** (hundreds of `BEGIN…END` sub-statements) — a single intra
 ///   unit that costs orders of magnitude more than its neighbours;
 /// * the rest draw from the plain template pool.
-///
-/// Round-robin assignment hands the giant unit to whichever worker its
-/// index lands on and that worker finishes last; cost-aware
-/// self-scheduling starts it first and fills the other workers with the
-/// cheap hot-template units.
 pub fn skewed_workload_script(statements: usize, templates: usize, seed: u64) -> String {
     let plain_pool = workload_pool(templates);
     let mut rng = SmallRng::new(seed);
@@ -246,29 +224,20 @@ fn best_of<T>(mut f: impl FnMut() -> T) -> (T, u128) {
     (last.unwrap(), best)
 }
 
-/// Run the experiment at one workload size. `threads` overrides the
-/// parallel configuration's worker count (`None` = all cores). The
-/// recorded `threads` value is always read back from the stats of the
-/// timed parallel run — the count actually used, never an assumption.
+/// Run the experiment at one workload size.
 pub fn run_one(
     workload: &'static str,
     statements: usize,
     templates: usize,
     seed: u64,
-    threads: Option<usize>,
 ) -> ThroughputRow {
     let script = script_for_shape(workload, statements, templates, seed);
     let ctx = ContextBuilder::new().add_script(&script).build();
     let det = Detector::default();
-    let par_opts = BatchOptions { parallel: true, threads, ..BatchOptions::default() };
 
     let (seq, seq_micros) = best_of(|| det.detect(&ctx));
-    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx, &BatchOptions::sequential()));
-    let (par, parallel_micros) = best_of(|| det.detect_batch(&ctx, &par_opts));
-
-    let seq_key = report_key(&seq);
-    let identical =
-        seq_key == report_key(&batch.report) && seq_key == report_key(&par.report);
+    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
+    let identical = report_key(&seq) == report_key(&batch.report);
 
     ThroughputRow {
         workload,
@@ -278,25 +247,17 @@ pub fn run_one(
         identical,
         seq_micros,
         batch_micros,
-        parallel_micros,
-        threads: par.stats.threads,
-        requested_threads: threads.unwrap_or(0),
     }
 }
 
 /// Run the experiment over several workload sizes. The plain rows come
-/// first (the cross-PR regression reference), then the skewed shape
-/// where the scheduler's cost-awareness shows.
-pub fn run(
-    sizes: &[usize],
-    templates: usize,
-    seed: u64,
-    threads: Option<usize>,
-) -> Vec<ThroughputRow> {
+/// first (the cross-PR regression reference), then the unique-heavy
+/// skewed shape.
+pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<ThroughputRow> {
     let mut rows = Vec::with_capacity(sizes.len() * 2);
     for workload in ["plain", "skewed"] {
         for &n in sizes {
-            rows.push(run_one(workload, n, templates, seed, threads));
+            rows.push(run_one(workload, n, templates, seed));
         }
     }
     rows
@@ -306,22 +267,18 @@ pub fn run(
 pub fn render(rows: &[ThroughputRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>10} {:>10} {:>7} {:>12} {:>12} {:>12} {:>8} {:>9} {:>9}\n",
-        "workload", "stmts", "templates", "threads", "seq st/s", "batch st/s", "par st/s",
-        "batch_x", "par_x", "identical"
+        "{:>8} {:>10} {:>10} {:>12} {:>12} {:>8} {:>9}\n",
+        "workload", "stmts", "templates", "seq st/s", "batch st/s", "batch_x", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>10} {:>10} {:>7} {:>12.0} {:>12.0} {:>12.0} {:>7.1}x {:>8.1}x {:>9}\n",
+            "{:>8} {:>10} {:>10} {:>12.0} {:>12.0} {:>7.1}x {:>9}\n",
             r.workload,
             r.statements,
             r.templates,
-            r.threads,
             r.seq_throughput(),
             r.batch_throughput(),
-            r.parallel_throughput(),
             r.batch_speedup(),
-            r.parallel_speedup(),
             r.identical,
         ));
     }
@@ -334,27 +291,20 @@ pub fn to_json(rows: &[ThroughputRow]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
-             \"threads\": {}, \"requested_threads\": {}, \
              \"detections\": {}, \"identical\": {}, \
-             \"seq_micros\": {}, \"batch_micros\": {}, \"parallel_micros\": {}, \
+             \"seq_micros\": {}, \"batch_micros\": {}, \
              \"seq_stmts_per_sec\": {:.1}, \"batch_stmts_per_sec\": {:.1}, \
-             \"parallel_stmts_per_sec\": {:.1}, \
-             \"batch_speedup\": {:.2}, \"parallel_speedup\": {:.2}}}{}\n",
+             \"batch_speedup\": {:.2}}}{}\n",
             r.workload,
             r.statements,
             r.templates,
-            r.threads,
-            r.requested_threads,
             r.detections,
             r.identical,
             r.seq_micros,
             r.batch_micros,
-            r.parallel_micros,
             r.seq_throughput(),
             r.batch_throughput(),
-            r.parallel_throughput(),
             r.batch_speedup(),
-            r.parallel_speedup(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -380,7 +330,7 @@ mod tests {
     #[test]
     fn outputs_identical_at_small_scale() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one("plain", 300, 50, 42, None);
+        let r = run_one("plain", 300, 50, 42);
         assert!(r.identical, "batch output must match sequential");
         assert!(r.detections > 0);
     }
@@ -405,7 +355,7 @@ mod tests {
     #[test]
     fn skewed_outputs_identical_at_small_scale() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one("skewed", 300, 30, 7, None);
+        let r = run_one("skewed", 300, 30, 7);
         assert!(r.identical, "skewed batch output must match sequential");
         assert_eq!(r.workload, "skewed");
     }
@@ -413,7 +363,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run(&[100], 20, 1, None);
+        let rows = run(&[100], 20, 1);
         let j = to_json(&rows);
         assert!(j.contains("\"statements\": 100"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -18,7 +18,6 @@ pub mod experiments {
     pub mod fig7;
     pub mod fig8;
     pub mod phases;
-    pub mod scaling;
     pub mod split;
     pub mod table2;
     pub mod table345;

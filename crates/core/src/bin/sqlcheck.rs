@@ -9,9 +9,6 @@
 //!   --rank-by count      inter-query model: AP count per query
 //!   --no-fix             detection + ranking only
 //!   --summary            per-kind histogram instead of full listing
-//!   --parallel           batch engine: template dedup + threaded detection
-//!   --threads N          worker threads for --parallel (0 or omitted:
-//!                        auto-detect all cores)
 //!   --stats              batch engine + dedup/phase-timing stats on stderr
 //!   --cache              batch engine + incremental detection cache
 //!   --dialect D          SQL dialect: generic (default), postgres, mysql,
@@ -22,6 +19,10 @@
 //!   --fail-on-degraded   exit 3 when any statement parsed degraded or a
 //!                        rule unit failed (see --stats for details)
 //! ```
+//!
+//! Exit codes: 0 clean, 1 findings, 2 usage or input error (unknown flag,
+//! missing flag value, unknown dialect, unreadable input), 3 degraded
+//! input under `--fail-on-degraded`.
 //!
 //! Note on `--cache`: the cache pays off across *repeated*
 //! `check_workload` calls on one `SqlCheck` instance (the library API);
@@ -39,8 +40,49 @@ use sqlcheck::{
     BatchOptions, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel, RankWeights, SqlCheck,
 };
 
+/// Flags that take no value.
+const SWITCHES: [&str; 8] = [
+    "--intra-only",
+    "--no-fix",
+    "--summary",
+    "--stats",
+    "--cache",
+    "--fail-on-degraded",
+    "--help",
+    "-h",
+];
+
+/// Flags that take the next argument as their value.
+const VALUED: [&str; 3] = ["--weights", "--rank-by", "--dialect"];
+
+/// Check the command line — every flag known, every valued flag followed
+/// by a value, at most one input — and return the input, if any.
+fn validate(args: &[String]) -> Result<Option<&str>, String> {
+    let mut input: Option<&str> = None;
+    let mut it = args.iter().map(String::as_str);
+    while let Some(a) = it.next() {
+        if VALUED.contains(&a) {
+            it.next().ok_or_else(|| format!("{a} expects a value"))?;
+        } else if a.starts_with('-') && a != "-" {
+            if !SWITCHES.contains(&a) {
+                return Err(format!("unknown flag '{a}'"));
+            }
+        } else if let Some(first) = input.replace(a) {
+            return Err(format!("unexpected argument '{a}' (input is already '{first}')"));
+        }
+    }
+    Ok(input)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let input = match validate(&args) {
+        Ok(input) => input.unwrap_or("-"),
+        Err(e) => {
+            eprintln!("sqlcheck: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print_help();
         return;
@@ -51,28 +93,6 @@ fn main() {
     let stats = args.iter().any(|a| a == "--stats");
     let cache = args.iter().any(|a| a == "--cache");
     let fail_on_degraded = args.iter().any(|a| a == "--fail-on-degraded");
-    // `--threads 0` means auto-detect (`available_parallelism`), the
-    // same as leaving the worker count to `--parallel`.
-    let mut threads_given = false;
-    let threads = match arg_value(&args, "--threads") {
-        Some(t) => match t.parse::<usize>() {
-            Ok(0) => {
-                threads_given = true;
-                None
-            }
-            Ok(n) => {
-                threads_given = true;
-                Some(n)
-            }
-            _ => {
-                eprintln!("sqlcheck: --threads expects a non-negative integer, got '{t}'");
-                std::process::exit(2);
-            }
-        },
-        None => None,
-    };
-    // An explicit thread count (auto included) implies parallel execution.
-    let parallel = args.iter().any(|a| a == "--parallel") || threads_given;
     let weights = match arg_value(&args, "--weights").unwrap_or("c1").to_ascii_lowercase().as_str()
     {
         "c2" => RankWeights::C2,
@@ -100,12 +120,6 @@ fn main() {
     };
     let detect_dialect = dialect_arg.is_none();
 
-    let input = args
-        .iter()
-        .rev()
-        .find(|a| !a.starts_with("--") && !is_flag_value(&args, a))
-        .map(String::as_str)
-        .unwrap_or("-");
     // Files are memory-mapped (Unix): the splitter reads the page cache
     // directly, so multi-GB dumps stream without a userspace copy.
     let sql = if input == "-" {
@@ -137,17 +151,11 @@ fn main() {
     if cache {
         tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
-    // --parallel / --stats / --threads / --cache route through the batch
-    // engine (identical detections; parse-once front-end, template dedup,
-    // optional threading and incremental caching).
-    let outcome = if parallel || stats || cache {
-        let opts = BatchOptions {
-            parallel,
-            threads,
-            dialect,
-            detect_dialect,
-            ..BatchOptions::default()
-        };
+    // --stats / --cache route through the batch engine (identical
+    // detections; parse-once front-end, template dedup, optional
+    // incremental caching).
+    let outcome = if stats || cache {
+        let opts = BatchOptions { dialect, detect_dialect, ..BatchOptions::default() };
         let w = tool.check_workload(&sql, &opts);
         if stats {
             let s = &w.stats;
@@ -165,13 +173,8 @@ fn main() {
             );
             eprintln!(
                 "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-                 {} cache hit(s), {} thread(s) ({} requested; 0 = auto)",
-                s.statements,
-                s.unique_templates,
-                s.unique_texts,
-                s.cache_hits,
-                s.threads,
-                s.requested_threads,
+                 {} cache hit(s)",
+                s.statements, s.unique_templates, s.unique_texts, s.cache_hits,
             );
             eprintln!(
                 "stats: front-end fused split {}us, materialize {}us, parse {}us, \
@@ -191,12 +194,6 @@ fn main() {
                 s.inter_micros,
                 s.data_micros,
                 s.total_micros,
-            );
-            eprintln!(
-                "stats: worker busy max {}us, min {}us across {} worker(s)",
-                s.worker_busy_max(),
-                s.worker_busy_min(),
-                s.worker_busy_micros.len(),
             );
             if cache {
                 eprintln!(
@@ -323,26 +320,15 @@ fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-fn is_flag_value(args: &[String], candidate: &String) -> bool {
-    args.iter()
-        .position(|a| a == candidate)
-        .map(|i| {
-            i > 0
-                && matches!(
-                    args[i - 1].as_str(),
-                    "--weights" | "--rank-by" | "--threads" | "--dialect"
-                )
-        })
-        .unwrap_or(false)
-}
+/// One-line usage, printed with every command-line error.
+const USAGE: &str = "usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by count] [--no-fix] \
+                     [--summary] [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite] \
+                     [--fail-on-degraded] [FILE|-]";
 
 fn print_help() {
     println!(
         "sqlcheck — detect, rank, and fix SQL anti-patterns (SIGMOD 2020 reproduction)\n\n\
-         usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by count] \n\
-                         [--no-fix] [--summary] [--parallel] [--threads N] \n\
-                         [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite] \n\
-                         [--fail-on-degraded] [FILE|-]\n\n\
+         {USAGE}\n\n\
          Reads SQL from FILE (or stdin with '-'), prints ranked anti-patterns\n\
          with suggested fixes. Exits 1 when anti-patterns are found; with\n\
          --fail-on-degraded, exits 3 when any statement parsed degraded or a\n\

@@ -28,7 +28,7 @@ use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
 use sqlcheck_parser::parse;
 use sqlcheck_parser::parser::{diagnose_parsed, parse_raw_limited_dialect};
 use sqlcheck_parser::fingerprint::fingerprint_of;
-use sqlcheck_parser::splitter::{split_deduped_dialect, split_stream_parallel_dialect, RawStatement};
+use sqlcheck_parser::splitter::{split_deduped, split_stream_dialect, RawStatement};
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::collections::HashMap;
@@ -140,8 +140,6 @@ pub struct FrontendStats {
     /// Unique statement texts — the number of parses/annotations actually
     /// performed when dedup is enabled.
     pub unique_texts: usize,
-    /// Worker threads used for the parse/annotate phases (1 = sequential).
-    pub threads: usize,
     /// Wall-clock microseconds in the fused split pass: lexing, statement
     /// splitting, content hashing, template fingerprinting, and dedup
     /// grouping — one streaming pass over the script bytes. Excludes
@@ -175,12 +173,6 @@ pub struct FrontendOptions {
     /// text exactly once, sharing the result via `Arc`. Output is
     /// value-identical to the per-statement path.
     pub dedup: bool,
-    /// Parse/annotate unique texts across scoped worker threads. Ignored
-    /// (always sequential) when the `parallel` cargo feature is disabled.
-    pub parallel: bool,
-    /// Worker-thread count; `None` uses the machine's available
-    /// parallelism.
-    pub threads: Option<usize>,
     /// Per-statement resource budgets; over-budget statements degrade to
     /// `Other` with an [`DiagKind::OverLimit`] diagnostic.
     pub limits: Limits,
@@ -201,8 +193,6 @@ impl Default for FrontendOptions {
     fn default() -> Self {
         FrontendOptions {
             dedup: true,
-            parallel: cfg!(feature = "parallel"),
-            threads: None,
             limits: Limits::default(),
             dialect: Dialect::Generic,
             detect_dialect: false,
@@ -212,14 +202,9 @@ impl Default for FrontendOptions {
 
 impl FrontendOptions {
     /// The pre-pipeline behaviour: parse and annotate every statement
-    /// individually, single-threaded. Kept as the benchmark baseline.
+    /// individually. Kept as the benchmark baseline.
     pub fn legacy() -> Self {
-        FrontendOptions { dedup: false, parallel: false, ..FrontendOptions::default() }
-    }
-
-    /// Dedup on, threading off — the deterministic single-core pipeline.
-    pub fn sequential() -> Self {
-        FrontendOptions { parallel: false, ..FrontendOptions::default() }
+        FrontendOptions { dedup: false, ..FrontendOptions::default() }
     }
 }
 
@@ -243,15 +228,13 @@ fn no_diags() -> Arc<[Diagnostic]> {
 /// Builder for [`Context`] — the parse-once front-end.
 ///
 /// Scripts enter through the fused streaming splitter
-/// ([`sqlcheck_parser::splitter::split_stream`]): a single pass (chunked
-/// across scoped worker threads for large scripts) lexes, splits,
-/// content-hashes, and fingerprints every statement and groups duplicate
-/// texts — before parsing, and without ever materialising a token
-/// stream. Token vectors exist only for **unique** texts, which are
+/// ([`sqlcheck_parser::splitter::split_deduped`]): a single pass lexes,
+/// splits, content-hashes, and fingerprints every statement and groups
+/// duplicate texts — before parsing, and without ever materialising a
+/// token stream. Token vectors exist only for **unique** texts, which are
 /// materialised at intake and then parsed + annotated exactly once at
-/// build time (optionally across scoped worker threads), with the
-/// resulting AST/annotations shared across duplicate occurrences via
-/// [`Arc`].
+/// build time, with the resulting AST/annotations shared across duplicate
+/// occurrences via [`Arc`].
 #[derive(Default)]
 pub struct ContextBuilder {
     /// Unique statement texts, in first-occurrence order.
@@ -269,8 +252,7 @@ pub struct ContextBuilder {
     split_micros: u128,
     materialize_micros: u128,
     intake_micros: u128,
-    /// Whether any added script contained a `DELIMITER` directive
-    /// (deterministic across split thread counts — see
+    /// Whether any added script contained a `DELIMITER` directive (see
     /// [`sqlcheck_parser::splitter::DedupedSplit`]).
     saw_delimiter_directive: bool,
     /// The dialect the front door settled on, fixed by the first
@@ -347,21 +329,8 @@ impl ContextBuilder {
         d
     }
 
-    /// Decide the chunk-parallel split worker count for one script.
-    fn split_threads(&self, len: usize) -> usize {
-        // Below ~16 KiB the pre-scan + spawn overhead outweighs the lex
-        // work; the chunked path stays byte-identical either way. For
-        // larger scripts the splitter additionally size-clamps the chunk
-        // count so every chunk carries at least ~16 KiB.
-        if !cfg!(feature = "parallel") || !self.opts.parallel || len < 16 * 1024 {
-            return 1;
-        }
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.opts.threads.unwrap_or(hw).max(1)
-    }
-
     /// Add every statement in a SQL script through the fused streaming
-    /// front door: one pass (chunk-parallel for large scripts) lexes,
+    /// front door: one pass lexes,
     /// splits, content-hashes, and fingerprints the script, and groups
     /// duplicate texts — before any parsing. Token streams are
     /// materialised only for texts this builder has not seen before;
@@ -369,10 +338,9 @@ impl ContextBuilder {
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
         let dialect = self.resolve_dialect(script);
-        let threads = self.split_threads(script.len());
         let mut mat_micros = 0u128;
         if self.opts.dedup {
-            let deduped = split_deduped_dialect(script, threads, dialect);
+            let deduped = split_deduped(script, dialect);
             // The fused pass above is the split; everything below is
             // intake bookkeeping, accounted separately so warm re-checks
             // (materialization short-circuited, bookkeeping still O(
@@ -419,7 +387,7 @@ impl ContextBuilder {
         } else {
             // Legacy mode: every occurrence keeps its own entry (and is
             // parsed individually later).
-            for s in split_stream_parallel_dialect(script, threads, dialect) {
+            for s in split_stream_dialect(script, dialect) {
                 let tm = Instant::now();
                 let raw = s.materialize_dialect(script, dialect);
                 mat_micros += tm.elapsed().as_micros();
@@ -473,8 +441,8 @@ impl ContextBuilder {
         self
     }
 
-    /// Configure the front-end (dedup / threading). The default parses
-    /// each unique text once, threaded when the `parallel` feature is on.
+    /// Configure the front-end (dedup, limits, dialect). The default
+    /// parses each unique text once.
     ///
     /// Must be called before any statements are added: dedup happens at
     /// intake.
@@ -503,20 +471,14 @@ impl ContextBuilder {
             split_micros: self.split_micros,
             materialize_micros: self.materialize_micros,
             intake_micros: self.intake_micros,
-            threads: 1,
             ..FrontendStats::default()
         };
 
-        // Parse phase: each unique text exactly once, in parallel when
-        // allowed. Workers own disjoint contiguous chunks and write into
-        // their own slots, so the result is deterministic regardless of
-        // scheduling.
+        // Parse phase: each unique text exactly once.
         let t_parse = Instant::now();
-        let threads = plan_threads(&self.opts, uniques.len());
-        stats.threads = threads;
         let limits = self.opts.limits;
         let dialect = self.resolved_dialect.unwrap_or(self.opts.dialect);
-        for_each_entry(&mut uniques, threads, |e| {
+        for e in &mut uniques {
             if let Some(raw) = e.raw.take() {
                 let (p, diags) = parse_raw_limited_dialect(raw, &limits, dialect);
                 e.parsed = Some(Arc::new(p));
@@ -531,15 +493,15 @@ impl ContextBuilder {
                     e.diags = diags.into();
                 }
             }
-        });
+        }
         stats.parse_micros = t_parse.elapsed().as_micros();
 
         // Phase 3: annotate each unique parse tree exactly once.
         let t_ann = Instant::now();
-        for_each_entry(&mut uniques, threads, |e| {
+        for e in &mut uniques {
             let parsed = e.parsed.as_ref().expect("parsed in phase 2");
             e.ann = Some(Arc::new(annotate(&parsed.stmt, &parsed.arena)));
-        });
+        }
         stats.annotate_micros = t_ann.elapsed().as_micros();
 
         // Phase 4: assemble statements in script order (duplicates share
@@ -620,46 +582,6 @@ impl ContextBuilder {
             stats,
         )
     }
-}
-
-/// Decide the front-end worker count for this build.
-fn plan_threads(opts: &FrontendOptions, uniques: usize) -> usize {
-    if !cfg!(feature = "parallel") || !opts.parallel || uniques < 2 {
-        return 1;
-    }
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    opts.threads.unwrap_or(hw).clamp(1, uniques)
-}
-
-/// Apply `f` to every entry, across `threads` scoped workers over
-/// contiguous chunks (deterministic: each worker writes only its own
-/// slots).
-#[cfg(feature = "parallel")]
-fn for_each_entry<F>(entries: &mut [UniqueEntry], threads: usize, f: F)
-where
-    F: Fn(&mut UniqueEntry) + Sync,
-{
-    if threads <= 1 || entries.len() < 2 {
-        entries.iter_mut().for_each(f);
-        return;
-    }
-    let chunk = entries.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let f = &f;
-        for part in entries.chunks_mut(chunk) {
-            s.spawn(move || part.iter_mut().for_each(f));
-        }
-    });
-}
-
-/// Sequential stand-in when the `parallel` feature is disabled
-/// (`plan_threads` never returns > 1 in that configuration).
-#[cfg(not(feature = "parallel"))]
-fn for_each_entry<F>(entries: &mut [UniqueEntry], _threads: usize, f: F)
-where
-    F: Fn(&mut UniqueEntry) + Sync,
-{
-    entries.iter_mut().for_each(f);
 }
 
 /// Render a minidb table schema as `CREATE TABLE` DDL so the generic

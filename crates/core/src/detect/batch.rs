@@ -1,4 +1,4 @@
-//! Batched, parallel detection over large workloads (template dedup).
+//! Batched detection over large workloads (template dedup).
 //!
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
@@ -12,18 +12,11 @@
 //!    path: several rules inspect literal *values* (leading-wildcard
 //!    `LIKE`, token-list `INSERT`s), so two statements sharing a template
 //!    can still differ in their detections.
-//! 2. **Parallelism** — all three detection phases run on one scoped
-//!    worker-thread pool (behind the `parallel` cargo feature). The
-//!    intra-query phase slices into per-unique-text units, the
-//!    inter-query phase into per-rule units, and the data-analysis phase
-//!    into per-table units. Units carry a **cost estimate** (statement
-//!    bytes × occurrence count for intra, table row count for data) and
-//!    workers pull them largest-first from a shared cursor
-//!    ([`schedule::run_units_weighted`]) — cost-aware self-scheduling, so
-//!    a skewed workload (one giant trigger body, one hot template) no
-//!    longer serializes behind whichever worker round-robin happened to
-//!    hand the big unit. Workers report `(position, result)` pairs, so
-//!    every merge is deterministic regardless of scheduling.
+//! 2. **Units** — the intra-query phase slices into per-unique-text
+//!    units, the inter-query phase into per-rule units, and the
+//!    data-analysis phase into per-table units, each run in order under
+//!    a panic guard ([`run_units`]), so one panicking rule
+//!    drops only its own unit's output.
 //! 3. **Deterministic merge** — intra detections are re-emitted in
 //!    statement order, inter-query units in rule order, data units in
 //!    table order — exactly the orders the sequential [`Detector::detect`]
@@ -33,7 +26,7 @@
 
 use crate::context::{Context, SchemaVersions, TableProfile};
 use crate::detect::cache::{DepSet, IncrementalCache, UNIT_DATA, UNIT_INTER};
-use crate::detect::schedule::{self, run_units_weighted};
+use crate::detect::schedule::run_units;
 use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Report};
@@ -47,15 +40,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Options for [`Detector::detect_batch`].
+/// Front-end options for [`SqlCheck::check_workload`](crate::SqlCheck::check_workload)
+/// and [`SqlCheck::into_session`](crate::SqlCheck::into_session).
 #[derive(Debug, Clone)]
 pub struct BatchOptions {
-    /// Run intra-query detection across worker threads. Ignored (always
-    /// sequential) when the `parallel` cargo feature is disabled.
-    pub parallel: bool,
-    /// Worker-thread count; `None` uses the machine's available
-    /// parallelism.
-    pub threads: Option<usize>,
     /// Per-statement resource budgets, forwarded to the front-end by
     /// [`check_workload`](crate::SqlCheck::check_workload); over-budget
     /// statements degrade to `Other` with an `OverLimit` diagnostic.
@@ -74,19 +62,10 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
-            parallel: cfg!(feature = "parallel"),
-            threads: None,
             limits: Limits::default(),
             dialect: Dialect::Generic,
             detect_dialect: false,
         }
-    }
-}
-
-impl BatchOptions {
-    /// Force the sequential (but still deduplicating) batch path.
-    pub fn sequential() -> Self {
-        BatchOptions { parallel: false, ..BatchOptions::default() }
     }
 }
 
@@ -103,17 +82,6 @@ pub struct BatchStats {
     /// Statements whose intra-query results were reused from an earlier
     /// identical statement (`statements - unique_texts`).
     pub cache_hits: usize,
-    /// Worker threads used for the intra-query phase (1 = sequential) —
-    /// the *effective* count after clamping to unit count and hardware.
-    pub threads: usize,
-    /// Worker threads the caller asked for: 0 when the caller left the
-    /// count to auto-detection (`BatchOptions::threads == None`).
-    pub requested_threads: usize,
-    /// Cumulative wall-clock busy micros per worker, summed across every
-    /// scheduled phase (intra, inter, data), indexed by worker id. The
-    /// max/min spread shows scheduling skew directly — see
-    /// [`BatchStats::worker_busy_max`] / [`BatchStats::worker_busy_min`].
-    pub worker_busy_micros: Vec<u128>,
     /// Wall-clock microseconds spent grouping statements.
     pub group_micros: u128,
     /// Wall-clock microseconds spent in the intra-query phase.
@@ -121,12 +89,12 @@ pub struct BatchStats {
     /// Wall-clock microseconds spent fanning results out to occurrences.
     pub fanout_micros: u128,
     /// Wall-clock microseconds spent in the inter-query phase (per-rule
-    /// units on the worker pool; 0 in intra-only mode). Explicitly
+    /// units; 0 in intra-only mode). Explicitly
     /// measured — no longer the implicit `total − group − intra − fanout`
     /// residual.
     pub inter_micros: u128,
     /// Wall-clock microseconds spent in the data-analysis phase
-    /// (per-table units on the worker pool; 0 without a database).
+    /// (per-table units; 0 without a database).
     pub data_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
@@ -229,16 +197,6 @@ impl BatchStats {
         self.context_micros = fe.context_micros;
     }
 
-    /// Busiest worker's cumulative busy micros (0 when nothing ran).
-    pub fn worker_busy_max(&self) -> u128 {
-        self.worker_busy_micros.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Least-busy worker's cumulative busy micros (0 when nothing ran).
-    pub fn worker_busy_min(&self) -> u128 {
-        self.worker_busy_micros.iter().copied().min().unwrap_or(0)
-    }
-
     /// Fraction of statements whose parse kept structural shape
     /// (`1.0` = every statement shaped; an empty workload counts as
     /// fully covered).
@@ -283,10 +241,10 @@ enum GroupResult {
 impl Detector {
     /// Batched detection: like [`Detector::detect`], but runs intra-query
     /// rules once per unique statement text (grouped under template
-    /// fingerprints) and optionally in parallel. The returned report is
-    /// byte-identical to the sequential path, in the same order.
-    pub fn detect_batch(&self, ctx: &Context, opts: &BatchOptions) -> BatchReport {
-        self.detect_batch_with(ctx, opts, None)
+    /// fingerprints). The returned report is byte-identical to the
+    /// sequential path, in the same order.
+    pub fn detect_batch(&self, ctx: &Context) -> BatchReport {
+        self.detect_batch_with(ctx, None)
     }
 
     /// [`Detector::detect_batch`] with an optional [`IncrementalCache`]:
@@ -294,12 +252,7 @@ impl Detector {
     /// current config + schema epoch) are replayed instead of re-analysed,
     /// so re-checking an edited workload only pays for changed statements.
     /// Output stays byte-identical to the sequential path either way.
-    pub fn detect_batch_with(
-        &self,
-        ctx: &Context,
-        opts: &BatchOptions,
-        cache: Option<&IncrementalCache>,
-    ) -> BatchReport {
+    pub fn detect_batch_with(&self, ctx: &Context, cache: Option<&IncrementalCache>) -> BatchReport {
         let t_start = Instant::now();
         let t_group = Instant::now();
         let use_context = !self.cfg.intra_only;
@@ -385,24 +338,11 @@ impl Detector {
             }
         }
 
-        let run_group =
-            |g: &Group| intra::detect_statement(g.rep, &ctx.statements[g.rep], ctx, &self.cfg, use_context);
-        let threads = self.plan_threads(opts, misses.len());
-        // Intra cost estimate: statement bytes × occurrence count. Bytes
-        // track per-text rule cost (token count, body sub-statements of a
-        // giant trigger); the occurrence multiplier biases hot templates
-        // to the front so their results are ready when fan-out starts.
-        let intra_cost = |pos: usize| {
-            let g = &groups[misses[pos]];
-            let s = &ctx.statements[g.rep];
-            ((s.span.end - s.span.start).max(16) as u64)
-                .saturating_mul(g.occurrences.len() as u64)
-        };
-        let mut worker_busy_micros: Vec<u128> = Vec::new();
-        let intra_run =
-            run_units_weighted(misses.len(), threads, intra_cost, &|pos| run_group(&groups[misses[pos]]));
-        schedule::fold_worker_micros(&mut worker_busy_micros, &intra_run.worker_micros);
-        for (&gi, out) in misses.iter().zip(intra_run.results) {
+        let intra_run = run_units(misses.len(), |pos| {
+            let rep = groups[misses[pos]].rep;
+            intra::detect_statement(rep, &ctx.statements[rep], ctx, &self.cfg, use_context)
+        });
+        for (&gi, out) in misses.iter().zip(intra_run) {
             let dets = match out {
                 Ok(dets) => dets,
                 Err(p) => {
@@ -499,12 +439,11 @@ impl Detector {
 
         let fanout_micros = t_fanout.elapsed().as_micros();
 
-        // Phase 4: inter-query rules, one unit per rule on the same
-        // scoped worker pool — memoized when a cache is attached: each
-        // unit is keyed by a digest of exactly the inputs it reads
-        // ([`inter_unit_digests`]), so an edit that leaves a rule's
-        // inputs byte-identical replays its detections and only dirty
-        // units are scheduled. Units merge in rule order either way —
+        // Phase 4: inter-query rules, one unit per rule — memoized when a
+        // cache is attached: each unit is keyed by a digest of exactly the
+        // inputs it reads ([`inter_unit_digests`]), so an edit that leaves
+        // a rule's inputs byte-identical replays its detections and only
+        // dirty units run. Units merge in rule order either way —
         // exactly the order `inter::detect` appends in the sequential
         // path.
         let t_inter = Instant::now();
@@ -528,15 +467,8 @@ impl Detector {
                     [0; 4]
                 }
             };
-            let inter_threads = self.plan_threads(opts, dirty.len());
-            // Every inter-query rule scans the whole workload, so the
-            // estimate is uniform — LPT degrades to in-order
-            // self-scheduling, which is exactly right here.
-            let inter_run = run_units_weighted(dirty.len(), inter_threads, |_| 1, &|i| {
-                inter::detect_unit(dirty[i], ctx, &self.cfg)
-            });
-            schedule::fold_worker_micros(&mut worker_busy_micros, &inter_run.worker_micros);
-            for (&u, out) in dirty.iter().zip(inter_run.results) {
+            let inter_run = run_units(dirty.len(), |i| inter::detect_unit(dirty[i], ctx, &self.cfg));
+            for (&u, out) in dirty.iter().zip(inter_run) {
                 match out {
                     Ok(dets) => {
                         let dets = Arc::new(dets);
@@ -560,8 +492,8 @@ impl Detector {
         }
         let inter_micros = t_inter.elapsed().as_micros();
 
-        // Phase 5: data analysis, one unit per profiled table on the
-        // pool — memoized per table when a cache is attached: a table's
+        // Phase 5: data analysis, one unit per profiled table — memoized
+        // per table when a cache is attached: a table's
         // unit reads only its own `TableProfile` (plus config, covered
         // by the epoch), so its digest is the profile content and an
         // unchanged profile replays. Tables are independent under the
@@ -590,16 +522,9 @@ impl Detector {
                     Vec::new()
                 }
             };
-            let data_threads = self.plan_threads(opts, dirty.len());
-            // Data-rule cost scales with sampled rows per table.
-            let data_run = run_units_weighted(
-                dirty.len(),
-                data_threads,
-                |i| tables[dirty[i]].row_count.max(1) as u64,
-                &|i| data::detect_table(tables[dirty[i]], ctx, &self.cfg),
-            );
-            schedule::fold_worker_micros(&mut worker_busy_micros, &data_run.worker_micros);
-            for (&u, out) in dirty.iter().zip(data_run.results) {
+            let data_run =
+                run_units(dirty.len(), |i| data::detect_table(tables[dirty[i]], ctx, &self.cfg));
+            for (&u, out) in dirty.iter().zip(data_run) {
                 match out {
                     Ok(dets) => {
                         let dets = Arc::new(dets);
@@ -636,9 +561,6 @@ impl Detector {
             unique_templates: templates.len(),
             unique_texts: groups.len(),
             cache_hits: ctx.statements.len() - groups.len(),
-            threads,
-            requested_threads: opts.threads.unwrap_or(0),
-            worker_busy_micros,
             group_micros,
             intra_micros,
             fanout_micros,
@@ -687,15 +609,6 @@ impl Detector {
             ctx.dialect
         );
         sqlcheck_parser::fingerprint::fnv1a(encoded.as_bytes())
-    }
-
-    /// Decide the intra-phase worker count for this run.
-    pub(crate) fn plan_threads(&self, opts: &BatchOptions, groups: usize) -> usize {
-        if !cfg!(feature = "parallel") || !opts.parallel || groups < 2 {
-            return 1;
-        }
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        opts.threads.unwrap_or(hw).clamp(1, groups)
     }
 }
 
@@ -900,21 +813,14 @@ mod tests {
         let ctx = ContextBuilder::new().add_script(&script_with_duplicates()).build();
         let det = Detector::default();
         let seq = det.detect(&ctx);
-        for opts in [BatchOptions::sequential(), BatchOptions::default()] {
-            let batch = det.detect_batch(&ctx, &opts);
-            assert_eq!(
-                detections_debug(&seq),
-                detections_debug(&batch.report),
-                "batch (parallel={}) must equal sequential",
-                opts.parallel
-            );
-        }
+        let batch = det.detect_batch(&ctx);
+        assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
     }
 
     #[test]
     fn stats_reflect_dedup() {
         let ctx = ContextBuilder::new().add_script(&script_with_duplicates()).build();
-        let b = Detector::default().detect_batch(&ctx, &BatchOptions::default());
+        let b = Detector::default().detect_batch(&ctx);
         assert_eq!(b.stats.statements, ctx.len());
         assert!(b.stats.unique_texts < b.stats.statements, "duplicates must dedup");
         // The `a = {i}` family shares one template across 40 literals.
@@ -932,7 +838,7 @@ mod tests {
         let ctx = ContextBuilder::new().add_script(sql).build();
         let det = Detector::default();
         let seq = det.detect(&ctx);
-        let batch = det.detect_batch(&ctx, &BatchOptions::default());
+        let batch = det.detect_batch(&ctx);
         assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
         use crate::anti_pattern::AntiPatternKind;
         assert_eq!(batch.report.count(AntiPatternKind::PatternMatching), 1);
@@ -944,20 +850,27 @@ mod tests {
             let ctx = ContextBuilder::new().add_script(sql).build();
             let det = Detector::default();
             let seq = det.detect(&ctx);
-            let batch = det.detect_batch(&ctx, &BatchOptions::default());
+            let batch = det.detect_batch(&ctx);
             assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
         }
     }
 
     #[test]
-    fn explicit_thread_count_is_honoured() {
-        let ctx = ContextBuilder::new().add_script(&script_with_duplicates()).build();
-        let opts = BatchOptions { parallel: true, threads: Some(2), ..BatchOptions::default() };
-        let b = Detector::default().detect_batch(&ctx, &opts);
-        if cfg!(feature = "parallel") {
-            assert_eq!(b.stats.threads, 2);
-        } else {
-            assert_eq!(b.stats.threads, 1);
-        }
+    fn statement_level_degradation_counts_agree() {
+        // A sub-expression `Raw` fallback keeps its statement shaped: it
+        // is `expr-degraded`, not `parse-degraded`. Every `parse-degraded`
+        // diagnostic is a degraded unique text, so the counts can never
+        // contradict the parse-coverage line.
+        let deep = format!("SELECT {}1{} FROM t", "(".repeat(500), ")".repeat(500));
+        let sql = format!(
+            "GRANT ALL ON t TO alice; GRANT ALL ON t TO alice; {deep}; {deep}; SELECT a FROM t;"
+        );
+        let ctx = ContextBuilder::new().add_script(&sql).build();
+        let s = Detector::default().detect_batch(&ctx).stats;
+        assert_eq!(s.degraded_uniques, 1);
+        assert_eq!(s.degraded_statements, 2);
+        assert_eq!(s.diag_counts[DiagKind::ParseDegraded.index()], 1);
+        assert_eq!(s.diag_counts[DiagKind::ExprDegraded.index()], 1);
+        assert!(s.diag_counts[DiagKind::ParseDegraded.index()] <= s.degraded_uniques);
     }
 }

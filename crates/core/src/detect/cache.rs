@@ -70,7 +70,7 @@
 //! profile digests). [`IncrementalCache::unit_get`] returns the stored
 //! detections only when the digest matches, so an edit that leaves a
 //! rule's inputs byte-identical replays its detections without running
-//! it, and `run_units_weighted` schedules only the dirty units. The memo
+//! it, and only the dirty units run. The memo
 //! is flushed with the shards on a config-epoch change; schema and data
 //! changes need no sweep because the digest comparison self-validates.
 //!

@@ -12,8 +12,8 @@ use crate::context::Context;
 use crate::detect::DetectionConfig;
 use crate::report::{Detection, DetectionSource, Locus};
 
-/// One inter-query rule, as a unit the batch engine can schedule on its
-/// worker pool. All rules share this signature so the phase can be
+/// One inter-query rule, as a unit the batch engine runs (and memoizes)
+/// on its own. All rules share this signature so the phase can be
 /// sliced; appending each unit's output in [`RULES`] order reproduces the
 /// sequential result byte for byte.
 pub(crate) type InterRule = fn(&Context, &DetectionConfig, &mut Vec<Detection>);

@@ -1,40 +1,10 @@
-//! Cost-aware work scheduling for the batch detection worker pool.
+//! Panic-isolated execution of detection units.
 //!
-//! The round-robin runner the batch engine started with assigned unit
-//! `i` to worker `i % threads` up front. That is perfectly balanced only
-//! when every unit costs the same — and real workloads are skewed: one
-//! giant trigger body among thousands of small statements, one hot
-//! template carrying most of the occurrences. Under round-robin the
-//! worker that drew the giant unit finishes last while the others idle,
-//! and adding cores stops helping.
-//!
-//! This module replaces that with **self-scheduling over an LPT order**
-//! (Longest Processing Time first — the classic greedy makespan
-//! heuristic):
-//!
-//! 1. Unit indexes are sorted by a caller-supplied **cost estimate**,
-//!    descending (stable, so equal-cost units keep their natural order).
-//! 2. Workers pull the next unpulled unit from a shared atomic cursor —
-//!    a single-queue work-stealing discipline: no worker idles while
-//!    units remain, and the most expensive units start first, so the
-//!    tail of the schedule is made of the cheapest work.
-//! 3. Every worker reports `(position, result)` pairs; the merge
-//!    reassembles results **in unit order**, so output is deterministic
-//!    and byte-identical to a sequential run regardless of how the pull
-//!    order interleaved.
-//!
-//! **Panic isolation**: each unit executes under
-//! `catch_unwind(AssertUnwindSafe(...))`, so one panicking rule unit
-//! yields an [`UnitPanic`] for that unit alone — every other unit's
-//! result is unaffected, no worker join is ever `.expect`ed, and the
-//! deterministic merge is preserved. The sequential stand-in applies the
-//! same guard, so parallel and sequential runs fail identically.
-//!
-//! Each worker also records its wall-clock **busy time**, so scheduling
-//! skew is observable (max vs min worker micros in `BatchStats`) rather
-//! than inferred from end-to-end timings.
-
-use std::time::Instant;
+//! Each unit (one unique statement's intra-query rules, one inter-query
+//! rule, one table's data analysis, one custom rule) executes under
+//! `catch_unwind(AssertUnwindSafe(...))`, so one panicking unit yields an
+//! [`UnitPanic`] for that unit alone — every other unit's result is
+//! unaffected and the merge stays deterministic.
 
 /// A unit whose execution panicked: the payload message, for the
 /// `RuleFailed` diagnostic the caller emits.
@@ -43,17 +13,6 @@ pub(crate) struct UnitPanic {
     /// Panic payload rendered as text (`&str`/`String` payloads pass
     /// through; anything else becomes a placeholder).
     pub message: String,
-}
-
-/// The results of one scheduled phase plus per-worker instrumentation.
-pub(crate) struct UnitRun<T> {
-    /// Per-unit results, in unit order (index `i` holds the guarded
-    /// outcome of `f(i)`).
-    pub results: Vec<Result<T, UnitPanic>>,
-    /// Wall-clock busy micros per worker, indexed by worker id. A
-    /// sequential run reports one entry. Workers that never pulled a
-    /// unit report (close to) zero.
-    pub worker_micros: Vec<u128>,
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -67,168 +26,36 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Run one unit under the panic guard.
-fn guarded<T, F>(f: &F, pos: usize) -> Result<T, UnitPanic>
-where
-    F: Fn(usize) -> T,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(pos)))
+pub(crate) fn guarded<T>(f: impl FnOnce() -> T) -> Result<T, UnitPanic> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
         .map_err(|p| UnitPanic { message: panic_message(p.as_ref()) })
 }
 
-/// Run `f(0..n)` across `threads` scoped workers using cost-aware
-/// self-scheduling: units are pulled largest-estimated-cost first from a
-/// shared cursor. `cost_of(i)` is the caller's relative cost estimate for
-/// unit `i` — any monotone proxy works (bytes, rows, occurrence counts);
-/// only the ordering matters. Results come back in unit order, so every
-/// merge built on top is deterministic regardless of scheduling. A
+/// Run `f(0..n)` in unit order, each call under the panic guard. A
 /// panicking unit surfaces as `Err(UnitPanic)` at its slot; all other
 /// slots are unaffected.
-#[cfg(feature = "parallel")]
-pub(crate) fn run_units_weighted<T, F>(
-    n: usize,
-    threads: usize,
-    cost_of: impl Fn(usize) -> u64,
-    f: &F,
-) -> UnitRun<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if threads <= 1 || n < 2 {
-        let t = Instant::now();
-        let results: Vec<_> = (0..n).map(|i| guarded(f, i)).collect();
-        return UnitRun { results, worker_micros: vec![t.elapsed().as_micros()] };
-    }
-
-    // LPT order: most expensive units first. Stable sort keeps the
-    // natural order among equal estimates, which also makes a uniform
-    // cost function degrade to plain in-order self-scheduling.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cost_of(i)));
-
-    let cursor = AtomicUsize::new(0);
-    let mut worker_micros: Vec<u128> = Vec::with_capacity(threads);
-    let mut results: Vec<Option<Result<T, UnitPanic>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let order = &order;
-        let cursor = &cursor;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let t = Instant::now();
-                    let mut out: Vec<(usize, Result<T, UnitPanic>)> = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= n {
-                            break;
-                        }
-                        let pos = order[k];
-                        out.push((pos, guarded(f, pos)));
-                    }
-                    (out, t.elapsed().as_micros())
-                })
-            })
-            .collect();
-        for h in handles {
-            // The per-unit guard means workers only die on truly
-            // unrecoverable events (a panic inside a panic payload's
-            // drop). Even then: record the worker as lost and let the
-            // merge mark its units failed — never `.expect` the join.
-            match h.join() {
-                Ok((part, micros)) => {
-                    worker_micros.push(micros);
-                    for (pos, out) in part {
-                        results[pos] = Some(out);
-                    }
-                }
-                Err(_) => worker_micros.push(0),
-            }
-        }
-    });
-
-    UnitRun {
-        results: results
-            .into_iter()
-            .map(|o| {
-                o.unwrap_or_else(|| {
-                    Err(UnitPanic { message: "detection worker terminated".to_string() })
-                })
-            })
-            .collect(),
-        worker_micros,
-    }
-}
-
-/// Sequential stand-in when the `parallel` feature is disabled (the
-/// thread planners never return > 1 in that configuration). The panic
-/// guard applies identically, so degraded behaviour matches the
-/// threaded build.
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn run_units_weighted<T, F>(
-    n: usize,
-    _threads: usize,
-    _cost_of: impl Fn(usize) -> u64,
-    f: &F,
-) -> UnitRun<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let t = Instant::now();
-    let results: Vec<_> = (0..n).map(|i| guarded(f, i)).collect();
-    UnitRun { results, worker_micros: vec![t.elapsed().as_micros()] }
-}
-
-/// Fold one phase's per-worker busy times into a cumulative per-worker
-/// ledger (element-wise sum, extending with new workers as needed). The
-/// ledger spans all scheduled phases of one batch run, so `--stats` can
-/// report max/min worker busy time for the whole detection.
-pub(crate) fn fold_worker_micros(ledger: &mut Vec<u128>, phase: &[u128]) {
-    if ledger.len() < phase.len() {
-        ledger.resize(phase.len(), 0);
-    }
-    for (acc, &b) in ledger.iter_mut().zip(phase) {
-        *acc += b;
-    }
+pub(crate) fn run_units<T>(n: usize, f: impl Fn(usize) -> T) -> Vec<Result<T, UnitPanic>> {
+    (0..n).map(|i| guarded(|| f(i))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ok_results<T>(run: UnitRun<T>) -> Vec<T> {
-        run.results.into_iter().map(|r| r.expect("unit must not panic")).collect()
+    fn ok_results<T>(run: Vec<Result<T, UnitPanic>>) -> Vec<T> {
+        run.into_iter().map(|r| r.expect("unit must not panic")).collect()
     }
 
     #[test]
     fn results_come_back_in_unit_order() {
-        for threads in [1, 2, 3, 8] {
-            let run = run_units_weighted(10, threads, |i| (10 - i) as u64, &|i| i * 3);
-            assert!(!run.worker_micros.is_empty());
-            assert_eq!(ok_results(run), (0..10).map(|i| i * 3).collect::<Vec<_>>(), "{threads}");
-        }
-    }
-
-    #[test]
-    fn skewed_costs_do_not_change_output() {
-        // One giant unit (index 7) plus uniform small ones: LPT pulls it
-        // first, but the merged output must stay in unit order.
-        let cost = |i: usize| if i == 7 { 1_000_000 } else { 1 };
-        for threads in [1, 2, 4] {
-            let run = run_units_weighted(20, threads, cost, &|i| format!("u{i}"));
-            let want: Vec<String> = (0..20).map(|i| format!("u{i}")).collect();
-            assert_eq!(ok_results(run), want, "{threads} threads");
-        }
+        let run = run_units(10, |i| i * 3);
+        assert_eq!(ok_results(run), (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
-        let run = run_units_weighted(0, 4, |_| 1, &|i| i);
-        assert!(run.results.is_empty());
-        let run = run_units_weighted(1, 4, |_| 1, &|i| i + 100);
-        assert_eq!(ok_results(run), vec![100]);
+        assert!(run_units(0, |i| i).is_empty());
+        assert_eq!(ok_results(run_units(1, |i| i + 100)), vec![100]);
     }
 
     #[test]
@@ -236,32 +63,21 @@ mod tests {
         // Quiet the default hook while panics are expected.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        for threads in [1, 2, 4] {
-            let run = run_units_weighted(8, threads, |_| 1, &|i| {
-                if i == 3 {
-                    panic!("injected fault at unit {i}");
-                }
-                i * 2
-            });
-            assert_eq!(run.results.len(), 8, "{threads} threads");
-            for (i, r) in run.results.iter().enumerate() {
-                if i == 3 {
-                    let e = r.as_ref().expect_err("unit 3 must fail");
-                    assert!(e.message.contains("injected fault"), "{}", e.message);
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i * 2, "{threads} threads, unit {i}");
-                }
+        let run = run_units(8, |i| {
+            if i == 3 {
+                panic!("injected fault at unit {i}");
+            }
+            i * 2
+        });
+        std::panic::set_hook(prev);
+        assert_eq!(run.len(), 8);
+        for (i, r) in run.iter().enumerate() {
+            if i == 3 {
+                let e = r.as_ref().expect_err("unit 3 must fail");
+                assert!(e.message.contains("injected fault"), "{}", e.message);
+            } else {
+                assert_eq!(*r.as_ref().unwrap(), i * 2, "unit {i}");
             }
         }
-        std::panic::set_hook(prev);
-    }
-
-    #[test]
-    fn worker_ledger_folds_elementwise() {
-        let mut ledger = vec![5, 5];
-        fold_worker_micros(&mut ledger, &[1, 2, 3]);
-        assert_eq!(ledger, vec![6, 7, 3]);
-        fold_worker_micros(&mut ledger, &[]);
-        assert_eq!(ledger, vec![6, 7, 3]);
     }
 }

@@ -38,12 +38,9 @@
 //!   template group, and results fan back out to every occurrence with
 //!   corrected loci (exact text, not the fingerprint alone, keys the
 //!   result cache because some rules inspect literal values);
-//! * all three detection phases run **in parallel** on one scoped
-//!   worker-thread pool behind the `parallel` cargo feature (on by
-//!   default; disable it for strictly single-threaded builds): intra-
-//!   query rules per unique text, inter-query rules per rule, data-
-//!   analysis rules per profiled table — each with a deterministic
-//!   merge that preserves the sequential path's output order;
+//! * detection runs in panic-isolated units — intra-query rules per
+//!   unique text, inter-query rules per rule, data-analysis rules per
+//!   profiled table — merged in the sequential path's output order;
 //! * every statement-locus [`Detection`] (and the fix derived from it)
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.
@@ -58,8 +55,8 @@
 //!
 //! The batch path returns byte-identical detections, in the same order,
 //! as the sequential path — plus [`BatchStats`] instrumentation
-//! (template/dedup counts, thread usage, per-phase front-end and
-//! detection timings, cache counters).
+//! (template/dedup counts, per-phase front-end and detection timings,
+//! cache counters).
 //!
 //! ```
 //! use sqlcheck::{BatchOptions, SqlCheck};
@@ -381,11 +378,11 @@ impl SqlCheck {
     /// is deterministic and identical to the pre-isolation behaviour
     /// whenever no rule panics.
     fn run_registry(&self, context: &Context, diagnostics: &mut Vec<Diagnostic>) -> Vec<Detection> {
-        let run = detect::schedule::run_units_weighted(self.registry.len(), 1, |_| 1, &|i| {
+        let run = detect::schedule::run_units(self.registry.len(), |i| {
             self.registry.detect_one(i, context)
         });
         let mut extra = Vec::new();
-        for (i, out) in run.results.into_iter().enumerate() {
+        for (i, out) in run.into_iter().enumerate() {
             match out {
                 Ok(d) => extra.extend(d),
                 Err(p) => diagnostics.push(Diagnostic::new(
@@ -426,9 +423,8 @@ impl SqlCheck {
 
     /// Run the full pipeline over a large workload using the parse-once
     /// front-end and the batch detection engine: fingerprinting before
-    /// parsing, per-unique-text parse/annotate/rule execution, (with the
-    /// `parallel` feature) data-parallel front-end and intra-query
-    /// analysis, and — when a cache is attached — incremental reuse of
+    /// parsing, per-unique-text parse/annotate/rule execution, and — when
+    /// a cache is attached — incremental reuse of
     /// detection results across calls. Produces the same detections as
     /// [`SqlCheck::check_script`] plus [`BatchStats`] instrumentation
     /// (batch dedup, per-phase front-end timings, cache counters).
@@ -445,8 +441,6 @@ impl SqlCheck {
             };
         let frontend = FrontendOptions {
             dedup: true,
-            parallel: opts.parallel,
-            threads: opts.threads,
             limits: opts.limits,
             dialect,
             detect_dialect,
@@ -457,7 +451,7 @@ impl SqlCheck {
             builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
         }
         let (context, fe_stats) = builder.build_with_stats();
-        let batch = self.detector.detect_batch_with(&context, opts, self.cache.as_deref());
+        let batch = self.detector.detect_batch_with(&context, self.cache.as_deref());
         let mut report = batch.report;
         let mut stats = batch.stats;
         let mut diagnostics = parse_diagnostics(&context);
@@ -498,7 +492,7 @@ fn parse_diagnostics(ctx: &Context) -> Vec<Diagnostic> {
 pub struct WorkloadOutcome {
     /// The regular pipeline outcome (context, report, ranking, fixes).
     pub outcome: CheckOutcome,
-    /// Batch instrumentation: dedup effectiveness, thread usage, timings.
+    /// Batch instrumentation: dedup effectiveness, timings.
     pub stats: BatchStats,
 }
 

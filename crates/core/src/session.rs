@@ -27,7 +27,7 @@
 //!   pays too.
 //!
 //! The output is **byte-identical** to a cold [`SqlCheck::check_workload`]
-//! on the edited script at every thread count, with or without a cache —
+//! on the edited script, with or without a cache —
 //! property-tested in `tests/session_identity.rs`. Anything the
 //! incremental path cannot prove safe (multi-statement replacement
 //! texts, parse diagnostics, `DELIMITER` directives, rule panics, a DDL
@@ -45,7 +45,7 @@ use crate::context::{
 };
 use crate::detect::batch::{data_unit_key, entry_deps, inter_unit_digests};
 use crate::detect::cache::{UNIT_DATA, UNIT_INTER};
-use crate::detect::schedule::run_units_weighted;
+use crate::detect::schedule::{guarded, run_units};
 use crate::detect::{data, inter, intra, BatchOptions, BatchStats};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Span};
@@ -55,7 +55,7 @@ use sqlcheck_parser::ast::{ParsedStatement, Statement};
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
 use sqlcheck_parser::parse;
 use sqlcheck_parser::parser::parse_raw_limited_dialect;
-use sqlcheck_parser::splitter::split_deduped_dialect;
+use sqlcheck_parser::splitter::split_deduped;
 use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
@@ -292,17 +292,11 @@ impl State {
             }
         }
         if !miss_slots.is_empty() {
-            let threads = tool.detector.plan_threads(opts, miss_slots.len());
-            let cost = |pos: usize| {
-                let s = &ctx.statements[first_occurrence[miss_slots[pos]]];
-                ((s.span.end - s.span.start).max(16) as u64)
-                    .saturating_mul(slots[miss_slots[pos]].count as u64)
-            };
-            let run = run_units_weighted(miss_slots.len(), threads, cost, &|pos| {
+            let run = run_units(miss_slots.len(), |pos| {
                 let rep = first_occurrence[miss_slots[pos]];
                 intra::detect_statement(rep, &ctx.statements[rep], ctx, cfg, use_context)
             });
-            for (&si, out) in miss_slots.iter().zip(run.results) {
+            for (&si, out) in miss_slots.iter().zip(run) {
                 match out {
                     Ok(dets) => {
                         let canonical = canonicalize(dets);
@@ -337,23 +331,19 @@ impl State {
                 let hit = cache.and_then(|c| c.unit_get(UNIT_INTER, u as u64, digest));
                 let dets = match hit {
                     Some(h) => h,
-                    None => {
-                        let run =
-                            run_units_weighted(1, 1, |_| 1, &|_| inter::detect_unit(u, ctx, cfg));
-                        match run.results.into_iter().next().unwrap() {
-                            Ok(d) => {
-                                let a = Arc::new(d);
-                                if let Some(c) = cache {
-                                    c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
-                                }
-                                a
+                    None => match guarded(|| inter::detect_unit(u, ctx, cfg)) {
+                        Ok(d) => {
+                            let a = Arc::new(d);
+                            if let Some(c) = cache {
+                                c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
                             }
-                            Err(_) => {
-                                degraded = true;
-                                Arc::new(Vec::new())
-                            }
+                            a
                         }
-                    }
+                        Err(_) => {
+                            degraded = true;
+                            Arc::new(Vec::new())
+                        }
+                    },
                 };
                 inter_units.push(dets);
             }
@@ -365,24 +355,19 @@ impl State {
                 let hit = cache.and_then(|c| c.unit_get(UNIT_DATA, id, digest));
                 let dets = match hit {
                     Some(h) => h,
-                    None => {
-                        let run = run_units_weighted(1, 1, |_| 1, &|_| {
-                            data::detect_table(tp, ctx, cfg)
-                        });
-                        match run.results.into_iter().next().unwrap() {
-                            Ok(d) => {
-                                let a = Arc::new(d);
-                                if let Some(c) = cache {
-                                    c.unit_put(UNIT_DATA, id, digest, Arc::clone(&a));
-                                }
-                                a
+                    None => match guarded(|| data::detect_table(tp, ctx, cfg)) {
+                        Ok(d) => {
+                            let a = Arc::new(d);
+                            if let Some(c) = cache {
+                                c.unit_put(UNIT_DATA, id, digest, Arc::clone(&a));
                             }
-                            Err(_) => {
-                                degraded = true;
-                                Arc::new(Vec::new())
-                            }
+                            a
                         }
-                    }
+                        Err(_) => {
+                            degraded = true;
+                            Arc::new(Vec::new())
+                        }
+                    },
                 };
                 data_units.push(dets);
             }
@@ -520,7 +505,7 @@ impl CheckSession {
         let mut plan: Vec<Planned> = Vec::with_capacity(sorted.len());
         let dialect = self.state.outcome.outcome.context.dialect;
         for e in sorted {
-            let split = split_deduped_dialect(&e.text, 1, dialect);
+            let split = split_deduped(&e.text, dialect);
             if split.uniques.len() != 1
                 || split.occurrences.len() != 1
                 || split.saw_delimiter_directive
@@ -734,7 +719,6 @@ impl CheckSession {
         let t_patch = Instant::now();
         let mut incremental_hits = 0usize;
         let mut incremental_misses = 0usize;
-        let mut threads_used = 1usize;
         // Slots needing a canonical refresh: fresh/revived slots from the
         // edit set, plus — after a DDL edit — every live slot, so the
         // column-granular epoch sweep decides what actually re-runs.
@@ -777,18 +761,12 @@ impl CheckSession {
             }
         }
         if !recompute.is_empty() {
-            threads_used = tool.detector.plan_threads(&self.opts, recompute.len());
-            let cost = |pos: usize| {
-                let s = &ctx_ref.statements[rep_of[&recompute[pos]]];
-                ((s.span.end - s.span.start).max(16) as u64)
-                    .saturating_mul(state.slots[recompute[pos]].count.max(1) as u64)
-            };
-            let run = run_units_weighted(recompute.len(), threads_used, cost, &|pos| {
+            let run = run_units(recompute.len(), |pos| {
                 let rep = rep_of[&recompute[pos]];
                 intra::detect_statement(rep, &ctx_ref.statements[rep], ctx_ref, cfg, use_context)
             });
             let mut fresh: Vec<(usize, Arc<Vec<Detection>>)> = Vec::with_capacity(recompute.len());
-            for (&si, out) in recompute.iter().zip(run.results) {
+            for (&si, out) in recompute.iter().zip(run) {
                 match out {
                     Ok(dets) => {
                         let canonical = canonicalize(dets);
@@ -850,22 +828,17 @@ impl CheckSession {
                         inter_units_reused += 1;
                         h
                     }
-                    None => {
-                        let run = run_units_weighted(1, 1, |_| 1, &|_| {
-                            inter::detect_unit(u, ctx_ref, cfg)
-                        });
-                        match run.results.into_iter().next().unwrap() {
-                            Ok(d) => {
-                                inter_units_recomputed += 1;
-                                let a = Arc::new(d);
-                                if let Some(c) = cache {
-                                    c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
-                                }
-                                a
+                    None => match guarded(|| inter::detect_unit(u, ctx_ref, cfg)) {
+                        Ok(d) => {
+                            inter_units_recomputed += 1;
+                            let a = Arc::new(d);
+                            if let Some(c) = cache {
+                                c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
                             }
-                            Err(_) => return None,
+                            a
                         }
-                    }
+                        Err(_) => return None,
+                    },
                 };
                 state.inter_units[u] = dets;
                 state.inter_digests[u] = digest;
@@ -968,8 +941,6 @@ impl CheckSession {
             unique_templates: state.template_counts.len(),
             unique_texts: state.live_uniques,
             cache_hits: n - state.live_uniques,
-            threads: threads_used,
-            requested_threads: self.opts.threads.unwrap_or(0),
             warm_edit_micros,
             warm_profile_micros,
             warm_patch_micros,

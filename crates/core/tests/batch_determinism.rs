@@ -1,15 +1,13 @@
 //! Property test (satellite of the batch-engine PR): on randomized
-//! scripts full of duplicate templates, `Detector::detect_batch` — both
-//! sequential-deduped and parallel — must return **byte-identical
-//! detections, in the same order**, as the sequential per-statement path.
+//! scripts full of duplicate templates, `Detector::detect_batch` must
+//! return **byte-identical detections, in the same order**, as the
+//! sequential per-statement path.
 //!
 //! The build environment has no access to the `proptest` crate, so the
 //! property runs over deterministically generated random scripts: same
 //! seeds, same cases, every run.
 
-use sqlcheck::{
-    BatchOptions, ContextBuilder, DetectionConfig, Detector, FrontendOptions, IncrementalCache,
-};
+use sqlcheck::{ContextBuilder, DetectionConfig, Detector, FrontendOptions, IncrementalCache};
 use sqlcheck_minidb::stats::SmallRng;
 
 /// Build a random script that is heavy on duplicate templates: a small
@@ -66,26 +64,18 @@ fn detections_debug(r: &sqlcheck::Report) -> Vec<String> {
 fn assert_batch_matches(det: &Detector, script: &str, label: &str) {
     let ctx = ContextBuilder::new().add_script(script).build();
     let seq = detections_debug(&det.detect(&ctx));
-    let configs = [
-        ("batch-sequential", BatchOptions::sequential()),
-        ("batch-default", BatchOptions::default()),
-        ("batch-2-threads", BatchOptions { parallel: true, threads: Some(2), ..BatchOptions::default() }),
-        ("batch-3-threads", BatchOptions { parallel: true, threads: Some(3), ..BatchOptions::default() }),
-    ];
-    for (name, opts) in configs {
-        let batch = det.detect_batch(&ctx, &opts);
-        let got = detections_debug(&batch.report);
-        assert_eq!(seq, got, "{label}/{name}: batch must be byte-identical to sequential");
-        // Order within the report is part of the contract, and so is the
-        // fan-out bookkeeping.
-        assert_eq!(batch.stats.statements, ctx.len(), "{label}/{name}");
-        assert_eq!(
-            batch.stats.cache_hits,
-            batch.stats.statements - batch.stats.unique_texts,
-            "{label}/{name}"
-        );
-        assert!(batch.stats.unique_templates <= batch.stats.unique_texts, "{label}/{name}");
-    }
+    let batch = det.detect_batch(&ctx);
+    let got = detections_debug(&batch.report);
+    assert_eq!(seq, got, "{label}: batch must be byte-identical to sequential");
+    // Order within the report is part of the contract, and so is the
+    // fan-out bookkeeping.
+    assert_eq!(batch.stats.statements, ctx.len(), "{label}");
+    assert_eq!(
+        batch.stats.cache_hits,
+        batch.stats.statements - batch.stats.unique_texts,
+        "{label}"
+    );
+    assert!(batch.stats.unique_templates <= batch.stats.unique_texts, "{label}");
 }
 
 /// The core property, across many random scripts and both detector
@@ -135,8 +125,8 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
 
 /// Property (satellite of the parse-once PR): parse-dedup plus a cached
 /// re-check must stay byte-identical to a cold sequential `check_script`
-/// on randomized duplicate-heavy scripts — across edits, thread counts,
-/// and detector-config switches (which must flush the cache, not poison
+/// on randomized duplicate-heavy scripts — across edits and
+/// detector-config switches (which must flush the cache, not poison
 /// it).
 #[test]
 fn cached_recheck_is_byte_identical_to_cold_sequential() {
@@ -151,10 +141,8 @@ fn cached_recheck_is_byte_identical_to_cold_sequential() {
         for (round, (sql, label)) in
             [(&script, "cold"), (&edited, "edited"), (&script, "back")].iter().enumerate()
         {
-            let opts = BatchOptions { parallel: true, threads: Some(1 + round % 3), ..BatchOptions::default() };
             let ctx = ContextBuilder::new().add_script(sql).build();
-            let got =
-                detections_debug(&det.detect_batch_with(&ctx, &opts, Some(&cache)).report);
+            let got = detections_debug(&det.detect_batch_with(&ctx, Some(&cache)).report);
             assert_eq!(
                 cold_reference(&det, sql),
                 got,
@@ -170,7 +158,7 @@ fn cached_recheck_is_byte_identical_to_cold_sequential() {
         let intra = Detector::new(DetectionConfig::intra_only());
         let ctx = ContextBuilder::new().add_script(&edited).build();
         let got = detections_debug(
-            &intra.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache)).report,
+            &intra.detect_batch_with(&ctx, Some(&cache)).report,
         );
         assert_eq!(
             cold_reference(&intra, &edited),
@@ -195,7 +183,7 @@ fn schema_edit_invalidates_cached_suppressions() {
     for sql in [v1, v2, v1] {
         let ctx = ContextBuilder::new().add_script(sql).build();
         let got = detections_debug(
-            &det.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache)).report,
+            &det.detect_batch_with(&ctx, Some(&cache)).report,
         );
         assert_eq!(cold_reference(&det, sql), got, "schema change must invalidate");
     }
@@ -231,13 +219,13 @@ fn sample_database(rng: &mut SmallRng) -> sqlcheck_minidb::database::Database {
     db
 }
 
-/// Three-phase property (tentpole of the phase-slicing PR): with the
-/// inter-query and data-analysis phases sliced onto the worker pool, the
-/// batch path must stay byte-identical to the sequential path across
-/// thread counts — **with a database attached**, so all three phases do
-/// real work (the tests above never exercise the data phase).
+/// Three-phase property: with the inter-query and data-analysis phases
+/// sliced into per-rule and per-table units, the batch path must stay
+/// byte-identical to the sequential path — **with a database attached**,
+/// so all three phases do real work (the tests above never exercise the
+/// data phase).
 #[test]
-fn inter_and_data_phases_identical_across_thread_counts() {
+fn inter_and_data_phases_identical_to_sequential() {
     use sqlcheck::DataAnalysisConfig;
     let mut rng = SmallRng::new(0x3F4A5E);
     for case in 0..12 {
@@ -263,16 +251,11 @@ fn inter_and_data_phases_identical_across_thread_counts() {
                 .any(|d| d.source == sqlcheck::DetectionSource::InterQuery),
             "case {case}: inter rules must fire"
         );
-        let seq_key = detections_debug(&seq);
-        for threads in [1usize, 2, 3, 8] {
-            let opts = BatchOptions { parallel: true, threads: Some(threads), ..BatchOptions::default() };
-            let batch = det.detect_batch(&ctx, &opts);
-            assert_eq!(
-                seq_key,
-                detections_debug(&batch.report),
-                "case {case}/{threads} threads: three-phase batch must equal sequential"
-            );
-        }
+        assert_eq!(
+            detections_debug(&seq),
+            detections_debug(&det.detect_batch(&ctx).report),
+            "case {case}: three-phase batch must equal sequential"
+        );
     }
 }
 
@@ -306,7 +289,7 @@ fn per_table_invalidation_never_serves_stale_results() {
             }
             let ctx = ContextBuilder::new().add_script(&script).build();
             let got = detections_debug(
-                &det.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache)).report,
+                &det.detect_batch_with(&ctx, Some(&cache)).report,
             );
             assert_eq!(
                 cold_reference(&det, &script),
@@ -344,10 +327,10 @@ fn ddl_edit_to_one_table_keeps_unrelated_entries() {
     // Prime, then a no-op re-check: identical schema must keep the cache
     // fully warm (every unique text hits; zero evictions).
     let ctx = ContextBuilder::new().add_script(&script).build();
-    let first = det.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache));
+    let first = det.detect_batch_with(&ctx, Some(&cache));
     assert_eq!(first.stats.incremental_hits, 0);
     let ctx2 = ContextBuilder::new().add_script(&script).build();
-    let warm = det.detect_batch_with(&ctx2, &BatchOptions::default(), Some(&cache));
+    let warm = det.detect_batch_with(&ctx2, Some(&cache));
     assert_eq!(
         warm.stats.incremental_misses, 0,
         "content-identical schema reload must not flush the cache"
@@ -360,7 +343,7 @@ fn ddl_edit_to_one_table_keeps_unrelated_entries() {
     // whose digest (and the table core) the edit leaves unchanged. Only
     // the edited DDL text itself is new work.
     let ctx3 = ContextBuilder::new().add_script(&edited).build();
-    let after = det.detect_batch_with(&ctx3, &BatchOptions::default(), Some(&cache));
+    let after = det.detect_batch_with(&ctx3, Some(&cache));
     assert_eq!(
         detections_debug(&after.report),
         cold_reference(&det, &edited),
@@ -389,7 +372,7 @@ fn ddl_edit_to_one_table_keeps_unrelated_entries() {
         "CREATE TABLE hot (id BIGINT PRIMARY KEY, v TEXT, w INT);",
     );
     let ctx4 = ContextBuilder::new().add_script(&retyped).build();
-    let after2 = det.detect_batch_with(&ctx4, &BatchOptions::default(), Some(&cache));
+    let after2 = det.detect_batch_with(&ctx4, Some(&cache));
     assert_eq!(
         detections_debug(&after2.report),
         cold_reference(&det, &retyped),
@@ -419,7 +402,7 @@ fn random_scripts_contain_duplicates() {
     let mut rng = SmallRng::new(0xD0D0);
     let script = random_script(&mut rng, 200);
     let ctx = ContextBuilder::new().add_script(&script).build();
-    let b = Detector::default().detect_batch(&ctx, &BatchOptions::default());
+    let b = Detector::default().detect_batch(&ctx);
     assert!(
         b.stats.cache_hits > 50,
         "expected heavy duplication, got {} hits over {} statements",

@@ -39,13 +39,10 @@ fn body_detections_point_into_the_body() {
     let det = Detector::default();
     let seq = det.detect(&ctx);
     // Byte-identity across all paths is preserved with body fan-out.
-    for opts in [BatchOptions::sequential(), BatchOptions::default()] {
-        let batch = det.detect_batch(&ctx, &opts);
-        let fmt = |r: &sqlcheck::Report| {
-            r.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()
-        };
-        assert_eq!(fmt(&seq), fmt(&batch.report));
-    }
+    let batch = det.detect_batch(&ctx);
+    let fmt =
+        |r: &sqlcheck::Report| r.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>();
+    assert_eq!(fmt(&seq), fmt(&batch.report));
     let find = |kind: AntiPatternKind| {
         seq.detections
             .iter()

@@ -2,8 +2,8 @@
 //!
 //! 1. **Generic identity**: threading `Dialect::Generic` explicitly
 //!    through the pipeline — tool-level or `BatchOptions`-level — must be
-//!    byte-identical to the pre-dialect default entry points, across
-//!    thread counts and cache on/off.
+//!    byte-identical to the pre-dialect default entry points, cache on
+//!    and off.
 //! 2. **Detection**: with no explicit dialect, `check_workload` guesses
 //!    from the script and says so (`DiagKind::DialectGuessed`); an
 //!    explicit dialect suppresses both the guess and the diagnostic.
@@ -84,37 +84,35 @@ fn mysqldump_script() -> String {
 }
 
 /// Explicit `Dialect::Generic` — at either layer — is byte-identical to
-/// the undialected default, across thread counts and cache on/off.
+/// the undialected default, cache on and off.
 #[test]
 fn explicit_generic_equals_the_undialected_default() {
     let script = neutral_script();
-    for &threads in &[1usize, 2, 4] {
-        for &cached in &[false, true] {
-            let opts = BatchOptions { threads: Some(threads), ..BatchOptions::default() };
-            let mk = || if cached { SqlCheck::new().with_cache(1024) } else { SqlCheck::new() };
+    let opts = BatchOptions::default();
+    for &cached in &[false, true] {
+        let mk = || if cached { SqlCheck::new().with_cache(1024) } else { SqlCheck::new() };
 
-            let base = mk().check_workload(&script, &opts);
-            let tool_level = mk()
-                .with_dialect(Dialect::Generic)
-                .with_dialect_detection(false)
-                .check_workload(&script, &opts);
-            let opts_level = mk().check_workload(
-                &script,
-                &BatchOptions { dialect: Dialect::Generic, ..opts.clone() },
-            );
+        let base = mk().check_workload(&script, &opts);
+        let tool_level = mk()
+            .with_dialect(Dialect::Generic)
+            .with_dialect_detection(false)
+            .check_workload(&script, &opts);
+        let opts_level = mk().check_workload(
+            &script,
+            &BatchOptions { dialect: Dialect::Generic, ..opts.clone() },
+        );
 
-            assert_eq!(base.outcome.context.dialect, Dialect::Generic);
-            assert_eq!(
-                fingerprint(&base),
-                fingerprint(&tool_level),
-                "threads={threads} cached={cached}: tool-level Generic diverged"
-            );
-            assert_eq!(
-                fingerprint(&base),
-                fingerprint(&opts_level),
-                "threads={threads} cached={cached}: opts-level Generic diverged"
-            );
-        }
+        assert_eq!(base.outcome.context.dialect, Dialect::Generic);
+        assert_eq!(
+            fingerprint(&base),
+            fingerprint(&tool_level),
+            "cached={cached}: tool-level Generic diverged"
+        );
+        assert_eq!(
+            fingerprint(&base),
+            fingerprint(&opts_level),
+            "cached={cached}: opts-level Generic diverged"
+        );
     }
 }
 

@@ -1,11 +1,9 @@
-//! Property tests (satellites of the scale-out PR): the cost-aware
-//! self-scheduling worker pool and the sharded incremental cache must be
-//! invisible in the output.
+//! Property tests: skewed inputs and the sharded incremental cache must
+//! be invisible in the output.
 //!
 //! * batch detection and cached re-checks stay **byte-identical** to the
-//!   sequential reference across thread counts {1, 2, 4, 8} on skewed
-//!   inputs — one giant compound statement among many cheap hot-template
-//!   occurrences, the shape where LPT scheduling actually reorders work;
+//!   sequential reference on skewed inputs — one giant compound statement
+//!   among many cheap hot-template occurrences;
 //! * `IncrementalCache` is **shard-count invariant**: the same check
 //!   sequence against a 1-shard and an N-shard cache produces the same
 //!   hit/miss/eviction totals and the same outputs;
@@ -15,9 +13,7 @@
 //! properties run over deterministically generated random scripts: same
 //! seeds, same cases, every run.
 
-use sqlcheck::{
-    BatchOptions, ContextBuilder, Detector, FrontendOptions, IncrementalCache,
-};
+use sqlcheck::{ContextBuilder, Detector, FrontendOptions, IncrementalCache};
 use sqlcheck_minidb::stats::SmallRng;
 
 /// A skewed script: ~90% of statements instantiate one hot template with
@@ -66,11 +62,10 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
     detections_debug(&det.detect(&ctx))
 }
 
-/// Tentpole property: on skewed inputs, the weighted scheduler's output
-/// is byte-identical to sequential at every thread count — cold and
-/// through a warm cache.
+/// On skewed inputs, batch output is byte-identical to sequential — cold
+/// and through a warm cache.
 #[test]
-fn skewed_batch_identical_across_thread_counts() {
+fn skewed_batch_identical_to_sequential() {
     let mut rng = SmallRng::new(0x5CA1E);
     for case in 0..8 {
         let statements = 30 + rng.gen_range(90);
@@ -79,26 +74,25 @@ fn skewed_batch_identical_across_thread_counts() {
         let det = Detector::default();
         let reference = cold_reference(&det, &script);
         let cache = IncrementalCache::with_shards(4096, 8);
-        for threads in [1usize, 2, 4, 8] {
-            let opts = BatchOptions { parallel: true, threads: Some(threads), ..BatchOptions::default() };
-            let ctx = ContextBuilder::new().add_script(&script).build();
-            // Cold path (no cache).
-            let cold = det.detect_batch(&ctx, &opts);
-            assert_eq!(
-                reference,
-                detections_debug(&cold.report),
-                "case {case}/{threads} threads: skewed batch must equal sequential"
-            );
-            // Cached path: first iteration populates, later ones replay.
-            let cached = det.detect_batch_with(&ctx, &opts, Some(&cache));
+        let ctx = ContextBuilder::new().add_script(&script).build();
+        // Cold path (no cache).
+        let cold = det.detect_batch(&ctx);
+        assert_eq!(
+            reference,
+            detections_debug(&cold.report),
+            "case {case}: skewed batch must equal sequential"
+        );
+        // Cached path: the first round populates, the second replays.
+        for round in 0..2 {
+            let cached = det.detect_batch_with(&ctx, Some(&cache));
             assert_eq!(
                 reference,
                 detections_debug(&cached.report),
-                "case {case}/{threads} threads: cached skewed batch must equal sequential"
+                "case {case} round {round}: cached skewed batch must equal sequential"
             );
         }
         let c = cache.counters();
-        assert!(c.hits > 0, "case {case}: re-checks across thread counts must hit");
+        assert!(c.hits > 0, "case {case}: the second round must hit");
     }
 }
 
@@ -112,7 +106,7 @@ fn skewed_script_is_actually_skewed() {
     let longest =
         ctx.statements.iter().map(|s| s.span.end - s.span.start).max().unwrap_or(0);
     assert!(longest > 4_000, "giant unit present ({longest} bytes)");
-    let b = Detector::default().detect_batch(&ctx, &BatchOptions::sequential());
+    let b = Detector::default().detect_batch(&ctx);
     assert!(
         b.stats.unique_texts > 60,
         "hot template must contribute many distinct texts, got {}",
@@ -145,7 +139,7 @@ fn cache_shard_count_is_invisible() {
             [(&script, &det), (&script, &det), (&edited, &det), (&edited, &intra)];
         for (sql, d) in rounds {
             let ctx = ContextBuilder::new().add_script(sql).build();
-            let b = d.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache));
+            let b = d.detect_batch_with(&ctx, Some(&cache));
             outputs.push(detections_debug(&b.report));
             counter_trail.push((
                 b.stats.incremental_hits,
@@ -188,7 +182,7 @@ fn concurrent_sessions_share_one_cache_correctly() {
     // Prime once so the concurrent phase is read-mostly — the shape the
     // sharded fast path exists for.
     let ctx = ContextBuilder::new().add_script(&script).build();
-    let _ = det.detect_batch_with(&ctx, &BatchOptions::default(), Some(&cache));
+    let _ = det.detect_batch_with(&ctx, Some(&cache));
     let warm_floor = cache.counters();
 
     std::thread::scope(|s| {
@@ -196,10 +190,8 @@ fn concurrent_sessions_share_one_cache_correctly() {
             let (cache, det, script, reference) = (&cache, &det, &script, &reference);
             s.spawn(move || {
                 for round in 0..3 {
-                    let opts =
-                        BatchOptions { parallel: true, threads: Some(1 + (t + round) % 3), ..BatchOptions::default() };
                     let ctx = ContextBuilder::new().add_script(script).build();
-                    let b = det.detect_batch_with(&ctx, &opts, Some(cache));
+                    let b = det.detect_batch_with(&ctx, Some(cache));
                     assert_eq!(
                         reference,
                         &detections_debug(&b.report),

@@ -2,7 +2,7 @@
 //!
 //! 1. **Byte-identity**: a `CheckSession::recheck` outcome must equal a
 //!    cold `check_workload` of the edited script — detections, ranking,
-//!    fixes, diagnostics — at every thread count, cache on and off,
+//!    fixes, diagnostics — cache on and off,
 //!    including DDL edits and fallback paths.
 //! 2. **Delta-vs-rebuild**: the session's incrementally-maintained
 //!    `WorkloadProfile` must match a from-scratch build (modulo all-zero
@@ -112,10 +112,6 @@ fn replacement(rng: &mut Rng, salt: usize) -> String {
     }
 }
 
-fn opts_for(threads: usize) -> BatchOptions {
-    BatchOptions { threads: Some(threads), ..BatchOptions::default() }
-}
-
 fn tool(cache: bool) -> SqlCheck {
     let t = SqlCheck::new();
     if cache {
@@ -127,14 +123,14 @@ fn tool(cache: bool) -> SqlCheck {
 
 /// Core property: random single-statement edit batches over several
 /// rounds stay byte-identical to cold re-checks of the edited script,
-/// across thread counts and cache on/off.
+/// across several edit sequences and cache on/off.
 #[test]
 fn random_edit_rounds_match_cold_checks() {
-    for &threads in &[1usize, 2, 4] {
+    let opts = BatchOptions::default();
+    for seed in [1u64, 2, 4] {
         for &cached in &[true, false] {
-            let opts = opts_for(threads);
             let mut session = tool(cached).into_session(seed_script(), opts.clone());
-            let mut rng = Rng(0x5EED_0000 + threads as u64 * 31 + cached as u64);
+            let mut rng = Rng(0x5EED_0000 + seed * 31 + cached as u64);
             let n = session.outcome().stats.statements;
             for round in 0..6 {
                 // Up to 3 distinct indices per round. Skip index 0..3
@@ -159,7 +155,7 @@ fn random_edit_rounds_match_cold_checks() {
                 assert_eq!(
                     fingerprint(session.outcome()),
                     fingerprint(&cold),
-                    "threads={threads} cached={cached} round={round}"
+                    "seed={seed} cached={cached} round={round}"
                 );
                 // Delta-vs-rebuild on the retained workload profile.
                 let warm_profile = &session.outcome().outcome.context.workload;
@@ -178,34 +174,28 @@ fn random_edit_rounds_match_cold_checks() {
 /// re-runs.
 #[test]
 fn ddl_edit_rounds_match_cold_checks() {
-    for &threads in &[1usize, 4] {
-        let opts = opts_for(threads);
-        let mut session = tool(true).into_session(seed_script(), opts.clone());
-        let ddl_variants = [
-            // Touched column type change: evicts users-dependent entries.
-            "CREATE TABLE users (id BIGINT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
-            // Added column: core untouched, no eviction of untouched deps.
-            "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT, \
-             flags INT)",
-            // Back to the original text (revival).
-            "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
-        ];
-        for (round, ddl) in ddl_variants.iter().enumerate() {
-            session.recheck(&[Edit::new(0, ddl.to_string())]);
-            assert_eq!(session.fallbacks(), 0, "cached DDL edits stay incremental");
-            let cold = SqlCheck::new().check_workload(session.script(), &opts);
-            assert_eq!(
-                fingerprint(session.outcome()),
-                fingerprint(&cold),
-                "threads={threads} ddl round={round}"
-            );
-            let warm_profile = &session.outcome().outcome.context.workload;
-            let cold_profile = &cold.outcome.context.workload;
-            // The refold path rebuilds the profile exactly — no zombie
-            // normalization should even be needed, but compare normalized
-            // to keep one definition of equality.
-            assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
-        }
+    let opts = BatchOptions::default();
+    let mut session = tool(true).into_session(seed_script(), opts.clone());
+    let ddl_variants = [
+        // Touched column type change: evicts users-dependent entries.
+        "CREATE TABLE users (id BIGINT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
+        // Added column: core untouched, no eviction of untouched deps.
+        "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT, \
+         flags INT)",
+        // Back to the original text (revival).
+        "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
+    ];
+    for (round, ddl) in ddl_variants.iter().enumerate() {
+        session.recheck(&[Edit::new(0, ddl.to_string())]);
+        assert_eq!(session.fallbacks(), 0, "cached DDL edits stay incremental");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "ddl round={round}");
+        let warm_profile = &session.outcome().outcome.context.workload;
+        let cold_profile = &cold.outcome.context.workload;
+        // The refold path rebuilds the profile exactly — no zombie
+        // normalization should even be needed, but compare normalized
+        // to keep one definition of equality.
+        assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
     }
 }
 

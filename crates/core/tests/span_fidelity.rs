@@ -47,8 +47,7 @@ fn detections_on_duplicates_carry_their_own_occurrence_span() {
     let det = Detector::default();
     for (label, report) in [
         ("sequential", det.detect(&ctx)),
-        ("batch", det.detect_batch(&ctx, &BatchOptions::default()).report),
-        ("batch-seq", det.detect_batch(&ctx, &BatchOptions::sequential()).report),
+        ("batch", det.detect_batch(&ctx).report),
     ] {
         let mut seen = [false, false];
         for d in &report.detections {

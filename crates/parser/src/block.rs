@@ -4,9 +4,9 @@
 //! bodies hold whole statements — the inner semicolons terminate *body*
 //! statements, not the DDL statement itself. [`BlockTracker`] is the
 //! shared state machine that every split path (fused streaming, spans-only
-//! dedup scan, chunk-parallel pre-scan, and the legacy two-pass reference)
-//! consults per significant token so all of them agree, byte for byte, on
-//! where statements end.
+//! dedup scan, and the legacy two-pass reference) consults per
+//! significant token so all of them agree, byte for byte, on where
+//! statements end.
 //!
 //! The tracker answers three questions:
 //!
@@ -38,7 +38,7 @@
 //! The tracker is dialect-aware ([`BlockTracker::with_dialect`]):
 //! `DELIMITER` directives are honoured only where the dialect allows them
 //! (Generic, MySQL) — under Postgres the word is an ordinary identifier,
-//! so PL/pgSQL scripts keep chunk-parallel splitting — and a
+//! so PL/pgSQL scripts record no directive — and a
 //! statement-initial `BEGIN ATOMIC` (SQL standard, Postgres 14+ SQL-body
 //! routines) opens a block under Generic/Postgres via one token of
 //! lookahead, exactly like the deferred-`END` decision. The old `$$`
@@ -77,7 +77,7 @@ enum Header {
     Routine,
 }
 
-/// Per-chunk splitter state machine. See the module docs.
+/// Per-script splitter state machine. See the module docs.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockTracker {
     /// `BEGIN … END` nesting depth.
@@ -100,12 +100,12 @@ pub(crate) struct BlockTracker {
     /// Custom statement delimiter (`DELIMITER` directive); `None` means
     /// the default `;`.
     delimiter: Option<Box<[u8]>>,
-    /// Chunk offsets below this belong to a directive line or to the
+    /// Offsets below this belong to a directive line or to the
     /// trailing bytes of a multi-byte terminator.
     skip_until: usize,
-    /// A `DELIMITER` directive was seen (the chunk-parallel pre-scan
-    /// bails to a single sequential chunk, because the active delimiter
-    /// would otherwise have to be threaded across chunk starts).
+    /// A `DELIMITER` directive was seen (reported as the
+    /// `delimiter-fallback-sequential` diagnostic; `CheckSession` will not
+    /// patch such scripts incrementally).
     saw_directive: bool,
     /// Single-branch fast-path flag, kept in sync with the rest of the
     /// state: true exactly when `;` is the terminator and no word can
@@ -135,7 +135,7 @@ fn is_word(w: &[u8], up: &[u8]) -> bool {
 /// requires a `CREATE … TRIGGER|PROCEDURE|FUNCTION` header or a
 /// statement-initial `BEGIN ATOMIC` — `BEGIN`, `CASE`, and `END` alone
 /// are all no-ops at depth 0) or a `DELIMITER` directive changes the
-/// terminator. A chunk containing none of these five marker words (as
+/// terminator. A script containing none of these five marker words (as
 /// word tokens; quoted identifiers and string literals never reach the
 /// tracker as words) therefore splits **identically** with and without
 /// the tracker, so scanners may run a speculative untracked pass and
@@ -244,7 +244,7 @@ impl BlockTracker {
         self.reset_statement_state();
     }
 
-    /// Feed one significant token (`bytes` is the chunk being lexed;
+    /// Feed one significant token (`bytes` is the script being lexed;
     /// `start..end` the token's range within it) and learn what it means
     /// for statement splitting. Trivia must not be offered.
     #[inline]
@@ -582,7 +582,7 @@ mod tests {
         assert_eq!(terminator_count(s), 1);
         // Postgres treats DELIMITER as an identifier: every `;` terminates
         // (the `;;` pairs yield empty statements the splitter drops), and
-        // no directive is recorded (chunk-parallel splitting stays on).
+        // no directive is recorded.
         let acts = actions_dialect(s, Dialect::Postgres);
         assert_eq!(
             acts.iter().filter(|(_, a)| *a == SplitAction::Terminator).count(),

@@ -16,8 +16,8 @@ use std::fmt;
 /// What kind of degradation occurred.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DiagKind {
-    /// A statement fell back to `Statement::Other`, or a sub-expression
-    /// fell back to `Expr::Raw`, because the parser could not shape it.
+    /// A statement fell back to `Statement::Other` because the parser
+    /// could not shape it.
     ParseDegraded,
     /// A compound statement opened a `BEGIN`/`CASE` block that never
     /// closed before the input ran out; the trailing piece was kept as a
@@ -26,8 +26,9 @@ pub enum DiagKind {
     /// A statement began with `END` that matches no open block; the
     /// splitter tolerated it as an ordinary word.
     OrphanEnd,
-    /// The script contains a `DELIMITER` directive, which forces the
-    /// chunk-parallel splitter back to a single sequential pass.
+    /// The script contains a `DELIMITER` directive. Informational: the
+    /// splitter honours it; the name predates the single-threaded
+    /// splitter and is kept for output stability.
     DelimiterFallbackSequential,
     /// A statement exceeded a [`Limits`] budget and was degraded to
     /// `Statement::Other` (or had a sub-tree flattened) instead of
@@ -41,11 +42,14 @@ pub enum DiagKind {
     /// detail names the guessed dialect and the triggering signal.
     /// Explicitly selecting a dialect suppresses this.
     DialectGuessed,
+    /// The statement kept its shape, but at least one sub-expression fell
+    /// back to `Expr::Raw` because the parser could not shape it.
+    ExprDegraded,
 }
 
 impl DiagKind {
     /// All kinds, in stable order (indexes match [`DiagKind::index`]).
-    pub const ALL: [DiagKind; 7] = [
+    pub const ALL: [DiagKind; 8] = [
         DiagKind::ParseDegraded,
         DiagKind::UnterminatedBlock,
         DiagKind::OrphanEnd,
@@ -53,6 +57,7 @@ impl DiagKind {
         DiagKind::OverLimit,
         DiagKind::RuleFailed,
         DiagKind::DialectGuessed,
+        DiagKind::ExprDegraded,
     ];
 
     /// Number of kinds (length of [`DiagKind::ALL`]).
@@ -68,6 +73,7 @@ impl DiagKind {
             DiagKind::OverLimit => 4,
             DiagKind::RuleFailed => 5,
             DiagKind::DialectGuessed => 6,
+            DiagKind::ExprDegraded => 7,
         }
     }
 
@@ -81,6 +87,7 @@ impl DiagKind {
             DiagKind::OverLimit => "over-limit",
             DiagKind::RuleFailed => "rule-failed",
             DiagKind::DialectGuessed => "dialect-guessed",
+            DiagKind::ExprDegraded => "expr-degraded",
         }
     }
 }

@@ -111,8 +111,9 @@ impl Dialect {
 
     /// `DELIMITER xx` lines are script-level directives that switch the
     /// statement terminator (mysqldump). When off, `DELIMITER` is an
-    /// ordinary word — Postgres scripts keep chunk-parallel splitting
-    /// even when the word appears in them.
+    /// ordinary word — Postgres scripts raise no
+    /// `delimiter-fallback-sequential` diagnostic even when the word
+    /// appears in them.
     pub fn delimiter_directives(self) -> bool {
         matches!(self, Dialect::Generic | Dialect::MySql)
     }

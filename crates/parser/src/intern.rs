@@ -9,7 +9,7 @@
 //! re-folding, no re-hashing of the slice.
 //!
 //! Symbols are **per script**: an [`Interner`] is created fresh for each
-//! script (or parallel-split chunk) and its symbols are meaningless
+//! script and its symbols are meaningless
 //! outside it. The keyword range is the exception — symbols
 //! `0..KEYWORDS.len()` are pre-assigned to [`KEYWORDS`] in table order,
 //! identical in every interner, which is what lets a `Symbol` answer

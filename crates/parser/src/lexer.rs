@@ -26,7 +26,7 @@ use crate::token::{is_keyword, Span, Token, TokenKind};
 pub(crate) trait TokenSink {
     /// When `false`, the lexer may skip keyword classification and emit
     /// every word token as [`TokenKind::Ident`] — for sinks that only
-    /// care about token *boundaries* (e.g. the parallel-split pre-scan).
+    /// care about token *boundaries* (e.g. the spans-only dedup scan).
     const CLASSIFY_WORDS: bool = true;
 
     /// One token.

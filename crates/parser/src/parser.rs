@@ -101,8 +101,7 @@ pub fn parse_raw(raw: RawStatement) -> ParsedStatement {
 // Per-statement parse state lives in thread-locals rather than being
 // threaded through every mutually-recursive parse function: the state is
 // armed/cleared at each statement's parse entry (`parse_raw_limited`), so
-// results stay deterministic regardless of which worker thread parses
-// which unique statement.
+// no state leaks from one statement's parse into the next.
 thread_local! {
     /// Arena collecting every expression node of the statement being
     /// parsed (including compound-body sub-statements). Armed empty at
@@ -264,10 +263,7 @@ pub fn parse_raw_limited_dialect(
             format!("statement fell back to Other (leading keyword {leading:?})"),
         ));
     } else if expr_degraded {
-        diags.push(Diagnostic::new(
-            DiagKind::ParseDegraded,
-            "sub-expression fell back to Raw",
-        ));
+        diags.push(Diagnostic::new(DiagKind::ExprDegraded, "sub-expression fell back to Raw"));
     }
     (ParsedStatement { stmt, tokens: raw.tokens, arena: take_arena() }, diags)
 }

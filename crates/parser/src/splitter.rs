@@ -16,10 +16,6 @@
 //! token vectors exist only for the **unique** texts a consumer actually
 //! [materialises](SplitStatement::materialize) for parsing
 //! ([`split_deduped`] performs that grouping here, in the splitter).
-//! [`split_stream_parallel`] additionally chunks the script at safe
-//! statement boundaries (found by a quote/comment/dollar-quote-aware
-//! pre-scan) and lexes the chunks on scoped worker threads, merging
-//! deterministically — byte-identical output to the sequential pass.
 //!
 //! The original two-pass splitter ([`split_spanned`]) is kept as the
 //! readable reference implementation; property tests pin the fused path
@@ -289,14 +285,12 @@ const MEMO_MIN_HIT_SHIFT: u32 = 3;
 /// duplicate-poor workloads so they never pay for a table they cannot
 /// hit.
 struct SplitSink<'a> {
-    chunk: &'a str,
+    script: &'a str,
     bytes: &'a [u8],
-    /// Absolute offset of `chunk` within the original script.
-    offset: usize,
     out: Vec<SplitStatement>,
     /// A statement is open (at least one significant token seen).
     started: bool,
-    /// Absolute span bounds of the open statement.
+    /// Span bounds of the open statement.
     start: usize,
     end: usize,
     /// Per-pass word interner for the fingerprint path.
@@ -315,11 +309,10 @@ struct SplitSink<'a> {
 }
 
 impl<'a> SplitSink<'a> {
-    fn new(chunk: &'a str, offset: usize, dialect: Dialect) -> Self {
+    fn new(script: &'a str, dialect: Dialect) -> Self {
         SplitSink {
-            chunk,
-            bytes: chunk.as_bytes(),
-            offset,
+            script,
+            bytes: script.as_bytes(),
             out: Vec::new(),
             started: false,
             start: 0,
@@ -340,7 +333,7 @@ impl<'a> SplitSink<'a> {
             return;
         }
         self.started = false;
-        let slice = &self.chunk[self.start - self.offset..self.end - self.offset];
+        let slice = &self.script[self.start..self.end];
         let content_hash = content_hash_bytes(slice.as_bytes());
         let fingerprint = if self.memo_on {
             self.probes += 1;
@@ -408,9 +401,9 @@ impl TokenSink for SplitSink<'_> {
         }
         if !self.started {
             self.started = true;
-            self.start = self.offset + start;
+            self.start = start;
         }
-        self.end = self.offset + end;
+        self.end = end;
     }
 }
 
@@ -424,12 +417,8 @@ pub fn split_stream(script: &str) -> Vec<SplitStatement> {
 
 /// [`split_stream`] under an explicit [`Dialect`].
 pub fn split_stream_dialect(script: &str, dialect: Dialect) -> Vec<SplitStatement> {
-    split_range(script, 0, script.len(), dialect)
-}
-
-fn split_range(script: &str, start: usize, end: usize, dialect: Dialect) -> Vec<SplitStatement> {
-    let mut sink = SplitSink::new(&script[start..end], start, dialect);
-    lex_into(&script[start..end], dialect, &mut sink);
+    let mut sink = SplitSink::new(script, dialect);
+    lex_into(script, dialect, &mut sink);
     sink.finish()
 }
 
@@ -440,7 +429,6 @@ fn split_range(script: &str, start: usize, end: usize, dialect: Dialect) -> Vec<
 /// and nothing is hashed (the tracker compares raw word bytes itself).
 struct SpanOnlySink<'a> {
     bytes: &'a [u8],
-    offset: usize,
     out: Vec<Span>,
     started: bool,
     start: usize,
@@ -466,9 +454,9 @@ impl SpanOnlySink<'_> {
             SplitAction::Token => {
                 if !self.started {
                     self.started = true;
-                    self.start = self.offset + start;
+                    self.start = start;
                 }
-                self.end = self.offset + end;
+                self.end = end;
             }
             SplitAction::Terminator => self.flush(),
             SplitAction::Directive => {}
@@ -493,9 +481,9 @@ impl TokenSink for SpanOnlySink<'_> {
             } else {
                 if !self.started {
                     self.started = true;
-                    self.start = self.offset + start;
+                    self.start = start;
                 }
-                self.end = self.offset + end;
+                self.end = end;
             }
             return;
         }
@@ -511,7 +499,6 @@ impl TokenSink for SpanOnlySink<'_> {
 /// case — thus pay **zero** per-token tracking cost.
 struct SpeculativeSpanSink<'a> {
     bytes: &'a [u8],
-    offset: usize,
     out: Vec<Span>,
     started: bool,
     start: usize,
@@ -541,9 +528,9 @@ impl TokenSink for SpeculativeSpanSink<'_> {
         }
         if !self.started {
             self.started = true;
-            self.start = self.offset + start;
+            self.start = start;
         }
-        self.end = self.offset + end;
+        self.end = end;
     }
 
     #[inline]
@@ -552,31 +539,21 @@ impl TokenSink for SpeculativeSpanSink<'_> {
     }
 }
 
-/// Spans-only split of a range, plus whether a `DELIMITER` directive was
-/// processed in the range. The flag is a property of the script bytes
-/// (directives are recognised at statement starts, and chunk boundaries
-/// are statement boundaries), so OR-ing it over any chunking of the
-/// script yields the same answer — deterministic across thread counts.
-fn split_spans_range_diag(
-    script: &str,
-    start: usize,
-    end: usize,
-    dialect: Dialect,
-) -> (Vec<Span>, bool) {
-    let chunk = &script[start..end];
+/// Spans-only split of the script, plus whether a `DELIMITER` directive
+/// was processed.
+fn split_spans(script: &str, dialect: Dialect) -> (Vec<Span>, bool) {
     // First pass: untracked, aborting on the first word that could make
     // block tracking matter. Completing it means no DELIMITER word
-    // exists in the range at all.
+    // exists in the script at all.
     let mut fast = SpeculativeSpanSink {
-        bytes: chunk.as_bytes(),
-        offset: start,
+        bytes: script.as_bytes(),
         out: Vec::new(),
         started: false,
         start: 0,
         end: 0,
         needs_tracking: false,
     };
-    lex_into(chunk, dialect, &mut fast);
+    lex_into(script, dialect, &mut fast);
     if !fast.needs_tracking {
         if fast.started {
             fast.out.push(Span::new(fast.start, fast.end));
@@ -586,15 +563,14 @@ fn split_spans_range_diag(
     // Trigger/procedure/function/DELIMITER/ATOMIC vocabulary present:
     // re-scan with the full block tracker.
     let mut sink = SpanOnlySink {
-        bytes: chunk.as_bytes(),
-        offset: start,
+        bytes: script.as_bytes(),
         out: Vec::new(),
         started: false,
         start: 0,
         end: 0,
         tracker: BlockTracker::with_dialect(dialect),
     };
-    lex_into(chunk, dialect, &mut sink);
+    lex_into(script, dialect, &mut sink);
     if sink.started {
         sink.out.push(Span::new(sink.start, sink.end));
     }
@@ -622,179 +598,6 @@ fn hash_span(
     }
 }
 
-/// Pre-scan sink that records safe chunk boundaries: the end offset of
-/// the first top-level statement terminator at or past each target
-/// offset. "Top-level" is decided by the lexer (`;` consumed inside
-/// strings, comments, quoted identifiers, dollar-quoted bodies, or
-/// DB-API parameters never reaches the sink) **and** by the shared
-/// [`BlockTracker`] (`;` inside a `BEGIN…END` body is not a terminator),
-/// so the boundaries resynchronise exactly where the sequential splitter
-/// ends a statement. Keyword classification is skipped
-/// (`CLASSIFY_WORDS = false`) — the tracker compares word bytes itself.
-///
-/// A `DELIMITER` directive makes the sink bail (`bail = true`): the
-/// active custom delimiter would have to be threaded into every later
-/// chunk, so such scripts are split sequentially instead — same output,
-/// no chunking.
-struct BoundarySink<'a> {
-    bytes: &'a [u8],
-    targets: &'a [usize],
-    next: usize,
-    out: Vec<usize>,
-    tracker: BlockTracker,
-    bail: bool,
-}
-
-impl TokenSink for BoundarySink<'_> {
-    const CLASSIFY_WORDS: bool = false;
-
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            return;
-        }
-        let terminator = if self.tracker.is_fast() {
-            if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
-                self.tracker.fast_terminator();
-                true
-            } else {
-                return;
-            }
-        } else {
-            let action = self.tracker.offer(self.bytes, kind, start, end);
-            if self.tracker.saw_directive() {
-                self.bail = true;
-                return;
-            }
-            action == SplitAction::Terminator
-        };
-        if terminator
-            && self.next < self.targets.len()
-            && end >= self.targets[self.next]
-        {
-            self.out.push(end);
-            while self.next < self.targets.len() && self.targets[self.next] <= end {
-                self.next += 1;
-            }
-        }
-    }
-
-    #[inline]
-    fn done(&self) -> bool {
-        self.bail || self.next >= self.targets.len()
-    }
-}
-
-/// Floor on the bytes a parallel split chunk should carry: below this,
-/// thread spawn + join overhead outweighs the lexing saved, so the
-/// effective chunk count is clamped to `len / MIN_CHUNK_BYTES`. The
-/// clamp is byte-identity-safe — it only changes how many boundary
-/// targets the pre-scan aims for, never where statements end.
-const MIN_CHUNK_BYTES: usize = 16 * 1024;
-
-/// Chunk the script into at most `threads` ranges that all start right
-/// after a top-level `;` (or at 0) — every range is a whole number of
-/// statements (never the middle of a `BEGIN…END` body), so per-range
-/// splits concatenate to the sequential result. The range count is
-/// additionally size-clamped so every chunk carries at least
-/// [`MIN_CHUNK_BYTES`] (oversubscribing tiny scripts only adds spawn
-/// overhead). Scripts containing a `DELIMITER` directive fall back to
-/// one sequential range.
-fn chunk_ranges(script: &str, threads: usize, dialect: Dialect) -> Vec<(usize, usize)> {
-    let len = script.len();
-    let threads = threads.min(len / MIN_CHUNK_BYTES);
-    if threads <= 1 || len == 0 {
-        return vec![(0, len)];
-    }
-    let targets: Vec<usize> =
-        (1..threads).map(|i| (len / threads).saturating_mul(i)).filter(|&t| t > 0).collect();
-    if targets.is_empty() {
-        return vec![(0, len)];
-    }
-    let mut sink = BoundarySink {
-        bytes: script.as_bytes(),
-        targets: &targets,
-        next: 0,
-        out: Vec::new(),
-        tracker: BlockTracker::with_dialect(dialect),
-        bail: false,
-    };
-    lex_into(script, dialect, &mut sink);
-    if sink.bail {
-        return vec![(0, len)];
-    }
-    let mut ranges = Vec::with_capacity(sink.out.len() + 1);
-    let mut start = 0usize;
-    for b in sink.out {
-        if b > start && b < len {
-            ranges.push((start, b));
-            start = b;
-        }
-    }
-    ranges.push((start, len));
-    ranges
-}
-
-/// [`split_stream`] across `threads` scoped worker threads: a pre-scan
-/// finds safe chunk boundaries (statement terminators at top level), the
-/// chunks are lexed+hashed independently, and the per-chunk statements
-/// are concatenated in chunk order. Output is byte-identical to
-/// [`split_stream`] for every `threads` value. With the `parallel`
-/// feature disabled (or `threads <= 1`) the chunks are processed
-/// sequentially — same output, no thread spawns.
-pub fn split_stream_parallel(script: &str, threads: usize) -> Vec<SplitStatement> {
-    split_stream_parallel_dialect(script, threads, Dialect::Generic)
-}
-
-/// [`split_stream_parallel`] under an explicit [`Dialect`]. Scripts whose
-/// dialect does not honour `DELIMITER` directives (e.g. Postgres) never
-/// trigger the sequential fallback, even when the word appears in them.
-pub fn split_stream_parallel_dialect(
-    script: &str,
-    threads: usize,
-    dialect: Dialect,
-) -> Vec<SplitStatement> {
-    let ranges = chunk_ranges(script, threads, dialect);
-    if ranges.len() <= 1 {
-        return split_stream_dialect(script, dialect);
-    }
-    run_chunks(script, &ranges, |s, a, b| split_range(s, a, b, dialect))
-}
-
-#[cfg(feature = "parallel")]
-fn run_chunks<T, F>(script: &str, ranges: &[(usize, usize)], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&str, usize, usize) -> Vec<T> + Sync,
-{
-    let chunks: Vec<Vec<T>> = std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(a, b)| (s.spawn(move || f(script, a, b)), a, b))
-            .collect();
-        handles
-            .into_iter()
-            // A worker that panicked has its range re-split on the
-            // calling thread: if the panic was transient (allocation
-            // pressure) the result is still produced, and if it is
-            // deterministic it propagates here exactly as the sequential
-            // path would — never an opaque join `.expect`.
-            .map(|(h, a, b)| h.join().unwrap_or_else(|_| f(script, a, b)))
-            .collect()
-    });
-    chunks.into_iter().flatten().collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-fn run_chunks<T, F>(script: &str, ranges: &[(usize, usize)], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&str, usize, usize) -> Vec<T> + Sync,
-{
-    ranges.iter().flat_map(|&(a, b)| f(script, a, b)).collect()
-}
-
 /// A script split and deduplicated in one step: every occurrence in
 /// script order, referencing its unique statement text.
 #[derive(Debug, Clone, Default)]
@@ -805,10 +608,11 @@ pub struct DedupedSplit {
     /// One `(unique_index, span)` entry per statement occurrence, in
     /// script order.
     pub occurrences: Vec<(u32, Span)>,
-    /// The script contains a `DELIMITER` directive — chunk-parallel
-    /// splitting fell back to (or would fall back to) a single
-    /// sequential pass. Deterministic across thread counts: it is a
-    /// property of the script, not of the chunking.
+    /// The script contains a `DELIMITER` directive: a property of the
+    /// script bytes. The context builder reports it as the informational
+    /// `delimiter-fallback-sequential` diagnostic (the name predates the
+    /// single-threaded splitter and is kept for output stability), and
+    /// `CheckSession` refuses to patch such scripts incrementally.
     pub saw_delimiter_directive: bool,
 }
 
@@ -854,31 +658,11 @@ impl Hasher for StrFold {
 /// duplicates iff their trimmed source bytes are equal (equal bytes lex
 /// to equal tokens, hence equal hashes). So the per-occurrence pass is
 /// the cheapest one possible — a spans-only boundary scan (no hashing,
-/// no keyword classification), chunk-parallel for large scripts — and
-/// the fused lex+hash pass runs only once per unique text. Duplicates
-/// cost one map probe (exact byte comparison on hit) and carry nothing
-/// but their span.
-pub fn split_deduped(script: &str, threads: usize) -> DedupedSplit {
-    split_deduped_dialect(script, threads, Dialect::Generic)
-}
-
-/// [`split_deduped`] under an explicit [`Dialect`].
-pub fn split_deduped_dialect(script: &str, threads: usize, dialect: Dialect) -> DedupedSplit {
-    let ranges = chunk_ranges(script, threads, dialect);
-    let saw_directive = std::sync::atomic::AtomicBool::new(false);
-    let spans: Vec<Span> = if ranges.len() <= 1 {
-        let (spans, saw) = split_spans_range_diag(script, 0, script.len(), dialect);
-        saw_directive.store(saw, std::sync::atomic::Ordering::Relaxed);
-        spans
-    } else {
-        run_chunks(script, &ranges, |s, a, b| {
-            let (spans, saw) = split_spans_range_diag(s, a, b, dialect);
-            if saw {
-                saw_directive.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            spans
-        })
-    };
+/// no keyword classification) — and the fused lex+hash pass runs only
+/// once per unique text. Duplicates cost one map probe (exact byte
+/// comparison on hit) and carry nothing but their span.
+pub fn split_deduped(script: &str, dialect: Dialect) -> DedupedSplit {
+    let (spans, saw_delimiter_directive) = split_spans(script, dialect);
     let mut uniques: Vec<SplitStatement> = Vec::new();
     let mut occurrences: Vec<(u32, Span)> = Vec::with_capacity(spans.len());
     let mut slots: HashMap<&str, u32, BuildHasherDefault<StrFold>> =
@@ -898,11 +682,15 @@ pub fn split_deduped_dialect(script: &str, threads: usize, dialect: Dialect) -> 
         };
         occurrences.push((slot, span));
     }
-    DedupedSplit {
-        uniques,
-        occurrences,
-        saw_delimiter_directive: saw_directive.into_inner(),
-    }
+    DedupedSplit { uniques, occurrences, saw_delimiter_directive }
+}
+
+/// Compatibility shim over [`split_deduped`]; `threads` is ignored. Its
+/// only caller is the out-of-workspace benchmark (`perfbench/src/cli.rs`,
+/// line 233), which cannot change in the same commit as this crate.
+#[doc(hidden)]
+pub fn split_deduped_dialect(script: &str, _threads: usize, dialect: Dialect) -> DedupedSplit {
+    split_deduped(script, dialect)
 }
 
 /// One split-off statement at the span level: its span-tokens (trivia
@@ -1125,26 +913,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_split_is_identical_across_thread_counts() {
-        let mut big = String::new();
-        for (i, s) in nasty_scripts().iter().cycle().take(200).enumerate() {
-            big.push_str(s);
-            big.push_str(&format!("; SELECT {i} FROM filler;\n"));
-        }
-        let sequential = split_stream(&big);
-        for threads in [1, 2, 3, 5, 13] {
-            assert_eq!(
-                split_stream_parallel(&big, threads),
-                sequential,
-                "chunked split diverged at {threads} thread(s)"
-            );
-        }
-    }
-
-    #[test]
     fn deduped_split_reconstructs_the_statement_sequence() {
         let script = "SELECT 1; SELECT 2; SELECT 1; SELECT 1; SELECT 2;";
-        let d = split_deduped(script, 1);
+        let d = split_deduped(script, Dialect::Generic);
         assert_eq!(d.uniques.len(), 2);
         assert_eq!(d.occurrences.len(), 5);
         let full = split_stream(script);
@@ -1216,10 +987,19 @@ mod tests {
         assert_eq!(split("CREATE TABLE t (begin INT, end INT); SELECT 1;").len(), 2);
     }
 
+    /// Occurrence spans of the deduping boundary scan, in script order.
+    fn deduped_spans(script: &str) -> Vec<Span> {
+        split_deduped(script, Dialect::Generic).occurrences.iter().map(|&(_, s)| s).collect()
+    }
+
+    fn stream_spans(script: &str) -> Vec<Span> {
+        split_stream(script).iter().map(|s| s.span).collect()
+    }
+
     #[test]
     fn boundary_prescan_never_splits_inside_trigger_bodies() {
-        // Many compound statements, so naive byte-targets land inside
-        // bodies; every path must still agree.
+        // Many compound statements: the speculative spans-only scan must
+        // hand over to the tracked one and agree with the fused split.
         let mut big = String::new();
         for i in 0..120 {
             big.push_str(&format!(
@@ -1228,27 +1008,26 @@ mod tests {
             ));
             big.push_str(&format!("SELECT {i} FROM filler;\n"));
         }
-        let sequential = split_stream(&big);
+        let sequential = stream_spans(&big);
         assert_eq!(sequential.len(), 240);
-        for threads in [2, 3, 5, 8] {
-            assert_eq!(split_stream_parallel(&big, threads), sequential, "{threads} threads");
-            let d = split_deduped(&big, threads);
-            assert_eq!(d.occurrences.len(), sequential.len());
-        }
+        assert_eq!(deduped_spans(&big), sequential);
     }
 
     #[test]
     fn delimiter_scripts_fall_back_to_sequential_chunking() {
+        // A `DELIMITER` script is flagged (the flag feeds the
+        // `delimiter-fallback-sequential` diagnostic) and the boundary
+        // scan honours the custom terminator.
         let mut big = String::from("DELIMITER ;;\n");
         for i in 0..100 {
             big.push_str(&format!("SELECT {i}; SELECT {i} ;;\n"));
         }
         big.push_str("DELIMITER ;\nSELECT 1;");
-        let sequential = split_stream(&big);
+        let sequential = stream_spans(&big);
         assert_eq!(sequential.len(), 101);
-        for threads in [2, 4, 7] {
-            assert_eq!(split_stream_parallel(&big, threads), sequential);
-        }
+        assert_eq!(deduped_spans(&big), sequential);
+        assert!(split_deduped(&big, Dialect::Generic).saw_delimiter_directive);
+        assert!(!split_deduped("SELECT 1; SELECT 2;", Dialect::Generic).saw_delimiter_directive);
     }
 
     /// Development probe, not a test: attributes fused-splitter cost to
@@ -1350,17 +1129,15 @@ mod tests {
             s.acc
         });
         time("split_stream (fused)", bytes, || split_stream(&script).len() as u64);
-        time("split_deduped", bytes, || split_deduped(&script, 1).uniques.len() as u64);
+        time("split_deduped", bytes, || split_deduped(&script, Dialect::Generic).uniques.len() as u64);
     }
 
     #[test]
     fn boundary_prescan_never_splits_inside_tokens() {
-        // Force targets to land inside strings/comments/dollar quotes:
-        // every resulting chunk must still start right after a top-level
-        // `;`, which the byte-identity with the sequential path proves.
+        // `;` inside strings, comments and dollar quotes: the spans-only
+        // scan must end statements exactly where the fused split does.
         let script = "SELECT '; ; ; ; ; ; ; ;'; /* ;;;;;;;; */ SELECT $t$;;;;;;;;$t$; SELECT 2;";
-        for threads in 2..12 {
-            assert_eq!(split_stream_parallel(script, threads), split_stream(script));
-        }
+        assert_eq!(deduped_spans(script), stream_spans(script));
+        assert_eq!(stream_spans(script).len(), 3);
     }
 }

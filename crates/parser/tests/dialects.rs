@@ -8,9 +8,8 @@
 //! 2. `BEGIN ATOMIC` (SQL standard) opens a block under Postgres and
 //!    Generic, so SQL-body routines survive splitting and parse with
 //!    their sub-statements;
-//! 3. Postgres scripts never pay the `DELIMITER` sequential fallback —
-//!    the word is ordinary statement text and chunk-parallel splitting
-//!    stays available.
+//! 3. Postgres scripts never raise the `DELIMITER` fallback diagnostic —
+//!    the word is ordinary statement text, not a directive.
 //!
 //! The rest covers the per-dialect lexer surface (comments, identifier
 //! quoting, string styles) and keyword admissibility, plus the property
@@ -21,7 +20,7 @@ use sqlcheck_parser::diag::Limits;
 use sqlcheck_parser::lexer::{tokenize, tokenize_dialect};
 use sqlcheck_parser::parser::{parse_raw_limited, parse_raw_limited_dialect};
 use sqlcheck_parser::splitter::{
-    split, split_dialect, split_stream, split_stream_dialect, split_stream_parallel_dialect,
+    split, split_deduped, split_dialect, split_stream, split_stream_dialect,
 };
 use sqlcheck_parser::{Dialect, Statement, TokenKind};
 
@@ -109,10 +108,9 @@ fn statement_initial_begin_atomic_is_dialect_gated() {
 // ---------------------------------------------------------------------------
 
 /// Under Postgres, `DELIMITER` is a plain word — not a directive — so a
-/// script containing it still splits chunk-parallel, byte-identical to
-/// the sequential pass at every thread count.
+/// script containing it records no directive and splits on every `;`.
 #[test]
-fn postgres_delimiter_word_keeps_chunk_parallel_splitting() {
+fn postgres_delimiter_word_is_not_a_directive() {
     let mut script = String::from("CREATE TABLE delimiter_log (id INTEGER, note VARCHAR(80));\n");
     for i in 0..400 {
         script.push_str(&format!(
@@ -121,10 +119,9 @@ fn postgres_delimiter_word_keeps_chunk_parallel_splitting() {
     }
     let sequential = split_stream_dialect(&script, Dialect::Postgres);
     assert_eq!(sequential.len(), 401);
-    for threads in [2, 4] {
-        let parallel = split_stream_parallel_dialect(&script, threads, Dialect::Postgres);
-        assert_eq!(parallel, sequential, "{threads} threads diverged");
-    }
+    let deduped = split_deduped(&script, Dialect::Postgres);
+    assert!(!deduped.saw_delimiter_directive);
+    assert_eq!(deduped.occurrences.len(), sequential.len());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 //! Resource-budget regression tests: pathological inputs must degrade
-//! deliberately (bounded CPU and stack, `OverLimit`/`ParseDegraded`
-//! diagnostics) instead of crashing or hanging.
+//! deliberately (bounded CPU and stack, `OverLimit`/`ExprDegraded`/
+//! `ParseDegraded` diagnostics) instead of crashing or hanging.
 
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Limits};
@@ -39,7 +39,9 @@ fn deep_parens_report_over_limit_and_degraded() {
     assert!(matches!(p.stmt, Statement::Select(_)));
     let kinds = diag_kinds(&diags);
     assert!(kinds.contains(&DiagKind::OverLimit), "{diags:?}");
-    assert!(kinds.contains(&DiagKind::ParseDegraded), "{diags:?}");
+    // The statement kept its shape: only a sub-expression degraded.
+    assert!(kinds.contains(&DiagKind::ExprDegraded), "{diags:?}");
+    assert!(!kinds.contains(&DiagKind::ParseDegraded), "{diags:?}");
 }
 
 #[test]
@@ -179,7 +181,7 @@ fn expr_raw_fallback_sets_sub_expression_diagnostic() {
         // Raw fallback must be reported.
         let has_raw = format!("{:?}", p.stmt).contains("Raw");
         if has_raw {
-            assert!(diag_kinds(&diags).contains(&DiagKind::ParseDegraded), "{diags:?}");
+            assert!(diag_kinds(&diags).contains(&DiagKind::ExprDegraded), "{diags:?}");
         }
     }
 }
@@ -187,17 +189,12 @@ fn expr_raw_fallback_sets_sub_expression_diagnostic() {
 #[test]
 fn delimiter_scripts_set_the_dedup_flag() {
     use sqlcheck_parser::splitter::split_deduped;
+    use sqlcheck_parser::Dialect;
     let script = "DELIMITER //\nSELECT 1; SELECT 2 //\nDELIMITER ;\nSELECT 3;";
-    for threads in [1, 2, 4] {
-        let d = split_deduped(script, threads);
-        assert!(d.saw_delimiter_directive, "threads={threads}");
-    }
+    assert!(split_deduped(script, Dialect::Generic).saw_delimiter_directive);
     let plain = "SELECT 1; SELECT 2; SELECT 3;";
-    for threads in [1, 2, 4] {
-        let d = split_deduped(plain, threads);
-        assert!(!d.saw_delimiter_directive, "threads={threads}");
-    }
+    assert!(!split_deduped(plain, Dialect::Generic).saw_delimiter_directive);
     // The word appearing mid-statement is not a directive.
     let decoy = "SELECT delimiter FROM t;";
-    assert!(!split_deduped(decoy, 1).saw_delimiter_directive);
+    assert!(!split_deduped(decoy, Dialect::Generic).saw_delimiter_directive);
 }

@@ -5,7 +5,7 @@
 //! behaviours the arena path must still reproduce exactly:
 //!
 //! 1. the **legacy sequential front-end** (`FrontendOptions::legacy`):
-//!    per-statement parse, no dedup, no threads — detections must be
+//!    per-statement parse, no dedup — detections must be
 //!    byte-identical to the parse-once pipeline on the same scripts;
 //! 2. the **legacy two-pass splitter** (`split_spanned`) — statement
 //!    spans and hashes must agree with the fused pass that feeds the
@@ -15,7 +15,7 @@
 //!    everything the renderer reads (no state was lost moving off
 //!    `Box<Expr>`).
 
-use sqlcheck::{BatchOptions, ContextBuilder, Detector, FrontendOptions};
+use sqlcheck::{ContextBuilder, Detector, FrontendOptions};
 use sqlcheck_parser::parser::parse_one;
 use sqlcheck_parser::splitter::{split_spanned, split_stream};
 
@@ -49,7 +49,7 @@ fn corpus() -> Vec<&'static str> {
 fn detections(script: &str, fe: FrontendOptions) -> Vec<String> {
     let ctx = ContextBuilder::new().with_frontend(fe).add_script(script).build();
     Detector::default()
-        .detect_batch(&ctx, &BatchOptions::default())
+        .detect_batch(&ctx)
         .report
         .detections
         .iter()
@@ -62,7 +62,7 @@ fn detections(script: &str, fe: FrontendOptions) -> Vec<String> {
 /// concatenation of the whole corpus.
 #[test]
 fn legacy_frontend_and_pipeline_detect_identically() {
-    let pipeline = FrontendOptions { dedup: true, parallel: true, ..FrontendOptions::default() };
+    let pipeline = FrontendOptions::default();
     for script in corpus() {
         assert_eq!(
             detections(script, FrontendOptions::legacy()),

@@ -3,8 +3,8 @@
 //! The pipeline's robustness claims are behavioural, not structural:
 //! *any* byte sequence flows through split → parse → detect → rank → fix
 //! without a panic, degradation is always *reported* (never silent), and
-//! the diagnostics a run emits are deterministic — independent of worker
-//! thread count and cache state. These properties run over
+//! the diagnostics a run emits are deterministic — repeatable and
+//! independent of cache state. These properties run over
 //! deterministically generated random cases (the build environment has
 //! no `proptest`; same seeds, same cases, every run).
 
@@ -65,31 +65,20 @@ fn workload_fingerprint(w: &WorkloadOutcome) -> String {
     )
 }
 
-fn opts_at(threads: usize) -> BatchOptions {
-    BatchOptions { parallel: threads > 1, threads: Some(threads), ..BatchOptions::default() }
-}
-
-/// Arbitrary bytes through both entry points, at every thread count,
-/// with and without an incremental cache: no panics, and the degradation
-/// fingerprint is identical across all configurations.
+/// Arbitrary bytes through both entry points, with and without an
+/// incremental cache: no panics, and the degradation fingerprint is
+/// identical across all configurations.
 #[test]
 fn arbitrary_bytes_are_total_and_deterministic() {
     let mut rng = SmallRng::new(0x0B5E55);
     for case in 0..CASES {
         let input = arbitrary_bytes(&mut rng, 600);
-        let baseline = SqlCheck::new().check_workload(&input, &opts_at(1));
+        let opts = BatchOptions::default();
+        let baseline = SqlCheck::new().check_workload(&input, &opts);
         let base_fp = workload_fingerprint(&baseline);
-        for threads in [2, 4] {
-            let run = SqlCheck::new().check_workload(&input, &opts_at(threads));
-            assert_eq!(
-                workload_fingerprint(&run),
-                base_fp,
-                "case {case}: {threads}-thread run diverged"
-            );
-        }
         let cached_tool = SqlCheck::new().with_cache(256);
-        let cold = cached_tool.check_workload(&input, &opts_at(2));
-        let warm = cached_tool.check_workload(&input, &opts_at(2));
+        let cold = cached_tool.check_workload(&input, &opts);
+        let warm = cached_tool.check_workload(&input, &opts);
         assert_eq!(workload_fingerprint(&cold), base_fp, "case {case}: cold cached run");
         assert_eq!(workload_fingerprint(&warm), base_fp, "case {case}: warm cached run");
         let script_fp = fingerprint(&SqlCheck::new().check_script(&input));
@@ -111,11 +100,11 @@ fn truncated_utf8_is_total() {
         let full = multibyte_sqlish(&mut rng);
         let cut = rng.gen_range(full.len() + 1);
         let input = String::from_utf8_lossy(&full.as_bytes()[..cut]).into_owned();
-        let seq = SqlCheck::new().check_workload(&input, &opts_at(1));
-        let par = SqlCheck::new().check_workload(&input, &opts_at(4));
+        let first = SqlCheck::new().check_workload(&input, &BatchOptions::default());
+        let second = SqlCheck::new().check_workload(&input, &BatchOptions::default());
         assert_eq!(
-            workload_fingerprint(&seq),
-            workload_fingerprint(&par),
+            workload_fingerprint(&first),
+            workload_fingerprint(&second),
             "case {case} (cut at byte {cut})"
         );
     }
@@ -169,7 +158,7 @@ fn pathological_nesting_is_bounded_and_reported() {
     for _ in 0..200 {
         towers.push_str(" END;");
     }
-    let w = SqlCheck::new().check_workload(&towers, &opts_at(4));
+    let w = SqlCheck::new().check_workload(&towers, &BatchOptions::default());
     assert!(
         w.stats.diag_counts[DiagKind::OverLimit.index()] > 0
             || w.stats.diag_counts[DiagKind::ParseDegraded.index()] > 0
@@ -195,7 +184,7 @@ impl CustomRule for FaultyRule {
 /// Fault injection: a panicking registered rule is isolated — the run
 /// completes, a `RuleFailed` diagnostic names the rule, and everything
 /// else (detections, ranking, parse diagnostics) is byte-identical to a
-/// run without the faulty rule, at every thread count.
+/// run without the faulty rule.
 #[test]
 fn faulty_rule_is_isolated_everywhere() {
     let mut rng = SmallRng::new(0xFA017);
@@ -205,25 +194,22 @@ fn faulty_rule_is_isolated_everywhere() {
         for i in 0..n {
             script.push_str(&format!("SELECT * FROM t WHERE a = {i};\n"));
         }
-        for threads in [1, 2, 4] {
-            let clean = SqlCheck::new().check_workload(&script, &opts_at(threads));
-            let faulty = SqlCheck::new()
-                .with_rule(Box::new(FaultyRule))
-                .check_workload(&script, &opts_at(threads));
-            let clean_dets: Vec<String> =
-                clean.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
-            let faulty_dets: Vec<String> =
-                faulty.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
-            assert_eq!(clean_dets, faulty_dets, "case {case}, {threads} thread(s)");
-            assert!(
-                faulty.outcome.diagnostics.iter().any(|d| d.kind == DiagKind::RuleFailed
-                    && d.detail.contains("fault-injection-rule")),
-                "case {case}, {threads} thread(s): no RuleFailed naming the rule: {:?}",
-                faulty.outcome.diagnostics
-            );
-            assert!(faulty.stats.rule_failures >= 1, "case {case}");
-            assert_eq!(clean.stats.rule_failures, 0, "case {case}");
-        }
+        let opts = BatchOptions::default();
+        let clean = SqlCheck::new().check_workload(&script, &opts);
+        let faulty = SqlCheck::new().with_rule(Box::new(FaultyRule)).check_workload(&script, &opts);
+        let clean_dets: Vec<String> =
+            clean.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
+        let faulty_dets: Vec<String> =
+            faulty.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
+        assert_eq!(clean_dets, faulty_dets, "case {case}");
+        assert!(
+            faulty.outcome.diagnostics.iter().any(|d| d.kind == DiagKind::RuleFailed
+                && d.detail.contains("fault-injection-rule")),
+            "case {case}: no RuleFailed naming the rule: {:?}",
+            faulty.outcome.diagnostics
+        );
+        assert!(faulty.stats.rule_failures >= 1, "case {case}");
+        assert_eq!(clean.stats.rule_failures, 0, "case {case}");
         // Same isolation through the plain script entry point.
         let clean = SqlCheck::new().check_script(&script);
         let faulty = SqlCheck::new().with_rule(Box::new(FaultyRule)).check_script(&script);
@@ -245,10 +231,10 @@ fn faulty_rule_is_isolated_everywhere() {
 #[test]
 fn faulty_rule_does_not_poison_the_cache() {
     let script = "CREATE TABLE t (a INT);\nSELECT * FROM t;\nSELECT a FROM t WHERE a = 1;\n";
-    let baseline = SqlCheck::new().check_workload(script, &opts_at(2));
+    let baseline = SqlCheck::new().check_workload(script, &BatchOptions::default());
     let cached = SqlCheck::new().with_cache(256).with_rule(Box::new(FaultyRule));
-    let _ = cached.check_workload(script, &opts_at(2));
-    let again = cached.check_workload(script, &opts_at(2));
+    let _ = cached.check_workload(script, &BatchOptions::default());
+    let again = cached.check_workload(script, &BatchOptions::default());
     let base: Vec<String> =
         baseline.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
     let warm: Vec<String> =
