@@ -1,6 +1,6 @@
-//! `cargo bench --bench throughput` — batch detection engine vs the
-//! sequential seed path on template-heavy workloads (1k / 10k / 100k
-//! statements, 100 unique templates).
+//! `cargo bench --bench throughput` — the detection engine vs the
+//! per-statement reference detector on template-heavy workloads (1k /
+//! 10k / 100k statements, 100 unique templates).
 //!
 //! Prints a throughput table and writes the machine-readable results to
 //! `BENCH_throughput.json` at the workspace root.
@@ -19,7 +19,11 @@ fn main() {
     print!("{}", throughput::render(&rows));
 
     for r in &rows {
-        assert!(r.identical, "{} statements: batch output diverged from sequential", r.statements);
+        assert!(
+            r.identical,
+            "{} statements: engine output diverged from the reference detector",
+            r.statements
+        );
     }
 
     let out = Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -11,7 +11,7 @@
 //! expdriver table5         # Table 5/6  Kaggle databases
 //! expdriver table8         # Table 8    sqlcheck vs DETA features
 //! expdriver user-study     # §8.3       acceptance statistics
-//! expdriver throughput     # batch detection engine vs sequential path
+//! expdriver throughput     # detection engine vs per-statement reference
 //! expdriver e2e            # parse-once front-end + incremental cache
 //! expdriver incremental    # warm re-check sweep: edit rates × shapes + DDL edit
 //! expdriver incremental-gate # CI gate: warm 1%-edit ≤ 0.35× cold pipeline
@@ -162,10 +162,17 @@ fn main() {
         print!("{}", fig7::render_table8());
     }
     if run_all || what == "throughput" {
-        section("Throughput — batch detection engine vs sequential path");
+        section("Throughput — detection engine vs per-statement reference detector");
         let sizes: &[usize] = if quick { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000] };
         let rows = throughput::run(sizes, 100, 0xBA7C4);
         print!("{}", throughput::render(&rows));
+        for r in &rows {
+            assert!(
+                r.identical,
+                "{} {} statements: engine output diverged from the reference detector",
+                r.workload, r.statements
+            );
+        }
         let json = throughput::to_json(&rows);
         let path = "BENCH_throughput.json";
         match std::fs::write(path, &json) {
@@ -235,7 +242,7 @@ fn main() {
         for r in &rows {
             assert!(
                 r.identical,
-                "{} statements: batch three-phase output diverged from sequential",
+                "{} statements: three-phase engine output diverged from the reference detector",
                 r.statements
             );
         }

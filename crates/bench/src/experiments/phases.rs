@@ -11,10 +11,11 @@
 //! micros come straight from [`BatchStats`] — the inter and data phases
 //! are measured explicitly, not inferred as a residual.
 //!
-//! Byte-identity of the batch path against the sequential
-//! [`Detector::detect`] is asserted before any timing is reported.
+//! Byte-identity of the batch path against the per-statement
+//! [`reference::detect`] is asserted before any timing is reported.
 
 use super::throughput::workload_script;
+use sqlcheck::detect::reference;
 use sqlcheck::{BatchStats, ContextBuilder, DataAnalysisConfig, Detector, Report};
 use sqlcheck_minidb::prelude::*;
 use std::time::Instant;
@@ -30,10 +31,10 @@ pub struct PhaseRow {
     pub profiled_tables: usize,
     /// Detections produced (identical across paths).
     pub detections: usize,
-    /// Whether batch output matched the sequential path byte for byte.
+    /// Whether batch output matched the reference detector byte for byte.
     pub identical: bool,
-    /// Wall-clock microseconds: sequential three-phase path.
-    pub seq_micros: u128,
+    /// Wall-clock microseconds: per-statement reference detector.
+    pub ref_micros: u128,
     /// Wall-clock microseconds: batch three-phase path.
     pub batch_micros: u128,
     /// Per-phase stats of the timed batch run (front-end populated from
@@ -106,10 +107,10 @@ pub fn run_one(statements: usize, templates: usize, seed: u64) -> PhaseRow {
         .build_with_stats();
     let det = Detector::default();
 
-    let (seq, seq_micros) = best_of(|| det.detect(&ctx));
+    let (oracle, ref_micros) = best_of(|| reference::detect(&ctx, &det.cfg));
     let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
 
-    let identical = report_key(&seq) == report_key(&batch.report);
+    let identical = report_key(&oracle) == report_key(&batch.report);
     let mut stats = batch.stats;
     stats.absorb_frontend(&fe_stats);
 
@@ -117,9 +118,9 @@ pub fn run_one(statements: usize, templates: usize, seed: u64) -> PhaseRow {
         statements: ctx.len(),
         templates,
         profiled_tables: profiled,
-        detections: seq.detections.len(),
+        detections: oracle.detections.len(),
         identical,
-        seq_micros,
+        ref_micros,
         batch_micros,
         stats,
     }
@@ -135,7 +136,7 @@ pub fn render(rows: &[PhaseRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "stmts", "seq_us", "batch_us", "parse", "group", "intra", "fanout", "inter", "data",
+        "stmts", "ref_us", "batch_us", "parse", "group", "intra", "fanout", "inter", "data",
         "identical"
     ));
     for r in rows {
@@ -143,7 +144,7 @@ pub fn render(rows: &[PhaseRow]) -> String {
         out.push_str(&format!(
             "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
             r.statements,
-            r.seq_micros,
+            r.ref_micros,
             r.batch_micros,
             s.parse_micros,
             s.group_micros,
@@ -167,7 +168,7 @@ pub fn to_json(rows: &[PhaseRow]) -> String {
         out.push_str(&format!(
             "    {{\"statements\": {}, \"templates\": {}, \"profiled_tables\": {}, \
              \"detections\": {}, \"identical\": {}, \
-             \"seq_micros\": {}, \"batch_micros\": {}, \
+             \"reference_micros\": {}, \"batch_micros\": {}, \
              \"split_micros\": {}, \"parse_micros\": {}, \"annotate_micros\": {}, \
              \"context_micros\": {}, \"group_micros\": {}, \"intra_micros\": {}, \
              \"fanout_micros\": {}, \"inter_micros\": {}, \"data_micros\": {}, \
@@ -177,7 +178,7 @@ pub fn to_json(rows: &[PhaseRow]) -> String {
             r.profiled_tables,
             r.detections,
             r.identical,
-            r.seq_micros,
+            r.ref_micros,
             r.batch_micros,
             s.split_micros,
             s.parse_micros,
@@ -190,7 +191,7 @@ pub fn to_json(rows: &[PhaseRow]) -> String {
             s.data_micros,
             s.total_micros,
             s.unique_texts,
-            r.seq_micros as f64 / r.batch_micros.max(1) as f64,
+            r.ref_micros as f64 / r.batch_micros.max(1) as f64,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -206,7 +207,7 @@ mod tests {
     fn phases_identical_and_measured() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_one(300, 24, 0x9A5E);
-        assert!(r.identical, "batch three-phase output must match sequential");
+        assert!(r.identical, "batch three-phase output must match the reference detector");
         assert!(r.detections > 0);
         // The inter and data phases both did real, measured work: the
         // workload has hot unindexed predicates and the database has

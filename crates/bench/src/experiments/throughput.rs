@@ -1,18 +1,20 @@
-//! **Throughput experiment** — the batch detection engine vs the
-//! sequential seed path on template-heavy workloads.
+//! **Throughput experiment** — the detection engine vs the per-statement
+//! reference detector on template-heavy workloads.
 //!
 //! Real application logs contain millions of statements drawn from a few
 //! hundred templates (§8 analyses thousands of repositories and Django
 //! apps). This experiment synthesizes such workloads — `n` statements
 //! drawn from a fixed pool of unique templates — and measures:
 //!
-//! * `sequential` — [`sqlcheck::Detector::detect`], the seed path;
+//! * `reference` — [`sqlcheck::detect::reference::detect`], the
+//!   per-statement loop the identity suites use as their oracle;
 //! * `batch` — [`sqlcheck::Detector::detect_batch`] (fingerprint/text
-//!   dedup).
+//!   dedup), the engine every production path runs.
 //!
 //! Both configurations are verified to produce byte-identical detections
 //! before any timing is reported.
 
+use sqlcheck::detect::reference;
 use sqlcheck::{ContextBuilder, Detector};
 use sqlcheck_minidb::stats::SmallRng;
 use std::time::Instant;
@@ -30,8 +32,8 @@ pub struct ThroughputRow {
     pub detections: usize,
     /// Whether both paths produced byte-identical reports.
     pub identical: bool,
-    /// Wall-clock microseconds: sequential seed path.
-    pub seq_micros: u128,
+    /// Wall-clock microseconds: per-statement reference detector.
+    pub ref_micros: u128,
     /// Wall-clock microseconds: batch path.
     pub batch_micros: u128,
 }
@@ -46,9 +48,9 @@ impl ThroughputRow {
         }
     }
 
-    /// Sequential-path throughput (statements/second).
-    pub fn seq_throughput(&self) -> f64 {
-        self.stmts_per_sec(self.seq_micros)
+    /// Reference-detector throughput (statements/second).
+    pub fn ref_throughput(&self) -> f64 {
+        self.stmts_per_sec(self.ref_micros)
     }
 
     /// Batch throughput (statements/second).
@@ -56,9 +58,9 @@ impl ThroughputRow {
         self.stmts_per_sec(self.batch_micros)
     }
 
-    /// Speedup of batch over sequential.
+    /// Speedup of batch over the reference detector.
     pub fn batch_speedup(&self) -> f64 {
-        self.seq_micros as f64 / self.batch_micros.max(1) as f64
+        self.ref_micros as f64 / self.batch_micros.max(1) as f64
     }
 }
 
@@ -235,17 +237,17 @@ pub fn run_one(
     let ctx = ContextBuilder::new().add_script(&script).build();
     let det = Detector::default();
 
-    let (seq, seq_micros) = best_of(|| det.detect(&ctx));
+    let (oracle, ref_micros) = best_of(|| reference::detect(&ctx, &det.cfg));
     let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
-    let identical = report_key(&seq) == report_key(&batch.report);
+    let identical = report_key(&oracle) == report_key(&batch.report);
 
     ThroughputRow {
         workload,
         statements: ctx.len(),
         templates,
-        detections: seq.detections.len(),
+        detections: oracle.detections.len(),
         identical,
-        seq_micros,
+        ref_micros,
         batch_micros,
     }
 }
@@ -268,7 +270,7 @@ pub fn render(rows: &[ThroughputRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:>8} {:>10} {:>10} {:>12} {:>12} {:>8} {:>9}\n",
-        "workload", "stmts", "templates", "seq st/s", "batch st/s", "batch_x", "identical"
+        "workload", "stmts", "templates", "ref st/s", "batch st/s", "batch_x", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
@@ -276,7 +278,7 @@ pub fn render(rows: &[ThroughputRow]) -> String {
             r.workload,
             r.statements,
             r.templates,
-            r.seq_throughput(),
+            r.ref_throughput(),
             r.batch_throughput(),
             r.batch_speedup(),
             r.identical,
@@ -292,17 +294,17 @@ pub fn to_json(rows: &[ThroughputRow]) -> String {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
              \"detections\": {}, \"identical\": {}, \
-             \"seq_micros\": {}, \"batch_micros\": {}, \
-             \"seq_stmts_per_sec\": {:.1}, \"batch_stmts_per_sec\": {:.1}, \
+             \"reference_micros\": {}, \"batch_micros\": {}, \
+             \"reference_stmts_per_sec\": {:.1}, \"batch_stmts_per_sec\": {:.1}, \
              \"batch_speedup\": {:.2}}}{}\n",
             r.workload,
             r.statements,
             r.templates,
             r.detections,
             r.identical,
-            r.seq_micros,
+            r.ref_micros,
             r.batch_micros,
-            r.seq_throughput(),
+            r.ref_throughput(),
             r.batch_throughput(),
             r.batch_speedup(),
             if i + 1 == rows.len() { "" } else { "," }
@@ -331,7 +333,7 @@ mod tests {
     fn outputs_identical_at_small_scale() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_one("plain", 300, 50, 42);
-        assert!(r.identical, "batch output must match sequential");
+        assert!(r.identical, "batch output must match the reference detector");
         assert!(r.detections > 0);
     }
 
@@ -356,7 +358,7 @@ mod tests {
     fn skewed_outputs_identical_at_small_scale() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_one("skewed", 300, 30, 7);
-        assert!(r.identical, "skewed batch output must match sequential");
+        assert!(r.identical, "skewed batch output must match the reference detector");
         assert_eq!(r.workload, "skewed");
     }
 

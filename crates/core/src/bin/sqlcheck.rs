@@ -9,8 +9,8 @@
 //!   --rank-by count      inter-query model: AP count per query
 //!   --no-fix             detection + ranking only
 //!   --summary            per-kind histogram instead of full listing
-//!   --stats              batch engine + dedup/phase-timing stats on stderr
-//!   --cache              batch engine + incremental detection cache
+//!   --stats              dedup/phase-timing stats on stderr
+//!   --cache              attach the incremental detection cache
 //!   --dialect D          SQL dialect: generic (default), postgres, mysql,
 //!                        sqlite. Without this flag the dialect is guessed
 //!                        from the script (DELIMITER/backticks -> mysql,
@@ -151,90 +151,82 @@ fn main() {
     if cache {
         tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
-    // --stats / --cache route through the batch engine (identical
-    // detections; parse-once front-end, template dedup, optional
-    // incremental caching).
-    let outcome = if stats || cache {
-        let opts = BatchOptions { dialect, detect_dialect, ..BatchOptions::default() };
-        let w = tool.check_workload(&sql, &opts);
-        if stats {
-            let s = &w.stats;
-            let resolved = w.outcome.context.dialect;
+    let w = tool.check_workload(&sql, &BatchOptions::default());
+    if stats {
+        let s = &w.stats;
+        let resolved = w.outcome.context.dialect;
+        eprintln!(
+            "stats: dialect {} ({})",
+            resolved,
+            if dialect_arg.is_some() {
+                "explicit"
+            } else if resolved == Dialect::Generic {
+                "default"
+            } else {
+                "guessed"
+            },
+        );
+        eprintln!(
+            "stats: {} statement(s), {} unique template(s), {} unique text(s), \
+             {} cache hit(s)",
+            s.statements, s.unique_templates, s.unique_texts, s.cache_hits,
+        );
+        eprintln!(
+            "stats: front-end fused split {}us, materialize {}us, parse {}us, \
+             annotate {}us, context {}us",
+            s.split_micros,
+            s.materialize_micros,
+            s.parse_micros,
+            s.annotate_micros,
+            s.context_micros,
+        );
+        eprintln!(
+            "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
+             data {}us, total {}us",
+            s.group_micros,
+            s.intra_micros,
+            s.fanout_micros,
+            s.inter_micros,
+            s.data_micros,
+            s.total_micros,
+        );
+        if cache {
             eprintln!(
-                "stats: dialect {} ({})",
-                resolved,
-                if dialect_arg.is_some() {
-                    "explicit"
-                } else if resolved == Dialect::Generic {
-                    "default"
-                } else {
-                    "guessed"
-                },
+                "stats: incremental cache {} hit(s), {} miss(es), {} eviction(s) \
+                 ({} table-granular, {} column-granular)",
+                s.incremental_hits,
+                s.incremental_misses,
+                s.incremental_evictions,
+                s.table_evictions,
+                s.column_evictions,
             );
             eprintln!(
-                "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-                 {} cache hit(s)",
-                s.statements, s.unique_templates, s.unique_texts, s.cache_hits,
+                "stats: unit memo inter {} reused / {} recomputed, \
+                 data {} reused / {} recomputed",
+                s.inter_units_reused,
+                s.inter_units_recomputed,
+                s.data_units_reused,
+                s.data_units_recomputed,
             );
-            eprintln!(
-                "stats: front-end fused split {}us, materialize {}us, parse {}us, \
-                 annotate {}us, context {}us",
-                s.split_micros,
-                s.materialize_micros,
-                s.parse_micros,
-                s.annotate_micros,
-                s.context_micros,
-            );
-            eprintln!(
-                "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
-                 data {}us, total {}us",
-                s.group_micros,
-                s.intra_micros,
-                s.fanout_micros,
-                s.inter_micros,
-                s.data_micros,
-                s.total_micros,
-            );
-            if cache {
-                eprintln!(
-                    "stats: incremental cache {} hit(s), {} miss(es), {} eviction(s) \
-                     ({} table-granular, {} column-granular)",
-                    s.incremental_hits,
-                    s.incremental_misses,
-                    s.incremental_evictions,
-                    s.table_evictions,
-                    s.column_evictions,
-                );
-                eprintln!(
-                    "stats: unit memo inter {} reused / {} recomputed, \
-                     data {} reused / {} recomputed",
-                    s.inter_units_reused,
-                    s.inter_units_recomputed,
-                    s.data_units_reused,
-                    s.data_units_recomputed,
-                );
-            }
-            eprintln!(
-                "stats: parse coverage {:.4} — {} degraded statement(s) across \
-                 {} degraded unique text(s), {} isolated rule failure(s)",
-                s.parse_coverage(),
-                s.degraded_statements,
-                s.degraded_uniques,
-                s.rule_failures,
-            );
-            let kinds: Vec<String> = DiagKind::ALL
-                .iter()
-                .filter(|k| s.diag_counts[k.index()] > 0)
-                .map(|k| format!("{} {}", k.name(), s.diag_counts[k.index()]))
-                .collect();
-            if !kinds.is_empty() {
-                eprintln!("stats: diagnostics by kind: {}", kinds.join(", "));
-            }
         }
-        w.outcome
-    } else {
-        tool.check_script(&sql)
-    };
+        eprintln!(
+            "stats: parse coverage {:.4} — {} degraded statement(s) across \
+             {} degraded unique text(s), {} isolated rule failure(s)",
+            s.parse_coverage(),
+            s.degraded_statements,
+            s.degraded_uniques,
+            s.rule_failures,
+        );
+        let kinds: Vec<String> = DiagKind::ALL
+            .iter()
+            .filter(|k| s.diag_counts[k.index()] > 0)
+            .map(|k| format!("{} {}", k.name(), s.diag_counts[k.index()]))
+            .collect();
+        if !kinds.is_empty() {
+            eprintln!("stats: diagnostics by kind: {}", kinds.join(", "));
+        }
+    }
+    let outcome = w.outcome;
 
     // --fail-on-degraded: exit 3 when any degradation diagnostic other
     // than the informational delimiter-fallback and dialect-guessed

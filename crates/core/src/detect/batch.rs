@@ -1,4 +1,5 @@
-//! Batched detection over large workloads (template dedup).
+//! The detection engine: batched detection over large workloads
+//! (template dedup). Every production path runs it.
 //!
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
@@ -8,25 +9,28 @@
 //!    by exact statement text. Intra-query rules run **once per unique
 //!    text** and the results fan back out to every occurrence with
 //!    corrected loci. The exact-text key (rather than the fingerprint
-//!    alone) is what makes the fan-out byte-identical to the sequential
-//!    path: several rules inspect literal *values* (leading-wildcard
+//!    alone) is what makes the fan-out byte-identical to the per-statement
+//!    reference: several rules inspect literal *values* (leading-wildcard
 //!    `LIKE`, token-list `INSERT`s), so two statements sharing a template
 //!    can still differ in their detections.
 //! 2. **Units** — the intra-query phase slices into per-unique-text
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
-//!    a panic guard ([`run_units`]), so one panicking rule
-//!    drops only its own unit's output.
+//!    a panic guard, so one panicking rule drops only its own unit's
+//!    output. One helper resolves intra units and one resolves tail
+//!    units (memo, guarded run, memoize), for a cold check and for every
+//!    [`CheckSession`](crate::session::CheckSession) re-check alike.
 //! 3. **Deterministic merge** — intra detections are re-emitted in
 //!    statement order, inter-query units in rule order, data units in
-//!    table order — exactly the orders the sequential [`Detector::detect`]
-//!    produces — followed by the same `(kind, locus)` dedup.
-//!    `detect_batch` therefore returns the *same detections in the same
-//!    order* as the sequential path, for any input.
+//!    table order — exactly the orders the per-statement
+//!    [`reference::detect`](crate::detect::reference::detect) produces —
+//!    followed by the same `(kind, locus)` dedup. The engine therefore
+//!    returns the *same detections in the same order* as the reference,
+//!    for any input.
 
 use crate::context::{Context, SchemaVersions, TableProfile};
 use crate::detect::cache::{DepSet, IncrementalCache, UNIT_DATA, UNIT_INTER};
-use crate::detect::schedule::run_units;
+use crate::detect::schedule::{guarded, UnitPanic};
 use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Report};
@@ -212,7 +216,9 @@ impl BatchStats {
 /// A [`Report`] plus the batch instrumentation that produced it.
 #[derive(Debug)]
 pub struct BatchReport {
-    /// The detection report (identical to the sequential path's).
+    /// The detection report (identical to [`reference::detect`]'s).
+    ///
+    /// [`reference::detect`]: crate::detect::reference::detect
     pub report: Report,
     /// Instrumentation.
     pub stats: BatchStats,
@@ -220,29 +226,71 @@ pub struct BatchReport {
     /// entries for isolated rule-unit panics. Parse-time diagnostics
     /// live on the context's statements, not here.
     pub diagnostics: Vec<Diagnostic>,
+    /// The per-unique and per-unit results, when the caller asked the
+    /// engine to keep them ([`Detector::run_engine`]).
+    pub(crate) units: Option<EngineUnits>,
 }
 
 /// One group of statements sharing an exact text (and hence a template).
-struct Group {
+#[derive(Debug)]
+pub(crate) struct Group {
     /// Representative statement index (the first occurrence).
-    rep: usize,
-    /// All statement indexes with this text, ascending.
-    occurrences: Vec<usize>,
+    pub(crate) rep: usize,
+    /// Occurrences of the text.
+    pub(crate) count: usize,
 }
 
-/// Intra-query results for one group this run: freshly computed (loci
-/// carry the representative's index), or replayed from the incremental
-/// cache (canonical form, statement loci zeroed).
-enum GroupResult {
-    Fresh(Vec<Detection>),
-    Cached(Arc<Vec<Detection>>),
+/// What one engine run resolved per unique text and per tail unit,
+/// handed to [`CheckSession`](crate::session::CheckSession) so that it
+/// adopts the cold run's results instead of recomputing them.
+#[derive(Debug)]
+pub(crate) struct EngineUnits {
+    /// Unique texts in first-occurrence order.
+    pub(crate) groups: Vec<Group>,
+    /// Content hash → group index.
+    pub(crate) group_by_hash: HashMap<u128, usize, Prehashed>,
+    /// Group index per statement, script order.
+    pub(crate) group_of: Vec<usize>,
+    /// Canonical intra-query detections per group (see
+    /// [`Detector::intra_results`]).
+    pub(crate) intra: Vec<Arc<Vec<Detection>>>,
+    /// Per-rule inter-query results (empty in intra-only mode).
+    pub(crate) inter: Vec<Arc<Vec<Detection>>>,
+    /// The input digests the inter-query units were resolved under.
+    pub(crate) inter_digests: [u64; 4],
+    /// Per-table data-analysis results, in `data.tables()` order.
+    pub(crate) data: Vec<Arc<Vec<Detection>>>,
+    /// The schema versions the run validated the cache against.
+    pub(crate) versions: SchemaVersions,
+}
+
+/// One unit of the detection tail.
+#[derive(Clone, Copy)]
+pub(crate) enum TailUnit<'a> {
+    /// Inter-query rule `rule` (an index into [`inter::RULES`]) whose
+    /// inputs hash to `digest` ([`inter_unit_digests`]).
+    Inter { rule: usize, digest: u64 },
+    /// The data-analysis rules over one profiled table.
+    Data(&'a TableProfile),
+}
+
+/// Zero the statement locus so the detections replay at any occurrence.
+/// Spans at this stage are statement-relative (body sub-statement
+/// ranges) and therefore already occurrence-independent.
+fn canonicalize(mut dets: Vec<Detection>) -> Vec<Detection> {
+    for d in &mut dets {
+        if let Locus::Statement { index } = &mut d.locus {
+            *index = 0;
+        }
+    }
+    dets
 }
 
 impl Detector {
-    /// Batched detection: like [`Detector::detect`], but runs intra-query
-    /// rules once per unique statement text (grouped under template
-    /// fingerprints). The returned report is byte-identical to the
-    /// sequential path, in the same order.
+    /// Batched detection: runs intra-query rules once per unique
+    /// statement text (grouped under template fingerprints) and fans the
+    /// results out. Same detections, in the same order, as
+    /// [`reference::detect`](crate::detect::reference::detect).
     pub fn detect_batch(&self, ctx: &Context) -> BatchReport {
         self.detect_batch_with(ctx, None)
     }
@@ -251,8 +299,19 @@ impl Detector {
     /// unique texts whose intra-query detections are cached (under the
     /// current config + schema epoch) are replayed instead of re-analysed,
     /// so re-checking an edited workload only pays for changed statements.
-    /// Output stays byte-identical to the sequential path either way.
+    /// The output is the same either way.
     pub fn detect_batch_with(&self, ctx: &Context, cache: Option<&IncrementalCache>) -> BatchReport {
+        self.run_engine(ctx, cache, false)
+    }
+
+    /// The detection engine. With `keep_units` the report carries the
+    /// per-unique and per-unit results in [`BatchReport::units`].
+    pub(crate) fn run_engine(
+        &self,
+        ctx: &Context,
+        cache: Option<&IncrementalCache>,
+        keep_units: bool,
+    ) -> BatchReport {
         let t_start = Instant::now();
         let t_group = Instant::now();
         let use_context = !self.cfg.intra_only;
@@ -260,27 +319,24 @@ impl Detector {
         // Phase 1: group statements by their precomputed 128-bit content
         // hash (literal-sensitive, span-insensitive — computed once at
         // context-build time). Equal content implies equal fingerprints,
-        // so the content partition refines the template partition; the
-        // template fingerprint is only computed once per representative.
+        // so the content partition refines the template partition.
         // 128 bits are treated as collision-free, the same assumption
         // content-addressed systems make.
         let mut groups: Vec<Group> = Vec::new();
+        let mut group_of: Vec<usize> = Vec::with_capacity(ctx.statements.len());
         let mut by_hash: HashMap<u128, usize, Prehashed> = HashMap::with_capacity_and_hasher(
             ctx.statements.len().min(1024),
             Prehashed::default(),
         );
         let mut templates: HashSet<u64> = HashSet::new();
         for (idx, stmt) in ctx.statements.iter().enumerate() {
-            match by_hash.entry(stmt.text_hash) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    groups[*e.get()].occurrences.push(idx);
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    templates.insert(stmt.template_hash);
-                    v.insert(groups.len());
-                    groups.push(Group { rep: idx, occurrences: vec![idx] });
-                }
-            }
+            let gi = *by_hash.entry(stmt.text_hash).or_insert_with(|| {
+                templates.insert(stmt.template_hash);
+                groups.push(Group { rep: idx, count: 0 });
+                groups.len() - 1
+            });
+            groups[gi].count += 1;
+            group_of.push(gi);
         }
 
         let group_micros = t_group.elapsed().as_micros();
@@ -300,7 +356,7 @@ impl Detector {
             }
             if matches!(&s.parsed.stmt, Statement::Other(o) if !o.leading_keyword.is_empty()) {
                 degraded_uniques += 1;
-                degraded_statements += g.occurrences.len();
+                degraded_statements += g.count;
             }
         }
         for d in &ctx.diagnostics {
@@ -308,127 +364,32 @@ impl Detector {
         }
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-        // Phase 2: intra-query rules, once per group — consulting the
-        // incremental cache first when one is attached. Cached entries are
+        // Phase 2: intra-query rules, once per group. Cached entries are
         // only valid under the current (config, schema) epoch; a mismatch
         // flushes the cache before any lookup.
         let t_intra = Instant::now();
         let counters_before = cache.map(|c| c.counters());
-        let versions = cache.map(|_| ctx.schema.versions());
-        if let (Some(c), Some(v)) = (cache, &versions) {
-            c.ensure_epoch(self.config_epoch(ctx), v);
+        let versions = if cache.is_some() || keep_units {
+            ctx.schema.versions()
+        } else {
+            SchemaVersions::default()
+        };
+        if let Some(c) = cache {
+            c.ensure_epoch(self.config_epoch(ctx), &versions);
         }
-        let mut results: Vec<Option<GroupResult>> = Vec::with_capacity(groups.len());
-        let mut misses: Vec<usize> = Vec::new();
-        match cache {
-            Some(c) => {
-                for (gi, g) in groups.iter().enumerate() {
-                    match c.get(ctx.statements[g.rep].text_hash) {
-                        Some(hit) => results.push(Some(GroupResult::Cached(hit))),
-                        None => {
-                            results.push(None);
-                            misses.push(gi);
-                        }
-                    }
-                }
-            }
-            None => {
-                results.resize_with(groups.len(), || None);
-                misses.extend(0..groups.len());
-            }
-        }
-
-        let intra_run = run_units(misses.len(), |pos| {
-            let rep = groups[misses[pos]].rep;
-            intra::detect_statement(rep, &ctx.statements[rep], ctx, &self.cfg, use_context)
-        });
-        for (&gi, out) in misses.iter().zip(intra_run) {
-            let dets = match out {
-                Ok(dets) => dets,
-                Err(p) => {
-                    // A panicking intra unit degrades to "no detections
-                    // for this group" — never cached, so a later run
-                    // (e.g. with the faulty rule fixed) re-analyses it.
-                    diagnostics.push(
-                        Diagnostic::new(
-                            DiagKind::RuleFailed,
-                            format!("intra-query unit panicked: {}", p.message),
-                        )
-                        .at(groups[gi].rep),
-                    );
-                    results[gi] = Some(GroupResult::Fresh(Vec::new()));
-                    continue;
-                }
-            };
-            if let Some(c) = cache {
-                // Canonicalize before storing: statement loci are zeroed
-                // so the entry replays correctly at any occurrence index
-                // on any later call. Spans at this stage are statement-
-                // relative (body sub-statement ranges) and therefore
-                // already occurrence-independent — they are kept as-is.
-                // Each entry records the schema objects its statement's
-                // rules may consult — whole tables for DDL, cores +
-                // specific columns for plain statements — for
-                // column-granular invalidation across DDL edits.
-                let canonical: Vec<Detection> = dets
-                    .iter()
-                    .map(|d| {
-                        let mut d = d.clone();
-                        if let Locus::Statement { index } = &mut d.locus {
-                            *index = 0;
-                        }
-                        d
-                    })
-                    .collect();
-                let rep = &ctx.statements[groups[gi].rep];
-                c.insert(
-                    rep.text_hash,
-                    Arc::new(canonical),
-                    Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
-                );
-            }
-            results[gi] = Some(GroupResult::Fresh(dets));
-        }
+        let reps: Vec<usize> = groups.iter().map(|g| g.rep).collect();
+        let intra = self.intra_results(ctx, cache, &reps, &mut diagnostics);
         let intra_micros = t_intra.elapsed().as_micros();
 
+        // Phase 3: deterministic fan-out in statement order, the
+        // statement locus rewritten to the occurrence index.
         let t_fanout = Instant::now();
-        // Phase 3: deterministic fan-out in statement order. Fresh
-        // singleton groups move their detections (loci already correct);
-        // everything else clones per occurrence with the statement locus
-        // rewritten to the occurrence index.
-        let mut group_of = vec![0usize; ctx.statements.len()];
-        for (gi, g) in groups.iter().enumerate() {
-            for &i in &g.occurrences {
-                group_of[i] = gi;
-            }
-        }
         let mut report = Report::default();
-        let total: usize = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                let n = match &results[gi] {
-                    Some(GroupResult::Fresh(v)) => v.len(),
-                    Some(GroupResult::Cached(v)) => v.len(),
-                    None => 0,
-                };
-                g.occurrences.len() * n
-            })
-            .sum();
-        report.detections.reserve_exact(total);
+        report.detections.reserve_exact(
+            groups.iter().zip(&intra).map(|(g, dets)| g.count * dets.len()).sum(),
+        );
         for (idx, &gi) in group_of.iter().enumerate() {
-            let singleton = groups[gi].occurrences.len() == 1;
-            let source: &[Detection] = match results[gi].as_mut().expect("all groups resolved") {
-                GroupResult::Fresh(v) => {
-                    if singleton {
-                        report.detections.append(v);
-                        continue;
-                    }
-                    v
-                }
-                GroupResult::Cached(v) => v,
-            };
-            for d in source {
+            for d in intra[gi].iter() {
                 let mut d = d.clone();
                 if let Locus::Statement { index } = &mut d.locus {
                     *index = idx;
@@ -436,121 +397,59 @@ impl Detector {
                 report.detections.push(d);
             }
         }
-
         let fanout_micros = t_fanout.elapsed().as_micros();
 
-        // Phase 4: inter-query rules, one unit per rule — memoized when a
-        // cache is attached: each unit is keyed by a digest of exactly the
-        // inputs it reads ([`inter_unit_digests`]), so an edit that leaves
-        // a rule's inputs byte-identical replays its detections and only
-        // dirty units run. Units merge in rule order either way —
-        // exactly the order `inter::detect` appends in the sequential
-        // path.
+        // Phase 4: inter-query rules, one unit per rule, merged in rule
+        // order. With a cache each unit is keyed by a digest of exactly
+        // the inputs it reads ([`inter_unit_digests`]), so an edit that
+        // leaves a rule's inputs byte-identical replays its detections.
         let t_inter = Instant::now();
+        let mut inter_units: Vec<Arc<Vec<Detection>>> = Vec::new();
+        let mut inter_digests = [0u64; 4];
         if use_context {
-            let units = inter::RULES.len();
-            let mut unit_out: Vec<Option<Arc<Vec<Detection>>>> = vec![None; units];
-            let mut dirty: Vec<usize> = Vec::new();
-            let digests = match (cache, &versions) {
-                (Some(c), Some(v)) => {
-                    let digests = inter_unit_digests(ctx, v);
-                    for (u, &digest) in digests.iter().enumerate() {
-                        match c.unit_get(UNIT_INTER, u as u64, digest) {
-                            Some(hit) => unit_out[u] = Some(hit),
-                            None => dirty.push(u),
-                        }
-                    }
-                    digests
-                }
-                _ => {
-                    dirty.extend(0..units);
-                    [0; 4]
-                }
-            };
-            let inter_run = run_units(dirty.len(), |i| inter::detect_unit(dirty[i], ctx, &self.cfg));
-            for (&u, out) in dirty.iter().zip(inter_run) {
-                match out {
-                    Ok(dets) => {
-                        let dets = Arc::new(dets);
-                        if let Some(c) = cache {
-                            // Panicked units are never memoized (no Ok),
-                            // so a later run with the fault fixed re-runs
-                            // them.
-                            c.unit_put(UNIT_INTER, u as u64, digests[u], Arc::clone(&dets));
-                        }
-                        unit_out[u] = Some(dets);
-                    }
-                    Err(p) => diagnostics.push(Diagnostic::new(
-                        DiagKind::RuleFailed,
-                        format!("inter-query rule unit {u} panicked: {}", p.message),
-                    )),
-                }
+            if cache.is_some() || keep_units {
+                inter_digests = inter_unit_digests(ctx, &versions);
             }
-            for dets in unit_out.iter().flatten() {
+            for (rule, &digest) in inter_digests.iter().enumerate() {
+                let dets = self
+                    .resolve_unit(ctx, cache, TailUnit::Inter { rule, digest })
+                    .unwrap_or_else(|p| {
+                        diagnostics.push(Diagnostic::new(
+                            DiagKind::RuleFailed,
+                            format!("inter-query rule unit {rule} panicked: {}", p.message),
+                        ));
+                        Arc::default()
+                    });
                 report.detections.extend(dets.iter().cloned());
+                inter_units.push(dets);
             }
         }
         let inter_micros = t_inter.elapsed().as_micros();
 
-        // Phase 5: data analysis, one unit per profiled table — memoized
-        // per table when a cache is attached: a table's
-        // unit reads only its own `TableProfile` (plus config, covered
-        // by the epoch), so its digest is the profile content and an
-        // unchanged profile replays. Tables are independent under the
-        // data rules; merging in `data.tables()` order matches the
-        // sequential path.
+        // Phase 5: data analysis, one unit per profiled table, merged in
+        // `data.tables()` order.
         let t_data = Instant::now();
+        let mut data_units: Vec<Arc<Vec<Detection>>> = Vec::new();
         if let Some(data) = &ctx.data {
-            let tables: Vec<&TableProfile> = data.tables().collect();
-            let mut unit_out: Vec<Option<Arc<Vec<Detection>>>> = vec![None; tables.len()];
-            let mut dirty: Vec<usize> = Vec::new();
-            let keys: Vec<(u64, u64)> = match cache {
-                Some(c) => tables
-                    .iter()
-                    .enumerate()
-                    .map(|(u, tp)| {
-                        let (id, digest) = data_unit_key(tp);
-                        match c.unit_get(UNIT_DATA, id, digest) {
-                            Some(hit) => unit_out[u] = Some(hit),
-                            None => dirty.push(u),
-                        }
-                        (id, digest)
-                    })
-                    .collect(),
-                None => {
-                    dirty.extend(0..tables.len());
-                    Vec::new()
-                }
-            };
-            let data_run =
-                run_units(dirty.len(), |i| data::detect_table(tables[dirty[i]], ctx, &self.cfg));
-            for (&u, out) in dirty.iter().zip(data_run) {
-                match out {
-                    Ok(dets) => {
-                        let dets = Arc::new(dets);
-                        if let Some(c) = cache {
-                            let (id, digest) = keys[u];
-                            c.unit_put(UNIT_DATA, id, digest, Arc::clone(&dets));
-                        }
-                        unit_out[u] = Some(dets);
-                    }
-                    Err(p) => diagnostics.push(Diagnostic::new(
+            for tp in data.tables() {
+                let dets = self.resolve_unit(ctx, cache, TailUnit::Data(tp)).unwrap_or_else(|p| {
+                    diagnostics.push(Diagnostic::new(
                         DiagKind::RuleFailed,
                         format!(
                             "data-analysis unit for table '{}' panicked: {}",
-                            tables[u].name, p.message
+                            tp.name, p.message
                         ),
-                    )),
-                }
-            }
-            for dets in unit_out.iter().flatten() {
+                    ));
+                    Arc::default()
+                });
                 report.detections.extend(dets.iter().cloned());
+                data_units.push(dets);
             }
         }
         let data_micros = t_data.elapsed().as_micros();
 
-        // The shared (kind, locus) dedup, then per-occurrence source
-        // spans — both identical to the sequential path's final steps.
+        // The shared (kind, locus, span) dedup, then per-occurrence
+        // source spans.
         dedup(&mut report.detections);
         attach_spans(&mut report.detections, ctx);
 
@@ -588,7 +487,110 @@ impl Detector {
             stats.data_units_recomputed =
                 (after.data_units_recomputed - before.data_units_recomputed) as usize;
         }
-        BatchReport { report, stats, diagnostics }
+        let units = keep_units.then_some(EngineUnits {
+            groups,
+            group_by_hash: by_hash,
+            group_of,
+            intra,
+            inter: inter_units,
+            inter_digests,
+            data: data_units,
+            versions,
+        });
+        BatchReport { report, stats, diagnostics, units }
+    }
+
+    /// Canonical intra-query detections (statement locus zeroed, spans
+    /// statement-relative) of each representative statement in `reps`:
+    /// replayed from `cache` when it holds the text, else computed under
+    /// the panic guard and inserted. A panicking unit yields no
+    /// detections, is never cached (so a later run with the fault fixed
+    /// re-analyses it), and adds a [`DiagKind::RuleFailed`] diagnostic.
+    pub(crate) fn intra_results(
+        &self,
+        ctx: &Context,
+        cache: Option<&IncrementalCache>,
+        reps: &[usize],
+        diagnostics: &mut Vec<Diagnostic>,
+    ) -> Vec<Arc<Vec<Detection>>> {
+        let use_context = !self.cfg.intra_only;
+        // Most statements have no intra detections; they share one entry.
+        let empty: Arc<Vec<Detection>> = Arc::default();
+        // Every lookup happens before any insert, so one call's inserts
+        // never evict another representative's entry before it is read.
+        let hits: Vec<Option<Arc<Vec<Detection>>>> = reps
+            .iter()
+            .map(|&rep| cache.and_then(|c| c.get(ctx.statements[rep].text_hash)))
+            .collect();
+        hits.into_iter()
+            .zip(reps)
+            .map(|(hit, &rep)| {
+                if let Some(hit) = hit {
+                    return hit;
+                }
+                let stmt = &ctx.statements[rep];
+                match guarded(|| intra::detect_statement(rep, stmt, ctx, &self.cfg, use_context)) {
+                    Ok(dets) => {
+                        let canon = if dets.is_empty() {
+                            Arc::clone(&empty)
+                        } else {
+                            Arc::new(canonicalize(dets))
+                        };
+                        if let Some(c) = cache {
+                            // Each entry records the schema objects its
+                            // statement's rules may consult, for
+                            // column-granular invalidation across DDL edits.
+                            c.insert(
+                                stmt.text_hash,
+                                Arc::clone(&canon),
+                                Arc::new(entry_deps(&stmt.parsed.stmt, &stmt.ann)),
+                            );
+                        }
+                        canon
+                    }
+                    Err(p) => {
+                        diagnostics.push(
+                            Diagnostic::new(
+                                DiagKind::RuleFailed,
+                                format!("intra-query unit panicked: {}", p.message),
+                            )
+                            .at(rep),
+                        );
+                        Arc::clone(&empty)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Resolve one tail unit: replay it from the unit memo when `cache`
+    /// holds it under its current input digest, else run it under the
+    /// panic guard and memoize the result. A panicked unit is never
+    /// memoized, so a later run with the fault fixed re-runs it.
+    pub(crate) fn resolve_unit(
+        &self,
+        ctx: &Context,
+        cache: Option<&IncrementalCache>,
+        unit: TailUnit<'_>,
+    ) -> Result<Arc<Vec<Detection>>, UnitPanic> {
+        let (kind, id, digest) = match unit {
+            TailUnit::Inter { rule, digest } => (UNIT_INTER, rule as u64, digest),
+            TailUnit::Data(tp) => {
+                let (id, digest) = if cache.is_some() { data_unit_key(tp) } else { (0, 0) };
+                (UNIT_DATA, id, digest)
+            }
+        };
+        if let Some(hit) = cache.and_then(|c| c.unit_get(kind, id, digest)) {
+            return Ok(hit);
+        }
+        let dets = Arc::new(guarded(|| match unit {
+            TailUnit::Inter { rule, .. } => inter::detect_unit(rule, ctx, &self.cfg),
+            TailUnit::Data(tp) => data::detect_table(tp, ctx, &self.cfg),
+        })?);
+        if let Some(c) = cache {
+            c.unit_put(kind, id, digest, Arc::clone(&dets));
+        }
+        Ok(dets)
     }
 
     /// Hash of the *non-schema* inputs a cached intra-query result
@@ -633,7 +635,7 @@ impl Detector {
 ///   to, that `(table, column)` pair is recorded. The result: `ALTER
 ///   TABLE t ADD COLUMN c` no longer evicts entries that only touch
 ///   `t.a` — the gap this closes over the old whole-table `deps`.
-pub(crate) fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
+fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
     let mut base: BTreeSet<String> = BTreeSet::new();
     for t in &ann.tables {
         base.insert(t.to_ascii_lowercase());
@@ -779,7 +781,7 @@ pub(crate) fn inter_unit_digests(ctx: &Context, versions: &SchemaVersions) -> [u
 /// the lowercased table name) plus an input digest over the full
 /// `TableProfile` content — the only input `data::detect_table` reads
 /// besides the config (covered by the cache's epoch).
-pub(crate) fn data_unit_key(tp: &TableProfile) -> (u64, u64) {
+fn data_unit_key(tp: &TableProfile) -> (u64, u64) {
     let id = fnv1a(tp.name.to_ascii_lowercase().as_bytes());
     let digest = fnv1a(format!("{tp:?}").as_bytes());
     (id, digest)
@@ -789,6 +791,7 @@ pub(crate) fn data_unit_key(tp: &TableProfile) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::context::ContextBuilder;
+    use crate::detect::reference;
 
     fn detections_debug(r: &Report) -> Vec<String> {
         r.detections.iter().map(|d| format!("{d:?}")).collect()
@@ -812,7 +815,7 @@ mod tests {
     fn batch_matches_sequential_byte_for_byte() {
         let ctx = ContextBuilder::new().add_script(&script_with_duplicates()).build();
         let det = Detector::default();
-        let seq = det.detect(&ctx);
+        let seq = reference::detect(&ctx, &det.cfg);
         let batch = det.detect_batch(&ctx);
         assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
     }
@@ -837,7 +840,7 @@ mod tests {
                    SELECT a FROM t WHERE a LIKE 'x%';";
         let ctx = ContextBuilder::new().add_script(sql).build();
         let det = Detector::default();
-        let seq = det.detect(&ctx);
+        let seq = reference::detect(&ctx, &det.cfg);
         let batch = det.detect_batch(&ctx);
         assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
         use crate::anti_pattern::AntiPatternKind;
@@ -849,7 +852,7 @@ mod tests {
         for sql in ["", "SELECT * FROM t"] {
             let ctx = ContextBuilder::new().add_script(sql).build();
             let det = Detector::default();
-            let seq = det.detect(&ctx);
+            let seq = reference::detect(&ctx, &det.cfg);
             let batch = det.detect_batch(&ctx);
             assert_eq!(detections_debug(&seq), detections_debug(&batch.report));
         }

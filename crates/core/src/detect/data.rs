@@ -7,41 +7,22 @@
 //! it").
 
 use crate::anti_pattern::AntiPatternKind;
-use crate::context::{ColumnProfile, Context, DataProfile, TableProfile};
+use crate::context::{ColumnProfile, Context, TableProfile};
 use crate::detect::intra::{address_like, external_storage_column, looks_like_token_list};
 use crate::detect::DetectionConfig;
 use crate::report::{Detection, DetectionSource, Locus};
 use sqlcheck_minidb::value::{DataType, Value};
 
-/// Run every data rule over every profiled table (the sequential path).
-pub fn detect(data: &DataProfile, ctx: &Context, cfg: &DetectionConfig) -> Vec<Detection> {
-    let mut out = Vec::new();
-    for table in data.tables() {
-        detect_table_into(table, ctx, cfg, &mut out);
-    }
-    out
-}
-
-/// Run every data rule over **one** profiled table — the batch engine's
-/// phase slice. Tables are independent under these rules, so appending
-/// each table's output in `data.tables()` order reproduces the sequential
-/// result byte for byte.
+/// Run every data rule over **one** profiled table — the engine's phase
+/// slice. Tables are independent under these rules, so the phase output
+/// is each table's output appended in `data.tables()` order.
 pub(crate) fn detect_table(
     table: &TableProfile,
     ctx: &Context,
     cfg: &DetectionConfig,
 ) -> Vec<Detection> {
+    let _ = ctx;
     let mut out = Vec::new();
-    detect_table_into(table, ctx, cfg, &mut out);
-    out
-}
-
-fn detect_table_into(
-    table: &TableProfile,
-    ctx: &Context,
-    cfg: &DetectionConfig,
-    out: &mut Vec<Detection>,
-) {
     if table.primary_key.is_empty() {
         out.push(col_detection(
             AntiPatternKind::NoPrimaryKey,
@@ -58,19 +39,19 @@ fn detect_table_into(
         ));
     }
     for col in &table.columns {
-        multi_valued_attribute(table, col, cfg, out);
-        incorrect_data_type(table, col, cfg, out);
-        missing_timezone(table, col, out);
-        redundant_column(table, col, cfg, out);
-        enumerated_types(table, col, cfg, out);
-        denormalized_table(table, col, cfg, out);
-        no_domain_constraint(table, col, cfg, out);
-        external_data_storage(table, col, cfg, out);
-        rounding_errors(table, col, out);
+        multi_valued_attribute(table, col, cfg, &mut out);
+        incorrect_data_type(table, col, cfg, &mut out);
+        missing_timezone(table, col, &mut out);
+        redundant_column(table, col, cfg, &mut out);
+        enumerated_types(table, col, cfg, &mut out);
+        denormalized_table(table, col, cfg, &mut out);
+        no_domain_constraint(table, col, cfg, &mut out);
+        external_data_storage(table, col, cfg, &mut out);
+        rounding_errors(table, col, &mut out);
     }
-    information_duplication(table, out);
-    data_in_metadata(table, out);
-    let _ = ctx;
+    information_duplication(table, &mut out);
+    data_in_metadata(table, &mut out);
+    out
 }
 
 /// Data in Metadata (schema shape observed on the live database):

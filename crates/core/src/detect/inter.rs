@@ -12,26 +12,16 @@ use crate::context::Context;
 use crate::detect::DetectionConfig;
 use crate::report::{Detection, DetectionSource, Locus};
 
-/// One inter-query rule, as a unit the batch engine runs (and memoizes)
-/// on its own. All rules share this signature so the phase can be
-/// sliced; appending each unit's output in [`RULES`] order reproduces the
-/// sequential result byte for byte.
+/// One inter-query rule, as a unit the engine runs (and memoizes) on its
+/// own. All rules share this signature so the phase can be sliced; the
+/// phase output is each unit's output appended in [`RULES`] order.
 pub(crate) type InterRule = fn(&Context, &DetectionConfig, &mut Vec<Detection>);
 
 /// The inter-query rules in their canonical output order.
 pub(crate) const RULES: &[InterRule] =
     &[no_foreign_key, index_underuse, index_overuse, clone_table];
 
-/// Run all inter-query rules (the sequential path).
-pub fn detect(ctx: &Context, cfg: &DetectionConfig) -> Vec<Detection> {
-    let mut out = Vec::new();
-    for rule in RULES {
-        rule(ctx, cfg, &mut out);
-    }
-    out
-}
-
-/// Run the `unit`-th rule alone (the batch engine's phase slice).
+/// Run the `unit`-th rule alone (the engine's phase slice).
 pub(crate) fn detect_unit(unit: usize, ctx: &Context, cfg: &DetectionConfig) -> Vec<Detection> {
     let mut out = Vec::new();
     RULES[unit](ctx, cfg, &mut out);

@@ -17,6 +17,8 @@ pub mod cache;
 pub mod data;
 pub mod inter;
 pub mod intra;
+#[doc(hidden)]
+pub mod reference;
 pub(crate) mod schedule;
 
 pub use batch::{BatchOptions, BatchReport, BatchStats};
@@ -73,31 +75,16 @@ impl Detector {
     }
 
     /// Run all applicable phases over the context and return the merged,
-    /// de-duplicated report.
+    /// de-duplicated report: the batch engine's report without a cache
+    /// ([`Detector::detect_batch_with`]).
     pub fn detect(&self, ctx: &Context) -> Report {
-        let mut report = Report::default();
-        let use_context = !self.cfg.intra_only;
-
-        for (idx, stmt) in ctx.statements.iter().enumerate() {
-            report
-                .detections
-                .extend(intra::detect_statement(idx, stmt, ctx, &self.cfg, use_context));
-        }
-        if use_context {
-            report.detections.extend(inter::detect(ctx, &self.cfg));
-        }
-        if let Some(data) = &ctx.data {
-            report.detections.extend(data::detect(data, ctx, &self.cfg));
-        }
-        dedup(&mut report.detections);
-        attach_spans(&mut report.detections, ctx);
-        report
+        self.detect_batch_with(ctx, None).report
     }
 }
 
 /// Stamp every statement-locus detection with the source span of **its
-/// own** statement occurrence. Runs as the final step of both the
-/// sequential and the batch path, after fan-out and dedup: duplicate
+/// own** statement occurrence. Runs as the final step of the engine and
+/// of [`reference::detect`], after fan-out and dedup: duplicate
 /// texts share one analysis result, but each fanned-out detection's locus
 /// index is per-occurrence, so the span lookup lands on the right copy.
 ///

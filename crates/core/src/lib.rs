@@ -27,8 +27,10 @@
 //! ## Batch detection (workload scale)
 //!
 //! Application logs contain millions of statements drawn from a few
-//! hundred templates. [`SqlCheck::check_workload`] (and the lower-level
-//! [`Detector::detect_batch`]) exploit that redundancy:
+//! hundred templates. Every entry point — [`SqlCheck::check_script`],
+//! [`SqlCheck::check_workload`], [`CheckSession`], and the lower-level
+//! [`Detector::detect`] / [`Detector::detect_batch`] — runs one detection
+//! engine that exploits that redundancy:
 //!
 //! * statements are **fingerprinted** ([`sqlcheck_parser::fingerprint`]):
 //!   literals become `?` placeholders, literal lists collapse, keyword and
@@ -40,7 +42,7 @@
 //!   result cache because some rules inspect literal values);
 //! * detection runs in panic-isolated units — intra-query rules per
 //!   unique text, inter-query rules per rule, data-analysis rules per
-//!   profiled table — merged in the sequential path's output order;
+//!   profiled table — merged in statement, rule, and table order;
 //! * every statement-locus [`Detection`] (and the fix derived from it)
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.
@@ -53,10 +55,10 @@
 //! hash, guarded by a config + schema epoch), so re-checking an edited
 //! workload only pays for the statements whose text changed.
 //!
-//! The batch path returns byte-identical detections, in the same order,
-//! as the sequential path — plus [`BatchStats`] instrumentation
-//! (template/dedup counts, per-phase front-end and detection timings,
-//! cache counters).
+//! The engine returns byte-identical detections, in the same order, as
+//! the per-statement reference loop the identity suites keep as their
+//! oracle — plus [`BatchStats`] instrumentation (template/dedup counts,
+//! per-phase front-end and detection timings, cache counters).
 //!
 //! ```
 //! use sqlcheck::{BatchOptions, SqlCheck};
@@ -398,41 +400,33 @@ impl SqlCheck {
         extra
     }
 
-    /// Run the full pipeline over a SQL script.
+    /// Run the full pipeline over a SQL script: [`SqlCheck::check_workload`]
+    /// with default [`BatchOptions`], without the instrumentation.
     pub fn check_script(&self, script: &str) -> CheckOutcome {
-        let frontend = FrontendOptions {
-            dialect: self.dialect,
-            detect_dialect: self.detect_dialect,
-            ..FrontendOptions::default()
-        };
-        let mut builder = ContextBuilder::new().with_frontend(frontend).add_script(script);
-        if let Some(db) = &self.database {
-            builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
-        }
-        let context = builder.build();
-        let mut diagnostics = parse_diagnostics(&context);
-        let mut report = self.detector.detect(&context);
-        // Custom-rule detections get their spans attached separately: the
-        // detector's own detections already carry absolute spans (and a
-        // span a custom rule set itself is absolute and kept as-is).
-        let mut extra = self.run_registry(&context, &mut diagnostics);
-        detect::attach_default_spans(&mut extra, &context);
-        report.detections.extend(extra);
-        CheckOutcome::new(context, report, diagnostics, self.ranker.clone())
+        self.check_workload(script, &BatchOptions::default()).outcome
     }
 
-    /// Run the full pipeline over a large workload using the parse-once
-    /// front-end and the batch detection engine: fingerprinting before
+    /// Run the full pipeline over a script using the parse-once
+    /// front-end and the detection engine: fingerprinting before
     /// parsing, per-unique-text parse/annotate/rule execution, and — when
-    /// a cache is attached — incremental reuse of
-    /// detection results across calls. Produces the same detections as
-    /// [`SqlCheck::check_script`] plus [`BatchStats`] instrumentation
-    /// (batch dedup, per-phase front-end timings, cache counters).
+    /// a cache is attached — incremental reuse of detection results
+    /// across calls. Returns the outcome plus [`BatchStats`]
+    /// instrumentation (dedup, per-phase front-end timings, cache
+    /// counters).
     pub fn check_workload(&self, script: &str, opts: &BatchOptions) -> WorkloadOutcome {
+        self.run_workload(script, opts, false).0
+    }
+
+    /// [`SqlCheck::check_workload`], also returning the engine's
+    /// per-unique and per-unit results when `keep_units` is set.
+    pub(crate) fn run_workload(
+        &self,
+        script: &str,
+        opts: &BatchOptions,
+        keep_units: bool,
+    ) -> (WorkloadOutcome, Option<detect::batch::EngineUnits>) {
         // Explicit per-call dialect options win; an untouched default
-        // falls back to the toolchain-level setting, so a
-        // `with_dialect(...)` facade behaves the same on both entry
-        // points.
+        // falls back to the toolchain-level setting.
         let (dialect, detect_dialect) =
             if opts.dialect == Dialect::Generic && !opts.detect_dialect {
                 (self.dialect, self.detect_dialect)
@@ -451,12 +445,15 @@ impl SqlCheck {
             builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
         }
         let (context, fe_stats) = builder.build_with_stats();
-        let batch = self.detector.detect_batch_with(&context, self.cache.as_deref());
+        let batch = self.detector.run_engine(&context, self.cache.as_deref(), keep_units);
         let mut report = batch.report;
         let mut stats = batch.stats;
         let mut diagnostics = parse_diagnostics(&context);
         diagnostics.extend(batch.diagnostics);
         let failures_before = diagnostics.len();
+        // Custom-rule detections get their spans attached separately: the
+        // engine's own detections already carry absolute spans (and a
+        // span a custom rule set itself is absolute and kept as-is).
         let mut extra = self.run_registry(&context, &mut diagnostics);
         let registry_failures = diagnostics.len() - failures_before;
         stats.rule_failures += registry_failures;
@@ -464,10 +461,11 @@ impl SqlCheck {
         detect::attach_default_spans(&mut extra, &context);
         report.detections.extend(extra);
         stats.absorb_frontend(&fe_stats);
-        WorkloadOutcome {
+        let outcome = WorkloadOutcome {
             outcome: CheckOutcome::new(context, report, diagnostics, self.ranker.clone()),
             stats,
-        }
+        };
+        (outcome, batch.units)
     }
 }
 

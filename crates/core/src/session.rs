@@ -43,10 +43,8 @@
 use crate::context::{
     synthesize_ddl, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
 };
-use crate::detect::batch::{data_unit_key, entry_deps, inter_unit_digests};
-use crate::detect::cache::{UNIT_DATA, UNIT_INTER};
-use crate::detect::schedule::{guarded, run_units};
-use crate::detect::{data, inter, intra, BatchOptions, BatchStats};
+use crate::detect::batch::{inter_unit_digests, EngineUnits, TailUnit};
+use crate::detect::{BatchOptions, BatchStats};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
@@ -192,16 +190,6 @@ fn is_schema_stmt(s: &Statement) -> bool {
     )
 }
 
-/// Zero the statement locus so the detections replay at any occurrence.
-fn canonicalize(mut dets: Vec<Detection>) -> Vec<Detection> {
-    for d in &mut dets {
-        if let Locus::Statement { index } = &mut d.locus {
-            *index = 0;
-        }
-    }
-    dets
-}
-
 /// Dedup a canonical entry, reusing the allocation when already clean.
 fn dedup_arc(v: Arc<Vec<Detection>>) -> Arc<Vec<Detection>> {
     let mut d = (*v).clone();
@@ -231,49 +219,44 @@ fn emit_fanout(out: &mut Vec<Detection>, canon: &[Detection], i: usize, stmt_spa
 }
 
 impl State {
-    /// Cold build: run the ordinary pipeline, then derive the retained
-    /// forms (slots, per-statement slice bounds, tail units). With a
-    /// cache attached the derivation is all lookups — `check_workload`
-    /// just stored every unique text and unit; without one the intra
-    /// results are recomputed once (the only duplicated work).
+    /// Cold build: run the ordinary pipeline with the engine keeping its
+    /// per-unique and per-unit results, then adopt them as the retained
+    /// forms (slots, per-statement slice bounds, tail units). Nothing is
+    /// recomputed or read back from the cache.
     fn init(tool: &SqlCheck, script: &str, opts: &BatchOptions) -> State {
-        let base = tool.check_workload(script, opts);
+        let (base, units) = tool.run_workload(script, opts, true);
+        let EngineUnits {
+            groups,
+            group_by_hash: slot_of,
+            group_of: order,
+            intra,
+            inter: inter_units,
+            inter_digests,
+            data: data_units,
+            versions,
+        } = units.expect("the engine keeps its units when asked");
         let ctx = &base.outcome.context;
-        let cfg = &tool.detector.cfg;
-        let use_context = !cfg.intra_only;
-        let cache = tool.cache.as_deref();
         let n = ctx.statements.len();
 
-        let mut slot_of: HashMap<u128, usize, Prehashed> =
-            HashMap::with_capacity_and_hasher(n.min(1 << 16), Prehashed::default());
-        let mut slots: Vec<Slot> = Vec::new();
-        let mut first_occurrence: Vec<usize> = Vec::new();
-        let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut template_counts: HashMap<u64, usize> = HashMap::new();
-        for (idx, s) in ctx.statements.iter().enumerate() {
-            let slot = match slot_of.get(&s.text_hash) {
-                Some(&slot) => slot,
-                None => {
-                    let slot = slots.len();
-                    slot_of.insert(s.text_hash, slot);
-                    first_occurrence.push(idx);
-                    slots.push(Slot {
-                        hash: s.text_hash,
-                        fingerprint: s.template_hash,
-                        parsed: s.parsed.clone(),
-                        ann: s.ann.clone(),
-                        diags: s.diags.clone(),
-                        count: 0,
-                        canon: Arc::new(Vec::new()),
-                        contribution: None,
-                    });
-                    slot
+        let slots: Vec<Slot> = groups
+            .iter()
+            .zip(intra)
+            .map(|(g, canon)| {
+                let s = &ctx.statements[g.rep];
+                *template_counts.entry(s.template_hash).or_default() += g.count;
+                Slot {
+                    hash: s.text_hash,
+                    fingerprint: s.template_hash,
+                    parsed: s.parsed.clone(),
+                    ann: s.ann.clone(),
+                    diags: s.diags.clone(),
+                    count: g.count,
+                    canon: dedup_arc(canon),
+                    contribution: None,
                 }
-            };
-            slots[slot].count += 1;
-            *template_counts.entry(s.template_hash).or_default() += 1;
-            order.push(slot);
-        }
+            })
+            .collect();
 
         // Conditions the incremental path refuses to patch around:
         // diagnostic attribution and panic replay are cheap to get right
@@ -282,96 +265,12 @@ impl State {
             || base.stats.rule_failures > 0
             || slots.iter().any(|s| !s.diags.is_empty());
 
-        // Canonical intra detections per slot — from the cache when
-        // possible, recomputed (panic-isolated) otherwise.
-        let mut miss_slots: Vec<usize> = Vec::new();
-        for (si, slot) in slots.iter_mut().enumerate() {
-            match cache.and_then(|c| c.get(slot.hash)) {
-                Some(hit) => slot.canon = dedup_arc(hit),
-                None => miss_slots.push(si),
-            }
-        }
-        if !miss_slots.is_empty() {
-            let run = run_units(miss_slots.len(), |pos| {
-                let rep = first_occurrence[miss_slots[pos]];
-                intra::detect_statement(rep, &ctx.statements[rep], ctx, cfg, use_context)
-            });
-            for (&si, out) in miss_slots.iter().zip(run) {
-                match out {
-                    Ok(dets) => {
-                        let canonical = canonicalize(dets);
-                        if let Some(c) = cache {
-                            let rep = &ctx.statements[first_occurrence[si]];
-                            c.insert(
-                                rep.text_hash,
-                                Arc::new(canonical.clone()),
-                                Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
-                            );
-                        }
-                        slots[si].canon = dedup_arc(Arc::new(canonical));
-                    }
-                    Err(_) => degraded = true,
-                }
-            }
-        }
-
         let mut bounds: Vec<usize> = Vec::with_capacity(n + 1);
         bounds.push(0);
         for &slot in &order {
             bounds.push(bounds.last().unwrap() + slots[slot].canon.len());
         }
 
-        // Tail units: one per inter-query rule + one per profiled table.
-        let versions = ctx.schema.versions();
-        let mut inter_units: Vec<Arc<Vec<Detection>>> = Vec::new();
-        let mut inter_digests = [0u64; 4];
-        if use_context {
-            inter_digests = inter_unit_digests(ctx, &versions);
-            for (u, &digest) in inter_digests.iter().enumerate() {
-                let hit = cache.and_then(|c| c.unit_get(UNIT_INTER, u as u64, digest));
-                let dets = match hit {
-                    Some(h) => h,
-                    None => match guarded(|| inter::detect_unit(u, ctx, cfg)) {
-                        Ok(d) => {
-                            let a = Arc::new(d);
-                            if let Some(c) = cache {
-                                c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
-                            }
-                            a
-                        }
-                        Err(_) => {
-                            degraded = true;
-                            Arc::new(Vec::new())
-                        }
-                    },
-                };
-                inter_units.push(dets);
-            }
-        }
-        let mut data_units: Vec<Arc<Vec<Detection>>> = Vec::new();
-        if let Some(dp) = &ctx.data {
-            for tp in dp.tables() {
-                let (id, digest) = data_unit_key(tp);
-                let hit = cache.and_then(|c| c.unit_get(UNIT_DATA, id, digest));
-                let dets = match hit {
-                    Some(h) => h,
-                    None => match guarded(|| data::detect_table(tp, ctx, cfg)) {
-                        Ok(d) => {
-                            let a = Arc::new(d);
-                            if let Some(c) = cache {
-                                c.unit_put(UNIT_DATA, id, digest, Arc::clone(&a));
-                            }
-                            a
-                        }
-                        Err(_) => {
-                            degraded = true;
-                            Arc::new(Vec::new())
-                        }
-                    },
-                };
-                data_units.push(dets);
-            }
-        }
         let mut tail: Vec<Detection> = Vec::new();
         for u in inter_units.iter().chain(&data_units) {
             tail.extend(u.iter().cloned());
@@ -478,7 +377,7 @@ impl CheckSession {
 
         // Cost-based self-selection: past ~10% dirty statements the
         // incremental path's per-edit overhead crosses the cold path's
-        // streaming cost (measured in BENCH_incremental.json) — rebuild
+        // streaming cost (measured in BENCH_e2e.json) — rebuild
         // deliberately instead of patching, counted as a cold revert.
         let revert_cold = !self.state.degraded && edits.len() * 10 > n;
         let plan = if self.state.degraded || revert_cold { None } else { self.plan(&sorted) };
@@ -572,8 +471,7 @@ impl CheckSession {
     fn apply(&mut self, plan: Vec<Planned>, t_total: Instant) -> Option<()> {
         let state = &mut self.state;
         let tool = &self.tool;
-        let cfg = &tool.detector.cfg;
-        let use_context = !cfg.intra_only;
+        let use_context = !tool.detector.cfg.intra_only;
         let cache = tool.cache.as_deref();
         let n = state.order.len();
         let counters_before = cache.map(|c| c.counters());
@@ -717,8 +615,6 @@ impl CheckSession {
 
         // ---- patch (a): dirty canonical slices -----------------------
         let t_patch = Instant::now();
-        let mut incremental_hits = 0usize;
-        let mut incremental_misses = 0usize;
         // Slots needing a canonical refresh: fresh/revived slots from the
         // edit set, plus — after a DDL edit — every live slot, so the
         // column-granular epoch sweep decides what actually re-runs.
@@ -738,69 +634,35 @@ impl CheckSession {
                 }
             }
         }
-        // Representative occurrence per needed slot.
-        let mut rep_of: HashMap<usize, usize> = HashMap::with_capacity(need.len());
+        // Representative (first) occurrence per needed slot.
+        let mut rep_of = vec![usize::MAX; state.slots.len()];
         for (i, &slot) in state.order.iter().enumerate() {
-            if seen[slot] && !rep_of.contains_key(&slot) {
-                rep_of.insert(slot, i);
+            if seen[slot] && rep_of[slot] == usize::MAX {
+                rep_of[slot] = i;
             }
         }
-        let mut changed_slots: Vec<usize> = Vec::new();
-        let mut recompute: Vec<usize> = Vec::new();
-        for &si in &need {
-            match cache.and_then(|c| c.get(state.slots[si].hash)) {
-                Some(hit) => {
-                    let refreshed = dedup_arc(hit);
-                    if *refreshed != *state.slots[si].canon {
-                        changed_slots.push(si);
-                    }
-                    state.slots[si].canon = refreshed;
-                    incremental_hits += 1;
-                }
-                None => recompute.push(si),
-            }
-        }
-        if !recompute.is_empty() {
-            let run = run_units(recompute.len(), |pos| {
-                let rep = rep_of[&recompute[pos]];
-                intra::detect_statement(rep, &ctx_ref.statements[rep], ctx_ref, cfg, use_context)
-            });
-            let mut fresh: Vec<(usize, Arc<Vec<Detection>>)> = Vec::with_capacity(recompute.len());
-            for (&si, out) in recompute.iter().zip(run) {
-                match out {
-                    Ok(dets) => {
-                        let canonical = canonicalize(dets);
-                        if let Some(c) = cache {
-                            let rep = &ctx_ref.statements[rep_of[&si]];
-                            c.insert(
-                                rep.text_hash,
-                                Arc::new(canonical.clone()),
-                                Arc::new(entry_deps(&rep.parsed.stmt, &rep.ann)),
-                            );
-                        }
-                        fresh.push((si, dedup_arc(Arc::new(canonical))));
-                        incremental_misses += 1;
-                    }
-                    // A panicking unit needs the cold path's diagnostic
-                    // replay — rebuild.
-                    Err(_) => return None,
-                }
-            }
-            for (si, canon) in fresh {
-                if *canon != *state.slots[si].canon {
-                    changed_slots.push(si);
-                }
-                state.slots[si].canon = canon;
-            }
+        let reps: Vec<usize> = need.iter().map(|&si| rep_of[si]).collect();
+        let mut failures: Vec<Diagnostic> = Vec::new();
+        let refreshed = tool.detector.intra_results(ctx_ref, cache, &reps, &mut failures);
+        if !failures.is_empty() {
+            // A panicking unit needs the cold path's diagnostic replay —
+            // rebuild.
+            return None;
         }
         // Every occurrence of a content-changed slot re-emits. Edited
         // indices are already dirty; this catches the other occurrences
         // (shared texts, DDL-invalidated slots).
-        if !changed_slots.is_empty() {
-            let mut changed = vec![false; state.slots.len()];
-            for &si in &changed_slots {
+        let mut changed = vec![false; state.slots.len()];
+        let mut any_changed = false;
+        for (&si, canon) in need.iter().zip(refreshed) {
+            let canon = dedup_arc(canon);
+            if *canon != *state.slots[si].canon {
                 changed[si] = true;
+                any_changed = true;
             }
+            state.slots[si].canon = canon;
+        }
+        if any_changed {
             for (i, &slot) in state.order.iter().enumerate() {
                 if changed[slot] {
                     dirty[i] = true;
@@ -811,37 +673,19 @@ impl CheckSession {
 
         // ---- finalize (a): tail units off the memo -------------------
         let t_finalize = Instant::now();
-        let mut inter_units_reused = 0usize;
-        let mut inter_units_recomputed = 0usize;
-        let mut tail_dirty = false;
+        let mut inter_units_changed = 0usize;
         if use_context {
             let nd = inter_unit_digests(ctx_ref, &state.versions);
-            for (u, &digest) in nd.iter().enumerate() {
-                if digest == state.inter_digests[u] {
-                    inter_units_reused += 1;
+            for (rule, &digest) in nd.iter().enumerate() {
+                if digest == state.inter_digests[rule] {
                     continue;
                 }
-                tail_dirty = true;
-                let hit = cache.and_then(|c| c.unit_get(UNIT_INTER, u as u64, digest));
-                let dets = match hit {
-                    Some(h) => {
-                        inter_units_reused += 1;
-                        h
-                    }
-                    None => match guarded(|| inter::detect_unit(u, ctx_ref, cfg)) {
-                        Ok(d) => {
-                            inter_units_recomputed += 1;
-                            let a = Arc::new(d);
-                            if let Some(c) = cache {
-                                c.unit_put(UNIT_INTER, u as u64, digest, Arc::clone(&a));
-                            }
-                            a
-                        }
-                        Err(_) => return None,
-                    },
-                };
-                state.inter_units[u] = dets;
-                state.inter_digests[u] = digest;
+                inter_units_changed += 1;
+                state.inter_units[rule] = tool
+                    .detector
+                    .resolve_unit(ctx_ref, cache, TailUnit::Inter { rule, digest })
+                    .ok()?;
+                state.inter_digests[rule] = digest;
             }
         }
         let data_units_reused = state.data_units.len();
@@ -892,7 +736,7 @@ impl CheckSession {
                 }
                 new_bounds.push(out.len());
             }
-            if tail_dirty {
+            if inter_units_changed > 0 {
                 for _ in 0..state.tail_len {
                     it.next()?;
                 }
@@ -946,22 +790,26 @@ impl CheckSession {
             warm_patch_micros,
             warm_finalize_micros,
             warm_dirty_statements,
-            incremental_hits,
-            incremental_misses,
-            inter_units_reused,
-            inter_units_recomputed,
             data_units_reused,
             rule_failures: registry_failures,
             total_micros: t_total.elapsed().as_micros(),
             ..BatchStats::default()
         };
         stats.diag_counts[DiagKind::RuleFailed.index()] = registry_failures;
+        // An inter unit whose digest is unchanged is reused without a
+        // memo lookup; a changed one is reused when the memo holds it.
+        let mut memo_reused = 0usize;
         if let (Some(before), Some(c)) = (counters_before, cache) {
             let after = c.counters();
+            stats.incremental_hits = (after.hits - before.hits) as usize;
+            stats.incremental_misses = (after.misses - before.misses) as usize;
             stats.incremental_evictions = (after.evictions - before.evictions) as usize;
             stats.table_evictions = (after.table_evictions - before.table_evictions) as usize;
             stats.column_evictions = (after.column_evictions - before.column_evictions) as usize;
+            memo_reused = (after.inter_units_reused - before.inter_units_reused) as usize;
         }
+        stats.inter_units_reused = state.inter_units.len() - inter_units_changed + memo_reused;
+        stats.inter_units_recomputed = inter_units_changed - memo_reused;
         state.outcome.stats = stats;
         Some(())
     }

@@ -7,6 +7,7 @@
 //! property runs over deterministically generated random scripts: same
 //! seeds, same cases, every run.
 
+use sqlcheck::detect::reference;
 use sqlcheck::{ContextBuilder, DetectionConfig, Detector, FrontendOptions, IncrementalCache};
 use sqlcheck_minidb::stats::SmallRng;
 
@@ -63,7 +64,7 @@ fn detections_debug(r: &sqlcheck::Report) -> Vec<String> {
 
 fn assert_batch_matches(det: &Detector, script: &str, label: &str) {
     let ctx = ContextBuilder::new().add_script(script).build();
-    let seq = detections_debug(&det.detect(&ctx));
+    let seq = detections_debug(&reference::detect(&ctx, &det.cfg));
     let batch = det.detect_batch(&ctx);
     let got = detections_debug(&batch.report);
     assert_eq!(seq, got, "{label}: batch must be byte-identical to sequential");
@@ -120,7 +121,7 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
         .with_frontend(FrontendOptions::legacy())
         .add_script(script)
         .build();
-    detections_debug(&det.detect(&ctx))
+    detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 
 /// Property (satellite of the parse-once PR): parse-dedup plus a cached
@@ -238,7 +239,7 @@ fn inter_and_data_phases_identical_to_sequential() {
             .build();
         assert!(ctx.has_data(), "case {case}: data phase must be live");
         let det = Detector::default();
-        let seq = det.detect(&ctx);
+        let seq = reference::detect(&ctx, &det.cfg);
         assert!(
             seq.detections
                 .iter()

@@ -5,6 +5,7 @@
 //! per-table incremental-cache invalidation reaching into body-referenced
 //! tables.
 
+use sqlcheck::detect::reference;
 use sqlcheck::{AntiPatternKind, BatchOptions, ContextBuilder, Detector, Locus, SqlCheck};
 use sqlcheck_parser::ast::Statement;
 
@@ -37,7 +38,7 @@ fn body_detections_point_into_the_body() {
                   END;\nSELECT 2;";
     let ctx = ContextBuilder::new().add_script(script).build();
     let det = Detector::default();
-    let seq = det.detect(&ctx);
+    let seq = reference::detect(&ctx, &det.cfg);
     // Byte-identity across all paths is preserved with body fan-out.
     let batch = det.detect_batch(&ctx);
     let fmt =

@@ -13,6 +13,7 @@
 //! properties run over deterministically generated random scripts: same
 //! seeds, same cases, every run.
 
+use sqlcheck::detect::reference;
 use sqlcheck::{ContextBuilder, Detector, FrontendOptions, IncrementalCache};
 use sqlcheck_minidb::stats::SmallRng;
 
@@ -59,7 +60,7 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
         .with_frontend(FrontendOptions::legacy())
         .add_script(script)
         .build();
-    detections_debug(&det.detect(&ctx))
+    detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 
 /// On skewed inputs, batch output is byte-identical to sequential — cold

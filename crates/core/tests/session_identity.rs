@@ -350,3 +350,21 @@ fn warm_stats_reflect_edit_proportionality() {
     let stats = &session.outcome().stats;
     assert_eq!(stats.incremental_misses, 0, "revived text replays from cache");
 }
+
+/// Building a session runs detection once: the cold check's engine
+/// hands its per-unique and per-unit results to the session, so a fresh
+/// shared cache sees one miss per unique text and one run per inter
+/// unit — and no read-backs of what the check just stored.
+#[test]
+fn into_session_runs_detection_once() {
+    let cache = std::sync::Arc::new(sqlcheck::IncrementalCache::new(4096));
+    let session = SqlCheck::new()
+        .with_shared_cache(std::sync::Arc::clone(&cache))
+        .into_session(seed_script(), BatchOptions::default());
+    let unique_texts = session.outcome().stats.unique_texts as u64;
+    let c = cache.counters();
+    assert_eq!(c.hits, 0, "no cache read-backs");
+    assert_eq!(c.misses, unique_texts, "one lookup per unique text");
+    assert_eq!(c.inter_units_reused, 0, "no unit memo read-backs");
+    assert_eq!(c.inter_units_recomputed, 4, "each inter unit runs once");
+}

@@ -8,6 +8,7 @@
 //! per-occurrence span side table and the detection fan-out stamps every
 //! statement-locus detection with its occurrence's span.
 
+use sqlcheck::detect::reference;
 use sqlcheck::{
     BatchOptions, ContextBuilder, Detector, Locus, SqlCheck,
 };
@@ -46,7 +47,7 @@ fn detections_on_duplicates_carry_their_own_occurrence_span() {
     let ctx = ContextBuilder::new().add_script(SCRIPT).build();
     let det = Detector::default();
     for (label, report) in [
-        ("sequential", det.detect(&ctx)),
+        ("reference", reference::detect(&ctx, &det.cfg)),
         ("batch", det.detect_batch(&ctx).report),
     ] {
         let mut seen = [false, false];

@@ -61,6 +61,5 @@ pub use render::ToSql;
 pub use token::{Kw, Span, Token, TokenKind};
 pub use lexer::{lex_spans, SpannedToken};
 pub use splitter::{
-    split_deduped, split_fingerprinted, split_spanned, split_stream, DedupedSplit,
-    FingerprintedStatement, SpannedStatement, SplitStatement,
+    split_deduped, split_spanned, split_stream, DedupedSplit, SpannedStatement, SplitStatement,
 };

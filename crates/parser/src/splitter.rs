@@ -86,47 +86,6 @@ pub fn split_dialect(script: &str, dialect: Dialect) -> Vec<RawStatement> {
         .collect()
 }
 
-/// One split-off statement chunk with its fingerprints computed **before
-/// any parsing happens**. This is the front door of the parse-once
-/// pipeline: chunks are independently parseable (each carries its own
-/// token stream), and the two hashes let a consumer group duplicate
-/// statement texts and parse each unique text exactly once.
-#[derive(Debug, Clone)]
-pub struct FingerprintedStatement {
-    /// The raw statement chunk (tokens + span).
-    pub raw: RawStatement,
-    /// Literal-insensitive template fingerprint
-    /// ([`crate::fingerprint::fingerprint_of`]).
-    pub fingerprint: u64,
-    /// Literal-sensitive, span-insensitive 128-bit content hash
-    /// ([`crate::fingerprint::content_hash_of`]). Equal hashes identify
-    /// statements whose parse trees and annotations are interchangeable.
-    pub content_hash: u128,
-}
-
-/// Split a script and fingerprint every chunk, without parsing anything.
-///
-/// ```
-/// use sqlcheck_parser::splitter::split_fingerprinted;
-/// let chunks = split_fingerprinted("SELECT 1; SELECT 1 ; SELECT 2;");
-/// assert_eq!(chunks.len(), 3);
-/// // Same text → same content hash; different literal → different hash
-/// // but (literals fold) the same template fingerprint.
-/// assert_eq!(chunks[0].content_hash, chunks[1].content_hash);
-/// assert_ne!(chunks[0].content_hash, chunks[2].content_hash);
-/// assert_eq!(chunks[0].fingerprint, chunks[2].fingerprint);
-/// ```
-pub fn split_fingerprinted(script: &str) -> Vec<FingerprintedStatement> {
-    split_stream(script)
-        .into_iter()
-        .map(|s| FingerprintedStatement {
-            fingerprint: s.fingerprint,
-            content_hash: s.content_hash,
-            raw: s.materialize(script),
-        })
-        .collect()
-}
-
 /// One statement as emitted by the fused streaming splitter: its span and
 /// both hashes, computed in the same pass that lexed the bytes — **no
 /// tokens**. Token vectors are built only when a consumer
@@ -837,10 +796,10 @@ mod tests {
         let script = "SELECT a FROM t WHERE a = 1;\
                       select a from t where a = 2;\
                       INSERT INTO t VALUES (1, 'x');";
-        let chunks = split_fingerprinted(script);
+        let chunks = split_stream(script);
         assert_eq!(chunks.len(), 3);
         for c in &chunks {
-            let parsed = crate::parser::parse_statement(&c.raw);
+            let parsed = crate::parser::parse_statement(&c.materialize(script));
             assert_eq!(c.fingerprint, parsed.fingerprint());
             assert_eq!(c.content_hash, parsed.content_hash());
         }
