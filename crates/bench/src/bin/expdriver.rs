@@ -19,6 +19,7 @@
 //! expdriver split          # fused streaming splitter vs legacy two-pass
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
+//! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N
 //! ```
 //!
 //! `--quick` shrinks scales for a fast smoke run.
@@ -66,6 +67,25 @@ fn main() {
                 r.pipeline_micros
             );
         }
+        return;
+    }
+
+    if what == "fix-scaling" {
+        // Size-scaling gate for fix synthesis: 10x the GitHub corpus must
+        // cost at most 15x the fix time. Linear is ~10x; a per-fix scan
+        // of every statement (quadratic) is ~100x.
+        section("Fix scaling — check, rank, fix on the GitHub corpus at N and 10N repos");
+        let rows = fix_scaling::run(quick);
+        print!("{}", fix_scaling::render(&rows));
+        let ratio = fix_scaling::ratio(&rows);
+        assert!(
+            ratio <= fix_scaling::CEILING,
+            "fix time at {} repos is {ratio:.1}x the time at {} repos (ceiling {}x)",
+            rows[1].repositories,
+            rows[0].repositories,
+            fix_scaling::CEILING
+        );
+        println!("gate ok: 10x the corpus costs {ratio:.1}x the fix time (ceiling {}x)", fix_scaling::CEILING);
         return;
     }
 

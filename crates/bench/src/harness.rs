@@ -113,6 +113,17 @@ pub struct Sample {
 }
 
 impl Sample {
+    /// Summarise wall-clock observations in microseconds (at least one).
+    pub fn of(mut obs: Vec<u128>) -> Sample {
+        assert!(!obs.is_empty());
+        obs.sort_unstable();
+        Sample {
+            min_micros: obs[0],
+            median_micros: obs[obs.len() / 2],
+            max_micros: obs[obs.len() - 1],
+        }
+    }
+
     /// Relative spread of the observations: `(max - min) / min`, as a
     /// percentage. ~0 on a quiet host; tens of percent under steal.
     pub fn spread_pct(&self) -> f64 {
@@ -126,18 +137,13 @@ impl Sample {
 
 /// Time `f` `reps` times and summarise the observations.
 pub fn sample_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Sample {
-    assert!(reps > 0);
-    let mut obs: Vec<u128> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            black_box(f());
-            t.elapsed().as_micros()
-        })
-        .collect();
-    obs.sort_unstable();
-    Sample {
-        min_micros: obs[0],
-        median_micros: obs[obs.len() / 2],
-        max_micros: obs[obs.len() - 1],
-    }
+    Sample::of(
+        (0..reps)
+            .map(|_| {
+                let t = Instant::now();
+                black_box(f());
+                t.elapsed().as_micros()
+            })
+            .collect(),
+    )
 }

@@ -17,6 +17,7 @@ pub mod experiments {
     pub mod fig3;
     pub mod fig7;
     pub mod fig8;
+    pub mod fix_scaling;
     pub mod phases;
     pub mod split;
     pub mod table2;

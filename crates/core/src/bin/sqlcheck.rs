@@ -37,8 +37,10 @@
 //! ```
 
 use sqlcheck::{
-    BatchOptions, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel, RankWeights, SqlCheck,
+    BatchOptions, CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel,
+    RankWeights, SqlCheck,
 };
+use std::io::{self, BufWriter, Write};
 
 /// Flags that take no value.
 const SWITCHES: [&str; 8] = [
@@ -83,8 +85,11 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // All stdout goes through one buffered writer; `finish` exits the
+    // process without running destructors, so every path flushes first.
+    let mut out = BufWriter::new(io::stdout().lock());
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_help();
+        or_exit(print_help(&mut out).and_then(|()| out.flush()));
         return;
     }
     let intra_only = args.iter().any(|a| a == "--intra-only");
@@ -245,28 +250,46 @@ fn main() {
         }
     }
 
-    if outcome.ranked().is_empty() {
-        println!("no anti-patterns detected in {} statement(s)", outcome.context.len());
-        finish(degraded_exit, false);
+    let found = or_exit(
+        render(&mut out, &outcome, summary, no_fix).and_then(|found| out.flush().map(|()| found)),
+    );
+    // Exit code signals findings, like familiar linters.
+    finish(degraded_exit, found);
+}
+
+/// Write the listing (or the `--summary` histogram) and report whether
+/// anything was found. Fixes are synthesised only when they are printed.
+fn render(
+    out: &mut impl Write,
+    outcome: &CheckOutcome,
+    summary: bool,
+    no_fix: bool,
+) -> io::Result<bool> {
+    let ranked = outcome.ranked();
+    if ranked.is_empty() {
+        writeln!(out, "no anti-patterns detected in {} statement(s)", outcome.context.len())?;
+        return Ok(false);
     }
 
     if summary {
-        println!("{:<30} {:>6}", "anti-pattern", "count");
+        writeln!(out, "{:<30} {:>6}", "anti-pattern", "count")?;
         for (kind, n) in outcome.report.by_kind() {
-            println!("{:<30} {:>6}", kind.name(), n);
+            writeln!(out, "{:<30} {:>6}", kind.name(), n)?;
         }
-        println!("{:<30} {:>6}", "total", outcome.report.detections.len());
-        finish(degraded_exit, true);
+        writeln!(out, "{:<30} {:>6}", "total", outcome.report.detections.len())?;
+        return Ok(true);
     }
 
-    for (i, (r, f)) in outcome.ranked().iter().zip(outcome.fixes()).enumerate() {
+    let fixes = (!no_fix).then(|| outcome.fixes());
+    for (i, r) in ranked.iter().enumerate() {
         // Per-occurrence source location: duplicate statements each point
         // at their own bytes, not the first occurrence's.
         let at = match r.detection.span {
             Some(s) => format!(" [bytes {s}]"),
             None => String::new(),
         };
-        println!(
+        writeln!(
+            out,
             "{:>3}. [{:.3}] {} ({}) @ {}{}",
             i + 1,
             r.score,
@@ -274,26 +297,32 @@ fn main() {
             r.detection.kind.category(),
             r.detection.locus,
             at
-        );
-        println!("     {}", r.detection.message);
-        if no_fix {
-            continue;
-        }
+        )?;
+        writeln!(out, "     {}", r.detection.message)?;
+        let Some(f) = fixes.map(|fs| &fs[i]) else { continue };
         match &f.fix {
-            Fix::Rewrite { fixed, .. } => println!("     fix: {fixed}"),
+            Fix::Rewrite { fixed, .. } => writeln!(out, "     fix: {fixed}")?,
             Fix::SchemaChange { statements, impacted_queries } => {
                 for s in statements {
-                    println!("     fix: {s}");
+                    writeln!(out, "     fix: {s}")?;
                 }
                 for (idx, q) in impacted_queries {
-                    println!("     impacted #{idx}: {q}");
+                    writeln!(out, "     impacted #{idx}: {q}")?;
                 }
             }
-            Fix::Textual { advice } => println!("     advice: {advice}"),
+            Fix::Textual { advice } => writeln!(out, "     advice: {advice}")?,
         }
     }
-    // Exit code signals findings, like familiar linters.
-    finish(degraded_exit, true);
+    Ok(true)
+}
+
+/// Unwrap a stdout write, or exit 2 with a one-line message (a closed
+/// pipe or a full disk is an IO error, not a panic).
+fn or_exit<T>(r: io::Result<T>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("sqlcheck: cannot write output: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Final exit: degraded input (3, under --fail-on-degraded) takes
@@ -317,13 +346,14 @@ const USAGE: &str = "usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by
                      [--summary] [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite] \
                      [--fail-on-degraded] [FILE|-]";
 
-fn print_help() {
-    println!(
+fn print_help(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
         "sqlcheck — detect, rank, and fix SQL anti-patterns (SIGMOD 2020 reproduction)\n\n\
          {USAGE}\n\n\
          Reads SQL from FILE (or stdin with '-'), prints ranked anti-patterns\n\
          with suggested fixes. Exits 1 when anti-patterns are found; with\n\
          --fail-on-degraded, exits 3 when any statement parsed degraded or a\n\
          rule unit was isolated after a panic."
-    );
+    )
 }

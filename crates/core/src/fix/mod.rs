@@ -19,6 +19,7 @@ pub mod transforms;
 
 use crate::context::Context;
 use crate::report::Detection;
+use transforms::ImpactIndex;
 
 /// A suggested fix.
 #[derive(Debug, Clone)]
@@ -66,16 +67,33 @@ pub struct SuggestedFix {
 pub struct FixEngine;
 
 impl FixEngine {
-    /// Suggest a fix for one detection.
+    /// Suggest a fix for one detection. A schema fix that lists impacted
+    /// queries builds a throwaway [`ImpactIndex`]; use
+    /// [`FixEngine::fix_all`] to share one across many detections.
     pub fn fix(&self, detection: &Detection, ctx: &Context) -> Fix {
+        self.fix_with(detection, ctx, &ImpactIndex::new(ctx))
+    }
+
+    /// Suggest fixes for an ordered detection list (Algorithm 4's loop).
+    /// Every schema fix looks its impacted queries up in one lazily built
+    /// [`ImpactIndex`].
+    pub fn fix_all(&self, detections: &[Detection], ctx: &Context) -> Vec<SuggestedFix> {
+        let impacts = ImpactIndex::new(ctx);
+        detections
+            .iter()
+            .map(|d| SuggestedFix { detection: d.clone(), fix: self.fix_with(d, ctx, &impacts) })
+            .collect()
+    }
+
+    fn fix_with(&self, detection: &Detection, ctx: &Context, impacts: &ImpactIndex<'_>) -> Fix {
         use crate::anti_pattern::AntiPatternKind::*;
         let transformed = match detection.kind {
             ImplicitColumns => transforms::implicit_columns(detection, ctx),
             ColumnWildcard => transforms::column_wildcard(detection, ctx),
             ConcatenateNulls => transforms::concatenate_nulls(detection, ctx),
             DistinctJoin => transforms::distinct_join(detection, ctx),
-            EnumeratedTypes => transforms::enumerated_types(detection, ctx),
-            MultiValuedAttribute => transforms::multi_valued_attribute(detection, ctx),
+            EnumeratedTypes => transforms::enumerated_types(detection, ctx, impacts),
+            MultiValuedAttribute => transforms::multi_valued_attribute(detection, ctx, impacts),
             NoForeignKey => transforms::no_foreign_key(detection, ctx),
             IndexUnderuse => transforms::index_underuse(detection, ctx),
             IndexOveruse => transforms::index_overuse(detection, ctx),
@@ -85,14 +103,6 @@ impl FixEngine {
         transformed.unwrap_or_else(|| Fix::Textual {
             advice: textual::advice(detection, ctx),
         })
-    }
-
-    /// Suggest fixes for an ordered detection list (Algorithm 4's loop).
-    pub fn fix_all(&self, detections: &[Detection], ctx: &Context) -> Vec<SuggestedFix> {
-        detections
-            .iter()
-            .map(|d| SuggestedFix { detection: d.clone(), fix: self.fix(d, ctx) })
-            .collect()
     }
 }
 
@@ -120,5 +130,26 @@ mod tests {
                 Fix::SchemaChange { statements, .. } => assert!(!statements.is_empty()),
             }
         }
+    }
+
+    #[test]
+    fn fix_and_fix_all_agree_on_schema_changes() {
+        let sql = "CREATE TABLE Tenants (Tenant_ID TEXT PRIMARY KEY, User_IDs TEXT, \
+                   Role VARCHAR(5), CHECK (Role IN ('R1','R2')));\
+                   SELECT * FROM Tenants WHERE User_IDs LIKE '[[:<:]]U1[[:>:]]';\
+                   SELECT Tenant_ID FROM tenants WHERE ROLE = 'R1';\
+                   UPDATE Tenants SET Role = 'R2' WHERE Tenant_ID = 'T1';";
+        let ctx = ContextBuilder::new().add_script(sql).build();
+        let report = Detector::default().detect(&ctx);
+        let all = FixEngine.fix_all(&report.detections, &ctx);
+        let mut impacted = 0;
+        for f in &all {
+            if let Fix::SchemaChange { impacted_queries, .. } = &f.fix {
+                impacted += impacted_queries.len();
+                let one = FixEngine.fix(&f.detection, &ctx);
+                assert_eq!(format!("{one:?}"), format!("{:?}", f.fix), "{}", f.detection.kind);
+            }
+        }
+        assert!(impacted > 0, "the script must produce impacted queries");
     }
 }

@@ -13,6 +13,8 @@ use sqlcheck_parser::arena::{ExprArena, ExprId, ExprRange};
 use sqlcheck_parser::ast::*;
 use sqlcheck_parser::render::ToSql;
 use sqlcheck_parser::IStr;
+use std::cell::OnceCell;
+use std::collections::HashMap;
 
 fn statement_at<'c>(d: &Detection, ctx: &'c Context) -> Option<&'c ParsedStatement> {
     d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.parsed.as_ref())
@@ -217,7 +219,7 @@ pub fn distinct_join(d: &Detection, ctx: &Context) -> Option<Fix> {
 
 /// Enumerated Types (Fig 5): introduce a lookup table and re-point the
 /// column at it.
-pub fn enumerated_types(d: &Detection, ctx: &Context) -> Option<Fix> {
+pub fn enumerated_types(d: &Detection, ctx: &Context, impacts: &ImpactIndex<'_>) -> Option<Fix> {
     // Identify (table, column, values) from the locus or the statement.
     let (table, column, values) = enum_site(d, ctx)?;
     let lookup = format!("{}_{}", table, column);
@@ -240,7 +242,11 @@ pub fn enumerated_types(d: &Detection, ctx: &Context) -> Option<Fix> {
         "-- backfill: UPDATE {table} SET {column}_ID = (SELECT {column}_ID FROM {lookup} WHERE {column}_Name = {table}.{column})"
     ));
     statements.push(format!("ALTER TABLE {table} DROP COLUMN {column}"));
-    let impacted = impacted_statements(ctx, &table, &column);
+    let impacted = impacts
+        .impacted(&table, &column)
+        .into_iter()
+        .map(|i| (i, ctx.statements[i].parsed.text()))
+        .collect();
     Some(Fix::SchemaChange { statements, impacted_queries: impacted })
 }
 
@@ -317,7 +323,11 @@ fn enum_site(d: &Detection, ctx: &Context) -> Option<(String, String, Vec<String
 
 /// Multi-Valued Attribute (§2.1.1 / §6): create the intersection table,
 /// drop the list column, and rewrite impacted queries as index joins.
-pub fn multi_valued_attribute(d: &Detection, ctx: &Context) -> Option<Fix> {
+pub fn multi_valued_attribute(
+    d: &Detection,
+    ctx: &Context,
+    impacts: &ImpactIndex<'_>,
+) -> Option<Fix> {
     let (table, column) = mva_site(d, ctx)?;
     // Guess the referenced entity from the column name: `User_IDs` → Users.
     let stem = column
@@ -343,9 +353,10 @@ pub fn multi_valued_attribute(d: &Detection, ctx: &Context) -> Option<Fix> {
         format!("-- backfill {intersection} by splitting {table}.{column}"),
         format!("ALTER TABLE {table} DROP COLUMN {column}"),
     ];
-    let impacted = impacted_statements(ctx, &table, &column)
+    let impacted = impacts
+        .impacted(&table, &column)
         .into_iter()
-        .map(|(idx, _orig)| {
+        .map(|idx| {
             (
                 idx,
                 format!(
@@ -466,9 +477,110 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
     }
 }
 
-/// Statements whose annotations reference `table.column` — the paper's
-/// `GetImpactedQueries`.
-fn impacted_statements(ctx: &Context, table: &str, column: &str) -> Vec<(usize, String)> {
+/// The paper's `GetImpactedQueries` as a lookup: posting lists from a
+/// lowercased table name and from a lowercased column name (from the
+/// annotations' column references and WHERE predicates) to the ascending
+/// indexes of the statements that mention them. A statement is impacted
+/// by a change to `table.column` when it is in both lists; comparing
+/// lowercased names is the ASCII case-insensitive match of a scan.
+///
+/// The lists are built on the first lookup, in one pass over the
+/// context's statements, so a fix run without Enumerated Types or
+/// Multi-Valued Attribute schema fixes never pays for them. One index
+/// serves every lookup against its context.
+#[derive(Debug)]
+pub struct ImpactIndex<'c> {
+    ctx: &'c Context,
+    postings: OnceCell<Postings>,
+}
+
+/// Lowercased name → ascending statement indexes.
+type PostingList = HashMap<String, Vec<usize>>;
+
+#[derive(Debug, Default)]
+struct Postings {
+    tables: PostingList,
+    columns: PostingList,
+}
+
+impl<'c> ImpactIndex<'c> {
+    /// An index over `ctx`'s statements; nothing is built until the
+    /// first [`ImpactIndex::impacted`] call.
+    pub fn new(ctx: &'c Context) -> Self {
+        ImpactIndex { ctx, postings: OnceCell::new() }
+    }
+
+    /// Ascending indexes of the statements that reference `table` and
+    /// `column` (ASCII case-insensitive).
+    pub fn impacted(&self, table: &str, column: &str) -> Vec<usize> {
+        let p = self.postings.get_or_init(|| Postings::build(self.ctx));
+        intersect(lookup(&p.tables, table), lookup(&p.columns, column))
+    }
+}
+
+impl Postings {
+    fn build(ctx: &Context) -> Self {
+        let mut p = Postings::default();
+        let mut key = String::new();
+        for (i, s) in ctx.statements.iter().enumerate() {
+            for t in &s.ann.tables {
+                post(&mut p.tables, &mut key, t, i);
+            }
+            let columns = s.ann.columns.iter().map(|c| &c.column);
+            for c in columns.chain(s.ann.predicates.iter().map(|p| &p.column)) {
+                post(&mut p.columns, &mut key, c, i);
+            }
+        }
+        p
+    }
+}
+
+/// `name`'s list, empty when no statement mentions it.
+fn lookup<'p>(list: &'p PostingList, name: &str) -> &'p [usize] {
+    list.get(&name.to_ascii_lowercase()).map_or(&[], Vec::as_slice)
+}
+
+/// Append statement `i` to `name`'s list. Statements arrive in ascending
+/// order, so a repeat within one statement is the list's last entry.
+fn post(list: &mut PostingList, key: &mut String, name: &str, i: usize) {
+    key.clear();
+    key.push_str(name);
+    key.make_ascii_lowercase();
+    match list.get_mut(key.as_str()) {
+        Some(v) if v.last() == Some(&i) => {}
+        Some(v) => v.push(i),
+        None => {
+            list.insert(key.clone(), vec![i]);
+        }
+    }
+}
+
+/// Intersect two ascending lists by walking the shorter one and
+/// binary-searching the rest of the longer one. A common column name's
+/// list spans the whole workload while a table's stays small, so a lookup
+/// costs O(short · log long) rather than the O(long) of a merge.
+fn intersect(a: &[usize], b: &[usize]) -> Vec<usize> {
+    let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    short
+        .iter()
+        .filter(|&&i| match long.binary_search(&i) {
+            Ok(k) => {
+                long = &long[k + 1..];
+                true
+            }
+            Err(k) => {
+                long = &long[k..];
+                false
+            }
+        })
+        .copied()
+        .collect()
+}
+
+/// Test oracle for [`ImpactIndex::impacted`]: the linear scan over every
+/// statement that the index replaces.
+#[cfg(test)]
+fn impacted_statements(ctx: &Context, table: &str, column: &str) -> Vec<usize> {
     ctx.statements
         .iter()
         .enumerate()
@@ -486,7 +598,7 @@ fn impacted_statements(ctx: &Context, table: &str, column: &str) -> Vec<(usize, 
                     .any(|p| p.column.eq_ignore_ascii_case(column));
             touches_table && touches_col
         })
-        .map(|(i, s)| (i, s.parsed.text()))
+        .map(|(i, _)| i)
         .collect()
 }
 
@@ -498,6 +610,7 @@ mod tests {
     use crate::context::ContextBuilder;
     use crate::detect::Detector;
     use crate::fix::FixEngine;
+    use sqlcheck_parser::annotate::ColumnRole;
 
     fn fix_for(sql: &str, kind: AntiPatternKind) -> Fix {
         let ctx = ContextBuilder::new().add_script(sql).build();
@@ -634,6 +747,113 @@ mod tests {
         );
         let Fix::SchemaChange { statements, .. } = f else { panic!("{f:?}") };
         assert_eq!(statements[0], "DROP INDEX ia");
+    }
+
+    /// Deterministic splitmix64 stream for the randomized oracle test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
+            xs[self.below(xs.len())]
+        }
+
+        /// `name` with each ASCII letter's case flipped at random.
+        fn case(&mut self, name: &str) -> String {
+            name.chars()
+                .map(|c| if self.below(2) == 0 { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
+                .collect()
+        }
+    }
+
+    const TABLES: [&str; 4] = ["Users", "orders", "TENANTS", "audit_Log"];
+    const COLUMNS: [&str; 6] = ["Id", "name", "User_IDs", "role", "ZONE", "Größe"];
+
+    /// One random statement. Shapes cover a column seen only in a WHERE
+    /// predicate, tables touched without the column, joins, writes, and
+    /// trigger bodies; `prior` supplies duplicate texts.
+    fn random_statement(rng: &mut Rng, n: usize, prior: &[String]) -> String {
+        let t = rng.pick(&TABLES);
+        let t2 = rng.pick(&TABLES);
+        let c = rng.pick(&COLUMNS);
+        let c2 = rng.pick(&COLUMNS);
+        let (t, t2, c, c2) = (rng.case(t), rng.case(t2), rng.case(c), rng.case(c2));
+        match rng.below(9) {
+            0 => format!("SELECT {c}, {c2} FROM {t} WHERE {c2} = 1"),
+            1 => format!("SELECT * FROM {t} WHERE {c} LIKE '%x%'"),
+            2 => format!("INSERT INTO {t} ({c}, {c2}) VALUES (1, 2)"),
+            3 => format!("UPDATE {t} SET {c} = 1 WHERE {c2} > 3"),
+            4 => format!("SELECT a.{c} FROM {t} a JOIN {t2} b ON a.{c} = b.{c2}"),
+            5 => format!(
+                "CREATE TRIGGER trg{n} AFTER INSERT ON {t} FOR EACH ROW BEGIN \
+                 UPDATE {t2} SET {c} = 0 WHERE {c2} = 1; END"
+            ),
+            6 => format!("DELETE FROM {t} WHERE {c} IS NULL"),
+            7 => format!("SELECT COUNT(*) FROM {t}"),
+            _ => match prior.len() {
+                0 => format!("SELECT {c} FROM {t}"),
+                len => prior[rng.below(len)].clone(),
+            },
+        }
+    }
+
+    #[test]
+    fn impact_index_matches_linear_scan_oracle() {
+        let mut rng = Rng(0x1A9AC7);
+        let mut nonempty = 0;
+        for _ in 0..24 {
+            let mut stmts: Vec<String> = Vec::new();
+            for n in 0..60 {
+                let s = random_statement(&mut rng, n, &stmts);
+                stmts.push(s);
+            }
+            let mut ctx = ContextBuilder::new().add_script(&stmts.join(";\n")).build();
+            // The parser records WHERE columns as both column references
+            // and predicates; drop the references from some statements so
+            // their WHERE columns are seen only as predicates.
+            for s in &mut ctx.statements {
+                if rng.below(3) == 0 {
+                    std::sync::Arc::make_mut(&mut s.ann)
+                        .columns
+                        .retain(|c| c.role != ColumnRole::Filtered);
+                }
+            }
+            let index = ImpactIndex::new(&ctx);
+            let tables = TABLES.iter().chain(&["nosuch_table", "Users_x"]);
+            for table in tables {
+                for column in COLUMNS.iter().chain(&["nosuch_col", "I"]) {
+                    for (t, c) in [
+                        (table.to_string(), column.to_string()),
+                        (rng.case(table), rng.case(column)),
+                    ] {
+                        let want = impacted_statements(&ctx, &t, &c);
+                        assert_eq!(index.impacted(&t, &c), want, "{t}.{c}");
+                        nonempty += usize::from(!want.is_empty());
+                    }
+                }
+            }
+        }
+        assert!(nonempty > 100, "the scripts must produce impacted statements ({nonempty})");
+    }
+
+    #[test]
+    fn impact_index_is_built_on_first_lookup() {
+        let ctx = ContextBuilder::new().add_script("SELECT a FROM t WHERE b = 1").build();
+        let index = ImpactIndex::new(&ctx);
+        assert!(index.postings.get().is_none());
+        assert_eq!(index.impacted("T", "B"), vec![0]);
+        assert!(index.postings.get().is_some());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `sqlcheck` binary: exit codes, stdin input,
-//! command-line validation, and agreement of the default listing with the
-//! batch-engine listings (`--stats`, `--cache`).
+//! command-line validation, agreement of the default listing with the
+//! batch-engine listings (`--stats`, `--cache`) and with `--no-fix`, and
+//! output write errors.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -21,6 +22,14 @@ const FIXTURE: &str = "CREATE TABLE users (id INT, name TEXT, tags TEXT, price F
                        CREATE TRIGGER trg AFTER INSERT ON orders FOR EACH ROW BEGIN \
                        INSERT INTO users VALUES (2, 'b', 't3', 2.5); END;\n\
                        SELECT * FROM users WHERE name LIKE '%a%';\n";
+
+/// Schema fixes with impacted queries: an Enumerated Types CHECK and a
+/// Multi-Valued Attribute id list, each referenced by later queries.
+const SCHEMA_FIXTURE: &str = "CREATE TABLE Tenants (Tenant_ID TEXT PRIMARY KEY, User_IDs TEXT, \
+                              Role VARCHAR(5), CHECK (Role IN ('R1','R2')));\n\
+                              SELECT * FROM Tenants WHERE User_IDs LIKE '[[:<:]]U1[[:>:]]';\n\
+                              SELECT Tenant_ID FROM Tenants WHERE Role = 'R1';\n\
+                              UPDATE Tenants SET Role = 'R2' WHERE Tenant_ID = 'T1';\n";
 
 fn sqlcheck(args: &[&str], stdin: Option<&str>) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sqlcheck"))
@@ -126,4 +135,45 @@ fn default_listing_matches_stats_and_cache_listings() {
     assert!(err.contains("stats: parse coverage"), "{err}");
     assert!(!err.contains("thread"), "{err}");
     std::fs::remove_file(&path).expect("remove fixture");
+}
+
+#[test]
+fn no_fix_listing_is_the_default_listing_without_fix_lines() {
+    for (name, sql) in [("nofix", FIXTURE), ("nofix-schema", SCHEMA_FIXTURE)] {
+        let path = fixture_file(name, sql);
+        let file = path.to_str().expect("utf-8 path");
+        let default = sqlcheck(&[file], None);
+        let no_fix = sqlcheck(&["--no-fix", file], None);
+        assert_eq!(code(&default), 1);
+        assert_eq!(code(&no_fix), 1);
+        let default = String::from_utf8(default.stdout).expect("utf-8 listing");
+        let fix_line = |l: &&str| {
+            ["     fix: ", "     advice: ", "     impacted #"].iter().any(|p| l.starts_with(p))
+        };
+        assert!(default.lines().any(|l| fix_line(&l)), "{name}: no fix lines\n{default}");
+        let stripped: String =
+            default.lines().filter(|l| !fix_line(l)).map(|l| format!("{l}\n")).collect();
+        assert_eq!(String::from_utf8_lossy(&no_fix.stdout), stripped, "{name}");
+        std::fs::remove_file(&path).expect("remove fixture");
+    }
+    // The schema fixture must exercise the impacted-query lines too.
+    let out = sqlcheck(&["-"], Some(SCHEMA_FIXTURE));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("     impacted #"));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn write_error_exits_2_with_a_message() {
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").expect("open /dev/full");
+    let out = Command::new(env!("CARGO_BIN_EXE_sqlcheck"))
+        .arg("-")
+        .stdin(Stdio::null())
+        .stdout(full)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run sqlcheck");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "{err}");
+    assert!(err.starts_with("sqlcheck: cannot write output"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
 }
