@@ -19,7 +19,8 @@
 //! expdriver split          # fused streaming splitter vs legacy two-pass
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
-//! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N
+//! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N, and
+//!                          # (count-allocs) ≤ 10k allocations fixing plain 100k
 //! ```
 //!
 //! `--quick` shrinks scales for a fast smoke run.
@@ -86,6 +87,26 @@ fn main() {
             fix_scaling::CEILING
         );
         println!("gate ok: 10x the corpus costs {ratio:.1}x the fix time (ceiling {}x)", fix_scaling::CEILING);
+        // Allocation gate: fix synthesis once per unique text keeps the
+        // plain shape's fix pass near its 100 unique texts' worth of
+        // allocations (needs the count-allocs build).
+        match fix_scaling::plain_fix_allocs() {
+            Some(row) => {
+                println!(
+                    "plain 100k: {} fixes, {} allocations in fix_all (ceiling {})",
+                    row.fixes,
+                    row.allocs,
+                    fix_scaling::ALLOC_CEILING
+                );
+                assert!(
+                    row.allocs <= fix_scaling::ALLOC_CEILING,
+                    "fix_all made {} allocations on the plain shape (ceiling {})",
+                    row.allocs,
+                    fix_scaling::ALLOC_CEILING
+                );
+            }
+            None => println!("allocation gate skipped (build with --features count-allocs)"),
+        }
         return;
     }
 

@@ -11,9 +11,17 @@
 //! interleaved runs, so it holds on a shared runner where absolute
 //! timings do not.
 //!
+//! Built with the `count-allocs` feature, the experiment also counts the
+//! allocations of one fix pass over the plain 100k-statement,
+//! 100-template shape: fixes are synthesised once per unique statement
+//! text, so that count stays near the number of unique texts instead of
+//! growing with the ~75k fixes. [`ALLOC_CEILING`] bounds it.
+//!
 //! [`CheckOutcome::ranked`]: sqlcheck::CheckOutcome::ranked
 //! [`CheckOutcome::fixes`]: sqlcheck::CheckOutcome::fixes
 
+use crate::alloc_count::{alloc_count, COUNTING};
+use crate::experiments::throughput::script_for_shape;
 use crate::harness::Sample;
 use sqlcheck::{BatchOptions, CheckOutcome, Detection, Fix, FixEngine, SqlCheck};
 use sqlcheck_workload::github::{generate_corpus, CorpusConfig, Repository};
@@ -105,6 +113,35 @@ pub fn run(quick: bool) -> [ScalingRow; 2] {
     }
     let [small, large] = obs.map(Sample::of);
     [sizes[0].row(small), sizes[1].row(large)]
+}
+
+/// Most allocations one fix pass over the plain shape may make. Shared
+/// per-text synthesis measures ~1k; synthesis per occurrence ~900k.
+pub const ALLOC_CEILING: u64 = 10_000;
+
+/// Allocation count of one fix pass.
+#[derive(Debug, Clone, Copy)]
+pub struct AllocRow {
+    /// Fixes synthesised.
+    pub fixes: usize,
+    /// Heap allocations (and reallocations) inside [`FixEngine::fix_all`].
+    pub allocs: u64,
+}
+
+/// Check and rank the plain shape (100k statements, 100 templates), then
+/// count the allocations of [`FixEngine::fix_all`] over the ranked
+/// detections. `None` unless built with the `count-allocs` feature.
+pub fn plain_fix_allocs() -> Option<AllocRow> {
+    if !COUNTING {
+        return None;
+    }
+    let script = script_for_shape("plain", 100_000, 100, 0x5EED);
+    let outcome = SqlCheck::new().check_workload(&script, &BatchOptions::default()).outcome;
+    let ranked = outcome.ranked();
+    let before = alloc_count();
+    let fixes = FixEngine.fix_all(ranked.iter().map(|r| &r.detection), &outcome.context);
+    let allocs = alloc_count() - before;
+    Some(AllocRow { fixes: fixes.len(), allocs })
 }
 
 /// Timed fix runs per size.

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or input error (unknown flag,
-//! missing flag value, unknown dialect, unreadable input), 3 degraded
+//! missing or unknown flag value, unreadable input), 3 degraded
 //! input under `--fail-on-degraded`.
 //!
 //! Note on `--cache`: the cache pays off across *repeated*
@@ -57,14 +57,26 @@ const SWITCHES: [&str; 8] = [
 /// Flags that take the next argument as their value.
 const VALUED: [&str; 3] = ["--weights", "--rank-by", "--dialect"];
 
+/// The settings of the valued flags; `None` where a flag is absent. A
+/// repeated flag keeps its first value.
+#[derive(Default)]
+struct Values {
+    weights: Option<RankWeights>,
+    rank_by: Option<InterQueryModel>,
+    dialect: Option<Dialect>,
+}
+
 /// Check the command line — every flag known, every valued flag followed
-/// by a value, at most one input — and return the input, if any.
-fn validate(args: &[String]) -> Result<Option<&str>, String> {
+/// by a known value, at most one input — and return the input, if any,
+/// with the valued flags' settings.
+fn validate(args: &[String]) -> Result<(Option<&str>, Values), String> {
     let mut input: Option<&str> = None;
+    let mut values = Values::default();
     let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
         if VALUED.contains(&a) {
-            it.next().ok_or_else(|| format!("{a} expects a value"))?;
+            let v = it.next().ok_or_else(|| format!("{a} expects a value"))?;
+            set_value(&mut values, a, v)?;
         } else if a.starts_with('-') && a != "-" {
             if !SWITCHES.contains(&a) {
                 return Err(format!("unknown flag '{a}'"));
@@ -73,13 +85,43 @@ fn validate(args: &[String]) -> Result<Option<&str>, String> {
             return Err(format!("unexpected argument '{a}' (input is already '{first}')"));
         }
     }
-    Ok(input)
+    Ok((input, values))
+}
+
+/// Parse `value` for the valued flag `flag` into `values`.
+fn set_value(values: &mut Values, flag: &str, value: &str) -> Result<(), String> {
+    match flag {
+        "--weights" => {
+            let w = match value.to_ascii_lowercase().as_str() {
+                "c1" => RankWeights::C1,
+                "c2" => RankWeights::C2,
+                _ => return Err(format!("unknown weights '{value}' (expected c1 or c2)")),
+            };
+            values.weights.get_or_insert(w);
+        }
+        "--rank-by" => {
+            if value != "count" {
+                return Err(format!("unknown ranking model '{value}' (expected count)"));
+            }
+            values.rank_by.get_or_insert(InterQueryModel::ByApCount);
+        }
+        // --dialect, the last of VALUED.
+        _ => {
+            let d = Dialect::parse(value).ok_or_else(|| {
+                format!(
+                    "unknown dialect '{value}' (expected generic, postgres, mysql, or sqlite)"
+                )
+            })?;
+            values.dialect.get_or_insert(d);
+        }
+    }
+    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let input = match validate(&args) {
-        Ok(input) => input.unwrap_or("-"),
+    let (input, values) = match validate(&args) {
+        Ok((input, values)) => (input.unwrap_or("-"), values),
         Err(e) => {
             eprintln!("sqlcheck: {e}\n{USAGE}");
             std::process::exit(2);
@@ -98,32 +140,12 @@ fn main() {
     let stats = args.iter().any(|a| a == "--stats");
     let cache = args.iter().any(|a| a == "--cache");
     let fail_on_degraded = args.iter().any(|a| a == "--fail-on-degraded");
-    let weights = match arg_value(&args, "--weights").unwrap_or("c1").to_ascii_lowercase().as_str()
-    {
-        "c2" => RankWeights::C2,
-        _ => RankWeights::C1,
-    };
-    let inter_model = match arg_value(&args, "--rank-by") {
-        Some("count") => InterQueryModel::ByApCount,
-        _ => InterQueryModel::ByScore,
-    };
+    let weights = values.weights.unwrap_or(RankWeights::C1);
+    let inter_model = values.rank_by.unwrap_or(InterQueryModel::ByScore);
     // --dialect pins the front door; leaving it off opts into
     // auto-detection (an explicit choice always suppresses the guess).
-    let dialect_arg = arg_value(&args, "--dialect");
-    let dialect = match dialect_arg {
-        Some(name) => match Dialect::parse(name) {
-            Some(d) => d,
-            None => {
-                eprintln!(
-                    "sqlcheck: unknown dialect '{name}' (expected generic, postgres, \
-                     mysql, or sqlite)"
-                );
-                std::process::exit(2);
-            }
-        },
-        None => Dialect::Generic,
-    };
-    let detect_dialect = dialect_arg.is_none();
+    let dialect = values.dialect.unwrap_or(Dialect::Generic);
+    let detect_dialect = values.dialect.is_none();
 
     // Files are memory-mapped (Unix): the splitter reads the page cache
     // directly, so multi-GB dumps stream without a userspace copy.
@@ -163,7 +185,7 @@ fn main() {
         eprintln!(
             "stats: dialect {} ({})",
             resolved,
-            if dialect_arg.is_some() {
+            if !detect_dialect {
                 "explicit"
             } else if resolved == Dialect::Generic {
                 "default"
@@ -335,10 +357,6 @@ fn finish(degraded_exit: bool, found: bool) -> ! {
     } else {
         0
     })
-}
-
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
 /// One-line usage, printed with every command-line error.

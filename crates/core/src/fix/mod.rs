@@ -17,19 +17,29 @@
 pub mod textual;
 pub mod transforms;
 
+use crate::anti_pattern::AntiPatternKind;
 use crate::context::Context;
+use crate::hashutil::Prehashed;
 use crate::report::Detection;
+use std::collections::HashMap;
+use std::sync::Arc;
+pub use textual::Advice;
 use transforms::ImpactIndex;
 
 /// A suggested fix.
+///
+/// A statement-locus fix is a function of the statement text, its kind
+/// and the schema, so every occurrence of one text shares one body: the
+/// rewrite's `Arc<str>`s, or the advice body with only the statement
+/// index differing.
 #[derive(Debug, Clone)]
 pub enum Fix {
     /// The offending statement rewritten in place.
     Rewrite {
         /// The original statement text.
-        original: String,
+        original: Arc<str>,
         /// The repaired statement.
-        fixed: String,
+        fixed: Arc<str>,
     },
     /// A schema change: new/changed DDL plus every impacted query,
     /// rewritten (the paper's `GetImpactedQueries` closure).
@@ -41,8 +51,8 @@ pub enum Fix {
     },
     /// A context-tailored textual fix the developer applies manually.
     Textual {
-        /// The advice.
-        advice: String,
+        /// The advice; its `Display` names the occurrence's own site.
+        advice: Advice,
     },
 }
 
@@ -50,6 +60,15 @@ impl Fix {
     /// True when the fix is fully automatic (not textual).
     pub fn is_automatic(&self) -> bool {
         !matches!(self, Fix::Textual { .. })
+    }
+
+    /// This statement-locus fix for another occurrence of its text,
+    /// statement `index`.
+    fn at(&self, index: usize) -> Fix {
+        match self {
+            Fix::Textual { advice } => Fix::Textual { advice: advice.at(index) },
+            other => other.clone(),
+        }
     }
 }
 
@@ -74,19 +93,39 @@ impl FixEngine {
         self.fix_with(detection, ctx, &ImpactIndex::new(ctx))
     }
 
-    /// Suggest fixes for an ordered detection list (Algorithm 4's loop).
-    /// Every schema fix looks its impacted queries up in one lazily built
-    /// [`ImpactIndex`].
-    pub fn fix_all(&self, detections: &[Detection], ctx: &Context) -> Vec<SuggestedFix> {
+    /// Suggest fixes for an ordered detection list (Algorithm 4's loop),
+    /// equal to [`FixEngine::fix`] on each detection.
+    ///
+    /// A statement-locus fix is synthesised once per (statement text
+    /// hash, kind) and shared by every later occurrence of that text.
+    /// Enumerated Types and Multi-Valued Attribute fixes list impacted
+    /// queries from the whole context, so they stay per detection and
+    /// look those up in one lazily built [`ImpactIndex`]. The memo lives
+    /// for this call only.
+    pub fn fix_all<'d>(
+        &self,
+        detections: impl IntoIterator<Item = &'d Detection>,
+        ctx: &Context,
+    ) -> Vec<SuggestedFix> {
         let impacts = ImpactIndex::new(ctx);
+        let mut memo: HashMap<(u128, AntiPatternKind), Fix, Prehashed> = HashMap::default();
         detections
-            .iter()
-            .map(|d| SuggestedFix { detection: d.clone(), fix: self.fix_with(d, ctx, &impacts) })
+            .into_iter()
+            .map(|d| {
+                let fix = match memo_key(d, ctx) {
+                    Some((key, index)) => memo
+                        .entry(key)
+                        .or_insert_with(|| self.fix_with(d, ctx, &impacts))
+                        .at(index),
+                    None => self.fix_with(d, ctx, &impacts),
+                };
+                SuggestedFix { detection: d.clone(), fix }
+            })
             .collect()
     }
 
     fn fix_with(&self, detection: &Detection, ctx: &Context, impacts: &ImpactIndex<'_>) -> Fix {
-        use crate::anti_pattern::AntiPatternKind::*;
+        use AntiPatternKind::*;
         let transformed = match detection.kind {
             ImplicitColumns => transforms::implicit_columns(detection, ctx),
             ColumnWildcard => transforms::column_wildcard(detection, ctx),
@@ -106,12 +145,27 @@ impl FixEngine {
     }
 }
 
+/// The memo key of a detection whose fix depends only on its statement's
+/// text, with that statement's index; `None` for a fix that reads more
+/// of the context.
+fn memo_key(d: &Detection, ctx: &Context) -> Option<((u128, AntiPatternKind), usize)> {
+    use AntiPatternKind::*;
+    if matches!(d.kind, EnumeratedTypes | MultiValuedAttribute) {
+        return None;
+    }
+    let index = d.statement_index()?;
+    Some(((ctx.statements.get(index)?.text_hash, d.kind), index))
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::context::ContextBuilder;
     use crate::detect::Detector;
+    use crate::report::Locus;
+    use std::collections::HashSet;
+    use transforms::tests::{random_fix_statement, Rng, FIX_SCHEMA};
 
     #[test]
     fn every_detection_gets_some_fix() {
@@ -151,5 +205,99 @@ mod tests {
             }
         }
         assert!(impacted > 0, "the script must produce impacted queries");
+    }
+
+    /// The memoized `fix_all` must print exactly what per-detection
+    /// synthesis prints, on scripts with duplicate texts, rewrites and
+    /// their textual fallbacks, candidate-key advice and schema fixes.
+    #[test]
+    fn memoized_fix_all_matches_per_detection_fix() {
+        let mut rng = Rng(0xF1C5_3E30);
+        // (kind, fix variant) pairs seen, and memo hits on a text seen
+        // before at another index.
+        let mut seen: HashSet<(AntiPatternKind, &str)> = HashSet::new();
+        let (mut shared, mut natural_keys, mut impacted) = (0, 0, 0);
+        for _ in 0..16 {
+            let mut stmts: Vec<String> = FIX_SCHEMA.iter().map(|s| s.to_string()).collect();
+            for n in 0..60 {
+                let s = random_fix_statement(&mut rng, n, &stmts);
+                stmts.push(s);
+            }
+            let ctx = ContextBuilder::new().add_script(&stmts.join(";\n")).build();
+            let report = Detector::default().detect(&ctx);
+            let all = FixEngine.fix_all(&report.detections, &ctx);
+            assert_eq!(all.len(), report.detections.len());
+            let mut first_index: HashMap<(u128, AntiPatternKind), usize> = HashMap::new();
+            for (d, f) in report.detections.iter().zip(&all) {
+                assert_eq!(format!("{:?}", f.detection), format!("{d:?}"));
+                let one = FixEngine.fix(d, &ctx);
+                assert_eq!(format!("{:?}", f.fix), format!("{one:?}"), "{} @ {}", d.kind, d.locus);
+                let variant = match &f.fix {
+                    Fix::Rewrite { .. } => "rewrite",
+                    Fix::SchemaChange { impacted_queries, .. } => {
+                        impacted += impacted_queries.len();
+                        "schema"
+                    }
+                    Fix::Textual { advice } => {
+                        natural_keys += usize::from(
+                            d.kind == AntiPatternKind::NoPrimaryKey
+                                && advice.to_string().contains("looks like a natural key"),
+                        );
+                        "textual"
+                    }
+                };
+                seen.insert((d.kind, variant));
+                if let Locus::Statement { index } = d.locus {
+                    let key = (ctx.statements[index].text_hash, d.kind);
+                    shared += usize::from(*first_index.entry(key).or_insert(index) != index);
+                }
+            }
+        }
+        use AntiPatternKind::*;
+        for want in [
+            (ImplicitColumns, "rewrite"),
+            (ImplicitColumns, "textual"),
+            (ColumnWildcard, "rewrite"),
+            (ColumnWildcard, "textual"),
+            (EnumeratedTypes, "schema"),
+            (MultiValuedAttribute, "schema"),
+        ] {
+            assert!(seen.contains(&want), "{want:?} never synthesised: {seen:?}");
+        }
+        assert!(natural_keys > 0, "No Primary Key advice must name a candidate key");
+        assert!(impacted > 0, "schema fixes must list impacted queries");
+        assert!(shared > 100, "duplicate texts must share memoized fixes ({shared})");
+    }
+
+    /// Two occurrences of one text share an advice body, and each prints
+    /// its own statement index.
+    #[test]
+    fn shared_advice_names_each_occurrence() {
+        let sql = "SELECT * FROM mystery; SELECT a FROM t; SELECT * FROM mystery";
+        let ctx = ContextBuilder::new().add_script(sql).build();
+        let report = Detector::default().detect(&ctx);
+        let wildcard: Vec<Detection> = report
+            .detections
+            .into_iter()
+            .filter(|d| d.kind == AntiPatternKind::ColumnWildcard)
+            .collect();
+        let fixes = FixEngine.fix_all(&wildcard, &ctx);
+        let advice: Vec<String> = fixes
+            .iter()
+            .map(|f| match &f.fix {
+                Fix::Textual { advice } => {
+                    assert_eq!(format!("{advice:?}"), format!("{:?}", advice.to_string()));
+                    advice.to_string()
+                }
+                other => panic!("an unknown table has no rewrite: {other:?}"),
+            })
+            .collect();
+        let text = |i: usize| {
+            format!(
+                "List the needed columns explicitly in statement #{i}; SELECT * couples the \
+                 application to the physical column order and fetches unused data."
+            )
+        };
+        assert_eq!(advice, vec![text(0), text(2)]);
     }
 }

@@ -4,12 +4,75 @@
 use crate::anti_pattern::AntiPatternKind;
 use crate::context::Context;
 use crate::report::{Detection, Locus};
+use std::fmt;
+use std::sync::Arc;
+
+/// Textual advice: a body shared by every occurrence of one statement
+/// text, plus the occurrence's own `statement #N` site, spliced in when
+/// the advice is displayed. Advice for a table, column, index or
+/// application locus names its site in the body itself.
+#[derive(Clone)]
+pub struct Advice {
+    body: Arc<str>,
+    /// `(byte offset into body, statement index)` of the spliced
+    /// `statement #N`; `None` when the body is complete.
+    site: Option<(usize, usize)>,
+}
+
+impl Advice {
+    /// True when the advice has no text.
+    pub fn is_empty(&self) -> bool {
+        self.body.is_empty() && self.site.is_none()
+    }
+
+    /// The same advice for another occurrence of its statement text:
+    /// shares the body and splices statement `index` instead.
+    pub(crate) fn at(&self, index: usize) -> Advice {
+        Advice { body: self.body.clone(), site: self.site.map(|(at, _)| (at, index)) }
+    }
+}
+
+impl fmt::Display for Advice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.site {
+            None => f.write_str(&self.body),
+            Some((at, index)) => {
+                write!(f, "{}statement #{index}{}", &self.body[..at], &self.body[at..])
+            }
+        }
+    }
+}
+
+/// The `Debug` of the displayed text, as if the advice were a `String`.
+impl fmt::Debug for Advice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+/// Stands in for a statement site while a body is rendered. Every
+/// template names its site before any other interpolated text, so the
+/// first match is the site.
+const SITE: &str = "\0";
 
 /// Produce the textual fix for a detection, weaving in the locus so the
-/// advice is tailored to the application rather than generic.
-pub fn advice(d: &Detection, ctx: &Context) -> String {
+/// advice is tailored to the application rather than generic. A
+/// statement-locus body is rendered with its site marked, so every
+/// occurrence of the same text can share it.
+pub fn advice(d: &Detection, ctx: &Context) -> Advice {
+    if let Locus::Statement { index } = d.locus {
+        let mut text = body(d, ctx, SITE);
+        if let Some(at) = text.find(SITE) {
+            text.replace_range(at..at + SITE.len(), "");
+            return Advice { body: text.into(), site: Some((at, index)) };
+        }
+    }
+    Advice { body: body(d, ctx, &d.locus.to_string()).into(), site: None }
+}
+
+/// The advice text for `d`'s kind, naming its site as `site`.
+fn body(d: &Detection, ctx: &Context, site: &str) -> String {
     use AntiPatternKind::*;
-    let site = site_name(d);
     match d.kind {
         MultiValuedAttribute => format!(
             "Replace the delimiter-separated list in {site} with an intersection table \
@@ -125,13 +188,6 @@ pub fn advice(d: &Detection, ctx: &Context) -> String {
     }
 }
 
-fn site_name(d: &Detection) -> String {
-    match &d.locus {
-        Locus::Statement { index } => format!("statement #{index}"),
-        other => other.to_string(),
-    }
-}
-
 /// For No Primary Key advice: a unique-looking id column, if one exists.
 fn pk_candidate(d: &Detection, ctx: &Context) -> Option<String> {
     let table = match &d.locus {
@@ -169,7 +225,7 @@ mod tests {
             .iter()
             .find(|d| d.kind == AntiPatternKind::NoPrimaryKey)
             .unwrap();
-        let a = advice(d, &ctx);
+        let a = advice(d, &ctx).to_string();
         assert!(a.contains("statement #0"));
         assert!(a.contains("tenant_id"), "candidate key surfaced: {a}");
     }

@@ -36,7 +36,8 @@ pub fn implicit_columns(d: &Detection, ctx: &Context) -> Option<Fix> {
     }
     let mut fixed = ins.clone();
     fixed.columns = table.columns.iter().map(|c| c.name.clone()).collect();
-    Some(Fix::Rewrite { original: parsed.text(), fixed: fixed.to_sql(&parsed.arena) })
+    let fixed = fixed.to_sql(&parsed.arena).into();
+    Some(Fix::Rewrite { original: parsed.text().into(), fixed })
 }
 
 /// Column Wildcard: expand `*` to the explicit column list when every
@@ -59,7 +60,7 @@ pub fn column_wildcard(d: &Detection, ctx: &Context) -> Option<Fix> {
         }
     }
     fixed.items = new_items;
-    Some(Fix::Rewrite { original: parsed.text(), fixed: fixed.to_sql(&arena) })
+    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
 }
 
 fn expand_wildcard(
@@ -120,7 +121,7 @@ pub fn concatenate_nulls(d: &Detection, ctx: &Context) -> Option<Fix> {
     if !changed {
         return None;
     }
-    Some(Fix::Rewrite { original: parsed.text(), fixed: fixed.to_sql(&arena) })
+    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
 }
 
 fn rewrite_concat(arena: &mut ExprArena, id: ExprId, changed: &mut bool) -> ExprId {
@@ -214,7 +215,7 @@ pub fn distinct_join(d: &Detection, ctx: &Context) -> Option<Fix> {
         Some(w) => arena.alloc(Expr::Binary { left: w, op: "AND".into(), right: exists }),
         None => exists,
     });
-    Some(Fix::Rewrite { original: parsed.text(), fixed: fixed.to_sql(&arena) })
+    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
 }
 
 /// Enumerated Types (Fig 5): introduce a lookup table and re-point the
@@ -471,7 +472,10 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
                     }
                 }
             }
-            changed.then(|| Fix::Rewrite { original: parsed.text(), fixed: fixed.to_sql(&parsed.arena) })
+            changed.then(|| Fix::Rewrite {
+                original: parsed.text().into(),
+                fixed: fixed.to_sql(&parsed.arena).into(),
+            })
         }
         _ => None,
     }
@@ -604,7 +608,7 @@ fn impacted_statements(ctx: &Context, table: &str, column: &str) -> Vec<usize> {
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::anti_pattern::AntiPatternKind;
     use crate::context::ContextBuilder;
@@ -749,8 +753,8 @@ mod tests {
         assert_eq!(statements[0], "DROP INDEX ia");
     }
 
-    /// Deterministic splitmix64 stream for the randomized oracle test.
-    struct Rng(u64);
+    /// Deterministic splitmix64 stream for the randomized oracle tests.
+    pub(in crate::fix) struct Rng(pub(in crate::fix) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -783,7 +787,7 @@ mod tests {
     /// One random statement. Shapes cover a column seen only in a WHERE
     /// predicate, tables touched without the column, joins, writes, and
     /// trigger bodies; `prior` supplies duplicate texts.
-    fn random_statement(rng: &mut Rng, n: usize, prior: &[String]) -> String {
+    pub(in crate::fix) fn random_statement(rng: &mut Rng, n: usize, prior: &[String]) -> String {
         let t = rng.pick(&TABLES);
         let t2 = rng.pick(&TABLES);
         let c = rng.pick(&COLUMNS);
@@ -805,6 +809,39 @@ mod tests {
                 0 => format!("SELECT {c} FROM {t}"),
                 len => prior[rng.below(len)].clone(),
             },
+        }
+    }
+
+    /// A schema over [`TABLES`] for fix synthesis: `Users` has two
+    /// columns, so a two-value INSERT and `SELECT *` rewrite; `orders` has
+    /// three, so the INSERT falls back to advice; `TENANTS` carries an
+    /// Enumerated Types CHECK and a Multi-Valued Attribute id list;
+    /// `audit_Log` has no primary key but a candidate key column.
+    pub(in crate::fix) const FIX_SCHEMA: [&str; 4] = [
+        "CREATE TABLE Users (Id INT PRIMARY KEY, name TEXT)",
+        "CREATE TABLE orders (Id INT PRIMARY KEY, name TEXT, ZONE TEXT)",
+        "CREATE TABLE TENANTS (Tenant_ID TEXT PRIMARY KEY, User_IDs TEXT, role VARCHAR(5), \
+         CHECK (role IN ('R1','R2')))",
+        "CREATE TABLE audit_Log (log_id INT, note TEXT)",
+    ];
+
+    /// One random statement for fix synthesis over [`FIX_SCHEMA`]: adds
+    /// implicit-column INSERTs into every table, `SELECT *` over a known
+    /// and an unknown table, and No Primary Key DDL to the
+    /// [`random_statement`] shapes.
+    pub(in crate::fix) fn random_fix_statement(
+        rng: &mut Rng,
+        n: usize,
+        prior: &[String],
+    ) -> String {
+        let t = rng.pick(&TABLES);
+        let t = rng.case(t);
+        match rng.below(6) {
+            0 => format!("INSERT INTO {t} VALUES ({n}, 'x')"),
+            1 => format!("SELECT * FROM {t} WHERE Id = {}", rng.below(3)),
+            2 => format!("SELECT * FROM mystery{} ORDER BY RAND()", rng.below(2)),
+            3 => format!("CREATE TABLE audit_{n} (audit_id INT, note TEXT)"),
+            _ => random_statement(rng, n, prior),
         }
     }
 

@@ -187,11 +187,14 @@ impl CheckOutcome {
 
     /// One suggested fix per ranked detection, in rank order. Computed
     /// on first access (forcing the ranking too) and memoized.
+    ///
+    /// Each statement-locus fix is synthesised once per unique statement
+    /// text and kind ([`FixEngine::fix_all`]); its occurrences share one
+    /// [`Fix`] body (`Arc<str>` rewrites, shared [`fix::Advice`] text),
+    /// and each carries its own detection and statement index.
     pub fn fixes(&self) -> &[SuggestedFix] {
         self.fixes.get_or_init(|| {
-            let ordered: Vec<Detection> =
-                self.ranked().iter().map(|r| r.detection.clone()).collect();
-            FixEngine.fix_all(&ordered, &self.context)
+            FixEngine.fix_all(self.ranked().iter().map(|r| &r.detection), &self.context)
         })
     }
 

@@ -97,6 +97,31 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn unknown_flag_values_exit_2_with_usage() {
+    for (args, needle) in [
+        (&["--weights", "c3", "-"][..], "unknown weights 'c3'"),
+        (&["--rank-by", "foo", "-"][..], "unknown ranking model 'foo'"),
+        (&["--dialect", "oracle", "-"][..], "unknown dialect 'oracle'"),
+        (&["--weights", "c2", "--rank-by", "score", "-"][..], "unknown ranking model 'score'"),
+    ] {
+        let out = sqlcheck(args, Some(CLEAN));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing is checked");
+        let lines: Vec<&str> = err.lines().collect();
+        assert_eq!(lines.len(), 2, "{args:?}: one message line plus usage: {err}");
+        assert!(lines[0].starts_with("sqlcheck: "), "{args:?}: {err}");
+        assert!(lines[0].contains(needle), "{args:?}: {err}");
+        assert!(lines[1].starts_with("usage: sqlcheck"), "{args:?}: {err}");
+    }
+    // The known values still run the check.
+    for args in [&["--weights", "C2", "-"][..], &["--rank-by", "count", "-"][..]] {
+        let out = sqlcheck(args, Some("INSERT INTO Users VALUES (1, 'foo')"));
+        assert_eq!(code(&out), 1, "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
 fn unreadable_file_exits_2() {
     let missing = std::env::temp_dir().join("sqlcheck-cli-does-not-exist.sql");
     let out = sqlcheck(&[missing.to_str().expect("utf-8 path")], None);

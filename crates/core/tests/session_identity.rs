@@ -322,6 +322,56 @@ fn database_backed_session_matches_cold() {
     assert_eq!(session.fallbacks(), 0);
 }
 
+/// An `ALTER TABLE ... ADD COLUMN` edit changes the arity of `t`, which
+/// turns the Implicit Columns rewrite of every `INSERT INTO t VALUES`
+/// occurrence into textual advice; reverting the edit turns it back.
+/// After each re-check the warm fixes must equal a cold check's, so fix
+/// synthesis may not reuse bodies from before the schema changed.
+#[test]
+fn ddl_edit_flips_implicit_columns_fix_and_back() {
+    let script = "CREATE TABLE t (a INT, b INT);\n\
+                  SELECT a FROM t WHERE b = 1;\n\
+                  INSERT INTO t VALUES (1, 2);\n\
+                  SELECT a FROM t WHERE b = 1;\n\
+                  INSERT INTO t VALUES (1, 2);\n";
+    let opts = BatchOptions::default();
+    // (statement index, is a rewrite) of each Implicit Columns fix.
+    let insert_fixes = |w: &WorkloadOutcome| -> Vec<(usize, bool)> {
+        let mut v: Vec<(usize, bool)> = w
+            .outcome
+            .fixes()
+            .iter()
+            .filter(|f| f.detection.kind == sqlcheck::AntiPatternKind::ImplicitColumns)
+            .map(|f| {
+                let index = f.detection.statement_index().expect("statement locus");
+                (index, f.fix.is_automatic())
+            })
+            .collect();
+        v.sort();
+        v
+    };
+    for cached in [true, false] {
+        let mut session = tool(cached).into_session(script, opts.clone());
+        assert_eq!(insert_fixes(session.outcome()), [(2, true), (4, true)]);
+        for round in 0..4 {
+            let (edit, rewrite) = if round % 2 == 0 {
+                ("ALTER TABLE t ADD COLUMN c INT", false)
+            } else {
+                ("SELECT a FROM t WHERE b = 1", true)
+            };
+            session.recheck(&[Edit::new(1, edit)]);
+            let warm = insert_fixes(session.outcome());
+            assert_eq!(warm, [(2, rewrite), (4, rewrite)], "cached={cached} round={round}");
+            let cold = tool(cached).check_workload(session.script(), &opts);
+            assert_eq!(
+                fingerprint(session.outcome()),
+                fingerprint(&cold),
+                "cached={cached} round={round}"
+            );
+        }
+    }
+}
+
 /// Warm stats must attribute the work to the edit set, not the workload:
 /// dirty statements stay bounded by edits on the non-DDL path and the
 /// per-phase warm timers are populated.
