@@ -1,7 +1,7 @@
 //! `cargo bench --bench e2e` — the parse-once front-end and the
-//! incremental detection cache vs the legacy per-statement front-end
-//! (10k / 100k statements, 100 unique templates, 1% of statements edited
-//! for the warm re-check).
+//! incremental detection cache, checked against the per-occurrence
+//! reference context (10k / 100k statements, 100 unique templates, 1% of
+//! statements edited for the warm re-check).
 //!
 //! Prints the e2e table and writes the machine-readable results to
 //! `BENCH_e2e.json` at the workspace root.
@@ -22,7 +22,7 @@ fn main() {
     for r in &rows {
         assert!(
             r.identical,
-            "{} statements: pipeline/warm output diverged from the legacy front-end",
+            "{} statements: pipeline/warm output diverged from the reference",
             r.statements
         );
     }

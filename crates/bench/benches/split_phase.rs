@@ -1,6 +1,5 @@
-//! `cargo bench --bench split_phase` — the fused streaming splitter vs
-//! the legacy two-pass reference (10k / 100k statements, 100 unique
-//! templates).
+//! `cargo bench --bench split_phase` — the deduping splitter vs the
+//! two-pass reference (10k / 100k statements, 100 unique templates).
 //!
 //! Prints the split table and writes the machine-readable results to
 //! `BENCH_split.json` at the workspace root.
@@ -11,7 +10,7 @@ use std::path::Path;
 fn main() {
     let sizes = [10_000usize, 100_000];
     let templates = 100;
-    println!("fused split phase — {templates} templates, sizes {sizes:?}");
+    println!("split phase — {templates} templates, sizes {sizes:?}");
     let rows = split::run(&sizes, templates, 0x5117);
     print!("{}", split::render(&rows));
 

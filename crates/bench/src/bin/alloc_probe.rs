@@ -1,6 +1,6 @@
 //! Quick probe: allocations per unique-statement parse, by stage.
 use sqlcheck_bench::alloc_count::alloc_count;
-use sqlcheck_parser::{annotate, parse_one};
+use sqlcheck_parser::{annotate, parse_one, Dialect};
 
 fn main() {
     let stmts = [
@@ -12,13 +12,13 @@ fn main() {
     ];
     // warm up lazy tables
     for s in &stmts {
-        let _ = parse_one(s);
+        let _ = parse_one(s, Dialect::Generic);
     }
     for s in &stmts {
         let b0 = alloc_count();
-        let toks = sqlcheck_parser::lexer::tokenize(s);
+        let toks = sqlcheck_parser::lexer::tokenize(s, Dialect::Generic);
         let b1 = alloc_count();
-        let p = parse_one(s);
+        let p = parse_one(s, Dialect::Generic);
         let b2 = alloc_count();
         let ann = annotate(&p.stmt, &p.arena);
         let b3 = alloc_count();

@@ -16,7 +16,7 @@
 //! expdriver incremental    # warm re-check sweep: edit rates × shapes + DDL edit
 //! expdriver incremental-gate # CI gate: warm 1%-edit ≤ 0.35× cold pipeline
 //! expdriver phases         # per-phase timing of the three-phase pipeline
-//! expdriver split          # fused streaming splitter vs legacy two-pass
+//! expdriver split          # deduping splitter vs two-pass reference
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N, and
@@ -41,8 +41,8 @@ fn main() {
         // The CI ceiling on the delta-based warm re-check: the 1%-edit
         // warm recheck of a 100k-statement workload must come in at or
         // under 0.35× the cold pipeline, byte-identical to a cold check
-        // of the edited script. Pipeline + warm legs only — the legacy
-        // leg costs ~20x the pipeline and adds nothing to the ratio.
+        // of the edited script. No reference-context comparison — it
+        // costs ~20x the pipeline and adds nothing to the ratio.
         section("Incremental gate — warm 1%-edit re-check vs cold pipeline");
         let n = if quick { 2_000 } else { 100_000 };
         let r = e2e::run_gate("plain", n, 100, 10, 0xE2E0);
@@ -124,7 +124,7 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        section("Split — external script (fused vs legacy, byte-identity gated)");
+        section("Split — external script (deduped vs reference, byte-identity gated)");
         println!(
             "{} bytes from {path} ({})",
             script.len(),
@@ -222,7 +222,7 @@ fn main() {
         }
     }
     if run_all || what == "e2e" {
-        section("E2E — parse-once front-end + incremental cache vs legacy front-end");
+        section("E2E — parse-once front-end + incremental cache");
         let sizes: &[usize] = if quick { &[2_000] } else { &[10_000, 100_000] };
         // 1% of statements edited for the warm re-check.
         let rows = e2e::run(sizes, 100, 10, 0xE2E0);
@@ -298,11 +298,11 @@ fn main() {
         }
     }
     if run_all || what == "split" {
-        section("Split — fused streaming splitter vs legacy two-pass reference");
+        section("Split — deduping splitter vs two-pass reference");
         let sizes: &[usize] = if quick { &[2_000] } else { &[10_000, 100_000] };
         let rows = split::run(sizes, 100, 0x5117);
         print!("{}", split::render(&rows));
-        // `run` asserts the three configurations agree before timing;
+        // `run` asserts both configurations agree before timing;
         // reaching this point means the byte-identity gate passed.
         let path = "BENCH_split.json";
         match std::fs::write(path, split::to_json(&rows)) {
@@ -344,7 +344,7 @@ fn check_identity(rows: &[e2e::E2eRow]) {
     for r in rows {
         assert!(
             r.identical,
-            "{} statements / {} edited: pipeline or warm output diverged from legacy",
+            "{} statements / {} edited: pipeline or warm output diverged from reference",
             r.statements, r.edited
         );
     }

@@ -22,7 +22,7 @@
 //! degrades statements on real-shaped SQL fails the build instead of
 //! shipping as a quiet recall loss.
 
-use sqlcheck::{BatchOptions, DiagKind, Dialect, SqlCheck, WorkloadOutcome};
+use sqlcheck::{FrontendOptions, DiagKind, Dialect, SqlCheck, WorkloadOutcome};
 use sqlcheck_minidb::database::Database;
 use sqlcheck_workload::dialects::DialectCorpusConfig;
 use sqlcheck_workload::github::CorpusConfig;
@@ -182,7 +182,7 @@ fn check_one(row: &mut CorpusRow, script: &str, db: Option<Database>) {
     if let Some(db) = db {
         tool = tool.with_database(db);
     }
-    let opts = BatchOptions { dialect: row.dialect, ..BatchOptions::default() };
+    let opts = FrontendOptions { dialect: row.dialect, ..FrontendOptions::default() };
     let t = Instant::now();
     let w = tool.check_workload(script, &opts);
     row.micros += t.elapsed().as_micros();

@@ -1,12 +1,9 @@
 //! **End-to-end front-end experiment** — the parse-once pipeline, the
 //! fingerprint-keyed incremental cache, and the delta-based warm
-//! re-check ([`CheckSession`]) vs the pre-pipeline front-end.
+//! re-check ([`CheckSession`]).
 //!
-//! Three configurations per workload shape:
+//! Two timed configurations per workload shape:
 //!
-//! * `legacy` — the pre-PR front-end: every statement parsed and
-//!   annotated individually ([`FrontendOptions::legacy`]), followed by
-//!   batch detection;
 //! * `pipeline` — the parse-once front-end: split + fingerprint first,
 //!   parse/annotate each unique text once, followed by batch detection;
 //! * `warm` — a [`CheckSession`] retained from a cold check of the
@@ -18,15 +15,17 @@
 //!   the workload.
 //!
 //! Every configuration is verified to produce byte-identical output
-//! before any timing is reported: `pipeline` vs `legacy` on the original
-//! script, and the warm session vs a cold full check of the edited
-//! script (detections **and** ranking).
+//! before any timing is reported: `pipeline` vs batch detection over the
+//! per-occurrence reference context ([`reference::context`]) on the
+//! original script, and the warm session vs a cold full check of the
+//! edited script (detections **and** ranking).
 
 use super::throughput::script_for_shape;
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
+use sqlcheck::detect::reference;
 use sqlcheck::{
-    BatchOptions, BatchStats, CheckSession, ContextBuilder, Detector, Edit, FrontendOptions,
-    FrontendStats, IncrementalCache, Report, SqlCheck, WorkloadOutcome,
+    BatchStats, CheckSession, ContextBuilder, Detector, Edit, FrontendOptions, FrontendStats,
+    IncrementalCache, Report, SqlCheck, WorkloadOutcome,
 };
 use std::time::Instant;
 
@@ -43,14 +42,10 @@ pub struct E2eRow {
     pub edit_permille: usize,
     /// Statements whose text was edited for the warm re-check.
     pub edited: usize,
-    /// Detections produced on the original script (identical across the
-    /// cold configurations).
+    /// Detections produced on the original script.
     pub detections: usize,
     /// Whether all configurations produced byte-identical reports.
     pub identical: bool,
-    /// Wall-clock microseconds: legacy front-end + batch detection
-    /// (0 when the legacy leg is skipped, see [`run_gate`]).
-    pub legacy_micros: u128,
     /// Wall-clock microseconds: parse-once front-end + batch detection.
     pub pipeline_micros: u128,
     /// Wall-clock microseconds: warm [`CheckSession::recheck`] of the
@@ -78,16 +73,6 @@ pub struct E2eRow {
 }
 
 impl E2eRow {
-    /// Cold speedup: legacy front-end vs parse-once pipeline.
-    pub fn cold_speedup(&self) -> f64 {
-        self.legacy_micros as f64 / self.pipeline_micros.max(1) as f64
-    }
-
-    /// Warm speedup: cold check (legacy front-end) vs warm re-check.
-    pub fn warm_speedup(&self) -> f64 {
-        self.legacy_micros as f64 / self.warm_micros.max(1) as f64
-    }
-
     /// Warm re-check **as a fraction of** the cold pipeline: below 1.0
     /// the warm path wins; the CI gate requires ≤ 0.35 on the 1%-edit
     /// 100k row. (Flipped from the pre-session `pipeline/warm` speedup
@@ -158,12 +143,18 @@ fn sample_full<T>(f: &mut impl FnMut() -> T) -> (T, (u128, u128, f64)) {
 }
 
 /// One full end-to-end check: front-end + batch detection.
-fn check(script: &str, fe: FrontendOptions, cache: Option<&IncrementalCache>) -> sqlcheck::BatchReport {
-    let (ctx, fe_stats) =
-        ContextBuilder::new().with_frontend(fe).add_script(script).build_with_stats();
+fn check(script: &str, cache: Option<&IncrementalCache>) -> sqlcheck::BatchReport {
+    let (ctx, fe_stats) = ContextBuilder::new().add_script(script).build_with_stats();
     let mut batch = Detector::default().detect_batch_with(&ctx, cache);
     batch.stats.absorb_frontend(&fe_stats);
     batch
+}
+
+/// Detections of batch detection over the per-occurrence reference
+/// context of `script`.
+fn reference_report(script: &str) -> Report {
+    let ctx = reference::context(script, &FrontendOptions::default());
+    Detector::default().detect_batch(&ctx).report
 }
 
 /// Run the experiment at one workload size and shape.
@@ -177,10 +168,10 @@ pub fn run_one(
     run_inner(workload, statements, templates, edit_permille, seed, true)
 }
 
-/// The CI-gate variant: pipeline + warm legs only (the legacy leg costs
-/// ~20x the pipeline at 100k and adds nothing to the
-/// `warm_vs_pipeline` ceiling). `legacy_micros` is 0 in the result;
-/// identity is still asserted warm-vs-cold on the edited script.
+/// The CI-gate variant: no comparison against the reference context
+/// (it parses every occurrence, ~20x the pipeline at 100k, and adds
+/// nothing to the `warm_vs_pipeline` ceiling); identity is still
+/// asserted warm-vs-cold on the edited script.
 pub fn run_gate(
     workload: &str,
     statements: usize,
@@ -197,29 +188,19 @@ fn run_inner(
     templates: usize,
     edit_permille: usize,
     seed: u64,
-    with_legacy: bool,
+    with_reference: bool,
 ) -> E2eRow {
     let script = script_for_shape(workload, statements, templates, seed);
-    let opts = BatchOptions::default();
-
-    // Cold, legacy front-end (the pre-pipeline baseline). Detection is
-    // the same batch engine as the pipeline runs so the measured delta
-    // isolates the front-end.
-    let (legacy, legacy_micros) = if with_legacy {
-        let (l, us) = best_of(|| check(&script, FrontendOptions::legacy(), None));
-        (Some(l), us)
-    } else {
-        (None, 0)
-    };
+    let opts = FrontendOptions::default();
 
     // Cold, parse-once pipeline.
     let (pipeline, (pipeline_micros, pipeline_median_micros, pipeline_spread_pct)) =
-        sample_full(&mut || check(&script, FrontendOptions::default(), None));
+        sample_full(&mut || check(&script, None));
 
     // Heap traffic per unique statement across one cold pipeline check
     // (only meaningful with the counting allocator compiled in).
     let a0 = alloc_count();
-    let alloc_run = check(&script, FrontendOptions::default(), None);
+    let alloc_run = check(&script, None);
     let allocs = allocs_per_stmt(a0, alloc_count(), alloc_run.stats.unique_texts.max(1));
 
     // Warm: retain a session over the original workload (cold build,
@@ -240,14 +221,12 @@ fn run_inner(
     let warm = warm_session.outcome().stats.clone();
     let fallbacks = warm_session.fallbacks();
 
-    // Byte-identity: pipeline ≡ legacy on the original workload, and the
-    // warm session ≡ a cold full check of the edited script (detections
-    // and ranking — the session patches both).
+    // Byte-identity: pipeline ≡ the reference context on the original
+    // workload, and the warm session ≡ a cold full check of the edited
+    // script (detections and ranking — the session patches both).
     let cold_edited = SqlCheck::new().check_workload(warm_session.script(), &opts);
-    let identical = legacy
-        .as_ref()
-        .map(|l| report_key(&l.report) == report_key(&pipeline.report))
-        .unwrap_or(true)
+    let identical = (!with_reference
+        || report_key(&reference_report(&script)) == report_key(&pipeline.report))
         && outcome_key(&cold_edited) == outcome_key(warm_session.outcome());
 
     E2eRow {
@@ -258,7 +237,6 @@ fn run_inner(
         edited,
         detections: pipeline.report.detections.len(),
         identical,
-        legacy_micros,
         pipeline_micros,
         warm_micros,
         frontend: FrontendStats {
@@ -315,16 +293,15 @@ pub fn run_ddl_edit(statements: usize, tables: usize, seed: u64) -> DdlEditRow {
     assert_ne!(script, edited, "edit must change the DDL");
 
     let cache = IncrementalCache::default();
-    let _ = check(&script, FrontendOptions::default(), Some(&cache));
-    let warm = check(&edited, FrontendOptions::default(), Some(&cache));
-    let cold = check(&edited, FrontendOptions::legacy(), None);
+    let _ = check(&script, Some(&cache));
+    let warm = check(&edited, Some(&cache));
 
     DdlEditRow {
         statements: warm.stats.statements,
         tables,
         hits: warm.stats.incremental_hits,
         misses: warm.stats.incremental_misses,
-        identical: report_key(&cold.report) == report_key(&warm.report),
+        identical: report_key(&reference_report(&edited)) == report_key(&warm.report),
     }
 }
 
@@ -365,20 +342,17 @@ pub fn run_sweep(
 pub fn render(rows: &[E2eRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>8} {:>7} {:>11} {:>11} {:>9} {:>6} {:>6} {:>5} {:>9}\n",
-        "workload", "stmts", "edited", "legacy_us", "pipeline_us", "warm_us", "cold_x", "w/p",
-        "dirty", "identical"
+        "{:>8} {:>8} {:>7} {:>11} {:>9} {:>6} {:>5} {:>9}\n",
+        "workload", "stmts", "edited", "pipeline_us", "warm_us", "w/p", "dirty", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>8} {:>7} {:>11} {:>11} {:>9} {:>5.1}x {:>6.2} {:>5} {:>9}\n",
+            "{:>8} {:>8} {:>7} {:>11} {:>9} {:>6.2} {:>5} {:>9}\n",
             r.workload,
             r.statements,
             r.edited,
-            r.legacy_micros,
             r.pipeline_micros,
             r.warm_micros,
-            r.cold_speedup(),
             r.warm_vs_pipeline(),
             r.warm.warm_dirty_statements,
             r.identical,
@@ -424,7 +398,7 @@ pub fn to_json(rows: &[E2eRow]) -> String {
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
              \"edit_permille\": {}, \"edited\": {}, \
              \"detections\": {}, \"identical\": {}, \"fallbacks\": {}, \
-             \"legacy_micros\": {}, \"pipeline_micros\": {}, \"warm_micros\": {}, \
+             \"pipeline_micros\": {}, \"warm_micros\": {}, \
              \"pipeline_median_micros\": {}, \"pipeline_spread_pct\": {:.1}, \
              \"allocs_per_stmt\": {}, \
              \"split_micros\": {}, \"materialize_micros\": {}, \"intake_micros\": {}, \
@@ -436,7 +410,6 @@ pub fn to_json(rows: &[E2eRow]) -> String {
              \"inter_units_reused\": {}, \"inter_units_recomputed\": {}, \
              \"data_units_reused\": {}, \
              \"incremental_hits\": {}, \"incremental_misses\": {}, \
-             \"cold_speedup\": {:.2}, \"warm_speedup\": {:.2}, \
              \"warm_vs_pipeline\": {:.3}}}{}\n",
             r.workload,
             r.statements,
@@ -446,7 +419,6 @@ pub fn to_json(rows: &[E2eRow]) -> String {
             r.detections,
             r.identical,
             r.fallbacks,
-            r.legacy_micros,
             r.pipeline_micros,
             r.warm_micros,
             r.pipeline_median_micros,
@@ -469,8 +441,6 @@ pub fn to_json(rows: &[E2eRow]) -> String {
             r.warm.data_units_reused,
             r.warm.incremental_hits,
             r.warm.incremental_misses,
-            r.cold_speedup(),
-            r.warm_speedup(),
             r.warm_vs_pipeline(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -518,11 +488,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_variant_skips_legacy_but_keeps_identity() {
+    fn gate_variant_keeps_warm_identity() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_gate("plain", 300, 30, 10, 0xE2E);
-        assert_eq!(r.legacy_micros, 0);
         assert!(r.identical, "warm session must equal the cold check of the edited script");
+        assert_eq!(r.fallbacks, 0, "the edit set must stay on the incremental path");
     }
 
     #[test]

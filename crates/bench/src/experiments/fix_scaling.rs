@@ -23,7 +23,7 @@
 use crate::alloc_count::{alloc_count, COUNTING};
 use crate::experiments::throughput::script_for_shape;
 use crate::harness::Sample;
-use sqlcheck::{BatchOptions, CheckOutcome, Detection, Fix, FixEngine, SqlCheck};
+use sqlcheck::{FrontendOptions, CheckOutcome, Detection, Fix, FixEngine, SqlCheck};
 use sqlcheck_workload::github::{generate_corpus, CorpusConfig, Repository};
 use std::time::Instant;
 
@@ -64,7 +64,7 @@ fn check(repositories: usize) -> Checked {
     let script: Vec<String> = generate_corpus(cfg).iter().map(Repository::script).collect();
     let script = script.join(";\n");
     let t = Instant::now();
-    let outcome = SqlCheck::new().check_workload(&script, &BatchOptions::default()).outcome;
+    let outcome = SqlCheck::new().check_workload(&script, &FrontendOptions::default()).outcome;
     let check_micros = t.elapsed().as_micros();
     let ordered = outcome.ranked().iter().map(|r| r.detection.clone()).collect();
     Checked { repositories, outcome, ordered, check_micros }
@@ -136,7 +136,7 @@ pub fn plain_fix_allocs() -> Option<AllocRow> {
         return None;
     }
     let script = script_for_shape("plain", 100_000, 100, 0x5EED);
-    let outcome = SqlCheck::new().check_workload(&script, &BatchOptions::default()).outcome;
+    let outcome = SqlCheck::new().check_workload(&script, &FrontendOptions::default()).outcome;
     let ranked = outcome.ranked();
     let before = alloc_count();
     let fixes = FixEngine.fix_all(ranked.iter().map(|r| &r.detection), &outcome.context);

@@ -3,11 +3,10 @@
 //!
 //! The throughput and e2e experiments measure end-to-end wall clock; this
 //! one records where the time goes. The workload is the template-heavy
-//! statement stream of
-//! [`workload_script`](crate::experiments::throughput::workload_script)
-//! with a DDL prelude (so the inter-query rules have a catalog to check
-//! against) and an attached database over a slice of the tables (so the
-//! data-analysis phase profiles real columns). Per-phase wall-clock
+//! statement stream of [`workload_script`] with a DDL prelude (so the
+//! inter-query rules have a catalog to check against) and an attached
+//! database over a slice of the tables (so the data-analysis phase
+//! profiles real columns). Per-phase wall-clock
 //! micros come straight from [`BatchStats`] — the inter and data phases
 //! are measured explicitly, not inferred as a residual.
 //!

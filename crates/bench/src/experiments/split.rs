@@ -1,5 +1,5 @@
-//! **Split-phase experiment** — the fused streaming splitter vs the
-//! legacy two-pass reference.
+//! **Split-phase experiment** — the production deduping splitter vs the
+//! two-pass reference.
 //!
 //! The split phase is the front door of the whole pipeline: every byte of
 //! a workload script passes through it before anything is parsed or
@@ -11,19 +11,18 @@
 //! * `legacy` — [`split_spanned`]: lex the whole script into a token
 //!   buffer, slice it into statements, re-walk each statement to hash
 //!   (fingerprints computed per statement from the spans);
-//! * `fused` — [`split_stream`]: one streaming pass computing spans,
-//!   content hashes, and template fingerprints as the bytes are lexed;
 //! * `deduped` — [`split_deduped`]: the pipeline's intake path — a
 //!   spans-only boundary scan groups duplicate texts by exact bytes and
-//!   the fused lex+hash pass runs once per **unique** text.
+//!   the lex+hash pass runs once per **unique** text.
 //!
-//! Every configuration is asserted to produce **identical statements**
+//! Both configurations are asserted to produce **identical statements**
 //! (spans, content hashes, template fingerprints) before any timing is
 //! reported.
 
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
 use crate::harness::{sample_of, Sample};
-use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream};
+use sqlcheck_parser::splitter::reference::split_spanned;
+use sqlcheck_parser::splitter::split_deduped;
 use sqlcheck_parser::{Dialect, SplitStatement};
 use super::throughput::script_for_shape;
 
@@ -41,29 +40,25 @@ pub struct SplitRow {
     pub templates: usize,
     /// Script size in bytes.
     pub bytes: usize,
-    /// Whether all three configurations emitted identical statements.
+    /// Whether both configurations emitted identical statements.
     pub identical: bool,
     /// Wall-clock microseconds: legacy two-pass splitter (+ per-statement
     /// fingerprints).
     pub legacy_micros: u128,
-    /// Wall-clock microseconds: fused single-pass splitter.
-    pub fused_micros: u128,
     /// Wall-clock microseconds: split + byte-level dedup, hashing each
     /// unique text once (the `ContextBuilder::add_script` intake path).
     pub deduped_micros: u128,
     /// Median observation for the legacy configuration (noise context
     /// for the min that the headline numbers report).
     pub legacy_median_micros: u128,
-    /// Median observation for the fused configuration.
-    pub fused_median_micros: u128,
     /// Median observation for the deduping configuration.
     pub deduped_median_micros: u128,
-    /// Relative spread `(max-min)/min` of the fused observations, percent
-    /// — the per-row measurement of the host noise the README warns
-    /// about.
-    pub fused_spread_pct: f64,
+    /// Relative spread `(max-min)/min` of the deduped observations,
+    /// percent — the per-row measurement of the host noise the README
+    /// warns about.
+    pub deduped_spread_pct: f64,
     /// Heap allocations per **unique** statement on the parse-once path
-    /// (fused split+dedup, then one structural parse per unique text).
+    /// (split+dedup, then one structural parse per unique text).
     /// `None` when the `count-allocs` feature is compiled out.
     pub allocs_per_stmt: Option<f64>,
 }
@@ -82,14 +77,9 @@ impl SplitRow {
         self.mb_per_sec(self.legacy_micros)
     }
 
-    /// Fused sequential throughput in MB/s.
-    pub fn fused_mbps(&self) -> f64 {
-        self.mb_per_sec(self.fused_micros)
-    }
-
-    /// Speedup of the fused pass over the legacy splitter.
-    pub fn fused_speedup(&self) -> f64 {
-        self.legacy_micros as f64 / self.fused_micros.max(1) as f64
+    /// Deduping splitter throughput in MB/s.
+    pub fn deduped_mbps(&self) -> f64 {
+        self.mb_per_sec(self.deduped_micros)
     }
 
     /// Speedup of the deduping intake path over the legacy splitter.
@@ -97,16 +87,16 @@ impl SplitRow {
         self.legacy_micros as f64 / self.deduped_micros.max(1) as f64
     }
 
-    /// Microseconds per statement for the fused pass.
-    pub fn fused_us_per_stmt(&self) -> f64 {
-        self.fused_micros as f64 / self.statements.max(1) as f64
+    /// Microseconds per statement for the deduping splitter.
+    pub fn deduped_us_per_stmt(&self) -> f64 {
+        self.deduped_micros as f64 / self.statements.max(1) as f64
     }
 }
 
-/// Statements of the legacy splitter in the fused output shape, for
+/// Statements of the legacy splitter in the deduped output shape, for
 /// equivalence comparison.
 fn legacy_statements(script: &str) -> Vec<SplitStatement> {
-    split_spanned(script)
+    split_spanned(script, Dialect::Generic)
         .iter()
         .map(|s| SplitStatement {
             span: s.span,
@@ -116,16 +106,14 @@ fn legacy_statements(script: &str) -> Vec<SplitStatement> {
         .collect()
 }
 
-/// Assert the three configurations agree on `script`; returns the number
-/// of statements. Used both by the timed runs (before reporting) and by
+/// Assert both configurations agree on `script`; returns the number of
+/// statements. Used both by the timed runs (before reporting) and by
 /// CI's bench-smoke byte-identity gate.
 pub fn assert_equivalence(script: &str) -> usize {
-    let fused = split_stream(script);
     let legacy = legacy_statements(script);
-    assert_eq!(fused, legacy, "fused splitter diverged from the legacy reference");
     let d = split_deduped(script, Dialect::Generic);
-    assert_eq!(d.occurrences.len(), fused.len(), "deduped occurrence count");
-    for ((slot, span), s) in d.occurrences.iter().zip(&fused) {
+    assert_eq!(d.occurrences.len(), legacy.len(), "deduped occurrence count");
+    for ((slot, span), s) in d.occurrences.iter().zip(&legacy) {
         assert_eq!(*span, s.span, "deduped occurrence span");
         let u = &d.uniques[*slot as usize];
         assert_eq!(
@@ -134,7 +122,7 @@ pub fn assert_equivalence(script: &str) -> usize {
             "deduped unique hashes"
         );
     }
-    fused.len()
+    legacy.len()
 }
 
 /// Repetitions per measurement; the minimum observation is reported
@@ -156,7 +144,7 @@ fn measure<T>(f: impl FnMut() -> T) -> Sample {
 /// traffic creeps back in.
 pub const PLAIN_ALLOCS_PER_STMT_CEILING: f64 = 32.0;
 
-/// Allocations per unique statement on the parse-once path: fused
+/// Allocations per unique statement on the parse-once path:
 /// split+dedup, then one structural parse per unique text — the intake
 /// work `ContextBuilder::add_script` performs per unique statement.
 /// `None` when the `count-allocs` feature is compiled out.
@@ -164,11 +152,17 @@ fn measure_allocs_per_stmt(script: &str) -> Option<f64> {
     let d = split_deduped(script, Dialect::Generic);
     // Warm thread-local parse state so one-time setup is not billed.
     if let Some(u) = d.uniques.first() {
-        std::hint::black_box(sqlcheck_parser::parse_one(&script[u.span.start..u.span.end]));
+        std::hint::black_box(sqlcheck_parser::parse_one(
+            &script[u.span.start..u.span.end],
+            Dialect::Generic,
+        ));
     }
     let before = alloc_count();
     for u in &d.uniques {
-        std::hint::black_box(sqlcheck_parser::parse_one(&script[u.span.start..u.span.end]));
+        std::hint::black_box(sqlcheck_parser::parse_one(
+            &script[u.span.start..u.span.end],
+            Dialect::Generic,
+        ));
     }
     allocs_per_stmt(before, alloc_count(), d.uniques.len())
 }
@@ -200,7 +194,6 @@ pub fn run_script(script: &str) -> SplitRow {
 fn measure_script(workload: &'static str, templates: usize, script: &str) -> SplitRow {
     let stmt_count = assert_equivalence(script);
     let legacy = measure(|| legacy_statements(script));
-    let fused = measure(|| split_stream(script));
     let deduped = measure(|| split_deduped(script, Dialect::Generic));
     SplitRow {
         workload,
@@ -209,12 +202,10 @@ fn measure_script(workload: &'static str, templates: usize, script: &str) -> Spl
         bytes: script.len(),
         identical: true, // asserted above; a divergence panics before this
         legacy_micros: legacy.min_micros,
-        fused_micros: fused.min_micros,
         deduped_micros: deduped.min_micros,
         legacy_median_micros: legacy.median_micros,
-        fused_median_micros: fused.median_micros,
         deduped_median_micros: deduped.median_micros,
-        fused_spread_pct: fused.spread_pct(),
+        deduped_spread_pct: deduped.spread_pct(),
         allocs_per_stmt: measure_allocs_per_stmt(script),
     }
 }
@@ -240,24 +231,22 @@ pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<SplitRow> {
 pub fn render(rows: &[SplitRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>10} {:>8} {:>8} {:>7} {:>7} {:>7} {:>9}\n",
-        "workload", "stmts", "bytes", "legacy_us", "fused_us", "fused_med", "spread%", "dedup_us",
-        "leg_MBs", "fus_MBs", "fused_x", "dedup_x", "allocs", "identical"
+        "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>7} {:>8} {:>8} {:>7} {:>7} {:>9}\n",
+        "workload", "stmts", "bytes", "legacy_us", "dedup_us", "dedup_med", "spread%", "leg_MBs",
+        "ded_MBs", "dedup_x", "allocs", "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>10} {:>8.1} {:>8.1} {:>6.1}x {:>6.1}x {:>7} {:>9}\n",
+            "{:>8} {:>9} {:>10} {:>11} {:>10} {:>9} {:>6.0}% {:>8.1} {:>8.1} {:>6.1}x {:>7} {:>9}\n",
             r.workload,
             r.statements,
             r.bytes,
             r.legacy_micros,
-            r.fused_micros,
-            r.fused_median_micros,
-            r.fused_spread_pct,
             r.deduped_micros,
+            r.deduped_median_micros,
+            r.deduped_spread_pct,
             r.legacy_mbps(),
-            r.fused_mbps(),
-            r.fused_speedup(),
+            r.deduped_mbps(),
             r.deduped_speedup(),
             r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "-".into()),
             r.identical,
@@ -268,35 +257,29 @@ pub fn render(rows: &[SplitRow]) -> String {
 
 /// Render rows as a JSON document (written to `BENCH_split.json`).
 pub fn to_json(rows: &[SplitRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"fused_split_phase\",\n  \"rows\": [\n");
+    let mut out = String::from("{\n  \"experiment\": \"split_phase\",\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \"bytes\": {}, \
-             \"identical\": {}, \"legacy_micros\": {}, \"fused_micros\": {}, \
-             \"deduped_micros\": {}, \
-             \"legacy_median_micros\": {}, \"fused_median_micros\": {}, \
-             \"deduped_median_micros\": {}, \
-             \"fused_spread_pct\": {:.1}, \"allocs_per_stmt\": {}, \
-             \"legacy_mb_per_s\": {:.1}, \"fused_mb_per_s\": {:.1}, \
-             \"fused_us_per_stmt\": {:.3}, \"fused_speedup\": {:.2}, \
-             \"deduped_speedup\": {:.2}}}{}\n",
+             \"identical\": {}, \"legacy_micros\": {}, \"deduped_micros\": {}, \
+             \"legacy_median_micros\": {}, \"deduped_median_micros\": {}, \
+             \"deduped_spread_pct\": {:.1}, \"allocs_per_stmt\": {}, \
+             \"legacy_mb_per_s\": {:.1}, \"deduped_mb_per_s\": {:.1}, \
+             \"deduped_us_per_stmt\": {:.3}, \"deduped_speedup\": {:.2}}}{}\n",
             r.workload,
             r.statements,
             r.templates,
             r.bytes,
             r.identical,
             r.legacy_micros,
-            r.fused_micros,
             r.deduped_micros,
             r.legacy_median_micros,
-            r.fused_median_micros,
             r.deduped_median_micros,
-            r.fused_spread_pct,
+            r.deduped_spread_pct,
             r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "null".into()),
             r.legacy_mbps(),
-            r.fused_mbps(),
-            r.fused_us_per_stmt(),
-            r.fused_speedup(),
+            r.deduped_mbps(),
+            r.deduped_us_per_stmt(),
             r.deduped_speedup(),
             if i + 1 == rows.len() { "" } else { "," }
         ));
@@ -321,7 +304,7 @@ mod tests {
     fn trigger_workload_agrees_and_keeps_compound_statements_whole() {
         // Every 6th statement is compound DDL; the count staying exact
         // proves body semicolons never split, and run_one's internal
-        // assert_equivalence pins fused/legacy/deduped identity.
+        // assert_equivalence pins legacy/deduped identity.
         let r = run_one("trigger", 480, 30, 0x5117);
         assert!(r.identical);
         assert_eq!(r.statements, 480);
@@ -349,7 +332,7 @@ mod tests {
         let rows = run(&[120], 20, 3);
         let j = to_json(&rows);
         assert!(j.contains("\"statements\": 120"));
-        assert!(j.contains("fused_speedup"));
+        assert!(j.contains("deduped_speedup"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -62,7 +62,7 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchResult {
     finish(name, iters, elapsed)
 }
 
-/// Like [`bench`], but re-creates the input with `setup` before every
+/// Like [`bench()`], but re-creates the input with `setup` before every
 /// iteration and excludes that setup time from the measurement — the
 /// equivalent of Criterion's `iter_batched` for mutating benchmarks.
 pub fn bench_batched<S, T>(

@@ -37,7 +37,7 @@
 //! ```
 
 use sqlcheck::{
-    BatchOptions, CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, InterQueryModel,
+    CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, FrontendOptions, InterQueryModel,
     RankWeights, SqlCheck,
 };
 use std::io::{self, BufWriter, Write};
@@ -167,18 +167,15 @@ fn main() {
         }
     };
 
-    let mut tool = SqlCheck::new()
-        .with_weights(weights)
-        .with_inter_query_model(inter_model)
-        .with_dialect(dialect)
-        .with_dialect_detection(detect_dialect);
+    let mut tool = SqlCheck::new().with_weights(weights).with_inter_query_model(inter_model);
     if intra_only {
         tool = tool.with_detection(DetectionConfig::intra_only());
     }
     if cache {
         tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
-    let w = tool.check_workload(&sql, &BatchOptions::default());
+    let frontend = FrontendOptions { dialect, detect_dialect, ..FrontendOptions::default() };
+    let w = tool.check_workload(&sql, &frontend);
     if stats {
         let s = &w.stats;
         let resolved = w.outcome.context.dialect;

@@ -11,6 +11,12 @@
 //! Detection rules receive the whole [`Context`]; contextual rules use it
 //! to "resolve cases where the presence or absence of an AP cannot be
 //! determined with high precision by only looking at a given query".
+//!
+//! [`ContextBuilder`] is the one front end: every check splits, parses
+//! and annotates its script through it, configured by one
+//! [`FrontendOptions`] (budgets, dialect, dialect detection). The
+//! per-occurrence [`crate::detect::reference::context`] is its test
+//! oracle.
 
 pub mod data;
 pub mod schema;
@@ -25,10 +31,9 @@ use sqlcheck_minidb::database::Database;
 use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
-use sqlcheck_parser::parse;
-use sqlcheck_parser::parser::{diagnose_parsed, parse_raw_limited_dialect};
+use sqlcheck_parser::parser::{diagnose_parsed, parse_raw_limited};
 use sqlcheck_parser::fingerprint::fingerprint_of;
-use sqlcheck_parser::splitter::{split_deduped, split_stream_dialect, RawStatement};
+use sqlcheck_parser::splitter::{split_deduped, RawStatement};
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::collections::HashMap;
@@ -57,9 +62,9 @@ pub struct AnalyzedStatement {
     /// re-walking tokens.
     pub text_hash: u128,
     /// Literal-insensitive template fingerprint
-    /// ([`sqlcheck_parser::fingerprint`]), computed by the fused splitter
-    /// in the same pass that lexed the statement — batch detection counts
-    /// unique templates without re-walking tokens.
+    /// ([`sqlcheck_parser::fingerprint`]), computed by the splitter once
+    /// per unique text — batch detection counts unique templates without
+    /// re-walking tokens.
     pub template_hash: u64,
     /// Byte range of **this occurrence** in the original script — not
     /// shared across duplicates. Zero-length for statements added via
@@ -114,18 +119,11 @@ impl Context {
 
     /// Re-profile the database, replacing the cached data context. The
     /// paper's data analyzer "periodically refreshes the context over
-    /// time [and] whenever the schema evolves" (§4.2) — profiles are
+    /// time \[and\] whenever the schema evolves" (§4.2) — profiles are
     /// cached and reused across checks, so a long-lived context must be
     /// refreshed explicitly when the data changes underneath it.
     pub fn refresh_data(&mut self, db: &Database, cfg: &DataAnalysisConfig) {
-        for table in db.tables() {
-            if self.schema.table(&table.schema.name).is_none() {
-                let ddl = synthesize_ddl(table);
-                for p in parse(&ddl) {
-                    self.schema.apply(&p.stmt);
-                }
-            }
-        }
+        self.schema.add_missing_tables(db);
         self.data = Some(DataProfile::build(db, cfg));
     }
 }
@@ -138,11 +136,11 @@ pub struct FrontendStats {
     /// Statements in the context (after splitting, duplicates included).
     pub statements: usize,
     /// Unique statement texts — the number of parses/annotations actually
-    /// performed when dedup is enabled.
+    /// performed.
     pub unique_texts: usize,
-    /// Wall-clock microseconds in the fused split pass: lexing, statement
-    /// splitting, content hashing, template fingerprinting, and dedup
-    /// grouping — one streaming pass over the script bytes. Excludes
+    /// Wall-clock microseconds in the split pass ([`split_deduped`]):
+    /// statement splitting, dedup grouping, and content hashing and
+    /// template fingerprinting of each unique text. Excludes
     /// unique-text materialisation ([`FrontendStats::materialize_micros`]).
     pub split_micros: u128,
     /// Wall-clock microseconds spent materialising token streams for
@@ -166,13 +164,12 @@ pub struct FrontendStats {
     pub context_micros: u128,
 }
 
-/// Options for the parse-once front-end.
+/// Options for the parse-once front-end: the one options type every
+/// entry point takes ([`ContextBuilder::with_frontend`],
+/// [`SqlCheck::check_workload`](crate::SqlCheck::check_workload),
+/// [`SqlCheck::into_session`](crate::SqlCheck::into_session)).
 #[derive(Debug, Clone)]
 pub struct FrontendOptions {
-    /// Group duplicate statement texts and parse + annotate each unique
-    /// text exactly once, sharing the result via `Arc`. Output is
-    /// value-identical to the per-statement path.
-    pub dedup: bool,
     /// Per-statement resource budgets; over-budget statements degrade to
     /// `Other` with an [`DiagKind::OverLimit`] diagnostic.
     pub limits: Limits,
@@ -189,22 +186,39 @@ pub struct FrontendOptions {
     pub detect_dialect: bool,
 }
 
-impl Default for FrontendOptions {
-    fn default() -> Self {
-        FrontendOptions {
-            dedup: true,
-            limits: Limits::default(),
-            dialect: Dialect::Generic,
-            detect_dialect: false,
+impl FrontendOptions {
+    /// The dialect to process `script` under: the configured one, or —
+    /// when auto-detection is on and the configured dialect is
+    /// [`Dialect::Generic`] — the one [`Dialect::detect`] guesses from the
+    /// script, reported by the returned [`DiagKind::DialectGuessed`]
+    /// diagnostic.
+    pub(crate) fn resolve_dialect(&self, script: &str) -> (Dialect, Option<Diagnostic>) {
+        if !self.detect_dialect || self.dialect != Dialect::Generic {
+            return (self.dialect, None);
+        }
+        match Dialect::detect(script) {
+            Some(guess) => (
+                guess,
+                Some(Diagnostic::new(
+                    DiagKind::DialectGuessed,
+                    format!(
+                        "no dialect specified; guessed `{guess}` from script \
+                         contents (pass an explicit dialect to suppress)"
+                    ),
+                )),
+            ),
+            None => (Dialect::Generic, None),
         }
     }
 }
 
-impl FrontendOptions {
-    /// The pre-pipeline behaviour: parse and annotate every statement
-    /// individually. Kept as the benchmark baseline.
-    pub fn legacy() -> Self {
-        FrontendOptions { dedup: false, ..FrontendOptions::default() }
+impl Default for FrontendOptions {
+    fn default() -> Self {
+        FrontendOptions {
+            limits: Limits::default(),
+            dialect: Dialect::Generic,
+            detect_dialect: false,
+        }
     }
 }
 
@@ -227,14 +241,15 @@ fn no_diags() -> Arc<[Diagnostic]> {
 
 /// Builder for [`Context`] — the parse-once front-end.
 ///
-/// Scripts enter through the fused streaming splitter
-/// ([`sqlcheck_parser::splitter::split_deduped`]): a single pass lexes,
-/// splits, content-hashes, and fingerprints every statement and groups
-/// duplicate texts — before parsing, and without ever materialising a
-/// token stream. Token vectors exist only for **unique** texts, which are
+/// Scripts enter through [`split_deduped`], which splits the script,
+/// groups duplicate texts, and content-hashes and fingerprints each
+/// unique text — before parsing, and without materialising a token
+/// stream. Token vectors exist only for **unique** texts, which are
 /// materialised at intake and then parsed + annotated exactly once at
 /// build time, with the resulting AST/annotations shared across duplicate
-/// occurrences via [`Arc`].
+/// occurrences via [`Arc`]. The one [`FrontendOptions`] dialect governs
+/// every step. [`crate::detect::reference::context`] builds the same
+/// context without any sharing; the identity suites compare the two.
 #[derive(Default)]
 pub struct ContextBuilder {
     /// Unique statement texts, in first-occurrence order.
@@ -245,7 +260,7 @@ pub struct ContextBuilder {
     /// parse tree across duplicates, but every occurrence keeps its own
     /// span so detections and fixes can point at the exact location.
     spans: Vec<Span>,
-    /// Content hash → slot in `uniques` (only populated when deduping).
+    /// Content hash → slot in `uniques`.
     slot_of: HashMap<u128, usize, Prehashed>,
     database: Option<(Arc<Database>, DataAnalysisConfig)>,
     opts: FrontendOptions,
@@ -271,27 +286,20 @@ impl ContextBuilder {
         Self::default()
     }
 
-    /// Record one intake statement with its content hash and occurrence
-    /// span, deduping when enabled. `make` materialises the payload (and
-    /// computes the template fingerprint) only for unique texts; the span
-    /// is recorded for *every* occurrence.
-    fn intake(
+    /// The slot of the unique text with content hash `hash`, created with
+    /// the payload `make` builds (raw or parsed statement, template
+    /// fingerprint) when the builder has not seen the text before.
+    fn slot(
         &mut self,
         hash: u128,
-        span: Span,
         make: impl FnOnce() -> (Option<RawStatement>, Option<Arc<ParsedStatement>>, u64),
-    ) {
-        self.spans.push(span);
-        if self.opts.dedup {
-            if let Some(&slot) = self.slot_of.get(&hash) {
-                self.uniques[slot].count += 1;
-                self.order.push(slot);
-                return;
-            }
-            self.slot_of.insert(hash, self.uniques.len());
+    ) -> usize {
+        if let Some(&slot) = self.slot_of.get(&hash) {
+            return slot;
         }
+        let slot = self.uniques.len();
+        self.slot_of.insert(hash, slot);
         let (raw, parsed, fingerprint) = make();
-        self.order.push(self.uniques.len());
         self.uniques.push(UniqueEntry {
             raw,
             parsed,
@@ -299,114 +307,61 @@ impl ContextBuilder {
             diags: no_diags(),
             hash,
             fingerprint,
-            count: 1,
+            count: 0,
         });
+        slot
     }
 
-    /// Resolve the dialect for script intake. The first call fixes it:
-    /// when auto-detection is enabled and the configured dialect is
-    /// [`Dialect::Generic`], the first script's contents may switch the
-    /// front door ([`Dialect::detect`]) — recorded as a
-    /// [`DiagKind::DialectGuessed`] diagnostic on the built context.
-    fn resolve_dialect(&mut self, script: &str) -> Dialect {
-        if let Some(d) = self.resolved_dialect {
-            return d;
-        }
-        let mut d = self.opts.dialect;
-        if self.opts.detect_dialect && d == Dialect::Generic {
-            if let Some(guess) = Dialect::detect(script) {
-                d = guess;
-                self.dialect_diag = Some(Diagnostic::new(
-                    DiagKind::DialectGuessed,
-                    format!(
-                        "no dialect specified; guessed `{guess}` from script \
-                         contents (pass an explicit dialect to suppress)"
-                    ),
-                ));
-            }
-        }
-        self.resolved_dialect = Some(d);
-        d
+    /// Record one occurrence, at `span`, of the unique text in `slot`.
+    fn occur(&mut self, slot: usize, span: Span) {
+        self.uniques[slot].count += 1;
+        self.order.push(slot);
+        self.spans.push(span);
     }
 
-    /// Add every statement in a SQL script through the fused streaming
-    /// front door: one pass lexes,
-    /// splits, content-hashes, and fingerprints the script, and groups
-    /// duplicate texts — before any parsing. Token streams are
-    /// materialised only for texts this builder has not seen before;
-    /// duplicates cost one map lookup at split time and nothing here.
+    /// Add every statement in a SQL script: [`split_deduped`] splits the
+    /// script and groups duplicate texts before any parsing. Token
+    /// streams are materialised, under the dialect the script was split
+    /// under, only for texts this builder has not seen before; a
+    /// duplicate costs one map lookup.
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
-        let dialect = self.resolve_dialect(script);
-        let mut mat_micros = 0u128;
-        if self.opts.dedup {
-            let deduped = split_deduped(script, dialect);
-            // The fused pass above is the split; everything below is
-            // intake bookkeeping, accounted separately so warm re-checks
-            // (materialization short-circuited, bookkeeping still O(
-            // occurrences)) report honest split numbers.
-            self.split_micros += t.elapsed().as_micros();
-            let t_intake = Instant::now();
-            self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
-            // Map script-local unique slots onto builder slots,
-            // materialising only texts no earlier script contributed.
-            let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
-            for u in &deduped.uniques {
-                let slot = match self.slot_of.get(&u.content_hash) {
-                    Some(&slot) => slot,
-                    None => {
-                        let slot = self.uniques.len();
-                        self.slot_of.insert(u.content_hash, slot);
-                        let tm = Instant::now();
-                        let raw = u.materialize(script);
-                        mat_micros += tm.elapsed().as_micros();
-                        self.uniques.push(UniqueEntry {
-                            raw: Some(raw),
-                            parsed: None,
-                            ann: None,
-                            diags: no_diags(),
-                            hash: u.content_hash,
-                            fingerprint: u.fingerprint,
-                            count: 0,
-                        });
-                        slot
-                    }
-                };
-                slot_map.push(slot);
-            }
-            for (local, span) in deduped.occurrences {
-                let slot = slot_map[local as usize];
-                self.uniques[slot].count += 1;
-                self.order.push(slot);
-                self.spans.push(span);
-            }
-            self.intake_micros +=
-                t_intake.elapsed().as_micros().saturating_sub(mat_micros);
-            self.materialize_micros += mat_micros;
-            return self;
-        } else {
-            // Legacy mode: every occurrence keeps its own entry (and is
-            // parsed individually later).
-            for s in split_stream_dialect(script, dialect) {
-                let tm = Instant::now();
-                let raw = s.materialize_dialect(script, dialect);
-                mat_micros += tm.elapsed().as_micros();
-                self.order.push(self.uniques.len());
-                self.spans.push(s.span);
-                self.uniques.push(UniqueEntry {
-                    raw: Some(raw),
-                    parsed: None,
-                    ann: None,
-                    diags: no_diags(),
-                    hash: s.content_hash,
-                    fingerprint: s.fingerprint,
-                    count: 1,
-                });
-            }
+        if self.resolved_dialect.is_none() {
+            let (d, diag) = self.opts.resolve_dialect(script);
+            self.resolved_dialect = Some(d);
+            self.dialect_diag = diag;
         }
+        let dialect = self.dialect();
+        let deduped = split_deduped(script, dialect);
+        // The pass above is the split; everything below is intake
+        // bookkeeping, accounted separately so warm re-checks
+        // (materialization short-circuited, bookkeeping still
+        // O(occurrences)) report honest split numbers.
+        self.split_micros += t.elapsed().as_micros();
+        let t_intake = Instant::now();
+        self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
+        let mut mat_micros = 0u128;
+        let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
+        for u in &deduped.uniques {
+            slot_map.push(self.slot(u.content_hash, || {
+                let tm = Instant::now();
+                let raw = u.materialize(script, dialect);
+                mat_micros += tm.elapsed().as_micros();
+                (Some(raw), None, u.fingerprint)
+            }));
+        }
+        for (local, span) in deduped.occurrences {
+            self.occur(slot_map[local as usize], span);
+        }
+        self.intake_micros += t_intake.elapsed().as_micros().saturating_sub(mat_micros);
         self.materialize_micros += mat_micros;
-        self.split_micros += t.elapsed().as_micros().saturating_sub(mat_micros);
         self
+    }
+
+    /// The dialect the front door applies: fixed by the first
+    /// [`ContextBuilder::add_script`], the configured one before that.
+    fn dialect(&self) -> Dialect {
+        self.resolved_dialect.unwrap_or(self.opts.dialect)
     }
 
     /// Add pre-parsed statements (deduplicated against script statements
@@ -419,10 +374,11 @@ impl ContextBuilder {
                 .map(|t| t.span)
                 .reduce(|a, b| a.merge(b))
                 .unwrap_or(Span::new(0, 0));
-            self.intake(p.content_hash(), span, || {
+            let slot = self.slot(p.content_hash(), || {
                 let fingerprint = fingerprint_of(&p.tokens);
                 (None, Some(Arc::new(p)), fingerprint)
             });
+            self.occur(slot, span);
         }
         self
     }
@@ -441,11 +397,10 @@ impl ContextBuilder {
         self
     }
 
-    /// Configure the front-end (dedup, limits, dialect). The default
-    /// parses each unique text once.
+    /// Configure the front-end (limits, dialect).
     ///
-    /// Must be called before any statements are added: dedup happens at
-    /// intake.
+    /// Must be called before any statements are added: the dialect
+    /// governs intake.
     pub fn with_frontend(mut self, opts: FrontendOptions) -> Self {
         assert!(
             self.order.is_empty(),
@@ -464,6 +419,7 @@ impl ContextBuilder {
     /// Like [`ContextBuilder::build`], also returning per-phase front-end
     /// instrumentation.
     pub fn build_with_stats(self) -> (Context, FrontendStats) {
+        let dialect = self.dialect();
         let mut uniques = self.uniques;
         let mut stats = FrontendStats {
             statements: self.order.len(),
@@ -477,10 +433,9 @@ impl ContextBuilder {
         // Parse phase: each unique text exactly once.
         let t_parse = Instant::now();
         let limits = self.opts.limits;
-        let dialect = self.resolved_dialect.unwrap_or(self.opts.dialect);
         for e in &mut uniques {
             if let Some(raw) = e.raw.take() {
-                let (p, diags) = parse_raw_limited_dialect(raw, &limits, dialect);
+                let (p, diags) = parse_raw_limited(raw, &limits, dialect);
                 e.parsed = Some(Arc::new(p));
                 if !diags.is_empty() {
                     e.diags = diags.into();
@@ -531,14 +486,7 @@ impl ContextBuilder {
         // derived catalog (tables created outside the script become
         // visible to the rules).
         let data = self.database.map(|(db, cfg)| {
-            for table in db.tables() {
-                if schema.table(&table.schema.name).is_none() {
-                    let ddl = synthesize_ddl(table);
-                    for p in parse(&ddl) {
-                        schema.apply(&p.stmt);
-                    }
-                }
-            }
+            schema.add_missing_tables(&db);
             DataProfile::build(&db, &cfg)
         });
 
@@ -582,46 +530,6 @@ impl ContextBuilder {
             stats,
         )
     }
-}
-
-/// Render a minidb table schema as `CREATE TABLE` DDL so the generic
-/// catalog code can ingest it.
-pub(crate) fn synthesize_ddl(table: &sqlcheck_minidb::table::Table) -> String {
-    use sqlcheck_minidb::value::DataType as DT;
-    let mut cols: Vec<String> = table
-        .schema
-        .columns
-        .iter()
-        .map(|c| {
-            let ty = match c.dtype {
-                DT::Int => "INTEGER",
-                DT::Float => "FLOAT",
-                DT::Text => "TEXT",
-                DT::Bool => "BOOLEAN",
-                DT::Timestamp => {
-                    if c.with_timezone {
-                        "TIMESTAMPTZ"
-                    } else {
-                        "TIMESTAMP"
-                    }
-                }
-            };
-            let nn = if c.not_null { " NOT NULL" } else { "" };
-            format!("{} {}{}", c.name, ty, nn)
-        })
-        .collect();
-    if !table.schema.primary_key.is_empty() {
-        cols.push(format!("PRIMARY KEY ({})", table.schema.primary_key.join(", ")));
-    }
-    for fk in &table.schema.foreign_keys {
-        cols.push(format!(
-            "FOREIGN KEY ({}) REFERENCES {} ({})",
-            fk.columns.join(", "),
-            fk.ref_table,
-            fk.ref_columns.join(", ")
-        ));
-    }
-    format!("CREATE TABLE {} ({})", table.schema.name, cols.join(", "))
 }
 
 #[cfg(test)]

@@ -9,7 +9,8 @@ use sqlcheck_parser::ast::{
     AlterAction, ColumnConstraint, CreateIndex, CreateTable, Statement, TableConstraintKind,
     TypeName,
 };
-use sqlcheck_parser::IStr;
+use sqlcheck_minidb::database::Database;
+use sqlcheck_parser::{parse, IStr};
 use std::collections::BTreeMap;
 
 /// A column as known to the catalog.
@@ -154,6 +155,20 @@ impl SchemaCatalog {
             cat.apply(s);
         }
         cat
+    }
+
+    /// Fold in every table of `db` the catalog does not know yet, as if
+    /// its `CREATE TABLE` were part of the script: an attached database's
+    /// live schema augments the DDL-derived catalog (tables created
+    /// outside the script become visible to the rules).
+    pub fn add_missing_tables(&mut self, db: &Database) {
+        for table in db.tables() {
+            if self.table(&table.schema.name).is_none() {
+                for p in parse(&synthesize_ddl(table)) {
+                    self.apply(&p.stmt);
+                }
+            }
+        }
     }
 
     /// Apply one statement to the catalog.
@@ -425,6 +440,46 @@ fn fold_column_constraints(entry: &mut TableInfo, cd: &sqlcheck_parser::ast::Col
             _ => {}
         }
     }
+}
+
+/// Render a minidb table schema as `CREATE TABLE` DDL so the generic
+/// catalog code can ingest it.
+fn synthesize_ddl(table: &sqlcheck_minidb::table::Table) -> String {
+    use sqlcheck_minidb::value::DataType as DT;
+    let mut cols: Vec<String> = table
+        .schema
+        .columns
+        .iter()
+        .map(|c| {
+            let ty = match c.dtype {
+                DT::Int => "INTEGER",
+                DT::Float => "FLOAT",
+                DT::Text => "TEXT",
+                DT::Bool => "BOOLEAN",
+                DT::Timestamp => {
+                    if c.with_timezone {
+                        "TIMESTAMPTZ"
+                    } else {
+                        "TIMESTAMP"
+                    }
+                }
+            };
+            let nn = if c.not_null { " NOT NULL" } else { "" };
+            format!("{} {}{}", c.name, ty, nn)
+        })
+        .collect();
+    if !table.schema.primary_key.is_empty() {
+        cols.push(format!("PRIMARY KEY ({})", table.schema.primary_key.join(", ")));
+    }
+    for fk in &table.schema.foreign_keys {
+        cols.push(format!(
+            "FOREIGN KEY ({}) REFERENCES {} ({})",
+            fk.columns.join(", "),
+            fk.ref_table,
+            fk.ref_columns.join(", ")
+        ));
+    }
+    format!("CREATE TABLE {} ({})", table.schema.name, cols.join(", "))
 }
 
 #[cfg(test)]

@@ -36,42 +36,12 @@ use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Report};
 use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::Statement;
-use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
-use sqlcheck_parser::Dialect;
+use sqlcheck_parser::diag::{DiagKind, Diagnostic};
 use sqlcheck_parser::fingerprint::fnv1a;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Front-end options for [`SqlCheck::check_workload`](crate::SqlCheck::check_workload)
-/// and [`SqlCheck::into_session`](crate::SqlCheck::into_session).
-#[derive(Debug, Clone)]
-pub struct BatchOptions {
-    /// Per-statement resource budgets, forwarded to the front-end by
-    /// [`check_workload`](crate::SqlCheck::check_workload); over-budget
-    /// statements degrade to `Other` with an `OverLimit` diagnostic.
-    pub limits: Limits,
-    /// The dialect the front door applies, forwarded to the front-end by
-    /// [`check_workload`](crate::SqlCheck::check_workload).
-    /// [`Dialect::Generic`] is byte-identical to the pre-dialect
-    /// behaviour.
-    pub dialect: Dialect,
-    /// Auto-detect the dialect from script contents when `dialect` is
-    /// [`Dialect::Generic`] (see
-    /// [`FrontendOptions::detect_dialect`](crate::FrontendOptions)).
-    pub detect_dialect: bool,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            limits: Limits::default(),
-            dialect: Dialect::Generic,
-            detect_dialect: false,
-        }
-    }
-}
 
 /// Instrumentation of one [`Detector::detect_batch`] run.
 #[derive(Debug, Clone, Default)]
@@ -102,9 +72,9 @@ pub struct BatchStats {
     pub data_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
-    /// Front-end: microseconds in the fused split pass — lexing,
-    /// splitting, content hashing, template fingerprinting, and dedup
-    /// grouping in one streaming pass (0 when the caller did not attach
+    /// Front-end: microseconds in the split pass — splitting, dedup
+    /// grouping, and per-unique content hashing and template
+    /// fingerprinting (0 when the caller did not attach
     /// [`FrontendStats`]).
     ///
     /// [`FrontendStats`]: crate::context::FrontendStats

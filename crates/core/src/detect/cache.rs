@@ -67,7 +67,7 @@
 //! unit. A unit is keyed by `(kind, id)` and guarded by a caller-computed
 //! **input digest** — a hash of exactly the inputs that unit reads
 //! (join-edge set, relevant schema digests, per-column usage fields, data
-//! profile digests). [`IncrementalCache::unit_get`] returns the stored
+//! profile digests). `IncrementalCache::unit_get` returns the stored
 //! detections only when the digest matches, so an edit that leaves a
 //! rule's inputs byte-identical replays its detections without running
 //! it, and only the dirty units run. The memo
@@ -153,7 +153,7 @@ pub struct CacheCounters {
 /// keys / checks may be consulted, and a **column** dep for every
 /// `(table, column)` whose definition (type, NOT NULL, indexes) may be
 /// consulted. Column deps are additionally guarded by their table's core
-/// digest inside [`IncrementalCache::ensure_epoch`], so a table that
+/// digest inside `IncrementalCache::ensure_epoch`, so a table that
 /// appears or vanishes always invalidates its column dependents even if
 /// the entry recorded no core dep for it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -330,7 +330,7 @@ impl IncrementalCache {
     /// capacity is enforced per shard at `⌈capacity / shards⌉` entries,
     /// so the total never exceeds `capacity + shards − 1`. The shard
     /// count is clamped so every shard holds at least
-    /// [`MIN_SHARD_CAPACITY`] entries — striping a tiny cache would turn
+    /// `MIN_SHARD_CAPACITY` entries — striping a tiny cache would turn
     /// its FIFO bound into per-key roulette for no concurrency win.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);

@@ -21,7 +21,7 @@ pub mod intra;
 pub mod reference;
 pub(crate) mod schedule;
 
-pub use batch::{BatchOptions, BatchReport, BatchStats};
+pub use batch::{BatchReport, BatchStats};
 pub use cache::{CacheCounters, IncrementalCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
 
 use crate::context::{Context, DataAnalysisConfig};

@@ -1,16 +1,63 @@
-//! The per-statement reference detector: Algorithm 1 as a plain loop.
+//! The per-statement reference pipeline: Algorithm 1 as plain loops.
 //!
-//! Every statement's intra-query rules run, in statement order, then
+//! [`context`] builds the application context with no dedup and no
+//! sharing: every statement occurrence is split by the two-pass
+//! reference splitter, then parsed and annotated on its own. [`detect`]
+//! runs every statement's intra-query rules, in statement order, then
 //! every inter-query rule in `inter::RULES` order, then the data rules
-//! per profiled table — no grouping, no cache, no panic guard. Production
-//! detection runs through the batch engine
+//! per profiled table — no grouping, no cache, no panic guard.
+//! Production runs through [`ContextBuilder`](crate::ContextBuilder) and
+//! the batch engine
 //! ([`Detector::detect_batch_with`](crate::Detector::detect_batch_with));
 //! this module is the oracle the identity suites and the bench identity
-//! asserts compare the engine against.
+//! asserts compare them against.
 
 use super::{attach_spans, data, dedup, inter, intra, DetectionConfig};
-use crate::context::Context;
+use crate::context::{AnalyzedStatement, Context, FrontendOptions, SchemaCatalog, WorkloadProfile};
 use crate::report::Report;
+use sqlcheck_parser::annotate::annotate;
+use sqlcheck_parser::parser::parse_raw_limited;
+use sqlcheck_parser::splitter::reference::split_spanned;
+use std::sync::Arc;
+
+/// Build the context of `script` one occurrence at a time: split under
+/// the dialect `opts` resolves to, parse and annotate each occurrence
+/// separately, fold the schema, and profile with
+/// [`WorkloadProfile::build`]. Its statements, schema and workload must
+/// equal [`ContextBuilder`](crate::ContextBuilder)'s. Of the
+/// script-level diagnostics only the dialect guess is reproduced.
+pub fn context(script: &str, opts: &FrontendOptions) -> Context {
+    let (dialect, guessed) = opts.resolve_dialect(script);
+    let statements: Vec<AnalyzedStatement> = split_spanned(script, dialect)
+        .iter()
+        .map(|s| {
+            let (parsed, diags) = parse_raw_limited(s.materialize(script), &opts.limits, dialect);
+            let ann = annotate(&parsed.stmt, &parsed.arena);
+            AnalyzedStatement {
+                parsed: Arc::new(parsed),
+                ann: Arc::new(ann),
+                text_hash: s.content_hash,
+                template_hash: s.fingerprint(script),
+                span: s.span,
+                diags: diags.into(),
+            }
+        })
+        .collect();
+    let schema = SchemaCatalog::from_statements(statements.iter().map(|a| &a.parsed.stmt));
+    let workload = WorkloadProfile::build(
+        statements.iter().map(|a| (&a.parsed.stmt, a.ann.as_ref())),
+        &schema,
+    );
+    Context {
+        statements,
+        schema,
+        workload,
+        data: None,
+        diagnostics: guessed.into_iter().collect(),
+        limits_epoch: opts.limits.epoch(),
+        dialect,
+    }
+}
 
 /// Detect with the per-statement reference loop. The engine's output
 /// must equal this, detection for detection and in the same order.

@@ -234,7 +234,7 @@ mod tests {
                     FOR EACH ROW BEGIN UPDATE u SET a = 1; END;";
         std::fs::File::create(&path).unwrap().write_all(text.as_bytes()).unwrap();
         let s = read_script(path.to_str().unwrap()).unwrap();
-        let stmts = sqlcheck_parser::split_stream(&s);
+        let stmts = sqlcheck_parser::splitter::split(&s, sqlcheck_parser::Dialect::Generic);
         assert_eq!(stmts.len(), 3, "compound body must stay one statement");
         std::fs::remove_file(&path).ok();
     }

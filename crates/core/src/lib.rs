@@ -61,13 +61,13 @@
 //! per-phase front-end and detection timings, cache counters).
 //!
 //! ```
-//! use sqlcheck::{BatchOptions, SqlCheck};
+//! use sqlcheck::{FrontendOptions, SqlCheck};
 //!
 //! let mut script = String::new();
 //! for i in 0..100 {
 //!     script.push_str(&format!("SELECT * FROM Users WHERE id = {i};\n"));
 //! }
-//! let w = SqlCheck::new().check_workload(&script, &BatchOptions::default());
+//! let w = SqlCheck::new().check_workload(&script, &FrontendOptions::default());
 //! assert_eq!(w.stats.statements, 100);
 //! assert_eq!(w.stats.unique_templates, 1);
 //! assert!(!w.outcome.ranked().is_empty());
@@ -115,8 +115,8 @@ pub use context::{
     Context, ContextBuilder, DataAnalysisConfig, FrontendOptions, FrontendStats,
 };
 pub use detect::{
-    BatchOptions, BatchReport, BatchStats, CacheCounters, DetectionConfig, Detector,
-    IncrementalCache, DEFAULT_CACHE_SHARDS,
+    BatchReport, BatchStats, CacheCounters, DetectionConfig, Detector, IncrementalCache,
+    DEFAULT_CACHE_SHARDS,
 };
 pub use fix::{Fix, FixEngine, SuggestedFix};
 pub use input::{read_script, ScriptInput};
@@ -130,6 +130,10 @@ pub use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
 pub use sqlcheck_parser::Dialect;
 
 use sqlcheck_minidb::database::Database;
+
+/// The former name of [`FrontendOptions`], kept for out-of-tree callers.
+#[doc(hidden)]
+pub type BatchOptions = FrontendOptions;
 
 /// Detect anti-patterns in a SQL string — the paper's interactive-shell
 /// entry point (`from sqlcheck.finder import find_anti_patterns`, §7).
@@ -251,8 +255,6 @@ pub struct SqlCheck {
     database: Option<std::sync::Arc<Database>>,
     data_cfg: DataAnalysisConfig,
     cache: Option<std::sync::Arc<IncrementalCache>>,
-    dialect: Dialect,
-    detect_dialect: bool,
 }
 
 impl Default for SqlCheck {
@@ -271,31 +273,7 @@ impl SqlCheck {
             database: None,
             data_cfg: DataAnalysisConfig::default(),
             cache: None,
-            dialect: Dialect::Generic,
-            detect_dialect: false,
         }
-    }
-
-    /// Select the SQL dialect the front door (lexer → splitter → parser)
-    /// applies. The default, [`Dialect::Generic`], is the historical
-    /// tolerant union and is byte-identical to the pre-dialect
-    /// behaviour. Applies to [`SqlCheck::check_script`]; for
-    /// [`SqlCheck::check_workload`] it is the default that an explicit
-    /// [`BatchOptions::dialect`] overrides.
-    pub fn with_dialect(mut self, dialect: Dialect) -> Self {
-        self.dialect = dialect;
-        self
-    }
-
-    /// Enable dialect auto-detection ([`Dialect::detect`]): when the
-    /// configured dialect is [`Dialect::Generic`], the first script's
-    /// contents may switch the front door, recorded as a
-    /// [`DiagKind::DialectGuessed`] diagnostic. The CLI turns this on
-    /// whenever no explicit `--dialect` is given; library callers opt in
-    /// here.
-    pub fn with_dialect_detection(mut self, on: bool) -> Self {
-        self.detect_dialect = on;
-        self
     }
 
     /// Use a custom detection configuration.
@@ -404,9 +382,9 @@ impl SqlCheck {
     }
 
     /// Run the full pipeline over a SQL script: [`SqlCheck::check_workload`]
-    /// with default [`BatchOptions`], without the instrumentation.
+    /// with default [`FrontendOptions`], without the instrumentation.
     pub fn check_script(&self, script: &str) -> CheckOutcome {
-        self.check_workload(script, &BatchOptions::default()).outcome
+        self.check_workload(script, &FrontendOptions::default()).outcome
     }
 
     /// Run the full pipeline over a script using the parse-once
@@ -415,8 +393,8 @@ impl SqlCheck {
     /// a cache is attached — incremental reuse of detection results
     /// across calls. Returns the outcome plus [`BatchStats`]
     /// instrumentation (dedup, per-phase front-end timings, cache
-    /// counters).
-    pub fn check_workload(&self, script: &str, opts: &BatchOptions) -> WorkloadOutcome {
+    /// counters). `opts` sets the dialect and the per-statement budgets.
+    pub fn check_workload(&self, script: &str, opts: &FrontendOptions) -> WorkloadOutcome {
         self.run_workload(script, opts, false).0
     }
 
@@ -425,25 +403,10 @@ impl SqlCheck {
     pub(crate) fn run_workload(
         &self,
         script: &str,
-        opts: &BatchOptions,
+        opts: &FrontendOptions,
         keep_units: bool,
     ) -> (WorkloadOutcome, Option<detect::batch::EngineUnits>) {
-        // Explicit per-call dialect options win; an untouched default
-        // falls back to the toolchain-level setting.
-        let (dialect, detect_dialect) =
-            if opts.dialect == Dialect::Generic && !opts.detect_dialect {
-                (self.dialect, self.detect_dialect)
-            } else {
-                (opts.dialect, opts.detect_dialect)
-            };
-        let frontend = FrontendOptions {
-            dedup: true,
-            limits: opts.limits,
-            dialect,
-            detect_dialect,
-        };
-        let mut builder =
-            ContextBuilder::new().with_frontend(frontend).add_script(script);
+        let mut builder = ContextBuilder::new().with_frontend(opts.clone()).add_script(script);
         if let Some(db) = &self.database {
             builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
         }

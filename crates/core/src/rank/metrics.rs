@@ -10,7 +10,7 @@
 //! The default table below is the model "trained on data collected from
 //! previous deployments" (§1): RP/WP come from the paper's own measured
 //! numbers (Fig 3, Fig 8, §8.2) where it reports them, and from the
-//! Table 1 ✓ marks otherwise. [`crate::rank::model::Calibrator`] can
+//! Table 1 ✓ marks otherwise. [`crate::SqlCheck::with_metrics`] can
 //! overwrite any row with locally measured values.
 
 use crate::anti_pattern::AntiPatternKind;

@@ -41,18 +41,17 @@
 //! separately from the involuntary [`CheckSession::fallbacks`].
 
 use crate::context::{
-    synthesize_ddl, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
+    FrontendOptions, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
 };
 use crate::detect::batch::{inter_unit_digests, EngineUnits, TailUnit};
-use crate::detect::{BatchOptions, BatchStats};
+use crate::detect::BatchStats;
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
 use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::{ParsedStatement, Statement};
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use sqlcheck_parser::parse;
-use sqlcheck_parser::parser::parse_raw_limited_dialect;
+use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::split_deduped;
 use std::collections::HashMap;
 use std::mem;
@@ -133,12 +132,12 @@ struct State {
 /// A retained workload check that re-checks **edits**, not scripts.
 ///
 /// ```
-/// use sqlcheck::{BatchOptions, Edit, SqlCheck};
+/// use sqlcheck::{Edit, FrontendOptions, SqlCheck};
 ///
 /// let script = "CREATE TABLE t (a INT PRIMARY KEY);\nSELECT a FROM t WHERE a = 1;";
 /// let mut session = SqlCheck::new()
 ///     .with_cache(1024)
-///     .into_session(script, BatchOptions::default());
+///     .into_session(script, FrontendOptions::default());
 /// let before = session.outcome().outcome.report.detections.len();
 /// let after = session
 ///     .recheck(&[Edit::new(1, "SELECT * FROM t WHERE a = 1")])
@@ -150,7 +149,7 @@ struct State {
 /// ```
 pub struct CheckSession {
     tool: SqlCheck,
-    opts: BatchOptions,
+    opts: FrontendOptions,
     script: String,
     state: State,
     rechecks: u64,
@@ -164,7 +163,7 @@ impl SqlCheck {
     /// [`SqlCheck::with_cache`] makes re-checks cheapest (intra results
     /// and inter/data units replay from it, and DDL edits stay
     /// incremental), but the session is correct without one.
-    pub fn into_session(self, script: impl Into<String>, opts: BatchOptions) -> CheckSession {
+    pub fn into_session(self, script: impl Into<String>, opts: FrontendOptions) -> CheckSession {
         let script = script.into();
         let state = State::init(&self, &script, &opts);
         CheckSession {
@@ -223,7 +222,7 @@ impl State {
     /// per-unique and per-unit results, then adopt them as the retained
     /// forms (slots, per-statement slice bounds, tail units). Nothing is
     /// recomputed or read back from the cache.
-    fn init(tool: &SqlCheck, script: &str, opts: &BatchOptions) -> State {
+    fn init(tool: &SqlCheck, script: &str, opts: &FrontendOptions) -> State {
         let (base, units) = tool.run_workload(script, opts, true);
         let EngineUnits {
             groups,
@@ -415,9 +414,8 @@ impl CheckSession {
             let new_slot = match self.state.slot_of.get(&u.content_hash) {
                 Some(&slot) => slot,
                 None => {
-                    let raw = u.materialize(&e.text);
-                    let (parsed, diags) =
-                        parse_raw_limited_dialect(raw, &self.opts.limits, dialect);
+                    let raw = u.materialize(&e.text, dialect);
+                    let (parsed, diags) = parse_raw_limited(raw, &self.opts.limits, dialect);
                     if !diags.is_empty() {
                         return None;
                     }
@@ -552,14 +550,7 @@ impl CheckSession {
                 let mut schema =
                     SchemaCatalog::from_statements(ctx.statements.iter().map(|a| &a.parsed.stmt));
                 if let Some(db) = &tool.database {
-                    for table in db.tables() {
-                        if schema.table(&table.schema.name).is_none() {
-                            let ddl = synthesize_ddl(table);
-                            for p in parse(&ddl) {
-                                schema.apply(&p.stmt);
-                            }
-                        }
-                    }
+                    schema.add_missing_tables(db);
                 }
                 ctx.schema = schema;
                 // Contributions resolve against the schema — recompute

@@ -114,13 +114,10 @@ fn edit_lines(script: &str, rng: &mut SmallRng) -> String {
     out
 }
 
-/// Cold sequential reference: legacy front-end (per-statement parse, no
+/// Cold sequential reference: per-occurrence reference context (no
 /// sharing) + per-statement detection.
 fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
-    let ctx = ContextBuilder::new()
-        .with_frontend(FrontendOptions::legacy())
-        .add_script(script)
-        .build();
+    let ctx = reference::context(script, &FrontendOptions::default());
     detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 

@@ -6,7 +6,7 @@
 //! tables.
 
 use sqlcheck::detect::reference;
-use sqlcheck::{AntiPatternKind, BatchOptions, ContextBuilder, Detector, Locus, SqlCheck};
+use sqlcheck::{AntiPatternKind, FrontendOptions, ContextBuilder, Detector, Locus, SqlCheck};
 use sqlcheck_parser::ast::Statement;
 
 /// The ISSUE 5 acceptance repro.
@@ -95,7 +95,7 @@ fn dollar_quoted_function_body_e2e() {
                   $fn$ LANGUAGE plpgsql;\n\
                   SELECT name FROM t WHERE id = 1;";
     let tool = SqlCheck::new();
-    let w = tool.check_workload(script, &BatchOptions::default());
+    let w = tool.check_workload(script, &FrontendOptions::default());
     assert_eq!(w.stats.statements, 2);
     let ctx = &w.outcome.context;
     let Statement::CreateRoutine(r) = &ctx.statements[0].parsed.stmt else {
@@ -130,7 +130,7 @@ fn mysqldump_delimiter_block_e2e() {
                   DELIMITER ;\n\
                   SELECT * FROM t;";
     let tool = SqlCheck::new();
-    let w = tool.check_workload(script, &BatchOptions::default());
+    let w = tool.check_workload(script, &FrontendOptions::default());
     assert_eq!(w.stats.statements, 2, "directive lines are not statements");
     assert!(matches!(w.outcome.context.statements[0].parsed.stmt, Statement::CreateTrigger(_)));
     assert!(w
@@ -156,11 +156,11 @@ fn cache_script(v_extra_col: bool) -> String {
 #[test]
 fn ddl_edit_to_body_referenced_table_evicts_trigger_entry() {
     let tool = SqlCheck::new().with_cache(1024);
-    let cold = tool.check_workload(&cache_script(false), &BatchOptions::default());
+    let cold = tool.check_workload(&cache_script(false), &FrontendOptions::default());
     assert_eq!(cold.stats.incremental_misses, 4, "all unique texts analysed cold");
 
     // Unchanged script: everything replays from the cache.
-    let warm = tool.check_workload(&cache_script(false), &BatchOptions::default());
+    let warm = tool.check_workload(&cache_script(false), &FrontendOptions::default());
     assert_eq!(warm.stats.incremental_hits, 4);
     assert_eq!(warm.stats.incremental_misses, 0);
 
@@ -169,7 +169,7 @@ fn ddl_edit_to_body_referenced_table_evicts_trigger_entry() {
     // the body reads neither `v`'s core nor the new column, and the
     // detections of `DELETE FROM v` cannot change. Only the edited DDL
     // text itself is new work.
-    let edited = tool.check_workload(&cache_script(true), &BatchOptions::default());
+    let edited = tool.check_workload(&cache_script(true), &FrontendOptions::default());
     assert_eq!(
         edited.stats.incremental_misses, 1,
         "only the edited v-DDL text re-analyses"
@@ -184,7 +184,7 @@ fn ddl_edit_to_body_referenced_table_evicts_trigger_entry() {
         "CREATE TABLE v (a INT PRIMARY KEY, b INT);",
         "CREATE TABLE v (a BIGINT PRIMARY KEY, b INT);",
     );
-    let after = tool.check_workload(&retyped, &BatchOptions::default());
+    let after = tool.check_workload(&retyped, &FrontendOptions::default());
     assert_eq!(
         after.stats.incremental_misses, 2,
         "edited v-DDL text + invalidated trigger entry re-analysed"
@@ -201,8 +201,8 @@ fn cached_compound_rechecks_stay_byte_identical() {
                   CREATE TRIGGER audit AFTER UPDATE ON t FOR EACH ROW BEGIN \
                   INSERT INTO log VALUES (1); SELECT * FROM x; END;";
     let tool = SqlCheck::new().with_cache(64);
-    let cold = tool.check_workload(script, &BatchOptions::default());
-    let warm = tool.check_workload(script, &BatchOptions::default());
+    let cold = tool.check_workload(script, &FrontendOptions::default());
+    let warm = tool.check_workload(script, &FrontendOptions::default());
     assert!(warm.stats.incremental_hits > 0);
     let fmt = |o: &sqlcheck::CheckOutcome| {
         o.report.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()

@@ -1,9 +1,8 @@
 //! End-to-end dialect properties (ISSUE 10).
 //!
-//! 1. **Generic identity**: threading `Dialect::Generic` explicitly
-//!    through the pipeline — tool-level or `BatchOptions`-level — must be
-//!    byte-identical to the pre-dialect default entry points, cache on
-//!    and off.
+//! 1. **Generic identity**: an explicit `Dialect::Generic` in
+//!    `FrontendOptions` must be byte-identical to the default options,
+//!    cache on and off.
 //! 2. **Detection**: with no explicit dialect, `check_workload` guesses
 //!    from the script and says so (`DiagKind::DialectGuessed`); an
 //!    explicit dialect suppresses both the guess and the diagnostic.
@@ -14,8 +13,15 @@
 //!    exceeds ~10% self-selects a cold rebuild, counted as
 //!    `cold_reverts` — not as a correctness `fallback` — and still
 //!    matches a cold check byte-for-byte.
+//! 5. **One dialect end to end**: every statement the pipeline builds is
+//!    tokenized under the dialect it was split under, cold and through a
+//!    session re-check.
 
-use sqlcheck::{BatchOptions, DiagKind, Dialect, Edit, SqlCheck, WorkloadOutcome};
+use sqlcheck::{
+    AntiPatternKind, ContextBuilder, DiagKind, Dialect, Edit, FrontendOptions, Locus, SqlCheck,
+    WorkloadOutcome,
+};
+use sqlcheck_parser::lexer::tokenize;
 
 /// Render every outcome surface; equality here is the byte-identity bar.
 fn fingerprint(w: &WorkloadOutcome) -> String {
@@ -83,31 +89,22 @@ fn mysqldump_script() -> String {
     s
 }
 
-/// Explicit `Dialect::Generic` — at either layer — is byte-identical to
-/// the undialected default, cache on and off.
+/// Explicit `Dialect::Generic` is byte-identical to the default options,
+/// cache on and off.
 #[test]
 fn explicit_generic_equals_the_undialected_default() {
     let script = neutral_script();
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     for &cached in &[false, true] {
         let mk = || if cached { SqlCheck::new().with_cache(1024) } else { SqlCheck::new() };
 
         let base = mk().check_workload(&script, &opts);
-        let tool_level = mk()
-            .with_dialect(Dialect::Generic)
-            .with_dialect_detection(false)
-            .check_workload(&script, &opts);
         let opts_level = mk().check_workload(
             &script,
-            &BatchOptions { dialect: Dialect::Generic, ..opts.clone() },
+            &FrontendOptions { dialect: Dialect::Generic, ..opts.clone() },
         );
 
         assert_eq!(base.outcome.context.dialect, Dialect::Generic);
-        assert_eq!(
-            fingerprint(&base),
-            fingerprint(&tool_level),
-            "cached={cached}: tool-level Generic diverged"
-        );
         assert_eq!(
             fingerprint(&base),
             fingerprint(&opts_level),
@@ -122,7 +119,7 @@ fn explicit_generic_equals_the_undialected_default() {
 #[test]
 fn detection_guesses_and_explicit_dialect_suppresses() {
     let script = mysqldump_script();
-    let opts = BatchOptions { detect_dialect: true, ..BatchOptions::default() };
+    let opts = FrontendOptions { detect_dialect: true, ..FrontendOptions::default() };
     let guessed = SqlCheck::new().check_workload(&script, &opts);
     assert_eq!(guessed.outcome.context.dialect, Dialect::MySql);
     assert_eq!(
@@ -139,7 +136,7 @@ fn detection_guesses_and_explicit_dialect_suppresses() {
 
     let explicit = SqlCheck::new().check_workload(
         &script,
-        &BatchOptions { dialect: Dialect::MySql, ..BatchOptions::default() },
+        &FrontendOptions { dialect: Dialect::MySql, ..FrontendOptions::default() },
     );
     assert_eq!(explicit.outcome.context.dialect, Dialect::MySql);
     assert!(
@@ -156,7 +153,7 @@ fn dialect_folds_into_the_cache_epoch() {
     let script = mysqldump_script();
     let tool = SqlCheck::new().with_cache(4096);
     for dialect in [Dialect::Generic, Dialect::MySql, Dialect::Generic, Dialect::Postgres] {
-        let opts = BatchOptions { dialect, ..BatchOptions::default() };
+        let opts = FrontendOptions { dialect, ..FrontendOptions::default() };
         let cached = tool.check_workload(&script, &opts);
         let cold = SqlCheck::new().check_workload(&script, &opts);
         assert_eq!(
@@ -173,7 +170,7 @@ fn dialect_folds_into_the_cache_epoch() {
 /// `cold_revert`, not a `fallback` — and both match cold byte-for-byte.
 #[test]
 fn bulk_edits_revert_to_cold_and_are_counted_separately() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let script = neutral_script();
     let mut session = SqlCheck::new().into_session(script, opts.clone());
     let n = session.outcome().stats.statements;
@@ -203,4 +200,71 @@ fn bulk_edits_revert_to_cold_and_are_counted_separately() {
     assert_eq!(session.fallbacks(), 0);
     let cold = SqlCheck::new().check_workload(session.script(), &opts);
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "post-revert identity");
+}
+
+/// A statement whose `#` comment hides a `;` under MySQL: the
+/// leading-wildcard `LIKE` sits after the comment, so the statement only
+/// reports Pattern Matching when its tokens come from a MySQL lex.
+const HASH_COMMENT_LIKE: &str = "SELECT name FROM t # note; pick names\nWHERE name LIKE '%abc%'";
+
+fn mysql() -> FrontendOptions {
+    FrontendOptions { dialect: Dialect::MySql, ..FrontendOptions::default() }
+}
+
+/// Whether `w` reports Pattern Matching on statement `index`.
+fn pattern_matching_at(w: &WorkloadOutcome, index: usize) -> bool {
+    w.outcome.report.detections.iter().any(|d| {
+        d.kind == AntiPatternKind::PatternMatching && d.locus == Locus::Statement { index }
+    })
+}
+
+/// Under MySQL, a `#` comment hiding a `;` must not cost the statement
+/// its findings: the statement is materialised under the dialect it was
+/// split under.
+#[test]
+fn mysql_hash_comment_keeps_the_pattern_matching_finding() {
+    let script = format!("{HASH_COMMENT_LIKE};\nSELECT 1;");
+    let w = SqlCheck::new().check_workload(&script, &mysql());
+    assert_eq!(w.stats.statements, 2);
+    assert!(pattern_matching_at(&w, 0), "{:?}", w.outcome.report.detections);
+}
+
+/// A MySQL session re-check that swaps a statement for the `#`-comment
+/// text reports the finding, exactly as a cold check does.
+#[test]
+fn mysql_session_recheck_materialises_under_mysql() {
+    let script = "SELECT id FROM t WHERE id = 1;\nSELECT id FROM u;\n";
+    let mut session = SqlCheck::new().with_cache(1024).into_session(script, mysql());
+    session.recheck(&[Edit::new(0, HASH_COMMENT_LIKE)]);
+    assert_eq!(session.fallbacks(), 0, "a one-statement edit stays incremental");
+    assert!(pattern_matching_at(session.outcome(), 0));
+    let cold = SqlCheck::new().check_workload(session.script(), &mysql());
+    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
+}
+
+/// Under every dialect, each statement the context builder keeps has the
+/// tokens its source span lexes to under that dialect.
+#[test]
+fn built_statements_are_lexed_under_their_dialect() {
+    let script = format!(
+        "{HASH_COMMENT_LIKE};\n\
+         SELECT \"a;b\", `c;d` FROM u -- tail; comment\nWHERE x = 1;\n\
+         SELECT $$e;f$$ FROM v # g;\n;\n\
+         INSERT INTO w VALUES (1, \"h\") -- i;\n;\n\
+         {HASH_COMMENT_LIKE};\n"
+    );
+    for d in Dialect::ALL {
+        let opts = FrontendOptions { dialect: d, ..FrontendOptions::default() };
+        let ctx = ContextBuilder::new().with_frontend(opts).add_script(&script).build();
+        assert!(ctx.len() >= 4, "{d}: {} statements", ctx.len());
+        for (i, st) in ctx.statements.iter().enumerate() {
+            let text = &script[st.span.start..st.span.end];
+            let kinds_and_texts = |toks: &[sqlcheck_parser::Token]| -> Vec<_> {
+                toks.iter().map(|t| (t.kind, t.text.to_string())).collect()
+            };
+            let built = kinds_and_texts(&st.parsed.tokens);
+            let expected = kinds_and_texts(&tokenize(text, d));
+            assert_eq!(built, expected, "{d}: statement {i} {text:?}");
+        }
+    }
 }

@@ -54,12 +54,10 @@ fn detections_debug(r: &sqlcheck::Report) -> Vec<String> {
     r.detections.iter().map(|d| format!("{d:?}")).collect()
 }
 
-/// Cold sequential reference: legacy front-end + per-statement detection.
+/// Cold sequential reference: per-occurrence reference context +
+/// per-statement detection.
 fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
-    let ctx = ContextBuilder::new()
-        .with_frontend(FrontendOptions::legacy())
-        .add_script(script)
-        .build();
+    let ctx = reference::context(script, &FrontendOptions::default());
     detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 

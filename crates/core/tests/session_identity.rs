@@ -13,7 +13,7 @@
 //!    cold (never-stale).
 
 use sqlcheck::context::{ColumnUsage, WorkloadProfile};
-use sqlcheck::{BatchOptions, Edit, SqlCheck, WorkloadOutcome};
+use sqlcheck::{FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
 use sqlcheck_minidb::database::Database;
 use sqlcheck_minidb::schema::{Column, TableSchema};
 use sqlcheck_minidb::value::{DataType, Value};
@@ -126,7 +126,7 @@ fn tool(cache: bool) -> SqlCheck {
 /// across several edit sequences and cache on/off.
 #[test]
 fn random_edit_rounds_match_cold_checks() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     for seed in [1u64, 2, 4] {
         for &cached in &[true, false] {
             let mut session = tool(cached).into_session(seed_script(), opts.clone());
@@ -174,7 +174,7 @@ fn random_edit_rounds_match_cold_checks() {
 /// re-runs.
 #[test]
 fn ddl_edit_rounds_match_cold_checks() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let mut session = tool(true).into_session(seed_script(), opts.clone());
     let ddl_variants = [
         // Touched column type change: evicts users-dependent entries.
@@ -202,7 +202,7 @@ fn ddl_edit_rounds_match_cold_checks() {
 /// DDL edit without a cache: correctness via declared fallback.
 #[test]
 fn ddl_edit_without_cache_falls_back_and_matches() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let mut session = tool(false).into_session(seed_script(), opts.clone());
     session.recheck(&[Edit::new(
         0,
@@ -218,7 +218,7 @@ fn ddl_edit_without_cache_falls_back_and_matches() {
 /// evicts only dependents — and both stay byte-identical to cold.
 #[test]
 fn column_granular_eviction_never_over_evicts_or_goes_stale() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let mut session = tool(true).into_session(seed_script(), opts.clone());
 
     // ADD COLUMN `flags`: no existing statement reads it, so the sweep
@@ -261,7 +261,7 @@ fn column_granular_eviction_never_over_evicts_or_goes_stale() {
 /// replacement.
 #[test]
 fn guarded_edits_fall_back_and_match() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let cases: [&str; 3] = [
         "SELECT 1; SELECT 2;",               // splits to two statements
         "",                                   // removes the statement
@@ -302,7 +302,7 @@ fn database_backed_session_matches_cold() {
                   SELECT name FROM users WHERE id = 1;\n\
                   SELECT label FROM metrics WHERE val > 2;\n\
                   SELECT name FROM users WHERE id = 2;\n";
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let mut session = mk().into_session(script, opts.clone());
 
     // Non-DDL edit.
@@ -334,7 +334,7 @@ fn ddl_edit_flips_implicit_columns_fix_and_back() {
                   INSERT INTO t VALUES (1, 2);\n\
                   SELECT a FROM t WHERE b = 1;\n\
                   INSERT INTO t VALUES (1, 2);\n";
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     // (statement index, is a rewrite) of each Implicit Columns fix.
     let insert_fixes = |w: &WorkloadOutcome| -> Vec<(usize, bool)> {
         let mut v: Vec<(usize, bool)> = w
@@ -377,7 +377,7 @@ fn ddl_edit_flips_implicit_columns_fix_and_back() {
 /// per-phase warm timers are populated.
 #[test]
 fn warm_stats_reflect_edit_proportionality() {
-    let opts = BatchOptions::default();
+    let opts = FrontendOptions::default();
     let mut session = tool(true).into_session(seed_script(), opts);
     let n = session.outcome().stats.statements;
     session.recheck(&[Edit::new(7, "SELECT age FROM users WHERE age = 41")]);
@@ -410,7 +410,7 @@ fn into_session_runs_detection_once() {
     let cache = std::sync::Arc::new(sqlcheck::IncrementalCache::new(4096));
     let session = SqlCheck::new()
         .with_shared_cache(std::sync::Arc::clone(&cache))
-        .into_session(seed_script(), BatchOptions::default());
+        .into_session(seed_script(), FrontendOptions::default());
     let unique_texts = session.outcome().stats.unique_texts as u64;
     let c = cache.counters();
     assert_eq!(c.hits, 0, "no cache read-backs");

@@ -10,7 +10,7 @@
 
 use sqlcheck::detect::reference;
 use sqlcheck::{
-    BatchOptions, ContextBuilder, Detector, Locus, SqlCheck,
+    FrontendOptions, ContextBuilder, Detector, Locus, SqlCheck,
 };
 use std::sync::Arc;
 
@@ -75,7 +75,7 @@ fn detections_on_duplicates_carry_their_own_occurrence_span() {
 fn fixes_for_duplicates_point_at_their_own_location() {
     let occ = occurrence_texts(SCRIPT);
     let tool = SqlCheck::new();
-    let w = tool.check_workload(SCRIPT, &BatchOptions::default());
+    let w = tool.check_workload(SCRIPT, &FrontendOptions::default());
     let spans: Vec<(usize, usize)> = w
         .outcome
         .fixes()
@@ -102,8 +102,8 @@ fn cached_rechecks_preserve_per_occurrence_spans() {
     // detections must carry round-2 occurrence spans, not canonical or
     // first-occurrence ones.
     let tool = SqlCheck::new().with_cache(1024);
-    let cold = tool.check_workload(SCRIPT, &BatchOptions::default());
-    let warm = tool.check_workload(SCRIPT, &BatchOptions::default());
+    let cold = tool.check_workload(SCRIPT, &FrontendOptions::default());
+    let warm = tool.check_workload(SCRIPT, &FrontendOptions::default());
     assert!(warm.stats.incremental_hits > 0, "second round must hit the cache");
     let key = |o: &sqlcheck::CheckOutcome| {
         o.report.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()

@@ -22,6 +22,7 @@
 
 use sqlcheck::AntiPatternKind;
 use sqlcheck_parser::splitter::split;
+use sqlcheck_parser::Dialect;
 
 /// One dbdeo detection: an AP kind anchored at a statement index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +37,7 @@ pub struct DbdeoDetection {
 
 /// Run dbdeo over a whole script.
 pub fn detect_script(script: &str) -> Vec<DbdeoDetection> {
-    split(script)
+    split(script, Dialect::Generic)
         .iter()
         .enumerate()
         .flat_map(|(i, stmt)| detect_statement(i, stmt.text()))

@@ -388,9 +388,10 @@ fn ident_parts(e: &Expr) -> Option<(Option<IStr>, IStr)> {
 mod tests {
     use super::*;
     use crate::parser::parse_one;
+    use crate::dialect::Dialect;
 
     fn ann(sql: &str) -> Annotations {
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         annotate(&p.stmt, &p.arena)
     }
 

@@ -3,8 +3,8 @@
 //! Real schema dumps contain trigger/procedure DDL whose `BEGIN … END`
 //! bodies hold whole statements — the inner semicolons terminate *body*
 //! statements, not the DDL statement itself. [`BlockTracker`] is the
-//! shared state machine that every split path (fused streaming, spans-only
-//! dedup scan, and the legacy two-pass reference) consults per
+//! shared state machine that every split path (the spans-only dedup
+//! scan and the two-pass reference) consults per
 //! significant token so all of them agree, byte for byte, on where
 //! statements end.
 //!
@@ -481,7 +481,7 @@ mod tests {
     fn actions_dialect(script: &str, dialect: Dialect) -> Vec<(String, SplitAction)> {
         let mut tracker = BlockTracker::with_dialect(dialect);
         let bytes = script.as_bytes();
-        crate::lexer::tokenize_dialect(script, dialect)
+        crate::lexer::tokenize(script, dialect)
             .into_iter()
             .filter(|t| !t.is_trivia())
             .map(|t| {
@@ -589,7 +589,7 @@ mod tests {
             5
         );
         let mut tracker = BlockTracker::with_dialect(Dialect::Postgres);
-        for t in crate::lexer::tokenize_dialect(s, Dialect::Postgres) {
+        for t in crate::lexer::tokenize(s, Dialect::Postgres) {
             if !t.is_trivia() {
                 tracker.offer(s.as_bytes(), t.kind, t.span.start, t.span.end);
             }

@@ -162,7 +162,7 @@ impl Dialect {
         let prefix = &script[..end];
         let bytes = prefix.as_bytes();
         let mut stmt_start = true;
-        for t in crate::lexer::lex_spans(prefix) {
+        for t in crate::lexer::lex_spans(prefix, Dialect::Generic) {
             if t.is_trivia() {
                 continue;
             }

@@ -265,7 +265,7 @@ fn atom_is_semi(kind: TokenKind, text: &str) -> bool {
 }
 
 /// One-token-at-a-time template fingerprint — the push-style counterpart
-/// of [`fingerprint_parts`], used by the fused splitter where tokens are
+/// of [`fingerprint_parts`], used by the splitter where tokens are
 /// consumed as the lexer produces them and no token stream ever exists to
 /// iterate twice.
 ///
@@ -348,7 +348,7 @@ fn fmix64(mut k: u64) -> u64 {
 
 /// Streaming content hash — a Murmur3-x64-128-style hash over raw
 /// statement bytes, two 64-bit lanes and 16 input bytes per mixing step
-/// (the per-byte FNV-128 multiply chain this replaced was the fused
+/// (the per-byte FNV-128 multiply chain this replaced was the
 /// splitter's single largest cost).
 ///
 /// The content hash is defined over a statement's **source bytes**, not
@@ -357,7 +357,7 @@ fn fmix64(mut k: u64) -> u64 {
 /// will see — token kinds add no discriminating power. Feeding each
 /// token's exact text in order is therefore identical to hashing the
 /// statement slice in one shot ([`content_hash_bytes`]), which is what
-/// the fused splitter does at statement flush.
+/// the splitter does once per unique statement text.
 ///
 /// The struct is `Copy`, so a caller can snapshot the state before
 /// feeding tokens that may turn out to be excluded (trailing trivia) and
@@ -481,8 +481,8 @@ impl ContentHasher {
     }
 }
 
-/// One-shot content hash of raw bytes — the core the fused splitter
-/// calls once per statement span at flush (no per-token work at all).
+/// One-shot content hash of raw bytes — the core the splitter calls
+/// once per unique statement span (no per-token work at all).
 pub fn content_hash_bytes(bytes: &[u8]) -> u128 {
     let mut h = ContentHasher::new();
     h.push_bytes(bytes);
@@ -590,9 +590,10 @@ impl ParsedStatement {
 mod tests {
     use super::*;
     use crate::parser::parse_one;
+    use crate::dialect::Dialect;
 
     fn fp(sql: &str) -> u64 {
-        parse_one(sql).fingerprint()
+        parse_one(sql, Dialect::Generic).fingerprint()
     }
 
     #[test]
@@ -661,7 +662,8 @@ mod tests {
 
     #[test]
     fn template_text_is_readable() {
-        let t = parse_one("SELECT  *  FROM Users WHERE Name = 'N' AND id IN (1,2,3);").template();
+        let sql = "SELECT  *  FROM Users WHERE Name = 'N' AND id IN (1,2,3);";
+        let t = parse_one(sql, Dialect::Generic).template();
         assert_eq!(t, "SELECT * FROM users WHERE name = ? AND id IN ( ? )");
     }
 
@@ -697,7 +699,7 @@ mod tests {
             "SELECT \"\" FROM t",
         ];
         for sql in corpus {
-            let p = parse_one(sql);
+            let p = parse_one(sql, Dialect::Generic);
             assert_eq!(
                 p.fingerprint(),
                 fnv1a(p.template().as_bytes()),
@@ -710,15 +712,15 @@ mod tests {
     #[test]
     fn spanned_hashes_equal_materialized_hashes() {
         let sql = "SELECT a, \"B\" FROM t WHERE x = 'v' AND y IN (1,2); DELETE FROM t;";
-        let toks = crate::lexer::lex_spans(sql);
-        let owned = crate::lexer::tokenize(sql);
+        let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
+        let owned = crate::lexer::tokenize(sql, Dialect::Generic);
         assert_eq!(content_hash_spanned(sql, &toks), content_hash_of(&owned));
         assert_eq!(fingerprint_spanned(sql, &toks), fingerprint_of(&owned));
     }
 
     #[test]
     fn push_hashers_equal_pull_hashers() {
-        // The push-style hashers the fused splitter feeds token-by-token
+        // The push-style hashers the splitter feeds token-by-token
         // must agree with the iterator-based ones on any token stream —
         // including streams whose trailing atoms exercise the deferred
         // `;` fold (quoted identifiers named `";"`, trailing semicolon
@@ -738,7 +740,7 @@ mod tests {
             "SELECT \"?\", 1 FROM t ;",
         ];
         for sql in corpus {
-            let toks = crate::lexer::lex_spans(sql);
+            let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
             let mut fp = StreamingFingerprint::new();
             let mut ch = ContentHasher::new();
             for t in &toks {
@@ -761,8 +763,8 @@ mod tests {
     #[test]
     fn content_hash_is_a_byte_hash() {
         // Chunking invariance: any split of the byte stream into pushes
-        // yields the one-shot hash (the fused splitter relies on this —
-        // it hashes the whole statement slice at flush, while the
+        // yields the one-shot hash (the splitter relies on this —
+        // it hashes each unique statement slice at once, while the
         // token-stream front-ends push text-by-text).
         let data =
             b"SELECT * FROM t WHERE a = 'long literal body spanning blocks' AND b IN (1,2,3)";
@@ -778,7 +780,7 @@ mod tests {
         assert_ne!(content_hash_bytes(b""), content_hash_bytes(b"\0"));
         // A statement's content hash is the hash of its source slice.
         let sql = "SELECT a /* t */ , b FROM t";
-        let toks = crate::lexer::lex_spans(sql);
+        let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
         assert_eq!(content_hash_spanned(sql, &toks), content_hash_bytes(sql.as_bytes()));
     }
 

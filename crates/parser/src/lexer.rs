@@ -6,13 +6,12 @@
 //! reconstructed exactly. Both properties mirror the contract of the
 //! `sqlparse` library the paper builds on.
 //!
-//! The lexer is a *push* machine: it drives a [`TokenSink`] one token at a
+//! The lexer is a *push* machine: it drives a `TokenSink` one token at a
 //! time and materialises nothing itself. [`lex_spans`] collects the stream
-//! into a `Vec` for callers that want it, but the fused front door
-//! ([`crate::splitter::split_stream`]) consumes tokens directly — statement
-//! splitting, content hashing, and template fingerprinting all happen in
-//! this single pass, with no whole-script token buffer. The byte loop
-//! dispatches through the [`crate::scan`] class table and crosses long runs
+//! into a `Vec` for callers that want it, but the splitter's front door
+//! ([`crate::splitter::split_deduped`]) consumes tokens directly — the
+//! statement boundary scan keeps no whole-script token buffer. The byte loop
+//! dispatches through the `scan` module's class table and crosses long runs
 //! (comments, string bodies, whitespace, words) with `memchr`-style skip
 //! loops.
 
@@ -72,18 +71,14 @@ impl TokenSink for SpanSink {
 /// ```
 /// use sqlcheck_parser::lexer::tokenize;
 /// use sqlcheck_parser::token::TokenKind;
-/// let toks = tokenize("SELECT * FROM t WHERE a = 'x'");
+/// use sqlcheck_parser::Dialect;
+/// let toks = tokenize("SELECT * FROM t WHERE a = 'x'", Dialect::Generic);
 /// assert_eq!(toks[0].kind, TokenKind::Keyword);
 /// let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
 /// assert_eq!(rebuilt, "SELECT * FROM t WHERE a = 'x'");
 /// ```
-pub fn tokenize(input: &str) -> Vec<Token> {
-    tokenize_dialect(input, Dialect::Generic)
-}
-
-/// [`tokenize`] under an explicit [`Dialect`].
-pub fn tokenize_dialect(input: &str, dialect: Dialect) -> Vec<Token> {
-    lex_spans_dialect(input, dialect)
+pub fn tokenize(input: &str, dialect: Dialect) -> Vec<Token> {
+    lex_spans(input, dialect)
         .into_iter()
         .map(|t| Token::new(t.kind, &input[t.span.start..t.span.end], t.span))
         .collect()
@@ -108,12 +103,7 @@ impl TokenSink for SignificantSink<'_> {
 /// Tokenize and drop whitespace/comment trivia. Convenient for detection
 /// rules that only care about the significant token sequence. Trivia is
 /// discarded at the span level — no text is ever allocated for it.
-pub fn tokenize_significant(input: &str) -> Vec<Token> {
-    tokenize_significant_dialect(input, Dialect::Generic)
-}
-
-/// [`tokenize_significant`] under an explicit [`Dialect`].
-pub fn tokenize_significant_dialect(input: &str, dialect: Dialect) -> Vec<Token> {
+pub fn tokenize_significant(input: &str, dialect: Dialect) -> Vec<Token> {
     let mut sink = SignificantSink { src: input, out: Vec::with_capacity(input.len() / 4 + 4) };
     lex_into(input, dialect, &mut sink);
     sink.out
@@ -152,12 +142,7 @@ impl SpannedToken {
 /// Tokenize `input` into span-level tokens without allocating any token
 /// text. Same classification as [`tokenize`]; `tokenize` is in fact this
 /// pass plus text materialisation.
-pub fn lex_spans(input: &str) -> Vec<SpannedToken> {
-    lex_spans_dialect(input, Dialect::Generic)
-}
-
-/// [`lex_spans`] under an explicit [`Dialect`].
-pub fn lex_spans_dialect(input: &str, dialect: Dialect) -> Vec<SpannedToken> {
+pub fn lex_spans(input: &str, dialect: Dialect) -> Vec<SpannedToken> {
     // ~2.2 bytes/token on realistic SQL; reserve once, grow rarely.
     let mut sink = SpanSink { out: Vec::with_capacity(input.len() / 2) };
     lex_into(input, dialect, &mut sink);
@@ -532,13 +517,14 @@ mod tests {
     use crate::token::TokenKind::*;
 
     fn kinds(sql: &str) -> Vec<TokenKind> {
-        tokenize_significant(sql).into_iter().map(|t| t.kind).collect()
+        tokenize_significant(sql, Dialect::Generic).into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn lossless_reconstruction() {
         let sql = "SELECT a, b FROM t -- trailing\n WHERE x = 'it''s' /* c */;";
-        let rebuilt: String = tokenize(sql).iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String =
+            tokenize(sql, Dialect::Generic).iter().map(|t| t.text.as_str()).collect();
         assert_eq!(rebuilt, sql);
     }
 
@@ -550,7 +536,7 @@ mod tests {
 
     #[test]
     fn string_with_escaped_quote() {
-        let toks = tokenize_significant("'it''s'");
+        let toks = tokenize_significant("'it''s'", Dialect::Generic);
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].kind, StringLit);
         assert_eq!(toks[0].string_value().unwrap(), "it's");
@@ -558,7 +544,7 @@ mod tests {
 
     #[test]
     fn quoting_dialects() {
-        let toks = tokenize_significant("\"a\" `b` [c]");
+        let toks = tokenize_significant("\"a\" `b` [c]", Dialect::Generic);
         assert!(toks.iter().all(|t| t.kind == QuotedIdent));
         assert_eq!(toks[0].ident_value(), "a");
         assert_eq!(toks[1].ident_value(), "b");
@@ -567,7 +553,7 @@ mod tests {
 
     #[test]
     fn dollar_quoted_string() {
-        let toks = tokenize_significant("$tag$hello 'world'$tag$");
+        let toks = tokenize_significant("$tag$hello 'world'$tag$", Dialect::Generic);
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].kind, StringLit);
     }
@@ -580,14 +566,14 @@ mod tests {
 
     #[test]
     fn numbers() {
-        let toks = tokenize_significant("1 2.5 .5 1e10 3.14E-2");
+        let toks = tokenize_significant("1 2.5 .5 1e10 3.14E-2", Dialect::Generic);
         assert!(toks.iter().all(|t| t.kind == NumberLit), "{toks:?}");
         assert_eq!(toks.len(), 5);
     }
 
     #[test]
     fn nested_block_comment() {
-        let toks = tokenize("/* outer /* inner */ still */x");
+        let toks = tokenize("/* outer /* inner */ still */x", Dialect::Generic);
         assert_eq!(toks[0].kind, Comment);
         assert_eq!(toks[1].text, "x");
     }
@@ -595,7 +581,7 @@ mod tests {
     #[test]
     fn multi_char_operators() {
         let k = kinds("a <> b != c || d :: e == f");
-        let ops: Vec<_> = tokenize_significant("a <> b != c || d :: e == f")
+        let ops: Vec<_> = tokenize_significant("a <> b != c || d :: e == f", Dialect::Generic)
             .into_iter()
             .filter(|t| t.kind == Operator)
             .map(|t| t.text)
@@ -606,7 +592,7 @@ mod tests {
 
     #[test]
     fn unterminated_string_does_not_panic() {
-        let toks = tokenize("SELECT 'oops");
+        let toks = tokenize("SELECT 'oops", Dialect::Generic);
         let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(rebuilt, "SELECT 'oops");
     }
@@ -614,13 +600,17 @@ mod tests {
     #[test]
     fn unknown_bytes_preserved() {
         let sql = "SELECT \u{7f}\u{1} FROM t";
-        let rebuilt: String = tokenize(sql).iter().map(|t| t.text.as_str()).collect();
+        let rebuilt: String =
+            tokenize(sql, Dialect::Generic).iter().map(|t| t.text.as_str()).collect();
         assert_eq!(rebuilt, sql);
     }
 
     #[test]
     fn like_pattern_with_posix_classes_stays_in_string() {
-        let toks = tokenize_significant("SELECT * FROM t WHERE c LIKE '[[:<:]]U1[[:>:]]'");
+        let toks = tokenize_significant(
+            "SELECT * FROM t WHERE c LIKE '[[:<:]]U1[[:>:]]'",
+            Dialect::Generic,
+        );
         let lit = toks.iter().find(|t| t.kind == StringLit).unwrap();
         assert!(lit.text.contains("[[:<:]]"));
     }
@@ -630,36 +620,37 @@ mod tests {
         // Same significant stream as tokenize + filter, without trivia
         // texts ever existing.
         let sql = "  SELECT /* c */ a -- tail\n FROM t  ";
-        let via_spans: Vec<_> = tokenize_significant(sql);
-        let via_owned: Vec<_> = tokenize(sql).into_iter().filter(|t| !t.is_trivia()).collect();
+        let via_spans: Vec<_> = tokenize_significant(sql, Dialect::Generic);
+        let via_owned: Vec<_> =
+            tokenize(sql, Dialect::Generic).into_iter().filter(|t| !t.is_trivia()).collect();
         assert_eq!(via_spans, via_owned);
     }
 
     #[test]
     fn dialect_quoting_rules() {
         // MySQL: "…" is a string, backticks quote, brackets don't.
-        let toks = tokenize_significant_dialect("\"s\" `b` [c]", Dialect::MySql);
+        let toks = tokenize_significant("\"s\" `b` [c]", Dialect::MySql);
         assert_eq!(toks[0].kind, StringLit);
         assert_eq!(toks[1].kind, QuotedIdent);
         assert!(toks[2..].iter().all(|t| t.kind != QuotedIdent));
         // Postgres: no backticks, no brackets.
-        let toks = tokenize_significant_dialect("\"a\" `b` [c]", Dialect::Postgres);
+        let toks = tokenize_significant("\"a\" `b` [c]", Dialect::Postgres);
         assert_eq!(toks[0].kind, QuotedIdent);
         assert!(toks[1..].iter().all(|t| t.kind != QuotedIdent));
         // SQLite: all three quote identifiers.
-        let toks = tokenize_significant_dialect("\"a\" `b` [c]", Dialect::Sqlite);
+        let toks = tokenize_significant("\"a\" `b` [c]", Dialect::Sqlite);
         assert!(toks.iter().all(|t| t.kind == QuotedIdent));
     }
 
     #[test]
     fn mysql_hash_comment_and_dollar_words() {
-        let toks = tokenize_dialect("SELECT 1 # tail\n", Dialect::MySql);
+        let toks = tokenize("SELECT 1 # tail\n", Dialect::MySql);
         assert!(toks.iter().any(|t| t.kind == Comment && t.text.starts_with('#')));
         // Generic keeps '#' as an operator.
-        let toks = tokenize("SELECT 1 # tail\n");
+        let toks = tokenize("SELECT 1 # tail\n", Dialect::Generic);
         assert!(toks.iter().all(|t| t.kind != Comment));
         // With dollar-quoting off, $$ is one ordinary word token.
-        let toks = tokenize_significant_dialect("$$ x $tag$", Dialect::MySql);
+        let toks = tokenize_significant("$$ x $tag$", Dialect::MySql);
         assert_eq!(toks[0].kind, Ident);
         assert_eq!(toks[0].text, "$$");
         assert_eq!(toks.last().unwrap().text, "$tag$");
@@ -667,7 +658,7 @@ mod tests {
 
     #[test]
     fn non_nesting_block_comment_closes_at_first_terminator() {
-        let toks = tokenize_dialect("/* outer /* inner */ rest", Dialect::MySql);
+        let toks = tokenize("/* outer /* inner */ rest", Dialect::MySql);
         assert_eq!(toks[0].kind, Comment);
         assert_eq!(toks[0].text, "/* outer /* inner */");
         let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
@@ -679,7 +670,7 @@ mod tests {
         let sql = "\"q\" `b` [c] $$ # h\n /* a /* b */ c */ 'lit' $1";
         for d in Dialect::ALL {
             let rebuilt: String =
-                tokenize_dialect(sql, d).iter().map(|t| t.text.as_str()).collect();
+                tokenize(sql, d).iter().map(|t| t.text.as_str()).collect();
             assert_eq!(rebuilt, sql, "{d:?}");
         }
     }
@@ -687,7 +678,7 @@ mod tests {
     #[test]
     fn backslash_at_end_of_unterminated_string() {
         let sql = "'abc\\";
-        let toks = tokenize(sql);
+        let toks = tokenize(sql, Dialect::Generic);
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].kind, StringLit);
         assert_eq!(toks[0].text, sql);

@@ -16,7 +16,7 @@
 //!    T-SQL, dollar-quoting, several bind-parameter styles, and a broad
 //!    keyword set are all accepted.
 //!
-//! The [`annotate`] module layers a semantically-richer digest on top of the
+//! The [`mod@annotate`] module layers a semantically-richer digest on top of the
 //! loose tree (table/column references, predicates, join conditions), which
 //! is what the paper means by *annotating the parse tree* (§4.1).
 //!
@@ -25,8 +25,9 @@
 //! ```
 //! use sqlcheck_parser::parser::parse_one;
 //! use sqlcheck_parser::ast::Statement;
+//! use sqlcheck_parser::Dialect;
 //!
-//! let p = parse_one("SELECT * FROM Tenants WHERE User_IDs LIKE '%U1%'");
+//! let p = parse_one("SELECT * FROM Tenants WHERE User_IDs LIKE '%U1%'", Dialect::Generic);
 //! let Statement::Select(sel) = &p.stmt else { unreachable!() };
 //! assert!(sel.has_wildcard());
 //! ```
@@ -56,10 +57,8 @@ pub use diag::{DiagKind, Diagnostic, Limits};
 pub use dialect::Dialect;
 pub use intern::{Interner, Symbol};
 pub use istr::IStr;
-pub use parser::{parse, parse_one, parse_raw, parse_raw_limited};
+pub use parser::{parse, parse_one, parse_raw_limited};
 pub use render::ToSql;
 pub use token::{Kw, Span, Token, TokenKind};
 pub use lexer::{lex_spans, SpannedToken};
-pub use splitter::{
-    split_deduped, split_spanned, split_stream, DedupedSplit, SpannedStatement, SplitStatement,
-};
+pub use splitter::{split_deduped, DedupedSplit, SplitStatement};

@@ -9,89 +9,36 @@
 
 use crate::arena::{ExprArena, ExprId, ExprRange};
 use crate::ast::*;
-use crate::block::{BlockTracker, SplitAction};
 use crate::diag::{DiagKind, Diagnostic, Limits};
 use crate::dialect::Dialect;
 use crate::istr::IStr;
-use crate::lexer::SpannedToken;
-use crate::splitter::{split, RawStatement};
+use crate::splitter::{materialize_span, split, split_spans, RawStatement};
 use crate::token::{Kw, Token, TokenKind};
 use std::cell::Cell;
 
-/// Parse a script into statements.
+/// Parse a script into statements under [`Dialect::Generic`].
 pub fn parse(script: &str) -> Vec<ParsedStatement> {
-    split(script).into_iter().map(parse_raw).collect()
+    split(script, Dialect::Generic)
+        .into_iter()
+        .map(|raw| parse_raw_limited(raw, &Limits::default(), Dialect::Generic).0)
+        .collect()
 }
 
-/// Parse a single statement. If the input contains several statements the
-/// first one is returned; an all-trivia input yields `Statement::Other`.
-///
-/// The input is lexed exactly once: the token-level split below reuses
-/// the same token stream for the all-trivia fallback instead of running
-/// a second tokenize pass.
-pub fn parse_one(sql: &str) -> ParsedStatement {
-    parse_one_dialect(sql, Dialect::Generic)
-}
-
-/// [`parse_one`] under an explicit [`Dialect`].
-pub fn parse_one_dialect(sql: &str, dialect: Dialect) -> ParsedStatement {
-    let tokens = crate::lexer::lex_spans_dialect(sql, dialect);
-    let bytes = sql.as_bytes();
-    let mut tracker = BlockTracker::with_dialect(dialect);
-    let mut start = 0usize;
-    let parse = |raw| parse_raw_limited_dialect(raw, &Limits::default(), dialect).0;
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.is_trivia() {
-            continue;
+/// Parse a single statement under `dialect`. If the input contains
+/// several statements the first one is returned; an all-trivia input
+/// yields `Statement::Other` carrying the input's tokens. Default
+/// [`Limits`] apply.
+pub fn parse_one(sql: &str, dialect: Dialect) -> ParsedStatement {
+    match split_spans(sql, dialect).0.first() {
+        Some(&span) => {
+            parse_raw_limited(materialize_span(sql, span, dialect), &Limits::default(), dialect).0
         }
-        match tracker.offer(bytes, tok.kind, tok.span.start, tok.span.end) {
-            SplitAction::Token => {}
-            SplitAction::Terminator | SplitAction::Directive => {
-                if tokens[start..i].iter().any(|t| !t.is_trivia()) {
-                    return parse(materialize_slice(sql, &tokens[start..i]));
-                }
-                start = i + 1;
-            }
-        }
+        None => ParsedStatement {
+            stmt: Statement::Other(OtherStatement { leading_keyword: IStr::empty() }),
+            tokens: crate::lexer::tokenize(sql, dialect),
+            arena: ExprArena::new(),
+        },
     }
-    if tokens[start..].iter().any(|t| !t.is_trivia()) {
-        return parse(materialize_slice(sql, &tokens[start..]));
-    }
-    // All-trivia input: no statement to parse; the already-lexed token
-    // stream is preserved as-is.
-    ParsedStatement {
-        stmt: Statement::Other(OtherStatement { leading_keyword: IStr::empty() }),
-        tokens: tokens.iter().map(|t| t.materialize(sql)).collect(),
-        arena: ExprArena::new(),
-    }
-}
-
-/// Build a [`RawStatement`] from a span-token slice holding at least one
-/// significant token (leading/trailing trivia trimmed, interior kept).
-fn materialize_slice(script: &str, tokens: &[SpannedToken]) -> RawStatement {
-    let first = tokens.iter().position(|t| !t.is_trivia()).unwrap_or(0);
-    let last = tokens.iter().rposition(|t| !t.is_trivia()).unwrap_or(0);
-    let trimmed = &tokens[first..=last];
-    let span = trimmed[0].span.merge(trimmed[trimmed.len() - 1].span);
-    RawStatement {
-        tokens: trimmed.iter().map(|t| t.materialize(script)).collect(),
-        span,
-        source: script[span.start..span.end].into(),
-    }
-}
-
-/// Parse one pre-split raw statement.
-pub fn parse_statement(raw: &RawStatement) -> ParsedStatement {
-    parse_raw(raw.clone())
-}
-
-/// Parse one pre-split raw statement, consuming it. The statement's token
-/// stream moves into the result instead of being cloned — the hot variant
-/// used by the parse-once front-end, where every unique statement text is
-/// parsed exactly once. Default [`Limits`] apply; diagnostics are
-/// discarded (use [`parse_raw_limited`] to observe them).
-pub fn parse_raw(raw: RawStatement) -> ParsedStatement {
-    parse_raw_limited(raw, &Limits::default()).0
 }
 
 // ---------------------------------------------------------------------------
@@ -177,15 +124,13 @@ fn enter_block() -> Option<DepthTicket> {
 /// offending sub-tree to `Expr::Raw` / a flat body piece. Diagnostics
 /// carry no statement index — callers that know the statement's position
 /// attach it via [`Diagnostic::at`].
-pub fn parse_raw_limited(raw: RawStatement, limits: &Limits) -> (ParsedStatement, Vec<Diagnostic>) {
-    parse_raw_limited_dialect(raw, limits, Dialect::Generic)
-}
-
-/// [`parse_raw_limited`] under an explicit [`Dialect`]: dialect-specific
-/// operators another dialect owns (`ILIKE`, `GLOB`, …) fall through to
-/// the total `Raw` path instead of shaping nodes the active dialect has
-/// no semantics for, and internal re-lexes use the dialect's rules.
-pub fn parse_raw_limited_dialect(
+///
+/// `dialect` must be the one the statement was split and materialised
+/// under. Dialect-specific operators another dialect owns (`ILIKE`,
+/// `GLOB`, …) fall through to the total `Raw` path instead of shaping
+/// nodes the active dialect has no semantics for, and internal re-lexes
+/// use the dialect's rules.
+pub fn parse_raw_limited(
     raw: RawStatement,
     limits: &Limits,
     dialect: Dialect,
@@ -775,7 +720,7 @@ pub fn parse_expr_tokens(toks: &[Token]) -> Expr {
 /// Parse an expression string (helper for tests and the fix engine).
 /// Returns the root node by value plus the arena its children live in.
 pub fn parse_expr_str(sql: &str) -> (ExprArena, Expr) {
-    let toks = crate::lexer::tokenize_significant_dialect(sql, active_dialect());
+    let toks = crate::lexer::tokenize_significant(sql, active_dialect());
     let root = parse_expr_tokens(&toks);
     (take_arena(), root)
 }
@@ -1416,7 +1361,7 @@ fn parse_dollar_body(tok: &Token, base: usize) -> Vec<BodyStatement> {
     // Rebase inner offsets: absolute position of the body text, then
     // relative to the statement base (like every body span).
     let shift = tok.span.start + tag_len;
-    let toks: Vec<Token> = crate::lexer::tokenize_significant_dialect(inner, active_dialect())
+    let toks: Vec<Token> = crate::lexer::tokenize_significant(inner, active_dialect())
         .into_iter()
         .map(|t| {
             Token::new(
@@ -1828,7 +1773,7 @@ mod tests {
 
     /// Like [`sel`] but also hands back the arena for expr traversal.
     fn sela(sql: &str) -> (Select, ExprArena) {
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         match p.stmt {
             Statement::Select(s) => (s, p.arena),
             other => panic!("expected SELECT, got {other:?}"),
@@ -1836,7 +1781,7 @@ mod tests {
     }
 
     fn ct(sql: &str) -> CreateTable {
-        match parse_one(sql).stmt {
+        match parse_one(sql, Dialect::Generic).stmt {
             Statement::CreateTable(c) => c,
             other => panic!("expected CREATE TABLE, got {other:?}"),
         }
@@ -1970,6 +1915,7 @@ mod tests {
     fn alter_add_check_constraint() {
         let p = parse_one(
             "ALTER TABLE User ADD CONSTRAINT User_Role_Check CHECK (ROLE IN ('R1','R2','R3'))",
+            Dialect::Generic,
         );
         let Statement::AlterTable(a) = p.stmt else { panic!() };
         assert!(a.table.name_eq("User"));
@@ -1980,21 +1926,27 @@ mod tests {
 
     #[test]
     fn alter_drop_constraint_if_exists() {
-        let p = parse_one("ALTER TABLE User DROP CONSTRAINT IF EXISTS User_Role_Check");
+        let p = parse_one(
+            "ALTER TABLE User DROP CONSTRAINT IF EXISTS User_Role_Check",
+            Dialect::Generic,
+        );
         let Statement::AlterTable(a) = p.stmt else { panic!() };
         assert!(matches!(a.action, AlterAction::DropConstraint(ref n) if n == "User_Role_Check"));
     }
 
     #[test]
     fn alter_drop_column() {
-        let p = parse_one("ALTER TABLE Tenants DROP COLUMN User_IDs");
+        let p = parse_one("ALTER TABLE Tenants DROP COLUMN User_IDs", Dialect::Generic);
         let Statement::AlterTable(a) = p.stmt else { panic!() };
         assert!(matches!(a.action, AlterAction::DropColumn(ref n) if n == "User_IDs"));
     }
 
     #[test]
     fn insert_without_columns() {
-        let p = parse_one("INSERT INTO Tenant VALUES ('T1', 'Z1', True, 'U1,U2')");
+        let p = parse_one(
+            "INSERT INTO Tenant VALUES ('T1', 'Z1', True, 'U1,U2')",
+            Dialect::Generic,
+        );
         let Statement::Insert(i) = p.stmt else { panic!() };
         assert!(i.columns.is_empty());
         let InsertSource::Values(rows) = i.source else { panic!() };
@@ -2003,7 +1955,7 @@ mod tests {
 
     #[test]
     fn insert_with_columns_multi_row() {
-        let p = parse_one("INSERT INTO t (a, b) VALUES (1, 2), (3, 4)");
+        let p = parse_one("INSERT INTO t (a, b) VALUES (1, 2), (3, 4)", Dialect::Generic);
         let Statement::Insert(i) = p.stmt else { panic!() };
         assert_eq!(i.columns, vec!["a", "b"]);
         let InsertSource::Values(rows) = i.source else { panic!() };
@@ -2012,14 +1964,17 @@ mod tests {
 
     #[test]
     fn insert_select() {
-        let p = parse_one("INSERT INTO t (a) SELECT x FROM u");
+        let p = parse_one("INSERT INTO t (a) SELECT x FROM u", Dialect::Generic);
         let Statement::Insert(i) = p.stmt else { panic!() };
         assert!(matches!(i.source, InsertSource::Select(_)));
     }
 
     #[test]
     fn update_statement() {
-        let p = parse_one("UPDATE User SET Role = 'R5', active = TRUE WHERE Role = 'R2'");
+        let p = parse_one(
+            "UPDATE User SET Role = 'R5', active = TRUE WHERE Role = 'R2'",
+            Dialect::Generic,
+        );
         let Statement::Update(u) = p.stmt else { panic!() };
         assert_eq!(u.assignments.len(), 2);
         assert_eq!(u.assignments[0].0, "Role");
@@ -2028,7 +1983,7 @@ mod tests {
 
     #[test]
     fn delete_statement() {
-        let p = parse_one("DELETE FROM Users WHERE User_ID = 'U1'");
+        let p = parse_one("DELETE FROM Users WHERE User_ID = 'U1'", Dialect::Generic);
         let Statement::Delete(d) = p.stmt else { panic!() };
         assert!(d.table.name_eq("Users"));
         assert!(d.where_clause.is_some());
@@ -2036,7 +1991,7 @@ mod tests {
 
     #[test]
     fn drop_statements() {
-        let p = parse_one("DROP TABLE IF EXISTS t");
+        let p = parse_one("DROP TABLE IF EXISTS t", Dialect::Generic);
         let Statement::Drop(d) = p.stmt else { panic!() };
         assert_eq!(d.object_kind, "TABLE");
         assert!(d.if_exists);
@@ -2044,7 +1999,10 @@ mod tests {
 
     #[test]
     fn create_index_statement() {
-        let p = parse_one("CREATE UNIQUE INDEX idx_zone ON Tenant (Zone_ID, Active)");
+        let p = parse_one(
+            "CREATE UNIQUE INDEX idx_zone ON Tenant (Zone_ID, Active)",
+            Dialect::Generic,
+        );
         let Statement::CreateIndex(i) = p.stmt else { panic!() };
         assert!(i.unique);
         assert_eq!(i.name, "idx_zone");
@@ -2057,7 +2015,7 @@ mod tests {
         // parsed, spans relative to the statement start.
         let sql = "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW \
                    BEGIN UPDATE u SET a = 1; DELETE FROM v; END";
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert!(tg.name.name_eq("trg"));
         assert_eq!(tg.timing.as_deref(), Some("AFTER"));
@@ -2081,7 +2039,7 @@ mod tests {
                    BEGIN IF NEW.a > 0 THEN UPDATE u SET b = 1; END IF; \
                    SELECT CASE WHEN a THEN 1 ELSE 2 END; \
                    BEGIN DELETE FROM w; END; END";
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(tg.timing.as_deref(), Some("BEFORE"));
         // Three executable body statements: the UPDATE guarded by the IF
@@ -2100,7 +2058,7 @@ mod tests {
                    WHILE NEW.b > 0 DO INSERT INTO log VALUES (1); END WHILE; \
                    IF CASE WHEN NEW.c THEN 1 ELSE 0 END = 1 THEN DELETE FROM d; END IF; \
                    END";
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         let tags: Vec<&str> = tg.body.iter().map(|b| b.stmt.tag()).collect();
         assert_eq!(tags, vec!["SELECT", "INSERT", "DELETE"], "{:?}", tg.body);
@@ -2115,6 +2073,7 @@ mod tests {
     fn create_procedure_and_function_parse() {
         let p = parse_one(
             "CREATE PROCEDURE audit(IN uid INT) BEGIN INSERT INTO log VALUES (uid); END",
+            Dialect::Generic,
         );
         let Statement::CreateRoutine(r) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(r.kind, RoutineKind::Procedure);
@@ -2123,7 +2082,7 @@ mod tests {
         assert_eq!(r.body.len(), 1);
         assert_eq!(r.body[0].stmt.tag(), "INSERT");
 
-        let p = parse_one("CREATE OR REPLACE FUNCTION f() RETURNS INT RETURN 1");
+        let p = parse_one("CREATE OR REPLACE FUNCTION f() RETURNS INT RETURN 1", Dialect::Generic);
         let Statement::CreateRoutine(r) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(r.kind, RoutineKind::Function);
     }
@@ -2133,7 +2092,7 @@ mod tests {
         let sql = "CREATE FUNCTION bump() RETURNS trigger AS $fn$\n\
                    BEGIN UPDATE counters SET n = n + 1; DELETE FROM stale; END\n\
                    $fn$ LANGUAGE plpgsql";
-        let p = parse_one(sql);
+        let p = parse_one(sql, Dialect::Generic);
         let Statement::CreateRoutine(r) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(r.language.as_deref(), Some("plpgsql"));
         assert_eq!(r.body.len(), 2, "{:?}", r.body);
@@ -2151,6 +2110,7 @@ mod tests {
     fn dollar_quoted_sql_body_splits_statements() {
         let p = parse_one(
             "CREATE FUNCTION two() RETURNS void AS $$ SELECT 1; SELECT 2; $$ LANGUAGE sql",
+            Dialect::Generic,
         );
         let Statement::CreateRoutine(r) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(r.body.len(), 2);
@@ -2162,6 +2122,7 @@ mod tests {
         let p = parse_one(
             "CREATE DEFINER = `root`@`localhost` TRIGGER trg BEFORE DELETE ON t \
              FOR EACH ROW BEGIN SET @n = @n - 1; END",
+            Dialect::Generic,
         );
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(tg.events, vec!["DELETE"]);
@@ -2172,6 +2133,7 @@ mod tests {
     fn postgres_execute_function_trigger_body() {
         let p = parse_one(
             "CREATE TRIGGER trg AFTER UPDATE ON t FOR EACH ROW EXECUTE FUNCTION audit()",
+            Dialect::Generic,
         );
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(tg.body.len(), 1, "{:?}", tg.body);
@@ -2180,7 +2142,10 @@ mod tests {
 
     #[test]
     fn unterminated_trigger_body_is_tolerated() {
-        let p = parse_one("CREATE TRIGGER t1 BEFORE INSERT ON x FOR EACH ROW BEGIN SELECT 1;");
+        let p = parse_one(
+            "CREATE TRIGGER t1 BEFORE INSERT ON x FOR EACH ROW BEGIN SELECT 1;",
+            Dialect::Generic,
+        );
         let Statement::CreateTrigger(tg) = &p.stmt else { panic!("got {:?}", p.stmt) };
         assert_eq!(tg.body.len(), 1);
         assert_eq!(tg.body[0].stmt.tag(), "SELECT");
@@ -2188,7 +2153,7 @@ mod tests {
 
     #[test]
     fn unknown_statement_is_other() {
-        let p = parse_one("PRAGMA journal_mode = WAL");
+        let p = parse_one("PRAGMA journal_mode = WAL", Dialect::Generic);
         let Statement::Other(o) = p.stmt else { panic!() };
         assert_eq!(o.leading_keyword, "PRAGMA");
     }

@@ -591,9 +591,10 @@ impl ParsedStatement {
 #[cfg(test)]
 mod tests {
     use crate::parser::parse_one;
+    use crate::dialect::Dialect;
 
     fn roundtrip(sql: &str) -> String {
-        parse_one(sql).to_sql()
+        parse_one(sql, Dialect::Generic).to_sql()
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Byte-scanning primitives for the lexer's hot loops.
 //!
-//! Three ingredients make the fused front door fast at the byte level:
+//! Three ingredients make the front door fast at the byte level:
 //!
 //! 1. a **byte-class table** ([`CLASS`]) so the lexer's main loop
 //!    dispatches on one table load instead of a cascade of range

@@ -1,4 +1,4 @@
-//! Statement splitter — the fused front door of the analysis pipeline.
+//! Statement splitter — the front door of the analysis pipeline.
 //!
 //! Splits a SQL script into individual statements on top of the token
 //! stream, so that semicolons inside string literals, comments,
@@ -8,26 +8,27 @@
 //! script-level directives: the directive line belongs to no statement
 //! and switches the active terminator.
 //!
-//! The production path is **streaming and fused**: [`split_stream`] runs
-//! the lexer once and feeds every token straight into per-statement
-//! state — span bounds, the 128-bit content hash, and the template
-//! fingerprint are all computed *as the bytes are lexed*. No whole-script
-//! token buffer is ever built and no token is walked twice; per-statement
-//! token vectors exist only for the **unique** texts a consumer actually
-//! [materialises](SplitStatement::materialize) for parsing
-//! ([`split_deduped`] performs that grouping here, in the splitter).
+//! The production path is [`split_deduped`]: a spans-only boundary scan
+//! (no hashing, no keyword classification) groups statement occurrences
+//! by their exact bytes, and the lex + content-hash + fingerprint pass
+//! runs once per **unique** text. No whole-script token buffer is ever
+//! built; per-statement token vectors exist only for the texts a consumer
+//! [materialises](SplitStatement::materialize) for parsing. [`split`] is
+//! the owned-token view of the same pass.
 //!
-//! The original two-pass splitter ([`split_spanned`]) is kept as the
-//! readable reference implementation; property tests pin the fused path
-//! to it.
+//! Every entry point takes the [`Dialect`] the script is lexed under, and
+//! a statement must be materialised under the dialect it was split
+//! under, or its re-lexed tokens differ from the ones the split saw.
+//!
+//! The original two-pass splitter ([`reference::split_spanned`]) is kept
+//! as the readable reference implementation; property tests pin the
+//! production path to it.
 
 use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
-use crate::fingerprint::{
-    content_hash_bytes, content_hash_spanned, fingerprint_spanned, StreamingFingerprint,
-};
+use crate::fingerprint::{content_hash_bytes, StreamingFingerprint};
 use crate::intern::Interner;
-use crate::lexer::{lex_into, lex_spans_dialect, SpannedToken, TokenSink};
+use crate::lexer::{lex_into, TokenSink};
 use crate::token::{Span, Token, TokenKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -65,30 +66,27 @@ impl RawStatement {
     }
 }
 
-/// Split a script into statements. Empty statements (runs of trivia between
-/// semicolons) are dropped.
+/// Split a script into statements under `dialect`, each with its owned
+/// tokens: every occurrence [`split_deduped`] groups, materialised.
+/// Empty statements (runs of trivia between semicolons) are dropped.
 ///
 /// ```
 /// use sqlcheck_parser::splitter::split;
-/// let stmts = split("SELECT 1; SELECT ';'; -- done");
+/// use sqlcheck_parser::Dialect;
+/// let stmts = split("SELECT 1; SELECT ';'; -- done", Dialect::Generic);
 /// assert_eq!(stmts.len(), 2);
 /// assert_eq!(stmts[1].text().trim(), "SELECT ';'");
 /// ```
-pub fn split(script: &str) -> Vec<RawStatement> {
-    split_dialect(script, Dialect::Generic)
-}
-
-/// [`split`] under an explicit [`Dialect`].
-pub fn split_dialect(script: &str, dialect: Dialect) -> Vec<RawStatement> {
-    split_stream_dialect(script, dialect)
+pub fn split(script: &str, dialect: Dialect) -> Vec<RawStatement> {
+    split_spans(script, dialect)
+        .0
         .into_iter()
-        .map(|s| s.materialize_dialect(script, dialect))
+        .map(|span| materialize_span(script, span, dialect))
         .collect()
 }
 
-/// One statement as emitted by the fused streaming splitter: its span and
-/// both hashes, computed in the same pass that lexed the bytes — **no
-/// tokens**. Token vectors are built only when a consumer
+/// One statement as emitted by [`split_deduped`]: its span and both
+/// hashes — **no tokens**. Token vectors are built only when a consumer
 /// [materialises](SplitStatement::materialize) a unique text for parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitStatement {
@@ -106,30 +104,21 @@ pub struct SplitStatement {
 
 impl SplitStatement {
     /// Build the statement's owned token stream by re-lexing its span
-    /// (the span starts at a token boundary, so the re-lex reproduces the
-    /// original tokens exactly; spans stay script-absolute).
-    pub fn materialize(&self, script: &str) -> RawStatement {
-        materialize_span(script, self.span)
-    }
-
-    /// [`SplitStatement::materialize`] under an explicit [`Dialect`] —
-    /// must match the dialect the statement was split under, so the
-    /// re-lex reproduces the original tokens.
-    pub fn materialize_dialect(&self, script: &str, dialect: Dialect) -> RawStatement {
-        materialize_span_dialect(script, self.span, dialect)
+    /// under `dialect`, which must be the dialect the statement was split
+    /// under (the span starts at a token boundary, so the re-lex then
+    /// reproduces the original tokens exactly; spans stay
+    /// script-absolute).
+    pub fn materialize(&self, script: &str, dialect: Dialect) -> RawStatement {
+        materialize_span(script, self.span, dialect)
     }
 }
 
 /// Materialise the statement covering `span` of `script`: re-lex the
-/// slice into owned tokens (script-absolute spans) and capture the source
-/// text. `span` must be a statement span produced by this module's
-/// splitters — it begins and ends on significant-token boundaries.
-pub fn materialize_span(script: &str, span: Span) -> RawStatement {
-    materialize_span_dialect(script, span, Dialect::Generic)
-}
-
-/// [`materialize_span`] under an explicit [`Dialect`].
-pub fn materialize_span_dialect(script: &str, span: Span, dialect: Dialect) -> RawStatement {
+/// slice under `dialect` into owned tokens (script-absolute spans) and
+/// capture the source text. `span` must be a statement span produced by
+/// this module's splitters under the same dialect — it begins and ends on
+/// significant-token boundaries.
+pub fn materialize_span(script: &str, span: Span, dialect: Dialect) -> RawStatement {
     let slice = &script[span.start..span.end];
     let mut sink = MaterializeSink { src: slice, base: span.start, out: Vec::new() };
     lex_into(slice, dialect, &mut sink);
@@ -154,33 +143,10 @@ impl TokenSink for MaterializeSink<'_> {
     }
 }
 
-/// Pass-through hasher for keys that are already uniform hashes (the
-/// memo map below keys by the 128-bit content hash).
-#[derive(Default)]
-struct HashIdentity(u64);
-
-impl Hasher for HashIdentity {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // Called once with the u128 key's native bytes; the low half is
-        // already a full-avalanche Murmur lane.
-        let mut b = [0u8; 8];
-        let n = bytes.len().min(8);
-        b[..n].copy_from_slice(&bytes[..n]);
-        self.0 = u64::from_le_bytes(b);
-    }
-    fn write_u128(&mut self, i: u128) {
-        self.0 = i as u64;
-    }
-}
-
 /// Eager single-statement fingerprint sink: classifies, folds, and
 /// hashes in one lex pass over a statement slice. This is where the
 /// fingerprint work actually happens — once per **unique** statement
-/// text (the fused splitter's memo-miss path and the dedup intake's
-/// per-unique pass both land here). Word tokens resolve through the
+/// text, in [`split_deduped`]'s per-unique pass. Word tokens resolve through the
 /// per-script [`Interner`]: the keyword decision is one hash-and-probe,
 /// and the fingerprint commits the symbol's stored prefolded bytes, so
 /// classification and case folding run once per unique *word*.
@@ -207,7 +173,7 @@ impl TokenSink for FingerprintSink<'_, '_> {
 
 /// Template fingerprint of one statement slice (a trimmed statement span:
 /// starts and ends on significant tokens). Identical to
-/// [`fingerprint_spanned`] over the statement's tokens: any `;` inside
+/// [`crate::fingerprint::fingerprint_spanned`] over the statement's tokens: any `;` inside
 /// the slice (compound bodies, custom-delimiter content) is ordinary
 /// statement content to the fingerprint's own trailing-semicolon fold.
 fn fingerprint_slice(slice: &str, interner: &mut Interner, dialect: Dialect) -> u64 {
@@ -215,170 +181,6 @@ fn fingerprint_slice(slice: &str, interner: &mut Interner, dialect: Dialect) -> 
         FingerprintSink { src: slice, interner, fp: StreamingFingerprint::new() };
     lex_into(slice, dialect, &mut sink);
     sink.fp.finish()
-}
-
-/// Probes after which the fingerprint memo must have earned its keep:
-/// if fewer than 1 in [`MEMO_MIN_HIT_SHIFT`] statements were repeats, the
-/// workload is duplicate-poor and the memo is dropped (misses keep
-/// re-fingerprinting; output is unchanged either way).
-const MEMO_PROBATION: u32 = 4096;
-/// `hits << MEMO_MIN_HIT_SHIFT >= probes` keeps the memo alive.
-const MEMO_MIN_HIT_SHIFT: u32 = 3;
-
-/// The fused streaming splitter state: receives the lexer's token stream
-/// and tracks the current statement's span bounds; the content hash and
-/// template fingerprint are computed at statement flush from the span's
-/// slice.
-///
-/// The fingerprint is **memoized by content hash**: real workloads
-/// re-issue the same statement texts constantly, equal bytes have equal
-/// templates, and the content hash — computed from the span slice at
-/// flush either way — already identifies equal bytes (the 128-bit hash
-/// is the pipeline's interchangeability identity, see
-/// [`crate::fingerprint`]). Each unique text is classified and
-/// fingerprinted exactly once per pass ([`fingerprint_slice`]); repeats
-/// cost one map probe. Keyword classification is therefore skipped
-/// entirely in the streaming pass (`CLASSIFY_WORDS = false`) — the per
-/// token hot path is pure boundary tracking, and runs at the lexer's
-/// unclassified speed. A short probation window drops the memo on
-/// duplicate-poor workloads so they never pay for a table they cannot
-/// hit.
-struct SplitSink<'a> {
-    script: &'a str,
-    bytes: &'a [u8],
-    out: Vec<SplitStatement>,
-    /// A statement is open (at least one significant token seen).
-    started: bool,
-    /// Span bounds of the open statement.
-    start: usize,
-    end: usize,
-    /// Per-pass word interner for the fingerprint path.
-    interner: Interner,
-    /// `content_hash → fingerprint` for statements flushed by this sink.
-    memo: HashMap<u128, u64, BuildHasherDefault<HashIdentity>>,
-    /// Memo hit statistics for the probation check.
-    probes: u32,
-    hits: u32,
-    /// Cleared when probation finds the workload duplicate-poor.
-    memo_on: bool,
-    /// Statement-boundary state machine.
-    tracker: BlockTracker,
-    /// Dialect the pass lexes and fingerprints under.
-    dialect: Dialect,
-}
-
-impl<'a> SplitSink<'a> {
-    fn new(script: &'a str, dialect: Dialect) -> Self {
-        SplitSink {
-            script,
-            bytes: script.as_bytes(),
-            out: Vec::new(),
-            started: false,
-            start: 0,
-            end: 0,
-            interner: Interner::new(),
-            memo: HashMap::default(),
-            probes: 0,
-            hits: 0,
-            memo_on: true,
-            tracker: BlockTracker::with_dialect(dialect),
-            dialect,
-        }
-    }
-
-    /// Close the open statement, if any (called at `;` and end-of-input).
-    fn flush(&mut self) {
-        if !self.started {
-            return;
-        }
-        self.started = false;
-        let slice = &self.script[self.start..self.end];
-        let content_hash = content_hash_bytes(slice.as_bytes());
-        let fingerprint = if self.memo_on {
-            self.probes += 1;
-            if let Some(&fp) = self.memo.get(&content_hash) {
-                self.hits += 1;
-                fp
-            } else {
-                let fp = fingerprint_slice(slice, &mut self.interner, self.dialect);
-                self.memo.insert(content_hash, fp);
-                if self.probes == MEMO_PROBATION
-                    && (self.hits << MEMO_MIN_HIT_SHIFT) < self.probes
-                {
-                    self.memo_on = false;
-                    self.memo = HashMap::default();
-                }
-                fp
-            }
-        } else {
-            fingerprint_slice(slice, &mut self.interner, self.dialect)
-        };
-        self.out.push(SplitStatement {
-            span: Span::new(self.start, self.end),
-            content_hash,
-            fingerprint,
-        });
-    }
-
-    fn finish(mut self) -> Vec<SplitStatement> {
-        self.flush();
-        self.out
-    }
-}
-
-impl TokenSink for SplitSink<'_> {
-    /// Word classification happens on the fingerprint path only — see
-    /// the type docs. The streaming pass runs at unclassified lex speed.
-    const CLASSIFY_WORDS: bool = false;
-
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            // Trivia never moves the span's significant end, and the
-            // content hash is taken from the final span slice at flush —
-            // interior trivia is covered by the slice, trailing trivia
-            // falls outside it. Nothing to do per token.
-            return;
-        }
-        // Fast path mirrors SpanOnlySink's: plain mid-statement tokens
-        // skip the tracker call entirely.
-        if self.tracker.is_fast() {
-            if kind == TokenKind::Punct && end - start == 1 && self.bytes[start] == b';' {
-                self.tracker.fast_terminator();
-                self.flush();
-                return;
-            }
-        } else {
-            match self.tracker.offer(self.bytes, kind, start, end) {
-                SplitAction::Token => {}
-                SplitAction::Terminator => {
-                    self.flush();
-                    return;
-                }
-                SplitAction::Directive => return,
-            }
-        }
-        if !self.started {
-            self.started = true;
-            self.start = start;
-        }
-        self.end = end;
-    }
-}
-
-/// Fused single-pass split: lex, split, content-hash, and fingerprint the
-/// script in one streaming pass. Emits the same statements (spans,
-/// hashes, fingerprints) as the two-pass [`split_spanned`] reference,
-/// without ever materialising a token stream.
-pub fn split_stream(script: &str) -> Vec<SplitStatement> {
-    split_stream_dialect(script, Dialect::Generic)
-}
-
-/// [`split_stream`] under an explicit [`Dialect`].
-pub fn split_stream_dialect(script: &str, dialect: Dialect) -> Vec<SplitStatement> {
-    let mut sink = SplitSink::new(script, dialect);
-    lex_into(script, dialect, &mut sink);
-    sink.finish()
 }
 
 /// Spans-only statement boundary sink — the cheapest possible split pass,
@@ -500,7 +302,7 @@ impl TokenSink for SpeculativeSpanSink<'_> {
 
 /// Spans-only split of the script, plus whether a `DELIMITER` directive
 /// was processed.
-fn split_spans(script: &str, dialect: Dialect) -> (Vec<Span>, bool) {
+pub(crate) fn split_spans(script: &str, dialect: Dialect) -> (Vec<Span>, bool) {
     // First pass: untracked, aborting on the first word that could make
     // block tracking matter. Completing it means no DELIMITER word
     // exists in the script at all.
@@ -617,7 +419,7 @@ impl Hasher for StrFold {
 /// duplicates iff their trimmed source bytes are equal (equal bytes lex
 /// to equal tokens, hence equal hashes). So the per-occurrence pass is
 /// the cheapest one possible — a spans-only boundary scan (no hashing,
-/// no keyword classification) — and the fused lex+hash pass runs only
+/// no keyword classification) — and the lex+hash pass runs only
 /// once per unique text. Duplicates cost one map probe (exact byte
 /// comparison on hit) and carry nothing but their span.
 pub fn split_deduped(script: &str, dialect: Dialect) -> DedupedSplit {
@@ -652,102 +454,103 @@ pub fn split_deduped_dialect(script: &str, _threads: usize, dialect: Dialect) ->
     split_deduped(script, dialect)
 }
 
-/// One split-off statement at the span level: its span-tokens (trivia
-/// trimmed at both ends, kept inside) and its content hash — computed
-/// **before parsing and before any token text is allocated**.
-///
-/// This is the legacy two-pass representation: [`split_spanned`] keeps a
-/// whole-script token buffer and re-walks each statement's tokens to
-/// hash. The production path is the fused [`split_stream`], which emits
-/// identical spans/hashes without either; `split_spanned` remains as the
-/// readable reference implementation that the property tests pin the
-/// fused splitter against.
-#[derive(Debug, Clone)]
-pub struct SpannedStatement {
-    /// Span-level tokens of the statement (no owned text).
-    pub tokens: Vec<SpannedToken>,
-    /// Span covering the statement in the original script.
-    pub span: Span,
-    /// Literal-sensitive 128-bit content hash
-    /// ([`crate::fingerprint::content_hash_spanned`]).
-    pub content_hash: u128,
-}
+/// The **two-pass reference splitter**: lex the whole script into a
+/// token buffer, slice it into statements, and hash each slice. The
+/// production [`split_deduped`] must emit the same spans, content hashes
+/// and fingerprints; property tests and the split experiment compare the
+/// two. Not used by any production path.
+#[doc(hidden)]
+pub mod reference {
+    use crate::block::{BlockTracker, SplitAction};
+    use crate::dialect::Dialect;
+    use crate::fingerprint::{content_hash_spanned, fingerprint_spanned};
+    use crate::lexer::{lex_spans, SpannedToken};
+    use crate::splitter::RawStatement;
+    use crate::token::Span;
 
-impl SpannedStatement {
-    /// Literal-insensitive template fingerprint, computed from the spans
-    /// (no parsing, no allocation).
-    pub fn fingerprint(&self, script: &str) -> u64 {
-        fingerprint_spanned(script, &self.tokens)
+    /// One split-off statement at the span level: its span-tokens
+    /// (trivia trimmed at both ends, kept inside) and its content hash.
+    #[derive(Debug, Clone)]
+    pub struct SpannedStatement {
+        /// Span-level tokens of the statement (no owned text).
+        pub tokens: Vec<SpannedToken>,
+        /// Span covering the statement in the original script.
+        pub span: Span,
+        /// Literal-sensitive 128-bit content hash
+        /// ([`crate::fingerprint::content_hash_spanned`]).
+        pub content_hash: u128,
     }
 
-    /// Build the equivalent owned [`RawStatement`].
-    pub fn materialize(&self, script: &str) -> RawStatement {
-        RawStatement {
-            tokens: self.tokens.iter().map(|t| t.materialize(script)).collect(),
-            span: self.span,
-            source: script[self.span.start..self.span.end].into(),
+    impl SpannedStatement {
+        /// Literal-insensitive template fingerprint, computed from the
+        /// spans (no parsing, no allocation).
+        pub fn fingerprint(&self, script: &str) -> u64 {
+            fingerprint_spanned(script, &self.tokens)
         }
-    }
-}
 
-/// Split a script into span-level statements, computing each chunk's
-/// content hash on the way — the **legacy two-pass reference** for the
-/// fused [`split_stream`] (lex everything into a buffer, then slice into
-/// statements and hash each slice). Kept for tests and comparison
-/// benchmarks; production consumers use [`split_stream`] /
-/// [`split_deduped`].
-pub fn split_spanned(script: &str) -> Vec<SpannedStatement> {
-    split_spanned_dialect(script, Dialect::Generic)
-}
-
-/// [`split_spanned`] under an explicit [`Dialect`] — the two-pass
-/// reference the per-dialect property tests pin the fused path against.
-pub fn split_spanned_dialect(script: &str, dialect: Dialect) -> Vec<SpannedStatement> {
-    let tokens = lex_spans_dialect(script, dialect);
-    let bytes = script.as_bytes();
-    let mut tracker = BlockTracker::with_dialect(dialect);
-    let mut stmts = Vec::new();
-    let mut start = 0usize;
-    for (i, tok) in tokens.iter().enumerate() {
-        if tok.is_trivia() {
-            continue;
-        }
-        match tracker.offer(bytes, tok.kind, tok.span.start, tok.span.end) {
-            SplitAction::Token => {}
-            SplitAction::Terminator | SplitAction::Directive => {
-                // Directive tokens (a `DELIMITER` line, or the trailing
-                // bytes of a multi-byte terminator) sit between
-                // statements, so the slice before them holds trivia at
-                // most and `push_spanned` drops it.
-                push_spanned(script, &mut stmts, &tokens[start..i]);
-                start = i + 1;
+        /// Build the equivalent owned [`RawStatement`].
+        pub fn materialize(&self, script: &str) -> RawStatement {
+            RawStatement {
+                tokens: self.tokens.iter().map(|t| t.materialize(script)).collect(),
+                span: self.span,
+                source: script[self.span.start..self.span.end].into(),
             }
         }
     }
-    push_spanned(script, &mut stmts, &tokens[start..]);
-    stmts
-}
 
-fn push_spanned(script: &str, out: &mut Vec<SpannedStatement>, tokens: &[SpannedToken]) {
-    // Trim leading/trailing trivia but keep interior trivia for lossless text.
-    let Some(first) = tokens.iter().position(|t| !t.is_trivia()) else { return };
-    let last = tokens.iter().rposition(|t| !t.is_trivia()).unwrap();
-    let trimmed = &tokens[first..=last];
-    let span = trimmed[0].span.merge(trimmed[trimmed.len() - 1].span);
-    out.push(SpannedStatement {
-        tokens: trimmed.to_vec(),
-        span,
-        content_hash: content_hash_spanned(script, trimmed),
-    });
+    /// Split a script under `dialect` into span-level statements,
+    /// computing each one's content hash on the way.
+    pub fn split_spanned(script: &str, dialect: Dialect) -> Vec<SpannedStatement> {
+        let tokens = lex_spans(script, dialect);
+        let bytes = script.as_bytes();
+        let mut tracker = BlockTracker::with_dialect(dialect);
+        let mut stmts = Vec::new();
+        let mut start = 0usize;
+        for (i, tok) in tokens.iter().enumerate() {
+            if tok.is_trivia() {
+                continue;
+            }
+            match tracker.offer(bytes, tok.kind, tok.span.start, tok.span.end) {
+                SplitAction::Token => {}
+                SplitAction::Terminator | SplitAction::Directive => {
+                    // Directive tokens (a `DELIMITER` line, or the trailing
+                    // bytes of a multi-byte terminator) sit between
+                    // statements, so the slice before them holds trivia at
+                    // most and `push_spanned` drops it.
+                    push_spanned(script, &mut stmts, &tokens[start..i]);
+                    start = i + 1;
+                }
+            }
+        }
+        push_spanned(script, &mut stmts, &tokens[start..]);
+        stmts
+    }
+
+    fn push_spanned(script: &str, out: &mut Vec<SpannedStatement>, tokens: &[SpannedToken]) {
+        // Trim leading/trailing trivia but keep interior trivia for
+        // lossless text.
+        let Some(first) = tokens.iter().position(|t| !t.is_trivia()) else { return };
+        let last = tokens.iter().rposition(|t| !t.is_trivia()).unwrap();
+        let trimmed = &tokens[first..=last];
+        let span = trimmed[0].span.merge(trimmed[trimmed.len() - 1].span);
+        out.push(SpannedStatement {
+            tokens: trimmed.to_vec(),
+            span,
+            content_hash: content_hash_spanned(script, trimmed),
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::splitter::reference::split_spanned;
+
+    const G: Dialect = Dialect::Generic;
 
     #[test]
     fn splits_on_semicolons() {
-        let stmts = split("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t");
+        let stmts = split("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t", G);
         assert_eq!(stmts.len(), 3);
         assert!(stmts[0].text().starts_with("CREATE"));
         assert!(stmts[2].text().starts_with("SELECT"));
@@ -755,26 +558,26 @@ mod tests {
 
     #[test]
     fn semicolon_in_string_is_not_a_split() {
-        let stmts = split("SELECT 'a;b' FROM t; SELECT 2");
+        let stmts = split("SELECT 'a;b' FROM t; SELECT 2", G);
         assert_eq!(stmts.len(), 2);
         assert!(stmts[0].text().contains("'a;b'"));
     }
 
     #[test]
     fn semicolon_in_comment_is_not_a_split() {
-        let stmts = split("SELECT 1 -- one; two\n; SELECT 2");
+        let stmts = split("SELECT 1 -- one; two\n; SELECT 2", G);
         assert_eq!(stmts.len(), 2);
     }
 
     #[test]
     fn empty_statements_dropped() {
-        let stmts = split(";;  ; SELECT 1; ;");
+        let stmts = split(";;  ; SELECT 1; ;", G);
         assert_eq!(stmts.len(), 1);
     }
 
     #[test]
     fn whole_script_without_semicolon() {
-        let stmts = split("SELECT 1");
+        let stmts = split("SELECT 1", G);
         assert_eq!(stmts.len(), 1);
         assert_eq!(stmts[0].text(), "SELECT 1");
     }
@@ -782,7 +585,7 @@ mod tests {
     #[test]
     fn text_is_a_script_slice_not_a_token_concat() {
         let script = "SELECT a /* interior ; trivia */ , b FROM t ; UPDATE t SET a = 1";
-        for s in split(script) {
+        for s in split(script, G) {
             assert_eq!(s.text(), &script[s.span.start..s.span.end]);
             let concat: String = s.tokens.iter().map(|t| t.text.as_str()).collect();
             assert_eq!(s.text(), concat, "slice must equal the token concatenation");
@@ -796,10 +599,15 @@ mod tests {
         let script = "SELECT a FROM t WHERE a = 1;\
                       select a from t where a = 2;\
                       INSERT INTO t VALUES (1, 'x');";
-        let chunks = split_stream(script);
+        let chunks = split_deduped(script, G).uniques;
         assert_eq!(chunks.len(), 3);
         for c in &chunks {
-            let parsed = crate::parser::parse_statement(&c.materialize(script));
+            let parsed = crate::parser::parse_raw_limited(
+                c.materialize(script, G),
+                &crate::diag::Limits::default(),
+                G,
+            )
+            .0;
             assert_eq!(c.fingerprint, parsed.fingerprint());
             assert_eq!(c.content_hash, parsed.content_hash());
         }
@@ -811,7 +619,7 @@ mod tests {
     #[test]
     fn spans_index_into_original() {
         let script = "SELECT a FROM t;  UPDATE t SET a = 1";
-        let stmts = split(script);
+        let stmts = split(script, G);
         assert_eq!(&script[stmts[1].span.start..stmts[1].span.end], "UPDATE t SET a = 1");
     }
 
@@ -854,19 +662,21 @@ mod tests {
     #[test]
     fn fused_split_matches_legacy_reference() {
         for script in nasty_scripts() {
-            let fused = split_stream(script);
-            let legacy = split_spanned(script);
-            assert_eq!(fused.len(), legacy.len(), "statement count on {script:?}");
-            for (f, l) in fused.iter().zip(&legacy) {
-                assert_eq!(f.span, l.span, "span on {script:?}");
-                assert_eq!(f.content_hash, l.content_hash, "content hash on {script:?}");
-                assert_eq!(f.fingerprint, l.fingerprint(script), "fingerprint on {script:?}");
+            let d = split_deduped(script, G);
+            let raws = split(script, G);
+            let legacy = split_spanned(script, G);
+            assert_eq!(d.occurrences.len(), legacy.len(), "statement count on {script:?}");
+            assert_eq!(raws.len(), legacy.len(), "split count on {script:?}");
+            for (((slot, span), raw), l) in d.occurrences.iter().zip(&raws).zip(&legacy) {
+                let u = &d.uniques[*slot as usize];
+                assert_eq!(*span, l.span, "span on {script:?}");
+                assert_eq!(u.content_hash, l.content_hash, "content hash on {script:?}");
+                assert_eq!(u.fingerprint, l.fingerprint(script), "fingerprint on {script:?}");
                 // Re-lex materialisation must reproduce the legacy tokens
                 // exactly (kinds, texts, script-absolute spans).
-                let fm = f.materialize(script);
                 let lm = l.materialize(script);
-                assert_eq!(fm.tokens, lm.tokens, "tokens on {script:?}");
-                assert_eq!(fm.span, lm.span);
+                assert_eq!(raw.tokens, lm.tokens, "tokens on {script:?}");
+                assert_eq!(raw.span, lm.span);
             }
         }
     }
@@ -874,10 +684,10 @@ mod tests {
     #[test]
     fn deduped_split_reconstructs_the_statement_sequence() {
         let script = "SELECT 1; SELECT 2; SELECT 1; SELECT 1; SELECT 2;";
-        let d = split_deduped(script, Dialect::Generic);
+        let d = split_deduped(script, G);
         assert_eq!(d.uniques.len(), 2);
         assert_eq!(d.occurrences.len(), 5);
-        let full = split_stream(script);
+        let full = split_spanned(script, G);
         for ((slot, span), s) in d.occurrences.iter().zip(&full) {
             assert_eq!(*span, s.span, "occurrence keeps its own span");
             assert_eq!(d.uniques[*slot as usize].content_hash, s.content_hash);
@@ -893,7 +703,7 @@ mod tests {
         // SELECT another — the body semicolons must not split.
         let script = "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW \
                       BEGIN UPDATE u SET a = 1; DELETE FROM v; END; SELECT 1;";
-        let stmts = split(script);
+        let stmts = split(script, G);
         assert_eq!(stmts.len(), 2, "{stmts:?}");
         assert!(stmts[0].text().starts_with("CREATE TRIGGER"));
         assert!(stmts[0].text().ends_with("END"));
@@ -907,7 +717,7 @@ mod tests {
                       BEGIN\n  SET @c = @c + 1;\nEND ;;\n\
                       DELIMITER ;\n\
                       SELECT 1;";
-        let stmts = split(script);
+        let stmts = split(script, G);
         assert_eq!(stmts.len(), 2, "{stmts:?}");
         assert!(stmts[0].text().starts_with("CREATE TRIGGER"));
         assert!(!stmts[0].text().contains("DELIMITER"));
@@ -917,7 +727,7 @@ mod tests {
     #[test]
     fn custom_delimiter_makes_bare_semicolons_ordinary_text() {
         let script = "DELIMITER //\nSELECT 1; SELECT 2 //\nSELECT 3 //";
-        let stmts = split(script);
+        let stmts = split(script, G);
         assert_eq!(stmts.len(), 2, "{stmts:?}");
         assert_eq!(stmts[0].text(), "SELECT 1; SELECT 2");
         assert_eq!(stmts[1].text(), "SELECT 3");
@@ -927,38 +737,38 @@ mod tests {
     fn orphan_end_and_unterminated_begin_degrade_tolerantly() {
         // A bare END is its own one-word statement; trailing statements
         // survive.
-        let stmts = split("END; SELECT 1;");
+        let stmts = split("END; SELECT 1;", G);
         assert_eq!(stmts.len(), 2);
         assert_eq!(stmts[0].text(), "END");
         assert_eq!(stmts[1].text(), "SELECT 1");
         // An unterminated BEGIN runs to EOF as one tolerant statement —
         // nothing panics, nothing is dropped.
-        let stmts = split("CREATE TRIGGER t1 BEFORE UPDATE ON x FOR EACH ROW BEGIN SELECT 1;");
+        let stmts = split("CREATE TRIGGER t1 BEFORE UPDATE ON x FOR EACH ROW BEGIN SELECT 1;", G);
         assert_eq!(stmts.len(), 1);
         assert!(stmts[0].text().ends_with("SELECT 1;"));
     }
 
     #[test]
     fn transaction_begin_and_case_end_are_not_blocks() {
-        assert_eq!(split("BEGIN; SELECT 1; COMMIT;").len(), 3);
-        assert_eq!(split("BEGIN TRANSACTION; SELECT 1;").len(), 2);
-        assert_eq!(split("SELECT CASE WHEN a THEN 1 ELSE 2 END FROM t; SELECT 2;").len(), 2);
-        assert_eq!(split("CREATE TABLE t (begin INT, end INT); SELECT 1;").len(), 2);
+        assert_eq!(split("BEGIN; SELECT 1; COMMIT;", G).len(), 3);
+        assert_eq!(split("BEGIN TRANSACTION; SELECT 1;", G).len(), 2);
+        assert_eq!(split("SELECT CASE WHEN a THEN 1 ELSE 2 END FROM t; SELECT 2;", G).len(), 2);
+        assert_eq!(split("CREATE TABLE t (begin INT, end INT); SELECT 1;", G).len(), 2);
     }
 
     /// Occurrence spans of the deduping boundary scan, in script order.
     fn deduped_spans(script: &str) -> Vec<Span> {
-        split_deduped(script, Dialect::Generic).occurrences.iter().map(|&(_, s)| s).collect()
+        split_deduped(script, G).occurrences.iter().map(|&(_, s)| s).collect()
     }
 
-    fn stream_spans(script: &str) -> Vec<Span> {
-        split_stream(script).iter().map(|s| s.span).collect()
+    fn reference_spans(script: &str) -> Vec<Span> {
+        split_spanned(script, G).iter().map(|s| s.span).collect()
     }
 
     #[test]
     fn boundary_prescan_never_splits_inside_trigger_bodies() {
         // Many compound statements: the speculative spans-only scan must
-        // hand over to the tracked one and agree with the fused split.
+        // hand over to the tracked one and agree with the reference split.
         let mut big = String::new();
         for i in 0..120 {
             big.push_str(&format!(
@@ -967,7 +777,7 @@ mod tests {
             ));
             big.push_str(&format!("SELECT {i} FROM filler;\n"));
         }
-        let sequential = stream_spans(&big);
+        let sequential = reference_spans(&big);
         assert_eq!(sequential.len(), 240);
         assert_eq!(deduped_spans(&big), sequential);
     }
@@ -982,14 +792,14 @@ mod tests {
             big.push_str(&format!("SELECT {i}; SELECT {i} ;;\n"));
         }
         big.push_str("DELIMITER ;\nSELECT 1;");
-        let sequential = stream_spans(&big);
+        let sequential = reference_spans(&big);
         assert_eq!(sequential.len(), 101);
         assert_eq!(deduped_spans(&big), sequential);
         assert!(split_deduped(&big, Dialect::Generic).saw_delimiter_directive);
         assert!(!split_deduped("SELECT 1; SELECT 2;", Dialect::Generic).saw_delimiter_directive);
     }
 
-    /// Development probe, not a test: attributes fused-splitter cost to
+    /// Development probe, not a test: attributes front-door cost to
     /// lexing, keyword classification, and fingerprinting. Run with
     /// `cargo test -q -p sqlcheck-parser --release -- --ignored
     /// profile_front_layers --nocapture`.
@@ -1087,16 +897,15 @@ mod tests {
             lex_into(&script, Dialect::Generic, &mut s);
             s.acc
         });
-        time("split_stream (fused)", bytes, || split_stream(&script).len() as u64);
         time("split_deduped", bytes, || split_deduped(&script, Dialect::Generic).uniques.len() as u64);
     }
 
     #[test]
     fn boundary_prescan_never_splits_inside_tokens() {
         // `;` inside strings, comments and dollar quotes: the spans-only
-        // scan must end statements exactly where the fused split does.
+        // scan must end statements exactly where the reference split does.
         let script = "SELECT '; ; ; ; ; ; ; ;'; /* ;;;;;;;; */ SELECT $t$;;;;;;;;$t$; SELECT 2;";
-        assert_eq!(deduped_spans(script), stream_spans(script));
-        assert_eq!(stream_spans(script).len(), 3);
+        assert_eq!(deduped_spans(script), reference_spans(script));
+        assert_eq!(reference_spans(script).len(), 3);
     }
 }

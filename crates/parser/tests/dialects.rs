@@ -13,15 +13,14 @@
 //!
 //! The rest covers the per-dialect lexer surface (comments, identifier
 //! quoting, string styles) and keyword admissibility, plus the property
-//! that `Dialect::Generic` is byte-identical to every pre-dialect entry
-//! point on randomized scripts.
+//! that under every dialect the production splitter emits exactly the
+//! two-pass reference splitter's statements on randomized scripts.
 
 use sqlcheck_parser::diag::Limits;
-use sqlcheck_parser::lexer::{tokenize, tokenize_dialect};
-use sqlcheck_parser::parser::{parse_raw_limited, parse_raw_limited_dialect};
-use sqlcheck_parser::splitter::{
-    split, split_deduped, split_dialect, split_stream, split_stream_dialect,
-};
+use sqlcheck_parser::lexer::tokenize;
+use sqlcheck_parser::parser::parse_raw_limited;
+use sqlcheck_parser::splitter::reference::split_spanned;
+use sqlcheck_parser::splitter::{split, split_deduped};
 use sqlcheck_parser::{Dialect, Statement, TokenKind};
 
 // ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ fn mysql_dollar_delimiter_no_longer_collides_with_dollar_quoting() {
                   BEGIN UPDATE t SET a = 1; DELETE FROM u; END$$\n\
                   DELIMITER ;\n\
                   SELECT 1;\n";
-    let stmts = split_dialect(script, Dialect::MySql);
+    let stmts = split(script, Dialect::MySql);
     assert_eq!(stmts.len(), 2, "trigger + select: {:?}",
         stmts.iter().map(|s| s.text()).collect::<Vec<_>>());
     assert!(stmts[0].text().contains("DELETE FROM u"));
@@ -56,7 +55,7 @@ fn postgres_dollar_body_with_custom_delimiter_text_stays_one_statement() {
     let script = "CREATE FUNCTION f() RETURNS trigger AS $fn$ \
                   BEGIN UPDATE t SET a = 1;; DELETE FROM u; END; \
                   $fn$ LANGUAGE plpgsql;\nSELECT 2;\n";
-    let stmts = split_dialect(script, Dialect::Postgres);
+    let stmts = split(script, Dialect::Postgres);
     assert_eq!(stmts.len(), 2);
     assert!(stmts[0].text().contains("$fn$"));
     assert_eq!(stmts[1].text().trim(), "SELECT 2");
@@ -73,12 +72,12 @@ fn begin_atomic_body_survives_split_and_parse_under_postgres() {
     let script = "CREATE FUNCTION prune() RETURNS INTEGER LANGUAGE SQL \
                   BEGIN ATOMIC DELETE FROM t WHERE score < 0; SELECT 1; END;\n\
                   SELECT 2;\n";
-    let stmts = split_dialect(script, Dialect::Postgres);
+    let stmts = split(script, Dialect::Postgres);
     assert_eq!(stmts.len(), 2, "routine + select: {:?}",
         stmts.iter().map(|s| s.text()).collect::<Vec<_>>());
 
     let (parsed, diags) =
-        parse_raw_limited_dialect(stmts[0].clone(), &Limits::default(), Dialect::Postgres);
+        parse_raw_limited(stmts[0].clone(), &Limits::default(), Dialect::Postgres);
     assert!(diags.is_empty(), "clean parse expected: {diags:?}");
     match &parsed.stmt {
         Statement::CreateRoutine(r) => {
@@ -96,10 +95,10 @@ fn begin_atomic_body_survives_split_and_parse_under_postgres() {
 fn statement_initial_begin_atomic_is_dialect_gated() {
     let script = "BEGIN ATOMIC UPDATE t SET a = 1; DELETE FROM u; END;\nSELECT 1;\n";
     for d in [Dialect::Generic, Dialect::Postgres] {
-        assert_eq!(split_dialect(script, d).len(), 2, "{d}: block + select");
+        assert_eq!(split(script, d).len(), 2, "{d}: block + select");
     }
     for d in [Dialect::MySql, Dialect::Sqlite] {
-        assert_eq!(split_dialect(script, d).len(), 4, "{d}: every `;` splits");
+        assert_eq!(split(script, d).len(), 4, "{d}: every `;` splits");
     }
 }
 
@@ -117,7 +116,7 @@ fn postgres_delimiter_word_is_not_a_directive() {
             "INSERT INTO delimiter_log VALUES ({i}, 'DELIMITER is just a word here');\n"
         ));
     }
-    let sequential = split_stream_dialect(&script, Dialect::Postgres);
+    let sequential = split_spanned(&script, Dialect::Postgres);
     assert_eq!(sequential.len(), 401);
     let deduped = split_deduped(&script, Dialect::Postgres);
     assert!(!deduped.saw_delimiter_directive);
@@ -131,10 +130,10 @@ fn postgres_delimiter_word_is_not_a_directive() {
 #[test]
 fn hash_comments_are_mysql_only() {
     let input = "# note\nSELECT 1";
-    let my = tokenize_dialect(input, Dialect::MySql);
+    let my = tokenize(input, Dialect::MySql);
     assert_eq!(my[0].kind, TokenKind::Comment, "MySQL: `#` opens a line comment");
     for d in [Dialect::Generic, Dialect::Postgres, Dialect::Sqlite] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert!(
             toks.iter().all(|t| t.kind != TokenKind::Comment),
             "{d}: `#` must not open a comment"
@@ -146,13 +145,13 @@ fn hash_comments_are_mysql_only() {
 fn backtick_quoting_is_not_postgres() {
     let input = "SELECT `col` FROM t";
     for d in [Dialect::Generic, Dialect::MySql, Dialect::Sqlite] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert!(
             toks.iter().any(|t| t.kind == TokenKind::QuotedIdent && t.text.as_str() == "`col`"),
             "{d}: backticks quote identifiers"
         );
     }
-    let pg = tokenize_dialect(input, Dialect::Postgres);
+    let pg = tokenize(input, Dialect::Postgres);
     assert!(
         pg.iter().all(|t| t.kind != TokenKind::QuotedIdent),
         "Postgres: backtick is not an identifier quote"
@@ -163,14 +162,14 @@ fn backtick_quoting_is_not_postgres() {
 fn bracket_quoting_is_generic_and_sqlite_only() {
     let input = "SELECT [col] FROM t";
     for d in [Dialect::Generic, Dialect::Sqlite] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert!(
             toks.iter().any(|t| t.kind == TokenKind::QuotedIdent && t.text.as_str() == "[col]"),
             "{d}: brackets quote identifiers"
         );
     }
     for d in [Dialect::Postgres, Dialect::MySql] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert!(
             toks.iter().all(|t| t.kind != TokenKind::QuotedIdent),
             "{d}: brackets are not identifier quotes"
@@ -181,10 +180,10 @@ fn bracket_quoting_is_generic_and_sqlite_only() {
 #[test]
 fn double_quotes_are_strings_under_mysql_idents_elsewhere() {
     let input = "SELECT \"x\"";
-    let my = tokenize_dialect(input, Dialect::MySql);
+    let my = tokenize(input, Dialect::MySql);
     assert!(my.iter().any(|t| t.kind == TokenKind::StringLit && t.text.as_str() == "\"x\""));
     for d in [Dialect::Generic, Dialect::Postgres, Dialect::Sqlite] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert!(
             toks.iter().any(|t| t.kind == TokenKind::QuotedIdent),
             "{d}: double quotes are identifier quotes"
@@ -196,7 +195,7 @@ fn double_quotes_are_strings_under_mysql_idents_elsewhere() {
 fn block_comments_nest_under_generic_and_postgres_only() {
     let input = "/* a /* b */ c */ SELECT 1";
     for d in [Dialect::Generic, Dialect::Postgres] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert_eq!(
             toks[0].text.as_str(),
             "/* a /* b */ c */",
@@ -204,7 +203,7 @@ fn block_comments_nest_under_generic_and_postgres_only() {
         );
     }
     for d in [Dialect::MySql, Dialect::Sqlite] {
-        let toks = tokenize_dialect(input, d);
+        let toks = tokenize(input, d);
         assert_eq!(
             toks[0].text.as_str(),
             "/* a /* b */",
@@ -222,9 +221,9 @@ fn block_comments_nest_under_generic_and_postgres_only() {
 /// a case-sensitive `contains("ILike")` observes shaping — the raw token
 /// text is all-caps and never matches the variant spelling.
 fn parse_under(sql: &str, dialect: Dialect) -> String {
-    let stmts = split_dialect(sql, dialect);
+    let stmts = split(sql, dialect);
     assert_eq!(stmts.len(), 1, "one statement expected from {sql:?}");
-    let (p, _) = parse_raw_limited_dialect(stmts[0].clone(), &Limits::default(), dialect);
+    let (p, _) = parse_raw_limited(stmts[0].clone(), &Limits::default(), dialect);
     format!("{:?} {:?}", p.stmt, p.arena)
 }
 
@@ -256,7 +255,7 @@ fn like_family_operators_follow_their_dialect() {
 }
 
 // ---------------------------------------------------------------------------
-// Generic is byte-identical to the pre-dialect entry points
+// The production splitter equals the reference under every dialect
 // ---------------------------------------------------------------------------
 
 /// Deterministic xorshift64* generator (same idiom as `proptests.rs` —
@@ -282,7 +281,7 @@ impl Rng {
 
 /// Script generator biased toward dialect-sensitive constructs: every
 /// spelling whose reading *could* differ between dialects shows up here,
-/// so Generic's byte-identity is tested exactly where it could break.
+/// so splitter identity is tested exactly where dialects could break it.
 fn dialect_stress_script(rng: &mut Rng) -> String {
     const FRAGMENTS: &[&str] = &[
         "SELECT * FROM t WHERE a = 1",
@@ -320,49 +319,37 @@ fn dialect_stress_script(rng: &mut Rng) -> String {
     script
 }
 
-/// `Dialect::Generic` must be byte-identical to the un-suffixed
-/// pre-dialect entry points at every layer: lexer tokens, fused split,
-/// materialised statements, and parse results (including diagnostics).
+/// Under every dialect, [`split`] and [`split_deduped`] must emit exactly
+/// the statements of the two-pass reference splitter: same spans, content
+/// hashes, template fingerprints, and materialised tokens.
 #[test]
-fn generic_is_byte_identical_to_the_undialected_entry_points() {
+fn split_equals_reference_under_every_dialect() {
     let mut rng = Rng::new(0xD1A1);
-    let limits = Limits::default();
     for case in 0..192 {
         let script = dialect_stress_script(&mut rng);
-
-        let base_toks = tokenize(&script);
-        assert_eq!(
-            tokenize_dialect(&script, Dialect::Generic),
-            base_toks,
-            "case {case}: lexer diverged on {script:?}"
-        );
-
-        let base_split = split_stream(&script);
-        assert_eq!(
-            split_stream_dialect(&script, Dialect::Generic),
-            base_split,
-            "case {case}: fused split diverged on {script:?}"
-        );
-
-        let base_raw = split(&script);
-        let dialect_raw = split_dialect(&script, Dialect::Generic);
-        assert_eq!(base_raw.len(), dialect_raw.len(), "case {case}");
-        for (b, d) in base_raw.into_iter().zip(dialect_raw) {
-            assert_eq!(b.tokens, d.tokens, "case {case}: tokens on {script:?}");
-            assert_eq!(b.span, d.span, "case {case}: span on {script:?}");
-            let (pb, db) = parse_raw_limited(b, &limits);
-            let (pd, dd) =
-                parse_raw_limited_dialect(d, &limits, Dialect::Generic);
-            assert_eq!(
-                format!("{:?}", pb.stmt),
-                format!("{:?}", pd.stmt),
-                "case {case}: parse diverged on {script:?}"
-            );
-            assert_eq!(
-                format!("{db:?}"),
-                format!("{dd:?}"),
-                "case {case}: diagnostics diverged on {script:?}"
-            );
+        for d in Dialect::ALL {
+            let reference = split_spanned(&script, d);
+            let deduped = split_deduped(&script, d);
+            let raws = split(&script, d);
+            assert_eq!(reference.len(), raws.len(), "case {case} {d}: count on {script:?}");
+            assert_eq!(reference.len(), deduped.occurrences.len(), "case {case} {d}");
+            for ((r, raw), (slot, span)) in reference.iter().zip(&raws).zip(&deduped.occurrences)
+            {
+                let u = &deduped.uniques[*slot as usize];
+                assert_eq!(r.span, *span, "case {case} {d}: span on {script:?}");
+                assert_eq!(r.span, raw.span, "case {case} {d}: split span on {script:?}");
+                assert_eq!(r.content_hash, u.content_hash, "case {case} {d}: hash on {script:?}");
+                assert_eq!(
+                    r.fingerprint(&script),
+                    u.fingerprint,
+                    "case {case} {d}: fingerprint on {script:?}"
+                );
+                assert_eq!(
+                    r.materialize(&script).tokens,
+                    raw.tokens,
+                    "case {case} {d}: tokens on {script:?}"
+                );
+            }
         }
     }
 }

@@ -6,6 +6,7 @@ use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Limits};
 use sqlcheck_parser::parser::{parse, parse_one, parse_raw_limited};
 use sqlcheck_parser::splitter::split;
+use sqlcheck_parser::Dialect;
 
 fn diag_kinds(diags: &[sqlcheck_parser::diag::Diagnostic]) -> Vec<DiagKind> {
     diags.iter().map(|d| d.kind).collect()
@@ -34,8 +35,8 @@ fn deep_parens_report_over_limit_and_degraded() {
     sql.extend(std::iter::repeat_n('(', depth));
     sql.push('1');
     sql.extend(std::iter::repeat_n(')', depth));
-    let raw = split(&sql).pop().expect("one statement");
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split(&sql, Dialect::Generic).pop().expect("one statement");
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Select(_)));
     let kinds = diag_kinds(&diags);
     assert!(kinds.contains(&DiagKind::OverLimit), "{diags:?}");
@@ -47,8 +48,8 @@ fn deep_parens_report_over_limit_and_degraded() {
 #[test]
 fn shallow_nesting_stays_fully_shaped() {
     let sql = "SELECT ((a + (b * 2))) FROM t WHERE (x IN (1, 2, (3)))";
-    let raw = split(sql).pop().expect("one statement");
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split(sql, Dialect::Generic).pop().expect("one statement");
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Select(_)));
     assert!(diags.is_empty(), "clean statement must emit no diagnostics: {diags:?}");
 }
@@ -87,9 +88,9 @@ fn deeply_nested_begin_blocks_are_bounded() {
 #[test]
 fn over_byte_budget_skips_structural_parse() {
     let sql = format!("SELECT {} FROM t", "x".repeat(4096));
-    let raw = split(&sql).pop().expect("one statement");
+    let raw = split(&sql, Dialect::Generic).pop().expect("one statement");
     let tight = Limits { max_statement_bytes: 1024, ..Limits::default() };
-    let (p, diags) = parse_raw_limited(raw, &tight);
+    let (p, diags) = parse_raw_limited(raw, &tight, Dialect::Generic);
     let Statement::Other(o) = &p.stmt else { panic!("expected Other, got {:?}", p.stmt) };
     assert_eq!(o.leading_keyword, "SELECT");
     assert_eq!(diag_kinds(&diags), vec![DiagKind::OverLimit]);
@@ -101,9 +102,9 @@ fn over_byte_budget_skips_structural_parse() {
 fn over_token_budget_skips_structural_parse() {
     let cols: Vec<String> = (0..500).map(|i| format!("c{i}")).collect();
     let sql = format!("SELECT {} FROM t", cols.join(", "));
-    let raw = split(&sql).pop().expect("one statement");
+    let raw = split(&sql, Dialect::Generic).pop().expect("one statement");
     let tight = Limits { max_tokens: 64, ..Limits::default() };
-    let (p, diags) = parse_raw_limited(raw, &tight);
+    let (p, diags) = parse_raw_limited(raw, &tight, Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Other(_)));
     assert_eq!(diag_kinds(&diags), vec![DiagKind::OverLimit]);
 }
@@ -111,24 +112,24 @@ fn over_token_budget_skips_structural_parse() {
 #[test]
 fn unterminated_block_is_diagnosed() {
     let sql = "CREATE TRIGGER t1 BEFORE UPDATE ON x FOR EACH ROW BEGIN SELECT 1;";
-    let raw = split(sql).pop().expect("one statement");
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split(sql, Dialect::Generic).pop().expect("one statement");
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     assert!(matches!(p.stmt, Statement::CreateTrigger(_)), "{:?}", p.stmt);
     assert!(diag_kinds(&diags).contains(&DiagKind::UnterminatedBlock), "{diags:?}");
 }
 
 #[test]
 fn orphan_end_is_diagnosed() {
-    let raw = split("END").pop().expect("one statement");
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split("END", Dialect::Generic).pop().expect("one statement");
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Other(_)));
     assert_eq!(diag_kinds(&diags), vec![DiagKind::OrphanEnd]);
 }
 
 #[test]
 fn unshaped_statement_is_diagnosed_as_degraded() {
-    let raw = split("GRANT ALL ON t TO alice").pop().expect("one statement");
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split("GRANT ALL ON t TO alice", Dialect::Generic).pop().expect("one statement");
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Other(_)));
     assert_eq!(diag_kinds(&diags), vec![DiagKind::ParseDegraded]);
 }
@@ -136,18 +137,18 @@ fn unshaped_statement_is_diagnosed_as_degraded() {
 #[test]
 fn parse_one_handles_trivia_and_statements() {
     // All-trivia input: tokens preserved without a second tokenize pass.
-    let p = parse_one("  -- just a comment\n  ");
+    let p = parse_one("  -- just a comment\n  ", Dialect::Generic);
     assert!(matches!(&p.stmt, Statement::Other(o) if o.leading_keyword.is_empty()));
     assert!(!p.tokens.is_empty());
     // Normal input: first statement of several.
-    let p = parse_one("SELECT a FROM t; SELECT b FROM u;");
+    let p = parse_one("SELECT a FROM t; SELECT b FROM u;", Dialect::Generic);
     let Statement::Select(s) = &p.stmt else { panic!("{:?}", p.stmt) };
     assert_eq!(s.from.as_ref().unwrap().name.to_string(), "t");
     // Empty input.
-    let p = parse_one("");
+    let p = parse_one("", Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Other(_)));
     // DELIMITER directive before the first statement.
-    let p = parse_one("DELIMITER //\nSELECT 1 //");
+    let p = parse_one("DELIMITER //\nSELECT 1 //", Dialect::Generic);
     assert!(matches!(p.stmt, Statement::Select(_)), "{:?}", p.stmt);
 }
 
@@ -162,19 +163,19 @@ fn budget_flags_do_not_leak_between_statements() {
         s.extend(std::iter::repeat_n(')', 500));
         s
     };
-    let raw_deep = split(&deep).pop().unwrap();
-    let (_, d1) = parse_raw_limited(raw_deep, &Limits::default());
+    let raw_deep = split(&deep, Dialect::Generic).pop().unwrap();
+    let (_, d1) = parse_raw_limited(raw_deep, &Limits::default(), Dialect::Generic);
     assert!(!d1.is_empty());
-    let raw_clean = split("SELECT a FROM t").pop().unwrap();
-    let (_, d2) = parse_raw_limited(raw_clean, &Limits::default());
+    let raw_clean = split("SELECT a FROM t", Dialect::Generic).pop().unwrap();
+    let (_, d2) = parse_raw_limited(raw_clean, &Limits::default(), Dialect::Generic);
     assert!(d2.is_empty(), "{d2:?}");
 }
 
 #[test]
 fn expr_raw_fallback_sets_sub_expression_diagnostic() {
     // A shaped statement whose WHERE clause cannot be shaped.
-    let raw = split("SELECT a FROM t WHERE a ->> 'b' @> 'c'").pop().unwrap();
-    let (p, diags) = parse_raw_limited(raw, &Limits::default());
+    let raw = split("SELECT a FROM t WHERE a ->> 'b' @> 'c'", Dialect::Generic).pop().unwrap();
+    let (p, diags) = parse_raw_limited(raw, &Limits::default(), Dialect::Generic);
     if matches!(p.stmt, Statement::Select(_)) {
         // Either the whole clause went Raw (sub-expression diagnostic)
         // or the parser shaped it — both are valid total outcomes, but a

@@ -6,7 +6,8 @@
 
 use sqlcheck_parser::lexer::tokenize;
 use sqlcheck_parser::parser::{parse, parse_one};
-use sqlcheck_parser::splitter::{split_deduped, split_spanned, split_stream};
+use sqlcheck_parser::splitter::reference::split_spanned;
+use sqlcheck_parser::splitter::{split, split_deduped};
 use sqlcheck_parser::Dialect;
 
 /// Deterministic xorshift64* generator for test-case synthesis.
@@ -60,7 +61,7 @@ fn lexer_is_lossless_on_arbitrary_input() {
     let mut rng = Rng::new(0x10A11);
     for case in 0..CASES {
         let input = rng.arbitrary_string(200);
-        let toks = tokenize(&input);
+        let toks = tokenize(&input, Dialect::Generic);
         let rebuilt: String = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(rebuilt, input, "case {case}: lexer must be lossless");
     }
@@ -72,7 +73,7 @@ fn lexer_spans_are_contiguous() {
     let mut rng = Rng::new(0x5BA5);
     for case in 0..CASES {
         let input = rng.arbitrary_string(200);
-        let toks = tokenize(&input);
+        let toks = tokenize(&input, Dialect::Generic);
         let mut pos = 0usize;
         for t in &toks {
             assert_eq!(t.span.start, pos, "case {case}: span start");
@@ -110,8 +111,8 @@ fn render_is_fixpoint_on_generated_selects() {
             cols[0],
             val
         );
-        let once = parse_one(&sql).to_sql();
-        let twice = parse_one(&once).to_sql();
+        let once = parse_one(&sql, Dialect::Generic).to_sql();
+        let twice = parse_one(&once, Dialect::Generic).to_sql();
         assert_eq!(once, twice, "case {case}: render must be a fixpoint");
     }
 }
@@ -131,7 +132,7 @@ fn statement_tag_is_always_defined() {
         let len = rng.below(81);
         let rest: String = (0..len).map(|_| REST_POOL[rng.below(REST_POOL.len())]).collect();
         let sql = format!("{kw} {rest}");
-        let p = parse_one(&sql);
+        let p = parse_one(&sql, Dialect::Generic);
         let _ = p.stmt.tag();
     }
 }
@@ -199,28 +200,31 @@ fn random_script(rng: &mut Rng) -> String {
     script
 }
 
-/// The fused streaming splitter must emit exactly the statements of the
-/// legacy two-pass `split_spanned` reference — same spans, same content
-/// hashes, same template fingerprints, and identical materialised token
-/// streams — on randomized scripts full of semicolon decoys.
+/// The production splitter must emit exactly the statements of the
+/// two-pass `split_spanned` reference — same spans, same content hashes,
+/// same template fingerprints, and identical materialised token streams
+/// — on randomized scripts full of semicolon decoys.
 #[test]
 fn fused_split_equals_legacy_split_on_random_scripts() {
     let mut rng = Rng::new(0x5B11);
     for case in 0..CASES {
         let script = random_script(&mut rng);
-        let fused = split_stream(&script);
-        let legacy = split_spanned(&script);
-        assert_eq!(fused.len(), legacy.len(), "case {case}: count on {script:?}");
-        for (f, l) in fused.iter().zip(&legacy) {
-            assert_eq!(f.span, l.span, "case {case}: span on {script:?}");
-            assert_eq!(f.content_hash, l.content_hash, "case {case}: hash on {script:?}");
+        let d = split_deduped(&script, Dialect::Generic);
+        let raws = split(&script, Dialect::Generic);
+        let legacy = split_spanned(&script, Dialect::Generic);
+        assert_eq!(d.occurrences.len(), legacy.len(), "case {case}: count on {script:?}");
+        assert_eq!(raws.len(), legacy.len(), "case {case}: split count on {script:?}");
+        for (((slot, span), raw), l) in d.occurrences.iter().zip(&raws).zip(&legacy) {
+            let u = &d.uniques[*slot as usize];
+            assert_eq!(*span, l.span, "case {case}: span on {script:?}");
+            assert_eq!(u.content_hash, l.content_hash, "case {case}: hash on {script:?}");
             assert_eq!(
-                f.fingerprint,
+                u.fingerprint,
                 l.fingerprint(&script),
                 "case {case}: fingerprint on {script:?}"
             );
             assert_eq!(
-                f.materialize(&script).tokens,
+                raw.tokens,
                 l.materialize(&script).tokens,
                 "case {case}: materialised tokens on {script:?}"
             );
@@ -230,21 +234,27 @@ fn fused_split_equals_legacy_split_on_random_scripts() {
 
 /// Splitter-level dedup must preserve the occurrence sequence exactly:
 /// mapping every occurrence back through its unique slot reproduces the
-/// undeduplicated stream's spans and hashes.
+/// reference splitter's spans and hashes, every occurrence's text equals
+/// its slot's text, and no two slots hold the same text.
 #[test]
 fn deduped_split_round_trips_on_random_scripts() {
     let mut rng = Rng::new(0xDED0);
     for case in 0..CASES / 2 {
         let script = random_script(&mut rng);
-        let full = split_stream(&script);
+        let full = split_spanned(&script, Dialect::Generic);
         let d = split_deduped(&script, Dialect::Generic);
         assert_eq!(d.occurrences.len(), full.len(), "case {case}");
+        let text = |s: sqlcheck_parser::Span| &script[s.start..s.end];
         for ((slot, span), s) in d.occurrences.iter().zip(&full) {
             assert_eq!(*span, s.span, "case {case}: occurrence span");
             let u = &d.uniques[*slot as usize];
             assert_eq!(u.content_hash, s.content_hash, "case {case}: unique hash");
-            assert_eq!(u.fingerprint, s.fingerprint, "case {case}: unique fingerprint");
+            assert_eq!(u.fingerprint, s.fingerprint(&script), "case {case}: unique fingerprint");
+            assert_eq!(text(*span), text(u.span), "case {case}: occurrence text");
         }
+        let distinct: std::collections::HashSet<&str> =
+            d.uniques.iter().map(|u| text(u.span)).collect();
+        assert_eq!(distinct.len(), d.uniques.len(), "case {case}: duplicate unique slot");
     }
 }
 
@@ -265,8 +275,8 @@ fn fingerprint_is_template_stable() {
             table.to_ascii_uppercase(),
             col.to_ascii_uppercase()
         );
-        let pa = parse_one(&a);
-        let pb = parse_one(&b);
+        let pa = parse_one(&a, Dialect::Generic);
+        let pb = parse_one(&b, Dialect::Generic);
         assert_eq!(pa.fingerprint(), pb.fingerprint(), "case {case}: {a} vs {b}");
         assert!(!pa.template().contains(&v1.to_string()), "case {case}: literal leaked");
     }

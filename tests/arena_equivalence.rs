@@ -4,20 +4,23 @@
 //! The Box/Vec AST is gone, so "legacy" here means the three reference
 //! behaviours the arena path must still reproduce exactly:
 //!
-//! 1. the **legacy sequential front-end** (`FrontendOptions::legacy`):
+//! 1. the **legacy sequential front-end** (`detect::reference::context`):
 //!    per-statement parse, no dedup — detections must be
 //!    byte-identical to the parse-once pipeline on the same scripts;
 //! 2. the **legacy two-pass splitter** (`split_spanned`) — statement
-//!    spans and hashes must agree with the fused pass that feeds the
+//!    spans and hashes must agree with the deduping pass that feeds the
 //!    arena parser;
 //! 3. the **render fixed point** — `parse → to_sql → parse → to_sql`
 //!    must converge after one round trip, proving the arena tree carries
 //!    everything the renderer reads (no state was lost moving off
 //!    `Box<Expr>`).
 
-use sqlcheck::{ContextBuilder, Detector, FrontendOptions};
+use sqlcheck::detect::reference;
+use sqlcheck::{Context, ContextBuilder, Detector, FrontendOptions};
 use sqlcheck_parser::parser::parse_one;
-use sqlcheck_parser::splitter::{split_spanned, split_stream};
+use sqlcheck_parser::splitter::reference::split_spanned;
+use sqlcheck_parser::splitter::split_deduped;
+use sqlcheck_parser::Dialect;
 
 /// Scripts covering every statement family the parser models, plus the
 /// dialect constructs that historically broke splitting.
@@ -46,8 +49,7 @@ fn corpus() -> Vec<&'static str> {
     ]
 }
 
-fn detections(script: &str, fe: FrontendOptions) -> Vec<String> {
-    let ctx = ContextBuilder::new().with_frontend(fe).add_script(script).build();
+fn detections(ctx: Context) -> Vec<String> {
     Detector::default()
         .detect_batch(&ctx)
         .report
@@ -62,33 +64,31 @@ fn detections(script: &str, fe: FrontendOptions) -> Vec<String> {
 /// concatenation of the whole corpus.
 #[test]
 fn legacy_frontend_and_pipeline_detect_identically() {
-    let pipeline = FrontendOptions::default();
+    let opts = FrontendOptions::default();
+    let legacy = |script: &str| detections(reference::context(script, &opts));
+    let pipeline = |script: &str| detections(ContextBuilder::new().add_script(script).build());
     for script in corpus() {
-        assert_eq!(
-            detections(script, FrontendOptions::legacy()),
-            detections(script, pipeline.clone()),
-            "detection divergence on: {script}"
-        );
+        assert_eq!(legacy(script), pipeline(script), "detection divergence on: {script}");
     }
     let all = corpus().join("\n");
-    assert_eq!(
-        detections(&all, FrontendOptions::legacy()),
-        detections(&all, pipeline),
-        "detection divergence on concatenated corpus"
-    );
+    assert_eq!(legacy(&all), pipeline(&all), "detection divergence on concatenated corpus");
 }
 
-/// (2) Legacy two-pass splitter vs the fused pass that feeds the arena
-/// parser: same spans, same content hashes, on every corpus script.
+/// (2) Legacy two-pass splitter vs the deduping pass that feeds the
+/// arena parser: same spans, same content hashes, on every corpus script.
 #[test]
 fn legacy_splitter_agrees_with_fused_on_corpus() {
     let all = corpus().join("\n");
-    let legacy = split_spanned(&all);
-    let fused = split_stream(&all);
-    assert_eq!(legacy.len(), fused.len(), "statement count divergence");
-    for (l, f) in legacy.iter().zip(&fused) {
-        assert_eq!(l.span, f.span, "span divergence");
-        assert_eq!(l.content_hash, f.content_hash, "hash divergence");
+    let legacy = split_spanned(&all, Dialect::Generic);
+    let deduped = split_deduped(&all, Dialect::Generic);
+    assert_eq!(legacy.len(), deduped.occurrences.len(), "statement count divergence");
+    for (l, (slot, span)) in legacy.iter().zip(&deduped.occurrences) {
+        assert_eq!(l.span, *span, "span divergence");
+        assert_eq!(
+            l.content_hash,
+            deduped.uniques[*slot as usize].content_hash,
+            "hash divergence"
+        );
     }
 }
 
@@ -102,11 +102,11 @@ fn render_reaches_a_fixed_point_after_one_round_trip() {
             if stmt_text.trim().is_empty() {
                 continue;
             }
-            let once = parse_one(stmt_text).to_sql();
-            let p1 = parse_one(&once);
+            let once = parse_one(stmt_text, Dialect::Generic).to_sql();
+            let p1 = parse_one(&once, Dialect::Generic);
             let twice = p1.to_sql();
             assert_eq!(once, twice, "render not a fixed point for: {stmt_text}");
-            let p2 = parse_one(&twice);
+            let p2 = parse_one(&twice, Dialect::Generic);
             assert_eq!(
                 format!("{:?}", p1.stmt),
                 format!("{:?}", p2.stmt),
@@ -122,8 +122,8 @@ fn render_reaches_a_fixed_point_after_one_round_trip() {
 #[test]
 fn repeated_parses_are_structurally_identical() {
     for script in corpus() {
-        let a = parse_one(script);
-        let b = parse_one(script);
+        let a = parse_one(script, Dialect::Generic);
+        let b = parse_one(script, Dialect::Generic);
         assert_eq!(format!("{:?}", a.stmt), format!("{:?}", b.stmt));
         assert_eq!(
             format!("{:?}", a.arena),

@@ -4,10 +4,10 @@
 //! construct, we assert the shape it produced.
 
 use sqlcheck_parser::ast::*;
-use sqlcheck_parser::{parse, parse_one};
+use sqlcheck_parser::{parse, parse_one, Dialect};
 
 fn stmt(sql: &str) -> Statement {
-    parse_one(sql).stmt
+    parse_one(sql, Dialect::Generic).stmt
 }
 
 #[test]
@@ -26,7 +26,7 @@ fn postgres_flavoured_statements() {
         assert_eq!(parsed.len(), 1, "{sql}");
     }
     // Shape checks
-    let p = parse_one("SELECT * FROM t WHERE name ILIKE '%x%'");
+    let p = parse_one("SELECT * FROM t WHERE name ILIKE '%x%'", Dialect::Generic);
     let Statement::Select(s) = &p.stmt else { panic!() };
     let mut found = false;
     p.arena.walk(s.where_clause.unwrap(), &mut |e| {

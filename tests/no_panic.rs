@@ -9,7 +9,8 @@
 //! no `proptest`; same seeds, same cases, every run).
 
 use sqlcheck::{
-    BatchOptions, CheckOutcome, CustomRule, Detection, DiagKind, SqlCheck, WorkloadOutcome,
+    CheckOutcome, CustomRule, Detection, DiagKind, Dialect, FrontendOptions, SqlCheck,
+    WorkloadOutcome,
 };
 use sqlcheck_minidb::stats::SmallRng;
 
@@ -73,7 +74,7 @@ fn arbitrary_bytes_are_total_and_deterministic() {
     let mut rng = SmallRng::new(0x0B5E55);
     for case in 0..CASES {
         let input = arbitrary_bytes(&mut rng, 600);
-        let opts = BatchOptions::default();
+        let opts = FrontendOptions::default();
         let baseline = SqlCheck::new().check_workload(&input, &opts);
         let base_fp = workload_fingerprint(&baseline);
         let cached_tool = SqlCheck::new().with_cache(256);
@@ -100,8 +101,8 @@ fn truncated_utf8_is_total() {
         let full = multibyte_sqlish(&mut rng);
         let cut = rng.gen_range(full.len() + 1);
         let input = String::from_utf8_lossy(&full.as_bytes()[..cut]).into_owned();
-        let first = SqlCheck::new().check_workload(&input, &BatchOptions::default());
-        let second = SqlCheck::new().check_workload(&input, &BatchOptions::default());
+        let first = SqlCheck::new().check_workload(&input, &FrontendOptions::default());
+        let second = SqlCheck::new().check_workload(&input, &FrontendOptions::default());
         assert_eq!(
             workload_fingerprint(&first),
             workload_fingerprint(&second),
@@ -124,10 +125,10 @@ fn arena_parser_is_total_and_deterministic() {
         } else {
             multibyte_sqlish(&mut rng)
         };
-        let a = sqlcheck_parser::parse_one(&input);
+        let a = sqlcheck_parser::parse_one(&input, Dialect::Generic);
         let ann = sqlcheck_parser::annotate(&a.stmt, &a.arena);
         let rendered = a.to_sql();
-        let b = sqlcheck_parser::parse_one(&input);
+        let b = sqlcheck_parser::parse_one(&input, Dialect::Generic);
         assert_eq!(
             format!("{:?}", a.stmt),
             format!("{:?}", b.stmt),
@@ -158,7 +159,7 @@ fn pathological_nesting_is_bounded_and_reported() {
     for _ in 0..200 {
         towers.push_str(" END;");
     }
-    let w = SqlCheck::new().check_workload(&towers, &BatchOptions::default());
+    let w = SqlCheck::new().check_workload(&towers, &FrontendOptions::default());
     assert!(
         w.stats.diag_counts[DiagKind::OverLimit.index()] > 0
             || w.stats.diag_counts[DiagKind::ParseDegraded.index()] > 0
@@ -194,7 +195,7 @@ fn faulty_rule_is_isolated_everywhere() {
         for i in 0..n {
             script.push_str(&format!("SELECT * FROM t WHERE a = {i};\n"));
         }
-        let opts = BatchOptions::default();
+        let opts = FrontendOptions::default();
         let clean = SqlCheck::new().check_workload(&script, &opts);
         let faulty = SqlCheck::new().with_rule(Box::new(FaultyRule)).check_workload(&script, &opts);
         let clean_dets: Vec<String> =
@@ -231,10 +232,10 @@ fn faulty_rule_is_isolated_everywhere() {
 #[test]
 fn faulty_rule_does_not_poison_the_cache() {
     let script = "CREATE TABLE t (a INT);\nSELECT * FROM t;\nSELECT a FROM t WHERE a = 1;\n";
-    let baseline = SqlCheck::new().check_workload(script, &BatchOptions::default());
+    let baseline = SqlCheck::new().check_workload(script, &FrontendOptions::default());
     let cached = SqlCheck::new().with_cache(256).with_rule(Box::new(FaultyRule));
-    let _ = cached.check_workload(script, &BatchOptions::default());
-    let again = cached.check_workload(script, &BatchOptions::default());
+    let _ = cached.check_workload(script, &FrontendOptions::default());
+    let again = cached.check_workload(script, &FrontendOptions::default());
     let base: Vec<String> =
         baseline.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
     let warm: Vec<String> =

@@ -5,6 +5,7 @@ use sqlcheck::{
     AntiPatternKind, ContextBuilder, DetectionConfig, Detector, Fix, FixEngine, RankWeights,
     Ranker, SqlCheck,
 };
+use sqlcheck_parser::{parse_one, Dialect};
 
 #[test]
 fn fixes_reduce_detections_on_reapplication() {
@@ -43,9 +44,9 @@ fn rewritten_statements_reparse_to_equivalent_shape() {
     let fixes = FixEngine.fix_all(&report.detections, &ctx);
     for sf in fixes {
         if let Fix::Rewrite { fixed, .. } = sf.fix {
-            let reparsed = sqlcheck_parser::parse_one(&fixed);
+            let reparsed = parse_one(&fixed, Dialect::Generic);
             // Rendering the reparsed statement is a fixpoint.
-            assert_eq!(reparsed.to_sql(), sqlcheck_parser::parse_one(&reparsed.to_sql()).to_sql());
+            assert_eq!(reparsed.to_sql(), parse_one(&reparsed.to_sql(), Dialect::Generic).to_sql());
         }
     }
 }
