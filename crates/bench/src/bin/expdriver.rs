@@ -14,7 +14,8 @@
 //! expdriver throughput     # detection engine vs per-statement reference
 //! expdriver e2e            # parse-once front-end + incremental cache
 //! expdriver incremental    # warm re-check sweep: edit rates × shapes + DDL edit
-//! expdriver incremental-gate # CI gate: warm 1%-edit ≤ 0.35× cold pipeline
+//! expdriver incremental-gate # CI gates: warm 1%-edit ≤ 0.35× cold pipeline,
+//!                            # session VmHWM(1000 batches) ≤ 1.25× VmHWM(100)
 //! expdriver phases         # per-phase timing of the three-phase pipeline
 //! expdriver split          # deduping splitter vs two-pass reference
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
@@ -38,6 +39,41 @@ fn main() {
     let what = positional.first().copied().unwrap_or("all");
 
     if what == "incremental-gate" {
+        // Memory first: VmHWM is a process-wide peak, so the timing gate's
+        // 100k-statement sessions would mask the session's own growth.
+        section("Session memory gate — peak RSS after 1,000 edit batches vs after 100");
+        let statements = if quick { 2_000 } else { 20_000 };
+        match session_memory::run(statements, 0x3E30) {
+            Some(r) => {
+                println!(
+                    "{} statements: VmHWM {:.1} MB after {} batches, {:.1} MB after {} \
+                     ({:.2}x, ceiling {}x), {} fallback(s)",
+                    r.statements,
+                    r.hwm_early_kb as f64 / 1024.0,
+                    session_memory::EARLY,
+                    r.hwm_end_kb as f64 / 1024.0,
+                    session_memory::BATCHES,
+                    r.ratio(),
+                    session_memory::CEILING,
+                    r.fallbacks
+                );
+                assert!(r.identical, "warm session output diverged from a cold check of its script");
+                assert_eq!(r.fallbacks, 0, "the edit batches must stay on the incremental path");
+                assert!(
+                    r.ratio() <= session_memory::CEILING,
+                    "session peak RSS grew {:.2}x between batch {} and batch {} (ceiling {}x)",
+                    r.ratio(),
+                    session_memory::EARLY,
+                    session_memory::BATCHES,
+                    session_memory::CEILING
+                );
+                println!("gate ok: session memory plateaus");
+            }
+            None => println!(
+                "memory gate skipped: VmHWM is not readable on this platform (/proc/self/status)"
+            ),
+        }
+
         // The CI ceiling on the delta-based warm re-check: the 1%-edit
         // warm recheck of a 100k-statement workload must come in at or
         // under 0.35× the cold pipeline, byte-identical to a cold check

@@ -19,6 +19,7 @@ pub mod experiments {
     pub mod fig8;
     pub mod fix_scaling;
     pub mod phases;
+    pub mod session_memory;
     pub mod split;
     pub mod table2;
     pub mod table345;

@@ -196,9 +196,10 @@ fn main() {
             s.statements, s.unique_templates, s.unique_texts, s.cache_hits,
         );
         eprintln!(
-            "stats: front-end fused split {}us, materialize {}us, parse {}us, \
+            "stats: front-end split {}us, intake {}us, materialize {}us, parse {}us, \
              annotate {}us, context {}us",
             s.split_micros,
+            s.intake_micros,
             s.materialize_micros,
             s.parse_micros,
             s.annotate_micros,
@@ -206,12 +207,13 @@ fn main() {
         );
         eprintln!(
             "stats: detect group {}us, intra {}us, fanout {}us, inter {}us, \
-             data {}us, total {}us",
+             data {}us, dedup {}us, total {}us",
             s.group_micros,
             s.intra_micros,
             s.fanout_micros,
             s.inter_micros,
             s.data_micros,
+            s.dedup_micros,
             s.total_micros,
         );
         if cache {

@@ -70,6 +70,9 @@ pub struct BatchStats {
     /// Wall-clock microseconds spent in the data-analysis phase
     /// (per-table units; 0 without a database).
     pub data_micros: u128,
+    /// Wall-clock microseconds deduplicating the merged detections and
+    /// attaching their per-occurrence source spans.
+    pub dedup_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
     /// Front-end: microseconds in the split pass — splitting, dedup
@@ -420,8 +423,10 @@ impl Detector {
 
         // The shared (kind, locus, span) dedup, then per-occurrence
         // source spans.
+        let t_dedup = Instant::now();
         dedup(&mut report.detections);
         attach_spans(&mut report.detections, ctx);
+        let dedup_micros = t_dedup.elapsed().as_micros();
 
         let rule_failures = diagnostics.len();
         diag_counts[DiagKind::RuleFailed.index()] += rule_failures;
@@ -435,6 +440,7 @@ impl Detector {
             fanout_micros,
             inter_micros,
             data_micros,
+            dedup_micros,
             total_micros: t_start.elapsed().as_micros(),
             degraded_uniques,
             degraded_statements,

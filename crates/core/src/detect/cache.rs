@@ -1,5 +1,4 @@
-//! Fingerprint-keyed incremental detection cache, sharded for
-//! concurrency.
+//! Fingerprint-keyed incremental detection cache.
 //!
 //! Re-checking a workload after small edits should only pay for the
 //! statements whose text actually changed — in the spirit of update-aware
@@ -10,21 +9,11 @@
 //! statement-relative) so a hit can be fanned out to any occurrence index
 //! on any later call.
 //!
-//! ## Sharding
+//! ## Locking
 //!
-//! Entries are distributed over `N` **lock-striped shards** by content
-//! hash. Every shard carries its own `RwLock`-protected map + FIFO queue
-//! and its own atomic hit/miss/eviction counters, so concurrent
-//! `check_workload` calls from many sessions sharing one cache (via
-//! [`SqlCheck::with_shared_cache`]) contend per shard, not on one
-//! structure — and the read-mostly path (lookups) takes **shared** locks
-//! only, never an exclusive one. Which shard a key lands on is invisible
-//! to callers: hits, misses, and invalidation-driven evictions are
-//! per-key decisions, so their totals are identical for 1 shard and for
-//! N (property-tested). Only *capacity* eviction is approximate under
-//! sharding: the capacity is enforced per shard (`⌈capacity / N⌉` each),
-//! so a pathologically skewed key distribution can evict slightly before
-//! a single global FIFO would have.
+//! One `Mutex` guards the whole cache and every method takes it once, so
+//! sessions sharing a cache ([`SqlCheck::with_shared_cache`]) see every
+//! lookup, insert and guard transition whole.
 //!
 //! ## Validity guard
 //!
@@ -35,7 +24,7 @@
 //! statement actually consulted* are unchanged. The guard has two tiers:
 //!
 //! * a **config epoch** — a hash of `(DetectionConfig, has-data)`; a
-//!   mismatch flushes every shard (a config switch can change any rule's
+//!   mismatch flushes every entry (a config switch can change any rule's
 //!   decision);
 //! * **schema versions at three granularities** — from
 //!   [`SchemaCatalog::versions`](crate::context::SchemaCatalog::versions):
@@ -56,10 +45,6 @@
 //!   ([`CacheCounters::table_evictions`]) vs by a core/column dep
 //!   ([`CacheCounters::column_evictions`]).
 //!
-//! The epoch check itself is read-mostly too: when the incoming guard
-//! matches the stored one — every warm re-check — it takes a shared lock
-//! and returns without touching any shard.
-//!
 //! ## Unit memo (inter-query and data-analysis phases)
 //!
 //! Beyond per-statement intra entries, the cache memoizes whole
@@ -71,13 +56,12 @@
 //! detections only when the digest matches, so an edit that leaves a
 //! rule's inputs byte-identical replays its detections without running
 //! it, and only the dirty units run. The memo
-//! is flushed with the shards on a config-epoch change; schema and data
+//! is flushed with the entries on a config-epoch change; schema and data
 //! changes need no sweep because the digest comparison self-validates.
 //!
-//! Eviction is FIFO under the per-shard entry capacity: workload
-//! re-checks touch keys in script order, so first-in is a reasonable
-//! proxy for least-likely-to-recur, and FIFO keeps the hot path
-//! allocation-free.
+//! Eviction is FIFO under the entry capacity: workload re-checks touch
+//! keys in script order, so first-in is a reasonable proxy for
+//! least-likely-to-recur, and FIFO keeps the hot path allocation-free.
 //!
 //! [`SqlCheck::with_shared_cache`]: crate::SqlCheck::with_shared_cache
 
@@ -85,21 +69,11 @@ use crate::context::SchemaVersions;
 use crate::hashutil::Prehashed;
 use crate::report::Detection;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default entry capacity: comfortably holds the unique texts of a
 /// 100k-statement workload with room for churn.
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
-
-/// Default shard count: enough lock striping that a handful of
-/// concurrent sessions rarely collide, small enough that per-shard
-/// FIFO capacity stays meaningful.
-pub const DEFAULT_CACHE_SHARDS: usize = 16;
-
-/// Smallest per-shard FIFO capacity worth striping for; requested shard
-/// counts are clamped so each shard holds at least this many entries.
-const MIN_SHARD_CAPACITY: usize = 64;
 
 /// Unit-memo kind tag for inter-query rule units (`id` = rule index).
 pub(crate) const UNIT_INTER: u8 = 0;
@@ -113,8 +87,7 @@ pub(crate) const UNIT_DATA: u8 = 1;
 /// `inter::RULES.len() + table count` entries.
 const UNIT_MEMO_CAPACITY: usize = 16_384;
 
-/// Cumulative counters of one [`IncrementalCache`], aggregated across
-/// shards.
+/// Cumulative counters of one [`IncrementalCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups that found a valid entry.
@@ -186,36 +159,6 @@ struct CacheEntry {
     deps: Arc<DepSet>,
 }
 
-/// The lock-protected interior of one shard.
-#[derive(Debug, Clone, Default)]
-struct ShardState {
-    map: HashMap<u128, CacheEntry, Prehashed>,
-    /// Insertion order, for FIFO eviction.
-    queue: VecDeque<u128>,
-}
-
-/// One lock stripe: its entries plus its share of the counters. The
-/// counters are atomics so the hit path never needs the write lock.
-#[derive(Debug, Default)]
-struct Shard {
-    state: RwLock<ShardState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    table_evictions: AtomicU64,
-    column_evictions: AtomicU64,
-}
-
-/// The validity guard shared by all shards.
-#[derive(Debug, Clone, Default)]
-struct EpochState {
-    /// Config epoch the stored entries are valid under; `None` until
-    /// first use.
-    config_epoch: Option<u64>,
-    /// Schema versions the stored entries were analysed under.
-    versions: SchemaVersions,
-}
-
 /// One memoized detection unit: the input digest it was computed under
 /// plus its detections (pre-dedup, loci already final — inter/data units
 /// never use statement loci, so replay is occurrence-independent).
@@ -225,29 +168,30 @@ struct UnitEntry {
     detections: Arc<Vec<Detection>>,
 }
 
-/// The unit memo plus its counters.
-#[derive(Debug, Default)]
-struct UnitMemo {
-    map: RwLock<HashMap<(u8, u64), UnitEntry>>,
-    inter_reused: AtomicU64,
-    inter_recomputed: AtomicU64,
-    data_reused: AtomicU64,
-    data_recomputed: AtomicU64,
+/// Everything behind the cache's one lock.
+#[derive(Debug, Clone, Default)]
+struct Inner {
+    /// Config epoch the stored entries are valid under; `None` until
+    /// first use.
+    config_epoch: Option<u64>,
+    /// Schema versions the stored entries were analysed under.
+    versions: SchemaVersions,
+    map: HashMap<u128, CacheEntry, Prehashed>,
+    /// Insertion order, for FIFO eviction.
+    queue: VecDeque<u128>,
+    units: HashMap<(u8, u64), UnitEntry>,
+    counters: CacheCounters,
 }
 
 /// Detection-result cache shared across [`check_workload`] calls — and,
-/// behind an [`Arc`], across concurrent sessions: every method takes
-/// `&self`, lookups only ever acquire shared locks, and writes contend
-/// per shard.
+/// behind an [`Arc`], across sessions: every method takes `&self` and
+/// holds the one lock for its whole body.
 ///
 /// [`check_workload`]: crate::SqlCheck::check_workload
 #[derive(Debug)]
 pub struct IncrementalCache {
     capacity: usize,
-    shard_capacity: usize,
-    shards: Box<[Shard]>,
-    epoch: RwLock<EpochState>,
-    units: UnitMemo,
+    inner: Mutex<Inner>,
 }
 
 impl Default for IncrementalCache {
@@ -258,52 +202,12 @@ impl Default for IncrementalCache {
 
 impl Clone for IncrementalCache {
     /// Deep copy: entries, FIFO order, counters, epoch, and unit memo.
-    /// Takes each shard's read lock in turn, so cloning a cache that is
-    /// concurrently written produces *some* consistent-per-shard
-    /// snapshot.
     fn clone(&self) -> Self {
-        let shards: Vec<Shard> = self
-            .shards
-            .iter()
-            .map(|s| Shard {
-                state: RwLock::new(read_lock(&s.state).clone()),
-                hits: AtomicU64::new(s.hits.load(Ordering::Relaxed)),
-                misses: AtomicU64::new(s.misses.load(Ordering::Relaxed)),
-                evictions: AtomicU64::new(s.evictions.load(Ordering::Relaxed)),
-                table_evictions: AtomicU64::new(s.table_evictions.load(Ordering::Relaxed)),
-                column_evictions: AtomicU64::new(s.column_evictions.load(Ordering::Relaxed)),
-            })
-            .collect();
         IncrementalCache {
             capacity: self.capacity,
-            shard_capacity: self.shard_capacity,
-            shards: shards.into_boxed_slice(),
-            epoch: RwLock::new(read_lock(&self.epoch).clone()),
-            units: UnitMemo {
-                map: RwLock::new(read_lock(&self.units.map).clone()),
-                inter_reused: AtomicU64::new(self.units.inter_reused.load(Ordering::Relaxed)),
-                inter_recomputed: AtomicU64::new(
-                    self.units.inter_recomputed.load(Ordering::Relaxed),
-                ),
-                data_reused: AtomicU64::new(self.units.data_reused.load(Ordering::Relaxed)),
-                data_recomputed: AtomicU64::new(
-                    self.units.data_recomputed.load(Ordering::Relaxed),
-                ),
-            },
+            inner: Mutex::new(self.lock().clone()),
         }
     }
-}
-
-/// Acquire a read lock, recovering from poisoning (a panicked worker
-/// cannot corrupt the map structurally — every mutation completes or the
-/// entry simply stays absent).
-fn read_lock<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Acquire a write lock, recovering from poisoning.
-fn write_lock<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Keys whose digest differs between two version maps — changed,
@@ -320,47 +224,23 @@ fn changed_keys<'a, K: Ord + std::hash::Hash>(
 }
 
 impl IncrementalCache {
-    /// An empty cache bounded to `capacity` entries (min 1), striped over
-    /// [`DEFAULT_CACHE_SHARDS`] shards.
+    /// An empty cache bounded to `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, DEFAULT_CACHE_SHARDS)
-    }
-
-    /// An empty cache striped over `shards` lock shards (min 1). The
-    /// capacity is enforced per shard at `⌈capacity / shards⌉` entries,
-    /// so the total never exceeds `capacity + shards − 1`. The shard
-    /// count is clamped so every shard holds at least
-    /// `MIN_SHARD_CAPACITY` entries — striping a tiny cache would turn
-    /// its FIFO bound into per-key roulette for no concurrency win.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let n = shards.max(1).min(capacity.div_ceil(MIN_SHARD_CAPACITY).max(1));
         IncrementalCache {
-            capacity,
-            shard_capacity: capacity.div_ceil(n),
-            shards: (0..n).map(|_| Shard::default()).collect(),
-            epoch: RwLock::new(EpochState::default()),
-            units: UnitMemo::default(),
+            capacity: capacity.max(1),
+            inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// The shard a content hash lands on. The 64-bit fold is pushed
-    /// through a splitmix64 finalizer before the remainder: the shard
-    /// index must stay uniform even for structured hashes, and must not
-    /// correlate with the bits [`Prehashed`] feeds the in-shard map
-    /// (identical low bits would cluster every shard's map buckets).
-    fn shard_of(&self, text_hash: u128) -> &Shard {
-        let mut x = (text_hash >> 64) as u64 ^ (text_hash as u64);
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
-        &self.shards[(x % self.shards.len() as u64) as usize]
+    /// Take the lock, recovering from poisoning (a panicked holder cannot
+    /// corrupt the maps structurally — every mutation completes or the
+    /// entry simply stays absent).
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Align the cache to the current validity guard. A config-epoch
-    /// change flushes every shard and the unit memo (any rule may now
+    /// change flushes every entry and the unit memo (any rule may now
     /// decide differently for the same inputs). A schema change is
     /// handled per dependency: an entry is dropped only when one of its
     /// recorded deps' digests changed — a whole-table dep against the
@@ -369,109 +249,80 @@ impl IncrementalCache {
     /// appearing/vanishing tables always invalidate their column
     /// dependents). Each drop is counted as an eviction and classified
     /// as table- or column-triggered. A content-identical guard — every
-    /// warm re-check — takes a shared lock and touches nothing.
+    /// warm re-check — touches nothing.
     pub(crate) fn ensure_epoch(&self, config_epoch: u64, versions: &SchemaVersions) {
-        {
-            let e = read_lock(&self.epoch);
-            if e.config_epoch == Some(config_epoch) && e.versions == *versions {
-                return;
-            }
-        }
-        // Holding the epoch write lock across the shard sweep makes the
-        // guard transition atomic with respect to other `ensure_epoch`
-        // callers (concurrent sessions checking under the same config and
-        // schema all take the shared-lock fast path above).
-        let mut e = write_lock(&self.epoch);
-        if e.config_epoch != Some(config_epoch) {
-            for shard in self.shards.iter() {
-                let mut st = write_lock(&shard.state);
-                shard.evictions.fetch_add(st.map.len() as u64, Ordering::Relaxed);
-                st.map.clear();
-                st.queue.clear();
-            }
-            write_lock(&self.units.map).clear();
-            e.config_epoch = Some(config_epoch);
-            e.versions = versions.clone();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if inner.config_epoch != Some(config_epoch) {
+            inner.counters.evictions += inner.map.len() as u64;
+            inner.map.clear();
+            inner.queue.clear();
+            inner.units.clear();
+            inner.config_epoch = Some(config_epoch);
+            inner.versions = versions.clone();
             return;
         }
-        if e.versions == *versions {
-            return; // another session already aligned the guard
+        if inner.versions == *versions {
+            return;
         }
-        let tables = changed_keys(&e.versions.tables, &versions.tables);
-        let cores = changed_keys(&e.versions.cores, &versions.cores);
-        let columns = changed_keys(&e.versions.columns, &versions.columns);
-        for shard in self.shards.iter() {
-            let mut st = write_lock(&shard.state);
-            let before = st.map.len();
-            let mut by_table = 0u64;
-            let mut by_column = 0u64;
-            st.map.retain(|_, entry| {
-                if entry.deps.tables.iter().any(|t| tables.contains(t)) {
-                    by_table += 1;
-                    return false;
-                }
-                let col_hit = entry.deps.cores.iter().any(|t| cores.contains(t))
-                    || entry.deps.columns.iter().any(|tc| {
-                        columns.contains(tc) || cores.contains(&tc.0)
-                    });
-                if col_hit {
-                    by_column += 1;
-                    return false;
-                }
-                true
-            });
-            if st.map.len() < before {
-                shard.evictions.fetch_add((before - st.map.len()) as u64, Ordering::Relaxed);
-                shard.table_evictions.fetch_add(by_table, Ordering::Relaxed);
-                shard.column_evictions.fetch_add(by_column, Ordering::Relaxed);
-                // Purge invalidated keys from the FIFO queue too: a later
-                // re-insert of the same text would otherwise enqueue a
-                // duplicate key, and the stale front copy would make the
-                // capacity loop evict the freshly re-inserted entry as if
-                // it were the oldest.
-                let ShardState { map, queue } = &mut *st;
-                queue.retain(|k| map.contains_key(k));
+        let tables = changed_keys(&inner.versions.tables, &versions.tables);
+        let cores = changed_keys(&inner.versions.cores, &versions.cores);
+        let columns = changed_keys(&inner.versions.columns, &versions.columns);
+        let before = inner.map.len();
+        let (mut by_table, mut by_column) = (0u64, 0u64);
+        inner.map.retain(|_, entry| {
+            if entry.deps.tables.iter().any(|t| tables.contains(t)) {
+                by_table += 1;
+                return false;
             }
+            let col_hit = entry.deps.cores.iter().any(|t| cores.contains(t))
+                || entry.deps.columns.iter().any(|tc| columns.contains(tc) || cores.contains(&tc.0));
+            by_column += u64::from(col_hit);
+            !col_hit
+        });
+        if inner.map.len() < before {
+            inner.counters.evictions += (before - inner.map.len()) as u64;
+            inner.counters.table_evictions += by_table;
+            inner.counters.column_evictions += by_column;
+            // Purge invalidated keys from the FIFO queue too: a later
+            // re-insert of the same text would otherwise enqueue a
+            // duplicate key, and the stale front copy would make the
+            // capacity loop evict the freshly re-inserted entry as if it
+            // were the oldest.
+            let Inner { map, queue, .. } = inner;
+            queue.retain(|k| map.contains_key(k));
         }
-        e.versions = versions.clone();
+        inner.versions = versions.clone();
     }
 
     /// Look up the canonical detections for a statement text. Counts a
-    /// hit or a miss. Takes the shard's **read** lock only — concurrent
-    /// lookups (the warm-path bulk of every re-check) never serialize.
+    /// hit or a miss.
     pub(crate) fn get(&self, text_hash: u128) -> Option<Arc<Vec<Detection>>> {
-        let shard = self.shard_of(text_hash);
-        let st = read_lock(&shard.state);
-        match st.map.get(&text_hash) {
-            Some(e) => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&e.detections))
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let mut inner = self.lock();
+        let hit = inner.map.get(&text_hash).map(|e| Arc::clone(&e.detections));
+        match hit {
+            Some(_) => inner.counters.hits += 1,
+            None => inner.counters.misses += 1,
         }
+        hit
     }
 
     /// Insert canonical detections for a statement text together with the
-    /// schema objects they depend on, evicting FIFO past the shard
-    /// capacity.
+    /// schema objects they depend on, evicting FIFO past the capacity.
     pub(crate) fn insert(
         &self,
         text_hash: u128,
         detections: Arc<Vec<Detection>>,
         deps: Arc<DepSet>,
     ) {
-        let shard = self.shard_of(text_hash);
-        let mut st = write_lock(&shard.state);
-        if st.map.insert(text_hash, CacheEntry { detections, deps }).is_none() {
-            st.queue.push_back(text_hash);
+        let mut inner = self.lock();
+        if inner.map.insert(text_hash, CacheEntry { detections, deps }).is_none() {
+            inner.queue.push_back(text_hash);
         }
-        while st.map.len() > self.shard_capacity {
-            let Some(oldest) = st.queue.pop_front() else { break };
-            if st.map.remove(&oldest).is_some() {
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
+        while inner.map.len() > self.capacity {
+            let Some(oldest) = inner.queue.pop_front() else { break };
+            if inner.map.remove(&oldest).is_some() {
+                inner.counters.evictions += 1;
             }
         }
     }
@@ -481,65 +332,51 @@ impl IncrementalCache {
     /// computed under; counts reuse vs recompute per unit kind either
     /// way (a `None` means the caller is about to recompute).
     pub(crate) fn unit_get(&self, kind: u8, id: u64, digest: u64) -> Option<Arc<Vec<Detection>>> {
-        let hit = {
-            let map = read_lock(&self.units.map);
-            map.get(&(kind, id)).filter(|e| e.digest == digest).map(|e| Arc::clone(&e.detections))
-        };
-        let (reused, recomputed) = match kind {
-            UNIT_INTER => (&self.units.inter_reused, &self.units.inter_recomputed),
-            _ => (&self.units.data_reused, &self.units.data_recomputed),
-        };
-        if hit.is_some() { reused } else { recomputed }.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.lock();
+        let hit = inner
+            .units
+            .get(&(kind, id))
+            .filter(|e| e.digest == digest)
+            .map(|e| Arc::clone(&e.detections));
+        let c = &mut inner.counters;
+        *match (kind, hit.is_some()) {
+            (UNIT_INTER, true) => &mut c.inter_units_reused,
+            (UNIT_INTER, false) => &mut c.inter_units_recomputed,
+            (_, true) => &mut c.data_units_reused,
+            (_, false) => &mut c.data_units_recomputed,
+        } += 1;
         hit
     }
 
     /// Store a detection unit's result under its input digest, replacing
     /// any previous entry for the same `(kind, id)`.
     pub(crate) fn unit_put(&self, kind: u8, id: u64, digest: u64, detections: Arc<Vec<Detection>>) {
-        let mut map = write_lock(&self.units.map);
-        if map.len() >= UNIT_MEMO_CAPACITY && !map.contains_key(&(kind, id)) {
-            map.clear();
+        let units = &mut self.lock().units;
+        if units.len() >= UNIT_MEMO_CAPACITY && !units.contains_key(&(kind, id)) {
+            units.clear();
         }
-        map.insert((kind, id), UnitEntry { digest, detections });
+        units.insert((kind, id), UnitEntry { digest, detections });
     }
 
-    /// Cumulative counters, summed across shards.
+    /// Cumulative counters.
     pub fn counters(&self) -> CacheCounters {
-        let mut c = CacheCounters::default();
-        for s in self.shards.iter() {
-            c.hits += s.hits.load(Ordering::Relaxed);
-            c.misses += s.misses.load(Ordering::Relaxed);
-            c.evictions += s.evictions.load(Ordering::Relaxed);
-            c.table_evictions += s.table_evictions.load(Ordering::Relaxed);
-            c.column_evictions += s.column_evictions.load(Ordering::Relaxed);
-        }
-        c.inter_units_reused = self.units.inter_reused.load(Ordering::Relaxed);
-        c.inter_units_recomputed = self.units.inter_recomputed.load(Ordering::Relaxed);
-        c.data_units_reused = self.units.data_reused.load(Ordering::Relaxed);
-        c.data_units_recomputed = self.units.data_recomputed.load(Ordering::Relaxed);
-        c
+        self.lock().counters
     }
 
-    /// Entries currently cached, summed across shards (intra entries
-    /// only; the unit memo is bounded separately).
+    /// Entries currently cached (intra entries only; the unit memo is
+    /// bounded separately).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_lock(&s.state).map.len()).sum()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| read_lock(&s.state).map.is_empty())
+        self.lock().map.is_empty()
     }
 
-    /// Total entry capacity (enforced per shard, see
-    /// [`IncrementalCache::with_shards`]).
+    /// Entry capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of lock shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 }
 
@@ -767,8 +604,7 @@ mod tests {
 
     #[test]
     fn reinsert_after_invalidation_does_not_poison_fifo_order() {
-        // One shard so FIFO age is global and the scenario deterministic.
-        let c = IncrementalCache::with_shards(2, 1);
+        let c = IncrementalCache::new(2);
         c.ensure_epoch(1, &versions(&[("a", 1)]));
         c.insert(10, Arc::new(vec![]), deps(&["a"]));
         c.insert(20, Arc::new(vec![]), deps(&[]));
@@ -788,7 +624,7 @@ mod tests {
 
     #[test]
     fn fifo_eviction_bounds_size() {
-        let c = IncrementalCache::with_shards(2, 1);
+        let c = IncrementalCache::new(2);
         c.ensure_epoch(1, &empty());
         c.insert(1, Arc::new(vec![]), deps(&[]));
         c.insert(2, Arc::new(vec![]), deps(&[]));
@@ -800,32 +636,17 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_does_not_change_per_key_semantics() {
-        // The same operation sequence against 1-shard and N-shard caches
-        // (ample capacity) must produce identical hit/miss/eviction
-        // totals and identical surviving keys.
-        let run = |shards: usize| {
-            let c = IncrementalCache::with_shards(1024, shards);
-            c.ensure_epoch(7, &versions(&[("a", 1), ("b", 2)]));
-            for k in 0..64u128 {
-                assert!(c.get(k).is_none());
-                let dep: &[&str] = if k % 3 == 0 { &["a"] } else { &["b"] };
-                c.insert(k, Arc::new(vec![det()]), deps(dep));
-            }
-            for k in 0..64u128 {
-                assert!(c.get(k).is_some());
-            }
-            // Invalidate table `a`: exactly the k % 3 == 0 entries drop.
-            c.ensure_epoch(7, &versions(&[("a", 9), ("b", 2)]));
-            for k in 0..64u128 {
-                assert_eq!(c.get(k).is_some(), k % 3 != 0, "key {k}");
-            }
-            (c.counters(), c.len())
-        };
-        let (c1, l1) = run(1);
-        for n in [2, 3, 16, 64] {
-            assert_eq!(run(n), (c1, l1), "{n} shards must match 1 shard");
+    fn capacity_is_exact() {
+        let c = IncrementalCache::new(1024);
+        c.ensure_epoch(1, &empty());
+        for k in 0..1024u128 {
+            c.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15), Arc::new(vec![]), deps(&[]));
         }
+        assert_eq!(c.len(), 1024, "every distinct text fits");
+        assert_eq!(c.counters().evictions, 0);
+        c.insert(u128::MAX, Arc::new(vec![]), deps(&[]));
+        assert_eq!(c.len(), 1024);
+        assert_eq!(c.counters().evictions, 1, "one past capacity evicts one");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod reference;
 pub(crate) mod schedule;
 
 pub use batch::{BatchReport, BatchStats};
-pub use cache::{CacheCounters, IncrementalCache, DEFAULT_CACHE_CAPACITY, DEFAULT_CACHE_SHARDS};
+pub use cache::{CacheCounters, IncrementalCache, DEFAULT_CACHE_CAPACITY};
 
 use crate::context::{Context, DataAnalysisConfig};
 use crate::report::{Detection, Locus, Report};

@@ -116,7 +116,6 @@ pub use context::{
 };
 pub use detect::{
     BatchReport, BatchStats, CacheCounters, DetectionConfig, Detector, IncrementalCache,
-    DEFAULT_CACHE_SHARDS,
 };
 pub use fix::{Fix, FixEngine, SuggestedFix};
 pub use input::{read_script, ScriptInput};
@@ -326,8 +325,9 @@ impl SqlCheck {
         self
     }
 
-    /// Attach an incremental detection cache (bounded to `capacity`
-    /// unique statement texts). Subsequent [`SqlCheck::check_workload`]
+    /// Attach an incremental detection cache holding at most `capacity`
+    /// unique statement texts (evicted first-in, first-out) — the cache's
+    /// one setting. Subsequent [`SqlCheck::check_workload`]
     /// calls on this instance reuse intra-query results for statements
     /// whose text is unchanged since an earlier call — a workload
     /// re-check after small edits only re-analyses the edited statements.
@@ -336,14 +336,13 @@ impl SqlCheck {
         self
     }
 
-    /// Attach an **externally shared** incremental cache. The cache is
-    /// lock-striped by content-hash shard, so many `SqlCheck` instances —
-    /// one per session/thread — can point at the same `Arc` and
-    /// concurrently warm each other's re-checks without contending on a
-    /// single structure (the lookup path takes shared locks only). All
-    /// sessions must check under the same detection config and schema:
-    /// the cache's validity epoch is global, and a config/schema switch
-    /// by one session invalidates affected entries for all.
+    /// Attach an **externally shared** incremental cache. Many `SqlCheck`
+    /// instances — one per session or thread — can point at the same
+    /// `Arc` and warm each other's re-checks; the cache serialises access
+    /// behind one lock. All sessions must check under the same detection
+    /// config and schema: the cache's validity epoch is global, and a
+    /// config/schema switch by one session invalidates affected entries
+    /// for all.
     pub fn with_shared_cache(mut self, cache: std::sync::Arc<IncrementalCache>) -> Self {
         self.cache = Some(cache);
         self

@@ -10,8 +10,11 @@
 //!
 //! * **edit** — the script is spliced in one pass; only the replacement
 //!   texts are re-split/parsed/annotated (new unique texts only — an
-//!   edit that revives a known text costs a hash lookup). Downstream
-//!   statement spans shift by the byte delta in a single sweep.
+//!   edit to a text still live elsewhere in the script costs a hash
+//!   lookup). Downstream statement spans shift by the byte delta in a
+//!   single sweep. A text whose last occurrence is edited away is freed
+//!   at the end of the re-check, so retained memory tracks the live
+//!   script, not every text the session has seen.
 //! * **profile** — the workload aggregates are monoids over statements
 //!   ([`StatementContribution`]): the edit applies as
 //!   `retract(old unique) ⊕ insert(new unique)`. A DDL edit refolds the
@@ -86,7 +89,10 @@ struct Slot {
     parsed: Arc<ParsedStatement>,
     ann: Arc<Annotations>,
     diags: Arc<[Diagnostic]>,
-    /// Live occurrence count (0 = retired, revivable).
+    /// Live occurrence count. It is 0 only inside one re-check: a slot
+    /// the edits retire is freed when the re-check ends (after every
+    /// count update of the batch has landed, since one batch can retire
+    /// and revive the same text), and its id is reused.
     count: usize,
     /// Canonical **deduped** intra-query detections: statement locus
     /// zeroed, spans statement-relative. Fan-out to occurrence `i`
@@ -102,7 +108,10 @@ struct Slot {
 /// Everything the session retains besides the toolchain itself.
 struct State {
     outcome: WorkloadOutcome,
-    slots: Vec<Slot>,
+    /// Slot by id; `None` for a freed id awaiting reuse.
+    slots: Vec<Option<Slot>>,
+    /// Freed slot ids.
+    free: Vec<usize>,
     slot_of: HashMap<u128, usize, Prehashed>,
     /// Slot per statement, script order.
     order: Vec<usize>,
@@ -119,7 +128,6 @@ struct State {
     /// digest is constant.
     data_units: Vec<Arc<Vec<Detection>>>,
     versions: SchemaVersions,
-    live_uniques: usize,
     /// Live template fingerprints with refcounts, so `unique_templates`
     /// stays O(edit) to maintain.
     template_counts: HashMap<u64, usize>,
@@ -284,10 +292,10 @@ impl State {
             degraded = true;
         }
 
-        let live_uniques = slots.len();
         State {
             outcome: base,
-            slots,
+            slots: slots.into_iter().map(Some).collect(),
+            free: Vec::new(),
             slot_of,
             order,
             bounds,
@@ -296,7 +304,6 @@ impl State {
             inter_digests,
             data_units,
             versions,
-            live_uniques,
             template_counts,
             degraded,
         }
@@ -420,9 +427,7 @@ impl CheckSession {
                         return None;
                     }
                     let ann = annotate(&parsed.stmt, &parsed.arena);
-                    let slot = self.state.slots.len();
-                    self.state.slot_of.insert(u.content_hash, slot);
-                    self.state.slots.push(Slot {
+                    let fresh = Some(Slot {
                         hash: u.content_hash,
                         fingerprint: u.fingerprint,
                         parsed: Arc::new(parsed),
@@ -432,6 +437,18 @@ impl CheckSession {
                         canon: Arc::new(Vec::new()),
                         contribution: None,
                     });
+                    let state = &mut self.state;
+                    let slot = match state.free.pop() {
+                        Some(id) => {
+                            state.slots[id] = fresh;
+                            id
+                        }
+                        None => {
+                            state.slots.push(fresh);
+                            state.slots.len() - 1
+                        }
+                    };
+                    state.slot_of.insert(u.content_hash, slot);
                     slot
                 }
             };
@@ -487,7 +504,7 @@ impl CheckSession {
                 let s = &mut ctx.statements[i];
                 if ei < plan.len() && plan[ei].index == i {
                     let p = &plan[ei];
-                    let slot = &state.slots[p.new_slot];
+                    let slot = state.slots[p.new_slot].as_ref()?;
                     schema_dirty |=
                         is_schema_stmt(&s.parsed.stmt) || is_schema_stmt(&slot.parsed.stmt);
                     let region_start = (s.span.start as i64 + cum) as usize;
@@ -511,11 +528,8 @@ impl CheckSession {
             }
         }
         for p in &plan {
-            let old = &mut state.slots[p.old_slot];
+            let old = state.slots[p.old_slot].as_mut()?;
             old.count -= 1;
-            if old.count == 0 {
-                state.live_uniques -= 1;
-            }
             let of = old.fingerprint;
             if let Some(c) = state.template_counts.get_mut(&of) {
                 *c -= 1;
@@ -523,10 +537,7 @@ impl CheckSession {
                     state.template_counts.remove(&of);
                 }
             }
-            let new = &mut state.slots[p.new_slot];
-            if new.count == 0 {
-                state.live_uniques += 1;
-            }
+            let new = state.slots[p.new_slot].as_mut()?;
             new.count += 1;
             *state.template_counts.entry(new.fingerprint).or_default() += 1;
             state.order[p.index] = p.new_slot;
@@ -557,13 +568,14 @@ impl CheckSession {
                 // lazily under the new one, and refold the profile from
                 // live uniques (which also clears any zero-usage entries
                 // retired texts left behind).
-                for s in &mut state.slots {
+                for s in state.slots.iter_mut().flatten() {
                     s.contribution = None;
                 }
                 ctx.workload = WorkloadProfile::build_weighted(
                     state
                         .slots
                         .iter()
+                        .flatten()
                         .filter(|s| s.count > 0)
                         .map(|s| (&s.parsed.stmt, s.ann.as_ref(), s.count)),
                     &ctx.schema,
@@ -580,7 +592,7 @@ impl CheckSession {
                 let workload = &mut ctx.workload;
                 for p in &plan {
                     for (slot, insert) in [(p.old_slot, false), (p.new_slot, true)] {
-                        let s = &mut state.slots[slot];
+                        let s = state.slots[slot].as_mut()?;
                         if s.contribution.is_none() {
                             s.contribution = Some(WorkloadProfile::contribution(
                                 &s.parsed.stmt,
@@ -619,7 +631,7 @@ impl CheckSession {
         }
         if schema_dirty {
             for (si, s) in state.slots.iter().enumerate() {
-                if s.count > 0 && !seen[si] {
+                if s.as_ref().is_some_and(|s| s.count > 0) && !seen[si] {
                     seen[si] = true;
                     need.push(si);
                 }
@@ -647,11 +659,12 @@ impl CheckSession {
         let mut any_changed = false;
         for (&si, canon) in need.iter().zip(refreshed) {
             let canon = dedup_arc(canon);
-            if *canon != *state.slots[si].canon {
+            let slot = state.slots[si].as_mut()?;
+            if *canon != *slot.canon {
                 changed[si] = true;
                 any_changed = true;
             }
-            state.slots[si].canon = canon;
+            slot.canon = canon;
         }
         if any_changed {
             for (i, &slot) in state.order.iter().enumerate() {
@@ -704,7 +717,7 @@ impl CheckSession {
                     }
                     emit_fanout(
                         &mut out,
-                        &state.slots[state.order[i]].canon,
+                        &state.slots[state.order[i]].as_ref()?.canon,
                         i,
                         context.statements[i].span,
                     );
@@ -770,12 +783,25 @@ impl CheckSession {
         state.outcome.outcome.diagnostics = diagnostics;
         let warm_finalize_micros = warm_finalize_a + t_finalize2.elapsed().as_micros();
 
+        // ---- free retired slots --------------------------------------
+        // Only now: every count update has landed (a batch can retire and
+        // revive one text) and the profile has retracted every retired
+        // contribution.
+        for p in &plan {
+            if let Some(s) = state.slots[p.old_slot].take_if(|s| s.count == 0) {
+                state.slot_of.remove(&s.hash);
+                state.free.push(p.old_slot);
+            }
+        }
+
         // ---- stats ---------------------------------------------------
+        // With retired slots freed, `slot_of` maps exactly the live texts.
+        let live_uniques = state.slot_of.len();
         let mut stats = BatchStats {
             statements: n,
             unique_templates: state.template_counts.len(),
-            unique_texts: state.live_uniques,
-            cache_hits: n - state.live_uniques,
+            unique_texts: live_uniques,
+            cache_hits: n - live_uniques,
             warm_edit_micros,
             warm_profile_micros,
             warm_patch_micros,
@@ -817,5 +843,33 @@ impl CheckSession {
     fn rebuild(&mut self, t_total: Instant) {
         self.state = State::init(&self.tool, &self.script, &self.opts);
         self.state.outcome.stats.total_micros = t_total.elapsed().as_micros();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fresh-text apply/revert batches must not accumulate slots: a text
+    /// whose last occurrence is edited away is freed and its id reused.
+    #[test]
+    fn retired_slots_are_freed_and_reused() {
+        let text = |i: usize, b: usize| format!("SELECT a FROM t WHERE id = {i} AND b = {b}");
+        let script: String = (0..100).map(|i| text(i, 0) + ";\n").collect();
+        let mut session =
+            SqlCheck::new().with_cache(1024).into_session(script, FrontendOptions::default());
+        let per_batch = 5;
+        for b in 1..=200 {
+            // Odd batches write fresh texts, even ones restore the originals.
+            let tag = if b % 2 == 1 { b } else { 0 };
+            let edits: Vec<Edit> = (0..per_batch)
+                .map(|j| ((b - 1) / 2 * 7 + j * 13) % 100)
+                .map(|i| Edit::new(i, text(i, tag)))
+                .collect();
+            session.recheck(&edits);
+            let (slots, live) = (session.state.slots.len(), session.outcome().stats.unique_texts);
+            assert!(slots <= live + per_batch, "batch {b}: {slots} slots for {live} live texts");
+        }
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0));
     }
 }

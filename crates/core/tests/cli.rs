@@ -159,7 +159,28 @@ fn default_listing_matches_stats_and_cache_listings() {
     let err = String::from_utf8_lossy(&stats.stderr);
     assert!(err.contains("stats: parse coverage"), "{err}");
     assert!(!err.contains("thread"), "{err}");
+    // The timing lines name every phase, and the detect phases account
+    // for no more than the detect total.
+    let front = timings(&err, "stats: front-end ");
+    let names: Vec<&str> = front.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["split", "intake", "materialize", "parse", "annotate", "context"], "{err}");
+    let detect = timings(&err, "stats: detect ");
+    let names: Vec<&str> = detect.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, ["group", "intra", "fanout", "inter", "data", "dedup", "total"], "{err}");
+    let (total, phases) = detect.split_last().expect("a detect total");
+    assert!(phases.iter().map(|(_, us)| us).sum::<u128>() <= total.1, "{err}");
     std::fs::remove_file(&path).expect("remove fixture");
+}
+
+/// The `name Nus` pairs of the `--stats` line starting with `prefix`.
+fn timings(stderr: &str, prefix: &str) -> Vec<(String, u128)> {
+    let line = stderr.lines().find_map(|l| l.strip_prefix(prefix)).expect("the stats line");
+    line.split(", ")
+        .map(|pair| {
+            let (name, us) = pair.rsplit_once(' ').expect("a `name Nus` pair");
+            (name.to_string(), us.strip_suffix("us").expect("a micros value").parse().unwrap())
+        })
+        .collect()
 }
 
 #[test]

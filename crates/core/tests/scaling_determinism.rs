@@ -1,12 +1,12 @@
-//! Property tests: skewed inputs and the sharded incremental cache must
-//! be invisible in the output.
+//! Property tests: skewed inputs and the incremental cache must be
+//! invisible in the output.
 //!
 //! * batch detection and cached re-checks stay **byte-identical** to the
 //!   sequential reference on skewed inputs — one giant compound statement
 //!   among many cheap hot-template occurrences;
-//! * `IncrementalCache` is **shard-count invariant**: the same check
-//!   sequence against a 1-shard and an N-shard cache produces the same
-//!   hit/miss/eviction totals and the same outputs;
+//! * one cache carried through priming, a warm re-check, a DDL edit and
+//!   a config switch keeps every output equal to the reference and
+//!   evicts only what the edit can affect;
 //! * many sessions sharing one cache concurrently stay correct.
 //!
 //! The build environment has no access to the `proptest` crate, so the
@@ -72,7 +72,7 @@ fn skewed_batch_identical_to_sequential() {
         let script = skewed_script(&mut rng, statements, sub_stmts);
         let det = Detector::default();
         let reference = cold_reference(&det, &script);
-        let cache = IncrementalCache::with_shards(4096, 8);
+        let cache = IncrementalCache::new(4096);
         let ctx = ContextBuilder::new().add_script(&script).build();
         // Cold path (no cache).
         let cold = det.detect_batch(&ctx);
@@ -113,12 +113,12 @@ fn skewed_script_is_actually_skewed() {
     );
 }
 
-/// Shard-count invariance: identical check sequences against caches with
-/// different shard counts (ample capacity) must agree on every counter
-/// and every output — through priming, a warm re-check, a DDL edit
-/// (per-table invalidation), and a config switch (epoch flush).
+/// One cache through priming, a warm re-check, a DDL edit (per-table
+/// invalidation), and a config switch (epoch flush): every output equals
+/// the reference and the counters show the warm hits and the DDL round's
+/// targeted evictions.
 #[test]
-fn cache_shard_count_is_invisible() {
+fn cache_sequence_matches_reference_through_ddl_and_config_switch() {
     let mut rng = SmallRng::new(0x54A2D);
     let statements = 80 + rng.gen_range(60);
     let script = skewed_script(&mut rng, statements, 60);
@@ -128,48 +128,36 @@ fn cache_shard_count_is_invisible() {
     );
     assert_ne!(script, edited);
 
-    let run_sequence = |shards: usize| {
-        let det = Detector::default();
-        let intra = Detector::new(sqlcheck::DetectionConfig::intra_only());
-        let cache = IncrementalCache::with_shards(1 << 16, shards);
-        let mut outputs: Vec<Vec<String>> = Vec::new();
-        let mut counter_trail = Vec::new();
-        let rounds: [(&str, &Detector); 4] =
-            [(&script, &det), (&script, &det), (&edited, &det), (&edited, &intra)];
-        for (sql, d) in rounds {
-            let ctx = ContextBuilder::new().add_script(sql).build();
-            let b = d.detect_batch_with(&ctx, Some(&cache));
-            outputs.push(detections_debug(&b.report));
-            counter_trail.push((
-                b.stats.incremental_hits,
-                b.stats.incremental_misses,
-                b.stats.incremental_evictions,
-            ));
-        }
-        (outputs, counter_trail, cache.counters(), cache.len())
-    };
-
-    let baseline = run_sequence(1);
-    for shards in [2, 8, 64] {
-        assert_eq!(
-            run_sequence(shards),
-            baseline,
-            "{shards}-shard cache must behave exactly like 1 shard"
-        );
-    }
-    // And the outputs themselves are right, not merely consistent.
     let det = Detector::default();
-    assert_eq!(baseline.0[0], cold_reference(&det, &script));
-    assert_eq!(baseline.0[2], cold_reference(&det, &edited));
+    let intra = Detector::new(sqlcheck::DetectionConfig::intra_only());
+    let cache = IncrementalCache::new(1 << 16);
+    let mut outputs: Vec<Vec<String>> = Vec::new();
+    let mut counter_trail = Vec::new();
+    let rounds: [(&str, &Detector); 4] =
+        [(&script, &det), (&script, &det), (&edited, &det), (&edited, &intra)];
+    for (sql, d) in rounds {
+        let ctx = ContextBuilder::new().add_script(sql).build();
+        let b = d.detect_batch_with(&ctx, Some(&cache));
+        outputs.push(detections_debug(&b.report));
+        counter_trail.push((
+            b.stats.incremental_hits,
+            b.stats.incremental_misses,
+            b.stats.incremental_evictions,
+        ));
+    }
+    assert_eq!(outputs[0], cold_reference(&det, &script));
+    assert_eq!(outputs[1], outputs[0], "the warm round replays the primed output");
+    assert_eq!(outputs[2], cold_reference(&det, &edited));
+    assert_eq!(outputs[3], cold_reference(&intra, &edited));
     // The warm round hit; the DDL round evicted `side` entries only.
-    assert!(baseline.1[1].0 > 0, "warm round must hit");
-    assert!(baseline.1[2].2 > 0, "DDL round must evict dependents");
-    assert!(baseline.1[2].0 > 0, "DDL round must keep entries on unedited tables");
+    assert!(counter_trail[1].0 > 0, "warm round must hit");
+    assert!(counter_trail[2].2 > 0, "DDL round must evict dependents");
+    assert!(counter_trail[2].0 > 0, "DDL round must keep entries on unedited tables");
 }
 
 /// Concurrent sessions sharing one cache: every session's output stays
 /// byte-identical to the sequential reference while all of them hit the
-/// same shards, and counters account for every lookup.
+/// same entries, and counters account for every lookup.
 #[test]
 fn concurrent_sessions_share_one_cache_correctly() {
     let mut rng = SmallRng::new(0xC0C0);
@@ -178,8 +166,7 @@ fn concurrent_sessions_share_one_cache_correctly() {
     let reference = cold_reference(&det, &script);
     let cache = IncrementalCache::new(1 << 16);
 
-    // Prime once so the concurrent phase is read-mostly — the shape the
-    // sharded fast path exists for.
+    // Prime once so the concurrent phase is read-mostly.
     let ctx = ContextBuilder::new().add_script(&script).build();
     let _ = det.detect_batch_with(&ctx, Some(&cache));
     let warm_floor = cache.counters();

@@ -372,6 +372,51 @@ fn ddl_edit_flips_implicit_columns_fix_and_back() {
     }
 }
 
+/// Freed slot ids are reused safely: a batch that swaps two
+/// single-occurrence texts retires and revives both within one batch
+/// (so nothing may be freed), a later batch replaces both with fresh
+/// texts (freeing their slots), the next replaces those (reusing the
+/// freed ids), and a last batch restores the originals. Every round
+/// matches a cold check, cache on and off.
+#[test]
+fn swapped_and_freed_texts_reuse_slots_and_match_cold() {
+    let opts = FrontendOptions::default();
+    let script = seed_script();
+    // Statements 3 and 5 hold texts that occur exactly once.
+    let cold = SqlCheck::new().check_workload(&script, &opts);
+    let [a, b] = [3, 5].map(|i| {
+        let span = cold.outcome.context.statements[i].span;
+        script[span.start..span.end].to_string()
+    });
+    assert_eq!(script.matches(a.as_str()).count(), 1);
+    assert_eq!(script.matches(b.as_str()).count(), 1);
+    let rounds: [[String; 2]; 4] = [
+        [b.clone(), a.clone()],
+        ["SELECT bio FROM users WHERE id = 901".into(), "DELETE FROM orders WHERE id = 902".into()],
+        ["SELECT * FROM users WHERE id = 903".into(), "UPDATE users SET age = 1 WHERE id = 904".into()],
+        [a, b],
+    ];
+    for cached in [true, false] {
+        let mut session = tool(cached).into_session(script.clone(), opts.clone());
+        for (round, texts) in rounds.iter().enumerate() {
+            session.recheck(&[Edit::new(3, texts[0].clone()), Edit::new(5, texts[1].clone())]);
+            assert_eq!(session.fallbacks(), 0, "cached={cached} round={round}");
+            let cold = SqlCheck::new().check_workload(session.script(), &opts);
+            assert_eq!(
+                fingerprint(session.outcome()),
+                fingerprint(&cold),
+                "cached={cached} round={round}"
+            );
+            let warm_profile = &session.outcome().outcome.context.workload;
+            let cold_profile = &cold.outcome.context.workload;
+            assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
+            assert_eq!(warm_profile.join_edges, cold_profile.join_edges);
+            assert_eq!(warm_profile.table_refs, cold_profile.table_refs);
+        }
+        assert_eq!(session.script(), script, "cached={cached}: the last round restores the script");
+    }
+}
+
 /// Warm stats must attribute the work to the edit set, not the workload:
 /// dirty statements stay bounded by edits on the non-DDL path and the
 /// per-phase warm timers are populated.
