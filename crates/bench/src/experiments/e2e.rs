@@ -10,9 +10,9 @@
 //!   workload, re-checking an **edit set** (a fraction of statements
 //!   replaced) through [`CheckSession::recheck`]: the script splices,
 //!   the workload profile applies the edit as a delta, only dirty
-//!   statements re-analyse, and the inter/data tail replays from the
-//!   digest-keyed unit memo. Cost is proportional to the edit set, not
-//!   the workload.
+//!   statements re-analyse, and the four inter-query rules re-run over
+//!   the patched context. Cost is proportional to the edit set, not the
+//!   workload.
 //!
 //! Every configuration is verified to produce byte-identical output
 //! before any timing is reported: `pipeline` vs batch detection over the

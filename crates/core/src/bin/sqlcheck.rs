@@ -226,14 +226,6 @@ fn main() {
                 s.table_evictions,
                 s.column_evictions,
             );
-            eprintln!(
-                "stats: unit memo inter {} reused / {} recomputed, \
-                 data {} reused / {} recomputed",
-                s.inter_units_reused,
-                s.inter_units_recomputed,
-                s.data_units_reused,
-                s.data_units_recomputed,
-            );
         }
         eprintln!(
             "stats: parse coverage {:.4} — {} degraded statement(s) across \

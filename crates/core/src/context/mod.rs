@@ -31,8 +31,7 @@ use sqlcheck_minidb::database::Database;
 use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
-use sqlcheck_parser::parser::{diagnose_parsed, parse_raw_limited};
-use sqlcheck_parser::fingerprint::fingerprint_of;
+use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::{split_deduped, RawStatement};
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
@@ -67,8 +66,7 @@ pub struct AnalyzedStatement {
     /// re-walking tokens.
     pub template_hash: u64,
     /// Byte range of **this occurrence** in the original script — not
-    /// shared across duplicates. Zero-length for statements added via
-    /// [`ContextBuilder::add_statements`] without source text.
+    /// shared across duplicates.
     pub span: Span,
     /// Degradation diagnostics from parsing this statement's unique text
     /// (shared across duplicate occurrences). `statement` indexes are
@@ -222,21 +220,14 @@ impl Default for FrontendOptions {
     }
 }
 
-/// One unique statement text during the build: its (to-be-)parsed tree,
-/// annotations, content hash, template fingerprint, and occurrence count.
+/// One unique statement text during the build: its materialised token
+/// stream (parsed once, at build time), content hash, template
+/// fingerprint, and occurrence count.
 struct UniqueEntry {
-    raw: Option<RawStatement>,
-    parsed: Option<Arc<ParsedStatement>>,
-    ann: Option<Arc<Annotations>>,
-    diags: Arc<[Diagnostic]>,
+    raw: RawStatement,
     hash: u128,
     fingerprint: u64,
     count: usize,
-}
-
-/// Empty shared diagnostic slice (the common, fully-shaped case).
-fn no_diags() -> Arc<[Diagnostic]> {
-    Arc::from(Vec::new())
 }
 
 /// Builder for [`Context`] — the parse-once front-end.
@@ -286,39 +277,6 @@ impl ContextBuilder {
         Self::default()
     }
 
-    /// The slot of the unique text with content hash `hash`, created with
-    /// the payload `make` builds (raw or parsed statement, template
-    /// fingerprint) when the builder has not seen the text before.
-    fn slot(
-        &mut self,
-        hash: u128,
-        make: impl FnOnce() -> (Option<RawStatement>, Option<Arc<ParsedStatement>>, u64),
-    ) -> usize {
-        if let Some(&slot) = self.slot_of.get(&hash) {
-            return slot;
-        }
-        let slot = self.uniques.len();
-        self.slot_of.insert(hash, slot);
-        let (raw, parsed, fingerprint) = make();
-        self.uniques.push(UniqueEntry {
-            raw,
-            parsed,
-            ann: None,
-            diags: no_diags(),
-            hash,
-            fingerprint,
-            count: 0,
-        });
-        slot
-    }
-
-    /// Record one occurrence, at `span`, of the unique text in `slot`.
-    fn occur(&mut self, slot: usize, span: Span) {
-        self.uniques[slot].count += 1;
-        self.order.push(slot);
-        self.spans.push(span);
-    }
-
     /// Add every statement in a SQL script: [`split_deduped`] splits the
     /// script and groups duplicate texts before any parsing. Token
     /// streams are materialised, under the dialect the script was split
@@ -343,15 +301,25 @@ impl ContextBuilder {
         let mut mat_micros = 0u128;
         let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
         for u in &deduped.uniques {
-            slot_map.push(self.slot(u.content_hash, || {
+            let uniques = &mut self.uniques;
+            slot_map.push(*self.slot_of.entry(u.content_hash).or_insert_with(|| {
                 let tm = Instant::now();
                 let raw = u.materialize(script, dialect);
                 mat_micros += tm.elapsed().as_micros();
-                (Some(raw), None, u.fingerprint)
+                uniques.push(UniqueEntry {
+                    raw,
+                    hash: u.content_hash,
+                    fingerprint: u.fingerprint,
+                    count: 0,
+                });
+                uniques.len() - 1
             }));
         }
         for (local, span) in deduped.occurrences {
-            self.occur(slot_map[local as usize], span);
+            let slot = slot_map[local as usize];
+            self.uniques[slot].count += 1;
+            self.order.push(slot);
+            self.spans.push(span);
         }
         self.intake_micros += t_intake.elapsed().as_micros().saturating_sub(mat_micros);
         self.materialize_micros += mat_micros;
@@ -362,25 +330,6 @@ impl ContextBuilder {
     /// [`ContextBuilder::add_script`], the configured one before that.
     fn dialect(&self) -> Dialect {
         self.resolved_dialect.unwrap_or(self.opts.dialect)
-    }
-
-    /// Add pre-parsed statements (deduplicated against script statements
-    /// by content hash, like everything else).
-    pub fn add_statements(mut self, stmts: impl IntoIterator<Item = ParsedStatement>) -> Self {
-        for p in stmts {
-            let span = p
-                .tokens
-                .iter()
-                .map(|t| t.span)
-                .reduce(|a, b| a.merge(b))
-                .unwrap_or(Span::new(0, 0));
-            let slot = self.slot(p.content_hash(), || {
-                let fingerprint = fingerprint_of(&p.tokens);
-                (None, Some(Arc::new(p)), fingerprint)
-            });
-            self.occur(slot, span);
-        }
-        self
     }
 
     /// Attach a database for data analysis (the optional input of Fig 4).
@@ -404,7 +353,7 @@ impl ContextBuilder {
     pub fn with_frontend(mut self, opts: FrontendOptions) -> Self {
         assert!(
             self.order.is_empty(),
-            "with_frontend must be called before add_script/add_statements"
+            "with_frontend must be called before add_script"
         );
         self.opts = opts;
         self
@@ -420,7 +369,7 @@ impl ContextBuilder {
     /// instrumentation.
     pub fn build_with_stats(self) -> (Context, FrontendStats) {
         let dialect = self.dialect();
-        let mut uniques = self.uniques;
+        let uniques = self.uniques;
         let mut stats = FrontendStats {
             statements: self.order.len(),
             unique_texts: uniques.len(),
@@ -433,30 +382,22 @@ impl ContextBuilder {
         // Parse phase: each unique text exactly once.
         let t_parse = Instant::now();
         let limits = self.opts.limits;
-        for e in &mut uniques {
-            if let Some(raw) = e.raw.take() {
-                let (p, diags) = parse_raw_limited(raw, &limits, dialect);
-                e.parsed = Some(Arc::new(p));
-                if !diags.is_empty() {
-                    e.diags = diags.into();
-                }
-            } else if let Some(p) = &e.parsed {
-                // Pre-parsed intake (add_statements): re-derive the
-                // statement-level diagnostics from the existing tree.
-                let diags = diagnose_parsed(p);
-                if !diags.is_empty() {
-                    e.diags = diags.into();
-                }
-            }
+        // (content hash, template fingerprint, occurrences) and (tree,
+        // diagnostics) per unique text.
+        let mut keys: Vec<(u128, u64, usize)> = Vec::with_capacity(uniques.len());
+        let mut parsed: Vec<(Arc<ParsedStatement>, Arc<[Diagnostic]>)> =
+            Vec::with_capacity(uniques.len());
+        for e in uniques {
+            keys.push((e.hash, e.fingerprint, e.count));
+            let (p, diags) = parse_raw_limited(e.raw, &limits, dialect);
+            parsed.push((Arc::new(p), diags.into()));
         }
         stats.parse_micros = t_parse.elapsed().as_micros();
 
         // Phase 3: annotate each unique parse tree exactly once.
         let t_ann = Instant::now();
-        for e in &mut uniques {
-            let parsed = e.parsed.as_ref().expect("parsed in phase 2");
-            e.ann = Some(Arc::new(annotate(&parsed.stmt, &parsed.arena)));
-        }
+        let anns: Vec<Arc<Annotations>> =
+            parsed.iter().map(|(p, _)| Arc::new(annotate(&p.stmt, &p.arena))).collect();
         stats.annotate_micros = t_ann.elapsed().as_micros();
 
         // Phase 4: assemble statements in script order (duplicates share
@@ -467,14 +408,15 @@ impl ContextBuilder {
             .iter()
             .zip(&self.spans)
             .map(|(&slot, &span)| {
-                let u = &uniques[slot];
+                let (text_hash, template_hash, _) = keys[slot];
+                let (parsed, diags) = &parsed[slot];
                 AnalyzedStatement {
-                    parsed: u.parsed.clone().expect("parsed in phase 2"),
-                    ann: u.ann.clone().expect("annotated in phase 3"),
-                    text_hash: u.hash,
-                    template_hash: u.fingerprint,
+                    parsed: Arc::clone(parsed),
+                    ann: Arc::clone(&anns[slot]),
+                    text_hash,
+                    template_hash,
                     span,
-                    diags: u.diags.clone(),
+                    diags: Arc::clone(diags),
                 }
             })
             .collect();
@@ -494,13 +436,11 @@ impl ContextBuilder {
         // every profile counter is additive over statements, so this is
         // identical to folding each duplicate individually.
         let workload = WorkloadProfile::build_weighted(
-            uniques.iter().map(|u| {
-                (
-                    &u.parsed.as_ref().expect("parsed").stmt,
-                    u.ann.as_ref().expect("annotated").as_ref(),
-                    u.count,
-                )
-            }),
+            parsed
+                .iter()
+                .zip(&anns)
+                .zip(&keys)
+                .map(|(((p, _), ann), &(_, _, count))| (&p.stmt, ann.as_ref(), count)),
             &schema,
         );
         stats.context_micros = t_ctx.elapsed().as_micros();

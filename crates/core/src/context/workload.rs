@@ -203,12 +203,11 @@ impl WorkloadProfile {
     /// Retract `n` occurrences of a contribution (`retract` in retract ⊕
     /// insert). Join-edge and table-ref entries vanish when their counts
     /// reach zero — exactly the entries a from-scratch build would not
-    /// create. Usage entries are **not** removed here even when all
-    /// counters reach zero: an entry's existence is supported by *any*
-    /// statement touching the pair (including zero-count touches), so
-    /// the caller tracks per-key touch refcounts across its statements
-    /// and calls [`WorkloadProfile::remove_usage`] when a key's last
-    /// supporter goes away.
+    /// create. Usage entries stay even when all their counters reach
+    /// zero, so a retracted profile can hold all-zero entries that a
+    /// from-scratch build would not. No consumer can tell them apart
+    /// from absent ones: every reader of usage gates on non-zero
+    /// counters (`eq_predicates`/`group_by`, or `reads() > 0`).
     ///
     /// Panics (in debug) on counter underflow — retracting something
     /// never added is a caller bug.
@@ -240,12 +239,6 @@ impl WorkloadProfile {
                 }
             }
         }
-    }
-
-    /// Drop a usage entry whose last supporting statement was retracted
-    /// (see [`WorkloadProfile::sub_contribution`]).
-    pub fn remove_usage(&mut self, key: &(String, String)) {
-        self.usage.remove(key);
     }
 
     fn usage_mut(&mut self, table: &str, column: &str) -> &mut ColumnUsage {
@@ -532,16 +525,11 @@ mod tests {
         assert_eq!(w.statement_count, 0);
         assert!(w.join_edges.is_empty());
         assert!(w.table_refs.is_empty());
-        // Usage entries await the caller's refcount decision.
-        let keys: Vec<(String, String)> =
-            w.iter_usage().map(|(t, c, _)| (t.to_string(), c.to_string())).collect();
+        // Usage entries stay behind, every counter retracted to zero.
+        assert!(w.iter_usage().next().is_some(), "zero usage entries remain");
         for (_, _, u) in w.iter_usage() {
             assert_eq!(*u, ColumnUsage::default(), "all counters retracted to zero");
         }
-        for k in &keys {
-            w.remove_usage(k);
-        }
-        assert_eq!(w, WorkloadProfile::default());
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
 //!    a panic guard, so one panicking rule drops only its own unit's
-//!    output. One helper resolves intra units and one resolves tail
-//!    units (memo, guarded run, memoize), for a cold check and for every
-//!    [`CheckSession`](crate::session::CheckSession) re-check alike.
+//!    output. One helper resolves intra units (cache, guarded run,
+//!    insert), for a cold check and for every
+//!    [`CheckSession`](crate::session::CheckSession) re-check alike; the
+//!    inter-query and data units read the whole context and run on every
+//!    check.
 //! 3. **Deterministic merge** — intra detections are re-emitted in
 //!    statement order, inter-query units in rule order, data units in
 //!    table order — exactly the orders the per-statement
@@ -28,18 +30,16 @@
 //!    returns the *same detections in the same order* as the reference,
 //!    for any input.
 
-use crate::context::{Context, SchemaVersions, TableProfile};
-use crate::detect::cache::{DepSet, IncrementalCache, UNIT_DATA, UNIT_INTER};
-use crate::detect::schedule::{guarded, UnitPanic};
+use crate::context::{Context, SchemaVersions};
+use crate::detect::cache::{DepSet, IncrementalCache};
+use crate::detect::schedule::guarded;
 use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Report};
 use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use sqlcheck_parser::fingerprint::fnv1a;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -114,15 +114,15 @@ pub struct BatchStats {
     /// column** dependency — the column-granular tier that lets a DDL
     /// edit to one column keep entries on its siblings warm.
     pub column_evictions: usize,
-    /// Inter-query rule units replayed from the unit memo this call
-    /// (input digest unchanged; 0 without a cache).
+    /// Always 0: every check runs every inter-query rule unit.
     pub inter_units_reused: usize,
-    /// Inter-query rule units actually run this call.
+    /// Inter-query rule units run this call (0 in intra-only mode).
     pub inter_units_recomputed: usize,
-    /// Per-table data-analysis units replayed from the unit memo this
-    /// call.
+    /// Per-table data-analysis units a warm re-check kept from the
+    /// session's cold build (the attached database is never
+    /// re-profiled); 0 on cold checks.
     pub data_units_reused: usize,
-    /// Per-table data-analysis units actually run this call.
+    /// Per-table data-analysis units run this call; 0 on warm re-checks.
     pub data_units_recomputed: usize,
     /// Warm re-check ([`CheckSession::recheck`]): microseconds applying
     /// the edit set — splicing texts, re-splitting edited statements,
@@ -135,12 +135,13 @@ pub struct BatchStats {
     /// DDL edits, dirty-slot discovery. 0 on cold checks.
     pub warm_profile_micros: u128,
     /// Warm re-check: microseconds patching the retained report —
-    /// recomputing dirty statements' detections and rebuilding the
-    /// per-statement detection slices. 0 on cold checks.
+    /// recomputing dirty statements' detections, dropping the derived
+    /// ranking and fixes, and rebuilding the per-statement detection
+    /// slices. 0 on cold checks.
     pub warm_patch_micros: u128,
-    /// Warm re-check: microseconds in the shared tail — memoized
-    /// inter/data units, registry rules, ranking, fixes. 0 on cold
-    /// checks.
+    /// Warm re-check: microseconds in the shared tail — the inter-query
+    /// units, the deduped inter/data tail, and the registry rules. 0 on
+    /// cold checks.
     pub warm_finalize_micros: u128,
     /// Warm re-check: statements whose intra-query detections were
     /// recomputed or re-fetched this re-check (the edit set plus, after a
@@ -228,23 +229,12 @@ pub(crate) struct EngineUnits {
     /// [`Detector::intra_results`]).
     pub(crate) intra: Vec<Arc<Vec<Detection>>>,
     /// Per-rule inter-query results (empty in intra-only mode).
-    pub(crate) inter: Vec<Arc<Vec<Detection>>>,
-    /// The input digests the inter-query units were resolved under.
-    pub(crate) inter_digests: [u64; 4],
+    pub(crate) inter: Vec<Vec<Detection>>,
     /// Per-table data-analysis results, in `data.tables()` order.
-    pub(crate) data: Vec<Arc<Vec<Detection>>>,
-    /// The schema versions the run validated the cache against.
+    pub(crate) data: Vec<Vec<Detection>>,
+    /// The schema versions the run validated the cache against (default
+    /// without a cache).
     pub(crate) versions: SchemaVersions,
-}
-
-/// One unit of the detection tail.
-#[derive(Clone, Copy)]
-pub(crate) enum TailUnit<'a> {
-    /// Inter-query rule `rule` (an index into [`inter::RULES`]) whose
-    /// inputs hash to `digest` ([`inter_unit_digests`]).
-    Inter { rule: usize, digest: u64 },
-    /// The data-analysis rules over one profiled table.
-    Data(&'a TableProfile),
 }
 
 /// Zero the statement locus so the detections replay at any occurrence.
@@ -342,12 +332,9 @@ impl Detector {
         // flushes the cache before any lookup.
         let t_intra = Instant::now();
         let counters_before = cache.map(|c| c.counters());
-        let versions = if cache.is_some() || keep_units {
-            ctx.schema.versions()
-        } else {
-            SchemaVersions::default()
-        };
+        let mut versions = SchemaVersions::default();
         if let Some(c) = cache {
+            versions = ctx.schema.versions();
             c.ensure_epoch(self.config_epoch(ctx), &versions);
         }
         let reps: Vec<usize> = groups.iter().map(|g| g.rep).collect();
@@ -373,25 +360,18 @@ impl Detector {
         let fanout_micros = t_fanout.elapsed().as_micros();
 
         // Phase 4: inter-query rules, one unit per rule, merged in rule
-        // order. With a cache each unit is keyed by a digest of exactly
-        // the inputs it reads ([`inter_unit_digests`]), so an edit that
-        // leaves a rule's inputs byte-identical replays its detections.
+        // order.
         let t_inter = Instant::now();
-        let mut inter_units: Vec<Arc<Vec<Detection>>> = Vec::new();
-        let mut inter_digests = [0u64; 4];
+        let mut inter_units: Vec<Vec<Detection>> = Vec::new();
         if use_context {
-            if cache.is_some() || keep_units {
-                inter_digests = inter_unit_digests(ctx, &versions);
-            }
-            for (rule, &digest) in inter_digests.iter().enumerate() {
-                let dets = self
-                    .resolve_unit(ctx, cache, TailUnit::Inter { rule, digest })
-                    .unwrap_or_else(|p| {
+            for rule in 0..inter::RULES.len() {
+                let dets =
+                    guarded(|| inter::detect_unit(rule, ctx, &self.cfg)).unwrap_or_else(|p| {
                         diagnostics.push(Diagnostic::new(
                             DiagKind::RuleFailed,
                             format!("inter-query rule unit {rule} panicked: {}", p.message),
                         ));
-                        Arc::default()
+                        Vec::new()
                     });
                 report.detections.extend(dets.iter().cloned());
                 inter_units.push(dets);
@@ -402,10 +382,10 @@ impl Detector {
         // Phase 5: data analysis, one unit per profiled table, merged in
         // `data.tables()` order.
         let t_data = Instant::now();
-        let mut data_units: Vec<Arc<Vec<Detection>>> = Vec::new();
+        let mut data_units: Vec<Vec<Detection>> = Vec::new();
         if let Some(data) = &ctx.data {
             for tp in data.tables() {
-                let dets = self.resolve_unit(ctx, cache, TailUnit::Data(tp)).unwrap_or_else(|p| {
+                let dets = guarded(|| data::detect_table(tp, ctx, &self.cfg)).unwrap_or_else(|p| {
                     diagnostics.push(Diagnostic::new(
                         DiagKind::RuleFailed,
                         format!(
@@ -413,7 +393,7 @@ impl Detector {
                             tp.name, p.message
                         ),
                     ));
-                    Arc::default()
+                    Vec::new()
                 });
                 report.detections.extend(dets.iter().cloned());
                 data_units.push(dets);
@@ -446,6 +426,8 @@ impl Detector {
             degraded_statements,
             diag_counts,
             rule_failures,
+            inter_units_recomputed: inter_units.len(),
+            data_units_recomputed: data_units.len(),
             ..BatchStats::default()
         };
         if let (Some(before), Some(c)) = (counters_before, cache) {
@@ -455,13 +437,6 @@ impl Detector {
             stats.incremental_evictions = (after.evictions - before.evictions) as usize;
             stats.table_evictions = (after.table_evictions - before.table_evictions) as usize;
             stats.column_evictions = (after.column_evictions - before.column_evictions) as usize;
-            stats.inter_units_reused =
-                (after.inter_units_reused - before.inter_units_reused) as usize;
-            stats.inter_units_recomputed =
-                (after.inter_units_recomputed - before.inter_units_recomputed) as usize;
-            stats.data_units_reused = (after.data_units_reused - before.data_units_reused) as usize;
-            stats.data_units_recomputed =
-                (after.data_units_recomputed - before.data_units_recomputed) as usize;
         }
         let units = keep_units.then_some(EngineUnits {
             groups,
@@ -469,7 +444,6 @@ impl Detector {
             group_of,
             intra,
             inter: inter_units,
-            inter_digests,
             data: data_units,
             versions,
         });
@@ -537,36 +511,6 @@ impl Detector {
                 }
             })
             .collect()
-    }
-
-    /// Resolve one tail unit: replay it from the unit memo when `cache`
-    /// holds it under its current input digest, else run it under the
-    /// panic guard and memoize the result. A panicked unit is never
-    /// memoized, so a later run with the fault fixed re-runs it.
-    pub(crate) fn resolve_unit(
-        &self,
-        ctx: &Context,
-        cache: Option<&IncrementalCache>,
-        unit: TailUnit<'_>,
-    ) -> Result<Arc<Vec<Detection>>, UnitPanic> {
-        let (kind, id, digest) = match unit {
-            TailUnit::Inter { rule, digest } => (UNIT_INTER, rule as u64, digest),
-            TailUnit::Data(tp) => {
-                let (id, digest) = if cache.is_some() { data_unit_key(tp) } else { (0, 0) };
-                (UNIT_DATA, id, digest)
-            }
-        };
-        if let Some(hit) = cache.and_then(|c| c.unit_get(kind, id, digest)) {
-            return Ok(hit);
-        }
-        let dets = Arc::new(guarded(|| match unit {
-            TailUnit::Inter { rule, .. } => inter::detect_unit(rule, ctx, &self.cfg),
-            TailUnit::Data(tp) => data::detect_table(tp, ctx, &self.cfg),
-        })?);
-        if let Some(c) = cache {
-            c.unit_put(kind, id, digest, Arc::clone(&dets));
-        }
-        Ok(dets)
     }
 
     /// Hash of the *non-schema* inputs a cached intra-query result
@@ -665,102 +609,6 @@ fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
         cores: base.into_iter().collect(),
         columns: columns.into(),
     }
-}
-
-/// Input digests for the four inter-query rule units, in
-/// [`inter::RULES`] order. Each digest folds **exactly** the inputs its
-/// rule reads — established by inspection of `inter.rs` and locked in by
-/// the byte-identity property suites — so a workload edit that leaves a
-/// rule's inputs unchanged leaves its digest unchanged and the unit
-/// replays from the memo:
-///
-/// 0. `no_foreign_key`: the join-edge **key set** (multiplicities are
-///    never read) + each edge table's core digest (presence, primary
-///    key, declared FKs).
-/// 1. `index_underuse`: per usage entry passing the `eq_predicates > 0
-///    || group_by > 0` gate: the counts it prints, its table's full
-///    digest (covers `has_index_on`: indexes + PK), and the data-profile
-///    fields the low-cardinality refinement reads. Entries failing the
-///    gate contribute nothing — so pure count drift on cold columns
-///    (e.g. more `ORDER BY` traffic) keeps the unit clean.
-/// 2. `index_overuse`: every index definition in catalog order plus the
-///    **boolean** "leading column has reads" — count-only changes on an
-///    already-read column keep the digest stable.
-/// 3. `clone_table`: the catalog's table names, nothing else.
-///
-/// The detection config and data-analysis config are covered by the
-/// cache's config epoch, not folded here.
-pub(crate) fn inter_unit_digests(ctx: &Context, versions: &SchemaVersions) -> [u64; 4] {
-    let mut s = String::new();
-
-    // Unit 0 — no_foreign_key.
-    let mut edge_tables: BTreeSet<&str> = BTreeSet::new();
-    for edge in ctx.workload.join_edges.keys() {
-        let _ = write!(s, "{edge:?};");
-        edge_tables.insert(&edge.left.0);
-        edge_tables.insert(&edge.right.0);
-    }
-    for t in edge_tables {
-        let _ = write!(s, "{t}={:?};", versions.cores.get(t));
-    }
-    let d0 = fnv1a(s.as_bytes());
-
-    // Unit 1 — index_underuse.
-    s.clear();
-    for (t, c, u) in ctx.workload.iter_usage() {
-        if u.eq_predicates == 0 && u.group_by == 0 {
-            continue;
-        }
-        let _ = write!(
-            s,
-            "{t}.{c}:{}:{}|{:?}|",
-            u.eq_predicates,
-            u.group_by,
-            versions.tables.get(t)
-        );
-        if let Some(data) = &ctx.data {
-            match data.table(t) {
-                Some(tp) => {
-                    let _ = write!(s, "r{}", tp.row_count);
-                    if let Some(cp) = tp.column(c) {
-                        let _ = write!(s, "{:?}", cp.stats);
-                    }
-                }
-                None => s.push('-'),
-            }
-        }
-        s.push(';');
-    }
-    let d1 = fnv1a(s.as_bytes());
-
-    // Unit 2 — index_overuse.
-    s.clear();
-    for idx in &ctx.schema.indexes {
-        let used = idx.columns.first().map(|leading| {
-            ctx.workload.usage(&idx.table, leading).map(|u| u.reads() > 0).unwrap_or(false)
-        });
-        let _ = write!(s, "{idx:?}:{used:?};");
-    }
-    let d2 = fnv1a(s.as_bytes());
-
-    // Unit 3 — clone_table.
-    s.clear();
-    for t in ctx.schema.tables() {
-        let _ = write!(s, "{};", t.name);
-    }
-    let d3 = fnv1a(s.as_bytes());
-
-    [d0, d1, d2, d3]
-}
-
-/// Memo key for one per-table data-analysis unit: a stable id (hash of
-/// the lowercased table name) plus an input digest over the full
-/// `TableProfile` content — the only input `data::detect_table` reads
-/// besides the config (covered by the cache's epoch).
-fn data_unit_key(tp: &TableProfile) -> (u64, u64) {
-    let id = fnv1a(tp.name.to_ascii_lowercase().as_bytes());
-    let digest = fnv1a(format!("{tp:?}").as_bytes());
-    (id, digest)
 }
 
 #[cfg(test)]

@@ -45,19 +45,9 @@
 //!   ([`CacheCounters::table_evictions`]) vs by a core/column dep
 //!   ([`CacheCounters::column_evictions`]).
 //!
-//! ## Unit memo (inter-query and data-analysis phases)
-//!
-//! Beyond per-statement intra entries, the cache memoizes whole
-//! **detection units**: each `inter::RULES` rule and each per-table data
-//! unit. A unit is keyed by `(kind, id)` and guarded by a caller-computed
-//! **input digest** — a hash of exactly the inputs that unit reads
-//! (join-edge set, relevant schema digests, per-column usage fields, data
-//! profile digests). `IncrementalCache::unit_get` returns the stored
-//! detections only when the digest matches, so an edit that leaves a
-//! rule's inputs byte-identical replays its detections without running
-//! it, and only the dirty units run. The memo
-//! is flushed with the entries on a config-epoch change; schema and data
-//! changes need no sweep because the digest comparison self-validates.
+//! Only intra-query results are cached. The inter-query and data-analysis
+//! units read the whole context, so they run on every check: keying them
+//! by a digest of their inputs cost more than running them.
 //!
 //! Eviction is FIFO under the entry capacity: workload re-checks touch
 //! keys in script order, so first-in is a reasonable proxy for
@@ -74,18 +64,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Default entry capacity: comfortably holds the unique texts of a
 /// 100k-statement workload with room for churn.
 pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
-
-/// Unit-memo kind tag for inter-query rule units (`id` = rule index).
-pub(crate) const UNIT_INTER: u8 = 0;
-
-/// Unit-memo kind tag for per-table data-analysis units (`id` = fnv1a of
-/// the lowercased table name).
-pub(crate) const UNIT_DATA: u8 = 1;
-
-/// Units the memo holds before it is wholesale cleared — a backstop
-/// against unbounded growth across many schemas; real workloads hold
-/// `inter::RULES.len() + table count` entries.
-const UNIT_MEMO_CAPACITY: usize = 16_384;
 
 /// Cumulative counters of one [`IncrementalCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,15 +84,6 @@ pub struct CacheCounters {
     /// visible as the gap between dependents-of-a-changed-table and
     /// this counter.
     pub column_evictions: u64,
-    /// Inter-query rule units replayed from the memo (input digest
-    /// unchanged).
-    pub inter_units_reused: u64,
-    /// Inter-query rule units recomputed (memo miss or digest change).
-    pub inter_units_recomputed: u64,
-    /// Per-table data-analysis units replayed from the memo.
-    pub data_units_reused: u64,
-    /// Per-table data-analysis units recomputed.
-    pub data_units_recomputed: u64,
 }
 
 /// The schema surface one cached intra entry depends on, at three
@@ -159,15 +128,6 @@ struct CacheEntry {
     deps: Arc<DepSet>,
 }
 
-/// One memoized detection unit: the input digest it was computed under
-/// plus its detections (pre-dedup, loci already final — inter/data units
-/// never use statement loci, so replay is occurrence-independent).
-#[derive(Debug, Clone)]
-struct UnitEntry {
-    digest: u64,
-    detections: Arc<Vec<Detection>>,
-}
-
 /// Everything behind the cache's one lock.
 #[derive(Debug, Clone, Default)]
 struct Inner {
@@ -179,7 +139,6 @@ struct Inner {
     map: HashMap<u128, CacheEntry, Prehashed>,
     /// Insertion order, for FIFO eviction.
     queue: VecDeque<u128>,
-    units: HashMap<(u8, u64), UnitEntry>,
     counters: CacheCounters,
 }
 
@@ -201,7 +160,7 @@ impl Default for IncrementalCache {
 }
 
 impl Clone for IncrementalCache {
-    /// Deep copy: entries, FIFO order, counters, epoch, and unit memo.
+    /// Deep copy: entries, FIFO order, counters and epoch.
     fn clone(&self) -> Self {
         IncrementalCache {
             capacity: self.capacity,
@@ -240,7 +199,7 @@ impl IncrementalCache {
     }
 
     /// Align the cache to the current validity guard. A config-epoch
-    /// change flushes every entry and the unit memo (any rule may now
+    /// change flushes every entry (any rule may now
     /// decide differently for the same inputs). A schema change is
     /// handled per dependency: an entry is dropped only when one of its
     /// recorded deps' digests changed — a whole-table dep against the
@@ -257,7 +216,6 @@ impl IncrementalCache {
             inner.counters.evictions += inner.map.len() as u64;
             inner.map.clear();
             inner.queue.clear();
-            inner.units.clear();
             inner.config_epoch = Some(config_epoch);
             inner.versions = versions.clone();
             return;
@@ -327,44 +285,12 @@ impl IncrementalCache {
         }
     }
 
-    /// Look up a memoized detection unit. Returns the stored detections
-    /// only when the caller's input `digest` matches the one the unit was
-    /// computed under; counts reuse vs recompute per unit kind either
-    /// way (a `None` means the caller is about to recompute).
-    pub(crate) fn unit_get(&self, kind: u8, id: u64, digest: u64) -> Option<Arc<Vec<Detection>>> {
-        let mut inner = self.lock();
-        let hit = inner
-            .units
-            .get(&(kind, id))
-            .filter(|e| e.digest == digest)
-            .map(|e| Arc::clone(&e.detections));
-        let c = &mut inner.counters;
-        *match (kind, hit.is_some()) {
-            (UNIT_INTER, true) => &mut c.inter_units_reused,
-            (UNIT_INTER, false) => &mut c.inter_units_recomputed,
-            (_, true) => &mut c.data_units_reused,
-            (_, false) => &mut c.data_units_recomputed,
-        } += 1;
-        hit
-    }
-
-    /// Store a detection unit's result under its input digest, replacing
-    /// any previous entry for the same `(kind, id)`.
-    pub(crate) fn unit_put(&self, kind: u8, id: u64, digest: u64, detections: Arc<Vec<Detection>>) {
-        let units = &mut self.lock().units;
-        if units.len() >= UNIT_MEMO_CAPACITY && !units.contains_key(&(kind, id)) {
-            units.clear();
-        }
-        units.insert((kind, id), UnitEntry { digest, detections });
-    }
-
     /// Cumulative counters.
     pub fn counters(&self) -> CacheCounters {
         self.lock().counters
     }
 
-    /// Entries currently cached (intra entries only; the unit memo is
-    /// bounded separately).
+    /// Entries currently cached.
     pub fn len(&self) -> usize {
         self.lock().map.len()
     }
@@ -443,11 +369,9 @@ mod tests {
         c.ensure_epoch(1, &empty());
         c.insert(10, Arc::new(vec![]), deps(&["a"]));
         c.insert(11, Arc::new(vec![]), deps(&["b"]));
-        c.unit_put(UNIT_INTER, 0, 99, Arc::new(vec![det()]));
         c.ensure_epoch(2, &empty());
         assert!(c.is_empty());
         assert_eq!(c.counters().evictions, 2);
-        assert!(c.unit_get(UNIT_INTER, 0, 99).is_none(), "unit memo flushed with config");
         // Same epoch again: no further flush.
         c.insert(12, Arc::new(vec![]), deps(&[]));
         c.ensure_epoch(2, &empty());
@@ -575,34 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_memo_validates_digest() {
-        let c = IncrementalCache::new(8);
-        c.ensure_epoch(1, &empty());
-        assert!(c.unit_get(UNIT_INTER, 2, 7).is_none(), "cold memo misses");
-        c.unit_put(UNIT_INTER, 2, 7, Arc::new(vec![det()]));
-        assert_eq!(c.unit_get(UNIT_INTER, 2, 7).map(|v| v.len()), Some(1));
-        assert!(c.unit_get(UNIT_INTER, 2, 8).is_none(), "digest change misses");
-        assert!(c.unit_get(UNIT_INTER, 3, 7).is_none(), "other unit misses");
-        c.unit_put(UNIT_DATA, 11, 5, Arc::new(vec![]));
-        assert!(c.unit_get(UNIT_DATA, 11, 5).is_some());
-        let counters = c.counters();
-        assert_eq!(counters.inter_units_reused, 1);
-        assert_eq!(counters.inter_units_recomputed, 3);
-        assert_eq!(counters.data_units_reused, 1);
-        assert_eq!(counters.data_units_recomputed, 0);
-    }
-
-    #[test]
-    fn unit_put_replaces_stale_digest() {
-        let c = IncrementalCache::new(8);
-        c.ensure_epoch(1, &empty());
-        c.unit_put(UNIT_DATA, 1, 10, Arc::new(vec![det()]));
-        c.unit_put(UNIT_DATA, 1, 11, Arc::new(vec![]));
-        assert!(c.unit_get(UNIT_DATA, 1, 10).is_none(), "old digest gone");
-        assert_eq!(c.unit_get(UNIT_DATA, 1, 11).map(|v| v.len()), Some(0));
-    }
-
-    #[test]
     fn reinsert_after_invalidation_does_not_poison_fifo_order() {
         let c = IncrementalCache::new(2);
         c.ensure_epoch(1, &versions(&[("a", 1)]));
@@ -665,8 +561,6 @@ mod tests {
                             let _ = c.get(k);
                         }
                         c.insert(1000 + t * 100 + round, Arc::new(vec![]), deps(&[]));
-                        c.unit_put(UNIT_INTER, t as u64, round as u64, Arc::new(vec![]));
-                        let _ = c.unit_get(UNIT_INTER, t as u64, round as u64);
                     }
                 });
             }

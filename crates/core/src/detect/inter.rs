@@ -12,9 +12,9 @@ use crate::context::Context;
 use crate::detect::DetectionConfig;
 use crate::report::{Detection, DetectionSource, Locus};
 
-/// One inter-query rule, as a unit the engine runs (and memoizes) on its
-/// own. All rules share this signature so the phase can be sliced; the
-/// phase output is each unit's output appended in [`RULES`] order.
+/// One inter-query rule, as a unit the engine runs on its own. All rules
+/// share this signature so the phase can be sliced; the phase output is
+/// each unit's output appended in [`RULES`] order.
 pub(crate) type InterRule = fn(&Context, &DetectionConfig, &mut Vec<Detection>);
 
 /// The inter-query rules in their canonical output order.

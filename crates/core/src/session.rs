@@ -24,10 +24,13 @@
 //!   offsets; only dirty statements' slices are recomputed (from the
 //!   [`crate::IncrementalCache`] or fresh), everything else **moves** — no
 //!   re-analysis, just a span shift for statements after the edit point.
-//! * **finalize** — the inter-query/data tail replays from the unit
-//!   memo (digest-keyed, so only genuinely-dirty units run), then the
-//!   registry/rank/fix tail runs fresh — exactly the part a cold check
-//!   pays too.
+//!   The lazy ranking and fixes are dropped first, so the rebuilt report
+//!   reuses their memory.
+//! * **finalize** — the four inter-query rules re-run over the patched
+//!   context and the deduped inter/data tail is rebuilt (the data units
+//!   are kept from the cold build: the attached database is never
+//!   re-profiled), then the registry runs — exactly the part a cold
+//!   check pays too.
 //!
 //! The output is **byte-identical** to a cold [`SqlCheck::check_workload`]
 //! on the edited script, with or without a cache —
@@ -46,8 +49,9 @@
 use crate::context::{
     FrontendOptions, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
 };
-use crate::detect::batch::{inter_unit_digests, EngineUnits, TailUnit};
-use crate::detect::BatchStats;
+use crate::detect::batch::EngineUnits;
+use crate::detect::schedule::guarded;
+use crate::detect::{inter, BatchStats};
 use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
@@ -121,12 +125,12 @@ struct State {
     /// Length of the deduped inter+data tail that follows the intra
     /// portion (registry extras follow the tail).
     tail_len: usize,
-    inter_units: Vec<Arc<Vec<Detection>>>,
-    inter_digests: [u64; 4],
-    /// Per-table data units in profile order. Never dirty within a
-    /// session: the attached database is not re-profiled, so every data
-    /// digest is constant.
-    data_units: Vec<Arc<Vec<Detection>>>,
+    /// Per-table data units in profile order, kept from the cold build:
+    /// `data::detect_table` reads only its table's profile, and the
+    /// attached database is not re-profiled within a session.
+    data_units: Vec<Vec<Detection>>,
+    /// Schema versions the cache was last aligned to (default without a
+    /// cache).
     versions: SchemaVersions,
     /// Live template fingerprints with refcounts, so `unique_templates`
     /// stays O(edit) to maintain.
@@ -169,8 +173,8 @@ impl SqlCheck {
     /// Check `script` and retain the full outcome as a [`CheckSession`]
     /// for warm [`CheckSession::recheck`]s. An attached
     /// [`SqlCheck::with_cache`] makes re-checks cheapest (intra results
-    /// and inter/data units replay from it, and DDL edits stay
-    /// incremental), but the session is correct without one.
+    /// replay from it, and DDL edits stay incremental), but the session
+    /// is correct without one.
     pub fn into_session(self, script: impl Into<String>, opts: FrontendOptions) -> CheckSession {
         let script = script.into();
         let state = State::init(&self, &script, &opts);
@@ -208,6 +212,14 @@ fn dedup_arc(v: Arc<Vec<Detection>>) -> Arc<Vec<Detection>> {
     }
 }
 
+/// The units' detections concatenated in order and deduped: the report
+/// portion between the intra slices and the registry extras.
+fn dedup_tail<'a>(units: impl IntoIterator<Item = &'a Vec<Detection>>) -> Vec<Detection> {
+    let mut tail: Vec<Detection> = units.into_iter().flatten().cloned().collect();
+    crate::detect::dedup(&mut tail);
+    tail
+}
+
 /// Emit `canon` fanned out to occurrence `i` of a statement spanning
 /// `stmt_span`: locus rewritten, relative spans rebased — byte-identical
 /// to the batch engine's fan-out + span attachment for this statement.
@@ -237,8 +249,7 @@ impl State {
             group_by_hash: slot_of,
             group_of: order,
             intra,
-            inter: inter_units,
-            inter_digests,
+            inter,
             data: data_units,
             versions,
         } = units.expect("the engine keeps its units when asked");
@@ -278,12 +289,7 @@ impl State {
             bounds.push(bounds.last().unwrap() + slots[slot].canon.len());
         }
 
-        let mut tail: Vec<Detection> = Vec::new();
-        for u in inter_units.iter().chain(&data_units) {
-            tail.extend(u.iter().cloned());
-        }
-        crate::detect::dedup(&mut tail);
-        let tail_len = tail.len();
+        let tail_len = dedup_tail(inter.iter().chain(&data_units)).len();
 
         // The derivation must tile the retained report exactly: intra
         // slices, then the tail, then registry extras. A mismatch means
@@ -300,8 +306,6 @@ impl State {
             order,
             bounds,
             tail_len,
-            inter_units,
-            inter_digests,
             data_units,
             versions,
             template_counts,
@@ -585,9 +589,9 @@ impl CheckSession {
                 // retract(old) ⊕ insert(new), one occurrence per edit.
                 // Retiring a text may leave all-zero usage entries behind
                 // (exact removal would need global refcounts over every
-                // statement's touches); every workload consumer and unit
-                // digest is insensitive to them — pinned by the delta
-                // property suite.
+                // statement's touches); every workload consumer is
+                // insensitive to them — pinned by the delta property
+                // suite.
                 let schema = &ctx.schema;
                 let workload = &mut ctx.workload;
                 for p in &plan {
@@ -675,34 +679,32 @@ impl CheckSession {
         }
         let mut warm_patch_micros = t_patch.elapsed().as_micros();
 
-        // ---- finalize (a): tail units off the memo -------------------
+        // ---- finalize (a): the inter/data tail ------------------------
+        // Every inter-query rule re-runs; a panic needs the cold path's
+        // diagnostic replay — rebuild.
         let t_finalize = Instant::now();
-        let mut inter_units_changed = 0usize;
-        if use_context {
-            let nd = inter_unit_digests(ctx_ref, &state.versions);
-            for (rule, &digest) in nd.iter().enumerate() {
-                if digest == state.inter_digests[rule] {
-                    continue;
-                }
-                inter_units_changed += 1;
-                state.inter_units[rule] = tool
-                    .detector
-                    .resolve_unit(ctx_ref, cache, TailUnit::Inter { rule, digest })
-                    .ok()?;
-                state.inter_digests[rule] = digest;
-            }
-        }
-        let data_units_reused = state.data_units.len();
+        let inter_units_run = if use_context { inter::RULES.len() } else { 0 };
+        let inter = (0..inter_units_run)
+            .map(|rule| guarded(|| inter::detect_unit(rule, ctx_ref, &tool.detector.cfg)).ok())
+            .collect::<Option<Vec<_>>>()?;
+        let tail = dedup_tail(inter.iter().chain(&state.data_units));
         let warm_finalize_a = t_finalize.elapsed().as_micros();
 
         // ---- patch (b): one-pass report rebuild ----------------------
         // Clean statements MOVE (plus a span shift after the edit
         // point); dirty ones re-fan-out from their slot's canonical
-        // slice. The tail moves unless a unit changed; registry extras
-        // are recomputed below either way.
+        // slice. The tail is replaced; registry extras are recomputed
+        // below.
         let t_patch2 = Instant::now();
         let warm_dirty_statements = dirty.iter().filter(|&&d| d).count();
         {
+            // Ranking and fixes are lazy on [`CheckOutcome`]; dropping the
+            // memo keeps the re-check proportional to the edit set (fix
+            // synthesis is O(detections) with context-wide reads — e.g.
+            // impacted-query lists — so it cannot be patched in place).
+            // Dropping it before the report is rebuilt lets the new report
+            // reuse its memory instead of growing the heap.
+            state.outcome.outcome.invalidate_derived();
             let CheckOutcome { context, report, .. } = &mut state.outcome.outcome;
             let old = mem::take(&mut report.detections);
             let mut out: Vec<Detection> = Vec::with_capacity(old.len() + 16);
@@ -740,22 +742,11 @@ impl CheckSession {
                 }
                 new_bounds.push(out.len());
             }
-            if inter_units_changed > 0 {
-                for _ in 0..state.tail_len {
-                    it.next()?;
-                }
-                let mut tail: Vec<Detection> = Vec::new();
-                for u in state.inter_units.iter().chain(&state.data_units) {
-                    tail.extend(u.iter().cloned());
-                }
-                crate::detect::dedup(&mut tail);
-                state.tail_len = tail.len();
-                out.extend(tail);
-            } else {
-                for _ in 0..state.tail_len {
-                    out.push(it.next()?);
-                }
+            for _ in 0..state.tail_len {
+                it.next()?;
             }
+            state.tail_len = tail.len();
+            out.extend(tail);
             // Whatever remains is the previous registry extras —
             // dropped; the registry re-runs below.
             report.detections = out;
@@ -775,11 +766,6 @@ impl CheckSession {
         let registry_failures = diagnostics.len();
         crate::detect::attach_default_spans(&mut extra, &state.outcome.outcome.context);
         state.outcome.outcome.report.detections.extend(extra);
-        // Ranking and fixes are lazy on [`CheckOutcome`]; dropping the
-        // memo here keeps the re-check proportional to the edit set (fix
-        // synthesis is O(detections) with context-wide reads — e.g.
-        // impacted-query lists — so it cannot be patched in place).
-        state.outcome.outcome.invalidate_derived();
         state.outcome.outcome.diagnostics = diagnostics;
         let warm_finalize_micros = warm_finalize_a + t_finalize2.elapsed().as_micros();
 
@@ -807,15 +793,13 @@ impl CheckSession {
             warm_patch_micros,
             warm_finalize_micros,
             warm_dirty_statements,
-            data_units_reused,
+            inter_units_recomputed: inter_units_run,
+            data_units_reused: state.data_units.len(),
             rule_failures: registry_failures,
             total_micros: t_total.elapsed().as_micros(),
             ..BatchStats::default()
         };
         stats.diag_counts[DiagKind::RuleFailed.index()] = registry_failures;
-        // An inter unit whose digest is unchanged is reused without a
-        // memo lookup; a changed one is reused when the memo holds it.
-        let mut memo_reused = 0usize;
         if let (Some(before), Some(c)) = (counters_before, cache) {
             let after = c.counters();
             stats.incremental_hits = (after.hits - before.hits) as usize;
@@ -823,10 +807,7 @@ impl CheckSession {
             stats.incremental_evictions = (after.evictions - before.evictions) as usize;
             stats.table_evictions = (after.table_evictions - before.table_evictions) as usize;
             stats.column_evictions = (after.column_evictions - before.column_evictions) as usize;
-            memo_reused = (after.inter_units_reused - before.inter_units_reused) as usize;
         }
-        stats.inter_units_reused = state.inter_units.len() - inter_units_changed + memo_reused;
-        stats.inter_units_recomputed = inter_units_changed - memo_reused;
         state.outcome.stats = stats;
         Some(())
     }

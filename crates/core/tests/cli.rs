@@ -169,6 +169,11 @@ fn default_listing_matches_stats_and_cache_listings() {
     assert_eq!(names, ["group", "intra", "fanout", "inter", "data", "dedup", "total"], "{err}");
     let (total, phases) = detect.split_last().expect("a detect total");
     assert!(phases.iter().map(|(_, us)| us).sum::<u128>() <= total.1, "{err}");
+    // Only `--cache` adds the cache line.
+    assert!(!err.contains("incremental cache"), "{err}");
+    let cached = sqlcheck(&["--stats", "--cache", file], None);
+    let cached_err = String::from_utf8_lossy(&cached.stderr);
+    assert!(cached_err.contains("stats: incremental cache "), "{cached_err}");
     std::fs::remove_file(&path).expect("remove fixture");
 }
 

@@ -276,7 +276,7 @@ fn guarded_edits_fall_back_and_match() {
     }
 }
 
-/// Sessions with an attached database: data units replay, DDL refolds
+/// Sessions with an attached database: data units are kept, DDL refolds
 /// merge the database schema back in, outcomes match cold (which gets
 /// the same shared database).
 #[test]
@@ -309,7 +309,9 @@ fn database_backed_session_matches_cold() {
     session.recheck(&[Edit::new(2, "SELECT * FROM metrics WHERE val > 2")]);
     let cold = mk().check_workload(session.script(), &opts);
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
-    assert_eq!(session.outcome().stats.data_units_reused, 1, "metrics unit replayed");
+    // Four statements: the one-edit batch rebuilds cold, which runs the
+    // metrics unit again.
+    assert_eq!(session.outcome().stats.data_units_recomputed, 1, "metrics unit ran once");
 
     // DDL edit: the db-backed `metrics` table must be re-merged into the
     // refolded schema.
@@ -434,9 +436,8 @@ fn warm_stats_reflect_edit_proportionality() {
         stats.warm_dirty_statements
     );
     assert!(stats.incremental_misses <= 1);
-    // The new eq-predicate may dirty an inter-unit digest; all four
-    // units must be accounted for either way.
-    assert_eq!(stats.inter_units_reused + stats.inter_units_recomputed, 4);
+    // Every re-check runs all four inter units.
+    assert_eq!((stats.inter_units_reused, stats.inter_units_recomputed), (0, 4));
     assert!(stats.total_micros > 0);
     // Repeating the identical recheck revives the retired text — a pure
     // cache hit, zero dirty statements.
@@ -460,6 +461,57 @@ fn into_session_runs_detection_once() {
     let c = cache.counters();
     assert_eq!(c.hits, 0, "no cache read-backs");
     assert_eq!(c.misses, unique_texts, "one lookup per unique text");
-    assert_eq!(c.inter_units_reused, 0, "no unit memo read-backs");
-    assert_eq!(c.inter_units_recomputed, 4, "each inter unit runs once");
+    assert_eq!(session.outcome().stats.inter_units_recomputed, 4, "each inter unit runs once");
+}
+
+/// Every inter-query rule turns on and back off through warm re-checks,
+/// and each round matches a cold check of the edited script. Non-DDL
+/// edits flip No Foreign Key, Index Underuse and Index Overuse through
+/// the workload profile alone; a DDL edit flips Clone Table. The script
+/// has at least ten statements per edit, so no round reverts cold.
+#[test]
+fn inter_rules_flip_through_warm_rechecks_and_match_cold() {
+    use sqlcheck::AntiPatternKind::{CloneTable, IndexOveruse, IndexUnderuse, NoForeignKey};
+    let script = "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), age INT);\n\
+                  CREATE TABLE orders (id INT PRIMARY KEY, user_id INT, total FLOAT);\n\
+                  CREATE INDEX idx_orders_total ON orders (total);\n\
+                  CREATE TABLE log_1 (id INT PRIMARY KEY, msg TEXT);\n\
+                  CREATE TABLE audit (id INT PRIMARY KEY, msg TEXT);\n\
+                  SELECT name FROM users WHERE id = 1;\n\
+                  SELECT total FROM orders WHERE total > 5;\n\
+                  SELECT user_id FROM orders WHERE id = 2;\n\
+                  SELECT msg FROM log_1 WHERE id = 3;\n\
+                  SELECT msg FROM audit WHERE id = 4;\n\
+                  UPDATE users SET name = 'n' WHERE id = 5;\n\
+                  DELETE FROM orders WHERE id = 6;\n";
+    let off = [
+        (5, "SELECT name FROM users WHERE id = 1"),
+        (7, "SELECT user_id FROM orders WHERE id = 2"),
+        (6, "SELECT total FROM orders WHERE total > 5"),
+        (4, "CREATE TABLE audit (id INT PRIMARY KEY, msg TEXT)"),
+    ];
+    let on = [
+        (NoForeignKey, "SELECT u.name FROM users u JOIN orders o ON u.id = o.user_id"),
+        (IndexUnderuse, "SELECT name FROM users WHERE age = 30"),
+        (IndexOveruse, "SELECT user_id FROM orders WHERE id = 3"),
+        (CloneTable, "CREATE TABLE log_2 (id INT PRIMARY KEY, msg TEXT)"),
+    ];
+    let opts = FrontendOptions::default();
+    for cached in [true, false] {
+        let mut session = tool(cached).into_session(script, opts.clone());
+        assert!(session.outcome().stats.statements >= 10);
+        for (&(index, original), &(kind, text)) in off.iter().zip(&on) {
+            for (text, fires) in [(text, true), (original, false)] {
+                session.recheck(&[Edit::new(index, text)]);
+                let tag = format!("{kind:?} {} (cache {cached})", if fires { "on" } else { "off" });
+                let warm = session.outcome();
+                assert_eq!(warm.outcome.report.count(kind) > 0, fires, "{tag}");
+                let cold = tool(cached).check_workload(session.script(), &opts);
+                assert_eq!(fingerprint(warm), fingerprint(&cold), "{tag}");
+                if cached && kind != CloneTable {
+                    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "{tag}");
+                }
+            }
+        }
+    }
 }

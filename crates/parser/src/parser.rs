@@ -213,30 +213,6 @@ pub fn parse_raw_limited(
     (ParsedStatement { stmt, tokens: raw.tokens, arena: take_arena() }, diags)
 }
 
-/// Re-derive the statement-level diagnostics of an already-parsed
-/// statement (no parse flags available — used for pre-parsed intake
-/// paths). Sub-expression degradation is not re-detected here.
-pub fn diagnose_parsed(p: &ParsedStatement) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if let Statement::Other(o) = &p.stmt {
-        if o.leading_keyword == "END" {
-            diags.push(Diagnostic::new(
-                DiagKind::OrphanEnd,
-                "statement begins with END matching no open block",
-            ));
-        } else if !o.leading_keyword.is_empty() {
-            diags.push(Diagnostic::new(
-                DiagKind::ParseDegraded,
-                format!(
-                    "statement fell back to Other (leading keyword {:?})",
-                    o.leading_keyword
-                ),
-            ));
-        }
-    }
-    diags
-}
-
 fn parse_tokens(sig: &[Token]) -> Statement {
     let cur = Cursor::new(sig);
     let Some(first) = cur.peek() else {
