@@ -22,6 +22,7 @@
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N, and
 //!                          # (count-allocs) ≤ 10k allocations fixing plain 100k
+//!                          # and ≤ 1k writing its listing
 //! ```
 //!
 //! `--quick` shrinks scales for a fast smoke run.
@@ -123,22 +124,33 @@ fn main() {
             fix_scaling::CEILING
         );
         println!("gate ok: 10x the corpus costs {ratio:.1}x the fix time (ceiling {}x)", fix_scaling::CEILING);
-        // Allocation gate: fix synthesis once per unique text keeps the
+        // Allocation gates: fix synthesis once per unique text keeps the
         // plain shape's fix pass near its 100 unique texts' worth of
-        // allocations (needs the count-allocs build).
+        // allocations, and the listing splices into one reused buffer
+        // instead of formatting per detection (needs the count-allocs
+        // build).
         match fix_scaling::plain_fix_allocs() {
             Some(row) => {
                 println!(
-                    "plain 100k: {} fixes, {} allocations in fix_all (ceiling {})",
+                    "plain 100k: {} fixes, {} allocations in fix_all (ceiling {}), \
+                     {} in write_listing (ceiling {})",
                     row.fixes,
                     row.allocs,
-                    fix_scaling::ALLOC_CEILING
+                    fix_scaling::ALLOC_CEILING,
+                    row.render_allocs,
+                    fix_scaling::RENDER_ALLOC_CEILING
                 );
                 assert!(
                     row.allocs <= fix_scaling::ALLOC_CEILING,
                     "fix_all made {} allocations on the plain shape (ceiling {})",
                     row.allocs,
                     fix_scaling::ALLOC_CEILING
+                );
+                assert!(
+                    row.render_allocs <= fix_scaling::RENDER_ALLOC_CEILING,
+                    "write_listing made {} allocations on the plain shape (ceiling {})",
+                    row.render_allocs,
+                    fix_scaling::RENDER_ALLOC_CEILING
                 );
             }
             None => println!("allocation gate skipped (build with --features count-allocs)"),

@@ -15,10 +15,16 @@
 //! allocations of one fix pass over the plain 100k-statement,
 //! 100-template shape: fixes are synthesised once per unique statement
 //! text, so that count stays near the number of unique texts instead of
-//! growing with the ~75k fixes. [`ALLOC_CEILING`] bounds it.
+//! growing with the ~75k fixes. [`ALLOC_CEILING`] bounds it. It then
+//! counts the allocations of writing that shape's listing with
+//! [`CheckOutcome::write_listing`]: the listing is spliced from per-kind
+//! heads into one reused buffer, so the count stays flat instead of
+//! growing with the ~75k listed detections. [`RENDER_ALLOC_CEILING`]
+//! bounds it.
 //!
 //! [`CheckOutcome::ranked`]: sqlcheck::CheckOutcome::ranked
 //! [`CheckOutcome::fixes`]: sqlcheck::CheckOutcome::fixes
+//! [`CheckOutcome::write_listing`]: sqlcheck::CheckOutcome::write_listing
 
 use crate::alloc_count::{alloc_count, COUNTING};
 use crate::experiments::throughput::script_for_shape;
@@ -119,18 +125,28 @@ pub fn run(quick: bool) -> [ScalingRow; 2] {
 /// per-text synthesis measures ~1k; synthesis per occurrence ~900k.
 pub const ALLOC_CEILING: u64 = 10_000;
 
-/// Allocation count of one fix pass.
+/// Most allocations writing the plain shape's listing with fixes may
+/// make. Splicing into one reused buffer measures 5; a
+/// `format!` per spanned detection ~75k.
+pub const RENDER_ALLOC_CEILING: u64 = 1_000;
+
+/// Allocation counts of one fix pass and one listing.
 #[derive(Debug, Clone, Copy)]
 pub struct AllocRow {
     /// Fixes synthesised.
     pub fixes: usize,
     /// Heap allocations (and reallocations) inside [`FixEngine::fix_all`].
     pub allocs: u64,
+    /// Heap allocations (and reallocations) writing the listing with
+    /// fixes into [`std::io::sink`].
+    pub render_allocs: u64,
 }
 
 /// Check and rank the plain shape (100k statements, 100 templates), then
 /// count the allocations of [`FixEngine::fix_all`] over the ranked
-/// detections. `None` unless built with the `count-allocs` feature.
+/// detections, and of one [`CheckOutcome::write_listing`] with fixes
+/// once those are memoized. `None` unless built with the `count-allocs`
+/// feature.
 pub fn plain_fix_allocs() -> Option<AllocRow> {
     if !COUNTING {
         return None;
@@ -141,7 +157,12 @@ pub fn plain_fix_allocs() -> Option<AllocRow> {
     let before = alloc_count();
     let fixes = FixEngine.fix_all(ranked.iter().map(|r| &r.detection), &outcome.context);
     let allocs = alloc_count() - before;
-    Some(AllocRow { fixes: fixes.len(), allocs })
+    // Memoize the fixes, so the count below is the listing's alone.
+    outcome.fixes();
+    let before = alloc_count();
+    outcome.write_listing(&mut std::io::sink(), true).expect("a sink takes every write");
+    let render_allocs = alloc_count() - before;
+    Some(AllocRow { fixes: fixes.len(), allocs, render_allocs })
 }
 
 /// Timed fix runs per size.

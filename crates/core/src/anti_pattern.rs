@@ -283,6 +283,16 @@ mod tests {
         assert_eq!(non_extra, 26);
     }
 
+    /// Per-kind tables (the ranker's rows, `Report::by_kind`'s counts)
+    /// index by `kind as usize`, which must be the kind's place in `ALL`.
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, kind) in AntiPatternKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind}");
+            assert_eq!(AntiPatternKind::ALL[kind as usize], kind);
+        }
+    }
+
     #[test]
     fn category_counts_match_table1() {
         let count = |c: Category| {

@@ -37,7 +37,7 @@
 //! ```
 
 use sqlcheck::{
-    CheckOutcome, DetectionConfig, DiagKind, Dialect, Fix, FrontendOptions, InterQueryModel,
+    CheckOutcome, DetectionConfig, DiagKind, Dialect, FrontendOptions, InterQueryModel,
     RankWeights, SqlCheck,
 };
 use std::io::{self, BufWriter, Write};
@@ -271,15 +271,15 @@ fn main() {
 }
 
 /// Write the listing (or the `--summary` histogram) and report whether
-/// anything was found. Fixes are synthesised only when they are printed.
+/// anything was found. Detections are ranked only for the listing, and
+/// fixes are synthesised only when they are printed.
 fn render(
     out: &mut impl Write,
     outcome: &CheckOutcome,
     summary: bool,
     no_fix: bool,
 ) -> io::Result<bool> {
-    let ranked = outcome.ranked();
-    if ranked.is_empty() {
+    if outcome.report.detections.is_empty() {
         writeln!(out, "no anti-patterns detected in {} statement(s)", outcome.context.len())?;
         return Ok(false);
     }
@@ -293,39 +293,7 @@ fn render(
         return Ok(true);
     }
 
-    let fixes = (!no_fix).then(|| outcome.fixes());
-    for (i, r) in ranked.iter().enumerate() {
-        // Per-occurrence source location: duplicate statements each point
-        // at their own bytes, not the first occurrence's.
-        let at = match r.detection.span {
-            Some(s) => format!(" [bytes {s}]"),
-            None => String::new(),
-        };
-        writeln!(
-            out,
-            "{:>3}. [{:.3}] {} ({}) @ {}{}",
-            i + 1,
-            r.score,
-            r.detection.kind,
-            r.detection.kind.category(),
-            r.detection.locus,
-            at
-        )?;
-        writeln!(out, "     {}", r.detection.message)?;
-        let Some(f) = fixes.map(|fs| &fs[i]) else { continue };
-        match &f.fix {
-            Fix::Rewrite { fixed, .. } => writeln!(out, "     fix: {fixed}")?,
-            Fix::SchemaChange { statements, impacted_queries } => {
-                for s in statements {
-                    writeln!(out, "     fix: {s}")?;
-                }
-                for (idx, q) in impacted_queries {
-                    writeln!(out, "     impacted #{idx}: {q}")?;
-                }
-            }
-            Fix::Textual { advice } => writeln!(out, "     advice: {advice}")?,
-        }
-    }
+    outcome.write_listing(out, !no_fix)?;
     Ok(true)
 }
 

@@ -30,16 +30,26 @@ impl Advice {
     pub(crate) fn at(&self, index: usize) -> Advice {
         Advice { body: self.body.clone(), site: self.site.map(|(at, _)| (at, index)) }
     }
+
+    /// The body before the site, the site's statement index, and the
+    /// body after it. The displayed advice is the first half, then
+    /// `statement #N` when there is a site, then the second half.
+    pub(crate) fn parts(&self) -> (&str, Option<usize>, &str) {
+        match self.site {
+            None => (&self.body, None, ""),
+            Some((at, index)) => (&self.body[..at], Some(index), &self.body[at..]),
+        }
+    }
 }
 
 impl fmt::Display for Advice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.site {
-            None => f.write_str(&self.body),
-            Some((at, index)) => {
-                write!(f, "{}statement #{index}{}", &self.body[..at], &self.body[at..])
-            }
+        let (before, site, after) = self.parts();
+        f.write_str(before)?;
+        if let Some(index) = site {
+            write!(f, "statement #{index}")?;
         }
+        f.write_str(after)
     }
 }
 

@@ -105,6 +105,7 @@ pub mod detect;
 pub mod fix;
 pub mod input;
 pub(crate) mod hashutil;
+mod listing;
 pub mod rank;
 pub mod registry;
 pub mod report;
@@ -207,36 +208,13 @@ impl CheckOutcome {
         self.fixes = std::sync::OnceLock::new();
     }
 
-    /// Render a human-readable summary (ranked, with fixes).
+    /// The ranked listing with fixes as a string: what
+    /// [`CheckOutcome::write_listing`] writes, and what `sqlcheck FILE`
+    /// prints.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        for (i, (r, f)) in self.ranked().iter().zip(self.fixes()).enumerate() {
-            out.push_str(&format!(
-                "{:>3}. [{:.3}] {} @ {}\n     {}\n",
-                i + 1,
-                r.score,
-                r.detection.kind,
-                r.detection.locus,
-                r.detection.message
-            ));
-            match &f.fix {
-                Fix::Rewrite { fixed, .. } => {
-                    out.push_str(&format!("     fix: {fixed}\n"));
-                }
-                Fix::SchemaChange { statements, impacted_queries } => {
-                    for s in statements {
-                        out.push_str(&format!("     fix: {s}\n"));
-                    }
-                    for (idx, q) in impacted_queries {
-                        out.push_str(&format!("     impacted #{idx}: {q}\n"));
-                    }
-                }
-                Fix::Textual { advice } => {
-                    out.push_str(&format!("     advice: {advice}\n"));
-                }
-            }
-        }
-        out
+        let mut out = Vec::new();
+        self.write_listing(&mut out, true).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the listing is built from UTF-8 text")
     }
 }
 

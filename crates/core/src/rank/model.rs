@@ -17,6 +17,7 @@
 use crate::anti_pattern::AntiPatternKind;
 use crate::rank::metrics::{default_metrics, ApMetrics};
 use crate::report::{Detection, Report};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Weight vector for the six metrics.
@@ -215,27 +216,51 @@ impl Ranker {
     }
 
     /// Rank all detections in a report, highest impact first. Ties break
-    /// on catalog order for determinism.
+    /// on catalog order for determinism, then on report order.
+    ///
+    /// A score depends only on the detection's kind, so ranking orders
+    /// the kinds, not the detections: one `(metrics, score)` row per
+    /// kind, the kinds sorted by score then kind, and one stable counting
+    /// sort that places each detection in its kind's bucket. The work is
+    /// linear in the report.
     pub fn rank(&self, report: &Report) -> Vec<RankedDetection> {
-        let mut ranked: Vec<RankedDetection> = report
-            .detections
-            .iter()
-            .map(|d| {
-                let metrics = self.metrics.get(d.kind);
-                RankedDetection {
-                    detection: d.clone(),
-                    metrics,
-                    score: score(&metrics, &self.weights),
-                }
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.detection.kind.cmp(&b.detection.kind))
+        let rows = AntiPatternKind::ALL.map(|kind| {
+            let metrics = self.metrics.get(kind);
+            (metrics, score(&metrics, &self.weights))
         });
-        ranked
+        let mut order = AntiPatternKind::ALL;
+        order.sort_by(|a, b| {
+            rows[*b as usize]
+                .1
+                .partial_cmp(&rows[*a as usize].1)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.cmp(b))
+        });
+        // `next[k]`: the ranked position of the next detection of kind
+        // `k` — first its count, then its bucket's start.
+        let mut next = [0usize; AntiPatternKind::ALL.len()];
+        for d in &report.detections {
+            next[d.kind as usize] += 1;
+        }
+        let mut start = 0;
+        for kind in order {
+            let count = std::mem::replace(&mut next[kind as usize], start);
+            start += count;
+        }
+        let mut permutation = vec![0u32; report.detections.len()];
+        for (i, d) in report.detections.iter().enumerate() {
+            let at = &mut next[d.kind as usize];
+            permutation[*at] = u32::try_from(i).expect("a report holds fewer than 2^32 detections");
+            *at += 1;
+        }
+        permutation
+            .into_iter()
+            .map(|i| {
+                let detection = &report.detections[i as usize];
+                let (metrics, score) = rows[detection.kind as usize];
+                RankedDetection { detection: detection.clone(), metrics, score }
+            })
+            .collect()
     }
 
     /// Inter-query ranking: order statement indices by AP count or summed
@@ -252,7 +277,7 @@ impl Ranker {
             *per_query.entry(idx).or_default() += w;
         }
         let mut v: Vec<(usize, f64)> = per_query.into_iter().collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal));
         v
     }
 }
@@ -378,6 +403,113 @@ mod tests {
         assert_eq!(mk(0.1).severity(), Severity::Medium);
         assert_eq!(mk(0.5).severity(), Severity::High);
         assert!(Severity::High > Severity::Low);
+    }
+
+    /// The ranker before bucketing: score every detection, then one
+    /// stable `sort_by` on score descending, then kind.
+    fn reference_rank(ranker: &Ranker, report: &Report) -> Vec<RankedDetection> {
+        let mut ranked: Vec<RankedDetection> = report
+            .detections
+            .iter()
+            .map(|d| {
+                let metrics = ranker.metrics.get(d.kind);
+                RankedDetection {
+                    detection: d.clone(),
+                    metrics,
+                    score: score(&metrics, &ranker.weights),
+                }
+            })
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.detection.kind.cmp(&b.detection.kind))
+        });
+        ranked
+    }
+
+    /// Deterministic splitmix64 stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A finite weight in [-1, 1), exactly 0 one time in four.
+        fn weight(&mut self) -> f64 {
+            match self.below(4) {
+                0 => 0.0,
+                _ => (self.next() >> 11) as f64 / (1u64 << 52) as f64 - 1.0,
+            }
+        }
+    }
+
+    /// A report of `n` detections drawn from `kinds` catalog kinds, each
+    /// at its own statement so report order is observable.
+    fn random_report(rng: &mut Rng, n: usize, kinds: usize) -> Report {
+        let detections = (0..n)
+            .map(|i| det(AntiPatternKind::ALL[rng.below(kinds)], i))
+            .collect();
+        Report { detections }
+    }
+
+    /// Bucket ranking must equal the sort reference item for item —
+    /// detection, metric row and score bits — under C1, C2, random
+    /// weights, and a metrics table that ties distinct kinds.
+    #[test]
+    fn bucket_rank_matches_sort_reference() {
+        let mut rng = Rng(0xB0C4E7);
+        // Three kinds far apart in the catalog share one row, so they
+        // tie under every weight vector and must order by kind.
+        let mut tied = MetricsTable::new();
+        let row = default_metrics(AntiPatternKind::GodTable);
+        for kind in [AntiPatternKind::ReadablePassword, AntiPatternKind::NoPrimaryKey] {
+            tied.set(kind, row);
+        }
+        tied.calibrate_performance(AntiPatternKind::ColumnWildcard, 40.0, 3.0);
+        let mut ties = 0;
+        for round in 0..60 {
+            let weights = match round % 3 {
+                0 => RankWeights::C1,
+                1 => RankWeights::C2,
+                _ => RankWeights::custom(
+                    rng.weight(),
+                    rng.weight(),
+                    rng.weight(),
+                    rng.weight(),
+                    rng.weight(),
+                    rng.weight(),
+                ),
+            };
+            let metrics = if round % 2 == 0 { MetricsTable::new() } else { tied.clone() };
+            let ranker = Ranker { weights, metrics, ..Ranker::default() };
+            let kinds = [1, 3, AntiPatternKind::ALL.len()][rng.below(3)];
+            let n = rng.below(400);
+            let report = random_report(&mut rng, n, kinds);
+            let got = ranker.rank(&report);
+            let want = reference_rank(&ranker, &report);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.detection, w.detection, "round {round}");
+                assert_eq!(g.metrics, w.metrics, "round {round}");
+                assert_eq!(g.score.to_bits(), w.score.to_bits(), "round {round}");
+            }
+            ties += got
+                .windows(2)
+                .filter(|p| p[0].score == p[1].score && p[0].detection.kind != p[1].detection.kind)
+                .count();
+        }
+        assert!(ties > 0, "the reports must rank distinct kinds with equal scores");
     }
 
     #[test]

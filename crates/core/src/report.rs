@@ -111,13 +111,13 @@ impl Report {
         self.detections.iter().filter(|d| d.kind == kind).count()
     }
 
-    /// Detections grouped by kind, in catalog order.
+    /// Detections grouped by kind, in catalog order, counted in one pass.
     pub fn by_kind(&self) -> Vec<(AntiPatternKind, usize)> {
-        AntiPatternKind::ALL
-            .iter()
-            .map(|k| (*k, self.count(*k)))
-            .filter(|(_, n)| *n > 0)
-            .collect()
+        let mut counts = [0usize; AntiPatternKind::ALL.len()];
+        for d in &self.detections {
+            counts[d.kind as usize] += 1;
+        }
+        AntiPatternKind::ALL.into_iter().zip(counts).filter(|(_, n)| *n > 0).collect()
     }
 
     /// Distinct kinds present.
