@@ -17,7 +17,9 @@
 //! expdriver incremental-gate # CI gates: warm 1%-edit ≤ 0.35× cold pipeline,
 //!                            # session VmHWM(1000 batches) ≤ 1.25× VmHWM(100)
 //! expdriver phases         # per-phase timing of the three-phase pipeline
-//! expdriver split          # deduping splitter vs two-pass reference
+//! expdriver split          # deduping splitter vs two-pass reference, and
+//!                          # (count-allocs) ≤ 50 heap bytes per input byte
+//!                          # building a context over the skewed shape
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N, and
@@ -356,6 +358,32 @@ fn main() {
         match std::fs::write(path, split::to_json(&rows)) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
+        }
+        // Front-end memory gate: a unique text keeps only its source,
+        // tree, annotations and diagnostics, so one context build over
+        // the unique-heavy skewed shape holds a bounded amount of heap
+        // per input byte (needs the count-allocs build).
+        section("Front-end memory — peak heap of one context build over the skewed shape");
+        match split::frontend_memory() {
+            Some(m) => {
+                println!(
+                    "skewed {} statements, {} bytes: peak heap {:.1} MB = {:.1} bytes per input \
+                     byte (ceiling {})",
+                    split::FRONTEND_MEMORY_STATEMENTS,
+                    m.bytes,
+                    m.peak_heap_bytes as f64 / (1024.0 * 1024.0),
+                    m.per_input_byte(),
+                    split::FRONTEND_HEAP_PER_BYTE_CEILING
+                );
+                assert!(
+                    m.per_input_byte() <= split::FRONTEND_HEAP_PER_BYTE_CEILING,
+                    "context build held {:.1} heap bytes per input byte (ceiling {})",
+                    m.per_input_byte(),
+                    split::FRONTEND_HEAP_PER_BYTE_CEILING
+                );
+                println!("gate ok: front-end heap stays under the per-byte ceiling");
+            }
+            None => println!("front-end memory gate skipped (build with --features count-allocs)"),
         }
     }
     if run_all || what == "corpus" {

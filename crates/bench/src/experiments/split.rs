@@ -19,12 +19,13 @@
 //! (spans, content hashes, template fingerprints) before any timing is
 //! reported.
 
-use crate::alloc_count::{alloc_count, allocs_per_stmt};
+use crate::alloc_count::{alloc_count, allocs_per_stmt, peak_heap_growth};
 use crate::harness::{sample_of, Sample};
+use sqlcheck::ContextBuilder;
 use sqlcheck_parser::splitter::reference::split_spanned;
 use sqlcheck_parser::splitter::split_deduped;
 use sqlcheck_parser::{Dialect, SplitStatement};
-use super::throughput::script_for_shape;
+use super::throughput::{script_for_shape, skewed_workload_script};
 
 /// One measured workload size.
 #[derive(Debug, Clone)]
@@ -225,6 +226,46 @@ pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<SplitRow> {
         }
     }
     rows
+}
+
+/// Statements in the front-end memory gate's skewed script (~1 MB).
+pub const FRONTEND_MEMORY_STATEMENTS: usize = 20_000;
+
+/// Ceiling on [`FrontendMemory::per_input_byte`], asserted whenever
+/// counting is compiled in (the CI front-end memory gate). A front end
+/// that keeps every unique text's token vector next to its tree measures
+/// 68.4 heap bytes per input byte; one that keeps only the source, tree,
+/// annotations and diagnostics measures 39.6.
+pub const FRONTEND_HEAP_PER_BYTE_CEILING: f64 = 50.0;
+
+/// The most heap one context build held at once, on the unique-heavy
+/// skewed shape.
+#[derive(Debug, Clone, Copy)]
+pub struct FrontendMemory {
+    /// Script size in bytes.
+    pub bytes: usize,
+    /// Peak live heap bytes the build added above what was live before
+    /// it (the script itself excluded).
+    pub peak_heap_bytes: u64,
+}
+
+impl FrontendMemory {
+    /// Peak live heap bytes per input byte.
+    pub fn per_input_byte(&self) -> f64 {
+        self.peak_heap_bytes as f64 / self.bytes.max(1) as f64
+    }
+}
+
+/// Build a `Context` over the skewed script (90% unique texts under one
+/// template, plus one giant procedure) and measure the most heap the
+/// build held at once. Exact: it counts requested bytes at the
+/// allocator, so it does not depend on the host. `None` when the
+/// `count-allocs` feature is compiled out.
+pub fn frontend_memory() -> Option<FrontendMemory> {
+    let script = skewed_workload_script(FRONTEND_MEMORY_STATEMENTS, 100, 0x5117);
+    let (ctx, peak) = peak_heap_growth(|| ContextBuilder::new().add_script(&script).build());
+    assert_eq!(ctx.len(), FRONTEND_MEMORY_STATEMENTS, "the giant body must stay one statement");
+    Some(FrontendMemory { bytes: script.len(), peak_heap_bytes: peak? })
 }
 
 /// Render rows as an aligned console table.

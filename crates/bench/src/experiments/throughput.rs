@@ -317,6 +317,7 @@ pub fn to_json(rows: &[ThroughputRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlcheck_parser::Dialect;
 
     #[test]
     fn workload_has_requested_shape() {
@@ -324,7 +325,7 @@ mod tests {
         let parsed = sqlcheck_parser::parse(&script);
         assert_eq!(parsed.len(), 500);
         let fps: std::collections::HashSet<u64> =
-            parsed.iter().map(|p| p.fingerprint()).collect();
+            parsed.iter().map(|p| p.fingerprint(Dialect::Generic)).collect();
         assert!(fps.len() <= 100, "at most 100 templates, got {}", fps.len());
         assert!(fps.len() > 50, "workload should draw from most templates");
     }
@@ -345,7 +346,7 @@ mod tests {
         // The hot template dominates: one fingerprint covers ~90%.
         let mut by_fp: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
         for p in &parsed {
-            *by_fp.entry(p.fingerprint()).or_default() += 1;
+            *by_fp.entry(p.fingerprint(Dialect::Generic)).or_default() += 1;
         }
         let hottest = by_fp.values().copied().max().unwrap();
         assert!(hottest > 500, "hot template should cover ~90%, got {hottest}/600");

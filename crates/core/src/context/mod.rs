@@ -32,7 +32,7 @@ use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
 use sqlcheck_parser::parser::parse_raw_limited;
-use sqlcheck_parser::splitter::{split_deduped, RawStatement};
+use sqlcheck_parser::splitter::split_deduped;
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::collections::HashMap;
@@ -147,13 +147,15 @@ pub struct FrontendStats {
     pub materialize_micros: u128,
     /// Wall-clock microseconds spent in dedup intake bookkeeping:
     /// mapping script-local unique slots onto builder slots and
-    /// recording per-occurrence spans. Previously lumped into
-    /// `split_micros`, which inflated the apparent split cost of warm
-    /// re-checks (the cache short-circuits materialization, but intake
-    /// still walks every occurrence).
+    /// recording per-occurrence spans. Excludes the materialise and
+    /// parse time of new unique texts, which runs inside intake but is
+    /// reported in [`FrontendStats::materialize_micros`] and
+    /// [`FrontendStats::parse_micros`].
     pub intake_micros: u128,
-    /// Wall-clock microseconds spent grouping texts and parsing unique
-    /// statements.
+    /// Wall-clock microseconds spent parsing unique statements. Each new
+    /// unique text is parsed at intake, right after it is materialised,
+    /// and its token vector is dropped before the next one is built;
+    /// that time is summed here, not in `intake_micros`.
     pub parse_micros: u128,
     /// Wall-clock microseconds spent annotating unique statements.
     pub annotate_micros: u128,
@@ -220,11 +222,13 @@ impl Default for FrontendOptions {
     }
 }
 
-/// One unique statement text during the build: its materialised token
-/// stream (parsed once, at build time), content hash, template
-/// fingerprint, and occurrence count.
+/// One unique statement text during the build: its parse tree (which
+/// holds the source text) and parse diagnostics, content hash, template
+/// fingerprint, and occurrence count. The text was parsed at intake; its
+/// tokens are gone.
 struct UniqueEntry {
-    raw: RawStatement,
+    parsed: Arc<ParsedStatement>,
+    diags: Arc<[Diagnostic]>,
     hash: u128,
     fingerprint: u64,
     count: usize,
@@ -235,12 +239,14 @@ struct UniqueEntry {
 /// Scripts enter through [`split_deduped`], which splits the script,
 /// groups duplicate texts, and content-hashes and fingerprints each
 /// unique text — before parsing, and without materialising a token
-/// stream. Token vectors exist only for **unique** texts, which are
-/// materialised at intake and then parsed + annotated exactly once at
-/// build time, with the resulting AST/annotations shared across duplicate
-/// occurrences via [`Arc`]. The one [`FrontendOptions`] dialect governs
-/// every step. [`crate::detect::reference::context`] builds the same
-/// context without any sharing; the identity suites compare the two.
+/// stream. Each **unique** text is materialised and parsed at intake,
+/// one at a time, so at most one token vector is live: a unique text
+/// keeps only its source, tree and diagnostics, and gains its
+/// annotations at build time. Trees and annotations are shared across
+/// duplicate occurrences via [`Arc`]. The one [`FrontendOptions`]
+/// dialect governs every step. [`crate::detect::reference::context`]
+/// builds the same context without any sharing; the identity suites
+/// compare the two.
 #[derive(Default)]
 pub struct ContextBuilder {
     /// Unique statement texts, in first-occurrence order.
@@ -258,6 +264,7 @@ pub struct ContextBuilder {
     split_micros: u128,
     materialize_micros: u128,
     intake_micros: u128,
+    parse_micros: u128,
     /// Whether any added script contained a `DELIMITER` directive (see
     /// [`sqlcheck_parser::splitter::DedupedSplit`]).
     saw_delimiter_directive: bool,
@@ -278,10 +285,11 @@ impl ContextBuilder {
     }
 
     /// Add every statement in a SQL script: [`split_deduped`] splits the
-    /// script and groups duplicate texts before any parsing. Token
-    /// streams are materialised, under the dialect the script was split
-    /// under, only for texts this builder has not seen before; a
-    /// duplicate costs one map lookup.
+    /// script and groups duplicate texts before any parsing. Only texts
+    /// this builder has not seen before are materialised and parsed,
+    /// under the dialect the script was split under, each token vector
+    /// dropped as soon as its text is parsed; a duplicate costs one map
+    /// lookup.
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
         if self.resolved_dialect.is_none() {
@@ -298,16 +306,21 @@ impl ContextBuilder {
         self.split_micros += t.elapsed().as_micros();
         let t_intake = Instant::now();
         self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
-        let mut mat_micros = 0u128;
+        let (mut mat_micros, mut parse_micros) = (0u128, 0u128);
+        let limits = &self.opts.limits;
         let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
         for u in &deduped.uniques {
             let uniques = &mut self.uniques;
             slot_map.push(*self.slot_of.entry(u.content_hash).or_insert_with(|| {
                 let tm = Instant::now();
                 let raw = u.materialize(script, dialect);
-                mat_micros += tm.elapsed().as_micros();
+                let tp = Instant::now();
+                let (parsed, diags) = parse_raw_limited(raw, limits, dialect);
+                mat_micros += (tp - tm).as_micros();
+                parse_micros += tp.elapsed().as_micros();
                 uniques.push(UniqueEntry {
-                    raw,
+                    parsed: Arc::new(parsed),
+                    diags: diags.into(),
                     hash: u.content_hash,
                     fingerprint: u.fingerprint,
                     count: 0,
@@ -321,8 +334,10 @@ impl ContextBuilder {
             self.order.push(slot);
             self.spans.push(span);
         }
-        self.intake_micros += t_intake.elapsed().as_micros().saturating_sub(mat_micros);
+        self.intake_micros +=
+            t_intake.elapsed().as_micros().saturating_sub(mat_micros + parse_micros);
         self.materialize_micros += mat_micros;
+        self.parse_micros += parse_micros;
         self
     }
 
@@ -376,31 +391,17 @@ impl ContextBuilder {
             split_micros: self.split_micros,
             materialize_micros: self.materialize_micros,
             intake_micros: self.intake_micros,
+            parse_micros: self.parse_micros,
             ..FrontendStats::default()
         };
 
-        // Parse phase: each unique text exactly once.
-        let t_parse = Instant::now();
-        let limits = self.opts.limits;
-        // (content hash, template fingerprint, occurrences) and (tree,
-        // diagnostics) per unique text.
-        let mut keys: Vec<(u128, u64, usize)> = Vec::with_capacity(uniques.len());
-        let mut parsed: Vec<(Arc<ParsedStatement>, Arc<[Diagnostic]>)> =
-            Vec::with_capacity(uniques.len());
-        for e in uniques {
-            keys.push((e.hash, e.fingerprint, e.count));
-            let (p, diags) = parse_raw_limited(e.raw, &limits, dialect);
-            parsed.push((Arc::new(p), diags.into()));
-        }
-        stats.parse_micros = t_parse.elapsed().as_micros();
-
-        // Phase 3: annotate each unique parse tree exactly once.
+        // Annotate each unique parse tree exactly once.
         let t_ann = Instant::now();
         let anns: Vec<Arc<Annotations>> =
-            parsed.iter().map(|(p, _)| Arc::new(annotate(&p.stmt, &p.arena))).collect();
+            uniques.iter().map(|e| Arc::new(annotate(&e.parsed.stmt, &e.parsed.arena))).collect();
         stats.annotate_micros = t_ann.elapsed().as_micros();
 
-        // Phase 4: assemble statements in script order (duplicates share
+        // Assemble statements in script order (duplicates share
         // the unique entry's Arcs) and fold the context.
         let t_ctx = Instant::now();
         let analyzed: Vec<AnalyzedStatement> = self
@@ -408,15 +409,14 @@ impl ContextBuilder {
             .iter()
             .zip(&self.spans)
             .map(|(&slot, &span)| {
-                let (text_hash, template_hash, _) = keys[slot];
-                let (parsed, diags) = &parsed[slot];
+                let e = &uniques[slot];
                 AnalyzedStatement {
-                    parsed: Arc::clone(parsed),
+                    parsed: Arc::clone(&e.parsed),
                     ann: Arc::clone(&anns[slot]),
-                    text_hash,
-                    template_hash,
+                    text_hash: e.hash,
+                    template_hash: e.fingerprint,
                     span,
-                    diags: Arc::clone(diags),
+                    diags: Arc::clone(&e.diags),
                 }
             })
             .collect();
@@ -436,11 +436,7 @@ impl ContextBuilder {
         // every profile counter is additive over statements, so this is
         // identical to folding each duplicate individually.
         let workload = WorkloadProfile::build_weighted(
-            parsed
-                .iter()
-                .zip(&anns)
-                .zip(&keys)
-                .map(|(((p, _), ann), &(_, _, count))| (&p.stmt, ann.as_ref(), count)),
+            uniques.iter().zip(&anns).map(|(e, ann)| (&e.parsed.stmt, ann.as_ref(), e.count)),
             &schema,
         );
         stats.context_micros = t_ctx.elapsed().as_micros();
@@ -464,7 +460,7 @@ impl ContextBuilder {
                 workload,
                 data,
                 diagnostics,
-                limits_epoch: limits.epoch(),
+                limits_epoch: self.opts.limits.epoch(),
                 dialect,
             },
             stats,

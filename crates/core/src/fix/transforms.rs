@@ -15,6 +15,7 @@ use sqlcheck_parser::render::ToSql;
 use sqlcheck_parser::IStr;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 fn statement_at<'c>(d: &Detection, ctx: &'c Context) -> Option<&'c ParsedStatement> {
     d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.parsed.as_ref())
@@ -37,7 +38,7 @@ pub fn implicit_columns(d: &Detection, ctx: &Context) -> Option<Fix> {
     let mut fixed = ins.clone();
     fixed.columns = table.columns.iter().map(|c| c.name.clone()).collect();
     let fixed = fixed.to_sql(&parsed.arena).into();
-    Some(Fix::Rewrite { original: parsed.text().into(), fixed })
+    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed })
 }
 
 /// Column Wildcard: expand `*` to the explicit column list when every
@@ -60,7 +61,7 @@ pub fn column_wildcard(d: &Detection, ctx: &Context) -> Option<Fix> {
         }
     }
     fixed.items = new_items;
-    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
+    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
 }
 
 fn expand_wildcard(
@@ -121,7 +122,7 @@ pub fn concatenate_nulls(d: &Detection, ctx: &Context) -> Option<Fix> {
     if !changed {
         return None;
     }
-    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
+    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
 }
 
 fn rewrite_concat(arena: &mut ExprArena, id: ExprId, changed: &mut bool) -> ExprId {
@@ -215,7 +216,7 @@ pub fn distinct_join(d: &Detection, ctx: &Context) -> Option<Fix> {
         Some(w) => arena.alloc(Expr::Binary { left: w, op: "AND".into(), right: exists }),
         None => exists,
     });
-    Some(Fix::Rewrite { original: parsed.text().into(), fixed: fixed.to_sql(&arena).into() })
+    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
 }
 
 /// Enumerated Types (Fig 5): introduce a lookup table and re-point the
@@ -246,7 +247,7 @@ pub fn enumerated_types(d: &Detection, ctx: &Context, impacts: &ImpactIndex<'_>)
     let impacted = impacts
         .impacted(&table, &column)
         .into_iter()
-        .map(|i| (i, ctx.statements[i].parsed.text()))
+        .map(|i| (i, ctx.statements[i].parsed.text().to_owned()))
         .collect();
     Some(Fix::SchemaChange { statements, impacted_queries: impacted })
 }
@@ -473,7 +474,7 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
                 }
             }
             changed.then(|| Fix::Rewrite {
-                original: parsed.text().into(),
+                original: Arc::clone(&parsed.source),
                 fixed: fixed.to_sql(&parsed.arena).into(),
             })
         }

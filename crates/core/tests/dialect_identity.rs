@@ -14,14 +14,14 @@
 //!    `cold_reverts` — not as a correctness `fallback` — and still
 //!    matches a cold check byte-for-byte.
 //! 5. **One dialect end to end**: every statement the pipeline builds is
-//!    tokenized under the dialect it was split under, cold and through a
+//!    parsed under the dialect it was split under, cold and through a
 //!    session re-check.
 
 use sqlcheck::{
     AntiPatternKind, ContextBuilder, DiagKind, Dialect, Edit, FrontendOptions, Locus, SqlCheck,
     WorkloadOutcome,
 };
-use sqlcheck_parser::lexer::tokenize;
+use sqlcheck_parser::parse_one;
 
 /// Render every outcome surface; equality here is the byte-identity bar.
 fn fingerprint(w: &WorkloadOutcome) -> String {
@@ -242,8 +242,9 @@ fn mysql_session_recheck_materialises_under_mysql() {
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
 }
 
-/// Under every dialect, each statement the context builder keeps has the
-/// tokens its source span lexes to under that dialect.
+/// Under every dialect, each statement the context builder keeps holds
+/// its source span's text and the tree a fresh parse of that text under
+/// that dialect builds.
 #[test]
 fn built_statements_are_lexed_under_their_dialect() {
     let script = format!(
@@ -259,12 +260,12 @@ fn built_statements_are_lexed_under_their_dialect() {
         assert!(ctx.len() >= 4, "{d}: {} statements", ctx.len());
         for (i, st) in ctx.statements.iter().enumerate() {
             let text = &script[st.span.start..st.span.end];
-            let kinds_and_texts = |toks: &[sqlcheck_parser::Token]| -> Vec<_> {
-                toks.iter().map(|t| (t.kind, t.text.to_string())).collect()
-            };
-            let built = kinds_and_texts(&st.parsed.tokens);
-            let expected = kinds_and_texts(&tokenize(text, d));
-            assert_eq!(built, expected, "{d}: statement {i} {text:?}");
+            assert_eq!(st.parsed.text(), text, "{d}: statement {i}");
+            assert_eq!(
+                st.parsed.to_sql(),
+                parse_one(text, d).to_sql(),
+                "{d}: statement {i} {text:?}"
+            );
         }
     }
 }

@@ -9,16 +9,24 @@
 
 use crate::arena::{ExprArena, ExprId, ExprRange};
 use crate::istr::IStr;
-use crate::token::{Span, Token};
+use crate::token::Span;
+use std::sync::Arc;
 
-/// A parsed statement together with the raw tokens it came from.
+/// A parsed statement together with the source text it came from.
+///
+/// The statement's tokens are transient parse input: they are dropped
+/// once the tree is built, and only the source text is kept. Anything
+/// that needs tokens again (templates, fingerprints) re-lexes
+/// [`ParsedStatement::source`] under an explicit dialect.
 #[derive(Debug, Clone)]
 pub struct ParsedStatement {
     /// Structural interpretation of the statement.
     pub stmt: Statement,
-    /// The original token stream (trivia included) — the fallback
+    /// The statement's source text (trivia included) — the fallback
     /// representation used when a fix cannot be expressed structurally.
-    pub tokens: Vec<Token>,
+    /// Shared, so a rewrite fix can hold the original text without a
+    /// copy.
+    pub source: Arc<str>,
     /// Arena owning every expression node of `stmt`, including compound
     /// body sub-statements. All `ExprId`/`ExprRange` indices in the tree
     /// resolve here.
@@ -27,8 +35,8 @@ pub struct ParsedStatement {
 
 impl ParsedStatement {
     /// Original statement text.
-    pub fn text(&self) -> String {
-        self.tokens.iter().map(|t| t.text.as_str()).collect()
+    pub fn text(&self) -> &str {
+        &self.source
     }
 }
 

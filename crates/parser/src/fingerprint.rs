@@ -32,6 +32,8 @@
 //!   group — which is exactly what `detect_batch` does.
 
 use crate::ast::ParsedStatement;
+use crate::dialect::Dialect;
+use crate::lexer::{lex_spans, tokenize_significant};
 use crate::token::{Token, TokenKind};
 
 /// FNV-1a 64-bit offset basis.
@@ -566,23 +568,28 @@ pub fn fingerprint_spanned(src: &str, tokens: &[crate::lexer::SpannedToken]) -> 
 impl ParsedStatement {
     /// The statement's normalized template (literals → `?`, case and
     /// whitespace folded — see [`crate::fingerprint`] for exact
-    /// semantics).
-    pub fn template(&self) -> String {
-        template_of(&self.tokens)
+    /// semantics), re-lexing [`ParsedStatement::source`] under
+    /// `dialect`, which must be the dialect the statement was parsed
+    /// under.
+    pub fn template(&self, dialect: Dialect) -> String {
+        template_of(&tokenize_significant(&self.source, dialect))
     }
 
     /// The statement's template fingerprint: a deterministic 64-bit hash
-    /// of [`ParsedStatement::template`]. Statements that differ only in
-    /// literal values, literal-list lengths, keyword/identifier case, or
-    /// whitespace share a fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint_of(&self.tokens)
+    /// of [`ParsedStatement::template`] under the same `dialect`.
+    /// Statements that differ only in literal values, literal-list
+    /// lengths, keyword/identifier case, or whitespace share a
+    /// fingerprint.
+    pub fn fingerprint(&self, dialect: Dialect) -> u64 {
+        fingerprint_spanned(&self.source, &lex_spans(&self.source, dialect))
     }
 
     /// The statement's literal-sensitive content hash (see
-    /// [`content_hash_of`]).
+    /// [`content_hash_of`]): the hash of its source bytes. A statement's
+    /// tokens concatenate to its source under every dialect, so this one
+    /// needs no dialect and no re-lex.
     pub fn content_hash(&self) -> u128 {
-        content_hash_of(&self.tokens)
+        content_hash_bytes(self.source.as_bytes())
     }
 }
 
@@ -590,10 +597,9 @@ impl ParsedStatement {
 mod tests {
     use super::*;
     use crate::parser::parse_one;
-    use crate::dialect::Dialect;
 
     fn fp(sql: &str) -> u64 {
-        parse_one(sql, Dialect::Generic).fingerprint()
+        parse_one(sql, Dialect::Generic).fingerprint(Dialect::Generic)
     }
 
     #[test]
@@ -663,7 +669,7 @@ mod tests {
     #[test]
     fn template_text_is_readable() {
         let sql = "SELECT  *  FROM Users WHERE Name = 'N' AND id IN (1,2,3);";
-        let t = parse_one(sql, Dialect::Generic).template();
+        let t = parse_one(sql, Dialect::Generic).template(Dialect::Generic);
         assert_eq!(t, "SELECT * FROM users WHERE name = ? AND id IN ( ? )");
     }
 
@@ -701,10 +707,10 @@ mod tests {
         for sql in corpus {
             let p = parse_one(sql, Dialect::Generic);
             assert_eq!(
-                p.fingerprint(),
-                fnv1a(p.template().as_bytes()),
+                p.fingerprint(Dialect::Generic),
+                fnv1a(p.template(Dialect::Generic).as_bytes()),
                 "streaming vs rendered template diverged on {sql:?} (template {:?})",
-                p.template()
+                p.template(Dialect::Generic)
             );
         }
     }

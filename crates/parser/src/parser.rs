@@ -26,7 +26,7 @@ pub fn parse(script: &str) -> Vec<ParsedStatement> {
 
 /// Parse a single statement under `dialect`. If the input contains
 /// several statements the first one is returned; an all-trivia input
-/// yields `Statement::Other` carrying the input's tokens. Default
+/// yields `Statement::Other` whose source is the whole input. Default
 /// [`Limits`] apply.
 pub fn parse_one(sql: &str, dialect: Dialect) -> ParsedStatement {
     match split_spans(sql, dialect).0.first() {
@@ -35,7 +35,7 @@ pub fn parse_one(sql: &str, dialect: Dialect) -> ParsedStatement {
         }
         None => ParsedStatement {
             stmt: Statement::Other(OtherStatement { leading_keyword: IStr::empty() }),
-            tokens: crate::lexer::tokenize(sql, dialect),
+            source: sql.into(),
             arena: ExprArena::new(),
         },
     }
@@ -136,23 +136,23 @@ pub fn parse_raw_limited(
     dialect: Dialect,
 ) -> (ParsedStatement, Vec<Diagnostic>) {
     let mut diags = Vec::new();
-    let mut sig: Vec<Token> = Vec::with_capacity(raw.tokens.len());
-    sig.extend(raw.tokens.iter().filter(|t| !t.is_trivia()).cloned());
-    if raw.source.len() > limits.max_statement_bytes || raw.tokens.len() > limits.max_tokens {
+    let (bytes, token_count) = (raw.source.len(), raw.tokens.len());
+    // The owned token vector becomes the significant-token parse input in
+    // place; it is dropped when this function returns.
+    let mut sig = raw.tokens;
+    sig.retain(|t| !t.is_trivia());
+    if bytes > limits.max_statement_bytes || token_count > limits.max_tokens {
         let leading = sig.first().map(|t| t.upper()).unwrap_or_default();
         diags.push(Diagnostic::new(
             DiagKind::OverLimit,
             format!(
-                "statement skipped structural parse: {} bytes / {} tokens exceeds budget \
-                 ({} bytes / {} tokens)",
-                raw.source.len(),
-                raw.tokens.len(),
-                limits.max_statement_bytes,
-                limits.max_tokens,
+                "statement skipped structural parse: {bytes} bytes / {token_count} tokens \
+                 exceeds budget ({} bytes / {} tokens)",
+                limits.max_statement_bytes, limits.max_tokens,
             ),
         ));
         let stmt = Statement::Other(OtherStatement { leading_keyword: leading });
-        return (ParsedStatement { stmt, tokens: raw.tokens, arena: ExprArena::new() }, diags);
+        return (ParsedStatement { stmt, source: raw.source, arena: ExprArena::new() }, diags);
     }
 
     // Arm the recursion budgets and clear the degradation flags. Depth
@@ -210,7 +210,7 @@ pub fn parse_raw_limited(
     } else if expr_degraded {
         diags.push(Diagnostic::new(DiagKind::ExprDegraded, "sub-expression fell back to Raw"));
     }
-    (ParsedStatement { stmt, tokens: raw.tokens, arena: take_arena() }, diags)
+    (ParsedStatement { stmt, source: raw.source, arena: take_arena() }, diags)
 }
 
 fn parse_tokens(sig: &[Token]) -> Statement {

@@ -551,7 +551,7 @@ impl ToSql for Statement {
             Statement::Update(s) => s.write_sql(arena, out),
             Statement::Delete(s) => s.write_sql(arena, out),
             Statement::Drop(s) => s.write_sql(arena, out),
-            // Compound DDL renders from the original token text at the
+            // Compound DDL renders from the original source text at the
             // ParsedStatement level (like Other): the body's dialect
             // details (delimiters, characteristics) are not modelled
             // losslessly enough to re-render canonically.
@@ -566,14 +566,14 @@ impl ParsedStatement {
     /// against the statement's own [`ExprArena`].
     ///
     /// `Other` statements — and compound DDL, whose bodies are not
-    /// re-rendered canonically — render as their original token text;
+    /// re-rendered canonically — render as their original source text;
     /// shaped statements render canonically.
     pub fn write_sql(&self, out: &mut String) {
         if matches!(
             self.stmt,
             Statement::Other(_) | Statement::CreateTrigger(_) | Statement::CreateRoutine(_)
         ) {
-            out.push_str(&self.text());
+            out.push_str(self.text());
         } else {
             self.stmt.write_sql(&self.arena, out);
         }

@@ -13,8 +13,11 @@
 //! by their exact bytes, and the lex + content-hash + fingerprint pass
 //! runs once per **unique** text. No whole-script token buffer is ever
 //! built; per-statement token vectors exist only for the texts a consumer
-//! [materialises](SplitStatement::materialize) for parsing. [`split`] is
-//! the owned-token view of the same pass.
+//! [materialises](SplitStatement::materialize) for parsing, and only until
+//! they are parsed: tokens are transient parse input, and a
+//! [`ParsedStatement`](crate::ast::ParsedStatement) keeps the statement's
+//! source text, not its tokens. [`split`] is the owned-token view of the
+//! same pass.
 //!
 //! Every entry point takes the [`Dialect`] the script is lexed under, and
 //! a statement must be materialised under the dialect it was split
@@ -32,6 +35,7 @@ use crate::lexer::{lex_into, TokenSink};
 use crate::token::{Span, Token, TokenKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// One raw statement: its tokens (trivia included), overall span, and
 /// source text.
@@ -43,8 +47,9 @@ pub struct RawStatement {
     pub span: Span,
     /// The statement's source text, sliced from the original script at
     /// materialisation time (trivia is kept inside statements, so the
-    /// span is one contiguous slice).
-    pub source: Box<str>,
+    /// span is one contiguous slice). Parsing moves it into the
+    /// [`ParsedStatement`](crate::ast::ParsedStatement) unchanged.
+    pub source: Arc<str>,
 }
 
 impl RawStatement {
@@ -120,9 +125,13 @@ impl SplitStatement {
 /// significant-token boundaries.
 pub fn materialize_span(script: &str, span: Span, dialect: Dialect) -> RawStatement {
     let slice = &script[span.start..span.end];
+    // The source outlives the tokens (a parse keeps it and drops them),
+    // so it is allocated first: the token vector's growth and free then
+    // happen above it instead of leaving a hole beneath a pinned string.
+    let source: Arc<str> = slice.into();
     let mut sink = MaterializeSink { src: slice, base: span.start, out: Vec::new() };
     lex_into(slice, dialect, &mut sink);
-    RawStatement { tokens: sink.out, span, source: slice.into() }
+    RawStatement { tokens: sink.out, span, source }
 }
 
 /// Sink building owned tokens with spans rebased to the original script.
@@ -608,7 +617,7 @@ mod tests {
                 G,
             )
             .0;
-            assert_eq!(c.fingerprint, parsed.fingerprint());
+            assert_eq!(c.fingerprint, parsed.fingerprint(G));
             assert_eq!(c.content_hash, parsed.content_hash());
         }
         // Literal-only variants share a template but not a content hash.

@@ -94,8 +94,8 @@ fn over_byte_budget_skips_structural_parse() {
     let Statement::Other(o) = &p.stmt else { panic!("expected Other, got {:?}", p.stmt) };
     assert_eq!(o.leading_keyword, "SELECT");
     assert_eq!(diag_kinds(&diags), vec![DiagKind::OverLimit]);
-    // Tokens are preserved even when the structural parse is skipped.
-    assert!(!p.tokens.is_empty());
+    // The source text is preserved even when the structural parse is skipped.
+    assert_eq!(p.text(), sql);
 }
 
 #[test]
@@ -136,10 +136,10 @@ fn unshaped_statement_is_diagnosed_as_degraded() {
 
 #[test]
 fn parse_one_handles_trivia_and_statements() {
-    // All-trivia input: tokens preserved without a second tokenize pass.
+    // All-trivia input: the whole input is kept as the source.
     let p = parse_one("  -- just a comment\n  ", Dialect::Generic);
     assert!(matches!(&p.stmt, Statement::Other(o) if o.leading_keyword.is_empty()));
-    assert!(!p.tokens.is_empty());
+    assert_eq!(p.text(), "  -- just a comment\n  ");
     // Normal input: first statement of several.
     let p = parse_one("SELECT a FROM t; SELECT b FROM u;", Dialect::Generic);
     let Statement::Select(s) = &p.stmt else { panic!("{:?}", p.stmt) };
