@@ -5,7 +5,8 @@
 //! expdriver fig3           # Fig 3a–c   MVA task timings
 //! expdriver fig7           # Fig 6/7    ranking model + Example 6
 //! expdriver fig8           # Fig 8a–i   per-AP timings
-//! expdriver table2         # Table 2    sqlcheck vs dbdeo accuracy
+//! expdriver table2         # Table 2    sqlcheck vs dbdeo accuracy; with --quick
+//!                          # also gates sqlcheck precision/recall floors
 //! expdriver table3         # Table 3    AP distributions (GitHub + study)
 //! expdriver table4         # Table 4/7  Django applications
 //! expdriver table5         # Table 5/6  Kaggle databases
@@ -226,7 +227,15 @@ fn main() {
     };
     if run_all || what == "table2" {
         section("Table 2 — detection of anti-patterns (sqlcheck vs dbdeo)");
-        print!("{}", table2::render(table2_result.as_ref().unwrap()));
+        let result = table2_result.as_ref().unwrap();
+        print!("{}", table2::render(result));
+        // The floors hold for the `--quick` corpus only.
+        if quick {
+            if let Err(e) = table2::check_floors(result, &table2::QUICK_FLOORS) {
+                panic!("sqlcheck accuracy fell below its floors: {e}");
+            }
+            println!("gate ok: sqlcheck precision and recall at or above their floors");
+        }
     }
     if run_all || what == "table3" {
         section("Table 3 — AP distribution: GitHub corpus (D vs S)");

@@ -68,6 +68,8 @@ pub struct Table2Result {
     pub rows: BTreeMap<AntiPatternKind, Table2Row>,
     /// sqlcheck aggregate accuracy (per (statement, kind) decisions).
     pub sqlcheck: Accuracy,
+    /// sqlcheck accuracy per kind (kinds it detected or missed).
+    pub sqlcheck_per_kind: BTreeMap<AntiPatternKind, Accuracy>,
     /// dbdeo aggregate accuracy.
     pub dbdeo: Accuracy,
     /// Per-kind detection totals: (dbdeo, sqlcheck-intra, sqlcheck-full).
@@ -166,16 +168,20 @@ pub fn run(cfg: CorpusConfig) -> Table2Result {
         }
 
         // Aggregate accuracy per tool over all (statement, kind) decisions.
-        for key in &s_full {
+        for key @ (_, kind) in &s_full {
+            let per_kind = result.sqlcheck_per_kind.entry(*kind).or_default();
             if t.contains(key) {
                 result.sqlcheck.tp += 1;
+                per_kind.tp += 1;
             } else {
                 result.sqlcheck.fp += 1;
+                per_kind.fp += 1;
             }
         }
-        for key in &t {
+        for key @ (_, kind) in &t {
             if !s_full.contains(key) {
                 result.sqlcheck.fn_ += 1;
+                result.sqlcheck_per_kind.entry(*kind).or_default().fn_ += 1;
             }
             if !d.contains(key) {
                 result.dbdeo.fn_ += 1;
@@ -201,6 +207,65 @@ pub fn run(cfg: CorpusConfig) -> Table2Result {
         }
     }
     result
+}
+
+/// sqlcheck's precision and recall floors on the `--quick` corpus (60
+/// repositories of 60 statements, seed `0x9178B`): overall (`None`) and
+/// per kind, each today's value cut to four decimals, so one more false
+/// positive or false negative in any row fails [`check_floors`]. Overall
+/// today: precision 1518/1582 (0.960), recall 1518/1520 (0.999).
+pub const QUICK_FLOORS: [(Option<AntiPatternKind>, f64, f64); 14] = {
+    use AntiPatternKind::*;
+    [
+        (None, 0.9595, 0.9986),
+        (Some(MultiValuedAttribute), 0.6683, 1.0),
+        (Some(NoPrimaryKey), 1.0, 1.0),
+        (Some(DataInMetadata), 1.0, 1.0),
+        (Some(AdjacencyList), 1.0, 1.0),
+        (Some(GodTable), 1.0, 1.0),
+        (Some(RoundingErrors), 1.0, 1.0),
+        (Some(EnumeratedTypes), 1.0, 1.0),
+        (Some(CloneTable), 1.0, 0.9891),
+        (Some(ColumnWildcard), 1.0, 1.0),
+        (Some(OrderingByRand), 1.0, 1.0),
+        (Some(PatternMatching), 1.0, 1.0),
+        (Some(ImplicitColumns), 1.0, 1.0),
+        (Some(ReadablePassword), 1.0, 1.0),
+    ]
+};
+
+/// Check sqlcheck's accuracy in `result` against `floors` (see
+/// [`QUICK_FLOORS`]). The error names every row below its floor and
+/// every kind sqlcheck reported that has no floor.
+pub fn check_floors(
+    result: &Table2Result,
+    floors: &[(Option<AntiPatternKind>, f64, f64)],
+) -> Result<(), String> {
+    let mut short: Vec<String> = result
+        .sqlcheck_per_kind
+        .keys()
+        .filter(|k| !floors.iter().any(|(f, ..)| *f == Some(**k)))
+        .map(|k| format!("{}: no floor", k.name()))
+        .collect();
+    for &(kind, p, r) in floors {
+        let a = match kind {
+            Some(k) => result.sqlcheck_per_kind.get(&k).cloned().unwrap_or_default(),
+            None => result.sqlcheck.clone(),
+        };
+        if a.precision() < p || a.recall() < r {
+            short.push(format!(
+                "{}: precision {:.4} (floor {p}), recall {:.4} (floor {r})",
+                kind.map_or("overall", |k| k.name()),
+                a.precision(),
+                a.recall()
+            ));
+        }
+    }
+    if short.is_empty() {
+        Ok(())
+    } else {
+        Err(short.join("; "))
+    }
 }
 
 /// Render the Table 2 comparison.
@@ -258,6 +323,17 @@ pub fn render(result: &Table2Result) -> String {
         result.dbdeo.fp,
         result.dbdeo.fn_
     ));
+    for (kind, a) in &result.sqlcheck_per_kind {
+        out.push_str(&format!(
+            "  {:<26} precision {:.4}  recall {:.4}  (TP {} FP {} FN {})\n",
+            kind.name(),
+            a.precision(),
+            a.recall(),
+            a.tp,
+            a.fp,
+            a.fn_
+        ));
+    }
     let fewer_fp = 1.0 - result.sqlcheck.fp as f64 / result.dbdeo.fp.max(1) as f64;
     let fewer_fn = 1.0 - result.sqlcheck.fn_ as f64 / result.dbdeo.fn_.max(1) as f64;
     out.push_str(&format!(
@@ -342,6 +418,27 @@ mod tests {
             }
         }
         assert!(some_kind_shrinks, "context analysis suppressed at least one FP family");
+    }
+
+    #[test]
+    fn quick_floors_hold_and_catch_one_more_error() {
+        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let r = run(CorpusConfig { repositories: 60, statements_per_repo: 60, seed: 0x9178B });
+        assert_eq!(check_floors(&r, &QUICK_FLOORS), Ok(()));
+        for kind in r.sqlcheck_per_kind.keys() {
+            let mut worse = r.clone();
+            worse.sqlcheck_per_kind.get_mut(kind).unwrap().fp += 1;
+            assert!(check_floors(&worse, &QUICK_FLOORS).is_err(), "{kind}: one more FP");
+            let mut worse = r.clone();
+            worse.sqlcheck_per_kind.get_mut(kind).unwrap().fn_ += 1;
+            assert!(check_floors(&worse, &QUICK_FLOORS).is_err(), "{kind}: one more FN");
+        }
+        let mut worse = r.clone();
+        worse.sqlcheck.fp += 1;
+        assert!(check_floors(&worse, &QUICK_FLOORS).is_err(), "overall: one more FP");
+        worse = r;
+        worse.sqlcheck.fn_ += 1;
+        assert!(check_floors(&worse, &QUICK_FLOORS).is_err(), "overall: one more FN");
     }
 
     #[test]

@@ -17,54 +17,49 @@
 //! [`FrontendOptions`] (budgets, dialect, dialect detection). The
 //! per-occurrence [`crate::detect::reference::context`] is its test
 //! oracle.
+//!
+//! The query context is [`Context::statements`], one per occurrence,
+//! pointing by id into [`Context::uniques`], the table of distinct texts.
+//! The builder fills the table at intake; the engine and a
+//! [`CheckSession`](crate::CheckSession) read and update that one table.
 
 pub mod data;
 pub mod schema;
+mod table;
 pub mod workload;
 
 pub use data::{ColumnProfile, DataAnalysisConfig, DataProfile, TableProfile};
 pub use schema::{CheckInfo, ColumnInfo, FkInfo, IndexInfo, SchemaCatalog, SchemaVersions, TableInfo};
+pub use table::{UniqueTable, UniqueText};
 pub use workload::{ColumnUsage, JoinEdge, StatementContribution, WorkloadProfile};
 
-use crate::hashutil::Prehashed;
 use sqlcheck_minidb::database::Database;
-use sqlcheck_parser::annotate::{annotate, Annotations};
+use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
-use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::split_deduped;
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One statement with its annotations, as stored in the context.
+/// One statement occurrence, as stored in the context.
 ///
-/// The parse tree and annotation digest are held behind [`Arc`]s: the
-/// parse-once front-end parses and annotates each *unique* statement text
-/// exactly once and shares the result across every duplicate occurrence.
-/// Duplicates are therefore value-identical (same text, same tree, same
-/// annotations). Token *spans* inside the shared tree refer to the first
-/// occurrence; [`AnalyzedStatement::span`] is the per-occurrence side
-/// record, so consumers that need the exact source location of a
-/// duplicate (reports, fixes) read it from here, never from the tree.
+/// The parse tree, annotations and diagnostics are the [`Arc`]s of its
+/// entry in [`Context::uniques`]: each unique text is parsed and
+/// annotated once and shared by every occurrence. Token *spans* inside
+/// the shared tree refer to the first occurrence; [`AnalyzedStatement::span`]
+/// is the per-occurrence record, so consumers that need the exact source
+/// location of a duplicate (reports, fixes) read it from here, never
+/// from the tree.
 #[derive(Debug, Clone)]
 pub struct AnalyzedStatement {
     /// The parsed statement (shared across duplicate texts).
     pub parsed: Arc<ParsedStatement>,
     /// Its annotation digest (shared across duplicate texts).
     pub ann: Arc<Annotations>,
-    /// Literal-sensitive 128-bit content hash of the token stream
-    /// (span-insensitive), precomputed at build time so batch detection
-    /// can group duplicate statements in O(1) per statement without
-    /// re-walking tokens.
-    pub text_hash: u128,
-    /// Literal-insensitive template fingerprint
-    /// ([`sqlcheck_parser::fingerprint`]), computed by the splitter once
-    /// per unique text — batch detection counts unique templates without
-    /// re-walking tokens.
-    pub template_hash: u64,
+    /// Id of its text in [`Context::uniques`].
+    pub unique: usize,
     /// Byte range of **this occurrence** in the original script — not
     /// shared across duplicates.
     pub span: Span,
@@ -79,6 +74,8 @@ pub struct AnalyzedStatement {
 pub struct Context {
     /// All analysed statements, in script order.
     pub statements: Vec<AnalyzedStatement>,
+    /// The unique statement texts the statements refer to.
+    pub uniques: UniqueTable,
     /// Schema catalog (from DDL and/or the attached database).
     pub schema: SchemaCatalog,
     /// Workload profile.
@@ -124,6 +121,38 @@ impl Context {
         self.schema.add_missing_tables(db);
         self.data = Some(DataProfile::build(db, cfg));
     }
+
+    /// The index of the first statement of each unique id
+    /// (`usize::MAX` for an id no statement refers to).
+    pub(crate) fn first_occurrences(&self) -> Vec<usize> {
+        let mut first = vec![usize::MAX; self.uniques.id_bound()];
+        for (i, s) in self.statements.iter().enumerate() {
+            if first[s.unique] == usize::MAX {
+                first[s.unique] = i;
+            }
+        }
+        first
+    }
+
+    /// Fold the schema from the statements in order, then the tables of
+    /// `db` the DDL does not declare, then the workload profile once per
+    /// live unique text weighted by its count (every profile counter is
+    /// additive, so this equals folding each occurrence).
+    pub(crate) fn refold(&mut self, db: Option<&Database>) {
+        let mut schema =
+            SchemaCatalog::from_statements(self.statements.iter().map(|a| &a.parsed.stmt));
+        if let Some(db) = db {
+            schema.add_missing_tables(db);
+        }
+        self.workload = WorkloadProfile::build_weighted(
+            self.uniques
+                .iter()
+                .filter(|(_, u)| u.count > 0)
+                .map(|(_, u)| (&u.parsed.stmt, u.ann.as_ref(), u.count)),
+            &schema,
+        );
+        self.schema = schema;
+    }
 }
 
 /// Instrumentation of one [`ContextBuilder::build_with_stats`] run: where
@@ -138,30 +167,30 @@ pub struct FrontendStats {
     pub unique_texts: usize,
     /// Wall-clock microseconds in the split pass ([`split_deduped`]):
     /// statement splitting, dedup grouping, and content hashing and
-    /// template fingerprinting of each unique text. Excludes
-    /// unique-text materialisation ([`FrontendStats::materialize_micros`]).
+    /// template fingerprinting of each unique text.
     pub split_micros: u128,
-    /// Wall-clock microseconds spent materialising token streams for
-    /// unique statement texts at intake (re-lexing each unique span into
-    /// owned tokens). Previously lumped into `split_micros`.
+    /// Wall-clock microseconds materialising the token streams of new
+    /// unique texts at intake.
     pub materialize_micros: u128,
-    /// Wall-clock microseconds spent in dedup intake bookkeeping:
-    /// mapping script-local unique slots onto builder slots and
-    /// recording per-occurrence spans. Excludes the materialise and
-    /// parse time of new unique texts, which runs inside intake but is
-    /// reported in [`FrontendStats::materialize_micros`] and
-    /// [`FrontendStats::parse_micros`].
+    /// Wall-clock microseconds in intake bookkeeping (table lookups and
+    /// occurrence records), excluding the materialise, parse and annotate
+    /// time of new unique texts that intake runs.
     pub intake_micros: u128,
-    /// Wall-clock microseconds spent parsing unique statements. Each new
-    /// unique text is parsed at intake, right after it is materialised,
-    /// and its token vector is dropped before the next one is built;
-    /// that time is summed here, not in `intake_micros`.
+    /// Wall-clock microseconds parsing new unique texts at intake, each
+    /// right after it is materialised (its tokens are then dropped).
     pub parse_micros: u128,
-    /// Wall-clock microseconds spent annotating unique statements.
+    /// Wall-clock microseconds annotating new unique texts at intake.
     pub annotate_micros: u128,
     /// Wall-clock microseconds spent folding schema, workload, and data
     /// context.
     pub context_micros: u128,
+}
+
+impl FrontendStats {
+    /// Microseconds materialising, parsing and annotating new unique texts.
+    fn unique_micros(&self) -> u128 {
+        self.materialize_micros + self.parse_micros + self.annotate_micros
+    }
 }
 
 /// Options for the parse-once front-end: the one options type every
@@ -174,8 +203,7 @@ pub struct FrontendOptions {
     /// `Other` with an [`DiagKind::OverLimit`] diagnostic.
     pub limits: Limits,
     /// The dialect the whole front door (lexer → splitter → parser)
-    /// applies. [`Dialect::Generic`] is the historical tolerant union
-    /// and is byte-identical to the pre-dialect behaviour.
+    /// applies; [`Dialect::Generic`] is the tolerant union of all.
     pub dialect: Dialect,
     /// Guess the dialect from the first added script's contents
     /// ([`Dialect::detect`]) when `dialect` is [`Dialect::Generic`]. A
@@ -222,49 +250,26 @@ impl Default for FrontendOptions {
     }
 }
 
-/// One unique statement text during the build: its parse tree (which
-/// holds the source text) and parse diagnostics, content hash, template
-/// fingerprint, and occurrence count. The text was parsed at intake; its
-/// tokens are gone.
-struct UniqueEntry {
-    parsed: Arc<ParsedStatement>,
-    diags: Arc<[Diagnostic]>,
-    hash: u128,
-    fingerprint: u64,
-    count: usize,
-}
-
 /// Builder for [`Context`] — the parse-once front-end.
 ///
 /// Scripts enter through [`split_deduped`], which splits the script,
 /// groups duplicate texts, and content-hashes and fingerprints each
 /// unique text — before parsing, and without materialising a token
-/// stream. Each **unique** text is materialised and parsed at intake,
-/// one at a time, so at most one token vector is live: a unique text
-/// keeps only its source, tree and diagnostics, and gains its
-/// annotations at build time. Trees and annotations are shared across
-/// duplicate occurrences via [`Arc`]. The one [`FrontendOptions`]
-/// dialect governs every step. [`crate::detect::reference::context`]
-/// builds the same context without any sharing; the identity suites
-/// compare the two.
+/// stream. Each text the context's [`UniqueTable`] does not hold yet is
+/// materialised, parsed and annotated at intake, one at a time, so at
+/// most one token vector is live: a unique text keeps only its source,
+/// tree, annotations and diagnostics, shared across its occurrences via
+/// [`Arc`]. The one [`FrontendOptions`] dialect governs every step.
+/// [`crate::detect::reference::context`] builds the same context without
+/// any sharing; the identity suites compare the two.
 #[derive(Default)]
 pub struct ContextBuilder {
-    /// Unique statement texts, in first-occurrence order.
-    uniques: Vec<UniqueEntry>,
-    /// Statement order: index into `uniques` per statement.
-    order: Vec<usize>,
-    /// Per-occurrence source spans, parallel to `order`. Dedup shares the
-    /// parse tree across duplicates, but every occurrence keeps its own
-    /// span so detections and fixes can point at the exact location.
-    spans: Vec<Span>,
-    /// Content hash → slot in `uniques`.
-    slot_of: HashMap<u128, usize, Prehashed>,
+    /// The statements and unique texts added so far.
+    ctx: Context,
     database: Option<(Arc<Database>, DataAnalysisConfig)>,
     opts: FrontendOptions,
-    split_micros: u128,
-    materialize_micros: u128,
-    intake_micros: u128,
-    parse_micros: u128,
+    /// Front-end timings accumulated by intake.
+    stats: FrontendStats,
     /// Whether any added script contained a `DELIMITER` directive (see
     /// [`sqlcheck_parser::splitter::DedupedSplit`]).
     saw_delimiter_directive: bool,
@@ -286,10 +291,10 @@ impl ContextBuilder {
 
     /// Add every statement in a SQL script: [`split_deduped`] splits the
     /// script and groups duplicate texts before any parsing. Only texts
-    /// this builder has not seen before are materialised and parsed,
-    /// under the dialect the script was split under, each token vector
-    /// dropped as soon as its text is parsed; a duplicate costs one map
-    /// lookup.
+    /// this builder has not seen before are materialised, parsed and
+    /// annotated, under the dialect the script was split under, each
+    /// token vector dropped as soon as its text is parsed; a duplicate
+    /// costs one map lookup.
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
         if self.resolved_dialect.is_none() {
@@ -298,46 +303,40 @@ impl ContextBuilder {
             self.dialect_diag = diag;
         }
         let dialect = self.dialect();
-        let deduped = split_deduped(script, dialect);
+        let split = split_deduped(script, dialect);
         // The pass above is the split; everything below is intake
         // bookkeeping, accounted separately so warm re-checks
         // (materialization short-circuited, bookkeeping still
         // O(occurrences)) report honest split numbers.
-        self.split_micros += t.elapsed().as_micros();
+        self.stats.split_micros += t.elapsed().as_micros();
         let t_intake = Instant::now();
-        self.saw_delimiter_directive |= deduped.saw_delimiter_directive;
-        let (mut mat_micros, mut parse_micros) = (0u128, 0u128);
-        let limits = &self.opts.limits;
-        let mut slot_map: Vec<usize> = Vec::with_capacity(deduped.uniques.len());
-        for u in &deduped.uniques {
-            let uniques = &mut self.uniques;
-            slot_map.push(*self.slot_of.entry(u.content_hash).or_insert_with(|| {
-                let tm = Instant::now();
-                let raw = u.materialize(script, dialect);
-                let tp = Instant::now();
-                let (parsed, diags) = parse_raw_limited(raw, limits, dialect);
-                mat_micros += (tp - tm).as_micros();
-                parse_micros += tp.elapsed().as_micros();
-                uniques.push(UniqueEntry {
-                    parsed: Arc::new(parsed),
-                    diags: diags.into(),
-                    hash: u.content_hash,
-                    fingerprint: u.fingerprint,
-                    count: 0,
-                });
-                uniques.len() - 1
-            }));
+        self.saw_delimiter_directive |= split.saw_delimiter_directive;
+        let before = self.stats.unique_micros();
+        let uniques = &mut self.ctx.uniques;
+        uniques.reserve(split.uniques.len());
+        let ids: Vec<usize> = split
+            .uniques
+            .iter()
+            .map(|u| uniques.insert(u, script, dialect, &self.opts.limits, &mut self.stats))
+            .collect();
+        // Free the split's per-unique records before the statements grow.
+        drop(split.uniques);
+        let statements = &mut self.ctx.statements;
+        statements.reserve_exact(split.occurrences.len());
+        for (local, span) in split.occurrences {
+            let id = ids[local as usize];
+            uniques.add_occurrence(id);
+            let u = &uniques[id];
+            statements.push(AnalyzedStatement {
+                parsed: Arc::clone(&u.parsed),
+                ann: Arc::clone(&u.ann),
+                unique: id,
+                span,
+                diags: Arc::clone(&u.diags),
+            });
         }
-        for (local, span) in deduped.occurrences {
-            let slot = slot_map[local as usize];
-            self.uniques[slot].count += 1;
-            self.order.push(slot);
-            self.spans.push(span);
-        }
-        self.intake_micros +=
-            t_intake.elapsed().as_micros().saturating_sub(mat_micros + parse_micros);
-        self.materialize_micros += mat_micros;
-        self.parse_micros += parse_micros;
+        let inner = self.stats.unique_micros() - before;
+        self.stats.intake_micros += t_intake.elapsed().as_micros().saturating_sub(inner);
         self
     }
 
@@ -367,15 +366,15 @@ impl ContextBuilder {
     /// governs intake.
     pub fn with_frontend(mut self, opts: FrontendOptions) -> Self {
         assert!(
-            self.order.is_empty(),
+            self.ctx.statements.is_empty(),
             "with_frontend must be called before add_script"
         );
         self.opts = opts;
         self
     }
 
-    /// Build the context: annotate queries, fold the schema, profile the
-    /// workload, and (when a database is attached) profile the data.
+    /// Build the context: fold the schema, profile the workload, and
+    /// (when a database is attached) profile the data.
     pub fn build(self) -> Context {
         self.build_with_stats().0
     }
@@ -383,88 +382,34 @@ impl ContextBuilder {
     /// Like [`ContextBuilder::build`], also returning per-phase front-end
     /// instrumentation.
     pub fn build_with_stats(self) -> (Context, FrontendStats) {
-        let dialect = self.dialect();
-        let uniques = self.uniques;
+        let mut ctx = self.ctx;
         let mut stats = FrontendStats {
-            statements: self.order.len(),
-            unique_texts: uniques.len(),
-            split_micros: self.split_micros,
-            materialize_micros: self.materialize_micros,
-            intake_micros: self.intake_micros,
-            parse_micros: self.parse_micros,
-            ..FrontendStats::default()
+            statements: ctx.statements.len(),
+            unique_texts: ctx.uniques.len(),
+            ..self.stats
         };
 
-        // Annotate each unique parse tree exactly once.
-        let t_ann = Instant::now();
-        let anns: Vec<Arc<Annotations>> =
-            uniques.iter().map(|e| Arc::new(annotate(&e.parsed.stmt, &e.parsed.arena))).collect();
-        stats.annotate_micros = t_ann.elapsed().as_micros();
-
-        // Assemble statements in script order (duplicates share
-        // the unique entry's Arcs) and fold the context.
         let t_ctx = Instant::now();
-        let analyzed: Vec<AnalyzedStatement> = self
-            .order
-            .iter()
-            .zip(&self.spans)
-            .map(|(&slot, &span)| {
-                let e = &uniques[slot];
-                AnalyzedStatement {
-                    parsed: Arc::clone(&e.parsed),
-                    ann: Arc::clone(&anns[slot]),
-                    text_hash: e.hash,
-                    template_hash: e.fingerprint,
-                    span,
-                    diags: Arc::clone(&e.diags),
-                }
-            })
-            .collect();
-
-        let mut schema =
-            SchemaCatalog::from_statements(analyzed.iter().map(|a| &a.parsed.stmt));
-
         // When a database is attached, its live schema augments the DDL-
         // derived catalog (tables created outside the script become
         // visible to the rules).
-        let data = self.database.map(|(db, cfg)| {
-            schema.add_missing_tables(&db);
-            DataProfile::build(&db, &cfg)
-        });
-
-        // Profile once per unique text, weighted by occurrence count —
-        // every profile counter is additive over statements, so this is
-        // identical to folding each duplicate individually.
-        let workload = WorkloadProfile::build_weighted(
-            uniques.iter().zip(&anns).map(|(e, ann)| (&e.parsed.stmt, ann.as_ref(), e.count)),
-            &schema,
-        );
+        ctx.refold(self.database.as_ref().map(|(db, _)| db.as_ref()));
+        ctx.data = self.database.map(|(db, cfg)| DataProfile::build(&db, &cfg));
         stats.context_micros = t_ctx.elapsed().as_micros();
 
-        let mut diagnostics = Vec::new();
         if let Some(d) = self.dialect_diag {
-            diagnostics.push(d);
+            ctx.diagnostics.push(d);
         }
         if self.saw_delimiter_directive {
-            diagnostics.push(Diagnostic::new(
+            ctx.diagnostics.push(Diagnostic::new(
                 DiagKind::DelimiterFallbackSequential,
                 "script contains a DELIMITER directive; the splitter used \
                  the tracked (sequential-equivalent) pass",
             ));
         }
-
-        (
-            Context {
-                statements: analyzed,
-                schema,
-                workload,
-                data,
-                diagnostics,
-                limits_epoch: self.opts.limits.epoch(),
-                dialect,
-            },
-            stats,
-        )
+        ctx.limits_epoch = self.opts.limits.epoch();
+        ctx.dialect = self.resolved_dialect.unwrap_or(self.opts.dialect);
+        (ctx, stats)
     }
 }
 

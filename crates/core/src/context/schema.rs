@@ -171,6 +171,17 @@ impl SchemaCatalog {
         }
     }
 
+    /// Does [`SchemaCatalog::apply`] do anything with `stmt`?
+    pub(crate) fn is_schema_stmt(stmt: &Statement) -> bool {
+        matches!(
+            stmt,
+            Statement::CreateTable(_)
+                | Statement::CreateIndex(_)
+                | Statement::AlterTable(_)
+                | Statement::Drop(_)
+        )
+    }
+
     /// Apply one statement to the catalog.
     pub fn apply(&mut self, stmt: &Statement) {
         match stmt {

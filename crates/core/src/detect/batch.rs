@@ -4,15 +4,15 @@
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
 //!
-//! 1. **Grouping** — statements are grouped by their template
-//!    [fingerprint](sqlcheck_parser::fingerprint) and, within a template,
-//!    by exact statement text. Intra-query rules run **once per unique
-//!    text** and the results fan back out to every occurrence with
-//!    corrected loci. The exact-text key (rather than the fingerprint
-//!    alone) is what makes the fan-out byte-identical to the per-statement
-//!    reference: several rules inspect literal *values* (leading-wildcard
-//!    `LIKE`, token-list `INSERT`s), so two statements sharing a template
-//!    can still differ in their detections.
+//! 1. **Unique texts** — intra-query rules run **once per unique text**
+//!    of the context's [`UniqueTable`](crate::context::UniqueTable), at
+//!    its first occurrence (the engine builds no grouping of its own),
+//!    and the results fan back out to every occurrence with corrected
+//!    loci. The exact-text key (rather than the template
+//!    [fingerprint](sqlcheck_parser::fingerprint)) is what makes the
+//!    fan-out byte-identical to the per-statement reference: several rules
+//!    inspect literal *values* (leading-wildcard `LIKE`, token-list
+//!    `INSERT`s).
 //! 2. **Units** — the intra-query phase slices into per-unique-text
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
@@ -30,16 +30,15 @@
 //!    returns the *same detections in the same order* as the reference,
 //!    for any input.
 
-use crate::context::{Context, SchemaVersions};
-use crate::detect::cache::{DepSet, IncrementalCache};
+use crate::context::{Context, SchemaCatalog, SchemaVersions};
+use crate::detect::cache::{CacheCounters, DepSet, IncrementalCache};
 use crate::detect::schedule::guarded;
 use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
-use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Report};
 use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,16 +55,15 @@ pub struct BatchStats {
     /// Statements whose intra-query results were reused from an earlier
     /// identical statement (`statements - unique_texts`).
     pub cache_hits: usize,
-    /// Wall-clock microseconds spent grouping statements.
+    /// Wall-clock microseconds finding each unique text's first
+    /// statement (its representative).
     pub group_micros: u128,
     /// Wall-clock microseconds spent in the intra-query phase.
     pub intra_micros: u128,
     /// Wall-clock microseconds spent fanning results out to occurrences.
     pub fanout_micros: u128,
     /// Wall-clock microseconds spent in the inter-query phase (per-rule
-    /// units; 0 in intra-only mode). Explicitly
-    /// measured — no longer the implicit `total − group − intra − fanout`
-    /// residual.
+    /// units; 0 in intra-only mode).
     pub inter_micros: u128,
     /// Wall-clock microseconds spent in the data-analysis phase
     /// (per-table units; 0 without a database).
@@ -83,16 +81,12 @@ pub struct BatchStats {
     /// [`FrontendStats`]: crate::context::FrontendStats
     pub split_micros: u128,
     /// Front-end: microseconds materialising token streams for unique
-    /// statement texts at intake (no longer lumped into `split_micros`).
+    /// statement texts at intake.
     pub materialize_micros: u128,
-    /// Front-end: microseconds in dedup intake bookkeeping — mapping
-    /// script-local unique slots onto builder slots and recording
-    /// occurrences. Previously mis-attributed to `split_micros`, which
-    /// made warm re-checks (where the cache short-circuits
-    /// materialization but intake still walks every occurrence) look
-    /// like they were paying for cold splitting.
+    /// Front-end: microseconds in intake bookkeeping — looking up each
+    /// unique text in the context's table and recording occurrences.
     pub intake_micros: u128,
-    /// Front-end: microseconds grouping texts + parsing unique statements.
+    /// Front-end: microseconds parsing unique statements.
     pub parse_micros: u128,
     /// Front-end: microseconds annotating unique statements.
     pub annotate_micros: u128,
@@ -175,6 +169,23 @@ impl BatchStats {
         self.context_micros = fe.context_micros;
     }
 
+    /// Record what `cache` counted since `before` was read from it (a
+    /// no-op without a cache).
+    pub(crate) fn add_cache_delta(
+        &mut self,
+        cache: Option<&IncrementalCache>,
+        before: Option<CacheCounters>,
+    ) {
+        if let (Some(c), Some(before)) = (cache, before) {
+            let after = c.counters();
+            self.incremental_hits = (after.hits - before.hits) as usize;
+            self.incremental_misses = (after.misses - before.misses) as usize;
+            self.incremental_evictions = (after.evictions - before.evictions) as usize;
+            self.table_evictions = (after.table_evictions - before.table_evictions) as usize;
+            self.column_evictions = (after.column_evictions - before.column_evictions) as usize;
+        }
+    }
+
     /// Fraction of statements whose parse kept structural shape
     /// (`1.0` = every statement shaped; an empty workload counts as
     /// fully covered).
@@ -198,20 +209,10 @@ pub struct BatchReport {
     pub stats: BatchStats,
     /// Detection-phase degradation events — [`DiagKind::RuleFailed`]
     /// entries for isolated rule-unit panics. Parse-time diagnostics
-    /// live on the context's statements, not here.
+    /// live in the context's unique-text table, not here.
     pub diagnostics: Vec<Diagnostic>,
-    /// The per-unique and per-unit results, when the caller asked the
-    /// engine to keep them ([`Detector::run_engine`]).
-    pub(crate) units: Option<EngineUnits>,
-}
-
-/// One group of statements sharing an exact text (and hence a template).
-#[derive(Debug)]
-pub(crate) struct Group {
-    /// Representative statement index (the first occurrence).
-    pub(crate) rep: usize,
-    /// Occurrences of the text.
-    pub(crate) count: usize,
+    /// The per-unique and per-unit results.
+    pub(crate) units: EngineUnits,
 }
 
 /// What one engine run resolved per unique text and per tail unit,
@@ -219,14 +220,8 @@ pub(crate) struct Group {
 /// adopts the cold run's results instead of recomputing them.
 #[derive(Debug)]
 pub(crate) struct EngineUnits {
-    /// Unique texts in first-occurrence order.
-    pub(crate) groups: Vec<Group>,
-    /// Content hash → group index.
-    pub(crate) group_by_hash: HashMap<u128, usize, Prehashed>,
-    /// Group index per statement, script order.
-    pub(crate) group_of: Vec<usize>,
-    /// Canonical intra-query detections per group (see
-    /// [`Detector::intra_results`]).
+    /// Canonical intra-query detections per unique id of the context's
+    /// table (see [`Detector::intra_results`]).
     pub(crate) intra: Vec<Arc<Vec<Detection>>>,
     /// Per-rule inter-query results (empty in intra-only mode).
     pub(crate) inter: Vec<Vec<Detection>>,
@@ -264,44 +259,18 @@ impl Detector {
     /// so re-checking an edited workload only pays for changed statements.
     /// The output is the same either way.
     pub fn detect_batch_with(&self, ctx: &Context, cache: Option<&IncrementalCache>) -> BatchReport {
-        self.run_engine(ctx, cache, false)
-    }
-
-    /// The detection engine. With `keep_units` the report carries the
-    /// per-unique and per-unit results in [`BatchReport::units`].
-    pub(crate) fn run_engine(
-        &self,
-        ctx: &Context,
-        cache: Option<&IncrementalCache>,
-        keep_units: bool,
-    ) -> BatchReport {
         let t_start = Instant::now();
         let t_group = Instant::now();
         let use_context = !self.cfg.intra_only;
+        let uniques = &ctx.uniques;
 
-        // Phase 1: group statements by their precomputed 128-bit content
-        // hash (literal-sensitive, span-insensitive — computed once at
-        // context-build time). Equal content implies equal fingerprints,
-        // so the content partition refines the template partition.
-        // 128 bits are treated as collision-free, the same assumption
+        // Phase 1: the representative (first occurrence) of each unique
+        // text, in script order. The table keys texts by their 128-bit
+        // content hash, treated as collision-free, the same assumption
         // content-addressed systems make.
-        let mut groups: Vec<Group> = Vec::new();
-        let mut group_of: Vec<usize> = Vec::with_capacity(ctx.statements.len());
-        let mut by_hash: HashMap<u128, usize, Prehashed> = HashMap::with_capacity_and_hasher(
-            ctx.statements.len().min(1024),
-            Prehashed::default(),
-        );
-        let mut templates: HashSet<u64> = HashSet::new();
-        for (idx, stmt) in ctx.statements.iter().enumerate() {
-            let gi = *by_hash.entry(stmt.text_hash).or_insert_with(|| {
-                templates.insert(stmt.template_hash);
-                groups.push(Group { rep: idx, count: 0 });
-                groups.len() - 1
-            });
-            groups[gi].count += 1;
-            group_of.push(gi);
-        }
-
+        let first = ctx.first_occurrences();
+        let mut reps: Vec<usize> = first.iter().copied().filter(|&i| i != usize::MAX).collect();
+        reps.sort_unstable();
         let group_micros = t_group.elapsed().as_micros();
 
         // Degradation accounting: parse diagnostics counted once per
@@ -312,14 +281,13 @@ impl Detector {
         let mut diag_counts = [0usize; DiagKind::COUNT];
         let mut degraded_uniques = 0usize;
         let mut degraded_statements = 0usize;
-        for g in &groups {
-            let s = &ctx.statements[g.rep];
-            for d in s.diags.iter() {
+        for (_, u) in uniques.iter() {
+            for d in u.diags.iter() {
                 diag_counts[d.kind.index()] += 1;
             }
-            if matches!(&s.parsed.stmt, Statement::Other(o) if !o.leading_keyword.is_empty()) {
+            if matches!(&u.parsed.stmt, Statement::Other(o) if !o.leading_keyword.is_empty()) {
                 degraded_uniques += 1;
-                degraded_statements += g.count;
+                degraded_statements += u.count;
             }
         }
         for d in &ctx.diagnostics {
@@ -327,9 +295,9 @@ impl Detector {
         }
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-        // Phase 2: intra-query rules, once per group. Cached entries are
-        // only valid under the current (config, schema) epoch; a mismatch
-        // flushes the cache before any lookup.
+        // Phase 2: intra-query rules, once per unique text. Cached entries
+        // are only valid under the current (config, schema) epoch; a
+        // mismatch flushes the cache before any lookup.
         let t_intra = Instant::now();
         let counters_before = cache.map(|c| c.counters());
         let mut versions = SchemaVersions::default();
@@ -337,19 +305,22 @@ impl Detector {
             versions = ctx.schema.versions();
             c.ensure_epoch(self.config_epoch(ctx), &versions);
         }
-        let reps: Vec<usize> = groups.iter().map(|g| g.rep).collect();
-        let intra = self.intra_results(ctx, cache, &reps, &mut diagnostics);
+        let results = self.intra_results(ctx, cache, &reps, &mut diagnostics);
+        let mut intra: Vec<Arc<Vec<Detection>>> = vec![Arc::default(); uniques.id_bound()];
+        for (&rep, dets) in reps.iter().zip(results) {
+            intra[ctx.statements[rep].unique] = dets;
+        }
         let intra_micros = t_intra.elapsed().as_micros();
 
         // Phase 3: deterministic fan-out in statement order, the
         // statement locus rewritten to the occurrence index.
         let t_fanout = Instant::now();
         let mut report = Report::default();
-        report.detections.reserve_exact(
-            groups.iter().zip(&intra).map(|(g, dets)| g.count * dets.len()).sum(),
-        );
-        for (idx, &gi) in group_of.iter().enumerate() {
-            for d in intra[gi].iter() {
+        report
+            .detections
+            .reserve_exact(uniques.iter().map(|(id, u)| u.count * intra[id].len()).sum());
+        for (idx, s) in ctx.statements.iter().enumerate() {
+            for d in intra[s.unique].iter() {
                 let mut d = d.clone();
                 if let Locus::Statement { index } = &mut d.locus {
                     *index = idx;
@@ -412,9 +383,9 @@ impl Detector {
         diag_counts[DiagKind::RuleFailed.index()] += rule_failures;
         let mut stats = BatchStats {
             statements: ctx.statements.len(),
-            unique_templates: templates.len(),
-            unique_texts: groups.len(),
-            cache_hits: ctx.statements.len() - groups.len(),
+            unique_templates: uniques.templates(),
+            unique_texts: uniques.len(),
+            cache_hits: ctx.statements.len() - uniques.len(),
             group_micros,
             intra_micros,
             fanout_micros,
@@ -430,23 +401,8 @@ impl Detector {
             data_units_recomputed: data_units.len(),
             ..BatchStats::default()
         };
-        if let (Some(before), Some(c)) = (counters_before, cache) {
-            let after = c.counters();
-            stats.incremental_hits = (after.hits - before.hits) as usize;
-            stats.incremental_misses = (after.misses - before.misses) as usize;
-            stats.incremental_evictions = (after.evictions - before.evictions) as usize;
-            stats.table_evictions = (after.table_evictions - before.table_evictions) as usize;
-            stats.column_evictions = (after.column_evictions - before.column_evictions) as usize;
-        }
-        let units = keep_units.then_some(EngineUnits {
-            groups,
-            group_by_hash: by_hash,
-            group_of,
-            intra,
-            inter: inter_units,
-            data: data_units,
-            versions,
-        });
+        stats.add_cache_delta(cache, counters_before);
+        let units = EngineUnits { intra, inter: inter_units, data: data_units, versions };
         BatchReport { report, stats, diagnostics, units }
     }
 
@@ -466,11 +422,12 @@ impl Detector {
         let use_context = !self.cfg.intra_only;
         // Most statements have no intra detections; they share one entry.
         let empty: Arc<Vec<Detection>> = Arc::default();
+        let hash_of = |rep: usize| ctx.uniques[ctx.statements[rep].unique].hash;
         // Every lookup happens before any insert, so one call's inserts
         // never evict another representative's entry before it is read.
         let hits: Vec<Option<Arc<Vec<Detection>>>> = reps
             .iter()
-            .map(|&rep| cache.and_then(|c| c.get(ctx.statements[rep].text_hash)))
+            .map(|&rep| cache.and_then(|c| c.get(hash_of(rep))))
             .collect();
         hits.into_iter()
             .zip(reps)
@@ -491,7 +448,7 @@ impl Detector {
                             // statement's rules may consult, for
                             // column-granular invalidation across DDL edits.
                             c.insert(
-                                stmt.text_hash,
+                                hash_of(rep),
                                 Arc::clone(&canon),
                                 Arc::new(entry_deps(&stmt.parsed.stmt, &stmt.ann)),
                             );
@@ -516,12 +473,9 @@ impl Detector {
     /// Hash of the *non-schema* inputs a cached intra-query result
     /// depends on besides the statement text: the detection config, plus
     /// data-context presence for good measure. Schema validity is tracked
-    /// separately — per table — via
-    /// [`SchemaCatalog::table_digests`](crate::context::SchemaCatalog::table_digests),
-    /// so a DDL edit to one table no longer flushes entries that only
-    /// depend on others. Debug formatting is a deterministic canonical
-    /// encoding within one process — exactly the lifetime of an
-    /// [`IncrementalCache`].
+    /// separately, per table, via [`SchemaCatalog::table_digests`]. Debug
+    /// formatting is a deterministic canonical encoding within one
+    /// process — exactly the lifetime of an [`IncrementalCache`].
     pub(crate) fn config_epoch(&self, ctx: &Context) -> u64 {
         let encoded = format!(
             "{:?}|{}|{}|{:?}",
@@ -552,9 +506,8 @@ impl Detector {
 ///   *column* dep for every `(base table × referenced column)` pair.
 ///   The cross product is what makes alias resolution safe without
 ///   re-running it: whichever base table a qualifier actually resolves
-///   to, that `(table, column)` pair is recorded. The result: `ALTER
-///   TABLE t ADD COLUMN c` no longer evicts entries that only touch
-///   `t.a` — the gap this closes over the old whole-table `deps`.
+///   to, that `(table, column)` pair is recorded, and `ALTER TABLE t ADD
+///   COLUMN c` keeps entries that only touch `t.a`.
 fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
     let mut base: BTreeSet<String> = BTreeSet::new();
     for t in &ann.tables {
@@ -578,13 +531,7 @@ fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
             base.insert(q.to_ascii_lowercase());
         }
     }
-    if matches!(
-        stmt,
-        Statement::CreateTable(_)
-            | Statement::CreateIndex(_)
-            | Statement::AlterTable(_)
-            | Statement::Drop(_)
-    ) {
+    if SchemaCatalog::is_schema_stmt(stmt) {
         return DepSet { tables: base.into_iter().collect(), ..DepSet::default() };
     }
     let mut cols: BTreeSet<String> = BTreeSet::new();

@@ -4,7 +4,7 @@
 //! statements whose text actually changed — in the spirit of update-aware
 //! incremental view maintenance (Berkholz et al.). The cache maps a
 //! statement's literal-sensitive 128-bit content hash
-//! (`AnalyzedStatement::text_hash`) to the intra-query detections of that
+//! (`UniqueText::hash`) to the intra-query detections of that
 //! text, stored in **canonical form** (statement loci zeroed, spans
 //! statement-relative) so a hit can be fanned out to any occurrence index
 //! on any later call.
@@ -79,10 +79,7 @@ pub struct CacheCounters {
     /// whose table digest changed.
     pub table_evictions: u64,
     /// Subset of `evictions` triggered by a **core or column**
-    /// dependency — the column-granular tier; everything the old
-    /// table-granularity guard would have dropped but this one kept is
-    /// visible as the gap between dependents-of-a-changed-table and
-    /// this counter.
+    /// dependency — the column-granular tier.
     pub column_evictions: u64,
 }
 

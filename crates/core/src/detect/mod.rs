@@ -127,8 +127,7 @@ pub(crate) fn attach_default_spans(detections: &mut [Detection], ctx: &Context) 
 /// crediting the earliest (most specific) phase. The (still relative)
 /// span participates so that the same AP kind at two different body
 /// sub-statements of one compound statement is reported per
-/// sub-statement, not collapsed. Runs in O(n) via a hash set (the old
-/// `Vec::contains` scan was quadratic and dominated large workloads).
+/// sub-statement, not collapsed. Runs in O(n) via a hash set.
 pub(crate) fn dedup(detections: &mut Vec<Detection>) {
     let mut seen: HashSet<(
         crate::anti_pattern::AntiPatternKind,

@@ -2,7 +2,8 @@
 //!
 //! [`context`] builds the application context with no dedup and no
 //! sharing: every statement occurrence is split by the two-pass
-//! reference splitter, then parsed and annotated on its own. [`detect`]
+//! reference splitter, then parsed and annotated on its own; its
+//! unique-text table keeps each text's first occurrence. [`detect`]
 //! runs every statement's intra-query rules, in statement order, then
 //! every inter-query rule in `inter::RULES` order, then the data rules
 //! per profiled table — no grouping, no cache, no panic guard.
@@ -13,7 +14,9 @@
 //! asserts compare them against.
 
 use super::{attach_spans, data, dedup, inter, intra, DetectionConfig};
-use crate::context::{AnalyzedStatement, Context, FrontendOptions, SchemaCatalog, WorkloadProfile};
+use crate::context::{
+    AnalyzedStatement, Context, FrontendOptions, SchemaCatalog, UniqueTable, WorkloadProfile,
+};
 use crate::report::Report;
 use sqlcheck_parser::annotate::annotate;
 use sqlcheck_parser::parser::parse_raw_limited;
@@ -28,19 +31,18 @@ use std::sync::Arc;
 /// script-level diagnostics only the dialect guess is reproduced.
 pub fn context(script: &str, opts: &FrontendOptions) -> Context {
     let (dialect, guessed) = opts.resolve_dialect(script);
+    let mut uniques = UniqueTable::default();
     let statements: Vec<AnalyzedStatement> = split_spanned(script, dialect)
         .iter()
         .map(|s| {
             let (parsed, diags) = parse_raw_limited(s.materialize(script), &opts.limits, dialect);
             let ann = annotate(&parsed.stmt, &parsed.arena);
-            AnalyzedStatement {
-                parsed: Arc::new(parsed),
-                ann: Arc::new(ann),
-                text_hash: s.content_hash,
-                template_hash: s.fingerprint(script),
-                span: s.span,
-                diags: diags.into(),
-            }
+            let (parsed, ann, diags) = (Arc::new(parsed), Arc::new(ann), diags.into());
+            let unique = uniques.intern(s.content_hash, s.fingerprint(script), || {
+                (Arc::clone(&parsed), Arc::clone(&ann), Arc::clone(&diags))
+            });
+            uniques.add_occurrence(unique);
+            AnalyzedStatement { parsed, ann, unique, span: s.span, diags }
         })
         .collect();
     let schema = SchemaCatalog::from_statements(statements.iter().map(|a| &a.parsed.stmt));
@@ -50,6 +52,7 @@ pub fn context(script: &str, opts: &FrontendOptions) -> Context {
     );
     Context {
         statements,
+        uniques,
         schema,
         workload,
         data: None,

@@ -96,8 +96,8 @@ impl FixEngine {
     /// Suggest fixes for an ordered detection list (Algorithm 4's loop),
     /// equal to [`FixEngine::fix`] on each detection.
     ///
-    /// A statement-locus fix is synthesised once per (statement text
-    /// hash, kind) and shared by every later occurrence of that text.
+    /// A statement-locus fix is synthesised once per (unique statement
+    /// text, kind) and shared by every later occurrence of that text.
     /// Enumerated Types and Multi-Valued Attribute fixes list impacted
     /// queries from the whole context, so they stay per detection and
     /// look those up in one lazily built [`ImpactIndex`]. The memo lives
@@ -108,7 +108,7 @@ impl FixEngine {
         ctx: &Context,
     ) -> Vec<SuggestedFix> {
         let impacts = ImpactIndex::new(ctx);
-        let mut memo: HashMap<(u128, AntiPatternKind), Fix, Prehashed> = HashMap::default();
+        let mut memo: HashMap<u64, Fix, Prehashed> = HashMap::default();
         detections
             .into_iter()
             .map(|d| {
@@ -148,13 +148,14 @@ impl FixEngine {
 /// The memo key of a detection whose fix depends only on its statement's
 /// text, with that statement's index; `None` for a fix that reads more
 /// of the context.
-fn memo_key(d: &Detection, ctx: &Context) -> Option<((u128, AntiPatternKind), usize)> {
+/// The key packs the kind above the statement's unique-text id.
+fn memo_key(d: &Detection, ctx: &Context) -> Option<(u64, usize)> {
     use AntiPatternKind::*;
     if matches!(d.kind, EnumeratedTypes | MultiValuedAttribute) {
         return None;
     }
     let index = d.statement_index()?;
-    Some(((ctx.statements.get(index)?.text_hash, d.kind), index))
+    Some(((d.kind as u64) << 32 | ctx.statements.get(index)?.unique as u64, index))
 }
 
 #[cfg(test)]
@@ -227,7 +228,7 @@ mod tests {
             let report = Detector::default().detect(&ctx);
             let all = FixEngine.fix_all(&report.detections, &ctx);
             assert_eq!(all.len(), report.detections.len());
-            let mut first_index: HashMap<(u128, AntiPatternKind), usize> = HashMap::new();
+            let mut first_index: HashMap<(usize, AntiPatternKind), usize> = HashMap::new();
             for (d, f) in report.detections.iter().zip(&all) {
                 assert_eq!(format!("{:?}", f.detection), format!("{d:?}"));
                 let one = FixEngine.fix(d, &ctx);
@@ -248,7 +249,7 @@ mod tests {
                 };
                 seen.insert((d.kind, variant));
                 if let Locus::Statement { index } = d.locus {
-                    let key = (ctx.statements[index].text_hash, d.kind);
+                    let key = (ctx.statements[index].unique, d.kind);
                     shared += usize::from(*first_index.entry(key).or_insert(index) != index);
                 }
             }

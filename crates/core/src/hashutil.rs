@@ -25,7 +25,12 @@ impl Hasher for PrehashedHasher {
     fn write_u128(&mut self, i: u128) {
         self.0 = (i as u64) ^ ((i >> 64) as u64);
     }
+    /// A `u64` key is a packed id: one multiply spreads it into high bits.
+    fn write_u64(&mut self, i: u64) {
+        self.0 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
-/// `BuildHasher` for maps keyed by precomputed 128-bit hashes.
+/// `BuildHasher` for maps keyed by precomputed 128-bit hashes or packed
+/// `u64` ids.
 pub(crate) type Prehashed = BuildHasherDefault<PrehashedHasher>;

@@ -32,14 +32,13 @@
 //! [`Detector::detect`] / [`Detector::detect_batch`] — runs one detection
 //! engine that exploits that redundancy:
 //!
-//! * statements are **fingerprinted** ([`sqlcheck_parser::fingerprint`]):
-//!   literals become `?` placeholders, literal lists collapse, keyword and
-//!   bare-identifier case folds, whitespace/comments vanish — statements
-//!   that differ only in bind values share a template;
-//! * intra-query rules run **once per unique statement text** within each
-//!   template group, and results fan back out to every occurrence with
-//!   corrected loci (exact text, not the fingerprint alone, keys the
-//!   result cache because some rules inspect literal values);
+//! * the front end splits and content-hashes the script **before**
+//!   parsing, and keeps one [`context::UniqueTable`] of distinct texts:
+//!   each is parsed, annotated and [fingerprinted](sqlcheck_parser::fingerprint)
+//!   once and shared by its occurrences via `Arc`;
+//! * intra-query rules run **once per unique text** and fan back out to
+//!   every occurrence with corrected loci (exact text, not the template,
+//!   keys the results because some rules inspect literal values);
 //! * detection runs in panic-isolated units — intra-query rules per
 //!   unique text, inter-query rules per rule, data-analysis rules per
 //!   profiled table — merged in statement, rule, and table order;
@@ -47,13 +46,10 @@
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.
 //!
-//! The front-end is parse-once: scripts are split and content-hashed at
-//! the span level **before** parsing, so each unique statement text is
-//! parsed and annotated exactly once and shared across duplicates via
-//! `Arc`. Attaching [`SqlCheck::with_cache`] additionally persists
-//! intra-query results across `check_workload` calls (keyed by text
-//! hash, guarded by a config + schema epoch), so re-checking an edited
-//! workload only pays for the statements whose text changed.
+//! Attaching [`SqlCheck::with_cache`] persists intra-query results
+//! across `check_workload` calls (keyed by text hash, guarded by a
+//! config + schema epoch), so re-checking an edited workload only pays
+//! for the statements whose text changed.
 //!
 //! The engine returns byte-identical detections, in the same order, as
 //! the per-statement reference loop the identity suites keep as their
@@ -334,9 +330,7 @@ impl SqlCheck {
     /// Run every registered custom rule, each as its own panic-isolated
     /// unit: a panicking rule contributes a `RuleFailed` diagnostic and
     /// no detections, while every other rule's output is unaffected.
-    /// Units run in registration order on the calling thread, so output
-    /// is deterministic and identical to the pre-isolation behaviour
-    /// whenever no rule panics.
+    /// Units run in registration order on the calling thread.
     fn run_registry(&self, context: &Context, diagnostics: &mut Vec<Diagnostic>) -> Vec<Detection> {
         let run = detect::schedule::run_units(self.registry.len(), |i| {
             self.registry.detect_one(i, context)
@@ -372,23 +366,22 @@ impl SqlCheck {
     /// instrumentation (dedup, per-phase front-end timings, cache
     /// counters). `opts` sets the dialect and the per-statement budgets.
     pub fn check_workload(&self, script: &str, opts: &FrontendOptions) -> WorkloadOutcome {
-        self.run_workload(script, opts, false).0
+        self.run_workload(script, opts).0
     }
 
     /// [`SqlCheck::check_workload`], also returning the engine's
-    /// per-unique and per-unit results when `keep_units` is set.
+    /// per-unique and per-unit results.
     pub(crate) fn run_workload(
         &self,
         script: &str,
         opts: &FrontendOptions,
-        keep_units: bool,
-    ) -> (WorkloadOutcome, Option<detect::batch::EngineUnits>) {
+    ) -> (WorkloadOutcome, detect::batch::EngineUnits) {
         let mut builder = ContextBuilder::new().with_frontend(opts.clone()).add_script(script);
         if let Some(db) = &self.database {
             builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
         }
         let (context, fe_stats) = builder.build_with_stats();
-        let batch = self.detector.run_engine(&context, self.cache.as_deref(), keep_units);
+        let batch = self.detector.detect_batch_with(&context, self.cache.as_deref());
         let mut report = batch.report;
         let mut stats = batch.stats;
         let mut diagnostics = parse_diagnostics(&context);
@@ -419,10 +412,12 @@ impl SqlCheck {
 /// counts without adding information).
 fn parse_diagnostics(ctx: &Context) -> Vec<Diagnostic> {
     let mut out = ctx.diagnostics.clone();
-    let mut seen = std::collections::HashSet::new();
-    for (idx, s) in ctx.statements.iter().enumerate() {
-        if seen.insert(s.text_hash) {
-            out.extend(s.diags.iter().map(|d| d.at(idx)));
+    if ctx.uniques.iter().any(|(_, u)| !u.diags.is_empty()) {
+        let first = ctx.first_occurrences();
+        for (i, s) in ctx.statements.iter().enumerate() {
+            if first[s.unique] == i {
+                out.extend(s.diags.iter().map(|d| d.at(i)));
+            }
         }
     }
     out

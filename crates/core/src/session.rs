@@ -5,21 +5,25 @@
 //! A cold [`SqlCheck::check_workload`] re-lexes, re-splits, re-parses,
 //! and re-profiles the whole script even when one statement changed; at
 //! workload scale the front-end dominates, so a warm re-check through
-//! the cold entry point barely beats a cold one. The session keeps every
-//! phase's retained form and patches it in place:
+//! the cold entry point barely beats a cold one. The session keeps the
+//! cold check's context — its statements and its unique-text table
+//! ([`UniqueTable`](crate::context::UniqueTable)) — and every phase's
+//! retained form, and patches them in place:
 //!
-//! * **edit** — the script is spliced in one pass; only the replacement
-//!   texts are re-split/parsed/annotated (new unique texts only — an
-//!   edit to a text still live elsewhere in the script costs a hash
-//!   lookup). Downstream statement spans shift by the byte delta in a
-//!   single sweep. A text whose last occurrence is edited away is freed
-//!   at the end of the re-check, so retained memory tracks the live
-//!   script, not every text the session has seen.
+//! * **edit** — the script is spliced in one pass; each replacement text
+//!   is split and goes through the table's one insert path (parsed and
+//!   annotated only when new — an edit to a text still live elsewhere in
+//!   the script costs a hash lookup), and the replaced text through its
+//!   retract path. Downstream statement spans shift by the byte delta in
+//!   a single sweep. A text whose last occurrence is edited away is
+//!   freed at the end of the re-check, so retained memory tracks the
+//!   live script, not every text the session has seen.
 //! * **profile** — the workload aggregates are monoids over statements
 //!   ([`StatementContribution`]): the edit applies as
 //!   `retract(old unique) ⊕ insert(new unique)`. A DDL edit refolds the
-//!   schema and workload (still without touching the front-end) and
-//!   lets the column-granular cache tiers decide what else went stale.
+//!   schema and workload with the cold build's own fold (still without
+//!   touching the front-end) and lets the column-granular cache tiers
+//!   decide what else went stale.
 //! * **patch** — per-statement detection slices are retained with their
 //!   offsets; only dirty statements' slices are recomputed (from the
 //!   [`crate::IncrementalCache`] or fresh), everything else **moves** — no
@@ -37,8 +41,8 @@
 //! property-tested in `tests/session_identity.rs`. Anything the
 //! incremental path cannot prove safe (multi-statement replacement
 //! texts, parse diagnostics, `DELIMITER` directives, rule panics, a DDL
-//! edit without a cache) falls back to a full rebuild, which is always
-//! correct.
+//! edit without a cache, an edit that changes the auto-detected dialect)
+//! falls back to a full rebuild, which is always correct.
 //!
 //! The session is also **cost-aware**: when an edit set covers more than
 //! ~10% of the workload, the per-edit patching overhead crosses the cold
@@ -47,23 +51,20 @@
 //! separately from the involuntary [`CheckSession::fallbacks`].
 
 use crate::context::{
-    FrontendOptions, SchemaCatalog, SchemaVersions, StatementContribution, WorkloadProfile,
+    FrontendOptions, FrontendStats, SchemaCatalog, SchemaVersions, StatementContribution,
+    WorkloadProfile,
 };
 use crate::detect::batch::EngineUnits;
 use crate::detect::schedule::guarded;
 use crate::detect::{inter, BatchStats};
-use crate::hashutil::Prehashed;
 use crate::report::{Detection, Locus, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
-use sqlcheck_parser::annotate::{annotate, Annotations};
-use sqlcheck_parser::ast::{ParsedStatement, Statement};
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::split_deduped;
-use std::collections::HashMap;
 use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
+use std::vec::IntoIter;
 
 /// One statement replacement: statement `index`'s text becomes `text`.
 ///
@@ -86,18 +87,9 @@ impl Edit {
     }
 }
 
-/// One retained unique statement text.
+/// What the session keeps per unique id of the context's table.
+#[derive(Default)]
 struct Slot {
-    hash: u128,
-    fingerprint: u64,
-    parsed: Arc<ParsedStatement>,
-    ann: Arc<Annotations>,
-    diags: Arc<[Diagnostic]>,
-    /// Live occurrence count. It is 0 only inside one re-check: a slot
-    /// the edits retire is freed when the re-check ends (after every
-    /// count update of the batch has landed, since one batch can retire
-    /// and revive the same text), and its id is reused.
-    count: usize,
     /// Canonical **deduped** intra-query detections: statement locus
     /// zeroed, spans statement-relative. Fan-out to occurrence `i`
     /// rewrites the locus and rebases spans — exactly the batch engine's
@@ -112,13 +104,8 @@ struct Slot {
 /// Everything the session retains besides the toolchain itself.
 struct State {
     outcome: WorkloadOutcome,
-    /// Slot by id; `None` for a freed id awaiting reuse.
-    slots: Vec<Option<Slot>>,
-    /// Freed slot ids.
-    free: Vec<usize>,
-    slot_of: HashMap<u128, usize, Prehashed>,
-    /// Slot per statement, script order.
-    order: Vec<usize>,
+    /// Slot per unique id, as long as the table's id range.
+    slots: Vec<Slot>,
     /// `n + 1` prefix offsets of per-statement slices in the intra
     /// portion of the retained report.
     bounds: Vec<usize>,
@@ -132,9 +119,6 @@ struct State {
     /// Schema versions the cache was last aligned to (default without a
     /// cache).
     versions: SchemaVersions,
-    /// Live template fingerprints with refcounts, so `unique_templates`
-    /// stays O(edit) to maintain.
-    template_counts: HashMap<u64, usize>,
     /// Something the incremental path cannot patch safely (diagnostics,
     /// rule panics, derivation mismatch): every re-check falls back to a
     /// full rebuild until an edit clears the condition away.
@@ -190,17 +174,6 @@ impl SqlCheck {
     }
 }
 
-/// Does folding this statement into [`SchemaCatalog`] do anything?
-fn is_schema_stmt(s: &Statement) -> bool {
-    matches!(
-        s,
-        Statement::CreateTable(_)
-            | Statement::CreateIndex(_)
-            | Statement::AlterTable(_)
-            | Statement::Drop(_)
-    )
-}
-
 /// Dedup a canonical entry, reusing the allocation when already clean.
 fn dedup_arc(v: Arc<Vec<Detection>>) -> Arc<Vec<Detection>> {
     let mut d = (*v).clone();
@@ -218,6 +191,22 @@ fn dedup_tail<'a>(units: impl IntoIterator<Item = &'a Vec<Detection>>) -> Vec<De
     let mut tail: Vec<Detection> = units.into_iter().flatten().cloned().collect();
     crate::detect::dedup(&mut tail);
     tail
+}
+
+/// Move the next `n` detections of `it` to `to`, their spans shifted by
+/// `d` bytes; `None` when `it` holds fewer.
+fn move_run(to: &mut Vec<Detection>, it: &mut IntoIter<Detection>, n: usize, d: i64) -> Option<()> {
+    if it.len() < n {
+        return None;
+    }
+    to.extend(it.by_ref().take(n).map(|mut det| {
+        if let Some(sp) = det.span.filter(|_| d != 0) {
+            let shift = |x: usize| (x as i64 + d) as usize;
+            det.span = Some(Span::new(shift(sp.start), shift(sp.end)));
+        }
+        det
+    }));
+    Some(())
 }
 
 /// Emit `canon` fanned out to occurrence `i` of a statement spanning
@@ -240,40 +229,17 @@ fn emit_fanout(out: &mut Vec<Detection>, canon: &[Detection], i: usize, stmt_spa
 impl State {
     /// Cold build: run the ordinary pipeline with the engine keeping its
     /// per-unique and per-unit results, then adopt them as the retained
-    /// forms (slots, per-statement slice bounds, tail units). Nothing is
-    /// recomputed or read back from the cache.
+    /// forms (per-unique canonical detections, per-statement slice
+    /// bounds, tail units). Nothing is recomputed or read back from the
+    /// cache.
     fn init(tool: &SqlCheck, script: &str, opts: &FrontendOptions) -> State {
-        let (base, units) = tool.run_workload(script, opts, true);
-        let EngineUnits {
-            groups,
-            group_by_hash: slot_of,
-            group_of: order,
-            intra,
-            inter,
-            data: data_units,
-            versions,
-        } = units.expect("the engine keeps its units when asked");
+        let (base, EngineUnits { intra, inter, data: data_units, versions }) =
+            tool.run_workload(script, opts);
         let ctx = &base.outcome.context;
         let n = ctx.statements.len();
-
-        let mut template_counts: HashMap<u64, usize> = HashMap::new();
-        let slots: Vec<Slot> = groups
-            .iter()
-            .zip(intra)
-            .map(|(g, canon)| {
-                let s = &ctx.statements[g.rep];
-                *template_counts.entry(s.template_hash).or_default() += g.count;
-                Slot {
-                    hash: s.text_hash,
-                    fingerprint: s.template_hash,
-                    parsed: s.parsed.clone(),
-                    ann: s.ann.clone(),
-                    diags: s.diags.clone(),
-                    count: g.count,
-                    canon: dedup_arc(canon),
-                    contribution: None,
-                }
-            })
+        let slots: Vec<Slot> = intra
+            .into_iter()
+            .map(|canon| Slot { canon: dedup_arc(canon), contribution: None })
             .collect();
 
         // Conditions the incremental path refuses to patch around:
@@ -281,12 +247,12 @@ impl State {
         // by rebuilding cold.
         let mut degraded = !ctx.diagnostics.is_empty()
             || base.stats.rule_failures > 0
-            || slots.iter().any(|s| !s.diags.is_empty());
+            || ctx.uniques.iter().any(|(_, u)| !u.diags.is_empty());
 
         let mut bounds: Vec<usize> = Vec::with_capacity(n + 1);
         bounds.push(0);
-        for &slot in &order {
-            bounds.push(bounds.last().unwrap() + slots[slot].canon.len());
+        for s in &ctx.statements {
+            bounds.push(bounds.last().unwrap() + slots[s.unique].canon.len());
         }
 
         let tail_len = dedup_tail(inter.iter().chain(&data_units)).len();
@@ -298,32 +264,23 @@ impl State {
             degraded = true;
         }
 
-        State {
-            outcome: base,
-            slots: slots.into_iter().map(Some).collect(),
-            free: Vec::new(),
-            slot_of,
-            order,
-            bounds,
-            tail_len,
-            data_units,
-            versions,
-            template_counts,
-            degraded,
-        }
+        State { outcome: base, slots, bounds, tail_len, data_units, versions, degraded }
     }
 }
 
 /// One validated, resolved edit ready to apply.
 struct Planned {
     index: usize,
-    text_len: usize,
+    /// Replacement length minus the replaced statement's length.
+    delta: i64,
     /// Statement span within the replacement text (the standalone split
     /// is identical to the in-context split: statement boundaries are
     /// context-free after a terminating `;`).
     rel: Span,
-    new_slot: usize,
-    old_slot: usize,
+    /// Unique id of the replacement text.
+    new: usize,
+    /// Unique id of the replaced text.
+    old: usize,
 }
 
 impl CheckSession {
@@ -376,7 +333,7 @@ impl CheckSession {
             return &self.state.outcome;
         }
         let t_total = Instant::now();
-        let n = self.state.order.len();
+        let n = self.state.outcome.outcome.context.statements.len();
         let mut sorted: Vec<&Edit> = edits.iter().collect();
         sorted.sort_by_key(|e| e.index);
         for w in sorted.windows(2) {
@@ -392,27 +349,30 @@ impl CheckSession {
         let revert_cold = !self.state.degraded && edits.len() * 10 > n;
         let plan = if self.state.degraded || revert_cold { None } else { self.plan(&sorted) };
         self.splice(&sorted);
-        match plan {
-            Some(plan) => {
-                if self.apply(plan, t_total).is_none() {
-                    self.full_rebuild(t_total);
-                }
-            }
-            None if revert_cold => {
-                self.cold_reverts += 1;
-                self.rebuild(t_total);
-            }
-            None => self.full_rebuild(t_total),
+        let patched = plan.is_some_and(|plan| {
+            // With auto-detection on, the edited script may guess another
+            // dialect, under which every statement splits and parses anew.
+            self.opts.resolve_dialect(&self.script).0 == self.state.outcome.outcome.context.dialect
+                && self.apply(plan, t_total).is_some()
+        });
+        if !patched {
+            // A rebuild from the spliced script is always correct.
+            *if revert_cold { &mut self.cold_reverts } else { &mut self.fallbacks } += 1;
+            self.state = State::init(&self.tool, &self.script, &self.opts);
+            self.state.outcome.stats.total_micros = t_total.elapsed().as_micros();
         }
         &self.state.outcome
     }
 
-    /// Validate the edit set for the incremental path: each replacement
-    /// splits to exactly one statement, parses without diagnostics, and
-    /// resolves to a (possibly fresh) slot. `None` → fallback.
+    /// Validate the edit set for the incremental path and insert each
+    /// replacement into the table: it must split to exactly one
+    /// statement and parse without diagnostics. `None` → fallback.
     fn plan(&mut self, sorted: &[&Edit]) -> Option<Vec<Planned>> {
         let mut plan: Vec<Planned> = Vec::with_capacity(sorted.len());
-        let dialect = self.state.outcome.outcome.context.dialect;
+        let state = &mut self.state;
+        let ctx = &mut state.outcome.outcome.context;
+        let dialect = ctx.dialect;
+        let mut times = FrontendStats::default();
         for e in sorted {
             let split = split_deduped(&e.text, dialect);
             if split.uniques.len() != 1
@@ -422,46 +382,20 @@ impl CheckSession {
                 return None;
             }
             let u = &split.uniques[0];
-            let new_slot = match self.state.slot_of.get(&u.content_hash) {
-                Some(&slot) => slot,
-                None => {
-                    let raw = u.materialize(&e.text, dialect);
-                    let (parsed, diags) = parse_raw_limited(raw, &self.opts.limits, dialect);
-                    if !diags.is_empty() {
-                        return None;
-                    }
-                    let ann = annotate(&parsed.stmt, &parsed.arena);
-                    let fresh = Some(Slot {
-                        hash: u.content_hash,
-                        fingerprint: u.fingerprint,
-                        parsed: Arc::new(parsed),
-                        ann: Arc::new(ann),
-                        diags: Vec::new().into(),
-                        count: 0,
-                        canon: Arc::new(Vec::new()),
-                        contribution: None,
-                    });
-                    let state = &mut self.state;
-                    let slot = match state.free.pop() {
-                        Some(id) => {
-                            state.slots[id] = fresh;
-                            id
-                        }
-                        None => {
-                            state.slots.push(fresh);
-                            state.slots.len() - 1
-                        }
-                    };
-                    state.slot_of.insert(u.content_hash, slot);
-                    slot
-                }
-            };
+            let new = ctx.uniques.insert(u, &e.text, dialect, &self.opts.limits, &mut times);
+            if !ctx.uniques[new].diags.is_empty() {
+                return None;
+            }
+            if new >= state.slots.len() {
+                state.slots.resize_with(new + 1, Slot::default);
+            }
+            let span = ctx.statements[e.index].span;
             plan.push(Planned {
                 index: e.index,
-                text_len: e.text.len(),
+                delta: e.text.len() as i64 - (span.end - span.start) as i64,
                 rel: u.span,
-                new_slot,
-                old_slot: self.state.order[e.index],
+                new,
+                old: ctx.statements[e.index].unique,
             });
         }
         Some(plan)
@@ -492,59 +426,41 @@ impl CheckSession {
         let tool = &self.tool;
         let use_context = !tool.detector.cfg.intra_only;
         let cache = tool.cache.as_deref();
-        let n = state.order.len();
+        let n = state.outcome.outcome.context.statements.len();
         let counters_before = cache.map(|c| c.counters());
 
-        // ---- edit: statement records, spans, slot bookkeeping --------
+        // ---- edit: statement records, spans, table counts ------------
         let t_edit = Instant::now();
-        let mut dirty = vec![false; n];
-        let mut shift: Vec<i64> = vec![0; n];
         let mut schema_dirty = false;
         {
             let ctx = &mut state.outcome.outcome.context;
             let mut cum: i64 = 0;
             let mut ei = 0usize;
-            for i in 0..n {
-                let s = &mut ctx.statements[i];
+            for (i, s) in ctx.statements.iter_mut().enumerate() {
                 if ei < plan.len() && plan[ei].index == i {
                     let p = &plan[ei];
-                    let slot = state.slots[p.new_slot].as_ref()?;
-                    schema_dirty |=
-                        is_schema_stmt(&s.parsed.stmt) || is_schema_stmt(&slot.parsed.stmt);
+                    let u = &ctx.uniques[p.new];
+                    schema_dirty |= SchemaCatalog::is_schema_stmt(&s.parsed.stmt)
+                        || SchemaCatalog::is_schema_stmt(&u.parsed.stmt);
                     let region_start = (s.span.start as i64 + cum) as usize;
-                    let old_len = (s.span.end - s.span.start) as i64;
-                    s.parsed = slot.parsed.clone();
-                    s.ann = slot.ann.clone();
-                    s.text_hash = slot.hash;
-                    s.template_hash = slot.fingerprint;
-                    s.diags = slot.diags.clone();
+                    s.parsed = u.parsed.clone();
+                    s.ann = u.ann.clone();
+                    s.unique = p.new;
+                    s.diags = u.diags.clone();
                     s.span = Span::new(region_start + p.rel.start, region_start + p.rel.end);
-                    dirty[i] = true;
-                    cum += p.text_len as i64 - old_len;
+                    cum += p.delta;
                     ei += 1;
                 } else if cum != 0 {
                     s.span = Span::new(
                         (s.span.start as i64 + cum) as usize,
                         (s.span.end as i64 + cum) as usize,
                     );
-                    shift[i] = cum;
                 }
             }
-        }
-        for p in &plan {
-            let old = state.slots[p.old_slot].as_mut()?;
-            old.count -= 1;
-            let of = old.fingerprint;
-            if let Some(c) = state.template_counts.get_mut(&of) {
-                *c -= 1;
-                if *c == 0 {
-                    state.template_counts.remove(&of);
-                }
+            for p in &plan {
+                ctx.uniques.retract(p.old);
+                ctx.uniques.add_occurrence(p.new);
             }
-            let new = state.slots[p.new_slot].as_mut()?;
-            new.count += 1;
-            *state.template_counts.entry(new.fingerprint).or_default() += 1;
-            state.order[p.index] = p.new_slot;
         }
         let warm_edit_micros = t_edit.elapsed().as_micros();
 
@@ -558,32 +474,15 @@ impl CheckSession {
         {
             let ctx = &mut state.outcome.outcome.context;
             if schema_dirty {
-                // Refold the schema exactly as a cold build would:
-                // statements in order, then the attached database's
-                // tables merged in for anything the DDL no longer
-                // declares.
-                let mut schema =
-                    SchemaCatalog::from_statements(ctx.statements.iter().map(|a| &a.parsed.stmt));
-                if let Some(db) = &tool.database {
-                    schema.add_missing_tables(db);
-                }
-                ctx.schema = schema;
-                // Contributions resolve against the schema — recompute
-                // lazily under the new one, and refold the profile from
-                // live uniques (which also clears any zero-usage entries
-                // retired texts left behind).
-                for s in state.slots.iter_mut().flatten() {
+                // The cold build's fold, over the edited statements and
+                // the live texts (which also clears any zero-usage
+                // entries retired texts left behind). Contributions
+                // resolve against the schema — recompute them lazily
+                // under the new one.
+                ctx.refold(tool.database.as_deref());
+                for s in &mut state.slots {
                     s.contribution = None;
                 }
-                ctx.workload = WorkloadProfile::build_weighted(
-                    state
-                        .slots
-                        .iter()
-                        .flatten()
-                        .filter(|s| s.count > 0)
-                        .map(|s| (&s.parsed.stmt, s.ann.as_ref(), s.count)),
-                    &ctx.schema,
-                );
                 state.versions = ctx.schema.versions();
             } else {
                 // retract(old) ⊕ insert(new), one occurrence per edit.
@@ -592,23 +491,16 @@ impl CheckSession {
                 // statement's touches); every workload consumer is
                 // insensitive to them — pinned by the delta property
                 // suite.
-                let schema = &ctx.schema;
-                let workload = &mut ctx.workload;
                 for p in &plan {
-                    for (slot, insert) in [(p.old_slot, false), (p.new_slot, true)] {
-                        let s = state.slots[slot].as_mut()?;
-                        if s.contribution.is_none() {
-                            s.contribution = Some(WorkloadProfile::contribution(
-                                &s.parsed.stmt,
-                                &s.ann,
-                                schema,
-                            ));
-                        }
-                        let c = s.contribution.as_ref().unwrap();
+                    for (id, insert) in [(p.old, false), (p.new, true)] {
+                        let c = state.slots[id].contribution.get_or_insert_with(|| {
+                            let u = &ctx.uniques[id];
+                            WorkloadProfile::contribution(&u.parsed.stmt, &u.ann, &ctx.schema)
+                        });
                         if insert {
-                            workload.add_contribution(c, 1);
+                            ctx.workload.add_contribution(c, 1);
                         } else {
-                            workload.sub_contribution(c, 1);
+                            ctx.workload.sub_contribution(c, 1);
                         }
                     }
                 }
@@ -622,33 +514,27 @@ impl CheckSession {
 
         // ---- patch (a): dirty canonical slices -----------------------
         let t_patch = Instant::now();
-        // Slots needing a canonical refresh: fresh/revived slots from the
-        // edit set, plus — after a DDL edit — every live slot, so the
+        // Texts needing a canonical refresh: the edit set's, each run at
+        // an edited statement (any occurrence gives the same canonical
+        // detections), plus after a DDL edit every live text, so the
         // column-granular epoch sweep decides what actually re-runs.
-        let mut seen = vec![false; state.slots.len()];
-        let mut need: Vec<usize> = Vec::new();
+        let mut edited = vec![0usize; state.slots.len()];
+        let mut need: Vec<(usize, usize)> = Vec::new();
         for p in &plan {
-            if !seen[p.new_slot] {
-                seen[p.new_slot] = true;
-                need.push(p.new_slot);
+            if edited[p.new] == 0 {
+                need.push((p.new, p.index));
             }
+            edited[p.new] += 1;
         }
         if schema_dirty {
-            for (si, s) in state.slots.iter().enumerate() {
-                if s.as_ref().is_some_and(|s| s.count > 0) && !seen[si] {
-                    seen[si] = true;
-                    need.push(si);
+            let first = ctx_ref.first_occurrences();
+            for (id, u) in ctx_ref.uniques.iter() {
+                if u.count > 0 && edited[id] == 0 {
+                    need.push((id, first[id]));
                 }
             }
         }
-        // Representative (first) occurrence per needed slot.
-        let mut rep_of = vec![usize::MAX; state.slots.len()];
-        for (i, &slot) in state.order.iter().enumerate() {
-            if seen[slot] && rep_of[slot] == usize::MAX {
-                rep_of[slot] = i;
-            }
-        }
-        let reps: Vec<usize> = need.iter().map(|&si| rep_of[si]).collect();
+        let reps: Vec<usize> = need.iter().map(|&(_, rep)| rep).collect();
         let mut failures: Vec<Diagnostic> = Vec::new();
         let refreshed = tool.detector.intra_results(ctx_ref, cache, &reps, &mut failures);
         if !failures.is_empty() {
@@ -656,26 +542,19 @@ impl CheckSession {
             // rebuild.
             return None;
         }
-        // Every occurrence of a content-changed slot re-emits. Edited
-        // indices are already dirty; this catches the other occurrences
-        // (shared texts, DDL-invalidated slots).
+        // Every occurrence of a content-changed text re-emits; find the
+        // unedited ones only when a changed text occurs outside the edit
+        // set (shared texts, DDL-invalidated texts).
         let mut changed = vec![false; state.slots.len()];
-        let mut any_changed = false;
-        for (&si, canon) in need.iter().zip(refreshed) {
+        let mut changed_elsewhere = false;
+        for (&(id, _), canon) in need.iter().zip(refreshed) {
             let canon = dedup_arc(canon);
-            let slot = state.slots[si].as_mut()?;
+            let slot = &mut state.slots[id];
             if *canon != *slot.canon {
-                changed[si] = true;
-                any_changed = true;
+                changed[id] = true;
+                changed_elsewhere |= ctx_ref.uniques[id].count > edited[id];
             }
             slot.canon = canon;
-        }
-        if any_changed {
-            for (i, &slot) in state.order.iter().enumerate() {
-                if changed[slot] {
-                    dirty[i] = true;
-                }
-            }
         }
         let mut warm_patch_micros = t_patch.elapsed().as_micros();
 
@@ -691,12 +570,23 @@ impl CheckSession {
         let warm_finalize_a = t_finalize.elapsed().as_micros();
 
         // ---- patch (b): one-pass report rebuild ----------------------
-        // Clean statements MOVE (plus a span shift after the edit
-        // point); dirty ones re-fan-out from their slot's canonical
-        // slice. The tail is replaced; registry extras are recomputed
-        // below.
+        // Dirty statements — edited, or of a changed text — re-fan-out
+        // from their text's canonical slice; the clean runs between them
+        // MOVE whole, spans shifted by the edits before them. The tail is
+        // replaced; registry extras are recomputed below.
         let t_patch2 = Instant::now();
-        let warm_dirty_statements = dirty.iter().filter(|&&d| d).count();
+        let dirty: Vec<usize> = if changed_elsewhere {
+            let mut ei = 0;
+            (0..n)
+                .filter(|&i| {
+                    let edited = ei < plan.len() && plan[ei].index == i;
+                    ei += usize::from(edited);
+                    edited || changed[ctx_ref.statements[i].unique]
+                })
+                .collect()
+        } else {
+            plan.iter().map(|p| p.index).collect()
+        };
         {
             // Ranking and fixes are lazy on [`CheckOutcome`]; dropping the
             // memo keeps the re-check proportional to the edit set (fix
@@ -706,42 +596,33 @@ impl CheckSession {
             // reuse its memory instead of growing the heap.
             state.outcome.outcome.invalidate_derived();
             let CheckOutcome { context, report, .. } = &mut state.outcome.outcome;
+            let bounds = &state.bounds;
             let old = mem::take(&mut report.detections);
             let mut out: Vec<Detection> = Vec::with_capacity(old.len() + 16);
             let mut it = old.into_iter();
             let mut new_bounds: Vec<usize> = Vec::with_capacity(n + 1);
             new_bounds.push(0);
-            for i in 0..n {
-                let old_cnt = state.bounds[i + 1] - state.bounds[i];
-                if dirty[i] {
-                    for _ in 0..old_cnt {
-                        it.next()?;
-                    }
-                    emit_fanout(
-                        &mut out,
-                        &state.slots[state.order[i]].as_ref()?.canon,
-                        i,
-                        context.statements[i].span,
-                    );
-                } else if shift[i] == 0 {
-                    for _ in 0..old_cnt {
-                        out.push(it.next()?);
-                    }
-                } else {
-                    let d = shift[i];
-                    for _ in 0..old_cnt {
-                        let mut det = it.next()?;
-                        if let Some(sp) = det.span {
-                            det.span = Some(Span::new(
-                                (sp.start as i64 + d) as usize,
-                                (sp.end as i64 + d) as usize,
-                            ));
-                        }
-                        out.push(det);
-                    }
+            // `pos`: old offset of the next clean run; `off`: how far its
+            // slice bounds move; `done`: old bounds already carried over.
+            let (mut pos, mut off, mut done, mut cum, mut ei) = (0, 0isize, 1, 0i64, 0);
+            for &i in &dirty {
+                let (start, end) = (bounds[i], bounds[i + 1]);
+                move_run(&mut out, &mut it, start - pos, cum)?;
+                for _ in start..end {
+                    it.next()?;
                 }
-                new_bounds.push(out.len());
+                let s = &context.statements[i];
+                emit_fanout(&mut out, &state.slots[s.unique].canon, i, s.span);
+                new_bounds.extend(bounds[done..=i].iter().map(|&b| (b as isize + off) as usize));
+                (pos, off, done) = (end, out.len() as isize - end as isize, i + 1);
+                if ei < plan.len() && plan[ei].index == i {
+                    cum += plan[ei].delta;
+                    ei += 1;
+                }
             }
+            move_run(&mut out, &mut it, bounds[n] - pos, cum)?;
+            new_bounds.extend(bounds[done..].iter().map(|&b| (b as isize + off) as usize));
+            state.bounds = new_bounds;
             for _ in 0..state.tail_len {
                 it.next()?;
             }
@@ -750,7 +631,6 @@ impl CheckSession {
             // Whatever remains is the previous registry extras —
             // dropped; the registry re-runs below.
             report.detections = out;
-            state.bounds = new_bounds;
         }
         warm_patch_micros += t_patch2.elapsed().as_micros();
 
@@ -769,30 +649,28 @@ impl CheckSession {
         state.outcome.outcome.diagnostics = diagnostics;
         let warm_finalize_micros = warm_finalize_a + t_finalize2.elapsed().as_micros();
 
-        // ---- free retired slots --------------------------------------
+        // ---- free retired texts --------------------------------------
         // Only now: every count update has landed (a batch can retire and
         // revive one text) and the profile has retracted every retired
         // contribution.
+        let uniques = &mut state.outcome.outcome.context.uniques;
         for p in &plan {
-            if let Some(s) = state.slots[p.old_slot].take_if(|s| s.count == 0) {
-                state.slot_of.remove(&s.hash);
-                state.free.push(p.old_slot);
+            if uniques.release(p.old) {
+                state.slots[p.old] = Slot::default();
             }
         }
 
         // ---- stats ---------------------------------------------------
-        // With retired slots freed, `slot_of` maps exactly the live texts.
-        let live_uniques = state.slot_of.len();
         let mut stats = BatchStats {
             statements: n,
-            unique_templates: state.template_counts.len(),
-            unique_texts: live_uniques,
-            cache_hits: n - live_uniques,
+            unique_templates: uniques.templates(),
+            unique_texts: uniques.len(),
+            cache_hits: n - uniques.len(),
             warm_edit_micros,
             warm_profile_micros,
             warm_patch_micros,
             warm_finalize_micros,
-            warm_dirty_statements,
+            warm_dirty_statements: dirty.len(),
             inter_units_recomputed: inter_units_run,
             data_units_reused: state.data_units.len(),
             rule_failures: registry_failures,
@@ -800,30 +678,9 @@ impl CheckSession {
             ..BatchStats::default()
         };
         stats.diag_counts[DiagKind::RuleFailed.index()] = registry_failures;
-        if let (Some(before), Some(c)) = (counters_before, cache) {
-            let after = c.counters();
-            stats.incremental_hits = (after.hits - before.hits) as usize;
-            stats.incremental_misses = (after.misses - before.misses) as usize;
-            stats.incremental_evictions = (after.evictions - before.evictions) as usize;
-            stats.table_evictions = (after.table_evictions - before.table_evictions) as usize;
-            stats.column_evictions = (after.column_evictions - before.column_evictions) as usize;
-        }
+        stats.add_cache_delta(cache, counters_before);
         state.outcome.stats = stats;
         Some(())
-    }
-
-    /// Rebuild everything from the (already spliced) script — the
-    /// unconditional-correctness path.
-    fn full_rebuild(&mut self, t_total: Instant) {
-        self.fallbacks += 1;
-        self.rebuild(t_total);
-    }
-
-    /// The rebuild itself, shared by involuntary fallbacks and
-    /// deliberate cost-based cold reverts.
-    fn rebuild(&mut self, t_total: Instant) {
-        self.state = State::init(&self.tool, &self.script, &self.opts);
-        self.state.outcome.stats.total_micros = t_total.elapsed().as_micros();
     }
 }
 
@@ -848,7 +705,8 @@ mod tests {
                 .map(|i| Edit::new(i, text(i, tag)))
                 .collect();
             session.recheck(&edits);
-            let (slots, live) = (session.state.slots.len(), session.outcome().stats.unique_texts);
+            let uniques = &session.outcome().outcome.context.uniques;
+            let (slots, live) = (uniques.id_bound(), session.outcome().stats.unique_texts);
             assert!(slots <= live + per_batch, "batch {b}: {slots} slots for {live} live texts");
         }
         assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0));

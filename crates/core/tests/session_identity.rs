@@ -13,7 +13,7 @@
 //!    cold (never-stale).
 
 use sqlcheck::context::{ColumnUsage, WorkloadProfile};
-use sqlcheck::{FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
+use sqlcheck::{Dialect, FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
 use sqlcheck_minidb::database::Database;
 use sqlcheck_minidb::schema::{Column, TableSchema};
 use sqlcheck_minidb::value::{DataType, Value};
@@ -513,5 +513,46 @@ fn inter_rules_flip_through_warm_rechecks_and_match_cold() {
                 }
             }
         }
+    }
+}
+
+/// With dialect detection on, an edit that makes the script guess
+/// another dialect re-checks under it — dialect, detections and the
+/// `DialectGuessed` diagnostic match a cold check of the edited script.
+#[test]
+fn edit_that_changes_the_guessed_dialect_matches_cold() {
+    let opts = FrontendOptions { detect_dialect: true, ..FrontendOptions::default() };
+    let script: String = (0..40).map(|i| format!("SELECT a FROM t WHERE id = {i};\n")).collect();
+    for cached in [true, false] {
+        let mut session = tool(cached).into_session(script.clone(), opts.clone());
+        assert_eq!(session.outcome().outcome.context.dialect, Dialect::Generic);
+        session.recheck(&[Edit::new(0, "SELECT `a` FROM t WHERE id = 1")]);
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(cold.outcome.context.dialect, Dialect::MySql);
+        assert_eq!(session.outcome().outcome.context.dialect, Dialect::MySql, "cached={cached}");
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "cached={cached}");
+    }
+}
+
+/// A DDL edit that changes the detections of a text re-emits every
+/// occurrence of that text, not only the edited statements: here
+/// `NOT NULL` columns suppress Concatenate Nulls on a query that occurs
+/// twice and is never edited.
+#[test]
+fn ddl_edit_re_emits_unedited_occurrences_of_a_changed_text() {
+    let opts = FrontendOptions::default();
+    let mut script = String::from("CREATE TABLE t (a TEXT, b TEXT);\n");
+    for i in 0..12 {
+        script.push_str(&format!("SELECT a || b FROM t;\nSELECT a FROM t WHERE a = '{i}';\n"));
+    }
+    let mut session = tool(true).into_session(script, opts.clone());
+    for ddl in [
+        "CREATE TABLE t (a TEXT NOT NULL, b TEXT NOT NULL)",
+        "CREATE TABLE t (a TEXT, b TEXT)",
+    ] {
+        session.recheck(&[Edit::new(0, ddl)]);
+        assert_eq!(session.fallbacks(), 0, "{ddl}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "{ddl}");
     }
 }

@@ -1,0 +1,133 @@
+//! The context's unique-text table stays consistent through warm
+//! re-checks.
+//!
+//! Random edit rounds — fresh texts, texts revived from the original
+//! script, and DDL — run through a `CheckSession`, cache on and off.
+//! After every round the table must describe the statements exactly
+//! (counts, hash lookups, freed ids) and hold the same live texts, with
+//! the same counts, as the table of a cold check of the edited script.
+
+use sqlcheck::context::Context;
+use sqlcheck::{Edit, FrontendOptions, SqlCheck, WorkloadOutcome};
+use std::sync::Arc;
+
+/// Deterministic xorshift so edit rounds are reproducible.
+struct Rng(u64);
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+const DDL: usize = 2;
+
+fn seed_script() -> String {
+    let mut s = String::from(
+        "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), age INT);\n\
+         CREATE TABLE orders (id INT PRIMARY KEY, user_id INT, total FLOAT);\n",
+    );
+    for i in 0..60 {
+        s.push_str(&match i % 4 {
+            0 => format!("SELECT name FROM users WHERE id = {};\n", i % 7),
+            1 => "SELECT * FROM orders WHERE total > 10;\n".to_string(),
+            2 => format!("UPDATE orders SET total = {i} WHERE id = {};\n", i % 5),
+            _ => format!(
+                "SELECT u.name FROM users u JOIN orders o ON u.id = o.user_id WHERE o.id = {i};\n"
+            ),
+        });
+    }
+    s
+}
+
+/// The statements and the table agree, and freed ids are unreferenced.
+fn assert_consistent(ctx: &Context, what: &str) {
+    let uniques = &ctx.uniques;
+    let mut refs = vec![0usize; uniques.id_bound()];
+    for s in &ctx.statements {
+        refs[s.unique] += 1;
+        let u = uniques.get(s.unique).unwrap_or_else(|| panic!("{what}: statement on a freed id"));
+        assert!(Arc::ptr_eq(&s.parsed, &u.parsed) && Arc::ptr_eq(&s.ann, &u.ann), "{what}");
+    }
+    let mut live = 0;
+    for (id, &n) in refs.iter().enumerate() {
+        match uniques.get(id) {
+            Some(u) => {
+                live += 1;
+                assert_eq!(u.count, n, "{what}: count of id {id}");
+                assert_eq!(uniques.id_of(u.hash), Some(id), "{what}: lookup of id {id}");
+            }
+            None => assert_eq!(n, 0, "{what}: freed id {id} is referenced"),
+        }
+    }
+    assert_eq!((uniques.len(), uniques.iter().count()), (live, live), "{what}");
+}
+
+/// The live `(hash, count)` multiset, sorted.
+fn live_counts(ctx: &Context) -> Vec<(u128, usize)> {
+    let mut v: Vec<(u128, usize)> = ctx.uniques.iter().map(|(_, u)| (u.hash, u.count)).collect();
+    v.sort_unstable();
+    v
+}
+
+fn check_against_cold(w: &WorkloadOutcome, script: &str, what: &str) {
+    let ctx = &w.outcome.context;
+    assert_consistent(ctx, what);
+    let cold = SqlCheck::new().check_workload(script, &FrontendOptions::default());
+    assert_consistent(&cold.outcome.context, what);
+    assert_eq!(live_counts(ctx), live_counts(&cold.outcome.context), "{what}");
+    assert_eq!(
+        (w.stats.unique_texts, w.stats.unique_templates),
+        (cold.stats.unique_texts, cold.stats.unique_templates),
+        "{what}"
+    );
+    assert_eq!(ctx.uniques.templates(), cold.stats.unique_templates, "{what}");
+}
+
+#[test]
+fn table_matches_statements_and_cold_checks_through_edit_rounds() {
+    let original = seed_script();
+    let original_texts: Vec<&str> = original.lines().map(|l| l.trim_end_matches(';')).collect();
+    let ddl = [
+        "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), age INT, bio TEXT)",
+        "CREATE TABLE orders (id INT PRIMARY KEY, user_id INT, total DECIMAL(10, 2))",
+    ];
+    for cached in [true, false] {
+        for seed in [3u64, 5, 9] {
+            let tool = if cached { SqlCheck::new().with_cache(4096) } else { SqlCheck::new() };
+            let mut session = tool.into_session(original.clone(), FrontendOptions::default());
+            let n = session.outcome().stats.statements;
+            let mut rng = Rng(0x7AB1E ^ seed << 8 ^ cached as u64);
+            for round in 0..12 {
+                // Every third round edits a DDL statement.
+                let mut idx: Vec<usize> =
+                    if round % 3 == 0 { vec![round / 3 % DDL] } else { vec![] };
+                while idx.len() < 1 + rng.below(4) {
+                    let i = rng.below(n);
+                    if !idx.contains(&i) {
+                        idx.push(i);
+                    }
+                }
+                let edits: Vec<Edit> = idx
+                    .iter()
+                    .map(|&i| {
+                        let text = match (i < DDL, rng.below(3)) {
+                            (true, 0) => ddl[i].to_string(),
+                            (_, 1) => format!("SELECT age FROM users WHERE id = {}", 900 + round),
+                            _ => original_texts[DDL + rng.below(n - DDL)].to_string(),
+                        };
+                        Edit::new(i, text)
+                    })
+                    .collect();
+                session.recheck(&edits);
+                let what = format!("cached={cached} seed={seed} round={round}");
+                check_against_cold(session.outcome(), session.script(), &what);
+            }
+            // Without a cache only DDL edits rebuild; with one, none do.
+            let patched = session.rechecks() - session.fallbacks() - session.cold_reverts();
+            assert!(patched > 0 && (!cached || patched == 12), "cached={cached} seed={seed}");
+        }
+    }
+}
