@@ -8,7 +8,6 @@ use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::SplitStatement;
 use sqlcheck_parser::Dialect;
 use crate::hashutil::Prehashed;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,11 +46,8 @@ pub struct UniqueTable {
     entries: Vec<Option<UniqueText>>,
     /// Freed ids.
     free: Vec<usize>,
-    /// Live ids by the low half of their content hash (16-byte buckets,
-    /// not the 32 of a `u128` key: the table lives as long as its check).
-    by_low: HashMap<u64, usize, Prehashed>,
-    /// Live ids by full hash, for texts whose low half is taken.
-    overflow: HashMap<u128, usize, Prehashed>,
+    /// Live ids by content hash.
+    by_hash: HashMap<u128, usize, Prehashed>,
     /// Live unique texts per template fingerprint.
     templates: HashMap<u64, usize>,
 }
@@ -59,12 +55,12 @@ pub struct UniqueTable {
 impl UniqueTable {
     /// Live unique texts.
     pub fn len(&self) -> usize {
-        self.by_low.len() + self.overflow.len()
+        self.by_hash.len()
     }
 
     /// True when the table holds no text.
     pub fn is_empty(&self) -> bool {
-        self.by_low.is_empty() && self.overflow.is_empty()
+        self.by_hash.is_empty()
     }
 
     /// One past the largest id ever handed out: the length of a vector
@@ -85,10 +81,7 @@ impl UniqueTable {
 
     /// The id of the live text with content hash `hash`.
     pub fn id_of(&self, hash: u128) -> Option<usize> {
-        match self.by_low.get(&(hash as u64)) {
-            Some(&id) if self.entries[id].as_ref().is_some_and(|e| e.hash == hash) => Some(id),
-            _ => self.overflow.get(&hash).copied(),
-        }
+        self.by_hash.get(&hash).copied()
     }
 
     /// Live texts with their ids, in id order.
@@ -145,11 +138,7 @@ impl UniqueTable {
                 self.entries.len() - 1
             }
         };
-        if let Entry::Vacant(v) = self.by_low.entry(hash as u64) {
-            v.insert(id);
-        } else {
-            self.overflow.insert(hash, id);
-        }
+        self.by_hash.insert(hash, id);
         *self.templates.entry(fingerprint).or_default() += 1;
         id
     }
@@ -157,7 +146,7 @@ impl UniqueTable {
     /// Make room for `additional` more texts.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.entries.reserve(additional);
-        self.by_low.reserve(additional);
+        self.by_hash.reserve(additional);
     }
 
     /// Count one more statement of text `id`.
@@ -179,11 +168,7 @@ impl UniqueTable {
             return false;
         }
         let e = self.entries[id].take().expect("checked live above");
-        if self.by_low.get(&(e.hash as u64)) == Some(&id) {
-            self.by_low.remove(&(e.hash as u64));
-        } else {
-            self.overflow.remove(&e.hash);
-        }
+        self.by_hash.remove(&e.hash);
         if let Some(c) = self.templates.get_mut(&e.fingerprint) {
             *c -= 1;
             if *c == 0 {
@@ -208,29 +193,3 @@ impl std::ops::Index<usize> for UniqueTable {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Texts whose hashes share the low half stay apart, through inserts,
-    /// releases and revivals in every order.
-    #[test]
-    fn low_half_collisions_stay_apart() {
-        let ctx = crate::ContextBuilder::new().add_script("SELECT 1").build();
-        let u = &ctx.uniques[0];
-        let parse = || (u.parsed.clone(), u.ann.clone(), u.diags.clone());
-        let hashes = [7u128, 1 << 64 | 7, 2 << 64 | 7];
-        let mut t = UniqueTable::default();
-        for order in [[0, 1, 2], [1, 0, 2], [2, 1, 0]] {
-            let ids = hashes.map(|h| t.intern(h, 0, parse));
-            assert_eq!(hashes.map(|h| t.id_of(h)), ids.map(Some));
-            for (k, &i) in order.iter().enumerate() {
-                assert!(t.release(ids[i]));
-                for (j, &h) in hashes.iter().enumerate() {
-                    assert_eq!(t.id_of(h), order[k + 1..].contains(&j).then_some(ids[j]));
-                }
-            }
-            assert!(t.is_empty() && t.templates() == 0);
-        }
-    }
-}

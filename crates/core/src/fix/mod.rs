@@ -96,8 +96,8 @@ impl FixEngine {
     /// Suggest fixes for an ordered detection list (Algorithm 4's loop),
     /// equal to [`FixEngine::fix`] on each detection.
     ///
-    /// A statement-locus fix is synthesised once per (unique statement
-    /// text, kind) and shared by every later occurrence of that text.
+    /// A statement-locus fix is synthesised once per (statement text
+    /// hash, kind) and shared by every later occurrence of that text.
     /// Enumerated Types and Multi-Valued Attribute fixes list impacted
     /// queries from the whole context, so they stay per detection and
     /// look those up in one lazily built [`ImpactIndex`]. The memo lives
@@ -108,7 +108,7 @@ impl FixEngine {
         ctx: &Context,
     ) -> Vec<SuggestedFix> {
         let impacts = ImpactIndex::new(ctx);
-        let mut memo: HashMap<u64, Fix, Prehashed> = HashMap::default();
+        let mut memo: HashMap<(u128, AntiPatternKind), Fix, Prehashed> = HashMap::default();
         detections
             .into_iter()
             .map(|d| {
@@ -148,14 +148,14 @@ impl FixEngine {
 /// The memo key of a detection whose fix depends only on its statement's
 /// text, with that statement's index; `None` for a fix that reads more
 /// of the context.
-/// The key packs the kind above the statement's unique-text id.
-fn memo_key(d: &Detection, ctx: &Context) -> Option<(u64, usize)> {
+fn memo_key(d: &Detection, ctx: &Context) -> Option<((u128, AntiPatternKind), usize)> {
     use AntiPatternKind::*;
     if matches!(d.kind, EnumeratedTypes | MultiValuedAttribute) {
         return None;
     }
     let index = d.statement_index()?;
-    Some(((d.kind as u64) << 32 | ctx.statements.get(index)?.unique as u64, index))
+    let unique = ctx.statements.get(index)?.unique;
+    Some(((ctx.uniques[unique].hash, d.kind), index))
 }
 
 #[cfg(test)]

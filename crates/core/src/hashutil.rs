@@ -15,7 +15,8 @@ impl Hasher for PrehashedHasher {
         self.0
     }
     fn write(&mut self, bytes: &[u8]) {
-        // Only u128 keys are ever hashed here; fold whatever arrives.
+        // Keys are u128 hashes, alone or with a small tag (an enum
+        // discriminant); fold whatever arrives here.
         for chunk in bytes.chunks(8) {
             let mut b = [0u8; 8];
             b[..chunk.len()].copy_from_slice(chunk);
@@ -25,12 +26,7 @@ impl Hasher for PrehashedHasher {
     fn write_u128(&mut self, i: u128) {
         self.0 = (i as u64) ^ ((i >> 64) as u64);
     }
-    /// A `u64` key is a packed id: one multiply spreads it into high bits.
-    fn write_u64(&mut self, i: u64) {
-        self.0 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
 }
 
-/// `BuildHasher` for maps keyed by precomputed 128-bit hashes or packed
-/// `u64` ids.
+/// `BuildHasher` for maps keyed by precomputed 128-bit hashes.
 pub(crate) type Prehashed = BuildHasherDefault<PrehashedHasher>;

@@ -64,7 +64,6 @@ use sqlcheck_parser::splitter::split_deduped;
 use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
-use std::vec::IntoIter;
 
 /// One statement replacement: statement `index`'s text becomes `text`.
 ///
@@ -191,22 +190,6 @@ fn dedup_tail<'a>(units: impl IntoIterator<Item = &'a Vec<Detection>>) -> Vec<De
     let mut tail: Vec<Detection> = units.into_iter().flatten().cloned().collect();
     crate::detect::dedup(&mut tail);
     tail
-}
-
-/// Move the next `n` detections of `it` to `to`, their spans shifted by
-/// `d` bytes; `None` when `it` holds fewer.
-fn move_run(to: &mut Vec<Detection>, it: &mut IntoIter<Detection>, n: usize, d: i64) -> Option<()> {
-    if it.len() < n {
-        return None;
-    }
-    to.extend(it.by_ref().take(n).map(|mut det| {
-        if let Some(sp) = det.span.filter(|_| d != 0) {
-            let shift = |x: usize| (x as i64 + d) as usize;
-            det.span = Some(Span::new(shift(sp.start), shift(sp.end)));
-        }
-        det
-    }));
-    Some(())
 }
 
 /// Emit `canon` fanned out to occurrence `i` of a statement spanning
@@ -518,18 +501,18 @@ impl CheckSession {
         // an edited statement (any occurrence gives the same canonical
         // detections), plus after a DDL edit every live text, so the
         // column-granular epoch sweep decides what actually re-runs.
-        let mut edited = vec![0usize; state.slots.len()];
+        let mut edited = vec![false; state.slots.len()];
         let mut need: Vec<(usize, usize)> = Vec::new();
         for p in &plan {
-            if edited[p.new] == 0 {
+            if !edited[p.new] {
+                edited[p.new] = true;
                 need.push((p.new, p.index));
             }
-            edited[p.new] += 1;
         }
         if schema_dirty {
             let first = ctx_ref.first_occurrences();
             for (id, u) in ctx_ref.uniques.iter() {
-                if u.count > 0 && edited[id] == 0 {
+                if u.count > 0 && !edited[id] {
                     need.push((id, first[id]));
                 }
             }
@@ -542,18 +525,13 @@ impl CheckSession {
             // rebuild.
             return None;
         }
-        // Every occurrence of a content-changed text re-emits; find the
-        // unedited ones only when a changed text occurs outside the edit
-        // set (shared texts, DDL-invalidated texts).
+        // Every occurrence of a content-changed text re-emits, edited or
+        // not (shared texts, DDL-invalidated texts).
         let mut changed = vec![false; state.slots.len()];
-        let mut changed_elsewhere = false;
         for (&(id, _), canon) in need.iter().zip(refreshed) {
             let canon = dedup_arc(canon);
             let slot = &mut state.slots[id];
-            if *canon != *slot.canon {
-                changed[id] = true;
-                changed_elsewhere |= ctx_ref.uniques[id].count > edited[id];
-            }
+            changed[id] = *canon != *slot.canon;
             slot.canon = canon;
         }
         let mut warm_patch_micros = t_patch.elapsed().as_micros();
@@ -571,22 +549,11 @@ impl CheckSession {
 
         // ---- patch (b): one-pass report rebuild ----------------------
         // Dirty statements — edited, or of a changed text — re-fan-out
-        // from their text's canonical slice; the clean runs between them
-        // MOVE whole, spans shifted by the edits before them. The tail is
-        // replaced; registry extras are recomputed below.
+        // from their text's canonical slice; clean ones MOVE, spans
+        // shifted by the edits before them. The tail is replaced;
+        // registry extras are recomputed below.
         let t_patch2 = Instant::now();
-        let dirty: Vec<usize> = if changed_elsewhere {
-            let mut ei = 0;
-            (0..n)
-                .filter(|&i| {
-                    let edited = ei < plan.len() && plan[ei].index == i;
-                    ei += usize::from(edited);
-                    edited || changed[ctx_ref.statements[i].unique]
-                })
-                .collect()
-        } else {
-            plan.iter().map(|p| p.index).collect()
-        };
+        let mut warm_dirty_statements = 0;
         {
             // Ranking and fixes are lazy on [`CheckOutcome`]; dropping the
             // memo keeps the re-check proportional to the edit set (fix
@@ -596,32 +563,37 @@ impl CheckSession {
             // reuse its memory instead of growing the heap.
             state.outcome.outcome.invalidate_derived();
             let CheckOutcome { context, report, .. } = &mut state.outcome.outcome;
-            let bounds = &state.bounds;
             let old = mem::take(&mut report.detections);
             let mut out: Vec<Detection> = Vec::with_capacity(old.len() + 16);
             let mut it = old.into_iter();
             let mut new_bounds: Vec<usize> = Vec::with_capacity(n + 1);
             new_bounds.push(0);
-            // `pos`: old offset of the next clean run; `off`: how far its
-            // slice bounds move; `done`: old bounds already carried over.
-            let (mut pos, mut off, mut done, mut cum, mut ei) = (0, 0isize, 1, 0i64, 0);
-            for &i in &dirty {
-                let (start, end) = (bounds[i], bounds[i + 1]);
-                move_run(&mut out, &mut it, start - pos, cum)?;
-                for _ in start..end {
-                    it.next()?;
+            let (mut cum, mut ei) = (0i64, 0);
+            for (i, s) in context.statements.iter().enumerate() {
+                let old_cnt = state.bounds[i + 1] - state.bounds[i];
+                let edited = ei < plan.len() && plan[ei].index == i;
+                if edited || changed[s.unique] {
+                    for _ in 0..old_cnt {
+                        it.next()?;
+                    }
+                    emit_fanout(&mut out, &state.slots[s.unique].canon, i, s.span);
+                    warm_dirty_statements += 1;
+                } else {
+                    for _ in 0..old_cnt {
+                        let mut det = it.next()?;
+                        if let Some(sp) = det.span.filter(|_| cum != 0) {
+                            let shift = |x: usize| (x as i64 + cum) as usize;
+                            det.span = Some(Span::new(shift(sp.start), shift(sp.end)));
+                        }
+                        out.push(det);
+                    }
                 }
-                let s = &context.statements[i];
-                emit_fanout(&mut out, &state.slots[s.unique].canon, i, s.span);
-                new_bounds.extend(bounds[done..=i].iter().map(|&b| (b as isize + off) as usize));
-                (pos, off, done) = (end, out.len() as isize - end as isize, i + 1);
-                if ei < plan.len() && plan[ei].index == i {
+                if edited {
                     cum += plan[ei].delta;
                     ei += 1;
                 }
+                new_bounds.push(out.len());
             }
-            move_run(&mut out, &mut it, bounds[n] - pos, cum)?;
-            new_bounds.extend(bounds[done..].iter().map(|&b| (b as isize + off) as usize));
             state.bounds = new_bounds;
             for _ in 0..state.tail_len {
                 it.next()?;
@@ -670,7 +642,7 @@ impl CheckSession {
             warm_profile_micros,
             warm_patch_micros,
             warm_finalize_micros,
-            warm_dirty_statements: dirty.len(),
+            warm_dirty_statements,
             inter_units_recomputed: inter_units_run,
             data_units_reused: state.data_units.len(),
             rule_failures: registry_failures,
