@@ -1,10 +1,10 @@
 //! **End-to-end front-end experiment** — the parse-once pipeline, the
-//! fingerprint-keyed incremental cache, and the delta-based warm
+//! content-hash-keyed incremental cache, and the delta-based warm
 //! re-check ([`CheckSession`]).
 //!
 //! Two timed configurations per workload shape:
 //!
-//! * `pipeline` — the parse-once front-end: split + fingerprint first,
+//! * `pipeline` — the parse-once front-end: split + dedup first,
 //!   parse/annotate each unique text once, followed by batch detection;
 //! * `warm` — a [`CheckSession`] retained from a cold check of the
 //!   workload, re-checking an **edit set** (a fraction of statements

@@ -9,15 +9,15 @@
 //! [throughput](crate::experiments::throughput) experiment:
 //!
 //! * `legacy` — [`split_spanned`]: lex the whole script into a token
-//!   buffer, slice it into statements, re-walk each statement to hash
-//!   (fingerprints computed per statement from the spans);
+//!   buffer, slice it into statements, and content-hash each slice;
 //! * `deduped` — [`split_deduped`]: the pipeline's intake path — a
 //!   spans-only boundary scan groups duplicate texts by exact bytes and
-//!   the lex+hash pass runs once per **unique** text.
+//!   each **unique** text's bytes are content-hashed once. Neither
+//!   configuration fingerprints: the context builder fingerprints a new
+//!   unique text from the tokens it materialises for parsing.
 //!
 //! Both configurations are asserted to produce **identical statements**
-//! (spans, content hashes, template fingerprints) before any timing is
-//! reported.
+//! (spans and content hashes) before any timing is reported.
 
 use crate::alloc_count::{alloc_count, allocs_per_stmt, peak_heap_growth};
 use crate::harness::{sample_of, Sample};
@@ -43,8 +43,7 @@ pub struct SplitRow {
     pub bytes: usize,
     /// Whether both configurations emitted identical statements.
     pub identical: bool,
-    /// Wall-clock microseconds: legacy two-pass splitter (+ per-statement
-    /// fingerprints).
+    /// Wall-clock microseconds: legacy two-pass splitter.
     pub legacy_micros: u128,
     /// Wall-clock microseconds: split + byte-level dedup, hashing each
     /// unique text once (the `ContextBuilder::add_script` intake path).
@@ -99,11 +98,7 @@ impl SplitRow {
 fn legacy_statements(script: &str) -> Vec<SplitStatement> {
     split_spanned(script, Dialect::Generic)
         .iter()
-        .map(|s| SplitStatement {
-            span: s.span,
-            content_hash: s.content_hash,
-            fingerprint: s.fingerprint(script),
-        })
+        .map(|s| SplitStatement { span: s.span, content_hash: s.content_hash })
         .collect()
 }
 
@@ -117,11 +112,7 @@ pub fn assert_equivalence(script: &str) -> usize {
     for ((slot, span), s) in d.occurrences.iter().zip(&legacy) {
         assert_eq!(*span, s.span, "deduped occurrence span");
         let u = &d.uniques[*slot as usize];
-        assert_eq!(
-            (u.content_hash, u.fingerprint),
-            (s.content_hash, s.fingerprint),
-            "deduped unique hashes"
-        );
+        assert_eq!(u.content_hash, s.content_hash, "deduped unique content hash");
     }
     legacy.len()
 }
@@ -235,7 +226,7 @@ pub const FRONTEND_MEMORY_STATEMENTS: usize = 20_000;
 /// counting is compiled in (the CI front-end memory gate). A front end
 /// that keeps every unique text's token vector next to its tree measures
 /// 68.4 heap bytes per input byte; one that keeps only the source, tree,
-/// annotations and diagnostics measures 39.6.
+/// annotations and diagnostics measures 37.7.
 pub const FRONTEND_HEAP_PER_BYTE_CEILING: f64 = 50.0;
 
 /// The most heap one context build held at once, on the unique-heavy

@@ -8,7 +8,7 @@
 //!
 //! * `reference` — [`sqlcheck::detect::reference::detect`], the
 //!   per-statement loop the identity suites use as their oracle;
-//! * `batch` — [`sqlcheck::Detector::detect_batch`] (fingerprint/text
+//! * `batch` — [`sqlcheck::Detector::detect_batch`] (exact-text
 //!   dedup), the engine every production path runs.
 //!
 //! Both configurations are verified to produce byte-identical detections

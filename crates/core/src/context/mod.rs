@@ -41,7 +41,7 @@ use sqlcheck_parser::splitter::split_deduped;
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One statement occurrence, as stored in the context.
 ///
@@ -166,11 +166,12 @@ pub struct FrontendStats {
     /// performed.
     pub unique_texts: usize,
     /// Wall-clock microseconds in the split pass ([`split_deduped`]):
-    /// statement splitting, dedup grouping, and content hashing and
-    /// template fingerprinting of each unique text.
+    /// the boundary scan, dedup grouping, and one content hash of each
+    /// unique text's bytes (no per-unique lex, no fingerprint).
     pub split_micros: u128,
     /// Wall-clock microseconds materialising the token streams of new
-    /// unique texts at intake.
+    /// unique texts at intake — each new text's one lex — and
+    /// fingerprinting them from those tokens.
     pub materialize_micros: u128,
     /// Wall-clock microseconds in intake bookkeeping (table lookups and
     /// occurrence records), excluding the materialise, parse and annotate
@@ -186,10 +187,35 @@ pub struct FrontendStats {
     pub context_micros: u128,
 }
 
-impl FrontendStats {
-    /// Microseconds materialising, parsing and annotating new unique texts.
-    fn unique_micros(&self) -> u128 {
-        self.materialize_micros + self.parse_micros + self.annotate_micros
+/// Front-end phase times, summed at full precision and converted to the
+/// microseconds of [`FrontendStats`] once: a phase made of many
+/// sub-microsecond steps (one per new unique text) then adds up instead of
+/// rounding each step down to nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PhaseTimes {
+    pub(crate) split: Duration,
+    pub(crate) intake: Duration,
+    pub(crate) materialize: Duration,
+    pub(crate) parse: Duration,
+    pub(crate) annotate: Duration,
+}
+
+impl PhaseTimes {
+    /// Time materialising, parsing and annotating new unique texts.
+    fn unique(&self) -> Duration {
+        self.materialize + self.parse + self.annotate
+    }
+
+    /// The phase times in microseconds; every other field is zero.
+    fn stats(&self) -> FrontendStats {
+        FrontendStats {
+            split_micros: self.split.as_micros(),
+            intake_micros: self.intake.as_micros(),
+            materialize_micros: self.materialize.as_micros(),
+            parse_micros: self.parse.as_micros(),
+            annotate_micros: self.annotate.as_micros(),
+            ..FrontendStats::default()
+        }
     }
 }
 
@@ -253,11 +279,12 @@ impl Default for FrontendOptions {
 /// Builder for [`Context`] — the parse-once front-end.
 ///
 /// Scripts enter through [`split_deduped`], which splits the script,
-/// groups duplicate texts, and content-hashes and fingerprints each
-/// unique text — before parsing, and without materialising a token
-/// stream. Each text the context's [`UniqueTable`] does not hold yet is
-/// materialised, parsed and annotated at intake, one at a time, so at
-/// most one token vector is live: a unique text keeps only its source,
+/// groups duplicate texts, and content-hashes each unique text's bytes —
+/// before parsing, and without lexing any text twice. Each text the
+/// context's [`UniqueTable`] does not hold yet is materialised (its one
+/// lex), fingerprinted from those tokens, parsed and annotated at intake,
+/// one at a time, so at most one token vector is live, and a text the
+/// table holds is never lexed again: a unique text keeps only its source,
 /// tree, annotations and diagnostics, shared across its occurrences via
 /// [`Arc`]. The one [`FrontendOptions`] dialect governs every step.
 /// [`crate::detect::reference::context`] builds the same context without
@@ -269,7 +296,7 @@ pub struct ContextBuilder {
     database: Option<(Arc<Database>, DataAnalysisConfig)>,
     opts: FrontendOptions,
     /// Front-end timings accumulated by intake.
-    stats: FrontendStats,
+    times: PhaseTimes,
     /// Whether any added script contained a `DELIMITER` directive (see
     /// [`sqlcheck_parser::splitter::DedupedSplit`]).
     saw_delimiter_directive: bool,
@@ -291,10 +318,10 @@ impl ContextBuilder {
 
     /// Add every statement in a SQL script: [`split_deduped`] splits the
     /// script and groups duplicate texts before any parsing. Only texts
-    /// this builder has not seen before are materialised, parsed and
-    /// annotated, under the dialect the script was split under, each
-    /// token vector dropped as soon as its text is parsed; a duplicate
-    /// costs one map lookup.
+    /// this builder has not seen before are materialised, fingerprinted,
+    /// parsed and annotated, under the dialect the script was split under,
+    /// each token vector dropped as soon as its text is parsed; a
+    /// duplicate costs one map lookup.
     pub fn add_script(mut self, script: &str) -> Self {
         let t = Instant::now();
         if self.resolved_dialect.is_none() {
@@ -308,16 +335,16 @@ impl ContextBuilder {
         // bookkeeping, accounted separately so warm re-checks
         // (materialization short-circuited, bookkeeping still
         // O(occurrences)) report honest split numbers.
-        self.stats.split_micros += t.elapsed().as_micros();
+        self.times.split += t.elapsed();
         let t_intake = Instant::now();
         self.saw_delimiter_directive |= split.saw_delimiter_directive;
-        let before = self.stats.unique_micros();
+        let before = self.times.unique();
         let uniques = &mut self.ctx.uniques;
         uniques.reserve(split.uniques.len());
         let ids: Vec<usize> = split
             .uniques
             .iter()
-            .map(|u| uniques.insert(u, script, dialect, &self.opts.limits, &mut self.stats))
+            .map(|u| uniques.insert(u, script, dialect, &self.opts.limits, &mut self.times))
             .collect();
         // Free the split's per-unique records before the statements grow.
         drop(split.uniques);
@@ -335,8 +362,8 @@ impl ContextBuilder {
                 diags: Arc::clone(&u.diags),
             });
         }
-        let inner = self.stats.unique_micros() - before;
-        self.stats.intake_micros += t_intake.elapsed().as_micros().saturating_sub(inner);
+        let inner = self.times.unique() - before;
+        self.times.intake += t_intake.elapsed().saturating_sub(inner);
         self
     }
 
@@ -386,7 +413,7 @@ impl ContextBuilder {
         let mut stats = FrontendStats {
             statements: ctx.statements.len(),
             unique_texts: ctx.uniques.len(),
-            ..self.stats
+            ..self.times.stats()
         };
 
         let t_ctx = Instant::now();
@@ -452,6 +479,18 @@ mod tests {
         assert!(t.has_primary_key());
         assert!(ctx.has_data());
         assert_eq!(ctx.data.as_ref().unwrap().table("users").unwrap().row_count, 1);
+    }
+
+    #[test]
+    fn sub_microsecond_phase_steps_add_up() {
+        let mut t = PhaseTimes::default();
+        for _ in 0..1_000 {
+            t.materialize += Duration::from_nanos(400);
+        }
+        t.parse = Duration::from_nanos(1_999);
+        let s = t.stats();
+        assert_eq!((s.materialize_micros, s.parse_micros), (400, 1));
+        assert_eq!(t.unique(), Duration::from_nanos(401_999));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The unique-text table of a [`Context`](super::Context).
 
-use super::FrontendStats;
+use super::PhaseTimes;
 use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{Diagnostic, Limits};
+use sqlcheck_parser::fingerprint::fingerprint_of;
 use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::SplitStatement;
 use sqlcheck_parser::Dialect;
@@ -25,7 +26,8 @@ pub struct UniqueText {
     /// of the incremental cache.
     pub hash: u128,
     /// Literal-insensitive template fingerprint
-    /// ([`sqlcheck_parser::fingerprint`]).
+    /// ([`sqlcheck_parser::fingerprint`]), computed at insert from the
+    /// tokens the text materialises to for parsing.
     pub fingerprint: u64,
     /// Statements that refer to this text.
     pub count: usize,
@@ -90,43 +92,45 @@ impl UniqueTable {
     }
 
     /// The insert path: the id of the text `u` splits to in `script`,
-    /// materialised, parsed (then its tokens dropped) and annotated when
-    /// new. Counts no occurrence; adds the time spent to `times`.
+    /// materialised (the text's one lex), fingerprinted from those
+    /// tokens, parsed (then its tokens dropped) and annotated when new. A
+    /// text the table holds is not lexed at all. Counts no occurrence;
+    /// adds the time spent to `times`.
     pub(crate) fn insert(
         &mut self,
         u: &SplitStatement,
         script: &str,
         dialect: Dialect,
         limits: &Limits,
-        times: &mut FrontendStats,
+        times: &mut PhaseTimes,
     ) -> usize {
-        self.intern(u.content_hash, u.fingerprint, || {
+        self.intern(u.content_hash, || {
             let tm = Instant::now();
             let raw = u.materialize(script, dialect);
+            let fingerprint = fingerprint_of(&raw.tokens);
             let tp = Instant::now();
             let (parsed, diags) = parse_raw_limited(raw, limits, dialect);
             let ta = Instant::now();
             let ann = annotate(&parsed.stmt, &parsed.arena);
-            times.materialize_micros += (tp - tm).as_micros();
-            times.parse_micros += (ta - tp).as_micros();
-            times.annotate_micros += ta.elapsed().as_micros();
-            (Arc::new(parsed), Arc::new(ann), diags.into())
+            times.materialize += tp - tm;
+            times.parse += ta - tp;
+            times.annotate += ta.elapsed();
+            (Arc::new(parsed), Arc::new(ann), diags.into(), fingerprint)
         })
     }
 
     /// The id of the text with content hash `hash`, adding it with the
-    /// tree, annotations and diagnostics `parse` returns when the table
-    /// does not hold it yet (reusing a freed id first).
+    /// tree, annotations, diagnostics and fingerprint `parse` returns when
+    /// the table does not hold it yet (reusing a freed id first).
     pub(crate) fn intern(
         &mut self,
         hash: u128,
-        fingerprint: u64,
-        parse: impl FnOnce() -> (Arc<ParsedStatement>, Arc<Annotations>, Arc<[Diagnostic]>),
+        parse: impl FnOnce() -> (Arc<ParsedStatement>, Arc<Annotations>, Arc<[Diagnostic]>, u64),
     ) -> usize {
         if let Some(id) = self.id_of(hash) {
             return id;
         }
-        let (parsed, ann, diags) = parse();
+        let (parsed, ann, diags, fingerprint) = parse();
         let entry = Some(UniqueText { parsed, ann, diags, hash, fingerprint, count: 0 });
         let id = match self.free.pop() {
             Some(id) => {

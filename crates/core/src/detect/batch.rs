@@ -73,15 +73,15 @@ pub struct BatchStats {
     pub dedup_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
-    /// Front-end: microseconds in the split pass — splitting, dedup
-    /// grouping, and per-unique content hashing and template
-    /// fingerprinting (0 when the caller did not attach
-    /// [`FrontendStats`]).
+    /// Front-end: microseconds in the split pass — the boundary scan,
+    /// dedup grouping, and one content hash per unique text (0 when the
+    /// caller did not attach [`FrontendStats`]).
     ///
     /// [`FrontendStats`]: crate::context::FrontendStats
     pub split_micros: u128,
-    /// Front-end: microseconds materialising token streams for unique
-    /// statement texts at intake.
+    /// Front-end: microseconds materialising token streams for new unique
+    /// statement texts at intake (each new text's one lex) and
+    /// fingerprinting them from those tokens.
     pub materialize_micros: u128,
     /// Front-end: microseconds in intake bookkeeping — looking up each
     /// unique text in the context's table and recording occurrences.
@@ -246,8 +246,8 @@ fn canonicalize(mut dets: Vec<Detection>) -> Vec<Detection> {
 
 impl Detector {
     /// Batched detection: runs intra-query rules once per unique
-    /// statement text (grouped under template fingerprints) and fans the
-    /// results out. Same detections, in the same order, as
+    /// statement text of the context's table and fans the results out.
+    /// Same detections, in the same order, as
     /// [`reference::detect`](crate::detect::reference::detect).
     pub fn detect_batch(&self, ctx: &Context) -> BatchReport {
         self.detect_batch_with(ctx, None)

@@ -38,8 +38,8 @@ pub fn context(script: &str, opts: &FrontendOptions) -> Context {
             let (parsed, diags) = parse_raw_limited(s.materialize(script), &opts.limits, dialect);
             let ann = annotate(&parsed.stmt, &parsed.arena);
             let (parsed, ann, diags) = (Arc::new(parsed), Arc::new(ann), diags.into());
-            let unique = uniques.intern(s.content_hash, s.fingerprint(script), || {
-                (Arc::clone(&parsed), Arc::clone(&ann), Arc::clone(&diags))
+            let unique = uniques.intern(s.content_hash, || {
+                (Arc::clone(&parsed), Arc::clone(&ann), Arc::clone(&diags), s.fingerprint(script))
             });
             uniques.add_occurrence(unique);
             AnalyzedStatement { parsed, ann, unique, span: s.span, diags }

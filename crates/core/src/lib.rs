@@ -359,7 +359,7 @@ impl SqlCheck {
     }
 
     /// Run the full pipeline over a script using the parse-once
-    /// front-end and the detection engine: fingerprinting before
+    /// front-end and the detection engine: dedup by exact text before
     /// parsing, per-unique-text parse/annotate/rule execution, and — when
     /// a cache is attached — incremental reuse of detection results
     /// across calls. Returns the outcome plus [`BatchStats`]

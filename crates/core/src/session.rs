@@ -51,7 +51,7 @@
 //! separately from the involuntary [`CheckSession::fallbacks`].
 
 use crate::context::{
-    FrontendOptions, FrontendStats, SchemaCatalog, SchemaVersions, StatementContribution,
+    FrontendOptions, PhaseTimes, SchemaCatalog, SchemaVersions, StatementContribution,
     WorkloadProfile,
 };
 use crate::detect::batch::EngineUnits;
@@ -355,7 +355,7 @@ impl CheckSession {
         let state = &mut self.state;
         let ctx = &mut state.outcome.outcome.context;
         let dialect = ctx.dialect;
-        let mut times = FrontendStats::default();
+        let mut times = PhaseTimes::default();
         for e in sorted {
             let split = split_deduped(&e.text, dialect);
             if split.uniques.len() != 1

@@ -6,9 +6,16 @@
 //! After every round the table must describe the statements exactly
 //! (counts, hash lookups, freed ids) and hold the same live texts, with
 //! the same counts, as the table of a cold check of the edited script.
+//!
+//! The table fingerprints each new text from the tokens it materialises
+//! for parsing; every text's fingerprint must equal the per-occurrence
+//! reference context's and a re-lex of the parsed source, through edit
+//! rounds and on random scripts under every dialect.
 
 use sqlcheck::context::Context;
-use sqlcheck::{Edit, FrontendOptions, SqlCheck, WorkloadOutcome};
+use sqlcheck::detect::reference;
+use sqlcheck::{Dialect, Edit, FrontendOptions, SqlCheck, WorkloadOutcome};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Deterministic xorshift so edit rounds are reproducible.
@@ -72,9 +79,30 @@ fn live_counts(ctx: &Context) -> Vec<(u128, usize)> {
     v
 }
 
+/// Every live text's fingerprint equals the reference context's entry
+/// for the same content hash and a re-lex of its parsed source, and the
+/// template count is the number of distinct reference fingerprints among
+/// the live texts.
+fn assert_fingerprints(w: &WorkloadOutcome, script: &str, opts: &FrontendOptions, what: &str) {
+    let ctx = &w.outcome.context;
+    let oracle = reference::context(script, opts);
+    let by_hash: HashMap<u128, u64> =
+        oracle.uniques.iter().map(|(_, u)| (u.hash, u.fingerprint)).collect();
+    let mut templates = HashSet::new();
+    for (id, u) in ctx.uniques.iter().filter(|(_, u)| u.count > 0) {
+        let want = by_hash.get(&u.hash).unwrap_or_else(|| panic!("{what}: id {id} not in oracle"));
+        assert_eq!(u.fingerprint, *want, "{what}: fingerprint of id {id}");
+        assert_eq!(u.fingerprint, u.parsed.fingerprint(ctx.dialect), "{what}: re-lex of id {id}");
+        templates.insert(*want);
+    }
+    assert_eq!(ctx.uniques.templates(), templates.len(), "{what}: table templates");
+    assert_eq!(w.stats.unique_templates, templates.len(), "{what}: unique_templates");
+}
+
 fn check_against_cold(w: &WorkloadOutcome, script: &str, what: &str) {
     let ctx = &w.outcome.context;
     assert_consistent(ctx, what);
+    assert_fingerprints(w, script, &FrontendOptions::default(), what);
     let cold = SqlCheck::new().check_workload(script, &FrontendOptions::default());
     assert_consistent(&cold.outcome.context, what);
     assert_eq!(live_counts(ctx), live_counts(&cold.outcome.context), "{what}");
@@ -128,6 +156,54 @@ fn table_matches_statements_and_cold_checks_through_edit_rounds() {
             // Without a cache only DDL edits rebuild; with one, none do.
             let patched = session.rechecks() - session.fallbacks() - session.cold_reverts();
             assert!(patched > 0 && (!cached || patched == 12), "cached={cached} seed={seed}");
+        }
+    }
+}
+
+/// A random script of statements that share templates in many spellings:
+/// literal and literal-list variants, keyword and identifier case, trivia,
+/// quoted identifiers that read `;`, `?` or `,`, and dialect-specific
+/// lexing (`#` comments, backticks, brackets, dollar quotes, compound
+/// bodies, `DELIMITER` sections).
+fn random_script(rng: &mut Rng) -> String {
+    const SHAPES: &[&str] = &[
+        "SELECT name FROM users WHERE id = {n}",
+        "select NAME from Users where ID = {n} ;",
+        "SELECT * FROM t WHERE a IN ({n}, {n}, 'x{n}')",
+        "SELECT * FROM t WHERE a IN ({n})",
+        "SELECT a /* {n} ; */ , b FROM t -- tail {n}\n",
+        "SELECT \";\", \"?\" , {n} FROM t",
+        "SELECT a \";\"",
+        "SELECT `b{n}` FROM `t`",
+        "SELECT [c{n}] FROM \"T\"",
+        "# hash {n}\nSELECT {n}",
+        "INSERT INTO t VALUES ($tag$v;{n}$tag$, ${n}, :p, ?)",
+        "UPDATE t SET a = e'x;{n}' WHERE b = {n}",
+        "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW \
+         BEGIN UPDATE u SET a = {n}; DELETE FROM v; END",
+        "DELIMITER ;;\nSELECT {n}; SELECT 2 ;;\nDELIMITER ;\n",
+        "CREATE TABLE t{n} (id INT PRIMARY KEY, name VARCHAR(64))",
+    ];
+    let mut script = String::new();
+    for _ in 0..1 + rng.below(24) {
+        let shape = SHAPES[rng.below(SHAPES.len())];
+        script.push_str(&shape.replace("{n}", &rng.below(4).to_string()));
+        script.push_str(if rng.below(4) == 0 { ";\n" } else { "; " });
+    }
+    script
+}
+
+#[test]
+fn fingerprints_match_the_reference_on_random_scripts_under_every_dialect() {
+    let mut rng = Rng(0xF1_6E12);
+    for case in 0..96 {
+        let script = random_script(&mut rng);
+        for dialect in Dialect::ALL {
+            let opts = FrontendOptions { dialect, ..FrontendOptions::default() };
+            let w = SqlCheck::new().check_workload(&script, &opts);
+            let what = format!("case {case} {dialect}: {script:?}");
+            assert_consistent(&w.outcome.context, &what);
+            assert_fingerprints(&w, &script, &opts, &what);
         }
     }
 }

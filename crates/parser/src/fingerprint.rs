@@ -1,11 +1,24 @@
-//! Statement fingerprinting: literal-insensitive query templates.
+//! Statement fingerprinting: literal-insensitive query templates, and
+//! the literal-sensitive content hash.
 //!
 //! Real application logs contain millions of statements drawn from a few
 //! hundred *templates* — the same query shape re-issued with different
 //! bind values. The fingerprint collapses each statement onto its
-//! template so batch analysis (`sqlcheck::Detector::detect_batch`) can
-//! group duplicate shapes, and workload statistics can report unique
-//! template counts.
+//! template, so workload statistics can report unique template counts
+//! (`unique_templates`).
+//!
+//! The module keeps one fingerprint engine and one content hash:
+//!
+//! * [`StreamingFingerprint`] hashes a token stream pushed one token at
+//!   a time; [`fingerprint_of`], [`fingerprint_spanned`] and
+//!   [`ParsedStatement::fingerprint`] feed it owned tokens, span-level
+//!   tokens and a re-lex. The context builder fingerprints each new
+//!   unique text from the token vector it materialises for parsing, so
+//!   no lex runs for the fingerprint alone. [`template_of`] renders the
+//!   same template as a string: the readable oracle the tests pin the
+//!   engine to.
+//! * [`content_hash_bytes`] hashes a statement's source bytes; every
+//!   caller hashes the slice.
 //!
 //! ## What normalizes
 //!
@@ -33,7 +46,7 @@
 
 use crate::ast::ParsedStatement;
 use crate::dialect::Dialect;
-use crate::lexer::{lex_spans, tokenize_significant};
+use crate::lexer::{lex_into, tokenize_significant, SpannedToken, TokenSink};
 use crate::token::{Token, TokenKind};
 
 /// FNV-1a 64-bit offset basis.
@@ -95,11 +108,10 @@ enum Fold {
     Lower,
 }
 
-/// Streaming template hasher: produces exactly
+/// Template hasher over significant atoms: produces exactly
 /// `fnv1a(template_of(tokens))` without building the template string (or
-/// any other allocation). The normalization rules live here once; the
-/// string renderer [`template_of`] is the readable counterpart and the
-/// equivalence is pinned by tests.
+/// any other allocation), except for the trailing-semicolon fold, which
+/// [`StreamingFingerprint`] applies before atoms reach it.
 struct TemplateHasher {
     h: u64,
     emitted_any: bool,
@@ -112,29 +124,20 @@ struct TemplateHasher {
 
 impl Default for TemplateHasher {
     fn default() -> Self {
-        Self::new()
+        TemplateHasher { h: FNV_OFFSET, emitted_any: false, last_q: false, pending_comma: false }
     }
 }
 
 impl TemplateHasher {
-    fn new() -> Self {
-        TemplateHasher { h: FNV_OFFSET, emitted_any: false, last_q: false, pending_comma: false }
-    }
-
-    fn eat(&mut self, b: u8) {
-        self.h ^= b as u64;
-        self.h = self.h.wrapping_mul(FNV_PRIME);
-    }
-
     /// Commit one atom to the hash (joined by single spaces). The fold
     /// dispatch happens once per atom, not once per byte: each arm is a
     /// tight xor-multiply loop the hot path stays in.
     fn commit(&mut self, text: &str, fold: Fold) {
+        let mut h = self.h;
         if self.emitted_any {
-            self.eat(b' ');
+            h = (h ^ b' ' as u64).wrapping_mul(FNV_PRIME);
         }
         self.emitted_any = true;
-        let mut h = self.h;
         match fold {
             Fold::None => {
                 for b in text.bytes() {
@@ -153,31 +156,6 @@ impl TemplateHasher {
             }
         }
         self.h = h;
-    }
-
-    /// Commit an atom whose fingerprint fold is already applied (the
-    /// interner stores keyword text uppercased, identifier text
-    /// lowercased): a pure xor-multiply loop, no case work at all.
-    fn commit_folded(&mut self, bytes: &[u8]) {
-        if self.emitted_any {
-            self.eat(b' ');
-        }
-        self.emitted_any = true;
-        let mut h = self.h;
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        self.h = h;
-    }
-
-    /// Feed one word token (keyword or identifier) as prefolded bytes.
-    /// Words are never `?`, `,`, or `;` atoms (those characters are not
-    /// word-class bytes), so the placeholder/list/semicolon dispatch of
-    /// [`TemplateHasher::token`] reduces to the plain-atom arm.
-    fn word_folded(&mut self, folded: &[u8]) {
-        self.flush_comma();
-        self.commit_folded(folded);
-        self.last_q = false;
     }
 
     fn flush_comma(&mut self) {
@@ -266,17 +244,15 @@ fn atom_is_semi(kind: TokenKind, text: &str) -> bool {
     }
 }
 
-/// One-token-at-a-time template fingerprint — the push-style counterpart
-/// of [`fingerprint_parts`], used by the splitter where tokens are
-/// consumed as the lexer produces them and no token stream ever exists to
-/// iterate twice.
+/// The fingerprint engine: one token at a time, in source order, trivia
+/// included (it is skipped here). Every fingerprint in the crate —
+/// [`fingerprint_of`], [`fingerprint_spanned`] and
+/// [`ParsedStatement::fingerprint`] — is this engine fed a token stream;
+/// it produces exactly `fnv1a(template_of(tokens))` (pinned by tests).
 ///
-/// The trailing-semicolon fold needs lookahead ([`fingerprint_parts`]
-/// takes a second pass to find the last non-`;` atom); here `;` atoms are
-/// instead *deferred* — committed only once a later non-semicolon atom
-/// proves they are not trailing, and dropped at [`finish`] otherwise.
-/// Produces exactly `fingerprint_parts(tokens)` for any token sequence
-/// (equivalence pinned by tests).
+/// The trailing-semicolon fold needs lookahead; here `;` atoms are
+/// *deferred* — committed only once a later non-semicolon atom proves
+/// they are not trailing, and dropped at [`finish`] otherwise.
 ///
 /// [`finish`]: StreamingFingerprint::finish
 #[derive(Default)]
@@ -289,7 +265,7 @@ pub struct StreamingFingerprint {
 impl StreamingFingerprint {
     /// Fresh hasher (empty template).
     pub fn new() -> Self {
-        StreamingFingerprint { hasher: TemplateHasher::new(), pending_semis: 0 }
+        Self::default()
     }
 
     /// Feed one token. Trivia is skipped here, so the caller may push the
@@ -310,26 +286,43 @@ impl StreamingFingerprint {
         self.hasher.token(kind, text);
     }
 
-    /// Feed one word token whose fingerprint fold was precomputed —
-    /// uppercase bytes for a keyword, lowercase for an identifier, which
-    /// is exactly the form [`crate::intern::Interner::folded`] stores.
-    /// Equivalent to `push(kind, text)` for any word token (pinned by
-    /// tests); the win is that the fold ran once per *unique* word at
-    /// intern time instead of once per occurrence here.
-    #[inline]
-    pub fn push_folded_word(&mut self, folded: &[u8]) {
-        for _ in 0..self.pending_semis {
-            self.hasher.token(TokenKind::Punct, ";");
-        }
-        self.pending_semis = 0;
-        self.hasher.word_folded(folded);
+    /// The fingerprint of everything pushed (trailing `;` atoms folded
+    /// away).
+    pub fn finish(self) -> u64 {
+        self.hasher.finish()
     }
+}
 
-    /// The fingerprint of everything pushed so far (trailing `;` atoms
-    /// folded away), resetting the hasher for the next statement.
-    pub fn finish(&mut self) -> u64 {
-        self.pending_semis = 0;
-        std::mem::take(&mut self.hasher).finish()
+/// Fingerprint of a token stream: the FNV-1a hash of its template.
+pub fn fingerprint_of(tokens: &[Token]) -> u64 {
+    let mut fp = StreamingFingerprint::new();
+    for t in tokens {
+        fp.push(t.kind, t.text.as_str());
+    }
+    fp.finish()
+}
+
+/// Template fingerprint of span-level tokens (no text materialisation).
+/// Identical to [`fingerprint_of`] over the materialised tokens.
+pub fn fingerprint_spanned(src: &str, tokens: &[SpannedToken]) -> u64 {
+    let mut fp = StreamingFingerprint::new();
+    for t in tokens {
+        fp.push(t.kind, t.text(src));
+    }
+    fp.finish()
+}
+
+/// The sink behind [`ParsedStatement::fingerprint`]: each token of the
+/// re-lexed source goes straight into the engine.
+struct ReLexSink<'a> {
+    src: &'a str,
+    fp: StreamingFingerprint,
+}
+
+impl TokenSink for ReLexSink<'_> {
+    #[inline]
+    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
+        self.fp.push(kind, &self.src[start..end]);
     }
 }
 
@@ -348,221 +341,54 @@ fn fmix64(mut k: u64) -> u64 {
     k
 }
 
-/// Streaming content hash — a Murmur3-x64-128-style hash over raw
-/// statement bytes, two 64-bit lanes and 16 input bytes per mixing step
-/// (the per-byte FNV-128 multiply chain this replaced was the
-/// splitter's single largest cost).
+/// Up to 8 bytes as a little-endian word, zero-padded.
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// The content hash: a Murmur3-x64-128-style hash over a statement's
+/// source bytes, two 64-bit lanes and 16 input bytes per mixing step.
 ///
-/// The content hash is defined over a statement's **source bytes**, not
-/// its token structure: the lexer is deterministic, so equal bytes lex
-/// to equal tokens and unequal bytes differ somewhere the 128-bit hash
-/// will see — token kinds add no discriminating power. Feeding each
-/// token's exact text in order is therefore identical to hashing the
-/// statement slice in one shot ([`content_hash_bytes`]), which is what
-/// the splitter does once per unique statement text.
-///
-/// The struct is `Copy`, so a caller can snapshot the state before
-/// feeding tokens that may turn out to be excluded (trailing trivia) and
-/// keep the snapshot in O(1) instead of buffering tokens.
-#[derive(Debug, Clone, Copy)]
-pub struct ContentHasher {
-    h1: u64,
-    h2: u64,
-    /// Partial block awaiting 16 buffered bytes.
-    buf: [u8; 16],
-    buf_len: u8,
-    /// Total bytes fed (folded into the finaliser).
-    total: u64,
-}
-
-impl Default for ContentHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ContentHasher {
-    /// Fresh hasher (empty byte stream).
-    pub fn new() -> Self {
-        ContentHasher { h1: 0, h2: 0, buf: [0; 16], buf_len: 0, total: 0 }
-    }
-
-    #[inline]
-    fn mix_block(&mut self, k1: u64, k2: u64) {
-        let k1 = k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
-        self.h1 ^= k1;
-        self.h1 = self
-            .h1
-            .rotate_left(27)
-            .wrapping_add(self.h2)
-            .wrapping_mul(5)
-            .wrapping_add(0x52dc_e729);
-        let k2 = k2.wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
-        self.h2 ^= k2;
-        self.h2 = self
-            .h2
-            .rotate_left(31)
-            .wrapping_add(self.h1)
-            .wrapping_mul(5)
-            .wrapping_add(0x3849_5ab5);
-    }
-
-    /// Feed raw bytes. Chunking is irrelevant: any sequence of pushes
-    /// whose concatenation is equal yields the same hash.
-    #[inline]
-    pub fn push_bytes(&mut self, mut bytes: &[u8]) {
-        self.total = self.total.wrapping_add(bytes.len() as u64);
-        let bl = self.buf_len as usize;
-        if bl > 0 {
-            let need = 16 - bl;
-            if bytes.len() < need {
-                self.buf[bl..bl + bytes.len()].copy_from_slice(bytes);
-                self.buf_len += bytes.len() as u8;
-                return;
-            }
-            self.buf[bl..].copy_from_slice(&bytes[..need]);
-            bytes = &bytes[need..];
-            let k1 = u64::from_le_bytes(self.buf[..8].try_into().expect("8 bytes"));
-            let k2 = u64::from_le_bytes(self.buf[8..].try_into().expect("8 bytes"));
-            self.mix_block(k1, k2);
-            self.buf_len = 0;
-        }
-        let mut chunks = bytes.chunks_exact(16);
-        for c in &mut chunks {
-            let k1 = u64::from_le_bytes(c[..8].try_into().expect("8 bytes"));
-            let k2 = u64::from_le_bytes(c[8..].try_into().expect("8 bytes"));
-            self.mix_block(k1, k2);
-        }
-        let rem = chunks.remainder();
-        self.buf[..rem.len()].copy_from_slice(rem);
-        self.buf_len = rem.len() as u8;
-    }
-
-    /// Feed one token's exact text (`kind` carries no information — see
-    /// the type docs; the parameter is kept so push sites read uniformly
-    /// with [`StreamingFingerprint::push`]).
-    #[inline]
-    pub fn push(&mut self, kind: TokenKind, text: &str) {
-        let _ = kind;
-        self.push_bytes(text.as_bytes());
-    }
-
-    /// The hash of everything pushed so far. Identical to
-    /// [`content_hash_bytes`] over the concatenated pushed bytes.
-    pub fn finish(&self) -> u128 {
-        let tail_len = self.buf_len as usize;
-        let (mut h1, mut h2) = (self.h1, self.h2);
-        if tail_len > 8 {
-            let mut b = [0u8; 8];
-            b[..tail_len - 8].copy_from_slice(&self.buf[8..tail_len]);
-            let k2 = u64::from_le_bytes(b)
-                .wrapping_mul(MM_C2)
-                .rotate_left(33)
-                .wrapping_mul(MM_C1);
-            h2 ^= k2;
-        }
-        if tail_len > 0 {
-            let n = tail_len.min(8);
-            let mut b = [0u8; 8];
-            b[..n].copy_from_slice(&self.buf[..n]);
-            let k1 = u64::from_le_bytes(b)
-                .wrapping_mul(MM_C1)
-                .rotate_left(31)
-                .wrapping_mul(MM_C2);
-            h1 ^= k1;
-        }
-        h1 ^= self.total;
-        h2 ^= self.total;
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        h1 = fmix64(h1);
-        h2 = fmix64(h2);
-        h1 = h1.wrapping_add(h2);
-        h2 = h2.wrapping_add(h1);
-        (h1 as u128) | ((h2 as u128) << 64)
-    }
-}
-
-/// One-shot content hash of raw bytes — the core the splitter calls
-/// once per unique statement span (no per-token work at all).
+/// It is defined over the **source bytes**, not the token structure: the
+/// lexer is deterministic, so equal bytes lex to equal tokens, and token
+/// kinds add no discriminating power. Spans are excluded, so duplicate
+/// statements at different script offsets collide — by design. Unlike
+/// the fingerprint, it is **literal-sensitive**: it identifies statements
+/// whose analysis results are interchangeable, and 128 bits make
+/// accidental collisions negligible, which lets analysis use the hash
+/// alone as a result-cache key.
 pub fn content_hash_bytes(bytes: &[u8]) -> u128 {
-    let mut h = ContentHasher::new();
-    h.push_bytes(bytes);
-    h.finish()
-}
-
-/// Streaming fingerprint over `(kind, text)` pairs — the allocation-free
-/// core shared by [`fingerprint_of`] and the span-level front-end. The
-/// caller supplies significant *and* trivia tokens in order; trivia is
-/// skipped here.
-pub fn fingerprint_parts<'t>(parts: impl Iterator<Item = (TokenKind, &'t str)> + Clone) -> u64 {
-    // Trailing-semicolon fold: count trailing significant `;` atoms so
-    // the streaming pass can stop before them.
-    let mut significant = 0usize;
-    let mut last_non_semi = 0usize;
-    for (kind, text) in parts.clone() {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            continue;
-        }
-        significant += 1;
-        if !atom_is_semi(kind, text) {
-            last_non_semi = significant;
-        }
+    let (mut h1, mut h2) = (0u64, 0u64);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let k1 = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
+        let k2 = u64::from_le_bytes(b[8..].try_into().expect("8 bytes"));
+        h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
+        h1 = h1.rotate_left(27).wrapping_add(h2).wrapping_mul(5).wrapping_add(0x52dc_e729);
+        h2 ^= k2.wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
+        h2 = h2.rotate_left(31).wrapping_add(h1).wrapping_mul(5).wrapping_add(0x3849_5ab5);
     }
-    let mut hasher = TemplateHasher::new();
-    let mut seen = 0usize;
-    for (kind, text) in parts {
-        if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            continue;
-        }
-        seen += 1;
-        if seen > last_non_semi {
-            break;
-        }
-        hasher.token(kind, text);
+    let tail = blocks.remainder();
+    if tail.len() > 8 {
+        h2 ^= le_word(&tail[8..]).wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
     }
-    hasher.finish()
-}
-
-/// Fingerprint of a token stream: the FNV-1a hash of its template.
-pub fn fingerprint_of(tokens: &[Token]) -> u64 {
-    fingerprint_parts(tokens.iter().map(|t| (t.kind, t.text.as_str())))
-}
-
-/// Content hash of a token stream: the 128-bit byte hash
-/// ([`content_hash_bytes`]) of the concatenated token texts — for a
-/// statement's token stream, exactly its source bytes (spans excluded,
-/// so duplicate statements at different script offsets collide — by
-/// design). Unlike the fingerprint, this is **literal-sensitive**: it
-/// identifies statements whose analysis results are interchangeable.
-/// 128 bits make accidental collisions negligible, which lets batch
-/// analysis use the hash alone as a result-cache key.
-pub fn content_hash_of(tokens: &[Token]) -> u128 {
-    content_hash_parts(tokens.iter().map(|t| (t.kind, t.text.as_str())))
-}
-
-/// Streaming content hash over `(kind, text)` pairs — the core shared by
-/// [`content_hash_of`] and the span-level front-end. Hashes the
-/// concatenated texts; kinds carry no extra information (equal bytes lex
-/// to equal kinds — see [`ContentHasher`]).
-pub fn content_hash_parts<'t>(parts: impl Iterator<Item = (TokenKind, &'t str)>) -> u128 {
-    let mut h = ContentHasher::new();
-    for (_, text) in parts {
-        h.push_bytes(text.as_bytes());
+    if !tail.is_empty() {
+        let k1 = le_word(&tail[..tail.len().min(8)]);
+        h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
     }
-    h.finish()
-}
-
-/// Content hash of span-level tokens (no text materialisation).
-/// Identical to [`content_hash_of`] over the materialised tokens.
-pub fn content_hash_spanned(src: &str, tokens: &[crate::lexer::SpannedToken]) -> u128 {
-    content_hash_parts(tokens.iter().map(|t| (t.kind, t.text(src))))
-}
-
-/// Template fingerprint of span-level tokens (no text materialisation).
-/// Identical to [`fingerprint_of`] over the materialised tokens.
-pub fn fingerprint_spanned(src: &str, tokens: &[crate::lexer::SpannedToken]) -> u64 {
-    fingerprint_parts(tokens.iter().map(|t| (t.kind, t.text(src))))
+    let total = bytes.len() as u64;
+    h1 ^= total;
+    h2 ^= total;
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    h1 = fmix64(h1);
+    h2 = fmix64(h2);
+    h1 = h1.wrapping_add(h2);
+    h2 = h2.wrapping_add(h1);
+    (h1 as u128) | ((h2 as u128) << 64)
 }
 
 impl ParsedStatement {
@@ -576,18 +402,20 @@ impl ParsedStatement {
     }
 
     /// The statement's template fingerprint: a deterministic 64-bit hash
-    /// of [`ParsedStatement::template`] under the same `dialect`.
-    /// Statements that differ only in literal values, literal-list
-    /// lengths, keyword/identifier case, or whitespace share a
-    /// fingerprint.
+    /// of [`ParsedStatement::template`] under the same `dialect`, streamed
+    /// from a re-lex of the source (no token vector). Statements that
+    /// differ only in literal values, literal-list lengths,
+    /// keyword/identifier case, or whitespace share a fingerprint.
     pub fn fingerprint(&self, dialect: Dialect) -> u64 {
-        fingerprint_spanned(&self.source, &lex_spans(&self.source, dialect))
+        let mut sink = ReLexSink { src: &self.source, fp: StreamingFingerprint::new() };
+        lex_into(&self.source, dialect, &mut sink);
+        sink.fp.finish()
     }
 
-    /// The statement's literal-sensitive content hash (see
-    /// [`content_hash_of`]): the hash of its source bytes. A statement's
-    /// tokens concatenate to its source under every dialect, so this one
-    /// needs no dialect and no re-lex.
+    /// The statement's literal-sensitive content hash
+    /// ([`content_hash_bytes`] of its source). A statement's tokens
+    /// concatenate to its source under every dialect, so this one needs
+    /// no dialect and no re-lex.
     pub fn content_hash(&self) -> u128 {
         content_hash_bytes(self.source.as_bytes())
     }
@@ -720,14 +548,15 @@ mod tests {
         let sql = "SELECT a, \"B\" FROM t WHERE x = 'v' AND y IN (1,2); DELETE FROM t;";
         let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
         let owned = crate::lexer::tokenize(sql, Dialect::Generic);
-        assert_eq!(content_hash_spanned(sql, &toks), content_hash_of(&owned));
+        let concat: String = owned.iter().map(|t| t.text.as_str()).collect();
+        assert_eq!(content_hash_bytes(concat.as_bytes()), content_hash_bytes(sql.as_bytes()));
         assert_eq!(fingerprint_spanned(sql, &toks), fingerprint_of(&owned));
     }
 
     #[test]
     fn push_hashers_equal_pull_hashers() {
-        // The push-style hashers the splitter feeds token-by-token
-        // must agree with the iterator-based ones on any token stream —
+        // The one engine, fed through each of its wrappers, must equal
+        // the FNV-1a hash of the rendered template on any token stream —
         // including streams whose trailing atoms exercise the deferred
         // `;` fold (quoted identifiers named `";"`, trailing semicolon
         // runs, comma/semicolon interleavings).
@@ -746,48 +575,45 @@ mod tests {
             "SELECT \"?\", 1 FROM t ;",
         ];
         for sql in corpus {
+            let owned = crate::lexer::tokenize(sql, Dialect::Generic);
+            let want = fnv1a(template_of(&owned).as_bytes());
             let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
-            let mut fp = StreamingFingerprint::new();
-            let mut ch = ContentHasher::new();
-            for t in &toks {
-                fp.push(t.kind, t.text(sql));
-                ch.push(t.kind, t.text(sql));
-            }
-            assert_eq!(
-                fp.finish(),
-                fingerprint_spanned(sql, &toks),
-                "streaming fingerprint diverged on {sql:?}"
-            );
-            assert_eq!(
-                ch.finish(),
-                content_hash_spanned(sql, &toks),
-                "streaming content hash diverged on {sql:?}"
-            );
+            assert_eq!(fingerprint_of(&owned), want, "fingerprint_of diverged on {sql:?}");
+            assert_eq!(fingerprint_spanned(sql, &toks), want, "spanned diverged on {sql:?}");
+            let parsed = parse_one(sql, Dialect::Generic);
+            assert_eq!(parsed.fingerprint(Dialect::Generic), want, "re-lex diverged on {sql:?}");
         }
     }
 
     #[test]
     fn content_hash_is_a_byte_hash() {
-        // Chunking invariance: any split of the byte stream into pushes
-        // yields the one-shot hash (the splitter relies on this —
-        // it hashes each unique statement slice at once, while the
-        // token-stream front-ends push text-by-text).
-        let data =
-            b"SELECT * FROM t WHERE a = 'long literal body spanning blocks' AND b IN (1,2,3)";
-        let oneshot = content_hash_bytes(data);
-        for chunk in [1usize, 2, 3, 7, 8, 15, 16, 17, 64] {
-            let mut h = ContentHasher::new();
-            for c in data.chunks(chunk) {
-                h.push_bytes(c);
-            }
-            assert_eq!(h.finish(), oneshot, "chunk size {chunk}");
+        // Pinned values: a statement's content hash keys the incremental
+        // cache, so the function must not drift. They cover the empty
+        // input, a tail shorter than one word, one word, a tail longer
+        // than one word, and several 16-byte blocks.
+        let pinned: [(&str, u128); 5] = [
+            ("", 0),
+            ("a", 0xe6b53a48510e895a85555565f6597889),
+            ("SELECT 1", 0x531b9ad41544872992942c53b00690e2),
+            ("SELECT * FROM t WHERE", 0xc85ebfabe95a7e92bc18fa61d65091e9),
+            (
+                "SELECT * FROM t WHERE a = 'long literal body spanning blocks' AND b IN (1,2,3)",
+                0xee6055ee130612715c2f9a1908bf9c6e,
+            ),
+        ];
+        for (text, want) in pinned {
+            assert_eq!(content_hash_bytes(text.as_bytes()), want, "{text:?}");
         }
+        // Every prefix length of a 300-byte text: each tail length, at
+        // every block count.
+        let text: Vec<u8> = (0..300u32).map(|i| b'a' + ((i * 7 + i / 3) % 26) as u8).collect();
+        let mut acc = 0u128;
+        for n in 0..=text.len() {
+            acc = acc.rotate_left(7) ^ content_hash_bytes(&text[..n]);
+        }
+        assert_eq!(acc, 0xd7ce5a596c8c8a9244bb02fd6ba1bc0a);
         assert_ne!(content_hash_bytes(b"a"), content_hash_bytes(b"b"));
         assert_ne!(content_hash_bytes(b""), content_hash_bytes(b"\0"));
-        // A statement's content hash is the hash of its source slice.
-        let sql = "SELECT a /* t */ , b FROM t";
-        let toks = crate::lexer::lex_spans(sql, Dialect::Generic);
-        assert_eq!(content_hash_spanned(sql, &toks), content_hash_bytes(sql.as_bytes()));
     }
 
     #[test]

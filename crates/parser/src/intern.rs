@@ -1,12 +1,13 @@
 //! Per-script string interning for word tokens.
 //!
-//! The lexer's hottest classification decision — is this word a keyword,
-//! and how does it case-fold for the template fingerprint — is answered
-//! here exactly once per *unique* word. Real scripts draw their words
-//! from a tiny vocabulary (a few dozen keywords plus the schema's
-//! identifiers), so after the first occurrence every repeat resolves to a
-//! [`Symbol`] with one hash-and-probe: no keyword binary search, no
-//! re-folding, no re-hashing of the slice.
+//! An [`Interner`] answers, once per *unique* word, whether a word is a
+//! keyword and how it case-folds for the template fingerprint. Real
+//! scripts draw their words from a tiny vocabulary (a few dozen keywords
+//! plus the schema's identifiers), so after the first occurrence every
+//! repeat resolves to a [`Symbol`] with one hash-and-probe: no keyword
+//! binary search, no re-folding, no re-hashing of the slice. No pipeline
+//! stage uses it yet; it is the basis for interned identifiers in the
+//! context (schema, workload profile and inter-query rules).
 //!
 //! Symbols are **per script**: an [`Interner`] is created fresh for each
 //! script and its symbols are meaningless
@@ -243,8 +244,7 @@ impl Interner {
 
     /// The symbol's **fingerprint-folded** text: uppercase for keywords,
     /// lowercase for identifiers — exactly the byte sequence the template
-    /// fingerprint hashes for this word (see
-    /// [`crate::fingerprint::StreamingFingerprint::push_folded_word`]).
+    /// fingerprint hashes for this word ([`crate::fingerprint`]).
     ///
     /// # Panics
     /// If `sym` was produced by a different interner and is out of range

@@ -10,7 +10,10 @@
 //! time and materialises nothing itself. [`lex_spans`] collects the stream
 //! into a `Vec` for callers that want it, but the splitter's front door
 //! ([`crate::splitter::split_deduped`]) consumes tokens directly — the
-//! statement boundary scan keeps no whole-script token buffer. The byte loop
+//! statement boundary scan keeps no whole-script token buffer and skips
+//! keyword classification. A script's pipeline lexes each byte once for
+//! that scan, and each new unique text once more at intake, into the
+//! token vector its parse and fingerprint read. The byte loop
 //! dispatches through the `scan` module's class table and crosses long runs
 //! (comments, string bodies, whitespace, words) with `memchr`-style skip
 //! loops.
@@ -30,17 +33,6 @@ pub(crate) trait TokenSink {
 
     /// One token.
     fn token(&mut self, kind: TokenKind, start: usize, end: usize);
-
-    /// One word token (identifier-class byte run), delivered with its
-    /// text when `CLASSIFY_WORDS` is set. The default classifies via the
-    /// static keyword table and forwards to [`TokenSink::token`]; sinks
-    /// that carry an [`crate::intern::Interner`] override this to resolve
-    /// the word to a symbol in one hash-and-probe instead.
-    #[inline]
-    fn word(&mut self, text: &str, start: usize, end: usize) {
-        let kind = if is_keyword(text) { TokenKind::Keyword } else { TokenKind::Ident };
-        self.token(kind, start, end);
-    }
 
     /// Early-exit check, polled once per token. The default never stops.
     #[inline]
@@ -482,11 +474,12 @@ impl<S: TokenSink> Lexer<'_, '_, S> {
                 self.pos = start + 1 + off;
             }
         }
-        if S::CLASSIFY_WORDS {
-            self.sink.word(&self.src[start..self.pos], start, self.pos);
+        let kind = if S::CLASSIFY_WORDS && is_keyword(&self.src[start..self.pos]) {
+            TokenKind::Keyword
         } else {
-            self.emit(start, TokenKind::Ident);
-        }
+            TokenKind::Ident
+        };
+        self.emit(start, kind);
     }
 
     fn lex_operator_or_unknown(&mut self, start: usize) {

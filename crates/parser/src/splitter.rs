@@ -9,15 +9,17 @@
 //! and switches the active terminator.
 //!
 //! The production path is [`split_deduped`]: a spans-only boundary scan
-//! (no hashing, no keyword classification) groups statement occurrences
-//! by their exact bytes, and the lex + content-hash + fingerprint pass
-//! runs once per **unique** text. No whole-script token buffer is ever
-//! built; per-statement token vectors exist only for the texts a consumer
-//! [materialises](SplitStatement::materialize) for parsing, and only until
-//! they are parsed: tokens are transient parse input, and a
-//! [`ParsedStatement`](crate::ast::ParsedStatement) keeps the statement's
-//! source text, not its tokens. [`split`] is the owned-token view of the
-//! same pass.
+//! (no keyword classification) groups statement occurrences by their
+//! exact bytes, and each **unique** text gets one content hash of its
+//! bytes. The split lexes nothing per unique text and computes no
+//! fingerprint. No whole-script token buffer is ever built; per-statement
+//! token vectors exist only for the texts a consumer
+//! [materialises](SplitStatement::materialize) for parsing — the one lex
+//! of a new unique text, which the context builder also fingerprints —
+//! and only until they are parsed: tokens are transient parse input, and
+//! a [`ParsedStatement`](crate::ast::ParsedStatement) keeps the
+//! statement's source text, not its tokens. [`split`] is the owned-token
+//! view of the same pass.
 //!
 //! Every entry point takes the [`Dialect`] the script is lexed under, and
 //! a statement must be materialised under the dialect it was split
@@ -29,8 +31,7 @@
 
 use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
-use crate::fingerprint::{content_hash_bytes, StreamingFingerprint};
-use crate::intern::Interner;
+use crate::fingerprint::content_hash_bytes;
 use crate::lexer::{lex_into, TokenSink};
 use crate::token::{Span, Token, TokenKind};
 use std::collections::HashMap;
@@ -90,8 +91,8 @@ pub fn split(script: &str, dialect: Dialect) -> Vec<RawStatement> {
         .collect()
 }
 
-/// One statement as emitted by [`split_deduped`]: its span and both
-/// hashes — **no tokens**. Token vectors are built only when a consumer
+/// One statement as emitted by [`split_deduped`]: its span and content
+/// hash — **no tokens**. Token vectors are built only when a consumer
 /// [materialises](SplitStatement::materialize) a unique text for parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitStatement {
@@ -99,12 +100,8 @@ pub struct SplitStatement {
     /// the original script.
     pub span: Span,
     /// Literal-sensitive 128-bit content hash
-    /// ([`crate::fingerprint::content_hash_of`] of the statement's
-    /// trimmed token stream).
+    /// ([`crate::fingerprint::content_hash_bytes`] of the span's bytes).
     pub content_hash: u128,
-    /// Literal-insensitive template fingerprint
-    /// ([`crate::fingerprint::fingerprint_of`] of the same stream).
-    pub fingerprint: u64,
 }
 
 impl SplitStatement {
@@ -150,46 +147,6 @@ impl TokenSink for MaterializeSink<'_> {
             Span::new(self.base + start, self.base + end),
         ));
     }
-}
-
-/// Eager single-statement fingerprint sink: classifies, folds, and
-/// hashes in one lex pass over a statement slice. This is where the
-/// fingerprint work actually happens — once per **unique** statement
-/// text, in [`split_deduped`]'s per-unique pass. Word tokens resolve through the
-/// per-script [`Interner`]: the keyword decision is one hash-and-probe,
-/// and the fingerprint commits the symbol's stored prefolded bytes, so
-/// classification and case folding run once per unique *word*.
-struct FingerprintSink<'a, 'i> {
-    src: &'a str,
-    interner: &'i mut Interner,
-    fp: StreamingFingerprint,
-}
-
-impl TokenSink for FingerprintSink<'_, '_> {
-    #[inline]
-    fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        if !matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-            self.fp.push(kind, &self.src[start..end]);
-        }
-    }
-
-    #[inline]
-    fn word(&mut self, text: &str, _start: usize, _end: usize) {
-        let sym = self.interner.intern(text);
-        self.fp.push_folded_word(self.interner.folded(sym).as_bytes());
-    }
-}
-
-/// Template fingerprint of one statement slice (a trimmed statement span:
-/// starts and ends on significant tokens). Identical to
-/// [`crate::fingerprint::fingerprint_spanned`] over the statement's tokens: any `;` inside
-/// the slice (compound bodies, custom-delimiter content) is ordinary
-/// statement content to the fingerprint's own trailing-semicolon fold.
-fn fingerprint_slice(slice: &str, interner: &mut Interner, dialect: Dialect) -> u64 {
-    let mut sink =
-        FingerprintSink { src: slice, interner, fp: StreamingFingerprint::new() };
-    lex_into(slice, dialect, &mut sink);
-    sink.fp.finish()
 }
 
 /// Spans-only statement boundary sink — the cheapest possible split pass,
@@ -348,26 +305,6 @@ pub(crate) fn split_spans(script: &str, dialect: Dialect) -> (Vec<Span>, bool) {
     (sink.out, saw_directive)
 }
 
-/// Lex + hash the single statement covering `span` (a trimmed statement
-/// span: starts and ends on significant tokens). The content hash covers
-/// the span's raw bytes; the fingerprint re-lexes the slice — a compound
-/// statement's body semicolons (or, under a custom `DELIMITER`, embedded
-/// top-level-looking `;`) are ordinary statement content, exactly as the
-/// tracked pass treated them.
-fn hash_span(
-    script: &str,
-    span: Span,
-    interner: &mut Interner,
-    dialect: Dialect,
-) -> SplitStatement {
-    let slice = &script[span.start..span.end];
-    SplitStatement {
-        span,
-        content_hash: content_hash_bytes(slice.as_bytes()),
-        fingerprint: fingerprint_slice(slice, interner, dialect),
-    }
-}
-
 /// A script split and deduplicated in one step: every occurrence in
 /// script order, referencing its unique statement text.
 #[derive(Debug, Clone, Default)]
@@ -422,31 +359,30 @@ impl Hasher for StrFold {
 }
 
 /// Split the script and group duplicate statement texts, hashing each
-/// **unique** text exactly once.
+/// **unique** text's bytes exactly once.
 ///
 /// Duplicate detection needs no content hash at all: two statements are
 /// duplicates iff their trimmed source bytes are equal (equal bytes lex
-/// to equal tokens, hence equal hashes). So the per-occurrence pass is
-/// the cheapest one possible — a spans-only boundary scan (no hashing,
-/// no keyword classification) — and the lex+hash pass runs only
-/// once per unique text. Duplicates cost one map probe (exact byte
-/// comparison on hit) and carry nothing but their span.
+/// to equal tokens, hence equal hashes). So the pass is one spans-only
+/// boundary scan (no hashing, no keyword classification), the only lex
+/// of the script here; each unique text then costs one
+/// [`content_hash_bytes`] of its slice. Duplicates cost one map probe
+/// (exact byte comparison on hit) and carry nothing but their span.
 pub fn split_deduped(script: &str, dialect: Dialect) -> DedupedSplit {
     let (spans, saw_delimiter_directive) = split_spans(script, dialect);
     let mut uniques: Vec<SplitStatement> = Vec::new();
     let mut occurrences: Vec<(u32, Span)> = Vec::with_capacity(spans.len());
     let mut slots: HashMap<&str, u32, BuildHasherDefault<StrFold>> =
         HashMap::with_capacity_and_hasher(spans.len().min(1024), Default::default());
-    // One interner for the whole script: unique statements share most of
-    // their vocabulary, so word classification amortises across them.
-    let mut interner = Interner::new();
     for span in spans {
-        let slot = match slots.entry(&script[span.start..span.end]) {
+        let text = &script[span.start..span.end];
+        let slot = match slots.entry(text) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(v) => {
                 let slot = uniques.len() as u32;
                 v.insert(slot);
-                uniques.push(hash_span(script, span, &mut interner, dialect));
+                let content_hash = content_hash_bytes(text.as_bytes());
+                uniques.push(SplitStatement { span, content_hash });
                 slot
             }
         };
@@ -465,14 +401,14 @@ pub fn split_deduped_dialect(script: &str, _threads: usize, dialect: Dialect) ->
 
 /// The **two-pass reference splitter**: lex the whole script into a
 /// token buffer, slice it into statements, and hash each slice. The
-/// production [`split_deduped`] must emit the same spans, content hashes
-/// and fingerprints; property tests and the split experiment compare the
-/// two. Not used by any production path.
+/// production [`split_deduped`] must emit the same spans and content
+/// hashes, and [`split`] the same tokens; property tests and the split
+/// experiment compare them. Not used by any production path.
 #[doc(hidden)]
 pub mod reference {
     use crate::block::{BlockTracker, SplitAction};
     use crate::dialect::Dialect;
-    use crate::fingerprint::{content_hash_spanned, fingerprint_spanned};
+    use crate::fingerprint::{content_hash_bytes, fingerprint_spanned};
     use crate::lexer::{lex_spans, SpannedToken};
     use crate::splitter::RawStatement;
     use crate::token::Span;
@@ -486,7 +422,7 @@ pub mod reference {
         /// Span covering the statement in the original script.
         pub span: Span,
         /// Literal-sensitive 128-bit content hash
-        /// ([`crate::fingerprint::content_hash_spanned`]).
+        /// ([`crate::fingerprint::content_hash_bytes`] of the span's bytes).
         pub content_hash: u128,
     }
 
@@ -545,7 +481,7 @@ pub mod reference {
         out.push(SpannedStatement {
             tokens: trimmed.to_vec(),
             span,
-            content_hash: content_hash_spanned(script, trimmed),
+            content_hash: content_hash_bytes(&script.as_bytes()[span.start..span.end]),
         });
     }
 }
@@ -553,6 +489,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::fingerprint_of;
     use crate::splitter::reference::split_spanned;
 
     const G: Dialect = Dialect::Generic;
@@ -603,25 +540,29 @@ mod tests {
 
     #[test]
     fn fingerprinted_chunks_match_post_parse_hashes() {
-        // The pre-parse hashes must agree with the hashes computed from
-        // the parsed statement — consumers rely on that to skip parsing.
+        // The pre-parse content hash, and the fingerprint of the tokens a
+        // unique text materialises to, must agree with the hashes
+        // computed from the parsed statement — consumers rely on that to
+        // skip parsing.
         let script = "SELECT a FROM t WHERE a = 1;\
                       select a from t where a = 2;\
                       INSERT INTO t VALUES (1, 'x');";
         let chunks = split_deduped(script, G).uniques;
         assert_eq!(chunks.len(), 3);
-        for c in &chunks {
-            let parsed = crate::parser::parse_raw_limited(
-                c.materialize(script, G),
-                &crate::diag::Limits::default(),
-                G,
-            )
-            .0;
-            assert_eq!(c.fingerprint, parsed.fingerprint(G));
-            assert_eq!(c.content_hash, parsed.content_hash());
-        }
+        let fps: Vec<u64> = chunks
+            .iter()
+            .map(|c| {
+                let raw = c.materialize(script, G);
+                let fp = fingerprint_of(&raw.tokens);
+                let limits = crate::diag::Limits::default();
+                let parsed = crate::parser::parse_raw_limited(raw, &limits, G).0;
+                assert_eq!(fp, parsed.fingerprint(G));
+                assert_eq!(c.content_hash, parsed.content_hash());
+                fp
+            })
+            .collect();
         // Literal-only variants share a template but not a content hash.
-        assert_eq!(chunks[0].fingerprint, chunks[1].fingerprint);
+        assert_eq!(fps[0], fps[1]);
         assert_ne!(chunks[0].content_hash, chunks[1].content_hash);
     }
 
@@ -680,7 +621,11 @@ mod tests {
                 let u = &d.uniques[*slot as usize];
                 assert_eq!(*span, l.span, "span on {script:?}");
                 assert_eq!(u.content_hash, l.content_hash, "content hash on {script:?}");
-                assert_eq!(u.fingerprint, l.fingerprint(script), "fingerprint on {script:?}");
+                assert_eq!(
+                    fingerprint_of(&raw.tokens),
+                    l.fingerprint(script),
+                    "fingerprint on {script:?}"
+                );
                 // Re-lex materialisation must reproduce the legacy tokens
                 // exactly (kinds, texts, script-absolute spans).
                 let lm = l.materialize(script);
@@ -808,46 +753,17 @@ mod tests {
         assert!(!split_deduped("SELECT 1; SELECT 2;", Dialect::Generic).saw_delimiter_directive);
     }
 
-    /// Development probe, not a test: attributes front-door cost to
-    /// lexing, keyword classification, and fingerprinting. Run with
+    /// Development probe, not a test: the two lexes of the front door —
+    /// the whole-script boundary scan ([`split_deduped`]) against the
+    /// intake lex of every unique text (materialise plus fingerprint, as
+    /// the context builder runs it before parsing). Run with
     /// `cargo test -q -p sqlcheck-parser --release -- --ignored
     /// profile_front_layers --nocapture`.
     #[test]
     #[ignore]
     fn profile_front_layers() {
-        use crate::lexer::lex_into;
         use std::time::Instant;
 
-        struct CountSink<const CLASSIFY: bool> {
-            n: u64,
-        }
-        impl<const CLASSIFY: bool> TokenSink for CountSink<CLASSIFY> {
-            const CLASSIFY_WORDS: bool = CLASSIFY;
-            #[inline]
-            fn token(&mut self, kind: TokenKind, _start: usize, _end: usize) {
-                self.n += kind as u64;
-            }
-        }
-        struct FpSink<'a> {
-            src: &'a str,
-            fp: StreamingFingerprint,
-            acc: u64,
-        }
-        impl TokenSink for FpSink<'_> {
-            #[inline]
-            fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-                if matches!(kind, TokenKind::Whitespace | TokenKind::Comment) {
-                    return;
-                }
-                self.fp.push(kind, &self.src[start..end]);
-                if kind == TokenKind::Punct
-                    && end - start == 1
-                    && self.src.as_bytes()[start] == b';'
-                {
-                    self.acc ^= self.fp.finish();
-                }
-            }
-        }
         fn time<F: FnMut() -> u64>(label: &str, bytes: usize, mut f: F) {
             let mut best = u128::MAX;
             let mut acc = 0u64;
@@ -867,7 +783,7 @@ mod tests {
         let mut x = 0x5117u64;
         for i in 0..100_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            match i % 5 {
+            match i % 4 {
                 0 => script.push_str(&format!(
                     "SELECT id, name, created_at FROM users WHERE tenant_id = {} AND active = TRUE;\n",
                     x % 10_000
@@ -880,33 +796,18 @@ mod tests {
                 2 => script.push_str(&format!(
                     "UPDATE sessions SET last_seen = '2026-01-01', hits = hits + 1 WHERE sid = '{x:x}';\n"
                 )),
-                3 => script.push_str(&format!(
-                    "SELECT a.x, b.y FROM a JOIN b ON a.id = b.a_id WHERE b.z IN ({}, {}, {});\n",
-                    x % 10,
-                    x % 100,
-                    x % 1000
-                )),
                 _ => script.push_str(&format!("DELETE FROM audit WHERE ts < {};\n", x % 50_000)),
             }
         }
         let bytes = script.len();
-        println!("script: {bytes} bytes");
-        time("lex (no keyword classify)", bytes, || {
-            let mut s = CountSink::<false> { n: 0 };
-            lex_into(&script, Dialect::Generic, &mut s);
-            s.n
+        let split = split_deduped(&script, G);
+        println!("script: {bytes} bytes, {} unique texts", split.uniques.len());
+        time("boundary scan + dedup", bytes, || split_deduped(&script, G).uniques.len() as u64);
+        time("intake lex + fingerprint", bytes, || {
+            split.uniques.iter().fold(0, |acc, u| {
+                acc ^ fingerprint_of(&u.materialize(&script, G).tokens)
+            })
         });
-        time("lex (keyword classify)", bytes, || {
-            let mut s = CountSink::<true> { n: 0 };
-            lex_into(&script, Dialect::Generic, &mut s);
-            s.n
-        });
-        time("lex + fingerprint", bytes, || {
-            let mut s = FpSink { src: &script, fp: StreamingFingerprint::new(), acc: 0 };
-            lex_into(&script, Dialect::Generic, &mut s);
-            s.acc
-        });
-        time("split_deduped", bytes, || split_deduped(&script, Dialect::Generic).uniques.len() as u64);
     }
 
     #[test]
