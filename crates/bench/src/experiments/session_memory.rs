@@ -14,7 +14,7 @@
 
 use super::e2e::edit_set;
 use super::throughput::script_for_shape;
-use sqlcheck::{CheckSession, Edit, FrontendOptions, SqlCheck};
+use sqlcheck::{vm_hwm_kb, CheckSession, Edit, FrontendOptions, SqlCheck};
 use std::hint::black_box;
 
 /// Batches per run.
@@ -47,14 +47,6 @@ impl MemoryRow {
     pub fn ratio(&self) -> f64 {
         self.hwm_end_kb as f64 / self.hwm_early_kb.max(1) as f64
     }
-}
-
-/// The process's peak resident set in kB, from `/proc/self/status`;
-/// `None` where that file or its `VmHWM` line does not exist.
-pub fn vm_hwm_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-    line.trim().strip_suffix("kB")?.trim().parse().ok()
 }
 
 /// Batch `b` of fresh texts, plus the edits that put the originals back.

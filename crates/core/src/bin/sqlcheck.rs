@@ -9,7 +9,8 @@
 //!   --rank-by count      inter-query model: AP count per query
 //!   --no-fix             detection + ranking only
 //!   --summary            per-kind histogram instead of full listing
-//!   --stats              dedup/phase-timing stats on stderr
+//!   --stats              dedup/phase-timing stats and peak memory on
+//!                        stderr
 //!   --cache              attach the incremental detection cache
 //!   --dialect D          SQL dialect: generic (default), postgres, mysql,
 //!                        sqlite. Without this flag the dialect is guessed
@@ -266,6 +267,11 @@ fn main() {
     let found = or_exit(
         render(&mut out, &outcome, summary, no_fix).and_then(|found| out.flush().map(|()| found)),
     );
+    // Read after the listing is written, so the peak covers rank, fix
+    // and render too.
+    if let Some(kb) = stats.then(sqlcheck::vm_hwm_kb).flatten() {
+        eprintln!("stats: peak rss {:.1} MB", kb as f64 / 1024.0);
+    }
     // Exit code signals findings, like familiar linters.
     finish(degraded_exit, found);
 }

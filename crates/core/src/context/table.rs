@@ -115,7 +115,10 @@ impl UniqueTable {
             times.materialize += tp - tm;
             times.parse += ta - tp;
             times.annotate += ta.elapsed();
-            (Arc::new(parsed), Arc::new(ann), diags.into(), fingerprint)
+            // `Arc::default` is one shared static empty slice: a text that
+            // parses cleanly allocates no diagnostics.
+            let diags = if diags.is_empty() { Arc::default() } else { diags.into() };
+            (Arc::new(parsed), Arc::new(ann), diags, fingerprint)
         })
     }
 

@@ -862,9 +862,13 @@ pub(super) mod tests {
             // their WHERE columns are seen only as predicates.
             for s in &mut ctx.statements {
                 if rng.below(3) == 0 {
-                    std::sync::Arc::make_mut(&mut s.ann)
+                    let ann = std::sync::Arc::make_mut(&mut s.ann);
+                    ann.columns = ann
                         .columns
-                        .retain(|c| c.role != ColumnRole::Filtered);
+                        .iter()
+                        .filter(|c| c.role != ColumnRole::Filtered)
+                        .cloned()
+                        .collect();
                 }
             }
             let index = ImpactIndex::new(&ctx);

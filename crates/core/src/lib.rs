@@ -131,6 +131,15 @@ use sqlcheck_minidb::database::Database;
 #[doc(hidden)]
 pub type BatchOptions = FrontendOptions;
 
+/// This process's peak resident set in kB (`VmHWM` in
+/// `/proc/self/status`); `None` where that file or its `VmHWM` line does
+/// not exist.
+pub fn vm_hwm_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    line.trim().strip_suffix("kB")?.trim().parse().ok()
+}
+
 /// Detect anti-patterns in a SQL string — the paper's interactive-shell
 /// entry point (`from sqlcheck.finder import find_anti_patterns`, §7).
 pub fn find_anti_patterns(sql: &str) -> Vec<Detection> {

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `sqlcheck` binary: exit codes, stdin input,
 //! command-line validation, agreement of the default listing with the
-//! batch-engine listings (`--stats`, `--cache`) and with `--no-fix`, and
-//! output write errors.
+//! batch-engine listings (`--stats`, `--cache`) and with `--no-fix`, the
+//! `--stats` peak-memory line, and output write errors.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -174,6 +174,34 @@ fn default_listing_matches_stats_and_cache_listings() {
     let cached = sqlcheck(&["--stats", "--cache", file], None);
     let cached_err = String::from_utf8_lossy(&cached.stderr);
     assert!(cached_err.contains("stats: incremental cache "), "{cached_err}");
+    std::fs::remove_file(&path).expect("remove fixture");
+}
+
+#[test]
+fn stats_ends_with_the_peak_memory_line() {
+    let path = fixture_file("peak", FIXTURE);
+    let file = path.to_str().expect("utf-8 path");
+    let readable = sqlcheck::vm_hwm_kb().is_some();
+    for flags in [&[][..], &["--summary"][..], &["--no-fix"][..], &["--cache"][..]] {
+        let args: Vec<&str> = flags.iter().copied().chain([file]).collect();
+        let without = sqlcheck(&args, None);
+        let with = sqlcheck(&[&["--stats"][..], &args].concat(), None);
+        assert_eq!((code(&without), code(&with)), (1, 1), "{flags:?}");
+        assert!(without.stdout == with.stdout, "{flags:?}: --stats changed stdout");
+        assert!(!String::from_utf8_lossy(&without.stderr).contains("peak rss"), "{flags:?}");
+        let err = String::from_utf8_lossy(&with.stderr);
+        let peaks: Vec<&str> =
+            err.lines().filter_map(|l| l.strip_prefix("stats: peak rss ")).collect();
+        if !readable {
+            assert!(peaks.is_empty(), "{flags:?}: {err}");
+            continue;
+        }
+        // One line, the last on stderr.
+        assert_eq!(peaks.len(), 1, "{flags:?}: {err}");
+        assert!(err.lines().last().is_some_and(|l| l.starts_with("stats: peak rss ")), "{err}");
+        let mb: f64 = peaks[0].strip_suffix(" MB").expect("an MB value").parse().unwrap();
+        assert!(mb > 0.0, "{err}");
+    }
     std::fs::remove_file(&path).expect("remove fixture");
 }
 

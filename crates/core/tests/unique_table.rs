@@ -207,3 +207,16 @@ fn fingerprints_match_the_reference_on_random_scripts_under_every_dialect() {
         }
     }
 }
+
+#[test]
+fn clean_texts_share_one_empty_diagnostics_slice() {
+    let script =
+        "SELECT a FROM t; SELECT b FROM u WHERE b = 1; EXPLAIN SELECT 1; INSERT INTO t VALUES (2);";
+    let w = SqlCheck::new().check_workload(script, &FrontendOptions::default());
+    let uniques = &w.outcome.context.uniques;
+    let (clean, degraded): (Vec<_>, Vec<_>) =
+        uniques.iter().map(|(_, u)| &u.diags).partition(|d| d.is_empty());
+    assert_eq!((clean.len(), degraded.len()), (3, 1));
+    assert!(clean.windows(2).all(|p| Arc::ptr_eq(p[0], p[1])), "clean texts share one slice");
+    assert!(!Arc::ptr_eq(clean[0], degraded[0]));
+}

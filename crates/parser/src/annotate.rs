@@ -71,20 +71,24 @@ pub struct JoinCondition {
 }
 
 /// Statement annotations.
+///
+/// Every list is a boxed slice: annotations live as long as the statement
+/// they describe, so each list is handed off at its exact length and keeps
+/// no spare capacity. Only [`annotate`] builds them.
 #[derive(Debug, Clone, Default)]
 pub struct Annotations {
     /// Every table referenced (FROM, JOIN, INSERT INTO, UPDATE, DELETE).
-    pub tables: Vec<IStr>,
+    pub tables: Box<[IStr]>,
     /// Every column reference with its role.
-    pub columns: Vec<ColumnRef>,
+    pub columns: Box<[ColumnRef]>,
     /// Simple WHERE predicates (for index-usage analysis).
-    pub predicates: Vec<SimplePredicate>,
+    pub predicates: Box<[SimplePredicate]>,
     /// Join conditions.
-    pub join_conditions: Vec<JoinCondition>,
+    pub join_conditions: Box<[JoinCondition]>,
     /// Uppercased names of all functions called anywhere in the statement.
-    pub functions: Vec<IStr>,
+    pub functions: Box<[IStr]>,
     /// Pattern operators appearing in WHERE/ON (`LIKE`, `REGEXP`, ...).
-    pub pattern_ops: Vec<LikeOp>,
+    pub pattern_ops: Box<[LikeOp]>,
     /// Number of JOIN clauses (comma joins included).
     pub join_count: usize,
     /// DISTINCT present on the (outer) SELECT.
@@ -93,16 +97,55 @@ pub struct Annotations {
     pub wildcard: bool,
     /// String-literal values appearing in comparisons (for data-in-metadata
     /// and MVA heuristics).
-    pub compared_strings: Vec<IStr>,
+    pub compared_strings: Box<[IStr]>,
+}
+
+/// The growable lists [`annotate`] fills before handing them off exact:
+/// [`Annotations`]' lists as `Vec`s.
+#[derive(Default)]
+struct Draft {
+    tables: Vec<IStr>,
+    columns: Vec<ColumnRef>,
+    predicates: Vec<SimplePredicate>,
+    join_conditions: Vec<JoinCondition>,
+    functions: Vec<IStr>,
+    pattern_ops: Vec<LikeOp>,
+    join_count: usize,
+    distinct: bool,
+    wildcard: bool,
+    compared_strings: Vec<IStr>,
+}
+
+impl Draft {
+    fn finish(self) -> Annotations {
+        Annotations {
+            tables: self.tables.into_boxed_slice(),
+            columns: self.columns.into_boxed_slice(),
+            predicates: self.predicates.into_boxed_slice(),
+            join_conditions: self.join_conditions.into_boxed_slice(),
+            functions: self.functions.into_boxed_slice(),
+            pattern_ops: self.pattern_ops.into_boxed_slice(),
+            join_count: self.join_count,
+            distinct: self.distinct,
+            wildcard: self.wildcard,
+            compared_strings: self.compared_strings.into_boxed_slice(),
+        }
+    }
 }
 
 /// Compute annotations for one statement. `arena` is the statement's
 /// [`ExprArena`] ([`crate::ast::ParsedStatement::arena`]); compound-body
-/// sub-statements resolve against the same arena.
+/// sub-statements resolve against the same arena and fill the same lists,
+/// in body order.
 pub fn annotate(stmt: &Statement, arena: &ExprArena) -> Annotations {
-    let mut a = Annotations::default();
+    let mut draft = Draft::default();
+    annotate_into(stmt, arena, &mut draft);
+    draft.finish()
+}
+
+fn annotate_into(stmt: &Statement, arena: &ExprArena, a: &mut Draft) {
     match stmt {
-        Statement::Select(s) => annotate_select(s, arena, &mut a),
+        Statement::Select(s) => annotate_select(s, arena, a),
         Statement::Insert(i) => {
             a.tables.push(i.table.name().into());
             for c in &i.columns {
@@ -113,12 +156,12 @@ pub fn annotate(stmt: &Statement, arena: &ExprArena) -> Annotations {
                 });
             }
             if let InsertSource::Select(s) = &i.source {
-                annotate_select(s, arena, &mut a);
+                annotate_select(s, arena, a);
             }
             if let InsertSource::Values(rows) = &i.source {
                 for row in rows {
                     for e in row.iter() {
-                        collect_functions(e, arena, &mut a);
+                        collect_functions(e, arena, a);
                     }
                 }
             }
@@ -131,16 +174,16 @@ pub fn annotate(stmt: &Statement, arena: &ExprArena) -> Annotations {
                     column: col.clone(),
                     role: ColumnRole::Written,
                 });
-                collect_functions(*e, arena, &mut a);
+                collect_functions(*e, arena, a);
             }
             if let Some(w) = u.where_clause {
-                annotate_where(w, arena, &mut a);
+                annotate_where(w, arena, a);
             }
         }
         Statement::Delete(d) => {
             a.tables.push(d.table.name().into());
             if let Some(w) = d.where_clause {
-                annotate_where(w, arena, &mut a);
+                annotate_where(w, arena, a);
             }
         }
         Statement::CreateTable(c) => {
@@ -151,10 +194,10 @@ pub fn annotate(stmt: &Statement, arena: &ExprArena) -> Annotations {
         }
         Statement::CreateTrigger(t) => {
             a.tables.push(t.table.name().into());
-            annotate_body(&t.body, arena, &mut a);
+            annotate_body(&t.body, arena, a);
         }
         Statement::CreateRoutine(r) => {
-            annotate_body(&r.body, arena, &mut a);
+            annotate_body(&r.body, arena, a);
         }
         Statement::AlterTable(t) => {
             a.tables.push(t.table.name().into());
@@ -164,31 +207,22 @@ pub fn annotate(stmt: &Statement, arena: &ExprArena) -> Annotations {
         }
         Statement::Other(_) => {}
     }
-    a
 }
 
 /// Fold the annotations of a compound statement's body sub-statements
 /// into the enclosing statement's digest: a trigger whose body writes
 /// `u` and deletes from `v` *references* `u` and `v` — the per-table
 /// incremental-cache invalidation and the inter-query rules depend on
-/// body tables being surfaced here.
-fn annotate_body(body: &[BodyStatement], arena: &ExprArena, a: &mut Annotations) {
+/// body tables being surfaced here. Each body statement appends to every
+/// list after the enclosing statement's own entries and the earlier body
+/// statements'.
+fn annotate_body(body: &[BodyStatement], arena: &ExprArena, a: &mut Draft) {
     for b in body {
-        let sub = annotate(&b.stmt, arena);
-        a.tables.extend(sub.tables);
-        a.columns.extend(sub.columns);
-        a.predicates.extend(sub.predicates);
-        a.join_conditions.extend(sub.join_conditions);
-        a.functions.extend(sub.functions);
-        a.pattern_ops.extend(sub.pattern_ops);
-        a.join_count += sub.join_count;
-        a.distinct |= sub.distinct;
-        a.wildcard |= sub.wildcard;
-        a.compared_strings.extend(sub.compared_strings);
+        annotate_into(&b.stmt, arena, a);
     }
 }
 
-fn annotate_select(s: &Select, arena: &ExprArena, a: &mut Annotations) {
+fn annotate_select(s: &Select, arena: &ExprArena, a: &mut Draft) {
     a.distinct |= s.distinct;
     a.wildcard |= s.has_wildcard();
     a.join_count += s.join_count();
@@ -245,7 +279,7 @@ fn annotate_select(s: &Select, arena: &ExprArena, a: &mut Annotations) {
     }
 }
 
-fn annotate_where(e: ExprId, arena: &ExprArena, a: &mut Annotations) {
+fn annotate_where(e: ExprId, arena: &ExprArena, a: &mut Draft) {
     collect_functions(e, arena, a);
     collect_patterns(e, arena, a);
     collect_predicates(e, arena, a);
@@ -264,75 +298,65 @@ fn annotate_where(e: ExprId, arena: &ExprArena, a: &mut Annotations) {
     }
 }
 
-fn collect_functions(e: ExprId, arena: &ExprArena, a: &mut Annotations) {
+fn collect_functions(e: ExprId, arena: &ExprArena, a: &mut Draft) {
     a.functions.extend(arena.function_calls(e));
 }
 
-fn collect_patterns(e: ExprId, arena: &ExprArena, a: &mut Annotations) {
-    let mut ops = Vec::new();
-    let mut strings = Vec::new();
+fn collect_patterns(e: ExprId, arena: &ExprArena, a: &mut Draft) {
     arena.walk(e, &mut |node| {
         if let Expr::Like { op, pattern, .. } = node {
-            ops.push(*op);
+            a.pattern_ops.push(*op);
             if let Expr::StringLit(s) = arena.node(*pattern) {
-                strings.push(s.clone());
+                a.compared_strings.push(s.clone());
             }
         }
     });
-    a.pattern_ops.extend(ops);
-    a.compared_strings.extend(strings);
 }
 
-fn collect_predicates(e: ExprId, arena: &ExprArena, a: &mut Annotations) {
-    let mut preds: Vec<(Vec<IStr>, IStr)> = Vec::new();
-    let mut strings = Vec::new();
+fn collect_predicates(e: ExprId, arena: &ExprArena, a: &mut Draft) {
     arena.walk(e, &mut |node| match node {
         Expr::Binary { left, op, right } if is_comparison(op) => {
             if let Expr::Ident(parts) = arena.node(*left) {
-                preds.push((parts.clone(), op.clone()));
+                push_pred(a, parts, op.clone());
                 if let Expr::StringLit(s) = arena.node(*right) {
-                    strings.push(s.clone());
+                    a.compared_strings.push(s.clone());
                 }
             } else if let Expr::Ident(parts) = arena.node(*right) {
-                preds.push((parts.clone(), op.clone()));
+                push_pred(a, parts, op.clone());
                 if let Expr::StringLit(s) = arena.node(*left) {
-                    strings.push(s.clone());
+                    a.compared_strings.push(s.clone());
                 }
             }
         }
         Expr::Like { expr, op, .. } => {
             if let Expr::Ident(parts) = arena.node(*expr) {
-                preds.push((parts.clone(), op.sql().into()));
+                push_pred(a, parts, op.sql().into());
             }
         }
         Expr::InList { expr, .. } => {
             if let Expr::Ident(parts) = arena.node(*expr) {
-                preds.push((parts.clone(), "IN".into()));
+                push_pred(a, parts, "IN".into());
             }
         }
         Expr::Between { expr, .. } => {
             if let Expr::Ident(parts) = arena.node(*expr) {
-                preds.push((parts.clone(), "BETWEEN".into()));
+                push_pred(a, parts, "BETWEEN".into());
             }
         }
         Expr::IsNull { expr, .. } => {
             if let Expr::Ident(parts) = arena.node(*expr) {
-                preds.push((parts.clone(), "IS NULL".into()));
+                push_pred(a, parts, "IS NULL".into());
             }
         }
         _ => {}
     });
-    for (parts, op) in preds {
-        push_pred_str(a, &parts, op);
-    }
-    a.compared_strings.extend(strings);
 }
 
 fn is_comparison(op: &str) -> bool {
     matches!(op, "=" | "==" | "<>" | "!=" | "<" | "<=" | ">" | ">=" | "<=>")
 }
 
-fn push_pred_str(a: &mut Annotations, parts: &[IStr], op: IStr) {
+fn push_pred(a: &mut Draft, parts: &[IStr], op: IStr) {
     let (q, c) = match parts.len() {
         1 => (None, parts[0].clone()),
         2 => (Some(parts[0].clone()), parts[1].clone()),
@@ -341,7 +365,7 @@ fn push_pred_str(a: &mut Annotations, parts: &[IStr], op: IStr) {
     a.predicates.push(SimplePredicate { qualifier: q, column: c, op });
 }
 
-fn annotate_join_condition(on: ExprId, arena: &ExprArena, a: &mut Annotations) {
+fn annotate_join_condition(on: ExprId, arena: &ExprArena, a: &mut Draft) {
     // Unwrap parens.
     let mut e = arena.node(on);
     while let Expr::Paren(inner) = e {
@@ -398,7 +422,7 @@ mod tests {
     #[test]
     fn select_annotations() {
         let a = ann("SELECT t.a, b FROM t JOIN u ON t.id = u.tid WHERE t.c = 'x' GROUP BY t.a ORDER BY b");
-        assert_eq!(a.tables, vec!["t", "u"]);
+        assert_eq!(*a.tables, ["t", "u"]);
         assert!(a.columns.iter().any(|c| c.role == ColumnRole::Projected && c.column == "a"));
         assert!(a.columns.iter().any(|c| c.role == ColumnRole::Joined && c.column == "tid"));
         assert!(a.columns.iter().any(|c| c.role == ColumnRole::Filtered && c.column == "c"));
@@ -407,7 +431,7 @@ mod tests {
         assert_eq!(a.join_count, 1);
         assert_eq!(a.join_conditions.len(), 1);
         assert!(!a.join_conditions[0].is_pattern);
-        assert_eq!(a.compared_strings, vec!["x"]);
+        assert_eq!(*a.compared_strings, ["x"]);
     }
 
     #[test]
@@ -422,7 +446,7 @@ mod tests {
     #[test]
     fn update_annotations() {
         let a = ann("UPDATE u SET r = LOWER('R5') WHERE r = 'R2'");
-        assert_eq!(a.tables, vec!["u"]);
+        assert_eq!(*a.tables, ["u"]);
         assert!(a.columns.iter().any(|c| c.role == ColumnRole::Written && c.column == "r"));
         assert!(a.functions.iter().any(|f| f == "LOWER"));
         assert_eq!(a.predicates.len(), 1);
@@ -432,7 +456,7 @@ mod tests {
     #[test]
     fn insert_annotations() {
         let a = ann("INSERT INTO t (a, b) VALUES (1, NOW())");
-        assert_eq!(a.tables, vec!["t"]);
+        assert_eq!(*a.tables, ["t"]);
         assert_eq!(
             a.columns.iter().filter(|c| c.role == ColumnRole::Written).count(),
             2
@@ -459,7 +483,7 @@ mod tests {
             "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW \
              BEGIN UPDATE u SET a = 1; DELETE FROM v; END",
         );
-        assert_eq!(a.tables, vec!["t", "u", "v"]);
+        assert_eq!(*a.tables, ["t", "u", "v"]);
         assert!(a.columns.iter().any(|c| c.role == ColumnRole::Written && c.column == "a"));
     }
 
@@ -470,7 +494,7 @@ mod tests {
              BEGIN UPDATE counters SET n = n + 1; DELETE FROM stale WHERE ts < now(); END \
              $fn$ LANGUAGE plpgsql",
         );
-        assert_eq!(a.tables, vec!["counters", "stale"]);
+        assert_eq!(*a.tables, ["counters", "stale"]);
         assert!(a.functions.iter().any(|f| f == "NOW"));
     }
 
@@ -486,5 +510,77 @@ mod tests {
         assert!(a.distinct);
         assert_eq!(a.join_count, 2);
         assert_eq!(a.join_conditions.len(), 2);
+    }
+
+    /// One line per list, each entry in list order.
+    fn lists(a: &Annotations) -> Vec<String> {
+        fn col(q: &Option<IStr>, c: &IStr) -> String {
+            q.as_ref().map_or(c.to_string(), |q| format!("{q}.{c}"))
+        }
+        fn line<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
+            items.iter().map(f).collect::<Vec<_>>().join(" ")
+        }
+        vec![
+            line(&a.tables, |t| t.to_string()),
+            line(&a.columns, |c| format!("{}:{:?}", col(&c.qualifier, &c.column), c.role)),
+            line(&a.predicates, |p| format!("{}{}", col(&p.qualifier, &p.column), p.op)),
+            line(&a.join_conditions, |j| {
+                let r = j.right.as_ref().map_or("-".into(), |(q, c)| col(q, c));
+                format!("{}={r}{}", col(&j.left.0, &j.left.1), if j.is_pattern { "~" } else { "" })
+            }),
+            line(&a.functions, |f| f.to_string()),
+            line(&a.pattern_ops, |o| o.sql().to_string()),
+            line(&a.compared_strings, |s| s.to_string()),
+            format!("joins {} distinct {} wildcard {}", a.join_count, a.distinct, a.wildcard),
+        ]
+    }
+
+    #[test]
+    fn body_statements_fill_every_list_in_body_order() {
+        // Every list holds the enclosing statement's own entries first,
+        // then each body statement's, in body order; within one body
+        // statement the order is that of a standalone statement.
+        let trigger = ann(
+            "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW BEGIN \
+             UPDATE u SET a = UPPER(b) WHERE c = 'x' AND d LIKE 'p%'; \
+             SELECT DISTINCT v.e, COUNT(*) FROM v JOIN w ON v.id = w.vid AND v.n LIKE w.m \
+             WHERE f IN (1, 2) AND 'y' = g GROUP BY v.e ORDER BY LOWER(v.e); \
+             DELETE FROM z WHERE h NOT LIKE 'q%' OR k BETWEEN 1 AND 2 OR n IS NULL; END",
+        );
+        assert_eq!(
+            lists(&trigger),
+            [
+                "t u v w z",
+                "a:Written c:Filtered d:Filtered v.e:Projected v.id:Joined w.vid:Joined \
+                 v.n:Joined w.m:Joined f:Filtered g:Filtered v.e:Grouped v.e:Ordered \
+                 h:Filtered k:Filtered n:Filtered",
+                "c= dLIKE fIN g= hLIKE kBETWEEN nIS NULL",
+                "v.id=w.vid v.n=-~",
+                "UPPER COUNT LOWER",
+                "LIKE LIKE LIKE",
+                "p% x y q%",
+                "joins 1 distinct true wildcard false",
+            ]
+        );
+        let routine = ann(
+            "CREATE PROCEDURE p() BEGIN \
+             INSERT INTO s (a, b) SELECT * FROM r WHERE r.a = 'z'; \
+             IF x THEN UPDATE s SET b = NOW() WHERE a = 1; END IF; \
+             SELECT 1 FROM q WHERE q.id IN (SELECT id FROM o WHERE o.t LIKE 'm%'); END",
+        );
+        assert_eq!(
+            lists(&routine),
+            [
+                "s r s q o",
+                "a:Written b:Written r.a:Filtered b:Written a:Filtered q.id:Filtered \
+                 id:Projected o.t:Filtered",
+                "r.a= a= q.idIN o.tLIKE",
+                "",
+                "NOW",
+                "LIKE",
+                "z m%",
+                "joins 0 distinct false wildcard true",
+            ]
+        );
     }
 }

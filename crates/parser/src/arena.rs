@@ -6,10 +6,12 @@
 //! list. The arena replaces all of that with **one contiguous node
 //! buffer per statement**: nodes are pushed in parse order and referenced
 //! by typed indices ([`ExprId`]) or contiguous runs ([`ExprRange`]).
-//! Allocation cost per statement is the node vector's amortised doubling
-//! — a handful of allocations regardless of tree size — and dropping a
-//! statement frees the whole tree in one `Vec` drop instead of a
-//! recursive `Box` walk.
+//! The parser builds each statement's nodes in one reused per-thread
+//! scratch arena and hands them off with `ExprArena::take_exact`: one
+//! allocation of exactly the node count per statement, however large the
+//! tree, so a retained arena keeps no spare capacity. Dropping a statement
+//! frees the whole tree in one `Vec` drop instead of a recursive `Box`
+//! walk.
 //!
 //! Index stability: ids are positions in the push order and are never
 //! invalidated (the arena is append-only until dropped). A node's
@@ -66,7 +68,8 @@ impl ExprRange {
 
 /// Bump arena owning every expression node of one parsed statement (and
 /// its compound-body sub-statements — the whole [`crate::ast::ParsedStatement`]
-/// shares one arena).
+/// shares one arena). A parsed statement's arena is exact: its node
+/// buffer holds no capacity beyond its nodes.
 #[derive(Debug, Clone, Default)]
 pub struct ExprArena {
     nodes: Vec<Expr>,
@@ -78,10 +81,23 @@ impl ExprArena {
         ExprArena { nodes: Vec::new() }
     }
 
-    /// Pre-reserve room for `n` more nodes — one up-front allocation
-    /// instead of amortised doubling during the parse.
-    pub fn reserve(&mut self, n: usize) {
-        self.nodes.reserve(n);
+    /// Move every node out into a new arena of exactly their count,
+    /// leaving `self` empty with its capacity kept for reuse.
+    pub(crate) fn take_exact(&mut self) -> ExprArena {
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        nodes.append(&mut self.nodes);
+        ExprArena { nodes }
+    }
+
+    /// Drop every node, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
+    /// Allocated node slots, used or not.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// Number of nodes allocated.

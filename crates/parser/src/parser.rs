@@ -50,11 +50,14 @@ pub fn parse_one(sql: &str, dialect: Dialect) -> ParsedStatement {
 // armed/cleared at each statement's parse entry (`parse_raw_limited`), so
 // no state leaks from one statement's parse into the next.
 thread_local! {
-    /// Arena collecting every expression node of the statement being
-    /// parsed (including compound-body sub-statements). Armed empty at
-    /// each statement's parse entry and moved into the resulting
-    /// [`ParsedStatement`]; kept thread-local like the rest of the parse
-    /// state so the mutually-recursive parse functions need no threading.
+    /// Scratch arena collecting every expression node of the statement
+    /// being parsed (including compound-body sub-statements). Cleared at
+    /// each statement's parse entry; its nodes are moved into the
+    /// resulting [`ParsedStatement`] at their exact count, and the scratch
+    /// keeps its capacity (at most the largest statement parsed on this
+    /// thread, bounded by the token budget) for the next statement. Kept
+    /// thread-local like the rest of the parse state so the
+    /// mutually-recursive parse functions need no threading.
     static ARENA: std::cell::RefCell<ExprArena> = std::cell::RefCell::new(ExprArena::new());
     /// Current expression/subquery recursion depth.
     static EXPR_DEPTH: Cell<u32> = const { Cell::new(0) };
@@ -156,9 +159,10 @@ pub fn parse_raw_limited(
     }
 
     // Arm the recursion budgets and clear the degradation flags. Depth
-    // counters are reset defensively: tickets rebalance them on every
-    // normal path, but a caller-side `catch_unwind` must not leak depth
-    // into the next statement parsed on this thread.
+    // counters and the scratch arena are reset defensively: tickets
+    // rebalance the counters and the hand-off empties the arena on every
+    // normal path, but a caller-side `catch_unwind` must not leak depth or
+    // nodes into the next statement parsed on this thread.
     DIALECT.with(|d| d.set(dialect));
     EXPR_DEPTH_LIMIT.with(|l| l.set(limits.max_expr_depth));
     BLOCK_NEST_LIMIT.with(|l| l.set(limits.max_block_depth));
@@ -167,10 +171,7 @@ pub fn parse_raw_limited(
     EXPR_DEGRADED.with(|f| f.set(false));
     DEPTH_HIT.with(|f| f.set(false));
     UNTERMINATED.with(|f| f.set(false));
-    // Pre-size the arena: expression nodes are bounded by (and usually a
-    // small fraction of) the significant token count, so one up-front
-    // reservation replaces the per-statement doubling churn.
-    ARENA.with(|a| a.borrow_mut().reserve(sig.len() / 2 + 4));
+    ARENA.with(|a| a.borrow_mut().clear());
 
     let stmt = parse_tokens(&sig);
 
@@ -242,9 +243,10 @@ fn alloc_range(exprs: Vec<Expr>) -> ExprRange {
     ARENA.with(|a| a.borrow_mut().alloc_range(exprs))
 }
 
-/// Move the accumulated arena out (end of one statement's parse).
+/// Move the statement's nodes out at their exact count (end of one
+/// statement's parse), leaving the scratch empty for the next.
 fn take_arena() -> ExprArena {
-    ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
+    ARENA.with(|a| a.borrow_mut().take_exact())
 }
 
 // ---------------------------------------------------------------------------
@@ -697,6 +699,7 @@ pub fn parse_expr_tokens(toks: &[Token]) -> Expr {
 /// Returns the root node by value plus the arena its children live in.
 pub fn parse_expr_str(sql: &str) -> (ExprArena, Expr) {
     let toks = crate::lexer::tokenize_significant(sql, active_dialect());
+    ARENA.with(|a| a.borrow_mut().clear());
     let root = parse_expr_tokens(&toks);
     (take_arena(), root)
 }
@@ -2207,5 +2210,46 @@ mod tests {
     fn distinct_flag() {
         assert!(sel("SELECT DISTINCT a FROM t").distinct);
         assert!(!sel("SELECT a FROM t").distinct);
+    }
+
+    /// A large compound statement: it grows the scratch arena well beyond
+    /// what the statements parsed after it need.
+    fn big_routine() -> String {
+        let body: String = (0..64)
+            .map(|i| format!("UPDATE t{i} SET a = LOWER(b) + {i} WHERE c IN (1, 2) AND d > {i}; "))
+            .collect();
+        format!("CREATE PROCEDURE p() BEGIN {body}END")
+    }
+
+    #[test]
+    fn arena_is_exact_at_hand_off() {
+        let big = parse_one(&big_routine(), Dialect::Generic);
+        assert!(big.arena.len() > 500);
+        assert_eq!(big.arena.capacity(), big.arena.len());
+        for sql in [
+            "SELECT c0, c1 FROM app_hot WHERE c0 = 7",
+            "INSERT INTO t (a, b) VALUES (1, NOW()), (2, 3)",
+            "SELECT * FROM t",
+            "DROP TABLE t",
+        ] {
+            let p = parse_one(sql, Dialect::Generic);
+            assert_eq!(p.arena.capacity(), p.arena.len(), "{sql}");
+        }
+        let (arena, _) = parse_expr_str("a BETWEEN 1 AND 2 OR b IN (3, 4)");
+        assert_eq!(arena.capacity(), arena.len());
+    }
+
+    #[test]
+    fn nodes_left_in_the_scratch_do_not_reach_the_next_statement() {
+        // What a caller's `catch_unwind` in the middle of a parse leaves
+        // behind.
+        let sql = "SELECT a FROM t WHERE b = LOWER(c)";
+        let fresh = std::thread::spawn(move || format!("{:?}", parse_one(sql, Dialect::Generic)));
+        let fresh = fresh.join().unwrap();
+        alloc(Expr::ident("leaked"));
+        assert_eq!(format!("{:?}", parse_one(sql, Dialect::Generic)), fresh);
+        let want = format!("{:?}", parse_expr_str("x = 1"));
+        alloc(Expr::ident("leaked"));
+        assert_eq!(format!("{:?}", parse_expr_str("x = 1")), want);
     }
 }

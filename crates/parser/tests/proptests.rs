@@ -4,6 +4,8 @@
 //! properties are exercised with a small deterministic xorshift generator:
 //! same seeds, same cases, every run.
 
+use sqlcheck_parser::annotate::annotate;
+use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::fingerprint::fingerprint_of;
 use sqlcheck_parser::lexer::tokenize;
 use sqlcheck_parser::parser::{parse, parse_one};
@@ -292,4 +294,109 @@ fn fingerprint_is_template_stable() {
             "case {case}: literal leaked"
         );
     }
+}
+
+/// A random statement over every construct that fills the expression
+/// arena and the annotation lists: joins, pattern and range predicates,
+/// subqueries, function calls, writes, and compound bodies holding
+/// further statements.
+fn random_statement(rng: &mut Rng, depth: usize) -> String {
+    let col = |rng: &mut Rng| match rng.below(3) {
+        0 => format!("{}.{}", rng.ident(3), rng.ident(4)),
+        _ => rng.ident(6),
+    };
+    let pred = |rng: &mut Rng| -> String {
+        let c = col(rng);
+        match rng.below(7) {
+            0 => format!("{c} = {}", rng.below(100)),
+            1 => format!("'{}' <> {c}", rng.ident(4)),
+            2 => format!("{c} LIKE '%{}%'", rng.ident(3)),
+            3 => format!("{c} IN ({}, {})", rng.below(9), rng.below(9)),
+            4 => format!("{c} BETWEEN 1 AND {}", rng.below(50)),
+            5 => format!("{c} IS NOT NULL"),
+            _ => format!("LOWER({c}) = '{}'", rng.ident(4)),
+        }
+    };
+    let preds = |rng: &mut Rng| -> String {
+        let n = 1 + rng.below(3);
+        let joiner = [" AND ", " OR "][rng.below(2)];
+        (0..n).map(|_| pred(rng)).collect::<Vec<_>>().join(joiner)
+    };
+    match rng.below(if depth > 0 { 6 } else { 8 }) {
+        0 | 1 => {
+            let distinct = ["", "DISTINCT "][rng.below(2)];
+            let (a, b, t) = (col(rng), col(rng), rng.ident(5));
+            let mut s = format!("SELECT {distinct}{a}, {b} FROM {t}");
+            if rng.below(2) == 0 {
+                s += &format!(" JOIN {} ON {} = {}", rng.ident(5), col(rng), col(rng));
+            }
+            s += &format!(" WHERE {}", preds(rng));
+            if rng.below(3) == 0 {
+                s += &format!(" AND x IN (SELECT y FROM {} WHERE {})", rng.ident(4), pred(rng));
+            }
+            if rng.below(3) == 0 {
+                s += &format!(" GROUP BY {} ORDER BY UPPER({})", col(rng), col(rng));
+            }
+            s
+        }
+        2 => format!("INSERT INTO {} (a, b) VALUES ({}, NOW())", rng.ident(5), rng.below(9)),
+        3 => {
+            let (t, c) = (rng.ident(5), rng.ident(4));
+            format!("UPDATE {t} SET {c} = COALESCE(b, 0) WHERE {}", preds(rng))
+        }
+        4 => format!("DELETE FROM {} WHERE {}", rng.ident(5), preds(rng)),
+        5 => rng.arbitrary_string(40),
+        kind => {
+            let n = 1 + rng.below(4);
+            let body: String =
+                (0..n).map(|_| random_statement(rng, depth + 1) + "; ").collect();
+            match kind {
+                6 => format!(
+                    "CREATE TRIGGER {} AFTER INSERT ON {} FOR EACH ROW BEGIN {body}END",
+                    rng.ident(4),
+                    rng.ident(5)
+                ),
+                _ => format!("CREATE PROCEDURE {}() BEGIN {body}END", rng.ident(4)),
+            }
+        }
+    }
+}
+
+/// Parse and annotate `sql`, rendered for comparison: tree, arena,
+/// annotations. The flag is true when the statement took a typed shape.
+fn parse_and_annotate(sql: &str, dialect: Dialect) -> (String, bool) {
+    let p = parse_one(sql, dialect);
+    let shaped = !matches!(p.stmt, Statement::Other(_));
+    (format!("{:?}\n{:?}", p, annotate(&p.stmt, &p.arena)), shaped)
+}
+
+/// The parser's scratch arena is reused per thread and must carry nothing
+/// from one statement into the next: each statement parsed and annotated
+/// right after a large trigger or routine must equal the same statement
+/// on a fresh thread.
+#[test]
+fn reused_parse_state_matches_a_fresh_thread() {
+    let mut rng = Rng::new(0x5C2A7C);
+    let big = |i: usize| {
+        let body: String = (0..48)
+            .map(|j| format!("UPDATE t{j} SET a = LOWER(b) WHERE c IN (1, {j}) AND d LIKE 'x%'; "))
+            .chain(["SELECT DISTINCT * FROM a JOIN b ON a.x = b.y; ".to_string()])
+            .collect();
+        match i % 2 {
+            0 => format!("CREATE TRIGGER g AFTER INSERT ON t FOR EACH ROW BEGIN {body}END"),
+            _ => format!("CREATE PROCEDURE p() BEGIN {body}END"),
+        }
+    };
+    let mut shaped = 0;
+    for case in 0..CASES {
+        let sql = random_statement(&mut rng, 0);
+        let dialect = Dialect::ALL[rng.below(Dialect::ALL.len())];
+        assert!(parse_and_annotate(&big(case), dialect).1);
+        let after_big = parse_and_annotate(&sql, dialect);
+        let owned = sql.clone();
+        let fresh = std::thread::spawn(move || parse_and_annotate(&owned, dialect));
+        assert_eq!(after_big, fresh.join().unwrap(), "case {case} ({dialect}): {sql:?}");
+        shaped += usize::from(after_big.1);
+    }
+    assert!(shaped > CASES / 2, "most generated statements must parse shaped ({shaped})");
 }
