@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablation benches for two design choices:
 //!
 //! * **sampling**: data-analysis cost as the reservoir sample grows;
 //! * **join strategy**: expression join vs hash vs index join — the

@@ -12,25 +12,32 @@
 //! expdriver table5         # Table 5/6  Kaggle databases
 //! expdriver table8         # Table 8    sqlcheck vs DETA features
 //! expdriver user-study     # §8.3       acceptance statistics
-//! expdriver throughput     # detection engine vs per-statement reference
-//! expdriver e2e            # parse-once front-end + incremental cache
-//! expdriver incremental    # warm re-check sweep: edit rates × shapes + DDL edit
+//! expdriver incremental    # cold check_workload vs warm re-check: edit rates ×
+//!                          # shapes, DDL edit          → BENCH_e2e.json
 //! expdriver incremental-gate # CI gates: warm 1%-edit ≤ 0.35× cold pipeline,
 //!                            # session VmHWM(1000 batches) ≤ 1.25× VmHWM(100)
-//! expdriver phases         # per-phase timing of the three-phase pipeline
+//! expdriver phases         # engine vs per-statement reference, per-phase
+//!                          # timing, plain + skewed   → BENCH_phases.json
 //! expdriver split          # deduping splitter vs two-pass reference, and
-//!                          # (count-allocs) ≤ 50 heap bytes per input byte
+//!                          # (count-allocs) ≤ 32 heap bytes per input byte
 //!                          # building a context over the skewed shape
+//!                          #                          → BENCH_split.json
 //! expdriver corpus         # acceptance matrix: parse coverage on real corpora
+//!                          #                          → BENCH_corpus.json
 //! expdriver splitfile FILE # split configurations over a real dump (mmap'd)
 //! expdriver fix-scaling    # CI gate: fix time at 10N repos ≤ 15× at N, and
 //!                          # (count-allocs) ≤ 10k allocations fixing plain 100k
 //!                          # and ≤ 1k writing its listing
 //! ```
 //!
-//! `--quick` shrinks scales for a fast smoke run.
+//! Each `BENCH_*.json` artifact has one producer, listed above, and is
+//! written into the current directory through one writer
+//! ([`harness::write_artifact`]) by a full-scale run only. `--quick`
+//! shrinks scales for a fast smoke run that prints its tables and writes
+//! nothing.
 
 use sqlcheck_bench::experiments::*;
+use sqlcheck_bench::harness::{self, Json};
 use sqlcheck_workload::github::CorpusConfig;
 use sqlcheck_workload::globaleaks::Scale;
 use sqlcheck_workload::user_study::StudyConfig;
@@ -41,6 +48,15 @@ fn main() {
     let positional: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     let what = positional.first().copied().unwrap_or("all");
+    const EXPERIMENTS: &[&str] = &[
+        "all", "fig3", "fig7", "fig8", "table2", "table3", "table4", "table5", "table8",
+        "user-study", "incremental", "incremental-gate", "phases", "split", "corpus", "splitfile",
+        "fix-scaling",
+    ];
+    if !EXPERIMENTS.contains(&what) {
+        eprintln!("expdriver: unknown experiment {what:?}; one of: {}", EXPERIMENTS.join(", "));
+        std::process::exit(2);
+    }
 
     if what == "incremental-gate" {
         // Memory first: VmHWM is a process-wide peak, so the timing gate's
@@ -261,33 +277,6 @@ fn main() {
         section("Table 8 — sqlcheck vs Microsoft DETA");
         print!("{}", fig7::render_table8());
     }
-    if run_all || what == "throughput" {
-        section("Throughput — detection engine vs per-statement reference detector");
-        let sizes: &[usize] = if quick { &[1_000, 10_000] } else { &[1_000, 10_000, 100_000] };
-        let rows = throughput::run(sizes, 100, 0xBA7C4);
-        print!("{}", throughput::render(&rows));
-        for r in &rows {
-            assert!(
-                r.identical,
-                "{} {} statements: engine output diverged from the reference detector",
-                r.workload, r.statements
-            );
-        }
-        let json = throughput::to_json(&rows);
-        let path = "BENCH_throughput.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
-    }
-    if run_all || what == "e2e" {
-        section("E2E — parse-once front-end + incremental cache");
-        let sizes: &[usize] = if quick { &[2_000] } else { &[10_000, 100_000] };
-        // 1% of statements edited for the warm re-check.
-        let rows = e2e::run(sizes, 100, 10, 0xE2E0);
-        print!("{}", e2e::render(&rows));
-        write_e2e_json(&rows);
-    }
     if run_all || what == "incremental" {
         section("Incremental — warm re-check sweep: edit fraction × workload shape");
         let (n, rates, shapes): (usize, &[usize], &[&str]) = if quick {
@@ -300,19 +289,19 @@ fn main() {
         let rows = e2e::run_sweep(n, 100, rates, shapes, 0xE2E0);
         print!("{}", e2e::render(&rows));
         print!("{}", e2e::render_warm_phases(&rows));
-        check_identity(&rows);
+        // Byte-identity is the pipeline's correctness contract; CI runs
+        // the quick scales specifically to catch a divergence.
         for r in &rows {
+            assert!(
+                r.identical,
+                "{} {} statements / {} edited: pipeline or warm output diverged from reference",
+                r.workload, r.statements, r.edited
+            );
             assert_eq!(
                 r.fallbacks, 0,
                 "{} at {}permille: warm session fell back to a full rebuild",
                 r.workload, r.edit_permille
             );
-        }
-        // `BENCH_e2e.json` is the e2e experiment's artifact; when both
-        // experiments run (`all`), keep the e2e rows rather than letting
-        // the sweep clobber them.
-        if !run_all {
-            write_e2e_json(&rows);
         }
         // Full-scale ceiling (also gated standalone by `incremental-gate`):
         // warm 1%-edit re-check ≤ 0.35× the cold pipeline on the plain row.
@@ -333,28 +322,31 @@ fn main() {
         print!("{}", e2e::render_ddl_edit(&ddl));
         assert!(ddl.identical, "DDL-edit warm re-check diverged from cold check");
         assert!(ddl.hits > 0, "column-granular invalidation kept no entries across a DDL edit");
+        write_artifact(
+            quick,
+            "BENCH_e2e.json",
+            "parse_once_frontend_e2e",
+            rows.iter().map(e2e::json_row),
+        );
     }
     if run_all || what == "phases" {
-        section("Phases — per-phase timing of the three-phase batch pipeline");
+        section("Phases — detection engine vs per-statement reference, per-phase timing");
         let sizes: &[usize] = if quick { &[1_000] } else { &[10_000, 100_000] };
         let rows = phases::run(sizes, 64, 0x9A5E5);
         print!("{}", phases::render(&rows));
         for r in &rows {
             assert!(
                 r.identical,
-                "{} statements: three-phase engine output diverged from the reference detector",
-                r.statements
+                "{} {} statements: engine output diverged from the reference detector",
+                r.workload, r.statements
             );
         }
-        // `BENCH_throughput.json` doubles as the phases artifact when the
-        // experiment runs standalone; `all` keeps the throughput rows.
-        if !run_all {
-            let path = "BENCH_throughput.json";
-            match std::fs::write(path, phases::to_json(&rows)) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
+        write_artifact(
+            quick,
+            "BENCH_phases.json",
+            "batch_detection_phases",
+            rows.iter().map(phases::json_row),
+        );
     }
     if run_all || what == "split" {
         section("Split — deduping splitter vs two-pass reference");
@@ -363,11 +355,7 @@ fn main() {
         print!("{}", split::render(&rows));
         // `run` asserts both configurations agree before timing;
         // reaching this point means the byte-identity gate passed.
-        let path = "BENCH_split.json";
-        match std::fs::write(path, split::to_json(&rows)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+
         // Front-end memory gate: a unique text keeps only its source,
         // tree, annotations and diagnostics, so one context build over
         // the unique-heavy skewed shape holds a bounded amount of heap
@@ -394,6 +382,7 @@ fn main() {
             }
             None => println!("front-end memory gate skipped (build with --features count-allocs)"),
         }
+        write_artifact(quick, "BENCH_split.json", "split_phase", rows.iter().map(split::json_row));
     }
     if run_all || what == "corpus" {
         section("Corpus — acceptance matrix: parse coverage + degradation by corpus");
@@ -402,11 +391,12 @@ fn main() {
         // CI gate: per-corpus parse-coverage floors and zero isolated rule
         // failures; panics (non-zero exit) on violation.
         corpus::assert_floors(&rows);
-        let path = "BENCH_corpus.json";
-        match std::fs::write(path, corpus::to_json(&rows)) {
-            Ok(()) => println!("wrote {path}"),
-            Err(e) => eprintln!("could not write {path}: {e}"),
-        }
+        write_artifact(
+            quick,
+            "BENCH_corpus.json",
+            "corpus_acceptance_matrix",
+            rows.iter().map(corpus::json_row),
+        );
     }
     if run_all || what == "user-study" {
         section("§8.3 — user study acceptance statistics");
@@ -423,23 +413,13 @@ fn section(title: &str) {
     println!("\n=== {title} ===");
 }
 
-// Byte-identity is the pipeline's correctness contract; CI runs the
-// quick scales specifically to catch a divergence, so fail loudly.
-fn check_identity(rows: &[e2e::E2eRow]) {
-    for r in rows {
-        assert!(
-            r.identical,
-            "{} statements / {} edited: pipeline or warm output diverged from reference",
-            r.statements, r.edited
-        );
-    }
-}
-
-fn write_e2e_json(rows: &[e2e::E2eRow]) {
-    check_identity(rows);
-    let path = "BENCH_e2e.json";
-    match std::fs::write(path, e2e::to_json(rows)) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+/// Write a full-scale artifact through the one JSON writer. A `--quick`
+/// run writes nothing, so a smoke run never replaces the committed
+/// full-scale numbers.
+fn write_artifact(quick: bool, path: &str, experiment: &str, rows: impl Iterator<Item = Json>) {
+    if quick {
+        println!("--quick: {path} not written (full-scale runs only)");
+    } else {
+        harness::write_artifact(path, experiment, rows);
     }
 }

@@ -22,6 +22,7 @@
 //! degrades statements on real-shaped SQL fails the build instead of
 //! shipping as a quiet recall loss.
 
+use crate::harness::Json;
 use sqlcheck::{FrontendOptions, DiagKind, Dialect, SqlCheck, WorkloadOutcome};
 use sqlcheck_minidb::database::Database;
 use sqlcheck_workload::dialects::DialectCorpusConfig;
@@ -318,42 +319,26 @@ pub fn assert_floors(rows: &[CorpusRow]) {
     }
 }
 
-/// Render rows as a JSON document (written to `BENCH_corpus.json`).
-pub fn to_json(rows: &[CorpusRow]) -> String {
-    let mut out =
-        String::from("{\n  \"experiment\": \"corpus_acceptance_matrix\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let diags: Vec<String> = DiagKind::ALL
-            .iter()
-            .map(|k| format!("\"{}\": {}", k.name(), r.diag_counts[k.index()]))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"corpus\": \"{}\", \"dialect\": \"{}\", \"statements\": {}, \
-             \"unique_texts\": {}, \
-             \"script_bytes\": {}, \"detections\": {}, \
-             \"degraded_statements\": {}, \"degraded_uniques\": {}, \
-             \"parse_coverage\": {:.6}, \"coverage_floor\": {:.2}, \
-             \"rule_failures\": {}, \"micros\": {}, \"mb_per_sec\": {:.3}, \
-             \"diagnostics\": {{{}}}}}{}\n",
-            r.corpus,
-            r.dialect,
-            r.statements,
-            r.unique_texts,
-            r.script_bytes,
-            r.detections,
-            r.degraded_statements,
-            r.degraded_uniques,
-            r.parse_coverage(),
-            coverage_floor(r.corpus),
-            r.rule_failures,
-            r.micros,
-            r.mb_per_sec(),
-            diags.join(", "),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One row of `BENCH_corpus.json`; `diagnostics` holds one count per
+/// [`DiagKind`].
+pub fn json_row(r: &CorpusRow) -> Json {
+    let diagnostics = DiagKind::ALL.iter().map(|k| (k.name(), r.diag_counts[k.index()].into()));
+    Json::object([
+        ("corpus", r.corpus.into()),
+        ("dialect", r.dialect.to_string().into()),
+        ("statements", r.statements.into()),
+        ("unique_texts", r.unique_texts.into()),
+        ("script_bytes", r.script_bytes.into()),
+        ("detections", r.detections.into()),
+        ("degraded_statements", r.degraded_statements.into()),
+        ("degraded_uniques", r.degraded_uniques.into()),
+        ("parse_coverage", Json::Fixed(r.parse_coverage(), 6)),
+        ("coverage_floor", Json::Fixed(coverage_floor(r.corpus), 2)),
+        ("rule_failures", r.rule_failures.into()),
+        ("micros", r.micros.into()),
+        ("mb_per_sec", Json::Fixed(r.mb_per_sec(), 3)),
+        ("diagnostics", Json::object(diagnostics)),
+    ])
 }
 
 #[cfg(test)]
@@ -368,7 +353,7 @@ mod tests {
         for r in &rows {
             assert!(r.statements > 0, "{}: corpus must not be empty", r.corpus);
         }
-        let json = to_json(&rows);
+        let json = crate::harness::artifact_json("corpus", rows.iter().map(json_row));
         assert!(json.contains("\"corpus\": \"django\""));
         assert!(json.contains("\"corpus\": \"mysqldump\""));
         assert!(json.contains("\"dialect\": \"postgres\""));

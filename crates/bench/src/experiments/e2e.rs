@@ -1,11 +1,14 @@
-//! **End-to-end front-end experiment** — the parse-once pipeline, the
+//! **Incremental experiment** — the parse-once pipeline, the
 //! content-hash-keyed incremental cache, and the delta-based warm
-//! re-check ([`CheckSession`]).
+//! re-check ([`CheckSession`]); `expdriver incremental` sweeps it over
+//! edit rates and workload shapes and writes `BENCH_e2e.json`.
 //!
 //! Two timed configurations per workload shape:
 //!
-//! * `pipeline` — the parse-once front-end: split + dedup first,
-//!   parse/annotate each unique text once, followed by batch detection;
+//! * `pipeline` — a cold [`SqlCheck::check_workload`], the call
+//!   `sqlcheck FILE` makes (split + dedup first, parse/annotate each
+//!   unique text once, then batch detection), and the freeing of its
+//!   outcome;
 //! * `warm` — a [`CheckSession`] retained from a cold check of the
 //!   workload, re-checking an **edit set** (a fraction of statements
 //!   replaced) through [`CheckSession::recheck`]: the script splices,
@@ -22,12 +25,11 @@
 
 use super::throughput::script_for_shape;
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
-use sqlcheck::detect::reference;
+use crate::harness::{sample_of, Json};
+use sqlcheck::detect::{reference, DEFAULT_CACHE_CAPACITY};
 use sqlcheck::{
-    BatchStats, CheckSession, ContextBuilder, Detector, Edit, FrontendOptions, FrontendStats,
-    IncrementalCache, Report, SqlCheck, WorkloadOutcome,
+    BatchStats, CheckSession, Detector, Edit, FrontendOptions, Report, SqlCheck, WorkloadOutcome,
 };
-use std::time::Instant;
 
 /// One measured workload configuration.
 #[derive(Debug, Clone)]
@@ -46,14 +48,15 @@ pub struct E2eRow {
     pub detections: usize,
     /// Whether all configurations produced byte-identical reports.
     pub identical: bool,
-    /// Wall-clock microseconds: parse-once front-end + batch detection.
+    /// Wall-clock microseconds: one cold [`SqlCheck::check_workload`]
+    /// and the freeing of its outcome.
     pub pipeline_micros: u128,
     /// Wall-clock microseconds: warm [`CheckSession::recheck`] of the
     /// edit set (splice + delta profile + dirty-statement patch + unit
     /// replay + rank/fix tail).
     pub warm_micros: u128,
-    /// Front-end phase breakdown of the cold pipeline run.
-    pub frontend: FrontendStats,
+    /// Stats of the cold pipeline run, as `check_workload` returns them.
+    pub cold: BatchStats,
     /// Warm re-check stats: per-phase micros, dirty-unit counts, cache
     /// outcomes — straight from the session's [`BatchStats`].
     pub warm: BatchStats,
@@ -119,35 +122,9 @@ fn outcome_key(o: &WorkloadOutcome) -> Vec<String> {
 /// (noise-robust: preemption and hypervisor steal only ever add time).
 const REPS: usize = 3;
 
-fn best_of<T>(mut f: impl FnMut() -> T) -> (T, u128) {
-    let (out, s) = sample_full(&mut f);
-    (out, s.0)
-}
-
-/// Time `f` REPS times; return the last output plus
-/// `(min, median, spread_pct)` of the observations.
-fn sample_full<T>(f: &mut impl FnMut() -> T) -> (T, (u128, u128, f64)) {
-    let mut obs = Vec::with_capacity(REPS);
-    let mut last = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let out = f();
-        obs.push(t.elapsed().as_micros());
-        last = Some(out);
-    }
-    obs.sort_unstable();
-    let min = obs[0];
-    let max = obs[obs.len() - 1];
-    let spread = if min == 0 { 0.0 } else { (max - min) as f64 * 100.0 / min as f64 };
-    (last.unwrap(), (min, obs[obs.len() / 2], spread))
-}
-
-/// One full end-to-end check: front-end + batch detection.
-fn check(script: &str, cache: Option<&IncrementalCache>) -> sqlcheck::BatchReport {
-    let (ctx, fe_stats) = ContextBuilder::new().add_script(script).build_with_stats();
-    let mut batch = Detector::default().detect_batch_with(&ctx, cache);
-    batch.stats.absorb_frontend(&fe_stats);
-    batch
+/// One cold end-to-end check, the call `sqlcheck FILE` makes.
+fn check(script: &str) -> WorkloadOutcome {
+    SqlCheck::new().check_workload(script, &FrontendOptions::default())
 }
 
 /// Detections of batch detection over the per-occurrence reference
@@ -193,27 +170,36 @@ fn run_inner(
     let script = script_for_shape(workload, statements, templates, seed);
     let opts = FrontendOptions::default();
 
-    // Cold, parse-once pipeline.
-    let (pipeline, (pipeline_micros, pipeline_median_micros, pipeline_spread_pct)) =
-        sample_full(&mut || check(&script, None));
+    // Cold: one check and the freeing of its outcome, which is what a
+    // long-running caller pays per cold re-check (a warm re-check frees
+    // what it replaces inside its own timing).
+    let (_, cold_sample) = sample_of(REPS, || drop(check(&script)));
 
-    // Heap traffic per unique statement across one cold pipeline check
-    // (only meaningful with the counting allocator compiled in).
+    // One more, untimed cold check supplies the stats, the detections
+    // and the heap traffic per unique statement (only meaningful with
+    // the counting allocator compiled in).
     let a0 = alloc_count();
-    let alloc_run = check(&script, None);
-    let allocs = allocs_per_stmt(a0, alloc_count(), alloc_run.stats.unique_texts.max(1));
+    let pipeline = check(&script);
+    let allocs = allocs_per_stmt(a0, alloc_count(), pipeline.stats.unique_texts.max(1));
+    let cold = pipeline.stats;
+    let detections = pipeline.outcome.report.detections.len();
+    // Byte-identity on the original workload: pipeline ≡ the reference
+    // context. The cold outcome is freed before the warm leg runs.
+    let cold_identical = !with_reference
+        || report_key(&reference_report(&script)) == report_key(&pipeline.outcome.report);
+    drop(pipeline.outcome);
 
     // Warm: retain a session over the original workload (cold build,
     // untimed), then time only `recheck(&edits)`. Each repetition gets a
     // fresh session so no rep re-checks an already-applied edit set.
-    let edits = edit_set(pipeline.stats.statements, edit_permille, seed ^ 0xE017);
+    let edits = edit_set(cold.statements, edit_permille, seed ^ 0xE017);
     let edited = edits.len();
     let mut sessions: Vec<CheckSession> = (0..REPS)
         .map(|_| {
             SqlCheck::new().with_cache(1 << 14).into_session(script.clone(), opts.clone())
         })
         .collect();
-    let (warm_session, warm_micros) = best_of(|| {
+    let (warm_session, warm_sample) = sample_of(REPS, || {
         let mut s = sessions.pop().expect("one retained session per repetition");
         s.recheck(&edits);
         s
@@ -221,13 +207,11 @@ fn run_inner(
     let warm = warm_session.outcome().stats.clone();
     let fallbacks = warm_session.fallbacks();
 
-    // Byte-identity: pipeline ≡ the reference context on the original
-    // workload, and the warm session ≡ a cold full check of the edited
+    // Byte-identity: the warm session ≡ a cold full check of the edited
     // script (detections and ranking — the session patches both).
     let cold_edited = SqlCheck::new().check_workload(warm_session.script(), &opts);
-    let identical = (!with_reference
-        || report_key(&reference_report(&script)) == report_key(&pipeline.report))
-        && outcome_key(&cold_edited) == outcome_key(warm_session.outcome());
+    let identical =
+        cold_identical && outcome_key(&cold_edited) == outcome_key(warm_session.outcome());
 
     E2eRow {
         workload: workload.to_string(),
@@ -235,24 +219,15 @@ fn run_inner(
         templates,
         edit_permille,
         edited,
-        detections: pipeline.report.detections.len(),
+        detections,
         identical,
-        pipeline_micros,
-        warm_micros,
-        frontend: FrontendStats {
-            statements: pipeline.stats.statements,
-            unique_texts: pipeline.stats.unique_texts,
-            split_micros: pipeline.stats.split_micros,
-            materialize_micros: pipeline.stats.materialize_micros,
-            intake_micros: pipeline.stats.intake_micros,
-            parse_micros: pipeline.stats.parse_micros,
-            annotate_micros: pipeline.stats.annotate_micros,
-            context_micros: pipeline.stats.context_micros,
-        },
+        pipeline_micros: cold_sample.min_micros,
+        warm_micros: warm_sample.min_micros,
+        cold,
         warm,
         fallbacks,
-        pipeline_median_micros,
-        pipeline_spread_pct,
+        pipeline_median_micros: cold_sample.median_micros,
+        pipeline_spread_pct: cold_sample.spread_pct(),
         allocs_per_stmt: allocs,
     }
 }
@@ -292,16 +267,17 @@ pub fn run_ddl_edit(statements: usize, tables: usize, seed: u64) -> DdlEditRow {
     );
     assert_ne!(script, edited, "edit must change the DDL");
 
-    let cache = IncrementalCache::default();
-    let _ = check(&script, Some(&cache));
-    let warm = check(&edited, Some(&cache));
+    let opts = FrontendOptions::default();
+    let sql = SqlCheck::new().with_cache(DEFAULT_CACHE_CAPACITY);
+    let _ = sql.check_workload(&script, &opts);
+    let warm = sql.check_workload(&edited, &opts);
 
     DdlEditRow {
         statements: warm.stats.statements,
         tables,
         hits: warm.stats.incremental_hits,
         misses: warm.stats.incremental_misses,
-        identical: report_key(&reference_report(&edited)) == report_key(&warm.report),
+        identical: report_key(&reference_report(&edited)) == report_key(&warm.outcome.report),
     }
 }
 
@@ -312,12 +288,6 @@ pub fn render_ddl_edit(r: &DdlEditRow) -> String {
          (whole-cache flushing would report 0 hits here)\n",
         r.tables, r.statements, r.hits, r.misses, r.identical
     )
-}
-
-/// Run the experiment over several workload sizes at one edit rate
-/// (plain shape — the cross-PR regression reference).
-pub fn run(sizes: &[usize], templates: usize, edit_permille: usize, seed: u64) -> Vec<E2eRow> {
-    sizes.iter().map(|&n| run_one("plain", n, templates, edit_permille, seed)).collect()
 }
 
 /// Edit-fraction sweep at one workload size: every shape × every edit
@@ -389,64 +359,41 @@ pub fn render_warm_phases(rows: &[E2eRow]) -> String {
     out
 }
 
-/// Render rows as a JSON document (written to `BENCH_e2e.json`).
-pub fn to_json(rows: &[E2eRow]) -> String {
-    let mut out =
-        String::from("{\n  \"experiment\": \"parse_once_frontend_e2e\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
-             \"edit_permille\": {}, \"edited\": {}, \
-             \"detections\": {}, \"identical\": {}, \"fallbacks\": {}, \
-             \"pipeline_micros\": {}, \"warm_micros\": {}, \
-             \"pipeline_median_micros\": {}, \"pipeline_spread_pct\": {:.1}, \
-             \"allocs_per_stmt\": {}, \
-             \"split_micros\": {}, \"materialize_micros\": {}, \"intake_micros\": {}, \
-             \"parse_micros\": {}, \
-             \"annotate_micros\": {}, \"context_micros\": {}, \"unique_texts\": {}, \
-             \"warm_edit_micros\": {}, \"warm_profile_micros\": {}, \
-             \"warm_patch_micros\": {}, \"warm_finalize_micros\": {}, \
-             \"warm_dirty_statements\": {}, \
-             \"inter_units_reused\": {}, \"inter_units_recomputed\": {}, \
-             \"data_units_reused\": {}, \
-             \"incremental_hits\": {}, \"incremental_misses\": {}, \
-             \"warm_vs_pipeline\": {:.3}}}{}\n",
-            r.workload,
-            r.statements,
-            r.templates,
-            r.edit_permille,
-            r.edited,
-            r.detections,
-            r.identical,
-            r.fallbacks,
-            r.pipeline_micros,
-            r.warm_micros,
-            r.pipeline_median_micros,
-            r.pipeline_spread_pct,
-            r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "null".into()),
-            r.frontend.split_micros,
-            r.frontend.materialize_micros,
-            r.frontend.intake_micros,
-            r.frontend.parse_micros,
-            r.frontend.annotate_micros,
-            r.frontend.context_micros,
-            r.frontend.unique_texts,
-            r.warm.warm_edit_micros,
-            r.warm.warm_profile_micros,
-            r.warm.warm_patch_micros,
-            r.warm.warm_finalize_micros,
-            r.warm.warm_dirty_statements,
-            r.warm.inter_units_reused,
-            r.warm.inter_units_recomputed,
-            r.warm.data_units_reused,
-            r.warm.incremental_hits,
-            r.warm.incremental_misses,
-            r.warm_vs_pipeline(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One row of `BENCH_e2e.json`.
+pub fn json_row(r: &E2eRow) -> Json {
+    Json::object([
+        ("workload", r.workload.as_str().into()),
+        ("statements", r.statements.into()),
+        ("templates", r.templates.into()),
+        ("edit_permille", r.edit_permille.into()),
+        ("edited", r.edited.into()),
+        ("detections", r.detections.into()),
+        ("identical", r.identical.into()),
+        ("fallbacks", r.fallbacks.into()),
+        ("pipeline_micros", r.pipeline_micros.into()),
+        ("warm_micros", r.warm_micros.into()),
+        ("pipeline_median_micros", r.pipeline_median_micros.into()),
+        ("pipeline_spread_pct", Json::Fixed(r.pipeline_spread_pct, 1)),
+        ("allocs_per_stmt", r.allocs_per_stmt.map_or(Json::Null, |a| Json::Fixed(a, 1))),
+        ("split_micros", r.cold.split_micros.into()),
+        ("materialize_micros", r.cold.materialize_micros.into()),
+        ("intake_micros", r.cold.intake_micros.into()),
+        ("parse_micros", r.cold.parse_micros.into()),
+        ("annotate_micros", r.cold.annotate_micros.into()),
+        ("context_micros", r.cold.context_micros.into()),
+        ("unique_texts", r.cold.unique_texts.into()),
+        ("warm_edit_micros", r.warm.warm_edit_micros.into()),
+        ("warm_profile_micros", r.warm.warm_profile_micros.into()),
+        ("warm_patch_micros", r.warm.warm_patch_micros.into()),
+        ("warm_finalize_micros", r.warm.warm_finalize_micros.into()),
+        ("warm_dirty_statements", r.warm.warm_dirty_statements.into()),
+        ("inter_units_reused", r.warm.inter_units_reused.into()),
+        ("inter_units_recomputed", r.warm.inter_units_recomputed.into()),
+        ("data_units_reused", r.warm.data_units_reused.into()),
+        ("incremental_hits", r.warm.incremental_hits.into()),
+        ("incremental_misses", r.warm.incremental_misses.into()),
+        ("warm_vs_pipeline", Json::Fixed(r.warm_vs_pipeline(), 3)),
+    ])
 }
 
 #[cfg(test)]
@@ -510,8 +457,8 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run(&[150], 20, 20, 3);
-        let j = to_json(&rows);
+        let rows = [run_one("plain", 150, 20, 20, 3)];
+        let j = crate::harness::artifact_json("e2e", rows.iter().map(json_row));
         assert!(j.contains("\"statements\": 150"));
         assert!(j.contains("\"workload\": \"plain\""));
         assert!(j.contains("warm_patch_micros"));

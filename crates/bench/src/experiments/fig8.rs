@@ -6,8 +6,7 @@
 //!   (~1.3× faster with the index);
 //! * 8c — Index Underuse *false positive*: scan with a low-cardinality
 //!   predicate — the index does **not** help (paper: 3× slower; in an
-//!   in-memory row store the penalty shrinks to ≈ parity, see
-//!   EXPERIMENTS.md);
+//!   in-memory row store the penalty shrinks to ≈ parity);
 //! * 8d/8e — No Foreign Key: UPDATE / SELECT with vs without the FK —
 //!   not prominent, because FK validation probes the referenced PK index;
 //! * 8f — the 142× panel: deleting referenced rows requires finding

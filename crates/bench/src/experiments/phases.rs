@@ -1,27 +1,34 @@
-//! **Per-phase experiment** — timing breakdown of the three-phase batch
-//! detection pipeline (intra-query / inter-query / data-analysis).
+//! **Per-phase experiment** — the detection engine against the
+//! per-statement reference detector, with the timing breakdown of the
+//! three-phase batch pipeline (intra-query / inter-query /
+//! data-analysis).
 //!
-//! The throughput and e2e experiments measure end-to-end wall clock; this
-//! one records where the time goes. The workload is the template-heavy
-//! statement stream of [`workload_script`] with a DDL prelude (so the
-//! inter-query rules have a catalog to check against) and an attached
+//! Two shapes of [`script_for_shape`] run, each with a DDL prelude (so
+//! the inter-query rules have a catalog to check against) and an attached
 //! database over a slice of the tables (so the data-analysis phase
-//! profiles real columns). Per-phase wall-clock
-//! micros come straight from [`BatchStats`] — the inter and data phases
-//! are measured explicitly, not inferred as a residual.
+//! profiles real columns):
 //!
-//! Byte-identity of the batch path against the per-statement
-//! [`reference::detect`] is asserted before any timing is reported.
+//! * `plain` — `n` statements drawn from a fixed pool of templates, the
+//!   shape of an application re-issuing its prepared statements;
+//! * `skewed` — the unique-heavy shape: one hot template with a fresh
+//!   literal per occurrence plus one giant procedure body.
+//!
+//! Per-phase wall-clock micros come straight from [`BatchStats`]: the
+//! inter and data phases are measured explicitly, not inferred as a
+//! residual. Byte-identity of the engine against [`reference::detect`]
+//! is asserted before any timing is reported.
 
-use super::throughput::workload_script;
+use super::throughput::script_for_shape;
+use crate::harness::{sample_of, Json};
 use sqlcheck::detect::reference;
 use sqlcheck::{BatchStats, ContextBuilder, DataAnalysisConfig, Detector, Report};
 use sqlcheck_minidb::prelude::*;
-use std::time::Instant;
 
-/// One measured workload size with its per-phase breakdown.
+/// One measured workload with its per-phase breakdown.
 #[derive(Debug, Clone)]
 pub struct PhaseRow {
+    /// Workload shape: `"plain"` or `"skewed"`.
+    pub workload: &'static str,
     /// Statements in the workload (DDL prelude included).
     pub statements: usize,
     /// Unique templates the statement stream draws from.
@@ -83,22 +90,14 @@ fn report_key(r: &Report) -> Vec<String> {
 /// Repetitions per measurement; the minimum observation is reported.
 const REPS: usize = 3;
 
-fn best_of<T>(mut f: impl FnMut() -> T) -> (T, u128) {
-    let mut best = u128::MAX;
-    let mut last = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let out = f();
-        best = best.min(t.elapsed().as_micros());
-        last = Some(out);
-    }
-    (last.unwrap(), best)
-}
-
-/// Run the experiment at one workload size.
-pub fn run_one(statements: usize, templates: usize, seed: u64) -> PhaseRow {
+/// Run the experiment at one workload shape and size.
+pub fn run_one(workload: &'static str, statements: usize, templates: usize, seed: u64) -> PhaseRow {
     let profiled = templates.min(8);
-    let script = format!("{}{}", ddl_prelude(templates), workload_script(statements, templates, seed));
+    let script = format!(
+        "{}{}",
+        ddl_prelude(templates),
+        script_for_shape(workload, statements, templates, seed)
+    );
     let db = sample_database(profiled, 64);
     let (ctx, fe_stats) = ContextBuilder::new()
         .add_script(&script)
@@ -106,42 +105,48 @@ pub fn run_one(statements: usize, templates: usize, seed: u64) -> PhaseRow {
         .build_with_stats();
     let det = Detector::default();
 
-    let (oracle, ref_micros) = best_of(|| reference::detect(&ctx, &det.cfg));
-    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
+    let (oracle, reference) = sample_of(REPS, || reference::detect(&ctx, &det.cfg));
+    let (batch, timed) = sample_of(REPS, || det.detect_batch(&ctx));
 
     let identical = report_key(&oracle) == report_key(&batch.report);
     let mut stats = batch.stats;
     stats.absorb_frontend(&fe_stats);
 
     PhaseRow {
+        workload,
         statements: ctx.len(),
         templates,
         profiled_tables: profiled,
         detections: oracle.detections.len(),
         identical,
-        ref_micros,
-        batch_micros,
+        ref_micros: reference.min_micros,
+        batch_micros: timed.min_micros,
         stats,
     }
 }
 
-/// Run the experiment over several workload sizes.
+/// Run the experiment over several workload sizes: the plain rows first
+/// (the cross-PR regression reference), then the skewed shape.
 pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<PhaseRow> {
-    sizes.iter().map(|&n| run_one(n, templates, seed)).collect()
+    ["plain", "skewed"]
+        .into_iter()
+        .flat_map(|w| sizes.iter().map(move |&n| run_one(w, n, templates, seed)))
+        .collect()
 }
 
 /// Render rows as an aligned console table (one line per phase set).
 pub fn render(rows: &[PhaseRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
-        "stmts", "ref_us", "batch_us", "parse", "group", "intra", "fanout", "inter", "data",
-        "identical"
+        "{:>8} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+        "workload", "stmts", "ref_us", "batch_us", "parse", "group", "intra", "fanout", "inter",
+        "data", "identical"
     ));
     for r in rows {
         let s = &r.stats;
         out.push_str(&format!(
-            "{:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+            "{:>8} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9}\n",
+            r.workload,
             r.statements,
             r.ref_micros,
             r.batch_micros,
@@ -157,45 +162,31 @@ pub fn render(rows: &[PhaseRow]) -> String {
     out
 }
 
-/// Render rows as a JSON document (written to `BENCH_throughput.json`
-/// when the experiment runs standalone).
-pub fn to_json(rows: &[PhaseRow]) -> String {
-    let mut out =
-        String::from("{\n  \"experiment\": \"batch_detection_phases\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let s = &r.stats;
-        out.push_str(&format!(
-            "    {{\"statements\": {}, \"templates\": {}, \"profiled_tables\": {}, \
-             \"detections\": {}, \"identical\": {}, \
-             \"reference_micros\": {}, \"batch_micros\": {}, \
-             \"split_micros\": {}, \"parse_micros\": {}, \"annotate_micros\": {}, \
-             \"context_micros\": {}, \"group_micros\": {}, \"intra_micros\": {}, \
-             \"fanout_micros\": {}, \"inter_micros\": {}, \"data_micros\": {}, \
-             \"total_micros\": {}, \"unique_texts\": {}, \"speedup\": {:.2}}}{}\n",
-            r.statements,
-            r.templates,
-            r.profiled_tables,
-            r.detections,
-            r.identical,
-            r.ref_micros,
-            r.batch_micros,
-            s.split_micros,
-            s.parse_micros,
-            s.annotate_micros,
-            s.context_micros,
-            s.group_micros,
-            s.intra_micros,
-            s.fanout_micros,
-            s.inter_micros,
-            s.data_micros,
-            s.total_micros,
-            s.unique_texts,
-            r.ref_micros as f64 / r.batch_micros.max(1) as f64,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One row of `BENCH_phases.json`.
+pub fn json_row(r: &PhaseRow) -> Json {
+    let s = &r.stats;
+    Json::object([
+        ("workload", r.workload.into()),
+        ("statements", r.statements.into()),
+        ("templates", r.templates.into()),
+        ("profiled_tables", r.profiled_tables.into()),
+        ("detections", r.detections.into()),
+        ("identical", r.identical.into()),
+        ("reference_micros", r.ref_micros.into()),
+        ("batch_micros", r.batch_micros.into()),
+        ("split_micros", s.split_micros.into()),
+        ("parse_micros", s.parse_micros.into()),
+        ("annotate_micros", s.annotate_micros.into()),
+        ("context_micros", s.context_micros.into()),
+        ("group_micros", s.group_micros.into()),
+        ("intra_micros", s.intra_micros.into()),
+        ("fanout_micros", s.fanout_micros.into()),
+        ("inter_micros", s.inter_micros.into()),
+        ("data_micros", s.data_micros.into()),
+        ("total_micros", s.total_micros.into()),
+        ("unique_texts", s.unique_texts.into()),
+        ("speedup", Json::Fixed(r.ref_micros as f64 / r.batch_micros.max(1) as f64, 2)),
+    ])
 }
 
 #[cfg(test)]
@@ -205,22 +196,29 @@ mod tests {
     #[test]
     fn phases_identical_and_measured() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one(300, 24, 0x9A5E);
-        assert!(r.identical, "batch three-phase output must match the reference detector");
-        assert!(r.detections > 0);
-        // The inter and data phases both did real, measured work: the
-        // workload has hot unindexed predicates and the database has
-        // profiled tables. (Timings can legitimately round to 0us at
-        // this scale, so assert on the work items instead.)
-        assert!(r.profiled_tables > 0);
-        assert!(r.stats.unique_texts > 0);
+        for (workload, n, templates, seed) in
+            [("plain", 300, 24, 0x9A5E), ("plain", 300, 50, 42), ("skewed", 300, 30, 7)]
+        {
+            let r = run_one(workload, n, templates, seed);
+            assert!(r.identical, "{workload}: engine output must match the reference detector");
+            assert!(r.detections > 0, "{workload}: the workload has anti-patterns");
+            assert_eq!(r.workload, workload);
+            // The inter and data phases both did real, measured work: the
+            // workload has hot unindexed predicates and the database has
+            // profiled tables. (Timings can legitimately round to 0us at
+            // this scale, so assert on the work items instead.)
+            assert!(r.profiled_tables > 0);
+            assert!(r.stats.unique_texts > 0);
+        }
     }
 
     #[test]
     fn json_is_well_formed_enough() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let rows = run(&[120], 16, 1);
-        let j = to_json(&rows);
+        assert_eq!(rows.len(), 2, "one plain and one skewed row");
+        let j = crate::harness::artifact_json("phases", rows.iter().map(json_row));
+        assert!(j.contains("\"workload\": \"skewed\""));
         assert!(j.contains("\"inter_micros\""));
         assert!(j.contains("\"data_micros\""));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -5,8 +5,8 @@
 //! a workload script passes through it before anything is parsed or
 //! detected, and after the parse-once front-end (PR 2) it dominated
 //! end-to-end wall clock. This experiment measures it in isolation on the
-//! template-heavy workload of the
-//! [throughput](crate::experiments::throughput) experiment:
+//! template-heavy workloads of
+//! [`script_for_shape`]:
 //!
 //! * `legacy` — [`split_spanned`]: lex the whole script into a token
 //!   buffer, slice it into statements, and content-hash each slice;
@@ -20,7 +20,7 @@
 //! (spans and content hashes) before any timing is reported.
 
 use crate::alloc_count::{alloc_count, allocs_per_stmt, peak_heap_growth};
-use crate::harness::{sample_of, Sample};
+use crate::harness::{sample_of, Json, Sample};
 use sqlcheck::ContextBuilder;
 use sqlcheck_parser::splitter::reference::split_spanned;
 use sqlcheck_parser::splitter::split_deduped;
@@ -125,7 +125,7 @@ pub fn assert_equivalence(script: &str) -> usize {
 const REPS: usize = 9;
 
 fn measure<T>(f: impl FnMut() -> T) -> Sample {
-    sample_of(REPS, f)
+    sample_of(REPS, f).1
 }
 
 /// Ceiling for `allocs_per_stmt` on the plain workload, asserted whenever
@@ -289,37 +289,25 @@ pub fn render(rows: &[SplitRow]) -> String {
     out
 }
 
-/// Render rows as a JSON document (written to `BENCH_split.json`).
-pub fn to_json(rows: &[SplitRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"split_phase\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \"bytes\": {}, \
-             \"identical\": {}, \"legacy_micros\": {}, \"deduped_micros\": {}, \
-             \"legacy_median_micros\": {}, \"deduped_median_micros\": {}, \
-             \"deduped_spread_pct\": {:.1}, \"allocs_per_stmt\": {}, \
-             \"legacy_mb_per_s\": {:.1}, \"deduped_mb_per_s\": {:.1}, \
-             \"deduped_us_per_stmt\": {:.3}, \"deduped_speedup\": {:.2}}}{}\n",
-            r.workload,
-            r.statements,
-            r.templates,
-            r.bytes,
-            r.identical,
-            r.legacy_micros,
-            r.deduped_micros,
-            r.legacy_median_micros,
-            r.deduped_median_micros,
-            r.deduped_spread_pct,
-            r.allocs_per_stmt.map(|a| format!("{a:.1}")).unwrap_or_else(|| "null".into()),
-            r.legacy_mbps(),
-            r.deduped_mbps(),
-            r.deduped_us_per_stmt(),
-            r.deduped_speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One row of `BENCH_split.json`.
+pub fn json_row(r: &SplitRow) -> Json {
+    Json::object([
+        ("workload", r.workload.into()),
+        ("statements", r.statements.into()),
+        ("templates", r.templates.into()),
+        ("bytes", r.bytes.into()),
+        ("identical", r.identical.into()),
+        ("legacy_micros", r.legacy_micros.into()),
+        ("deduped_micros", r.deduped_micros.into()),
+        ("legacy_median_micros", r.legacy_median_micros.into()),
+        ("deduped_median_micros", r.deduped_median_micros.into()),
+        ("deduped_spread_pct", Json::Fixed(r.deduped_spread_pct, 1)),
+        ("allocs_per_stmt", r.allocs_per_stmt.map_or(Json::Null, |a| Json::Fixed(a, 1))),
+        ("legacy_mb_per_s", Json::Fixed(r.legacy_mbps(), 1)),
+        ("deduped_mb_per_s", Json::Fixed(r.deduped_mbps(), 1)),
+        ("deduped_us_per_stmt", Json::Fixed(r.deduped_us_per_stmt(), 3)),
+        ("deduped_speedup", Json::Fixed(r.deduped_speedup(), 2)),
+    ])
 }
 
 #[cfg(test)]
@@ -364,7 +352,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_enough() {
         let rows = run(&[120], 20, 3);
-        let j = to_json(&rows);
+        let j = crate::harness::artifact_json("split", rows.iter().map(json_row));
         assert!(j.contains("\"statements\": 120"));
         assert!(j.contains("deduped_speedup"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

@@ -1,68 +1,13 @@
-//! **Throughput experiment** — the detection engine vs the per-statement
-//! reference detector on template-heavy workloads.
+//! **Workload generators** — the template-heavy statement streams the
+//! `phases`, `split`, `incremental` (`e2e`), `fix-scaling` and
+//! session-memory experiments run over.
 //!
 //! Real application logs contain millions of statements drawn from a few
 //! hundred templates (§8 analyses thousands of repositories and Django
-//! apps). This experiment synthesizes such workloads — `n` statements
-//! drawn from a fixed pool of unique templates — and measures:
-//!
-//! * `reference` — [`sqlcheck::detect::reference::detect`], the
-//!   per-statement loop the identity suites use as their oracle;
-//! * `batch` — [`sqlcheck::Detector::detect_batch`] (exact-text
-//!   dedup), the engine every production path runs.
-//!
-//! Both configurations are verified to produce byte-identical detections
-//! before any timing is reported.
+//! apps). Each shape here synthesizes such a workload deterministically
+//! from a seed; [`script_for_shape`] names them.
 
-use sqlcheck::detect::reference;
-use sqlcheck::{ContextBuilder, Detector};
 use sqlcheck_minidb::stats::SmallRng;
-use std::time::Instant;
-
-/// One measured workload size.
-#[derive(Debug, Clone)]
-pub struct ThroughputRow {
-    /// Workload shape: `"plain"`, `"trigger"`, or `"skewed"`.
-    pub workload: &'static str,
-    /// Statements in the workload.
-    pub statements: usize,
-    /// Unique templates the workload draws from.
-    pub templates: usize,
-    /// Detections produced (identical across both paths).
-    pub detections: usize,
-    /// Whether both paths produced byte-identical reports.
-    pub identical: bool,
-    /// Wall-clock microseconds: per-statement reference detector.
-    pub ref_micros: u128,
-    /// Wall-clock microseconds: batch path.
-    pub batch_micros: u128,
-}
-
-impl ThroughputRow {
-    /// Statements per second for a measured duration.
-    fn stmts_per_sec(&self, micros: u128) -> f64 {
-        if micros == 0 {
-            f64::INFINITY
-        } else {
-            self.statements as f64 / (micros as f64 / 1e6)
-        }
-    }
-
-    /// Reference-detector throughput (statements/second).
-    pub fn ref_throughput(&self) -> f64 {
-        self.stmts_per_sec(self.ref_micros)
-    }
-
-    /// Batch throughput (statements/second).
-    pub fn batch_throughput(&self) -> f64 {
-        self.stmts_per_sec(self.batch_micros)
-    }
-
-    /// Speedup of batch over the reference detector.
-    pub fn batch_speedup(&self) -> f64 {
-        self.ref_micros as f64 / self.batch_micros.max(1) as f64
-    }
-}
 
 /// Deterministically generate a workload of `statements` statements drawn
 /// from `templates` unique statement shapes, shuffled. Each template is
@@ -203,117 +148,6 @@ fn workload_pool(templates: usize) -> Vec<String> {
     pool
 }
 
-/// Render a report's detections for byte-identity comparison.
-fn report_key(r: &sqlcheck::Report) -> Vec<String> {
-    r.detections.iter().map(|d| format!("{d:?}")).collect()
-}
-
-/// Repetitions per measurement; the minimum observation is reported
-/// (noise-robust: preemption and hypervisor steal only ever add time).
-const REPS: usize = 3;
-
-/// Time `f` over [`REPS`] runs, returning the last result and the
-/// fastest observation in microseconds.
-fn best_of<T>(mut f: impl FnMut() -> T) -> (T, u128) {
-    let mut best = u128::MAX;
-    let mut last = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let out = f();
-        best = best.min(t.elapsed().as_micros());
-        last = Some(out);
-    }
-    (last.unwrap(), best)
-}
-
-/// Run the experiment at one workload size.
-pub fn run_one(
-    workload: &'static str,
-    statements: usize,
-    templates: usize,
-    seed: u64,
-) -> ThroughputRow {
-    let script = script_for_shape(workload, statements, templates, seed);
-    let ctx = ContextBuilder::new().add_script(&script).build();
-    let det = Detector::default();
-
-    let (oracle, ref_micros) = best_of(|| reference::detect(&ctx, &det.cfg));
-    let (batch, batch_micros) = best_of(|| det.detect_batch(&ctx));
-    let identical = report_key(&oracle) == report_key(&batch.report);
-
-    ThroughputRow {
-        workload,
-        statements: ctx.len(),
-        templates,
-        detections: oracle.detections.len(),
-        identical,
-        ref_micros,
-        batch_micros,
-    }
-}
-
-/// Run the experiment over several workload sizes. The plain rows come
-/// first (the cross-PR regression reference), then the unique-heavy
-/// skewed shape.
-pub fn run(sizes: &[usize], templates: usize, seed: u64) -> Vec<ThroughputRow> {
-    let mut rows = Vec::with_capacity(sizes.len() * 2);
-    for workload in ["plain", "skewed"] {
-        for &n in sizes {
-            rows.push(run_one(workload, n, templates, seed));
-        }
-    }
-    rows
-}
-
-/// Render rows as an aligned console table.
-pub fn render(rows: &[ThroughputRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>8} {:>10} {:>10} {:>12} {:>12} {:>8} {:>9}\n",
-        "workload", "stmts", "templates", "ref st/s", "batch st/s", "batch_x", "identical"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>8} {:>10} {:>10} {:>12.0} {:>12.0} {:>7.1}x {:>9}\n",
-            r.workload,
-            r.statements,
-            r.templates,
-            r.ref_throughput(),
-            r.batch_throughput(),
-            r.batch_speedup(),
-            r.identical,
-        ));
-    }
-    out
-}
-
-/// Render rows as a JSON document (written to `BENCH_throughput.json`).
-pub fn to_json(rows: &[ThroughputRow]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"batch_detection_throughput\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"statements\": {}, \"templates\": {}, \
-             \"detections\": {}, \"identical\": {}, \
-             \"reference_micros\": {}, \"batch_micros\": {}, \
-             \"reference_stmts_per_sec\": {:.1}, \"batch_stmts_per_sec\": {:.1}, \
-             \"batch_speedup\": {:.2}}}{}\n",
-            r.workload,
-            r.statements,
-            r.templates,
-            r.detections,
-            r.identical,
-            r.ref_micros,
-            r.batch_micros,
-            r.ref_throughput(),
-            r.batch_throughput(),
-            r.batch_speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,14 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn outputs_identical_at_small_scale() {
-        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one("plain", 300, 50, 42);
-        assert!(r.identical, "batch output must match the reference detector");
-        assert!(r.detections > 0);
-    }
-
-    #[test]
     fn skewed_workload_has_hot_template_and_one_giant_statement() {
         let script = skewed_workload_script(600, 40, 0x5EED);
         let parsed = sqlcheck_parser::parse(&script);
@@ -353,22 +179,5 @@ mod tests {
         // And the giant statement dwarfs the median.
         let giant = script.lines().map(str::len).max().unwrap();
         assert!(giant > 10_000, "giant statement present ({giant} bytes)");
-    }
-
-    #[test]
-    fn skewed_outputs_identical_at_small_scale() {
-        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let r = run_one("skewed", 300, 30, 7);
-        assert!(r.identical, "skewed batch output must match the reference detector");
-        assert_eq!(r.workload, "skewed");
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let rows = run(&[100], 20, 1);
-        let j = to_json(&rows);
-        assert!(j.contains("\"statements\": 100"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

@@ -1,12 +1,12 @@
 //! Minimal, dependency-free benchmark harness.
 //!
-//! The container this workspace builds in has no registry access, so the
-//! benches cannot use Criterion. This module provides the small subset the
-//! experiment benches need: warmup, timed iteration until a wall-clock
-//! budget, and a batched mode that excludes per-iteration setup from the
-//! timed region. Results print in a `name ... ns/iter` format and can be
-//! collected programmatically for JSON emission.
+//! The workspace is std-only, so this module provides what the benches
+//! and experiments need: warmup and timed iteration until a wall-clock
+//! budget ([`bench()`]), one repeated-measurement timer ([`sample_of`])
+//! and one JSON writer for the `BENCH_*.json` artifacts ([`Json`],
+//! [`write_artifact`]).
 
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -26,17 +26,6 @@ pub struct BenchResult {
     pub iters: u64,
     /// Mean wall-clock nanoseconds per iteration.
     pub ns_per_iter: f64,
-}
-
-impl BenchResult {
-    /// Iterations per second implied by the measurement.
-    pub fn per_sec(&self) -> f64 {
-        if self.ns_per_iter == 0.0 {
-            0.0
-        } else {
-            1e9 / self.ns_per_iter
-        }
-    }
 }
 
 /// Wall-clock budget for the timed region of each benchmark.
@@ -62,30 +51,6 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchResult {
     finish(name, iters, elapsed)
 }
 
-/// Like [`bench()`], but re-creates the input with `setup` before every
-/// iteration and excludes that setup time from the measurement — the
-/// equivalent of Criterion's `iter_batched` for mutating benchmarks.
-pub fn bench_batched<S, T>(
-    name: &str,
-    mut setup: impl FnMut() -> S,
-    mut f: impl FnMut(S) -> T,
-) -> BenchResult {
-    black_box(f(setup())); // warmup
-    let mut iters = 0u64;
-    let mut timed = Duration::ZERO;
-    loop {
-        let input = setup();
-        let t0 = Instant::now();
-        black_box(f(input));
-        timed += t0.elapsed();
-        iters += 1;
-        if timed >= BUDGET && iters >= MIN_ITERS {
-            break;
-        }
-    }
-    finish(name, iters, timed)
-}
-
 fn finish(name: &str, iters: u64, elapsed: Duration) -> BenchResult {
     let ns = elapsed.as_nanos() as f64 / iters as f64;
     let r = BenchResult { name: name.to_string(), iters, ns_per_iter: ns };
@@ -93,7 +58,7 @@ fn finish(name: &str, iters: u64, elapsed: Duration) -> BenchResult {
     r
 }
 
-/// Print a group header, mirroring Criterion's benchmark groups.
+/// Print a benchmark group header.
 pub fn group(name: &str) {
     println!("\n== {name} ==");
 }
@@ -135,15 +100,163 @@ impl Sample {
     }
 }
 
-/// Time `f` `reps` times and summarise the observations.
-pub fn sample_of<T>(reps: usize, mut f: impl FnMut() -> T) -> Sample {
-    Sample::of(
-        (0..reps)
-            .map(|_| {
-                let t = Instant::now();
-                black_box(f());
-                t.elapsed().as_micros()
-            })
-            .collect(),
-    )
+/// Time `f` `reps` times (at least one); return the last output and the
+/// summary of the observations. Each output is dropped outside the
+/// timed region, so a large result's destructor is not billed to it.
+pub fn sample_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, Sample) {
+    let mut obs = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let t = Instant::now();
+        let out = black_box(f());
+        obs.push(t.elapsed().as_micros());
+        last = Some(out);
+    }
+    (last.expect("at least one repetition"), Sample::of(obs))
+}
+
+/// One value of a `BENCH_*.json` artifact row.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// A measurement this build did not take (e.g. allocation counts
+    /// without the `count-allocs` feature).
+    Null,
+    /// A flag, such as an identity check's outcome.
+    Bool(bool),
+    /// An exact count or a microsecond timing.
+    Int(u128),
+    /// A ratio or rate, written with the given number of decimals
+    /// (`null` when not finite).
+    Fixed(f64, usize),
+    /// A label.
+    Str(String),
+    /// Fields in the order they are written.
+    Object(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// An object with `fields` in the given order.
+    pub fn object(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+        Json::Object(fields.into_iter().collect())
+    }
+
+    /// The keys of an object, in order; empty for any other value.
+    pub fn keys(&self) -> Vec<&'static str> {
+        match self {
+            Json::Object(fields) => fields.iter().map(|(k, _)| *k).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => write!(out, "{b}").unwrap(),
+            Json::Int(n) => write!(out, "{n}").unwrap(),
+            Json::Fixed(x, _) if !x.is_finite() => out.push_str("null"),
+            Json::Fixed(x, decimals) => write!(out, "{x:.decimals$}").unwrap(),
+            Json::Str(s) => write_str(s, out),
+            Json::Object(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_str(k, out);
+                    out.push_str(": ");
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+macro_rules! json_from {
+    ($($t:ty => $v:expr),* $(,)?) => {
+        $(impl From<$t> for Json {
+            fn from(x: $t) -> Json {
+                $v(x)
+            }
+        })*
+    };
+}
+
+json_from! {
+    bool => Json::Bool,
+    usize => |n| Json::Int(n as u128),
+    u64 => |n| Json::Int(n as u128),
+    u128 => Json::Int,
+    &str => |s: &str| Json::Str(s.to_string()),
+    String => Json::Str,
+}
+
+/// Write `s` as a JSON string literal.
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Render an artifact: the experiment's name and its rows, one row per
+/// line.
+pub fn artifact_json(experiment: &str, rows: impl IntoIterator<Item = Json>) -> String {
+    let mut out = String::from("{\n  \"experiment\": ");
+    write_str(experiment, &mut out);
+    out.push_str(",\n  \"rows\": [");
+    for (i, row) in rows.into_iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        row.write(&mut out);
+    }
+    out.push_str("\n  ]\n}\n");
+    out
+}
+
+/// Write [`artifact_json`] to `path` and report where it went.
+pub fn write_artifact(path: &str, experiment: &str, rows: impl IntoIterator<Item = Json>) {
+    match std::fs::write(path, artifact_json(experiment, rows)) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn writer_escapes_nests_and_writes_null() {
+        let row = Json::object([
+            ("label", Json::from("a \"q\" \\ b\n\t\u{1}")),
+            ("count", 7usize.into()),
+            ("ok", true.into()),
+            ("missing", Json::Null),
+            ("ratio", Json::Fixed(0.12345, 3)),
+            ("inf", Json::Fixed(f64::INFINITY, 1)),
+            ("nested", Json::object([("x-y", 1u64.into()), ("z", Json::object([]))])),
+        ]);
+        assert_eq!(
+            artifact_json("demo", [row.clone()]),
+            "{\n  \"experiment\": \"demo\",\n  \"rows\": [\n    \
+             {\"label\": \"a \\\"q\\\" \\\\ b\\n\\t\\u0001\", \"count\": 7, \"ok\": true, \
+             \"missing\": null, \"ratio\": 0.123, \"inf\": null, \
+             \"nested\": {\"x-y\": 1, \"z\": {}}}\n  ]\n}\n"
+        );
+        assert_eq!(row.keys(), ["label", "count", "ok", "missing", "ratio", "inf", "nested"]);
+    }
+
+    #[test]
+    fn writer_handles_an_empty_row_list() {
+        assert_eq!(artifact_json("none", []), "{\n  \"experiment\": \"none\",\n  \"rows\": [\n  ]\n}\n");
+    }
 }

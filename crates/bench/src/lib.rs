@@ -1,9 +1,10 @@
 //! # sqlcheck-bench
 //!
 //! The experiment harness: one module per table/figure of the paper's
-//! evaluation (§8), shared by the Criterion benches and the `expdriver`
-//! binary. See `EXPERIMENTS.md` at the repository root for the
-//! paper-vs-measured record.
+//! evaluation (§8) and per measured pipeline fact, run by the `expdriver`
+//! binary and the `cargo bench` targets. The README's "Benchmarks"
+//! section lists each `BENCH_*.json` artifact and the command that
+//! regenerates it.
 
 #![warn(missing_docs)]
 

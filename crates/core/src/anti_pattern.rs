@@ -2,8 +2,7 @@
 //!
 //! 26 catalogued anti-patterns in four categories, plus *Readable
 //! Password*, which is not in Table 1 but appears in the paper's Table 3
-//! (sqlcheck detects it in the user study); we carry it as a 27th kind and
-//! note the discrepancy in `EXPERIMENTS.md`.
+//! (sqlcheck detects it in the user study); we carry it as a 27th kind.
 
 use std::fmt;
 

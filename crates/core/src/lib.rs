@@ -331,11 +331,6 @@ impl SqlCheck {
         self
     }
 
-    /// Cumulative incremental-cache counters, when a cache is attached.
-    pub fn cache_counters(&self) -> Option<CacheCounters> {
-        self.cache.as_ref().map(|c| c.counters())
-    }
-
     /// Run every registered custom rule, each as its own panic-isolated
     /// unit: a panicking rule contributes a `RuleFailed` diagnostic and
     /// no detections, while every other rule's output is unaffected.

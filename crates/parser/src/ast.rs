@@ -90,19 +90,6 @@ impl Statement {
         }
     }
 
-    /// Whether this is a DDL statement.
-    pub fn is_ddl(&self) -> bool {
-        matches!(
-            self,
-            Statement::CreateTable(_)
-                | Statement::CreateIndex(_)
-                | Statement::CreateTrigger(_)
-                | Statement::CreateRoutine(_)
-                | Statement::AlterTable(_)
-                | Statement::Drop(_)
-        )
-    }
-
     /// The parsed body sub-statements, when this is compound DDL
     /// (trigger/procedure/function); empty otherwise.
     pub fn body(&self) -> &[BodyStatement] {

@@ -169,17 +169,6 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// Effectively no budgets (for comparison runs; expression depth is
-    /// still capped high enough to stay stack-safe).
-    pub fn unlimited() -> Self {
-        Limits {
-            max_statement_bytes: usize::MAX,
-            max_tokens: usize::MAX,
-            max_block_depth: u32::MAX,
-            max_expr_depth: 4096,
-        }
-    }
-
     /// FNV-1a digest of the budget values — used to key caches whose
     /// entries depend on how statements were parsed.
     pub fn epoch(&self) -> u64 {

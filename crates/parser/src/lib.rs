@@ -41,7 +41,6 @@ mod block;
 pub mod diag;
 pub mod dialect;
 pub mod fingerprint;
-pub mod intern;
 pub mod istr;
 pub mod lexer;
 pub mod parser;
@@ -55,7 +54,6 @@ pub use arena::{ExprArena, ExprId, ExprRange};
 pub use ast::{ParsedStatement, Statement};
 pub use diag::{DiagKind, Diagnostic, Limits};
 pub use dialect::Dialect;
-pub use intern::{Interner, Symbol};
 pub use istr::IStr;
 pub use parser::{parse, parse_one, parse_raw_limited};
 pub use render::ToSql;

@@ -60,16 +60,6 @@ impl RawStatement {
     pub fn text(&self) -> &str {
         &self.source
     }
-
-    /// Significant (non-trivia) tokens.
-    pub fn significant(&self) -> Vec<&Token> {
-        self.tokens.iter().filter(|t| !t.is_trivia()).collect()
-    }
-
-    /// True if the statement has no significant tokens.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.iter().all(|t| t.is_trivia())
-    }
 }
 
 /// Split a script into statements under `dialect`, each with its owned

@@ -197,8 +197,7 @@ impl fmt::Display for Token {
 /// Generates the keyword universe from one list: the string table
 /// ([`KEYWORDS`]), the dense integer code enum ([`Kw`]), and the
 /// discriminant-indexed [`Kw::LIST`] table. One source of truth means the
-/// enum discriminants, the string table, and the interner's keyword
-/// symbol space (see [`crate::intern`]) can never drift apart.
+/// enum discriminants and the string table can never drift apart.
 macro_rules! define_keywords {
     ($($kw:ident),* $(,)?) => {
         /// The set of words the lexer classifies as keywords. The list is
@@ -209,11 +208,10 @@ macro_rules! define_keywords {
 
         /// A recognised SQL keyword as a dense integer code.
         ///
-        /// `Kw as u8` is the keyword's position in [`KEYWORDS`] and equals
-        /// the interner's keyword symbol index ([`crate::intern::Symbol`]),
-        /// so keyword identity checks anywhere in the pipeline are single
-        /// integer compares — the parser never re-hashes or re-compares
-        /// keyword strings after lexing.
+        /// `Kw as u8` is the keyword's position in [`KEYWORDS`], so keyword
+        /// identity checks anywhere in the pipeline are single integer
+        /// compares — the parser never re-hashes or re-compares keyword
+        /// strings after lexing.
         #[allow(non_camel_case_types, missing_docs)]
         #[repr(u8)]
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -257,8 +255,7 @@ impl Kw {
     }
 
     /// The keyword whose position in [`KEYWORDS`] is `index`, if any.
-    /// Inverse of `kw as u8`; also maps an interner keyword symbol index
-    /// back to its code.
+    /// Inverse of `kw as u8`.
     pub fn from_index(index: usize) -> Option<Kw> {
         Kw::LIST.get(index).copied()
     }

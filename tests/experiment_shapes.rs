@@ -1,7 +1,7 @@
 //! Small-scale smoke versions of every paper experiment, asserting the
 //! *shape* of each result (who wins, roughly by how much, where the
-//! crossovers fall). The full-scale numbers live in EXPERIMENTS.md and
-//! are regenerated by `expdriver`.
+//! crossovers fall). The full-scale numbers are regenerated by
+//! `expdriver`.
 
 use sqlcheck_bench::experiments::*;
 use sqlcheck_bench::harness::TIMING_LOCK;
