@@ -165,6 +165,14 @@ mod tests {
     }
 
     #[test]
+    fn outputs_identical_at_small_scale() {
+        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let r = super::super::phases::run_one("plain", 300, 50, 42);
+        assert!(r.identical, "batch output must match the reference detector");
+        assert!(r.detections > 0);
+    }
+
+    #[test]
     fn skewed_workload_has_hot_template_and_one_giant_statement() {
         let script = skewed_workload_script(600, 40, 0x5EED);
         let parsed = sqlcheck_parser::parse(&script);
@@ -179,5 +187,14 @@ mod tests {
         // And the giant statement dwarfs the median.
         let giant = script.lines().map(str::len).max().unwrap();
         assert!(giant > 10_000, "giant statement present ({giant} bytes)");
+    }
+
+    #[test]
+    fn skewed_outputs_identical_at_small_scale() {
+        let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let r = super::super::phases::run_one("skewed", 300, 30, 7);
+        assert!(r.identical, "skewed batch output must match the reference detector");
+        assert!(r.detections > 0);
+        assert_eq!(r.workload, "skewed");
     }
 }
