@@ -1,14 +1,17 @@
-//! **Incremental experiment** — the parse-once pipeline, the
-//! content-hash-keyed incremental cache, and the delta-based warm
-//! re-check ([`CheckSession`]); `expdriver incremental` sweeps it over
-//! edit rates and workload shapes and writes `BENCH_e2e.json`.
+//! **Incremental experiment** — the parse-once pipeline and the
+//! delta-based warm re-check ([`CheckSession`]); `expdriver incremental`
+//! sweeps it over edit rates and workload shapes and writes
+//! `BENCH_e2e.json`.
 //!
-//! Two timed configurations per workload shape:
+//! Three timed configurations per workload shape:
 //!
 //! * `pipeline` — a cold [`SqlCheck::check_workload`], the call
 //!   `sqlcheck FILE` makes (split + dedup first, parse/annotate each
 //!   unique text once, then batch detection), and the freeing of its
 //!   outcome;
+//! * `cold_edited` — the same on the **edited** script, the check a
+//!   caller without a session pays after the edit (and what a session's
+//!   deliberate cold revert should be compared with);
 //! * `warm` — a [`CheckSession`] retained from a cold check of the
 //!   workload, re-checking an **edit set** (a fraction of statements
 //!   replaced) through [`CheckSession::recheck`]: the script splices,
@@ -26,7 +29,7 @@
 use super::throughput::script_for_shape;
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
 use crate::harness::{sample_of, Json};
-use sqlcheck::detect::{reference, DEFAULT_CACHE_CAPACITY};
+use sqlcheck::detect::reference;
 use sqlcheck::{
     BatchStats, CheckSession, Detector, Edit, FrontendOptions, Report, SqlCheck, WorkloadOutcome,
 };
@@ -55,10 +58,13 @@ pub struct E2eRow {
     /// edit set (splice + delta profile + dirty-statement patch + unit
     /// replay + rank/fix tail).
     pub warm_micros: u128,
+    /// Wall-clock microseconds: one cold [`SqlCheck::check_workload`] of
+    /// the edited script and the freeing of its outcome.
+    pub cold_edited_micros: u128,
     /// Stats of the cold pipeline run, as `check_workload` returns them.
     pub cold: BatchStats,
-    /// Warm re-check stats: per-phase micros, dirty-unit counts, cache
-    /// outcomes — straight from the session's [`BatchStats`].
+    /// Warm re-check stats: per-phase micros and dirty-unit counts,
+    /// straight from the session's [`BatchStats`].
     pub warm: BatchStats,
     /// Full rebuilds the warm session fell back to (0 on the
     /// incremental path; any fallback voids the O(edits) claim).
@@ -195,9 +201,7 @@ fn run_inner(
     let edits = edit_set(cold.statements, edit_permille, seed ^ 0xE017);
     let edited = edits.len();
     let mut sessions: Vec<CheckSession> = (0..REPS)
-        .map(|_| {
-            SqlCheck::new().with_cache(1 << 14).into_session(script.clone(), opts.clone())
-        })
+        .map(|_| SqlCheck::new().into_session(script.clone(), opts.clone()))
         .collect();
     let (warm_session, warm_sample) = sample_of(REPS, || {
         let mut s = sessions.pop().expect("one retained session per repetition");
@@ -207,9 +211,12 @@ fn run_inner(
     let warm = warm_session.outcome().stats.clone();
     let fallbacks = warm_session.fallbacks();
 
-    // Byte-identity: the warm session ≡ a cold full check of the edited
-    // script (detections and ranking — the session patches both).
-    let cold_edited = SqlCheck::new().check_workload(warm_session.script(), &opts);
+    // Cold on the edited script, timed like the original's; then, once
+    // more and untimed, for byte-identity: the warm session ≡ a cold full
+    // check of the edited script (detections and ranking — the session
+    // patches both).
+    let (_, cold_edited_sample) = sample_of(REPS, || drop(check(warm_session.script())));
+    let cold_edited = check(warm_session.script());
     let identical =
         cold_identical && outcome_key(&cold_edited) == outcome_key(warm_session.outcome());
 
@@ -223,6 +230,7 @@ fn run_inner(
         identical,
         pipeline_micros: cold_sample.min_micros,
         warm_micros: warm_sample.min_micros,
+        cold_edited_micros: cold_edited_sample.min_micros,
         cold,
         warm,
         fallbacks,
@@ -232,61 +240,65 @@ fn run_inner(
     }
 }
 
-/// Result of the DDL-edit cache scenario: how much of the cache survives
-/// a schema edit to **one** table.
+/// Result of the DDL-edit scenario: a session re-checked by a schema
+/// edit to **one** table.
 #[derive(Debug, Clone)]
 pub struct DdlEditRow {
     /// Statements in the workload (DDL included).
     pub statements: usize,
     /// Tables the workload spreads over.
     pub tables: usize,
-    /// Incremental-cache hits on the re-check after the DDL edit. Under
-    /// whole-cache flushing this is 0; under column-granular invalidation
-    /// it is every unique text not reading the added column.
-    pub hits: usize,
-    /// Incremental-cache misses on the re-check (texts invalidated by
-    /// the edit, plus the edited DDL itself).
-    pub misses: usize,
+    /// Statements the re-check re-emitted: the edited DDL plus every
+    /// occurrence of a text whose detections the edit changed.
+    pub dirty: usize,
+    /// Re-checks that fell back to a full rebuild (0: a DDL edit patches
+    /// in place).
+    pub fallbacks: u64,
+    /// Re-checks the session chose to rebuild cold (0 for one edit).
+    pub cold_reverts: u64,
     /// Whether the warm re-check matched a cold check byte for byte.
     pub identical: bool,
 }
 
-/// Prime a cache over a multi-table workload, edit the DDL of a single
-/// table, and re-check: column-granular invalidation must keep every
-/// entry that does not read the edited column (shown by the hit
-/// counter), while output stays byte-identical to a cold check.
+/// Check a multi-table workload into a session, edit the `CREATE TABLE`
+/// of a single table, and re-check: the session refolds the schema,
+/// re-runs the intra-query rules over the live texts and re-emits only
+/// the statements whose detections changed, while the output stays
+/// byte-identical to a cold check.
 pub fn run_ddl_edit(statements: usize, tables: usize, seed: u64) -> DdlEditRow {
     let prelude = super::phases::ddl_prelude(tables);
     let body = super::throughput::workload_script(statements, tables, seed);
-    let script = format!("{prelude}{body}");
+    let opts = FrontendOptions::default();
+    let mut session = SqlCheck::new().into_session(format!("{prelude}{body}"), opts.clone());
     // The DDL edit: one table grows a column; every other table's
     // definition is untouched.
-    let edited = script.replace(
-        "CREATE TABLE app_t0 (c0 INT PRIMARY KEY, c1 TEXT);",
-        "CREATE TABLE app_t0 (c0 INT PRIMARY KEY, c1 TEXT, c2 INT);",
-    );
-    assert_ne!(script, edited, "edit must change the DDL");
-
-    let opts = FrontendOptions::default();
-    let sql = SqlCheck::new().with_cache(DEFAULT_CACHE_CAPACITY);
-    let _ = sql.check_workload(&script, &opts);
-    let warm = sql.check_workload(&edited, &opts);
-
+    let ddl = "CREATE TABLE app_t0 (c0 INT PRIMARY KEY, c1 TEXT)";
+    let index = session
+        .outcome()
+        .outcome
+        .context
+        .statements
+        .iter()
+        .position(|s| &session.script()[s.span.start..s.span.end] == ddl)
+        .expect("the prelude creates app_t0");
+    session.recheck(&[Edit::new(index, "CREATE TABLE app_t0 (c0 INT PRIMARY KEY, c1 TEXT, c2 INT)")]);
+    let warm = session.outcome();
     DdlEditRow {
         statements: warm.stats.statements,
         tables,
-        hits: warm.stats.incremental_hits,
-        misses: warm.stats.incremental_misses,
-        identical: report_key(&reference_report(&edited)) == report_key(&warm.outcome.report),
+        dirty: warm.stats.warm_dirty_statements,
+        fallbacks: session.fallbacks(),
+        cold_reverts: session.cold_reverts(),
+        identical: outcome_key(&check(session.script())) == outcome_key(warm),
     }
 }
 
 /// Render the DDL-edit scenario result.
 pub fn render_ddl_edit(r: &DdlEditRow) -> String {
     format!(
-        "DDL edit to 1 of {} tables over {} statements: {} cache hit(s), {} miss(es), identical: {}\n\
-         (whole-cache flushing would report 0 hits here)\n",
-        r.tables, r.statements, r.hits, r.misses, r.identical
+        "DDL edit to 1 of {} tables over {} statements: {} dirty statement(s), \
+         {} fallback(s), {} cold revert(s), identical: {}\n",
+        r.tables, r.statements, r.dirty, r.fallbacks, r.cold_reverts, r.identical
     )
 }
 
@@ -312,16 +324,25 @@ pub fn run_sweep(
 pub fn render(rows: &[E2eRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:>8} {:>8} {:>7} {:>11} {:>9} {:>6} {:>5} {:>9}\n",
-        "workload", "stmts", "edited", "pipeline_us", "warm_us", "w/p", "dirty", "identical"
+        "{:>8} {:>8} {:>7} {:>11} {:>14} {:>9} {:>6} {:>5} {:>9}\n",
+        "workload",
+        "stmts",
+        "edited",
+        "pipeline_us",
+        "cold_edited_us",
+        "warm_us",
+        "w/p",
+        "dirty",
+        "identical"
     ));
     for r in rows {
         out.push_str(&format!(
-            "{:>8} {:>8} {:>7} {:>11} {:>9} {:>6.2} {:>5} {:>9}\n",
+            "{:>8} {:>8} {:>7} {:>11} {:>14} {:>9} {:>6.2} {:>5} {:>9}\n",
             r.workload,
             r.statements,
             r.edited,
             r.pipeline_micros,
+            r.cold_edited_micros,
             r.warm_micros,
             r.warm_vs_pipeline(),
             r.warm.warm_dirty_statements,
@@ -372,6 +393,7 @@ pub fn json_row(r: &E2eRow) -> Json {
         ("fallbacks", r.fallbacks.into()),
         ("pipeline_micros", r.pipeline_micros.into()),
         ("warm_micros", r.warm_micros.into()),
+        ("cold_edited_micros", r.cold_edited_micros.into()),
         ("pipeline_median_micros", r.pipeline_median_micros.into()),
         ("pipeline_spread_pct", Json::Fixed(r.pipeline_spread_pct, 1)),
         ("allocs_per_stmt", r.allocs_per_stmt.map_or(Json::Null, |a| Json::Fixed(a, 1))),
@@ -390,8 +412,6 @@ pub fn json_row(r: &E2eRow) -> Json {
         ("inter_units_reused", r.warm.inter_units_reused.into()),
         ("inter_units_recomputed", r.warm.inter_units_recomputed.into()),
         ("data_units_reused", r.warm.data_units_reused.into()),
-        ("incremental_hits", r.warm.incremental_hits.into()),
-        ("incremental_misses", r.warm.incremental_misses.into()),
         ("warm_vs_pipeline", Json::Fixed(r.warm_vs_pipeline(), 3)),
     ])
 }
@@ -443,15 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn ddl_edit_keeps_unrelated_cache_entries() {
+    fn ddl_edit_patches_the_session_in_place() {
         let _serial = crate::harness::TIMING_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let r = run_ddl_edit(400, 10, 0xDD1);
         assert!(r.identical, "warm re-check after a DDL edit must equal a cold check");
-        assert!(
-            r.hits > 0,
-            "column-granular invalidation must keep entries that do not read the edit"
-        );
-        assert!(r.misses > 0, "statements invalidated by the edit must re-analyse");
+        assert_eq!((r.fallbacks, r.cold_reverts), (0, 0), "a DDL edit must patch in place");
+        assert!(r.dirty >= 1, "the edited DDL statement is dirty");
+        assert!(r.dirty < r.statements, "statements the edit leaves unchanged must move");
     }
 
     #[test]

@@ -79,11 +79,7 @@ pub fn run(statements: usize, seed: u64) -> Option<MemoryRow> {
     vm_hwm_kb()?;
     let opts = FrontendOptions::default();
     let script = script_for_shape("plain", statements, 100, seed);
-    // The write-path benchmark's cache-to-script ratio (16k entries for
-    // 100k statements): the cache fills with fresh texts within the
-    // first few dozen batches, so its bounded growth ends before EARLY.
-    let mut session =
-        SqlCheck::new().with_cache(statements.div_ceil(6)).into_session(script, opts.clone());
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
     let mut revert: Option<Vec<Edit>> = None;
     let mut hwm_early_kb = 0;
     for b in 0..BATCHES {

@@ -11,7 +11,6 @@
 //!   --summary            per-kind histogram instead of full listing
 //!   --stats              dedup/phase-timing stats and peak memory on
 //!                        stderr
-//!   --cache              attach the incremental detection cache
 //!   --dialect D          SQL dialect: generic (default), postgres, mysql,
 //!                        sqlite. Without this flag the dialect is guessed
 //!                        from the script (DELIMITER/backticks -> mysql,
@@ -24,12 +23,6 @@
 //! Exit codes: 0 clean, 1 findings, 2 usage or input error (unknown flag,
 //! missing or unknown flag value, unreadable input), 3 degraded
 //! input under `--fail-on-degraded`.
-//!
-//! Note on `--cache`: the cache pays off across *repeated*
-//! `check_workload` calls on one `SqlCheck` instance (the library API);
-//! a single CLI invocation performs one check, so `--cache --stats`
-//! reports the miss/insert side only — useful for inspecting cache
-//! behaviour, not for speeding up a one-shot run.
 //!
 //! Example:
 //!
@@ -44,12 +37,11 @@ use sqlcheck::{
 use std::io::{self, BufWriter, Write};
 
 /// Flags that take no value.
-const SWITCHES: [&str; 8] = [
+const SWITCHES: [&str; 7] = [
     "--intra-only",
     "--no-fix",
     "--summary",
     "--stats",
-    "--cache",
     "--fail-on-degraded",
     "--help",
     "-h",
@@ -139,7 +131,6 @@ fn main() {
     let no_fix = args.iter().any(|a| a == "--no-fix");
     let summary = args.iter().any(|a| a == "--summary");
     let stats = args.iter().any(|a| a == "--stats");
-    let cache = args.iter().any(|a| a == "--cache");
     let fail_on_degraded = args.iter().any(|a| a == "--fail-on-degraded");
     let weights = values.weights.unwrap_or(RankWeights::C1);
     let inter_model = values.rank_by.unwrap_or(InterQueryModel::ByScore);
@@ -171,9 +162,6 @@ fn main() {
     let mut tool = SqlCheck::new().with_weights(weights).with_inter_query_model(inter_model);
     if intra_only {
         tool = tool.with_detection(DetectionConfig::intra_only());
-    }
-    if cache {
-        tool = tool.with_cache(sqlcheck::detect::DEFAULT_CACHE_CAPACITY);
     }
     let frontend = FrontendOptions { dialect, detect_dialect, ..FrontendOptions::default() };
     let w = tool.check_workload(&sql, &frontend);
@@ -217,17 +205,6 @@ fn main() {
             s.dedup_micros,
             s.total_micros,
         );
-        if cache {
-            eprintln!(
-                "stats: incremental cache {} hit(s), {} miss(es), {} eviction(s) \
-                 ({} table-granular, {} column-granular)",
-                s.incremental_hits,
-                s.incremental_misses,
-                s.incremental_evictions,
-                s.table_evictions,
-                s.column_evictions,
-            );
-        }
         eprintln!(
             "stats: parse coverage {:.4} — {} degraded statement(s) across \
              {} degraded unique text(s), {} isolated rule failure(s)",
@@ -326,7 +303,7 @@ fn finish(degraded_exit: bool, found: bool) -> ! {
 
 /// One-line usage, printed with every command-line error.
 const USAGE: &str = "usage: sqlcheck [--intra-only] [--weights c1|c2] [--rank-by count] [--no-fix] \
-                     [--summary] [--stats] [--cache] [--dialect generic|postgres|mysql|sqlite] \
+                     [--summary] [--stats] [--dialect generic|postgres|mysql|sqlite] \
                      [--fail-on-degraded] [FILE|-]";
 
 fn print_help(out: &mut impl Write) -> io::Result<()> {

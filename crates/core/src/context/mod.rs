@@ -29,7 +29,7 @@ mod table;
 pub mod workload;
 
 pub use data::{ColumnProfile, DataAnalysisConfig, DataProfile, TableProfile};
-pub use schema::{CheckInfo, ColumnInfo, FkInfo, IndexInfo, SchemaCatalog, SchemaVersions, TableInfo};
+pub use schema::{CheckInfo, ColumnInfo, FkInfo, IndexInfo, SchemaCatalog, TableInfo};
 pub use table::{UniqueTable, UniqueText};
 pub use workload::{ColumnUsage, JoinEdge, StatementContribution, WorkloadProfile};
 
@@ -85,14 +85,8 @@ pub struct Context {
     /// Script-level degradation diagnostics not tied to one statement
     /// (e.g. [`DiagKind::DelimiterFallbackSequential`]).
     pub diagnostics: Vec<Diagnostic>,
-    /// Epoch digest ([`Limits::epoch`]) of the budgets the statements
-    /// were parsed under — folded into cache validity keys, because a
-    /// budget change can alter the parse of the same statement text.
-    pub limits_epoch: u64,
     /// The dialect the statements were lexed, split, and parsed under
-    /// (after auto-detection, when enabled). Folded into cache validity
-    /// keys: the same script text splits and parses differently under a
-    /// different dialect.
+    /// (after auto-detection, when enabled).
     pub dialect: Dialect,
 }
 
@@ -380,7 +374,7 @@ impl ContextBuilder {
 
     /// Attach a shared database handle. Profiling only reads the
     /// database, so a caller that re-checks workloads repeatedly (e.g.
-    /// [`crate::SqlCheck`] with an incremental cache) can hand the same
+    /// [`crate::SqlCheck`] or a [`crate::CheckSession`]) can hand the same
     /// `Arc` to every build instead of deep-cloning tables per check.
     pub fn with_shared_database(mut self, db: Arc<Database>, cfg: DataAnalysisConfig) -> Self {
         self.database = Some((db, cfg));
@@ -434,7 +428,6 @@ impl ContextBuilder {
                  the tracked (sequential-equivalent) pass",
             ));
         }
-        ctx.limits_epoch = self.opts.limits.epoch();
         ctx.dialect = self.resolved_dialect.unwrap_or(self.opts.dialect);
         (ctx, stats)
     }

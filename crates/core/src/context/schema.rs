@@ -113,31 +113,6 @@ pub struct IndexInfo {
     pub unique: bool,
 }
 
-/// Content digests of a catalog at three granularities, used by the
-/// incremental detection cache to decide what a schema edit invalidates.
-///
-/// * `tables` — one digest per table covering its full definition plus
-///   every index on it (the coarse granularity PR 3 introduced);
-/// * `cores` — per table, the **table-level** facts only: existence,
-///   primary key, foreign keys, CHECK constraints. Adding a column or an
-///   index leaves the core unchanged;
-/// * `columns` — one digest per `(table, column)` (both lowercased)
-///   covering the column's definition and every index that mentions it.
-///
-/// A cached result that recorded *column-granular* reads stays valid as
-/// long as the cores of the tables it touched and the digests of the
-/// exact columns it read are unchanged — a DDL edit to an untouched
-/// column evicts nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchemaVersions {
-    /// Whole-table digests (lowercased table name → digest).
-    pub tables: BTreeMap<String, u64>,
-    /// Table-core digests (existence + PK + FKs + CHECKs).
-    pub cores: BTreeMap<String, u64>,
-    /// Per-column digests (`(table, column)` lowercased → digest).
-    pub columns: BTreeMap<(String, String), u64>,
-}
-
 /// The schema catalog.
 #[derive(Debug, Clone, Default)]
 pub struct SchemaCatalog {
@@ -325,82 +300,6 @@ impl SchemaCatalog {
             .unwrap_or(false)
     }
 
-    /// Per-table content digests: one `u64` per table name (lowercased),
-    /// covering the table's definition **and** every index declared on it
-    /// (intra-query rules consult both). Indexes on tables the catalog
-    /// does not otherwise know still get a digest under their table name,
-    /// so a statement referencing such a table is invalidated when the
-    /// index set changes. Digests are pure functions of catalog content:
-    /// two catalogs folded from the same DDL produce identical maps, so a
-    /// no-op schema reload is recognisable as such. Used by the
-    /// incremental detection cache for per-table invalidation.
-    pub fn table_digests(&self) -> BTreeMap<String, u64> {
-        use sqlcheck_parser::fingerprint::fnv1a;
-        use std::fmt::Write as _;
-        let mut encoded: BTreeMap<String, String> = BTreeMap::new();
-        for (key, info) in &self.tables {
-            let _ = write!(encoded.entry(key.clone()).or_default(), "{info:?}");
-        }
-        for idx in &self.indexes {
-            let key = idx.table.to_ascii_lowercase();
-            let _ = write!(encoded.entry(key).or_default(), "|{idx:?}");
-        }
-        encoded.into_iter().map(|(k, s)| (k, fnv1a(s.as_bytes()))).collect()
-    }
-
-    /// Column-granular schema versions: the whole-table digests of
-    /// [`SchemaCatalog::table_digests`] plus two finer-grained maps that
-    /// let the incremental cache invalidate per **column** instead of per
-    /// table. Like the table digests, every entry is a pure function of
-    /// catalog content.
-    pub fn versions(&self) -> SchemaVersions {
-        use sqlcheck_parser::fingerprint::fnv1a;
-        use std::fmt::Write as _;
-        let mut cores: BTreeMap<String, String> = BTreeMap::new();
-        let mut columns: BTreeMap<(String, String), String> = BTreeMap::new();
-        for (key, info) in &self.tables {
-            // Core: everything about the table that is not attributable to
-            // a single column — existence, PK, FKs, CHECKs. Deliberately
-            // excludes the column list and the index set, so ADD COLUMN /
-            // CREATE INDEX leave the core untouched.
-            let core = cores.entry(key.clone()).or_default();
-            let _ = write!(
-                core,
-                "{:?}|{:?}|{:?}|{:?}",
-                info.name, info.primary_key, info.foreign_keys, info.checks
-            );
-            for c in &info.columns {
-                let _ = write!(
-                    columns
-                        .entry((key.clone(), c.name.to_ascii_lowercase()))
-                        .or_default(),
-                    "{c:?}"
-                );
-            }
-        }
-        // An index folds into the digest of every column it mentions (and
-        // creates the column entry when the catalog knows the table only
-        // through the index), so CREATE/DROP INDEX invalidates exactly the
-        // entries that read an indexed column.
-        for idx in &self.indexes {
-            let key = idx.table.to_ascii_lowercase();
-            for c in &idx.columns {
-                let _ = write!(
-                    columns.entry((key.clone(), c.to_ascii_lowercase())).or_default(),
-                    "|{idx:?}"
-                );
-            }
-        }
-        SchemaVersions {
-            tables: self.table_digests(),
-            cores: cores.into_iter().map(|(k, s)| (k, fnv1a(s.as_bytes()))).collect(),
-            columns: columns
-                .into_iter()
-                .map(|(k, s)| (k, fnv1a(s.as_bytes())))
-                .collect(),
-        }
-    }
-
     /// Does a declared FK connect `(t1, c1)` to `(t2, c2)` in either
     /// direction?
     pub fn fk_between(&self, t1: &str, c1: &str, t2: &str, c2: &str) -> bool {
@@ -573,76 +472,6 @@ mod tests {
     fn drop_table_removes() {
         let c = catalog("CREATE TABLE t (a INT); DROP TABLE t;");
         assert!(c.table("t").is_none());
-    }
-
-    #[test]
-    fn table_digests_are_content_stable_and_table_local() {
-        let ddl = "CREATE TABLE a (id INT PRIMARY KEY);\
-                   CREATE TABLE b (x INT);\
-                   CREATE INDEX ib ON b (x);";
-        let d1 = catalog(ddl).table_digests();
-        let d2 = catalog(ddl).table_digests();
-        assert_eq!(d1, d2, "same DDL → identical digests (no-op reload stays warm)");
-        assert_eq!(d1.len(), 2);
-        // Editing one table changes only that table's digest.
-        let edited = catalog(
-            "CREATE TABLE a (id INT PRIMARY KEY, extra TEXT);\
-             CREATE TABLE b (x INT);\
-             CREATE INDEX ib ON b (x);",
-        )
-        .table_digests();
-        assert_ne!(d1["a"], edited["a"]);
-        assert_eq!(d1["b"], edited["b"]);
-        // An index change alone re-versions its table.
-        let dropped = catalog("CREATE TABLE a (id INT PRIMARY KEY); CREATE TABLE b (x INT);")
-            .table_digests();
-        assert_ne!(d1["b"], dropped["b"]);
-    }
-
-    #[test]
-    fn column_versions_isolate_add_column() {
-        let base = "CREATE TABLE t (a INT, b INT);";
-        let v1 = catalog(base).versions();
-        let v2 = catalog("CREATE TABLE t (a INT, b INT); ALTER TABLE t ADD COLUMN c INT;")
-            .versions();
-        // Whole-table digest changes, core and untouched columns do not.
-        assert_ne!(v1.tables["t"], v2.tables["t"]);
-        assert_eq!(v1.cores["t"], v2.cores["t"]);
-        let key = |c: &str| ("t".to_string(), c.to_string());
-        assert_eq!(v1.columns[&key("a")], v2.columns[&key("a")]);
-        assert_eq!(v1.columns[&key("b")], v2.columns[&key("b")]);
-        assert!(!v1.columns.contains_key(&key("c")));
-        assert!(v2.columns.contains_key(&key("c")));
-    }
-
-    #[test]
-    fn column_versions_fold_indexes_per_column() {
-        let v1 = catalog("CREATE TABLE t (a INT, b INT);").versions();
-        let v2 = catalog("CREATE TABLE t (a INT, b INT); CREATE INDEX ia ON t (a);")
-            .versions();
-        let key = |c: &str| ("t".to_string(), c.to_string());
-        assert_ne!(v1.columns[&key("a")], v2.columns[&key("a")]);
-        assert_eq!(v1.columns[&key("b")], v2.columns[&key("b")]);
-        assert_eq!(v1.cores["t"], v2.cores["t"], "index change leaves the core");
-    }
-
-    #[test]
-    fn core_versions_capture_pk_and_checks() {
-        let v1 = catalog("CREATE TABLE t (a INT, b INT);").versions();
-        let pk = catalog("CREATE TABLE t (a INT, b INT); \
-                          ALTER TABLE t ADD CONSTRAINT p PRIMARY KEY (a);")
-            .versions();
-        assert_ne!(v1.cores["t"], pk.cores["t"]);
-        let ck = catalog("CREATE TABLE t (a INT, b INT); \
-                          ALTER TABLE t ADD CONSTRAINT c CHECK (a IN (1, 2));")
-            .versions();
-        assert_ne!(v1.cores["t"], ck.cores["t"]);
-    }
-
-    #[test]
-    fn versions_are_content_stable() {
-        let ddl = "CREATE TABLE a (id INT PRIMARY KEY); CREATE INDEX i ON a (id);";
-        assert_eq!(catalog(ddl).versions(), catalog(ddl).versions());
     }
 
     #[test]

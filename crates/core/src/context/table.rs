@@ -22,8 +22,7 @@ pub struct UniqueText {
     pub ann: Arc<Annotations>,
     /// Degradation diagnostics from parsing it.
     pub diags: Arc<[Diagnostic]>,
-    /// Literal-sensitive 128-bit content hash: the key of the table and
-    /// of the incremental cache.
+    /// Literal-sensitive 128-bit content hash: the key of the table.
     pub hash: u128,
     /// Literal-insensitive template fingerprint
     /// ([`sqlcheck_parser::fingerprint`]), computed at insert from the

@@ -17,8 +17,7 @@
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
 //!    a panic guard, so one panicking rule drops only its own unit's
-//!    output. One helper resolves intra units (cache, guarded run,
-//!    insert), for a cold check and for every
+//!    output. One helper runs intra units, for a cold check and for every
 //!    [`CheckSession`](crate::session::CheckSession) re-check alike; the
 //!    inter-query and data units read the whole context and run on every
 //!    check.
@@ -30,15 +29,12 @@
 //!    returns the *same detections in the same order* as the reference,
 //!    for any input.
 
-use crate::context::{Context, SchemaCatalog, SchemaVersions};
-use crate::detect::cache::{CacheCounters, DepSet, IncrementalCache};
+use crate::context::Context;
 use crate::detect::schedule::guarded;
 use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
 use crate::report::{Detection, Locus, Report};
-use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -92,22 +88,6 @@ pub struct BatchStats {
     pub annotate_micros: u128,
     /// Front-end: microseconds folding schema/workload/data context.
     pub context_micros: u128,
-    /// Incremental cache: unique texts whose intra-query detections were
-    /// reused from a previous `check_workload` call (0 without a cache).
-    pub incremental_hits: usize,
-    /// Incremental cache: unique texts analysed fresh this call.
-    pub incremental_misses: usize,
-    /// Incremental cache: entries dropped this call (capacity evictions
-    /// plus config/schema-change flushes).
-    pub incremental_evictions: usize,
-    /// Incremental cache: evictions this call triggered by a
-    /// **whole-table** schema dependency (DDL statements, wildcard
-    /// reads).
-    pub table_evictions: usize,
-    /// Incremental cache: evictions this call triggered by a **core or
-    /// column** dependency — the column-granular tier that lets a DDL
-    /// edit to one column keep entries on its siblings warm.
-    pub column_evictions: usize,
     /// Always 0: every check runs every inter-query rule unit.
     pub inter_units_reused: usize,
     /// Inter-query rule units run this call (0 in intra-only mode).
@@ -137,10 +117,10 @@ pub struct BatchStats {
     /// units, the deduped inter/data tail, and the registry rules. 0 on
     /// cold checks.
     pub warm_finalize_micros: u128,
-    /// Warm re-check: statements whose intra-query detections were
-    /// recomputed or re-fetched this re-check (the edit set plus, after a
-    /// DDL edit, every occurrence of a column-evicted unique text). 0 on
-    /// cold checks.
+    /// Warm re-check: statements whose detections were re-emitted from
+    /// their text's canonical detections this re-check — the edited
+    /// statements plus every occurrence of a text whose canonical
+    /// detections changed (after a DDL edit, say). 0 on cold checks.
     pub warm_dirty_statements: usize,
     /// Unique statement texts whose parse degraded to `Statement::Other`
     /// (structural shape lost; detection power reduced).
@@ -167,23 +147,6 @@ impl BatchStats {
         self.parse_micros = fe.parse_micros;
         self.annotate_micros = fe.annotate_micros;
         self.context_micros = fe.context_micros;
-    }
-
-    /// Record what `cache` counted since `before` was read from it (a
-    /// no-op without a cache).
-    pub(crate) fn add_cache_delta(
-        &mut self,
-        cache: Option<&IncrementalCache>,
-        before: Option<CacheCounters>,
-    ) {
-        if let (Some(c), Some(before)) = (cache, before) {
-            let after = c.counters();
-            self.incremental_hits = (after.hits - before.hits) as usize;
-            self.incremental_misses = (after.misses - before.misses) as usize;
-            self.incremental_evictions = (after.evictions - before.evictions) as usize;
-            self.table_evictions = (after.table_evictions - before.table_evictions) as usize;
-            self.column_evictions = (after.column_evictions - before.column_evictions) as usize;
-        }
     }
 
     /// Fraction of statements whose parse kept structural shape
@@ -227,9 +190,6 @@ pub(crate) struct EngineUnits {
     pub(crate) inter: Vec<Vec<Detection>>,
     /// Per-table data-analysis results, in `data.tables()` order.
     pub(crate) data: Vec<Vec<Detection>>,
-    /// The schema versions the run validated the cache against (default
-    /// without a cache).
-    pub(crate) versions: SchemaVersions,
 }
 
 /// Zero the statement locus so the detections replay at any occurrence.
@@ -250,15 +210,6 @@ impl Detector {
     /// Same detections, in the same order, as
     /// [`reference::detect`](crate::detect::reference::detect).
     pub fn detect_batch(&self, ctx: &Context) -> BatchReport {
-        self.detect_batch_with(ctx, None)
-    }
-
-    /// [`Detector::detect_batch`] with an optional [`IncrementalCache`]:
-    /// unique texts whose intra-query detections are cached (under the
-    /// current config + schema epoch) are replayed instead of re-analysed,
-    /// so re-checking an edited workload only pays for changed statements.
-    /// The output is the same either way.
-    pub fn detect_batch_with(&self, ctx: &Context, cache: Option<&IncrementalCache>) -> BatchReport {
         let t_start = Instant::now();
         let t_group = Instant::now();
         let use_context = !self.cfg.intra_only;
@@ -295,17 +246,9 @@ impl Detector {
         }
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-        // Phase 2: intra-query rules, once per unique text. Cached entries
-        // are only valid under the current (config, schema) epoch; a
-        // mismatch flushes the cache before any lookup.
+        // Phase 2: intra-query rules, once per unique text.
         let t_intra = Instant::now();
-        let counters_before = cache.map(|c| c.counters());
-        let mut versions = SchemaVersions::default();
-        if let Some(c) = cache {
-            versions = ctx.schema.versions();
-            c.ensure_epoch(self.config_epoch(ctx), &versions);
-        }
-        let results = self.intra_results(ctx, cache, &reps, &mut diagnostics);
+        let results = self.intra_results(ctx, &reps, &mut diagnostics);
         let mut intra: Vec<Arc<Vec<Detection>>> = vec![Arc::default(); uniques.id_bound()];
         for (&rep, dets) in reps.iter().zip(results) {
             intra[ctx.statements[rep].unique] = dets;
@@ -381,7 +324,7 @@ impl Detector {
 
         let rule_failures = diagnostics.len();
         diag_counts[DiagKind::RuleFailed.index()] += rule_failures;
-        let mut stats = BatchStats {
+        let stats = BatchStats {
             statements: ctx.statements.len(),
             unique_templates: uniques.templates(),
             unique_texts: uniques.len(),
@@ -401,60 +344,29 @@ impl Detector {
             data_units_recomputed: data_units.len(),
             ..BatchStats::default()
         };
-        stats.add_cache_delta(cache, counters_before);
-        let units = EngineUnits { intra, inter: inter_units, data: data_units, versions };
+        let units = EngineUnits { intra, inter: inter_units, data: data_units };
         BatchReport { report, stats, diagnostics, units }
     }
 
     /// Canonical intra-query detections (statement locus zeroed, spans
-    /// statement-relative) of each representative statement in `reps`:
-    /// replayed from `cache` when it holds the text, else computed under
-    /// the panic guard and inserted. A panicking unit yields no
-    /// detections, is never cached (so a later run with the fault fixed
-    /// re-analyses it), and adds a [`DiagKind::RuleFailed`] diagnostic.
+    /// statement-relative) of each representative statement in `reps`,
+    /// each computed under the panic guard. A panicking unit yields no
+    /// detections and adds a [`DiagKind::RuleFailed`] diagnostic.
     pub(crate) fn intra_results(
         &self,
         ctx: &Context,
-        cache: Option<&IncrementalCache>,
         reps: &[usize],
         diagnostics: &mut Vec<Diagnostic>,
     ) -> Vec<Arc<Vec<Detection>>> {
         let use_context = !self.cfg.intra_only;
         // Most statements have no intra detections; they share one entry.
         let empty: Arc<Vec<Detection>> = Arc::default();
-        let hash_of = |rep: usize| ctx.uniques[ctx.statements[rep].unique].hash;
-        // Every lookup happens before any insert, so one call's inserts
-        // never evict another representative's entry before it is read.
-        let hits: Vec<Option<Arc<Vec<Detection>>>> = reps
-            .iter()
-            .map(|&rep| cache.and_then(|c| c.get(hash_of(rep))))
-            .collect();
-        hits.into_iter()
-            .zip(reps)
-            .map(|(hit, &rep)| {
-                if let Some(hit) = hit {
-                    return hit;
-                }
+        reps.iter()
+            .map(|&rep| {
                 let stmt = &ctx.statements[rep];
                 match guarded(|| intra::detect_statement(rep, stmt, ctx, &self.cfg, use_context)) {
-                    Ok(dets) => {
-                        let canon = if dets.is_empty() {
-                            Arc::clone(&empty)
-                        } else {
-                            Arc::new(canonicalize(dets))
-                        };
-                        if let Some(c) = cache {
-                            // Each entry records the schema objects its
-                            // statement's rules may consult, for
-                            // column-granular invalidation across DDL edits.
-                            c.insert(
-                                hash_of(rep),
-                                Arc::clone(&canon),
-                                Arc::new(entry_deps(&stmt.parsed.stmt, &stmt.ann)),
-                            );
-                        }
-                        canon
-                    }
+                    Ok(dets) if dets.is_empty() => Arc::clone(&empty),
+                    Ok(dets) => Arc::new(canonicalize(dets)),
                     Err(p) => {
                         diagnostics.push(
                             Diagnostic::new(
@@ -468,93 +380,6 @@ impl Detector {
                 }
             })
             .collect()
-    }
-
-    /// Hash of the *non-schema* inputs a cached intra-query result
-    /// depends on besides the statement text: the detection config, plus
-    /// data-context presence for good measure. Schema validity is tracked
-    /// separately, per table, via [`SchemaCatalog::table_digests`]. Debug
-    /// formatting is a deterministic canonical encoding within one
-    /// process — exactly the lifetime of an [`IncrementalCache`].
-    pub(crate) fn config_epoch(&self, ctx: &Context) -> u64 {
-        let encoded = format!(
-            "{:?}|{}|{}|{:?}",
-            self.cfg,
-            ctx.data.is_some(),
-            ctx.limits_epoch,
-            ctx.dialect
-        );
-        sqlcheck_parser::fingerprint::fnv1a(encoded.as_bytes())
-    }
-}
-
-/// The schema surface one statement's intra-query rules may consult, as
-/// a column-granular [`DepSet`].
-///
-/// The base table set is every table the statement references
-/// (FROM/JOIN/DML/DDL, subqueries and trigger/routine bodies included)
-/// **plus** every column qualifier: qualifiers are usually aliases, but
-/// an unresolvable qualifier is looked up in the catalog as a table name
-/// by the contextual rules, so it is a (conservative) dependency too.
-///
-/// * **DDL statements** record whole-table deps on the base set — their
-///   rules inspect full definitions, and DDL is rare enough that finer
-///   tracking buys nothing.
-/// * **Everything else** records a *core* dep per base table (covers the
-///   primary-key, foreign-key, and table-presence reads of
-///   `joins_on_unique_keys` / `has_primary_key` suppression) plus a
-///   *column* dep for every `(base table × referenced column)` pair.
-///   The cross product is what makes alias resolution safe without
-///   re-running it: whichever base table a qualifier actually resolves
-///   to, that `(table, column)` pair is recorded, and `ALTER TABLE t ADD
-///   COLUMN c` keeps entries that only touch `t.a`.
-fn entry_deps(stmt: &Statement, ann: &Annotations) -> DepSet {
-    let mut base: BTreeSet<String> = BTreeSet::new();
-    for t in &ann.tables {
-        base.insert(t.to_ascii_lowercase());
-    }
-    for c in &ann.columns {
-        if let Some(q) = &c.qualifier {
-            base.insert(q.to_ascii_lowercase());
-        }
-    }
-    for p in &ann.predicates {
-        if let Some(q) = &p.qualifier {
-            base.insert(q.to_ascii_lowercase());
-        }
-    }
-    for j in &ann.join_conditions {
-        if let Some(q) = &j.left.0 {
-            base.insert(q.to_ascii_lowercase());
-        }
-        if let Some((Some(q), _)) = &j.right {
-            base.insert(q.to_ascii_lowercase());
-        }
-    }
-    if SchemaCatalog::is_schema_stmt(stmt) {
-        return DepSet { tables: base.into_iter().collect(), ..DepSet::default() };
-    }
-    let mut cols: BTreeSet<String> = BTreeSet::new();
-    for c in &ann.columns {
-        cols.insert(c.column.to_ascii_lowercase());
-    }
-    for p in &ann.predicates {
-        cols.insert(p.column.to_ascii_lowercase());
-    }
-    for j in &ann.join_conditions {
-        cols.insert(j.left.1.to_ascii_lowercase());
-        if let Some((_, rc)) = &j.right {
-            cols.insert(rc.to_ascii_lowercase());
-        }
-    }
-    let columns: Vec<(String, String)> = base
-        .iter()
-        .flat_map(|t| cols.iter().map(move |c| (t.clone(), c.clone())))
-        .collect();
-    DepSet {
-        tables: Box::default(),
-        cores: base.into_iter().collect(),
-        columns: columns.into(),
     }
 }
 
@@ -605,7 +430,7 @@ mod tests {
     #[test]
     fn literal_sensitive_rules_survive_template_sharing() {
         // Same template, different literal shape: only the leading-wildcard
-        // variant is a Pattern Matching AP. The exact-text cache must keep
+        // variant is a Pattern Matching AP. The exact-text key must keep
         // them apart.
         let sql = "SELECT a FROM t WHERE a LIKE '%x%';\
                    SELECT a FROM t WHERE a LIKE 'x%';";

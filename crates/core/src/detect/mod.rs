@@ -13,7 +13,6 @@
 //!    when a database is attached.
 
 pub mod batch;
-pub mod cache;
 pub mod data;
 pub mod inter;
 pub mod intra;
@@ -22,7 +21,6 @@ pub mod reference;
 pub(crate) mod schedule;
 
 pub use batch::{BatchReport, BatchStats};
-pub use cache::{CacheCounters, IncrementalCache, DEFAULT_CACHE_CAPACITY};
 
 use crate::context::{Context, DataAnalysisConfig};
 use crate::report::{Detection, Locus, Report};
@@ -75,10 +73,10 @@ impl Detector {
     }
 
     /// Run all applicable phases over the context and return the merged,
-    /// de-duplicated report: the batch engine's report without a cache
-    /// ([`Detector::detect_batch_with`]).
+    /// de-duplicated report: the batch engine's report
+    /// ([`Detector::detect_batch`]).
     pub fn detect(&self, ctx: &Context) -> Report {
-        self.detect_batch_with(ctx, None).report
+        self.detect_batch(ctx).report
     }
 }
 
@@ -91,7 +89,7 @@ impl Detector {
 /// Before this step a detection's span, when present, is **relative to
 /// its statement's start** (a body sub-statement of compound DDL);
 /// relative spans are occurrence-independent, so they survive fan-out and
-/// the incremental cache unchanged, and are rebased here onto the
+/// a session's per-text memo unchanged, and are rebased here onto the
 /// occurrence's absolute source range. An absent span means the
 /// detection covers the whole statement.
 pub(crate) fn attach_spans(detections: &mut [Detection], ctx: &Context) {

@@ -6,10 +6,10 @@
 //! unique-text table keeps each text's first occurrence. [`detect`]
 //! runs every statement's intra-query rules, in statement order, then
 //! every inter-query rule in `inter::RULES` order, then the data rules
-//! per profiled table — no grouping, no cache, no panic guard.
+//! per profiled table — no grouping, no sharing, no panic guard.
 //! Production runs through [`ContextBuilder`](crate::ContextBuilder) and
 //! the batch engine
-//! ([`Detector::detect_batch_with`](crate::Detector::detect_batch_with));
+//! ([`Detector::detect_batch`](crate::Detector::detect_batch));
 //! this module is the oracle the identity suites and the bench identity
 //! asserts compare them against.
 
@@ -57,7 +57,6 @@ pub fn context(script: &str, opts: &FrontendOptions) -> Context {
         workload,
         data: None,
         diagnostics: guessed.into_iter().collect(),
-        limits_epoch: opts.limits.epoch(),
         dialect,
     }
 }

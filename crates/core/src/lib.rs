@@ -46,15 +46,15 @@
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.
 //!
-//! Attaching [`SqlCheck::with_cache`] persists intra-query results
-//! across `check_workload` calls (keyed by text hash, guarded by a
-//! config + schema epoch), so re-checking an edited workload only pays
-//! for the statements whose text changed.
+//! A [`CheckSession`] keeps one check's context and per-text results,
+//! so re-checking an edited workload only pays for the statements whose
+//! text changed (and, after a DDL edit, for re-running the intra-query
+//! rules over the live texts).
 //!
 //! The engine returns byte-identical detections, in the same order, as
 //! the per-statement reference loop the identity suites keep as their
 //! oracle — plus [`BatchStats`] instrumentation (template/dedup counts,
-//! per-phase front-end and detection timings, cache counters).
+//! per-phase front-end and detection timings).
 //!
 //! ```
 //! use sqlcheck::{FrontendOptions, SqlCheck};
@@ -111,9 +111,7 @@ pub use anti_pattern::{AntiPatternKind, Category, MetricImpact};
 pub use context::{
     Context, ContextBuilder, DataAnalysisConfig, FrontendOptions, FrontendStats,
 };
-pub use detect::{
-    BatchReport, BatchStats, CacheCounters, DetectionConfig, Detector, IncrementalCache,
-};
+pub use detect::{BatchReport, BatchStats, DetectionConfig, Detector};
 pub use fix::{Fix, FixEngine, SuggestedFix};
 pub use input::{read_script, ScriptInput};
 pub use rank::{
@@ -130,6 +128,53 @@ use sqlcheck_minidb::database::Database;
 /// The former name of [`FrontendOptions`], kept for out-of-tree callers.
 #[doc(hidden)]
 pub type BatchOptions = FrontendOptions;
+
+/// An empty stand-in for the deleted incremental detection cache, with
+/// `CacheCounters` and `SqlCheck::{with_cache, with_shared_cache}`:
+/// perfbench's `edit` workload still names them. A `CheckSession`
+/// keeps every result a re-check reuses, so the stand-ins hold nothing
+/// and count nothing. They go with the next change to the benchmark.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct IncrementalCache;
+
+#[doc(hidden)]
+impl IncrementalCache {
+    /// Ignores `capacity`.
+    pub fn new(_capacity: usize) -> Self {
+        IncrementalCache
+    }
+
+    /// Always zero.
+    pub fn counters(&self) -> CacheCounters {
+        CacheCounters::default()
+    }
+}
+
+/// The counters of the `IncrementalCache` stand-in: always zero.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounters {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub evictions: u64,
+}
+
+#[doc(hidden)]
+impl SqlCheck {
+    /// Returns `self` unchanged.
+    pub fn with_cache(self, _capacity: usize) -> Self {
+        self
+    }
+
+    /// Returns `self` unchanged.
+    pub fn with_shared_cache(self, _cache: std::sync::Arc<IncrementalCache>) -> Self {
+        self
+    }
+}
 
 /// This process's peak resident set in kB (`VmHWM` in
 /// `/proc/self/status`); `None` where that file or its `VmHWM` line does
@@ -227,16 +272,14 @@ impl CheckOutcome {
 ///
 /// The facade is reusable: [`SqlCheck::check_script`] and
 /// [`SqlCheck::check_workload`] borrow it, so the same instance can check
-/// many scripts — which is what makes the incremental detection cache
-/// ([`SqlCheck::with_cache`]) useful across re-checks of an evolving
-/// workload.
+/// many scripts. To re-check an evolving workload edit by edit, move it
+/// into a [`CheckSession`] ([`SqlCheck::into_session`]).
 pub struct SqlCheck {
     detector: Detector,
     ranker: Ranker,
     registry: RuleRegistry,
     database: Option<std::sync::Arc<Database>>,
     data_cfg: DataAnalysisConfig,
-    cache: Option<std::sync::Arc<IncrementalCache>>,
 }
 
 impl Default for SqlCheck {
@@ -254,7 +297,6 @@ impl SqlCheck {
             registry: RuleRegistry::new(),
             database: None,
             data_cfg: DataAnalysisConfig::default(),
-            cache: None,
         }
     }
 
@@ -308,29 +350,6 @@ impl SqlCheck {
         self
     }
 
-    /// Attach an incremental detection cache holding at most `capacity`
-    /// unique statement texts (evicted first-in, first-out) — the cache's
-    /// one setting. Subsequent [`SqlCheck::check_workload`]
-    /// calls on this instance reuse intra-query results for statements
-    /// whose text is unchanged since an earlier call — a workload
-    /// re-check after small edits only re-analyses the edited statements.
-    pub fn with_cache(mut self, capacity: usize) -> Self {
-        self.cache = Some(std::sync::Arc::new(IncrementalCache::new(capacity)));
-        self
-    }
-
-    /// Attach an **externally shared** incremental cache. Many `SqlCheck`
-    /// instances — one per session or thread — can point at the same
-    /// `Arc` and warm each other's re-checks; the cache serialises access
-    /// behind one lock. All sessions must check under the same detection
-    /// config and schema: the cache's validity epoch is global, and a
-    /// config/schema switch by one session invalidates affected entries
-    /// for all.
-    pub fn with_shared_cache(mut self, cache: std::sync::Arc<IncrementalCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
     /// Run every registered custom rule, each as its own panic-isolated
     /// unit: a panicking rule contributes a `RuleFailed` diagnostic and
     /// no detections, while every other rule's output is unaffected.
@@ -364,11 +383,10 @@ impl SqlCheck {
 
     /// Run the full pipeline over a script using the parse-once
     /// front-end and the detection engine: dedup by exact text before
-    /// parsing, per-unique-text parse/annotate/rule execution, and — when
-    /// a cache is attached — incremental reuse of detection results
-    /// across calls. Returns the outcome plus [`BatchStats`]
-    /// instrumentation (dedup, per-phase front-end timings, cache
-    /// counters). `opts` sets the dialect and the per-statement budgets.
+    /// parsing, then per-unique-text parse/annotate/rule execution.
+    /// Returns the outcome plus [`BatchStats`] instrumentation (dedup,
+    /// per-phase front-end timings). `opts` sets the dialect and the
+    /// per-statement budgets.
     pub fn check_workload(&self, script: &str, opts: &FrontendOptions) -> WorkloadOutcome {
         self.run_workload(script, opts).0
     }
@@ -385,7 +403,7 @@ impl SqlCheck {
             builder = builder.with_shared_database(db.clone(), self.data_cfg.clone());
         }
         let (context, fe_stats) = builder.build_with_stats();
-        let batch = self.detector.detect_batch_with(&context, self.cache.as_deref());
+        let batch = self.detector.detect_batch(&context);
         let mut report = batch.report;
         let mut stats = batch.stats;
         let mut diagnostics = parse_diagnostics(&context);

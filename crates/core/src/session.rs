@@ -22,14 +22,16 @@
 //!   ([`StatementContribution`]): the edit applies as
 //!   `retract(old unique) ⊕ insert(new unique)`. A DDL edit refolds the
 //!   schema and workload with the cold build's own fold (still without
-//!   touching the front-end) and lets the column-granular cache tiers
-//!   decide what else went stale.
-//! * **patch** — per-statement detection slices are retained with their
-//!   offsets; only dirty statements' slices are recomputed (from the
-//!   [`crate::IncrementalCache`] or fresh), everything else **moves** — no
-//!   re-analysis, just a span shift for statements after the edit point.
-//!   The lazy ranking and fixes are dropped first, so the rebuilt report
-//!   reuses their memory.
+//!   touching the front-end).
+//! * **patch** — each unique text keeps its canonical intra-query
+//!   detections, and the report keeps per-statement slices with their
+//!   offsets. The intra-query rules re-run on the edited texts — after a
+//!   DDL edit, on every live text, since any of them may read the
+//!   changed schema. Only edited statements and the occurrences of texts
+//!   whose canonical detections changed are re-emitted; everything else
+//!   **moves** — no re-analysis, just a span shift for statements after
+//!   the edit point. The lazy ranking and fixes are dropped first, so the
+//!   rebuilt report reuses their memory.
 //! * **finalize** — the four inter-query rules re-run over the patched
 //!   context and the deduped inter/data tail is rebuilt (the data units
 //!   are kept from the cold build: the attached database is never
@@ -37,12 +39,11 @@
 //!   check pays too.
 //!
 //! The output is **byte-identical** to a cold [`SqlCheck::check_workload`]
-//! on the edited script, with or without a cache —
-//! property-tested in `tests/session_identity.rs`. Anything the
-//! incremental path cannot prove safe (multi-statement replacement
-//! texts, parse diagnostics, `DELIMITER` directives, rule panics, a DDL
-//! edit without a cache, an edit that changes the auto-detected dialect)
-//! falls back to a full rebuild, which is always correct.
+//! on the edited script — property-tested in `tests/session_identity.rs`.
+//! Anything the incremental path cannot prove safe (multi-statement
+//! replacement texts, parse diagnostics, `DELIMITER` directives, rule
+//! panics, an edit that changes the auto-detected dialect) falls back to
+//! a full rebuild, which is always correct.
 //!
 //! The session is also **cost-aware**: when an edit set covers more than
 //! ~10% of the workload, the per-edit patching overhead crosses the cold
@@ -51,8 +52,7 @@
 //! separately from the involuntary [`CheckSession::fallbacks`].
 
 use crate::context::{
-    FrontendOptions, PhaseTimes, SchemaCatalog, SchemaVersions, StatementContribution,
-    WorkloadProfile,
+    FrontendOptions, PhaseTimes, SchemaCatalog, StatementContribution, WorkloadProfile,
 };
 use crate::detect::batch::EngineUnits;
 use crate::detect::schedule::guarded;
@@ -115,9 +115,6 @@ struct State {
     /// `data::detect_table` reads only its table's profile, and the
     /// attached database is not re-profiled within a session.
     data_units: Vec<Vec<Detection>>,
-    /// Schema versions the cache was last aligned to (default without a
-    /// cache).
-    versions: SchemaVersions,
     /// Something the incremental path cannot patch safely (diagnostics,
     /// rule panics, derivation mismatch): every re-check falls back to a
     /// full rebuild until an edit clears the condition away.
@@ -130,9 +127,7 @@ struct State {
 /// use sqlcheck::{Edit, FrontendOptions, SqlCheck};
 ///
 /// let script = "CREATE TABLE t (a INT PRIMARY KEY);\nSELECT a FROM t WHERE a = 1;";
-/// let mut session = SqlCheck::new()
-///     .with_cache(1024)
-///     .into_session(script, FrontendOptions::default());
+/// let mut session = SqlCheck::new().into_session(script, FrontendOptions::default());
 /// let before = session.outcome().outcome.report.detections.len();
 /// let after = session
 ///     .recheck(&[Edit::new(1, "SELECT * FROM t WHERE a = 1")])
@@ -154,10 +149,7 @@ pub struct CheckSession {
 
 impl SqlCheck {
     /// Check `script` and retain the full outcome as a [`CheckSession`]
-    /// for warm [`CheckSession::recheck`]s. An attached
-    /// [`SqlCheck::with_cache`] makes re-checks cheapest (intra results
-    /// replay from it, and DDL edits stay incremental), but the session
-    /// is correct without one.
+    /// for warm [`CheckSession::recheck`]s.
     pub fn into_session(self, script: impl Into<String>, opts: FrontendOptions) -> CheckSession {
         let script = script.into();
         let state = State::init(&self, &script, &opts);
@@ -213,10 +205,9 @@ impl State {
     /// Cold build: run the ordinary pipeline with the engine keeping its
     /// per-unique and per-unit results, then adopt them as the retained
     /// forms (per-unique canonical detections, per-statement slice
-    /// bounds, tail units). Nothing is recomputed or read back from the
-    /// cache.
+    /// bounds, tail units). Nothing is recomputed.
     fn init(tool: &SqlCheck, script: &str, opts: &FrontendOptions) -> State {
-        let (base, EngineUnits { intra, inter, data: data_units, versions }) =
+        let (base, EngineUnits { intra, inter, data: data_units }) =
             tool.run_workload(script, opts);
         let ctx = &base.outcome.context;
         let n = ctx.statements.len();
@@ -247,7 +238,7 @@ impl State {
             degraded = true;
         }
 
-        State { outcome: base, slots, bounds, tail_len, data_units, versions, degraded }
+        State { outcome: base, slots, bounds, tail_len, data_units, degraded }
     }
 }
 
@@ -284,7 +275,8 @@ impl CheckSession {
 
     /// Re-checks that fell back to a full rebuild because the
     /// incremental path could not patch safely (degraded state,
-    /// multi-statement replacement, diagnostics, rule panic). Deliberate
+    /// multi-statement replacement, diagnostics, rule panic, a changed
+    /// auto-detected dialect). DDL edits patch in place. Deliberate
     /// cost-based cold re-checks are counted separately
     /// ([`CheckSession::cold_reverts`]).
     pub fn fallbacks(&self) -> u64 {
@@ -408,9 +400,7 @@ impl CheckSession {
         let state = &mut self.state;
         let tool = &self.tool;
         let use_context = !tool.detector.cfg.intra_only;
-        let cache = tool.cache.as_deref();
         let n = state.outcome.outcome.context.statements.len();
-        let counters_before = cache.map(|c| c.counters());
 
         // ---- edit: statement records, spans, table counts ------------
         let t_edit = Instant::now();
@@ -449,11 +439,6 @@ impl CheckSession {
 
         // ---- profile: workload delta or DDL refold -------------------
         let t_profile = Instant::now();
-        if schema_dirty && cache.is_none() {
-            // Column-granular invalidation of retained detections is the
-            // cache's feature; without one a DDL edit rebuilds cold.
-            return None;
-        }
         {
             let ctx = &mut state.outcome.outcome.context;
             if schema_dirty {
@@ -466,7 +451,6 @@ impl CheckSession {
                 for s in &mut state.slots {
                     s.contribution = None;
                 }
-                state.versions = ctx.schema.versions();
             } else {
                 // retract(old) ⊕ insert(new), one occurrence per edit.
                 // Retiring a text may leave all-zero usage entries behind
@@ -490,17 +474,14 @@ impl CheckSession {
             }
         }
         let ctx_ref = &state.outcome.outcome.context;
-        if let Some(c) = cache {
-            c.ensure_epoch(tool.detector.config_epoch(ctx_ref), &state.versions);
-        }
         let warm_profile_micros = t_profile.elapsed().as_micros();
 
         // ---- patch (a): dirty canonical slices -----------------------
         let t_patch = Instant::now();
         // Texts needing a canonical refresh: the edit set's, each run at
         // an edited statement (any occurrence gives the same canonical
-        // detections), plus after a DDL edit every live text, so the
-        // column-granular epoch sweep decides what actually re-runs.
+        // detections), plus after a DDL edit every live text — their
+        // rules may read the changed schema.
         let mut edited = vec![false; state.slots.len()];
         let mut need: Vec<(usize, usize)> = Vec::new();
         for p in &plan {
@@ -519,14 +500,14 @@ impl CheckSession {
         }
         let reps: Vec<usize> = need.iter().map(|&(_, rep)| rep).collect();
         let mut failures: Vec<Diagnostic> = Vec::new();
-        let refreshed = tool.detector.intra_results(ctx_ref, cache, &reps, &mut failures);
+        let refreshed = tool.detector.intra_results(ctx_ref, &reps, &mut failures);
         if !failures.is_empty() {
             // A panicking unit needs the cold path's diagnostic replay —
             // rebuild.
             return None;
         }
         // Every occurrence of a content-changed text re-emits, edited or
-        // not (shared texts, DDL-invalidated texts).
+        // not (shared texts, texts a DDL edit changed).
         let mut changed = vec![false; state.slots.len()];
         for (&(id, _), canon) in need.iter().zip(refreshed) {
             let canon = dedup_arc(canon);
@@ -650,7 +631,6 @@ impl CheckSession {
             ..BatchStats::default()
         };
         stats.diag_counts[DiagKind::RuleFailed.index()] = registry_failures;
-        stats.add_cache_delta(cache, counters_before);
         state.outcome.stats = stats;
         Some(())
     }
@@ -666,8 +646,7 @@ mod tests {
     fn retired_slots_are_freed_and_reused() {
         let text = |i: usize, b: usize| format!("SELECT a FROM t WHERE id = {i} AND b = {b}");
         let script: String = (0..100).map(|i| text(i, 0) + ";\n").collect();
-        let mut session =
-            SqlCheck::new().with_cache(1024).into_session(script, FrontendOptions::default());
+        let mut session = SqlCheck::new().into_session(script, FrontendOptions::default());
         let per_batch = 5;
         for b in 1..=200 {
             // Odd batches write fresh texts, even ones restore the originals.

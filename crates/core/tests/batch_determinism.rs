@@ -8,7 +8,7 @@
 //! seeds, same cases, every run.
 
 use sqlcheck::detect::reference;
-use sqlcheck::{ContextBuilder, DetectionConfig, Detector, FrontendOptions, IncrementalCache};
+use sqlcheck::{ContextBuilder, DetectionConfig, Detector, Edit, FrontendOptions, SqlCheck};
 use sqlcheck_minidb::stats::SmallRng;
 
 /// Build a random script that is heavy on duplicate templates: a small
@@ -97,21 +97,19 @@ fn detect_batch_is_byte_identical_to_sequential() {
 }
 
 /// Randomly edit some statements of a script (one per line), producing
-/// texts the original never contained. DDL lines are left alone so the
-/// schema — and with it the cache epoch — stays stable; the dedicated
-/// test below covers schema-changing edits.
-fn edit_lines(script: &str, rng: &mut SmallRng) -> String {
-    let mut out = String::new();
+/// texts the original never contained, with the edits that put the
+/// originals back. DDL lines are left alone so the schema stays stable;
+/// the dedicated tests below cover schema-changing edits.
+fn edit_lines(script: &str, rng: &mut SmallRng) -> (Vec<Edit>, Vec<Edit>) {
+    let (mut edits, mut originals) = (Vec::new(), Vec::new());
     for (i, line) in script.lines().enumerate() {
         let ddl = line.starts_with("CREATE") || line.starts_with("ALTER");
         if !line.is_empty() && !ddl && rng.gen_range(10) == 0 {
-            out.push_str(&format!("SELECT * FROM tab0 WHERE id = {};\n", 7_000_000 + i));
-        } else {
-            out.push_str(line);
-            out.push('\n');
+            edits.push(Edit::new(i, format!("SELECT * FROM tab0 WHERE id = {}", 7_000_000 + i)));
+            originals.push(Edit::new(i, line.trim_end_matches(';')));
         }
     }
-    out
+    (edits, originals)
 }
 
 /// Cold sequential reference: per-occurrence reference context (no
@@ -121,70 +119,68 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
     detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 
-/// Property (satellite of the parse-once PR): parse-dedup plus a cached
-/// re-check must stay byte-identical to a cold sequential `check_script`
-/// on randomized duplicate-heavy scripts — across edits and
-/// detector-config switches (which must flush the cache, not poison
-/// it).
+/// Detections of a session's current outcome.
+fn session_output(session: &sqlcheck::CheckSession) -> Vec<String> {
+    detections_debug(&session.outcome().outcome.report)
+}
+
+/// Property: a session re-checked through random edits and their revert
+/// must stay byte-identical to a cold sequential check of its script on
+/// randomized duplicate-heavy scripts — under both detector configs.
 #[test]
-fn cached_recheck_is_byte_identical_to_cold_sequential() {
+fn session_recheck_is_byte_identical_to_cold_sequential() {
     let mut rng = SmallRng::new(0x1AC);
     for case in 0..12 {
         let statements = 40 + rng.gen_range(120);
         let script = random_script(&mut rng, statements);
-        let edited = edit_lines(&script, &mut rng);
-        let det = Detector::default();
-        let cache = IncrementalCache::new(4096);
-
-        for (round, (sql, label)) in
-            [(&script, "cold"), (&edited, "edited"), (&script, "back")].iter().enumerate()
-        {
-            let ctx = ContextBuilder::new().add_script(sql).build();
-            let got = detections_debug(&det.detect_batch_with(&ctx, Some(&cache)).report);
-            assert_eq!(
-                cold_reference(&det, sql),
-                got,
-                "case {case} round {round} ({label}): cached batch must equal cold sequential"
-            );
+        let (edits, originals) = edit_lines(&script, &mut rng);
+        for (det, tool) in [
+            (Detector::default(), SqlCheck::new()),
+            (Detector::new(DetectionConfig::intra_only()), SqlCheck::new().intra_only()),
+        ] {
+            let mut session = tool.into_session(script.clone(), FrontendOptions::default());
+            for (round, (label, batch)) in
+                [("cold", &[][..]), ("edited", &edits), ("back", &originals)].iter().enumerate()
+            {
+                session.recheck(batch);
+                assert_eq!(
+                    cold_reference(&det, session.script()),
+                    session_output(&session),
+                    "case {case} round {round} ({label}): session must equal cold sequential"
+                );
+            }
+            assert_eq!(session.script(), script, "case {case}: the revert restores the script");
+            assert_eq!(session.fallbacks(), 0, "case {case}");
         }
-        // Rounds 2 and 3 revisit texts the cache has seen: hits required.
-        let c = cache.counters();
-        assert!(c.hits > 0, "case {case}: warm rounds must hit the cache");
-
-        // A config switch invalidates the epoch; results must follow the
-        // new config, not the cached one.
-        let intra = Detector::new(DetectionConfig::intra_only());
-        let ctx = ContextBuilder::new().add_script(&edited).build();
-        let got = detections_debug(
-            &intra.detect_batch_with(&ctx, Some(&cache)).report,
-        );
-        assert_eq!(
-            cold_reference(&intra, &edited),
-            got,
-            "case {case}: config switch must flush, not replay stale entries"
-        );
-        assert!(cache.counters().evictions > 0, "case {case}: epoch flush counted");
     }
 }
 
 /// DDL edits change the schema context, which contextual intra rules
-/// depend on — the cache must flush (epoch change) and re-detect.
+/// depend on: a session re-check must re-detect and flip suppressions.
 #[test]
-fn schema_edit_invalidates_cached_suppressions() {
-    // `tab` has no PK: No Primary Key fires on the CREATE; adding an
-    // ALTER later suppresses it. The SELECT's detections are cacheable
-    // either way, but the suppression decision depends on the schema.
-    let v1 = "CREATE TABLE tab (a INT);\nSELECT * FROM tab WHERE a = 1;\n";
-    let v2 = "CREATE TABLE tab (a INT);\nALTER TABLE tab ADD CONSTRAINT pk PRIMARY KEY (a);\nSELECT * FROM tab WHERE a = 1;\n";
+fn schema_edit_flips_suppressions_through_rechecks() {
+    // `tab` has no PK: No Primary Key fires on the CREATE; turning a
+    // query into an ALTER that adds one suppresses it.
+    let filler: String = (0..10).map(|i| format!("SELECT a FROM tab WHERE a = {i};\n")).collect();
+    let v1 = format!("CREATE TABLE tab (a INT);\nSELECT * FROM tab WHERE a = 1;\n{filler}");
+    let alter = "ALTER TABLE tab ADD CONSTRAINT pk PRIMARY KEY (a)";
+    let query = "SELECT * FROM tab WHERE a = 1";
     let det = Detector::default();
-    let cache = IncrementalCache::new(64);
-    for sql in [v1, v2, v1] {
-        let ctx = ContextBuilder::new().add_script(sql).build();
-        let got = detections_debug(
-            &det.detect_batch_with(&ctx, Some(&cache)).report,
+    let mut session = SqlCheck::new().into_session(v1.clone(), FrontendOptions::default());
+    let no_pk = |s: &sqlcheck::CheckSession| {
+        s.outcome().outcome.report.count(sqlcheck::AntiPatternKind::NoPrimaryKey)
+    };
+    assert!(no_pk(&session) > 0);
+    for (round, text) in [alter, query].into_iter().enumerate() {
+        session.recheck(&[Edit::new(1, text)]);
+        assert_eq!(
+            cold_reference(&det, session.script()),
+            session_output(&session),
+            "round {round}: schema change must re-detect"
         );
-        assert_eq!(cold_reference(&det, sql), got, "schema change must invalidate");
+        assert_eq!(no_pk(&session) > 0, text == query, "round {round}");
     }
+    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0));
 }
 
 /// A small database over the `tab{i}` tables the random scripts use, so
@@ -257,52 +253,44 @@ fn inter_and_data_phases_identical_to_sequential() {
     }
 }
 
-/// Per-table invalidation safety: across random DDL edits — add a
-/// column, add an index, drop a table — a cached re-check must never
-/// serve a stale result. Compared against a cold legacy-front-end check
-/// on every round.
+/// Across random DDL edits — add a column, add an index, add a table —
+/// a session re-check must never serve a stale result. Compared against
+/// a cold reference check on every round.
 #[test]
-fn per_table_invalidation_never_serves_stale_results() {
+fn ddl_edit_rounds_never_serve_stale_results() {
     let mut rng = SmallRng::new(0x7AB1E);
     for case in 0..10 {
         let n = 40 + rng.gen_range(80);
         let base = random_script(&mut rng, n);
         let det = Detector::default();
-        let cache = IncrementalCache::new(4096);
-        let mut script = base.clone();
+        // Five trailing statements each round may turn into DDL.
+        let slots: String = (0..5).map(|k| format!("SELECT b FROM tab0 WHERE b = '{k}';\n")).collect();
+        let mut session =
+            SqlCheck::new().into_session(format!("{base}{slots}"), FrontendOptions::default());
+        let last = session.outcome().stats.statements - 5;
         for round in 0..5 {
-            // Random DDL mutation of one table per round (the statement
-            // stream is untouched, so unrelated entries could survive).
-            match rng.gen_range(4) {
-                0 => script.push_str(&format!(
-                    "ALTER TABLE tab0 ADD COLUMN extra{round} INT;\n"
-                )),
-                1 => script.push_str(&format!(
-                    "CREATE INDEX ix{case}_{round} ON tab0 (b);\n"
-                )),
-                2 => script.push_str(&format!(
-                    "CREATE TABLE fresh{case}_{round} (x INT);\n"
-                )),
-                _ => { /* no DDL change this round */ }
-            }
-            let ctx = ContextBuilder::new().add_script(&script).build();
-            let got = detections_debug(
-                &det.detect_batch_with(&ctx, Some(&cache)).report,
-            );
+            // Random DDL mutation of one table per round (the other
+            // statements are untouched).
+            let ddl = match rng.gen_range(4) {
+                0 => format!("ALTER TABLE tab0 ADD COLUMN extra{round} INT"),
+                1 => format!("CREATE INDEX ix{case}_{round} ON tab0 (b)"),
+                2 => format!("CREATE TABLE fresh{case}_{round} (x INT)"),
+                _ => continue, // no DDL change this round
+            };
+            session.recheck(&[Edit::new(last + round, ddl)]);
             assert_eq!(
-                cold_reference(&det, &script),
-                got,
-                "case {case} round {round}: cached re-check after DDL edits must equal cold"
+                cold_reference(&det, session.script()),
+                session_output(&session),
+                "case {case} round {round}: re-check after DDL edits must equal cold"
             );
         }
-        assert!(cache.counters().hits > 0, "case {case}: re-checks must hit the cache");
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "case {case}");
     }
 }
 
-/// Per-table invalidation effectiveness: a DDL edit to one table keeps
-/// every entry that only depends on other tables (hits), while entries on
-/// the edited table re-analyse (misses) — and a content-identical schema
-/// keeps the whole cache warm.
+/// A DDL edit to one table keeps the report entries of every statement
+/// whose detections it cannot change: they move instead of re-emitting.
+/// A content-identical DDL edit re-emits only itself.
 #[test]
 fn ddl_edit_to_one_table_keeps_unrelated_entries() {
     let ddl = "CREATE TABLE hot (id INT PRIMARY KEY, v TEXT);\n\
@@ -315,86 +303,32 @@ fn ddl_edit_to_one_table_keeps_unrelated_entries() {
         body.push_str(&format!("SELECT * FROM hot WHERE id = {i};\n"));
     }
     let script = format!("{ddl}{body}");
-    let edited = script.replace(
-        "CREATE TABLE hot (id INT PRIMARY KEY, v TEXT);",
-        "CREATE TABLE hot (id INT PRIMARY KEY, v TEXT, w INT);",
-    );
     let det = Detector::default();
-    let cache = IncrementalCache::new(4096);
-
-    // Prime, then a no-op re-check: identical schema must keep the cache
-    // fully warm (every unique text hits; zero evictions).
-    let ctx = ContextBuilder::new().add_script(&script).build();
-    let first = det.detect_batch_with(&ctx, Some(&cache));
-    assert_eq!(first.stats.incremental_hits, 0);
-    let ctx2 = ContextBuilder::new().add_script(&script).build();
-    let warm = det.detect_batch_with(&ctx2, Some(&cache));
-    assert_eq!(
-        warm.stats.incremental_misses, 0,
-        "content-identical schema reload must not flush the cache"
-    );
-    assert_eq!(warm.stats.incremental_evictions, 0);
-    assert!(warm.stats.incremental_hits > 0);
-
-    // ADD COLUMN to `hot`: with column-granular dependency tracking,
-    // even the entries on `hot` survive — they only read `hot.id`,
-    // whose digest (and the table core) the edit leaves unchanged. Only
-    // the edited DDL text itself is new work.
-    let ctx3 = ContextBuilder::new().add_script(&edited).build();
-    let after = det.detect_batch_with(&ctx3, Some(&cache));
-    assert_eq!(
-        detections_debug(&after.report),
-        cold_reference(&det, &edited),
-        "output after DDL edit must match a cold check"
-    );
-    assert!(
-        after.stats.incremental_hits >= 90,
-        "ADD COLUMN must keep entries on untouched columns warm (even on the edited table), got {} hits",
-        after.stats.incremental_hits
-    );
-    assert!(
-        after.stats.incremental_misses <= 2,
-        "only the edited DDL text re-analyses, got {} misses",
-        after.stats.incremental_misses
-    );
-    assert!(
-        after.stats.table_evictions >= 1,
-        "the old CREATE TABLE entry (whole-table dep) must drop"
-    );
-
-    // Edit the column the statements actually read (`hot.id` changes
-    // type): now the `hot` entries are stale and must re-analyse, while
-    // cold1/cold2 still survive.
-    let retyped = edited.replace(
-        "CREATE TABLE hot (id INT PRIMARY KEY, v TEXT, w INT);",
-        "CREATE TABLE hot (id BIGINT PRIMARY KEY, v TEXT, w INT);",
-    );
-    let ctx4 = ContextBuilder::new().add_script(&retyped).build();
-    let after2 = det.detect_batch_with(&ctx4, Some(&cache));
-    assert_eq!(
-        detections_debug(&after2.report),
-        cold_reference(&det, &retyped),
-        "output after column-type edit must match a cold check"
-    );
-    assert!(
-        after2.stats.incremental_hits >= 60,
-        "entries on unedited tables must survive, got {} hits",
-        after2.stats.incremental_hits
-    );
-    assert!(
-        after2.stats.incremental_misses >= 30,
-        "entries reading the edited column must be invalidated, got {} misses",
-        after2.stats.incremental_misses
-    );
-    assert!(
-        after2.stats.column_evictions >= 30,
-        "column-dep evictions must be classified, got {}",
-        after2.stats.column_evictions
-    );
+    let mut session = SqlCheck::new().into_session(script.clone(), FrontendOptions::default());
+    let rounds = [
+        // Content-identical: the schema does not change.
+        ("CREATE TABLE hot (id INT PRIMARY KEY, v TEXT)", 1),
+        // ADD COLUMN to `hot`: no statement reads `w`.
+        ("CREATE TABLE hot (id INT PRIMARY KEY, v TEXT, w INT)", 1),
+        // Retype the column the `hot` statements read: at most those
+        // re-emit; `cold1`/`cold2` entries still move.
+        ("CREATE TABLE hot (id BIGINT PRIMARY KEY, v TEXT, w INT)", 31),
+    ];
+    for (text, max_dirty) in rounds {
+        session.recheck(&[Edit::new(0, text)]);
+        assert_eq!(
+            session_output(&session),
+            cold_reference(&det, session.script()),
+            "{text}: output after a DDL edit must match a cold check"
+        );
+        let dirty = session.outcome().stats.warm_dirty_statements;
+        assert!((1..=max_dirty).contains(&dirty), "{text}: {dirty} statements re-emitted");
+    }
+    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0));
 }
 
 /// Duplicate-template-heavy scripts must actually exercise the dedup
-/// cache (the property above would pass vacuously on all-unique scripts).
+/// (the property above would pass vacuously on all-unique scripts).
 #[test]
 fn random_scripts_contain_duplicates() {
     let mut rng = SmallRng::new(0xD0D0);

@@ -83,6 +83,7 @@ fn usage_errors_exit_2() {
         (&["--parralel", "-"][..], "unknown flag '--parralel'"),
         (&["-", "--threads", "2"][..], "unknown flag '--threads'"),
         (&["--parallel", "-"][..], "unknown flag '--parallel'"),
+        (&["--cache", "-"][..], "unknown flag '--cache'"),
         (&["--weights"][..], "--weights expects a value"),
         (&["a.sql", "b.sql"][..], "unexpected argument 'b.sql'"),
     ] {
@@ -140,22 +141,15 @@ fn degraded_input_exits_3_under_fail_on_degraded() {
 }
 
 #[test]
-fn default_listing_matches_stats_and_cache_listings() {
+fn default_listing_matches_the_stats_listing() {
     let path = fixture_file("listing", FIXTURE);
     let file = path.to_str().expect("utf-8 path");
     let default = sqlcheck(&[file], None);
     assert_eq!(code(&default), 1);
     assert!(default.stderr.is_empty(), "{}", String::from_utf8_lossy(&default.stderr));
-    for flags in [&["--stats"][..], &["--cache"][..], &["--stats", "--cache"][..]] {
-        let args: Vec<&str> = flags.iter().copied().chain([file]).collect();
-        let batch = sqlcheck(&args, None);
-        assert_eq!(code(&batch), 1, "{flags:?}");
-        assert!(
-            default.stdout == batch.stdout,
-            "{flags:?}: listing differs from the default path"
-        );
-    }
     let stats = sqlcheck(&["--stats", file], None);
+    assert_eq!(code(&stats), 1);
+    assert!(default.stdout == stats.stdout, "--stats: listing differs from the default path");
     let err = String::from_utf8_lossy(&stats.stderr);
     assert!(err.contains("stats: parse coverage"), "{err}");
     assert!(!err.contains("thread"), "{err}");
@@ -169,11 +163,6 @@ fn default_listing_matches_stats_and_cache_listings() {
     assert_eq!(names, ["group", "intra", "fanout", "inter", "data", "dedup", "total"], "{err}");
     let (total, phases) = detect.split_last().expect("a detect total");
     assert!(phases.iter().map(|(_, us)| us).sum::<u128>() <= total.1, "{err}");
-    // Only `--cache` adds the cache line.
-    assert!(!err.contains("incremental cache"), "{err}");
-    let cached = sqlcheck(&["--stats", "--cache", file], None);
-    let cached_err = String::from_utf8_lossy(&cached.stderr);
-    assert!(cached_err.contains("stats: incremental cache "), "{cached_err}");
     std::fs::remove_file(&path).expect("remove fixture");
 }
 
@@ -182,7 +171,7 @@ fn stats_ends_with_the_peak_memory_line() {
     let path = fixture_file("peak", FIXTURE);
     let file = path.to_str().expect("utf-8 path");
     let readable = sqlcheck::vm_hwm_kb().is_some();
-    for flags in [&[][..], &["--summary"][..], &["--no-fix"][..], &["--cache"][..]] {
+    for flags in [&[][..], &["--summary"][..], &["--no-fix"][..]] {
         let args: Vec<&str> = flags.iter().copied().chain([file]).collect();
         let without = sqlcheck(&args, None);
         let with = sqlcheck(&[&["--stats"][..], &args].concat(), None);

@@ -1,9 +1,9 @@
 //! End-to-end pipeline tests for compound statements: `BEGIN…END`
 //! trigger/procedure bodies, dollar-quoted PL/pgSQL function bodies, and
 //! MySQL dump `DELIMITER` blocks must survive split → parse → annotate →
-//! detect → span reporting through `SqlCheck::check_workload`, with
-//! per-table incremental-cache invalidation reaching into body-referenced
-//! tables.
+//! detect → span reporting through `SqlCheck::check_workload`, and
+//! through `CheckSession` re-checks whose DDL edits reach into
+//! body-referenced tables.
 
 use sqlcheck::detect::reference;
 use sqlcheck::{AntiPatternKind, FrontendOptions, ContextBuilder, Detector, Locus, SqlCheck};
@@ -22,7 +22,7 @@ fn repro_splits_parses_and_annotates() {
         panic!("expected a real CreateTrigger node, got {:?}", trigger.parsed.stmt);
     };
     assert_eq!(tg.body.len(), 2);
-    // Body-referenced tables surface in the annotations (cache deps).
+    // Body-referenced tables surface in the annotations.
     assert!(trigger.ann.tables.iter().any(|t| t == "u"));
     assert!(trigger.ann.tables.iter().any(|t| t == "v"));
 }
@@ -141,86 +141,85 @@ fn mysqldump_delimiter_block_e2e() {
         .any(|d| d.kind == AntiPatternKind::ColumnWildcard));
 }
 
-/// Script with a trigger whose body touches `v`, plus unrelated texts.
-fn cache_script(v_extra_col: bool) -> String {
+/// Script with a trigger whose body touches `v`, plus unrelated texts —
+/// enough of them that a one-statement edit patches a session in place.
+fn trigger_script(v_extra_col: bool) -> String {
     let v_ddl = if v_extra_col {
         "CREATE TABLE v (a INT PRIMARY KEY, b INT);"
     } else {
         "CREATE TABLE v (a INT PRIMARY KEY);"
     };
-    format!(
-        "{v_ddl}\n{REPRO}\nSELECT name FROM unrelated WHERE id = 1;"
-    )
+    let filler: String =
+        (0..8).map(|i| format!("\nSELECT name FROM unrelated WHERE id = {i};")).collect();
+    format!("{v_ddl}\n{REPRO}\nSELECT name FROM unrelated WHERE id = 1;{filler}")
 }
 
 #[test]
-fn ddl_edit_to_body_referenced_table_evicts_trigger_entry() {
-    let tool = SqlCheck::new().with_cache(1024);
-    let cold = tool.check_workload(&cache_script(false), &FrontendOptions::default());
-    assert_eq!(cold.stats.incremental_misses, 4, "all unique texts analysed cold");
-
-    // Unchanged script: everything replays from the cache.
-    let warm = tool.check_workload(&cache_script(false), &FrontendOptions::default());
-    assert_eq!(warm.stats.incremental_hits, 4);
-    assert_eq!(warm.stats.incremental_misses, 0);
-
-    // ADD COLUMN to `v` — a table referenced only from the trigger
-    // BODY — leaves the trigger entry warm under column-granular deps:
-    // the body reads neither `v`'s core nor the new column, and the
-    // detections of `DELETE FROM v` cannot change. Only the edited DDL
-    // text itself is new work.
-    let edited = tool.check_workload(&cache_script(true), &FrontendOptions::default());
-    assert_eq!(
-        edited.stats.incremental_misses, 1,
-        "only the edited v-DDL text re-analyses"
-    );
-    assert_eq!(edited.stats.incremental_hits, 3, "everything else stays warm");
-
-    // Changing the type of `v.a` — a column the trigger body's deps
-    // cover (cross product of body tables × referenced columns) — must
-    // evict the trigger's cached entry, while texts not touching `v`
-    // stay warm.
-    let retyped = cache_script(true).replace(
+fn ddl_edit_to_body_referenced_table_matches_cold() {
+    let opts = FrontendOptions::default();
+    let fmt = |o: &sqlcheck::CheckOutcome| {
+        o.report.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()
+    };
+    let mut session = SqlCheck::new().into_session(trigger_script(false), opts.clone());
+    // ADD COLUMN to `v` — a table referenced only from the trigger BODY
+    // — then a retype of `v.a`, which the body's `DELETE FROM v` reads.
+    // Both patch in place and match a cold check of the edited script.
+    for (round, ddl) in [
+        "CREATE TABLE v (a INT PRIMARY KEY, b INT)",
+        "CREATE TABLE v (a BIGINT PRIMARY KEY, b INT)",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        session.recheck(&[sqlcheck::Edit::new(0, ddl)]);
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "round {round}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fmt(&cold.outcome), fmt(&session.outcome().outcome), "round {round}");
+    }
+    let retyped = trigger_script(true).replace(
         "CREATE TABLE v (a INT PRIMARY KEY, b INT);",
         "CREATE TABLE v (a BIGINT PRIMARY KEY, b INT);",
     );
-    let after = tool.check_workload(&retyped, &FrontendOptions::default());
-    assert_eq!(
-        after.stats.incremental_misses, 2,
-        "edited v-DDL text + invalidated trigger entry re-analysed"
-    );
-    assert_eq!(after.stats.incremental_hits, 2, "SELECTs not touching v stay warm");
-    assert!(after.stats.column_evictions >= 1, "trigger eviction is column-classified");
+    assert_eq!(session.script(), retyped);
 }
 
 #[test]
-fn cached_compound_rechecks_stay_byte_identical() {
+fn compound_session_rechecks_stay_byte_identical() {
     let script = "CREATE TRIGGER audit AFTER UPDATE ON t FOR EACH ROW BEGIN \
                   INSERT INTO log VALUES (1); SELECT * FROM x; END;\n\
                   SELECT 2;\n\
                   CREATE TRIGGER audit AFTER UPDATE ON t FOR EACH ROW BEGIN \
                   INSERT INTO log VALUES (1); SELECT * FROM x; END;";
-    let tool = SqlCheck::new().with_cache(64);
-    let cold = tool.check_workload(script, &FrontendOptions::default());
-    let warm = tool.check_workload(script, &FrontendOptions::default());
-    assert!(warm.stats.incremental_hits > 0);
+    let filler: String = (0..8).map(|i| format!("\nSELECT {i};")).collect();
+    let script = format!("{script}{filler}");
+    let opts = FrontendOptions::default();
     let fmt = |o: &sqlcheck::CheckOutcome| {
         o.report.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()
     };
-    assert_eq!(fmt(&cold.outcome), fmt(&warm.outcome));
-    // Duplicate trigger occurrences: each body detection must carry its
-    // own occurrence's absolute span.
-    let spans: Vec<_> = warm
-        .outcome
-        .report
-        .detections
-        .iter()
-        .filter(|d| d.kind == AntiPatternKind::ColumnWildcard)
-        .filter_map(|d| d.span)
-        .collect();
-    assert_eq!(spans.len(), 2, "one wildcard per trigger occurrence");
-    assert_ne!(spans[0], spans[1], "each occurrence points at its own body");
-    for s in spans {
-        assert_eq!(&script[s.start..s.end], "SELECT * FROM x");
+    // Lengthening the statement between the triggers moves the second
+    // one; reverting moves it back.
+    let mut session = SqlCheck::new().into_session(script.clone(), opts.clone());
+    for text in ["SELECT 2 + 2 + 2 + 2", "SELECT 2"] {
+        session.recheck(&[sqlcheck::Edit::new(1, text)]);
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "{text}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fmt(&cold.outcome), fmt(&session.outcome().outcome), "{text}");
+        // Duplicate trigger occurrences: each body detection must carry
+        // its own occurrence's absolute span.
+        let warm = session.outcome();
+        let spans: Vec<_> = warm
+            .outcome
+            .report
+            .detections
+            .iter()
+            .filter(|d| d.kind == AntiPatternKind::ColumnWildcard)
+            .filter_map(|d| d.span)
+            .collect();
+        assert_eq!(spans.len(), 2, "one wildcard per trigger occurrence");
+        assert_ne!(spans[0], spans[1], "each occurrence points at its own body");
+        for s in spans {
+            assert_eq!(&session.script()[s.start..s.end], "SELECT * FROM x");
+        }
     }
+    assert_eq!(session.script(), script);
 }

@@ -89,28 +89,16 @@ fn mysqldump_script() -> String {
     s
 }
 
-/// Explicit `Dialect::Generic` is byte-identical to the default options,
-/// cache on and off.
+/// Explicit `Dialect::Generic` is byte-identical to the default options.
 #[test]
 fn explicit_generic_equals_the_undialected_default() {
     let script = neutral_script();
     let opts = FrontendOptions::default();
-    for &cached in &[false, true] {
-        let mk = || if cached { SqlCheck::new().with_cache(1024) } else { SqlCheck::new() };
-
-        let base = mk().check_workload(&script, &opts);
-        let opts_level = mk().check_workload(
-            &script,
-            &FrontendOptions { dialect: Dialect::Generic, ..opts.clone() },
-        );
-
-        assert_eq!(base.outcome.context.dialect, Dialect::Generic);
-        assert_eq!(
-            fingerprint(&base),
-            fingerprint(&opts_level),
-            "cached={cached}: opts-level Generic diverged"
-        );
-    }
+    let base = SqlCheck::new().check_workload(&script, &opts);
+    let opts_level = SqlCheck::new()
+        .check_workload(&script, &FrontendOptions { dialect: Dialect::Generic, ..opts.clone() });
+    assert_eq!(base.outcome.context.dialect, Dialect::Generic);
+    assert_eq!(fingerprint(&base), fingerprint(&opts_level), "opts-level Generic diverged");
 }
 
 /// No explicit dialect + detection on: the guess is recorded in the
@@ -143,26 +131,6 @@ fn detection_guesses_and_explicit_dialect_suppresses() {
         explicit.outcome.diagnostics.iter().all(|d| d.kind != DiagKind::DialectGuessed),
         "explicit dialect must not announce a guess"
     );
-}
-
-/// Switching dialects over one shared cache must never replay entries
-/// computed under another dialect's grammar: every run equals its own
-/// cold (cache-free) reference.
-#[test]
-fn dialect_folds_into_the_cache_epoch() {
-    let script = mysqldump_script();
-    let tool = SqlCheck::new().with_cache(4096);
-    for dialect in [Dialect::Generic, Dialect::MySql, Dialect::Generic, Dialect::Postgres] {
-        let opts = FrontendOptions { dialect, ..FrontendOptions::default() };
-        let cached = tool.check_workload(&script, &opts);
-        let cold = SqlCheck::new().check_workload(&script, &opts);
-        assert_eq!(
-            fingerprint(&cached),
-            fingerprint(&cold),
-            "{dialect}: cached run must equal a cold run under the same dialect"
-        );
-        assert_eq!(cached.outcome.context.dialect, dialect);
-    }
 }
 
 /// Cost-aware warm re-check: a small edit stays warm (no revert), a bulk
@@ -234,7 +202,7 @@ fn mysql_hash_comment_keeps_the_pattern_matching_finding() {
 #[test]
 fn mysql_session_recheck_materialises_under_mysql() {
     let script = "SELECT id FROM t WHERE id = 1;\nSELECT id FROM u;\n";
-    let mut session = SqlCheck::new().with_cache(1024).into_session(script, mysql());
+    let mut session = SqlCheck::new().into_session(script, mysql());
     session.recheck(&[Edit::new(0, HASH_COMMENT_LIKE)]);
     assert_eq!(session.fallbacks(), 0, "a one-statement edit stays incremental");
     assert!(pattern_matching_at(session.outcome(), 0));

@@ -1,20 +1,19 @@
-//! Property tests: skewed inputs and the incremental cache must be
+//! Property tests: skewed inputs and retained session state must be
 //! invisible in the output.
 //!
-//! * batch detection and cached re-checks stay **byte-identical** to the
+//! * batch detection, run and re-run, stays **byte-identical** to the
 //!   sequential reference on skewed inputs — one giant compound statement
 //!   among many cheap hot-template occurrences;
-//! * one cache carried through priming, a warm re-check, a DDL edit and
-//!   a config switch keeps every output equal to the reference and
-//!   evicts only what the edit can affect;
-//! * many sessions sharing one cache concurrently stay correct.
+//! * one session carried through a warm edit and its revert and a DDL
+//!   edit, and a session under a switched config, keep every output equal
+//!   to the reference, and the DDL edit re-emits only what it changed.
 //!
 //! The build environment has no access to the `proptest` crate, so the
 //! properties run over deterministically generated random scripts: same
 //! seeds, same cases, every run.
 
 use sqlcheck::detect::reference;
-use sqlcheck::{ContextBuilder, Detector, FrontendOptions, IncrementalCache};
+use sqlcheck::{ContextBuilder, Detector, Edit, FrontendOptions, SqlCheck};
 use sqlcheck_minidb::stats::SmallRng;
 
 /// A skewed script: ~90% of statements instantiate one hot template with
@@ -61,8 +60,8 @@ fn cold_reference(det: &Detector, script: &str) -> Vec<String> {
     detections_debug(&reference::detect(&ctx, &det.cfg))
 }
 
-/// On skewed inputs, batch output is byte-identical to sequential — cold
-/// and through a warm cache.
+/// On skewed inputs, batch output is byte-identical to sequential — on
+/// the first run and on a repeated one.
 #[test]
 fn skewed_batch_identical_to_sequential() {
     let mut rng = SmallRng::new(0x5CA1E);
@@ -72,26 +71,14 @@ fn skewed_batch_identical_to_sequential() {
         let script = skewed_script(&mut rng, statements, sub_stmts);
         let det = Detector::default();
         let reference = cold_reference(&det, &script);
-        let cache = IncrementalCache::new(4096);
         let ctx = ContextBuilder::new().add_script(&script).build();
-        // Cold path (no cache).
-        let cold = det.detect_batch(&ctx);
-        assert_eq!(
-            reference,
-            detections_debug(&cold.report),
-            "case {case}: skewed batch must equal sequential"
-        );
-        // Cached path: the first round populates, the second replays.
         for round in 0..2 {
-            let cached = det.detect_batch_with(&ctx, Some(&cache));
             assert_eq!(
                 reference,
-                detections_debug(&cached.report),
-                "case {case} round {round}: cached skewed batch must equal sequential"
+                detections_debug(&det.detect_batch(&ctx).report),
+                "case {case} round {round}: skewed batch must equal sequential"
             );
         }
-        let c = cache.counters();
-        assert!(c.hits > 0, "case {case}: the second round must hit");
     }
 }
 
@@ -113,12 +100,12 @@ fn skewed_script_is_actually_skewed() {
     );
 }
 
-/// One cache through priming, a warm re-check, a DDL edit (per-table
-/// invalidation), and a config switch (epoch flush): every output equals
-/// the reference and the counters show the warm hits and the DDL round's
-/// targeted evictions.
+/// One session through its cold build, a warm edit and its revert, and a
+/// DDL edit, plus a session under a switched config: every output equals
+/// the reference, nothing rebuilds, and the DDL edit re-emits only the
+/// statements whose detections it changed.
 #[test]
-fn cache_sequence_matches_reference_through_ddl_and_config_switch() {
+fn session_sequence_matches_reference_through_ddl_and_config_switch() {
     let mut rng = SmallRng::new(0x54A2D);
     let statements = 80 + rng.gen_range(60);
     let script = skewed_script(&mut rng, statements, 60);
@@ -129,70 +116,30 @@ fn cache_sequence_matches_reference_through_ddl_and_config_switch() {
     assert_ne!(script, edited);
 
     let det = Detector::default();
+    let opts = FrontendOptions::default();
+    let output = |o: &sqlcheck::WorkloadOutcome| detections_debug(&o.outcome.report);
+    let mut session = SqlCheck::new().into_session(script.clone(), opts.clone());
+    assert_eq!(output(session.outcome()), cold_reference(&det, &script));
+    let cold_output = output(session.outcome());
+
+    // A warm edit and its revert replay the cold output.
+    let stmts = &session.outcome().outcome.context.statements;
+    let at = |i: usize| script[stmts[i].span.start..stmts[i].span.end].to_string();
+    let index = stmts.len() - 1;
+    let original = at(index);
+    session.recheck(&[Edit::new(index, "SELECT * FROM side WHERE a = 424242")]);
+    session.recheck(&[Edit::new(index, original)]);
+    assert_eq!(output(session.outcome()), cold_output, "the revert replays the cold output");
+
+    // The DDL edit: statement 1 is `side`'s CREATE TABLE.
+    session.recheck(&[Edit::new(1, "CREATE TABLE side (a INT, b FLOAT, c INT)")]);
+    assert_eq!(session.script(), edited);
+    assert_eq!(output(session.outcome()), cold_reference(&det, &edited));
+    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0));
+    let dirty = session.outcome().stats.warm_dirty_statements;
+    assert!(dirty < statements / 2, "the hot-table statements move, {dirty} re-emitted");
+
     let intra = Detector::new(sqlcheck::DetectionConfig::intra_only());
-    let cache = IncrementalCache::new(1 << 16);
-    let mut outputs: Vec<Vec<String>> = Vec::new();
-    let mut counter_trail = Vec::new();
-    let rounds: [(&str, &Detector); 4] =
-        [(&script, &det), (&script, &det), (&edited, &det), (&edited, &intra)];
-    for (sql, d) in rounds {
-        let ctx = ContextBuilder::new().add_script(sql).build();
-        let b = d.detect_batch_with(&ctx, Some(&cache));
-        outputs.push(detections_debug(&b.report));
-        counter_trail.push((
-            b.stats.incremental_hits,
-            b.stats.incremental_misses,
-            b.stats.incremental_evictions,
-        ));
-    }
-    assert_eq!(outputs[0], cold_reference(&det, &script));
-    assert_eq!(outputs[1], outputs[0], "the warm round replays the primed output");
-    assert_eq!(outputs[2], cold_reference(&det, &edited));
-    assert_eq!(outputs[3], cold_reference(&intra, &edited));
-    // The warm round hit; the DDL round evicted `side` entries only.
-    assert!(counter_trail[1].0 > 0, "warm round must hit");
-    assert!(counter_trail[2].2 > 0, "DDL round must evict dependents");
-    assert!(counter_trail[2].0 > 0, "DDL round must keep entries on unedited tables");
-}
-
-/// Concurrent sessions sharing one cache: every session's output stays
-/// byte-identical to the sequential reference while all of them hit the
-/// same entries, and counters account for every lookup.
-#[test]
-fn concurrent_sessions_share_one_cache_correctly() {
-    let mut rng = SmallRng::new(0xC0C0);
-    let script = skewed_script(&mut rng, 100, 50);
-    let det = Detector::default();
-    let reference = cold_reference(&det, &script);
-    let cache = IncrementalCache::new(1 << 16);
-
-    // Prime once so the concurrent phase is read-mostly.
-    let ctx = ContextBuilder::new().add_script(&script).build();
-    let _ = det.detect_batch_with(&ctx, Some(&cache));
-    let warm_floor = cache.counters();
-
-    std::thread::scope(|s| {
-        for t in 0..4usize {
-            let (cache, det, script, reference) = (&cache, &det, &script, &reference);
-            s.spawn(move || {
-                for round in 0..3 {
-                    let ctx = ContextBuilder::new().add_script(script).build();
-                    let b = det.detect_batch_with(&ctx, Some(cache));
-                    assert_eq!(
-                        reference,
-                        &detections_debug(&b.report),
-                        "session {t} round {round}: shared-cache output must stay identical"
-                    );
-                }
-            });
-        }
-    });
-
-    let c = cache.counters();
-    assert_eq!(c.misses, warm_floor.misses, "fully warmed: no concurrent misses");
-    assert_eq!(c.evictions, 0, "ample capacity, stable schema: no evictions");
-    assert!(
-        c.hits >= warm_floor.hits + 12,
-        "all 12 session-rounds must hit the shared cache"
-    );
+    let switched = SqlCheck::new().intra_only().into_session(edited.clone(), opts);
+    assert_eq!(output(switched.outcome()), cold_reference(&intra, &edited));
 }

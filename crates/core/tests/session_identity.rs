@@ -2,15 +2,15 @@
 //!
 //! 1. **Byte-identity**: a `CheckSession::recheck` outcome must equal a
 //!    cold `check_workload` of the edited script — detections, ranking,
-//!    fixes, diagnostics — cache on and off,
-//!    including DDL edits and fallback paths.
+//!    fixes, diagnostics — including DDL edits and fallback paths.
 //! 2. **Delta-vs-rebuild**: the session's incrementally-maintained
 //!    `WorkloadProfile` must match a from-scratch build (modulo all-zero
 //!    usage entries, which retract leaves behind by design and which no
 //!    consumer can observe).
-//! 3. **Column-granular eviction**: a DDL edit to an untouched column
-//!    evicts nothing (never-over-evict) while the outcome still matches
-//!    cold (never-stale).
+//! 3. **DDL edits patch in place**: a DDL edit re-runs the intra-query
+//!    rules over the live texts without a rebuild, re-emits only the
+//!    statements whose detections changed (never-over-emit), and still
+//!    matches cold (never-stale).
 
 use sqlcheck::context::{ColumnUsage, WorkloadProfile};
 use sqlcheck::{Dialect, FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
@@ -112,74 +112,61 @@ fn replacement(rng: &mut Rng, salt: usize) -> String {
     }
 }
 
-fn tool(cache: bool) -> SqlCheck {
-    let t = SqlCheck::new();
-    if cache {
-        t.with_cache(4096)
-    } else {
-        t
-    }
-}
-
 /// Core property: random single-statement edit batches over several
 /// rounds stay byte-identical to cold re-checks of the edited script,
-/// across several edit sequences and cache on/off.
+/// across several edit sequences.
 #[test]
 fn random_edit_rounds_match_cold_checks() {
     let opts = FrontendOptions::default();
     for seed in [1u64, 2, 4] {
-        for &cached in &[true, false] {
-            let mut session = tool(cached).into_session(seed_script(), opts.clone());
-            let mut rng = Rng(0x5EED_0000 + seed * 31 + cached as u64);
-            let n = session.outcome().stats.statements;
-            for round in 0..6 {
-                // Up to 3 distinct indices per round. Skip index 0..3
-                // (the DDL statements) here; DDL edits get their own
-                // tests below.
-                let mut idx: Vec<usize> = Vec::new();
-                while idx.len() < 1 + rng.below(3) {
-                    let i = 3 + rng.below(n - 3);
-                    if !idx.contains(&i) {
-                        idx.push(i);
-                    }
+        let mut session = SqlCheck::new().into_session(seed_script(), opts.clone());
+        let mut rng = Rng(0x5EED_0000 + seed * 31);
+        let n = session.outcome().stats.statements;
+        for round in 0..6 {
+            // Up to 3 distinct indices per round. Skip index 0..3 (the
+            // DDL statements) here; DDL edits get their own tests below.
+            let mut idx: Vec<usize> = Vec::new();
+            while idx.len() < 1 + rng.below(3) {
+                let i = 3 + rng.below(n - 3);
+                if !idx.contains(&i) {
+                    idx.push(i);
                 }
-                idx.sort();
-                let edits: Vec<Edit> = idx
-                    .iter()
-                    .map(|&i| Edit::new(i, replacement(&mut rng, round * 100 + i)))
-                    .collect();
-                session.recheck(&edits);
-                assert_eq!(session.fallbacks(), 0, "non-DDL edits must stay incremental");
-
-                let cold = SqlCheck::new().check_workload(session.script(), &opts);
-                assert_eq!(
-                    fingerprint(session.outcome()),
-                    fingerprint(&cold),
-                    "seed={seed} cached={cached} round={round}"
-                );
-                // Delta-vs-rebuild on the retained workload profile.
-                let warm_profile = &session.outcome().outcome.context.workload;
-                let cold_profile = &cold.outcome.context.workload;
-                assert_eq!(warm_profile.statement_count, cold_profile.statement_count);
-                assert_eq!(warm_profile.join_edges, cold_profile.join_edges);
-                assert_eq!(warm_profile.table_refs, cold_profile.table_refs);
-                assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
             }
+            idx.sort();
+            let edits: Vec<Edit> = idx
+                .iter()
+                .map(|&i| Edit::new(i, replacement(&mut rng, round * 100 + i)))
+                .collect();
+            session.recheck(&edits);
+            assert_eq!(session.fallbacks(), 0, "non-DDL edits must stay incremental");
+
+            let cold = SqlCheck::new().check_workload(session.script(), &opts);
+            assert_eq!(
+                fingerprint(session.outcome()),
+                fingerprint(&cold),
+                "seed={seed} round={round}"
+            );
+            // Delta-vs-rebuild on the retained workload profile.
+            let warm_profile = &session.outcome().outcome.context.workload;
+            let cold_profile = &cold.outcome.context.workload;
+            assert_eq!(warm_profile.statement_count, cold_profile.statement_count);
+            assert_eq!(warm_profile.join_edges, cold_profile.join_edges);
+            assert_eq!(warm_profile.table_refs, cold_profile.table_refs);
+            assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
         }
     }
 }
 
-/// DDL edits take the refold path (with a cache) and must still match
-/// cold byte-for-byte; the cache's column-granular tiers decide what
-/// re-runs.
+/// DDL edits take the refold path and must still match cold
+/// byte-for-byte, without a rebuild.
 #[test]
 fn ddl_edit_rounds_match_cold_checks() {
     let opts = FrontendOptions::default();
-    let mut session = tool(true).into_session(seed_script(), opts.clone());
+    let mut session = SqlCheck::new().into_session(seed_script(), opts.clone());
     let ddl_variants = [
-        // Touched column type change: evicts users-dependent entries.
+        // Type change of a column most statements read.
         "CREATE TABLE users (id BIGINT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
-        // Added column: core untouched, no eviction of untouched deps.
+        // Added column no statement reads.
         "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT, \
          flags INT)",
         // Back to the original text (revival).
@@ -187,7 +174,7 @@ fn ddl_edit_rounds_match_cold_checks() {
     ];
     for (round, ddl) in ddl_variants.iter().enumerate() {
         session.recheck(&[Edit::new(0, ddl.to_string())]);
-        assert_eq!(session.fallbacks(), 0, "cached DDL edits stay incremental");
+        assert_eq!(session.fallbacks(), 0, "DDL edits stay incremental");
         let cold = SqlCheck::new().check_workload(session.script(), &opts);
         assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "ddl round={round}");
         let warm_profile = &session.outcome().outcome.context.workload;
@@ -199,58 +186,75 @@ fn ddl_edit_rounds_match_cold_checks() {
     }
 }
 
-/// DDL edit without a cache: correctness via declared fallback.
+/// DDL edits patch the session in place — no fallback, no cold revert —
+/// and match a cold check: a `CREATE TABLE` retype, and the write-path
+/// benchmark's shape, where an `ALTER TABLE … ADD COLUMN` replaces a query
+/// in a batch of query edits and the next batch puts everything back.
 #[test]
-fn ddl_edit_without_cache_falls_back_and_matches() {
+fn ddl_edits_patch_in_place_and_match_cold() {
     let opts = FrontendOptions::default();
-    let mut session = tool(false).into_session(seed_script(), opts.clone());
+    let mut session = SqlCheck::new().into_session(seed_script(), opts.clone());
     session.recheck(&[Edit::new(
         0,
         "CREATE TABLE users (id BIGINT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT)",
     )]);
-    assert_eq!(session.fallbacks(), 1, "no cache → DDL rebuilds cold");
+    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "retype patches in place");
     let cold = SqlCheck::new().check_workload(session.script(), &opts);
-    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
+    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "retype");
+
+    let mut script = String::new();
+    for k in 0..4 {
+        script.push_str(&format!("CREATE TABLE app_t{k} (c0 INT PRIMARY KEY, c1 TEXT);\n"));
+    }
+    for i in 0..60 {
+        script.push_str(&format!("SELECT c1 FROM app_t{} WHERE c0 = {};\n", i % 4, i % 7));
+    }
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
+    let stmts = &session.outcome().outcome.context.statements;
+    let original = |i: usize| &session.script()[stmts[i].span.start..stmts[i].span.end];
+    let batch = [
+        Edit::new(9, "SELECT * FROM app_t1 WHERE c0 = 1000009"),
+        Edit::new(21, "ALTER TABLE app_t1 ADD COLUMN c_e0 INT"),
+        Edit::new(40, "SELECT * FROM app_t0 WHERE c0 = 1000040"),
+    ];
+    let revert: Vec<Edit> = batch.iter().map(|e| Edit::new(e.index, original(e.index))).collect();
+    for (round, edits) in [&batch[..], &revert].into_iter().enumerate() {
+        session.recheck(edits);
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "round {round}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "round {round}");
+    }
 }
 
-/// Column-granular invalidation, observed end-to-end through the
-/// session: ADD COLUMN evicts nothing (untouched deps), a column retype
-/// evicts only dependents — and both stay byte-identical to cold.
+/// A DDL edit re-emits only the statements whose detections it changed:
+/// ADD COLUMN of a column nothing reads re-emits the DDL alone, and a
+/// retype of a column most statements read still matches cold.
 #[test]
-fn column_granular_eviction_never_over_evicts_or_goes_stale() {
+fn ddl_edit_never_over_emits_or_goes_stale() {
     let opts = FrontendOptions::default();
-    let mut session = tool(true).into_session(seed_script(), opts.clone());
+    let mut session = SqlCheck::new().into_session(seed_script(), opts.clone());
 
-    // ADD COLUMN `flags`: no existing statement reads it, so the sweep
-    // must evict nothing and the only recomputed text is the DDL itself.
+    // ADD COLUMN `flags`: no existing statement reads it, so the only
+    // re-emitted statement is the DDL itself.
     session.recheck(&[Edit::new(
         0,
         "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT, flags INT)",
     )]);
-    let stats = &session.outcome().stats;
-    // The only eviction is the replaced DDL text's own entry (a whole-
-    // table dependency); every query entry survives because none reads
-    // the new column.
     assert_eq!(
-        stats.incremental_evictions, 1,
-        "ADD COLUMN evicts only the stale DDL entry"
+        session.outcome().stats.warm_dirty_statements,
+        1,
+        "ADD COLUMN re-emits only the edited DDL"
     );
-    assert_eq!(stats.column_evictions, 0, "no column-classified evictions");
-    assert_eq!(stats.incremental_misses, 1, "only the edited DDL text re-analysed");
-    assert!(stats.warm_dirty_statements >= 1);
     let cold = SqlCheck::new().check_workload(session.script(), &opts);
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "never stale");
 
-    // Retype `users.id` — referenced by most statements: dependents are
-    // evicted (column- or core-classified), and the outcome still
+    // Retype `users.id` — read by most statements: the outcome still
     // matches cold.
     session.recheck(&[Edit::new(
         0,
         "CREATE TABLE users (id BIGINT PRIMARY KEY, name VARCHAR(64), bio TEXT, age INT, \
          flags INT)",
     )]);
-    let stats = &session.outcome().stats;
-    assert!(stats.incremental_evictions > 0, "touched column must evict dependents");
     let cold = SqlCheck::new().check_workload(session.script(), &opts);
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "never stale");
     assert_eq!(session.fallbacks(), 0);
@@ -268,7 +272,7 @@ fn guarded_edits_fall_back_and_match() {
         "SELECT name FROM users WHERE (id =", // parse diagnostics
     ];
     for (k, text) in cases.iter().enumerate() {
-        let mut session = tool(true).into_session(seed_script(), opts.clone());
+        let mut session = SqlCheck::new().into_session(seed_script(), opts.clone());
         session.recheck(&[Edit::new(5, text.to_string())]);
         assert_eq!(session.fallbacks(), 1, "case {k} must fall back");
         let cold = SqlCheck::new().check_workload(session.script(), &opts);
@@ -295,7 +299,7 @@ fn database_backed_session_matches_cold() {
             db.insert("metrics", vec![Value::Int(id), Value::text(label), Value::Float(val)])
                 .expect("seed row");
         }
-        SqlCheck::new().with_database(db).with_cache(1024)
+        SqlCheck::new().with_database(db)
     };
 
     let script = "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64));\n\
@@ -352,25 +356,19 @@ fn ddl_edit_flips_implicit_columns_fix_and_back() {
         v.sort();
         v
     };
-    for cached in [true, false] {
-        let mut session = tool(cached).into_session(script, opts.clone());
-        assert_eq!(insert_fixes(session.outcome()), [(2, true), (4, true)]);
-        for round in 0..4 {
-            let (edit, rewrite) = if round % 2 == 0 {
-                ("ALTER TABLE t ADD COLUMN c INT", false)
-            } else {
-                ("SELECT a FROM t WHERE b = 1", true)
-            };
-            session.recheck(&[Edit::new(1, edit)]);
-            let warm = insert_fixes(session.outcome());
-            assert_eq!(warm, [(2, rewrite), (4, rewrite)], "cached={cached} round={round}");
-            let cold = tool(cached).check_workload(session.script(), &opts);
-            assert_eq!(
-                fingerprint(session.outcome()),
-                fingerprint(&cold),
-                "cached={cached} round={round}"
-            );
-        }
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
+    assert_eq!(insert_fixes(session.outcome()), [(2, true), (4, true)]);
+    for round in 0..4 {
+        let (edit, rewrite) = if round % 2 == 0 {
+            ("ALTER TABLE t ADD COLUMN c INT", false)
+        } else {
+            ("SELECT a FROM t WHERE b = 1", true)
+        };
+        session.recheck(&[Edit::new(1, edit)]);
+        let warm = insert_fixes(session.outcome());
+        assert_eq!(warm, [(2, rewrite), (4, rewrite)], "round={round}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "round={round}");
     }
 }
 
@@ -379,7 +377,7 @@ fn ddl_edit_flips_implicit_columns_fix_and_back() {
 /// (so nothing may be freed), a later batch replaces both with fresh
 /// texts (freeing their slots), the next replaces those (reusing the
 /// freed ids), and a last batch restores the originals. Every round
-/// matches a cold check, cache on and off.
+/// matches a cold check.
 #[test]
 fn swapped_and_freed_texts_reuse_slots_and_match_cold() {
     let opts = FrontendOptions::default();
@@ -398,25 +396,19 @@ fn swapped_and_freed_texts_reuse_slots_and_match_cold() {
         ["SELECT * FROM users WHERE id = 903".into(), "UPDATE users SET age = 1 WHERE id = 904".into()],
         [a, b],
     ];
-    for cached in [true, false] {
-        let mut session = tool(cached).into_session(script.clone(), opts.clone());
-        for (round, texts) in rounds.iter().enumerate() {
-            session.recheck(&[Edit::new(3, texts[0].clone()), Edit::new(5, texts[1].clone())]);
-            assert_eq!(session.fallbacks(), 0, "cached={cached} round={round}");
-            let cold = SqlCheck::new().check_workload(session.script(), &opts);
-            assert_eq!(
-                fingerprint(session.outcome()),
-                fingerprint(&cold),
-                "cached={cached} round={round}"
-            );
-            let warm_profile = &session.outcome().outcome.context.workload;
-            let cold_profile = &cold.outcome.context.workload;
-            assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
-            assert_eq!(warm_profile.join_edges, cold_profile.join_edges);
-            assert_eq!(warm_profile.table_refs, cold_profile.table_refs);
-        }
-        assert_eq!(session.script(), script, "cached={cached}: the last round restores the script");
+    let mut session = SqlCheck::new().into_session(script.clone(), opts.clone());
+    for (round, texts) in rounds.iter().enumerate() {
+        session.recheck(&[Edit::new(3, texts[0].clone()), Edit::new(5, texts[1].clone())]);
+        assert_eq!(session.fallbacks(), 0, "round={round}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "round={round}");
+        let warm_profile = &session.outcome().outcome.context.workload;
+        let cold_profile = &cold.outcome.context.workload;
+        assert_eq!(normalized_usage(warm_profile), normalized_usage(cold_profile));
+        assert_eq!(warm_profile.join_edges, cold_profile.join_edges);
+        assert_eq!(warm_profile.table_refs, cold_profile.table_refs);
     }
+    assert_eq!(session.script(), script, "the last round restores the script");
 }
 
 /// Warm stats must attribute the work to the edit set, not the workload:
@@ -425,7 +417,7 @@ fn swapped_and_freed_texts_reuse_slots_and_match_cold() {
 #[test]
 fn warm_stats_reflect_edit_proportionality() {
     let opts = FrontendOptions::default();
-    let mut session = tool(true).into_session(seed_script(), opts);
+    let mut session = SqlCheck::new().into_session(seed_script(), opts);
     let n = session.outcome().stats.statements;
     session.recheck(&[Edit::new(7, "SELECT age FROM users WHERE age = 41")]);
     let stats = &session.outcome().stats;
@@ -435,40 +427,37 @@ fn warm_stats_reflect_edit_proportionality() {
         "one fresh text should dirty at most its own occurrences, got {}",
         stats.warm_dirty_statements
     );
-    assert!(stats.incremental_misses <= 1);
     // Every re-check runs all four inter units.
     assert_eq!((stats.inter_units_reused, stats.inter_units_recomputed), (0, 4));
     assert!(stats.total_micros > 0);
-    // Repeating the identical recheck revives the retired text — a pure
-    // cache hit, zero dirty statements.
+    // Reverting and repeating the edit dirties the edited statement
+    // alone again.
     session.recheck(&[Edit::new(7, "SELECT name FROM users WHERE bio LIKE '%rust%'")]);
     session.recheck(&[Edit::new(7, "SELECT age FROM users WHERE age = 41")]);
     let stats = &session.outcome().stats;
-    assert_eq!(stats.incremental_misses, 0, "revived text replays from cache");
+    assert!(stats.warm_dirty_statements <= 2, "got {}", stats.warm_dirty_statements);
 }
 
 /// Building a session runs detection once: the cold check's engine
-/// hands its per-unique and per-unit results to the session, so a fresh
-/// shared cache sees one miss per unique text and one run per inter
-/// unit — and no read-backs of what the check just stored.
+/// hands its per-unique and per-unit results to the session, whose
+/// outcome and stats are the cold check's — one run per inter unit.
 #[test]
 fn into_session_runs_detection_once() {
-    let cache = std::sync::Arc::new(sqlcheck::IncrementalCache::new(4096));
-    let session = SqlCheck::new()
-        .with_shared_cache(std::sync::Arc::clone(&cache))
-        .into_session(seed_script(), FrontendOptions::default());
-    let unique_texts = session.outcome().stats.unique_texts as u64;
-    let c = cache.counters();
-    assert_eq!(c.hits, 0, "no cache read-backs");
-    assert_eq!(c.misses, unique_texts, "one lookup per unique text");
-    assert_eq!(session.outcome().stats.inter_units_recomputed, 4, "each inter unit runs once");
+    let opts = FrontendOptions::default();
+    let session = SqlCheck::new().into_session(seed_script(), opts.clone());
+    let cold = SqlCheck::new().check_workload(&seed_script(), &opts);
+    let stats = &session.outcome().stats;
+    assert_eq!(stats.unique_texts, cold.stats.unique_texts);
+    assert_eq!(stats.inter_units_recomputed, 4, "each inter unit runs once");
+    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
 }
 
 /// Every inter-query rule turns on and back off through warm re-checks,
 /// and each round matches a cold check of the edited script. Non-DDL
 /// edits flip No Foreign Key, Index Underuse and Index Overuse through
 /// the workload profile alone; a DDL edit flips Clone Table. The script
-/// has at least ten statements per edit, so no round reverts cold.
+/// has at least ten statements per edit, so no round reverts cold, and
+/// none falls back.
 #[test]
 fn inter_rules_flip_through_warm_rechecks_and_match_cold() {
     use sqlcheck::AntiPatternKind::{CloneTable, IndexOveruse, IndexUnderuse, NoForeignKey};
@@ -497,21 +486,17 @@ fn inter_rules_flip_through_warm_rechecks_and_match_cold() {
         (CloneTable, "CREATE TABLE log_2 (id INT PRIMARY KEY, msg TEXT)"),
     ];
     let opts = FrontendOptions::default();
-    for cached in [true, false] {
-        let mut session = tool(cached).into_session(script, opts.clone());
-        assert!(session.outcome().stats.statements >= 10);
-        for (&(index, original), &(kind, text)) in off.iter().zip(&on) {
-            for (text, fires) in [(text, true), (original, false)] {
-                session.recheck(&[Edit::new(index, text)]);
-                let tag = format!("{kind:?} {} (cache {cached})", if fires { "on" } else { "off" });
-                let warm = session.outcome();
-                assert_eq!(warm.outcome.report.count(kind) > 0, fires, "{tag}");
-                let cold = tool(cached).check_workload(session.script(), &opts);
-                assert_eq!(fingerprint(warm), fingerprint(&cold), "{tag}");
-                if cached && kind != CloneTable {
-                    assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "{tag}");
-                }
-            }
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
+    assert!(session.outcome().stats.statements >= 10);
+    for (&(index, original), &(kind, text)) in off.iter().zip(&on) {
+        for (text, fires) in [(text, true), (original, false)] {
+            session.recheck(&[Edit::new(index, text)]);
+            let tag = format!("{kind:?} {}", if fires { "on" } else { "off" });
+            let warm = session.outcome();
+            assert_eq!(warm.outcome.report.count(kind) > 0, fires, "{tag}");
+            let cold = SqlCheck::new().check_workload(session.script(), &opts);
+            assert_eq!(fingerprint(warm), fingerprint(&cold), "{tag}");
+            assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "{tag}");
         }
     }
 }
@@ -523,15 +508,13 @@ fn inter_rules_flip_through_warm_rechecks_and_match_cold() {
 fn edit_that_changes_the_guessed_dialect_matches_cold() {
     let opts = FrontendOptions { detect_dialect: true, ..FrontendOptions::default() };
     let script: String = (0..40).map(|i| format!("SELECT a FROM t WHERE id = {i};\n")).collect();
-    for cached in [true, false] {
-        let mut session = tool(cached).into_session(script.clone(), opts.clone());
-        assert_eq!(session.outcome().outcome.context.dialect, Dialect::Generic);
-        session.recheck(&[Edit::new(0, "SELECT `a` FROM t WHERE id = 1")]);
-        let cold = SqlCheck::new().check_workload(session.script(), &opts);
-        assert_eq!(cold.outcome.context.dialect, Dialect::MySql);
-        assert_eq!(session.outcome().outcome.context.dialect, Dialect::MySql, "cached={cached}");
-        assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "cached={cached}");
-    }
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
+    assert_eq!(session.outcome().outcome.context.dialect, Dialect::Generic);
+    session.recheck(&[Edit::new(0, "SELECT `a` FROM t WHERE id = 1")]);
+    let cold = SqlCheck::new().check_workload(session.script(), &opts);
+    assert_eq!(cold.outcome.context.dialect, Dialect::MySql);
+    assert_eq!(session.outcome().outcome.context.dialect, Dialect::MySql);
+    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
 }
 
 /// A DDL edit that changes the detections of a text re-emits every
@@ -545,13 +528,15 @@ fn ddl_edit_re_emits_unedited_occurrences_of_a_changed_text() {
     for i in 0..12 {
         script.push_str(&format!("SELECT a || b FROM t;\nSELECT a FROM t WHERE a = '{i}';\n"));
     }
-    let mut session = tool(true).into_session(script, opts.clone());
+    let mut session = SqlCheck::new().into_session(script, opts.clone());
     for ddl in [
         "CREATE TABLE t (a TEXT NOT NULL, b TEXT NOT NULL)",
         "CREATE TABLE t (a TEXT, b TEXT)",
     ] {
         session.recheck(&[Edit::new(0, ddl)]);
         assert_eq!(session.fallbacks(), 0, "{ddl}");
+        let dirty = session.outcome().stats.warm_dirty_statements;
+        assert!(dirty > 12, "{ddl}: the 12 unedited occurrences re-emit, got {dirty}");
         let cold = SqlCheck::new().check_workload(session.script(), &opts);
         assert_eq!(fingerprint(session.outcome()), fingerprint(&cold), "{ddl}");
     }

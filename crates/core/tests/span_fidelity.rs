@@ -97,16 +97,39 @@ fn fixes_for_duplicates_point_at_their_own_location() {
 }
 
 #[test]
-fn cached_rechecks_preserve_per_occurrence_spans() {
-    // Round 1 populates the cache; round 2 replays it. The replayed
-    // detections must carry round-2 occurrence spans, not canonical or
-    // first-occurrence ones.
-    let tool = SqlCheck::new().with_cache(1024);
-    let cold = tool.check_workload(SCRIPT, &FrontendOptions::default());
-    let warm = tool.check_workload(SCRIPT, &FrontendOptions::default());
-    assert!(warm.stats.incremental_hits > 0, "second round must hit the cache");
+fn session_rechecks_preserve_per_occurrence_spans() {
+    // A session over SCRIPT plus filler (so one edit patches in place
+    // rather than reverting cold). Lengthening the statement between the
+    // duplicates moves the second one; reverting moves it back. The
+    // re-emitted and moved detections must carry each round's occurrence
+    // spans, not canonical or first-occurrence ones.
+    let filler: String = (0..8).map(|i| format!("SELECT a FROM t WHERE a = {i};\n")).collect();
+    let opts = FrontendOptions::default();
+    let mut session = SqlCheck::new().into_session(format!("{SCRIPT}{filler}"), opts.clone());
     let key = |o: &sqlcheck::CheckOutcome| {
         o.report.detections.iter().map(|d| format!("{d:?}")).collect::<Vec<_>>()
     };
-    assert_eq!(key(&cold.outcome), key(&warm.outcome), "cached replay is byte-identical");
+    for insert in [
+        "INSERT INTO t (a, b) VALUES (1, 'a much longer literal than before')",
+        "INSERT INTO t (a, b) VALUES (1, 'y')",
+    ] {
+        session.recheck(&[sqlcheck::Edit::new(2, insert)]);
+        assert_eq!((session.fallbacks(), session.cold_reverts()), (0, 0), "{insert}");
+        let cold = SqlCheck::new().check_workload(session.script(), &opts);
+        assert_eq!(key(&cold.outcome), key(&session.outcome().outcome), "{insert}");
+        let occ = occurrence_texts(session.script());
+        for (index, want) in [(1, occ[0]), (3, occ[1])] {
+            let spans: Vec<_> = session
+                .outcome()
+                .outcome
+                .report
+                .detections
+                .iter()
+                .filter(|d| d.locus == Locus::Statement { index })
+                .map(|d| d.span.map(|s| (s.start, s.end)))
+                .collect();
+            assert!(!spans.is_empty(), "{insert}: statement {index} is flagged");
+            assert!(spans.iter().all(|&s| s == Some(want)), "{insert}: {spans:?} vs {want:?}");
+        }
+    }
 }

@@ -122,41 +122,37 @@ fn table_matches_statements_and_cold_checks_through_edit_rounds() {
         "CREATE TABLE users (id INT PRIMARY KEY, name VARCHAR(64), age INT, bio TEXT)",
         "CREATE TABLE orders (id INT PRIMARY KEY, user_id INT, total DECIMAL(10, 2))",
     ];
-    for cached in [true, false] {
-        for seed in [3u64, 5, 9] {
-            let tool = if cached { SqlCheck::new().with_cache(4096) } else { SqlCheck::new() };
-            let mut session = tool.into_session(original.clone(), FrontendOptions::default());
-            let n = session.outcome().stats.statements;
-            let mut rng = Rng(0x7AB1E ^ seed << 8 ^ cached as u64);
-            for round in 0..12 {
-                // Every third round edits a DDL statement.
-                let mut idx: Vec<usize> =
-                    if round % 3 == 0 { vec![round / 3 % DDL] } else { vec![] };
-                while idx.len() < 1 + rng.below(4) {
-                    let i = rng.below(n);
-                    if !idx.contains(&i) {
-                        idx.push(i);
-                    }
+    for seed in [3u64, 5, 9] {
+        let mut session = SqlCheck::new().into_session(original.clone(), FrontendOptions::default());
+        let n = session.outcome().stats.statements;
+        let mut rng = Rng(0x7AB1E ^ seed << 8);
+        for round in 0..12 {
+            // Every third round edits a DDL statement.
+            let mut idx: Vec<usize> = if round % 3 == 0 { vec![round / 3 % DDL] } else { vec![] };
+            while idx.len() < 1 + rng.below(4) {
+                let i = rng.below(n);
+                if !idx.contains(&i) {
+                    idx.push(i);
                 }
-                let edits: Vec<Edit> = idx
-                    .iter()
-                    .map(|&i| {
-                        let text = match (i < DDL, rng.below(3)) {
-                            (true, 0) => ddl[i].to_string(),
-                            (_, 1) => format!("SELECT age FROM users WHERE id = {}", 900 + round),
-                            _ => original_texts[DDL + rng.below(n - DDL)].to_string(),
-                        };
-                        Edit::new(i, text)
-                    })
-                    .collect();
-                session.recheck(&edits);
-                let what = format!("cached={cached} seed={seed} round={round}");
-                check_against_cold(session.outcome(), session.script(), &what);
             }
-            // Without a cache only DDL edits rebuild; with one, none do.
-            let patched = session.rechecks() - session.fallbacks() - session.cold_reverts();
-            assert!(patched > 0 && (!cached || patched == 12), "cached={cached} seed={seed}");
+            let edits: Vec<Edit> = idx
+                .iter()
+                .map(|&i| {
+                    let text = match (i < DDL, rng.below(3)) {
+                        (true, 0) => ddl[i].to_string(),
+                        (_, 1) => format!("SELECT age FROM users WHERE id = {}", 900 + round),
+                        _ => original_texts[DDL + rng.below(n - DDL)].to_string(),
+                    };
+                    Edit::new(i, text)
+                })
+                .collect();
+            session.recheck(&edits);
+            let what = format!("seed={seed} round={round}");
+            check_against_cold(session.outcome(), session.script(), &what);
         }
+        // DDL edits included, every round patches in place.
+        let patched = session.rechecks() - session.fallbacks() - session.cold_reverts();
+        assert_eq!(patched, 12, "seed={seed}");
     }
 }
 

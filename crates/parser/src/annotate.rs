@@ -211,9 +211,9 @@ fn annotate_into(stmt: &Statement, arena: &ExprArena, a: &mut Draft) {
 
 /// Fold the annotations of a compound statement's body sub-statements
 /// into the enclosing statement's digest: a trigger whose body writes
-/// `u` and deletes from `v` *references* `u` and `v` — the per-table
-/// incremental-cache invalidation and the inter-query rules depend on
-/// body tables being surfaced here. Each body statement appends to every
+/// `u` and deletes from `v` *references* `u` and `v` — the contextual
+/// rules and the inter-query rules depend on body tables being surfaced
+/// here. Each body statement appends to every
 /// list after the enclosing statement's own entries and the earlier body
 /// statements'.
 fn annotate_body(body: &[BodyStatement], arena: &ExprArena, a: &mut Draft) {
@@ -478,7 +478,7 @@ mod tests {
     fn trigger_body_tables_are_surfaced() {
         // The acceptance repro: the trigger's annotations must include
         // both body-referenced tables (u, v) plus the attached table (t),
-        // so per-table cache invalidation evicts on a DDL edit to `v`.
+        // so the rules that read the schema see the body's tables.
         let a = ann(
             "CREATE TRIGGER trg AFTER INSERT ON t FOR EACH ROW \
              BEGIN UPDATE u SET a = 1; DELETE FROM v; END",

@@ -168,25 +168,6 @@ impl Default for Limits {
     }
 }
 
-impl Limits {
-    /// FNV-1a digest of the budget values — used to key caches whose
-    /// entries depend on how statements were parsed.
-    pub fn epoch(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        mix(self.max_statement_bytes as u64);
-        mix(self.max_tokens as u64);
-        mix(self.max_block_depth as u64);
-        mix(self.max_expr_depth as u64);
-        h
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,13 +184,5 @@ mod tests {
         let d = Diagnostic::new(DiagKind::ParseDegraded, "statement fell back to Other");
         assert_eq!(d.to_string(), "[parse-degraded] statement fell back to Other");
         assert_eq!(d.at(3).to_string(), "[parse-degraded] statement 3: statement fell back to Other");
-    }
-
-    #[test]
-    fn limits_epoch_distinguishes_values() {
-        let a = Limits::default();
-        let b = Limits { max_expr_depth: 129, ..Limits::default() };
-        assert_ne!(a.epoch(), b.epoch());
-        assert_eq!(a.epoch(), Limits::default().epoch());
     }
 }

@@ -587,8 +587,8 @@ mod tests {
 
     #[test]
     fn content_hash_is_a_byte_hash() {
-        // Pinned values: a statement's content hash keys the incremental
-        // cache, so the function must not drift. They cover the empty
+        // Pinned values: a statement's content hash keys the unique-text
+        // table, so the function must not drift. They cover the empty
         // input, a tail shorter than one word, one word, a tail longer
         // than one word, and several 16-byte blocks.
         let pinned: [(&str, u128); 5] = [

@@ -4,12 +4,12 @@
 //! *any* byte sequence flows through split → parse → detect → rank → fix
 //! without a panic, degradation is always *reported* (never silent), and
 //! the diagnostics a run emits are deterministic — repeatable and
-//! independent of cache state. These properties run over
+//! independent of retained session state. These properties run over
 //! deterministically generated random cases (the build environment has
 //! no `proptest`; same seeds, same cases, every run).
 
 use sqlcheck::{
-    CheckOutcome, CustomRule, Detection, DiagKind, Dialect, FrontendOptions, SqlCheck,
+    CheckOutcome, CustomRule, Detection, DiagKind, Dialect, Edit, FrontendOptions, SqlCheck,
     WorkloadOutcome,
 };
 use sqlcheck_minidb::stats::SmallRng;
@@ -66,9 +66,9 @@ fn workload_fingerprint(w: &WorkloadOutcome) -> String {
     )
 }
 
-/// Arbitrary bytes through both entry points, with and without an
-/// incremental cache: no panics, and the degradation fingerprint is
-/// identical across all configurations.
+/// Arbitrary bytes through both entry points, and repeated runs of one
+/// toolchain: no panics, and the degradation fingerprint is identical
+/// across all of them.
 #[test]
 fn arbitrary_bytes_are_total_and_deterministic() {
     let mut rng = SmallRng::new(0x0B5E55);
@@ -77,11 +77,11 @@ fn arbitrary_bytes_are_total_and_deterministic() {
         let opts = FrontendOptions::default();
         let baseline = SqlCheck::new().check_workload(&input, &opts);
         let base_fp = workload_fingerprint(&baseline);
-        let cached_tool = SqlCheck::new().with_cache(256);
-        let cold = cached_tool.check_workload(&input, &opts);
-        let warm = cached_tool.check_workload(&input, &opts);
-        assert_eq!(workload_fingerprint(&cold), base_fp, "case {case}: cold cached run");
-        assert_eq!(workload_fingerprint(&warm), base_fp, "case {case}: warm cached run");
+        let tool = SqlCheck::new();
+        let first = tool.check_workload(&input, &opts);
+        let second = tool.check_workload(&input, &opts);
+        assert_eq!(workload_fingerprint(&first), base_fp, "case {case}: first repeated run");
+        assert_eq!(workload_fingerprint(&second), base_fp, "case {case}: second repeated run");
         let script_fp = fingerprint(&SqlCheck::new().check_script(&input));
         assert_eq!(
             fingerprint(&SqlCheck::new().check_script(&input)),
@@ -226,19 +226,22 @@ fn faulty_rule_is_isolated_everywhere() {
     }
 }
 
-/// A panicking rule does not poison the shared incremental cache: a
-/// faulty run followed by a clean run on the same tool still produces
-/// the clean baseline output.
+/// A panicking rule does not poison a session's retained results: a
+/// faulty session re-checked through an edit and its revert still
+/// produces the clean baseline output.
 #[test]
-fn faulty_rule_does_not_poison_the_cache() {
+fn faulty_rule_does_not_poison_a_session() {
     let script = "CREATE TABLE t (a INT);\nSELECT * FROM t;\nSELECT a FROM t WHERE a = 1;\n";
     let baseline = SqlCheck::new().check_workload(script, &FrontendOptions::default());
-    let cached = SqlCheck::new().with_cache(256).with_rule(Box::new(FaultyRule));
-    let _ = cached.check_workload(script, &FrontendOptions::default());
-    let again = cached.check_workload(script, &FrontendOptions::default());
+    let mut session = SqlCheck::new()
+        .with_rule(Box::new(FaultyRule))
+        .into_session(script, FrontendOptions::default());
+    session.recheck(&[Edit::new(1, "SELECT a FROM t")]);
+    session.recheck(&[Edit::new(1, "SELECT * FROM t")]);
+    assert_eq!(session.script(), script);
     let base: Vec<String> =
         baseline.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
     let warm: Vec<String> =
-        again.outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
-    assert_eq!(base, warm, "warm faulty-tool run lost or duplicated detections");
+        session.outcome().outcome.ranked().iter().map(|r| format!("{:?}", r.detection)).collect();
+    assert_eq!(base, warm, "warm faulty-session re-check lost or duplicated detections");
 }
