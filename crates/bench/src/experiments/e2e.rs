@@ -28,7 +28,7 @@
 
 use super::throughput::script_for_shape;
 use crate::alloc_count::{alloc_count, allocs_per_stmt};
-use crate::harness::{sample_of, Json};
+use crate::harness::{sample_of, Json, Sample};
 use sqlcheck::detect::reference;
 use sqlcheck::{
     BatchStats, CheckSession, Detector, Edit, FrontendOptions, Report, SqlCheck, WorkloadOutcome,
@@ -126,7 +126,7 @@ fn outcome_key(o: &WorkloadOutcome) -> Vec<String> {
 
 /// Repetitions per measurement; the minimum observation is reported
 /// (noise-robust: preemption and hypervisor steal only ever add time).
-const REPS: usize = 3;
+const REPS: usize = 5;
 
 /// One cold end-to-end check, the call `sqlcheck FILE` makes.
 fn check(script: &str) -> WorkloadOutcome {
@@ -176,46 +176,50 @@ fn run_inner(
     let script = script_for_shape(workload, statements, templates, seed);
     let opts = FrontendOptions::default();
 
-    // Cold: one check and the freeing of its outcome, which is what a
-    // long-running caller pays per cold re-check (a warm re-check frees
-    // what it replaces inside its own timing).
-    let (_, cold_sample) = sample_of(REPS, || drop(check(&script)));
-
-    // One more, untimed cold check supplies the stats, the detections
-    // and the heap traffic per unique statement (only meaningful with
-    // the counting allocator compiled in).
+    // One untimed cold check supplies the stats, the detections and the
+    // heap traffic per unique statement (only meaningful with the
+    // counting allocator compiled in).
     let a0 = alloc_count();
     let pipeline = check(&script);
     let allocs = allocs_per_stmt(a0, alloc_count(), pipeline.stats.unique_texts.max(1));
     let cold = pipeline.stats;
     let detections = pipeline.outcome.report.detections.len();
     // Byte-identity on the original workload: pipeline ≡ the reference
-    // context. The cold outcome is freed before the warm leg runs.
+    // context. The cold outcome is freed before the timed legs run.
     let cold_identical = !with_reference
         || report_key(&reference_report(&script)) == report_key(&pipeline.outcome.report);
     drop(pipeline.outcome);
 
-    // Warm: retain a session over the original workload (cold build,
-    // untimed), then time only `recheck(&edits)`. Each repetition gets a
-    // fresh session so no rep re-checks an already-applied edit set.
+    // The three legs are timed in turns, one repetition of each per
+    // round, so host drift lands on all of them alike:
+    // * cold — one check and the freeing of its outcome, which is what
+    //   a long-running caller pays per cold re-check (a warm re-check
+    //   frees what it replaces inside its own timing);
+    // * warm — a session retained over the original workload (built
+    //   untimed, fresh each round so no round re-checks an applied edit
+    //   set), timing only `recheck(&edits)`;
+    // * cold edited — a cold check of the edited script, timed like the
+    //   original's.
     let edits = edit_set(cold.statements, edit_permille, seed ^ 0xE017);
     let edited = edits.len();
-    let mut sessions: Vec<CheckSession> = (0..REPS)
-        .map(|_| SqlCheck::new().into_session(script.clone(), opts.clone()))
-        .collect();
-    let (warm_session, warm_sample) = sample_of(REPS, || {
-        let mut s = sessions.pop().expect("one retained session per repetition");
-        s.recheck(&edits);
-        s
-    });
+    let (mut cold_obs, mut warm_obs, mut edited_obs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut warm_session: Option<CheckSession> = None;
+    for _ in 0..REPS {
+        cold_obs.push(sample_of(1, || drop(check(&script))).1.min_micros);
+        let mut session = SqlCheck::new().into_session(script.clone(), opts.clone());
+        warm_obs.push(sample_of(1, || _ = session.recheck(&edits)).1.min_micros);
+        edited_obs.push(sample_of(1, || drop(check(session.script()))).1.min_micros);
+        warm_session = Some(session);
+    }
+    let (cold_sample, warm_sample, cold_edited_sample) =
+        (Sample::of(cold_obs), Sample::of(warm_obs), Sample::of(edited_obs));
+    let warm_session = warm_session.expect("at least one repetition");
     let warm = warm_session.outcome().stats.clone();
     let fallbacks = warm_session.fallbacks();
 
-    // Cold on the edited script, timed like the original's; then, once
-    // more and untimed, for byte-identity: the warm session ≡ a cold full
-    // check of the edited script (detections and ranking — the session
-    // patches both).
-    let (_, cold_edited_sample) = sample_of(REPS, || drop(check(warm_session.script())));
+    // Once more and untimed, for byte-identity: the warm session ≡ a
+    // cold full check of the edited script (detections and ranking —
+    // the session patches both).
     let cold_edited = check(warm_session.script());
     let identical =
         cold_identical && outcome_key(&cold_edited) == outcome_key(warm_session.outcome());

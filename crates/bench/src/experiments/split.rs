@@ -227,9 +227,10 @@ pub const FRONTEND_MEMORY_STATEMENTS: usize = 20_000;
 /// that keeps every unique text's token vector next to its tree measures
 /// 68.4 heap bytes per input byte; one that keeps only the source, tree,
 /// annotations and diagnostics measures 37.7 while the arena and the
-/// annotation lists keep their growth capacity, and 26.3 with both
-/// handed off at their exact size.
-pub const FRONTEND_HEAP_PER_BYTE_CEILING: f64 = 32.0;
+/// annotation lists keep their growth capacity, 26.3 with both handed off
+/// at their exact size, and 7.1 with one tree per shape (texts that
+/// differ only in number literals share one parse and annotation).
+pub const FRONTEND_HEAP_PER_BYTE_CEILING: f64 = 8.8;
 
 /// The most heap one context build held at once, on the unique-heavy
 /// skewed shape.

@@ -181,8 +181,12 @@ fn main() {
         );
         eprintln!(
             "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-             {} cache hit(s)",
-            s.statements, s.unique_templates, s.unique_texts, s.cache_hits,
+             {} parsed tree(s), {} duplicate statement(s)",
+            s.statements,
+            s.unique_templates,
+            s.unique_texts,
+            s.parsed_trees,
+            s.duplicate_statements,
         );
         eprintln!(
             "stats: front-end split {}us, intake {}us, materialize {}us, parse {}us, \

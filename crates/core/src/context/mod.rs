@@ -37,7 +37,7 @@ use sqlcheck_minidb::database::Database;
 use sqlcheck_parser::annotate::Annotations;
 use sqlcheck_parser::ast::ParsedStatement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic, Limits};
-use sqlcheck_parser::splitter::split_deduped;
+use sqlcheck_parser::splitter::{split_deduped, ShapeLex};
 use sqlcheck_parser::Dialect;
 use sqlcheck_parser::token::Span;
 use std::sync::Arc;
@@ -47,16 +47,20 @@ use std::time::{Duration, Instant};
 ///
 /// The parse tree, annotations and diagnostics are the [`Arc`]s of its
 /// entry in [`Context::uniques`]: each unique text is parsed and
-/// annotated once and shared by every occurrence. Token *spans* inside
-/// the shared tree refer to the first occurrence; [`AnalyzedStatement::span`]
-/// is the per-occurrence record, so consumers that need the exact source
-/// location of a duplicate (reports, fixes) read it from here, never
-/// from the tree.
+/// annotated once and shared by every occurrence, and a DML text shares
+/// the tree of its shape (see [`UniqueText::parsed`]), so the tree's
+/// source and number literals may be another text's. Token *spans*
+/// inside the shared tree refer to the first occurrence;
+/// [`AnalyzedStatement::span`] is the per-occurrence record, so consumers
+/// that need the exact source location of a duplicate (reports, fixes)
+/// read it from here, never from the tree, and the statement's own text
+/// from [`AnalyzedStatement::text`].
 #[derive(Debug, Clone)]
 pub struct AnalyzedStatement {
-    /// The parsed statement (shared across duplicate texts).
+    /// The parsed statement (shared across duplicate texts and texts of
+    /// one shape).
     pub parsed: Arc<ParsedStatement>,
-    /// Its annotation digest (shared across duplicate texts).
+    /// Its annotation digest (shared with its tree).
     pub ann: Arc<Annotations>,
     /// Id of its text in [`Context::uniques`].
     pub unique: usize,
@@ -67,6 +71,14 @@ pub struct AnalyzedStatement {
     /// (shared across duplicate occurrences). `statement` indexes are
     /// unset here; consumers attribute the first occurrence.
     pub diags: Arc<[Diagnostic]>,
+}
+
+impl AnalyzedStatement {
+    /// The statement's own source text, from its entry in `uniques` (the
+    /// table of the context holding it).
+    pub fn text<'t>(&self, uniques: &'t UniqueTable) -> &'t str {
+        &uniques[self.unique].source
+    }
 }
 
 /// The application context.
@@ -130,21 +142,16 @@ impl Context {
 
     /// Fold the schema from the statements in order, then the tables of
     /// `db` the DDL does not declare, then the workload profile once per
-    /// live unique text weighted by its count (every profile counter is
-    /// additive, so this equals folding each occurrence).
+    /// live tree weighted by the summed count of its texts (every profile
+    /// counter is additive, and no fold step reads a number literal, so
+    /// this equals folding each occurrence).
     pub(crate) fn refold(&mut self, db: Option<&Database>) {
         let mut schema =
             SchemaCatalog::from_statements(self.statements.iter().map(|a| &a.parsed.stmt));
         if let Some(db) = db {
             schema.add_missing_tables(db);
         }
-        self.workload = WorkloadProfile::build_weighted(
-            self.uniques
-                .iter()
-                .filter(|(_, u)| u.count > 0)
-                .map(|(_, u)| (&u.parsed.stmt, u.ann.as_ref(), u.count)),
-            &schema,
-        );
+        self.workload = WorkloadProfile::build_weighted(self.uniques.weighted_trees(), &schema);
         self.schema = schema;
     }
 }
@@ -156,25 +163,32 @@ impl Context {
 pub struct FrontendStats {
     /// Statements in the context (after splitting, duplicates included).
     pub statements: usize,
-    /// Unique statement texts — the number of parses/annotations actually
-    /// performed.
+    /// Unique statement texts. Texts of one shape share a parse, so this
+    /// exceeds the parses performed; see [`FrontendStats::parsed_trees`].
     pub unique_texts: usize,
+    /// Parse trees built — the number of parses and annotations actually
+    /// performed: one per shape, plus one per text no other text may
+    /// share a tree with.
+    pub parsed_trees: usize,
     /// Wall-clock microseconds in the split pass ([`split_deduped`]):
     /// the boundary scan, dedup grouping, and one content hash of each
     /// unique text's bytes (no per-unique lex, no fingerprint).
     pub split_micros: u128,
-    /// Wall-clock microseconds materialising the token streams of new
-    /// unique texts at intake — each new text's one lex — and
-    /// fingerprinting them from those tokens.
+    /// Wall-clock microseconds in each new unique text's one lex at
+    /// intake (which hashes its shape), and, for a text whose shape no
+    /// tree holds yet, building its owned tokens from that lex and
+    /// fingerprinting them.
     pub materialize_micros: u128,
     /// Wall-clock microseconds in intake bookkeeping (table lookups and
     /// occurrence records), excluding the materialise, parse and annotate
     /// time of new unique texts that intake runs.
     pub intake_micros: u128,
-    /// Wall-clock microseconds parsing new unique texts at intake, each
-    /// right after it is materialised (its tokens are then dropped).
+    /// Wall-clock microseconds parsing new unique texts of new shapes at
+    /// intake, each right after it is materialised (its tokens are then
+    /// dropped).
     pub parse_micros: u128,
-    /// Wall-clock microseconds annotating new unique texts at intake.
+    /// Wall-clock microseconds annotating new unique texts of new shapes
+    /// at intake.
     pub annotate_micros: u128,
     /// Wall-clock microseconds spent folding schema, workload, and data
     /// context.
@@ -275,12 +289,14 @@ impl Default for FrontendOptions {
 /// Scripts enter through [`split_deduped`], which splits the script,
 /// groups duplicate texts, and content-hashes each unique text's bytes —
 /// before parsing, and without lexing any text twice. Each text the
-/// context's [`UniqueTable`] does not hold yet is materialised (its one
-/// lex), fingerprinted from those tokens, parsed and annotated at intake,
-/// one at a time, so at most one token vector is live, and a text the
-/// table holds is never lexed again: a unique text keeps only its source,
-/// tree, annotations and diagnostics, shared across its occurrences via
-/// [`Arc`]. The one [`FrontendOptions`] dialect governs every step.
+/// context's [`UniqueTable`] does not hold yet is lexed once at intake,
+/// which hashes its shape. A DML text whose shape the table holds shares
+/// that tree; any other is materialised from the same lex, fingerprinted,
+/// parsed and annotated, one at a time, so at most one token vector is
+/// live. A text the table holds is never lexed again: a unique text keeps
+/// only its source, tree, annotations and diagnostics, shared across its
+/// occurrences via [`Arc`]. The one [`FrontendOptions`] dialect governs
+/// every step.
 /// [`crate::detect::reference::context`] builds the same context without
 /// any sharing; the identity suites compare the two.
 #[derive(Default)]
@@ -312,7 +328,8 @@ impl ContextBuilder {
 
     /// Add every statement in a SQL script: [`split_deduped`] splits the
     /// script and groups duplicate texts before any parsing. Only texts
-    /// this builder has not seen before are materialised, fingerprinted,
+    /// this builder has not seen before are lexed, and of those only the
+    /// ones whose shape no tree holds yet are materialised, fingerprinted,
     /// parsed and annotated, under the dialect the script was split under,
     /// each token vector dropped as soon as its text is parsed; a
     /// duplicate costs one map lookup.
@@ -335,13 +352,17 @@ impl ContextBuilder {
         let before = self.times.unique();
         let uniques = &mut self.ctx.uniques;
         uniques.reserve(split.uniques.len());
+        let mut lex = ShapeLex::default();
         let ids: Vec<usize> = split
             .uniques
             .iter()
-            .map(|u| uniques.insert(u, script, dialect, &self.opts.limits, &mut self.times))
+            .map(|u| {
+                uniques.insert(u, script, dialect, &self.opts.limits, &mut self.times, &mut lex)
+            })
             .collect();
-        // Free the split's per-unique records before the statements grow.
-        drop(split.uniques);
+        // Free the split's per-unique records and the lex buffer before
+        // the statements grow.
+        drop((split.uniques, lex));
         let statements = &mut self.ctx.statements;
         statements.reserve_exact(split.occurrences.len());
         for (local, span) in split.occurrences {
@@ -407,6 +428,7 @@ impl ContextBuilder {
         let mut stats = FrontendStats {
             statements: ctx.statements.len(),
             unique_texts: ctx.uniques.len(),
+            parsed_trees: ctx.uniques.trees(),
             ..self.times.stats()
         };
 

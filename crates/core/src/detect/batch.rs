@@ -4,15 +4,17 @@
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
 //!
-//! 1. **Unique texts** — intra-query rules run **once per unique text**
-//!    of the context's [`UniqueTable`](crate::context::UniqueTable), at
-//!    its first occurrence (the engine builds no grouping of its own),
-//!    and the results fan back out to every occurrence with corrected
-//!    loci. The exact-text key (rather than the template
+//! 1. **Unique trees** — intra-query rules run **once per parse tree**
+//!    of the context's [`UniqueTable`](crate::context::UniqueTable): once
+//!    per unique text, at its first occurrence (the engine builds no
+//!    grouping of its own), and once for all texts that share their
+//!    shape's tree. The results fan back out to every occurrence with
+//!    corrected loci. The shape key (rather than the template
 //!    [fingerprint](sqlcheck_parser::fingerprint)) is what makes the
 //!    fan-out byte-identical to the per-statement reference: several rules
-//!    inspect literal *values* (leading-wildcard `LIKE`, token-list
-//!    `INSERT`s).
+//!    inspect string literal *values* (leading-wildcard `LIKE`, token-list
+//!    `INSERT`s), and the shape keeps every string literal; no rule reads
+//!    a number literal's value.
 //! 2. **Units** — the intra-query phase slices into per-unique-text
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
@@ -35,6 +37,7 @@ use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
 use crate::report::{Detection, Locus, Report};
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,12 +48,16 @@ pub struct BatchStats {
     pub statements: usize,
     /// Distinct template fingerprints (literal-insensitive).
     pub unique_templates: usize,
-    /// Distinct exact statement texts — the number of intra-query rule
-    /// executions actually performed.
+    /// Distinct exact statement texts.
     pub unique_texts: usize,
-    /// Statements whose intra-query results were reused from an earlier
-    /// identical statement (`statements - unique_texts`).
-    pub cache_hits: usize,
+    /// Distinct parse trees among the unique texts (texts of one shape
+    /// share one) — the number of intra-query rule executions actually
+    /// performed.
+    pub parsed_trees: usize,
+    /// Statements whose text an earlier statement already has
+    /// (`statements - unique_texts`): they reuse its parse and its
+    /// intra-query results.
+    pub duplicate_statements: usize,
     /// Wall-clock microseconds finding each unique text's first
     /// statement (its representative).
     pub group_micros: u128,
@@ -246,7 +253,7 @@ impl Detector {
         }
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
-        // Phase 2: intra-query rules, once per unique text.
+        // Phase 2: intra-query rules, once per parse tree.
         let t_intra = Instant::now();
         let results = self.intra_results(ctx, &reps, &mut diagnostics);
         let mut intra: Vec<Arc<Vec<Detection>>> = vec![Arc::default(); uniques.id_bound()];
@@ -328,7 +335,8 @@ impl Detector {
             statements: ctx.statements.len(),
             unique_templates: uniques.templates(),
             unique_texts: uniques.len(),
-            cache_hits: ctx.statements.len() - uniques.len(),
+            parsed_trees: uniques.trees(),
+            duplicate_statements: ctx.statements.len() - uniques.len(),
             group_micros,
             intra_micros,
             fanout_micros,
@@ -350,8 +358,10 @@ impl Detector {
 
     /// Canonical intra-query detections (statement locus zeroed, spans
     /// statement-relative) of each representative statement in `reps`,
-    /// each computed under the panic guard. A panicking unit yields no
-    /// detections and adds a [`DiagKind::RuleFailed`] diagnostic.
+    /// each computed under the panic guard, once per parse tree: texts
+    /// that share their shape's tree share its result. A panicking unit
+    /// yields no detections and adds a [`DiagKind::RuleFailed`]
+    /// diagnostic at each representative it covers.
     pub(crate) fn intra_results(
         &self,
         ctx: &Context,
@@ -361,23 +371,31 @@ impl Detector {
         let use_context = !self.cfg.intra_only;
         // Most statements have no intra detections; they share one entry.
         let empty: Arc<Vec<Detection>> = Arc::default();
+        let mut by_shape: HashMap<usize, Result<Arc<Vec<Detection>>, String>> = HashMap::new();
         reps.iter()
             .map(|&rep| {
                 let stmt = &ctx.statements[rep];
-                match guarded(|| intra::detect_statement(rep, stmt, ctx, &self.cfg, use_context)) {
-                    Ok(dets) if dets.is_empty() => Arc::clone(&empty),
-                    Ok(dets) => Arc::new(canonicalize(dets)),
-                    Err(p) => {
-                        diagnostics.push(
-                            Diagnostic::new(
-                                DiagKind::RuleFailed,
-                                format!("intra-query unit panicked: {}", p.message),
-                            )
-                            .at(rep),
-                        );
-                        Arc::clone(&empty)
-                    }
-                }
+                let run = || match guarded(|| {
+                    intra::detect_statement(rep, stmt, ctx, &self.cfg, use_context)
+                }) {
+                    Ok(dets) if dets.is_empty() => Ok(Arc::clone(&empty)),
+                    Ok(dets) => Ok(Arc::new(canonicalize(dets))),
+                    Err(p) => Err(p.message),
+                };
+                let result = match ctx.uniques.shared_shape(stmt.unique) {
+                    Some(shape) => by_shape.entry(shape).or_insert_with(run).clone(),
+                    None => run(),
+                };
+                result.unwrap_or_else(|message| {
+                    diagnostics.push(
+                        Diagnostic::new(
+                            DiagKind::RuleFailed,
+                            format!("intra-query unit panicked: {message}"),
+                        )
+                        .at(rep),
+                    );
+                    Arc::clone(&empty)
+                })
             })
             .collect()
     }
@@ -424,7 +442,10 @@ mod tests {
         assert!(b.stats.unique_texts < b.stats.statements, "duplicates must dedup");
         // The `a = {i}` family shares one template across 40 literals.
         assert!(b.stats.unique_templates < b.stats.unique_texts);
-        assert_eq!(b.stats.cache_hits, b.stats.statements - b.stats.unique_texts);
+        assert_eq!(b.stats.duplicate_statements, b.stats.statements - b.stats.unique_texts);
+        // The 40 `a = {i}` texts of equal length share trees: 0..=9 and
+        // 10..=39 parse twice, not 40 times.
+        assert_eq!(b.stats.parsed_trees, b.stats.unique_texts - 38);
     }
 
     #[test]

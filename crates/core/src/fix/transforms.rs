@@ -11,57 +11,91 @@ use crate::fix::Fix;
 use crate::report::{Detection, Locus};
 use sqlcheck_parser::arena::{ExprArena, ExprId, ExprRange};
 use sqlcheck_parser::ast::*;
+use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::render::ToSql;
-use sqlcheck_parser::IStr;
+use sqlcheck_parser::splitter::materialize_span;
+use sqlcheck_parser::{Dialect, IStr, Limits, Span};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn statement_at<'c>(d: &Detection, ctx: &'c Context) -> Option<&'c ParsedStatement> {
-    d.statement_index().and_then(|i| ctx.statements.get(i)).map(|a| a.parsed.as_ref())
+/// The rewrite of the statement `d` points at: `rewrite` renders a
+/// repaired statement from a tree of its text, or declines. It runs on
+/// the context's tree first; a text that shares its shape's tree (whose
+/// number literals are another text's) is re-parsed only when that
+/// yields a rewrite, and the rewrite is rendered again from its own
+/// tree. The original is the text's own source.
+fn rewrite_at(
+    d: &Detection,
+    ctx: &Context,
+    rewrite: impl Fn(&ParsedStatement) -> Option<String>,
+) -> Option<Fix> {
+    let stmt = ctx.statements.get(d.statement_index()?)?;
+    let mut fixed = rewrite(&stmt.parsed)?;
+    let text = &ctx.uniques[stmt.unique];
+    if text.shares_tree() {
+        fixed = rewrite(&own_tree(&text.source, ctx.dialect))?;
+    }
+    Some(Fix::Rewrite { original: Arc::clone(&text.source), fixed: fixed.into() })
+}
+
+/// The tree of a text that shares its shape's tree, parsed from its own
+/// `source`. Its shape's tree parsed without diagnostics under the
+/// context's limits, and the text has the same tokens but for the digits
+/// of its number literals, so no limit can bite here either.
+fn own_tree(source: &str, dialect: Dialect) -> ParsedStatement {
+    let unbounded = Limits {
+        max_statement_bytes: usize::MAX,
+        max_tokens: usize::MAX,
+        max_block_depth: u32::MAX,
+        max_expr_depth: u32::MAX,
+    };
+    let raw = materialize_span(source, Span::new(0, source.len()), dialect);
+    parse_raw_limited(raw, &unbounded, dialect).0
 }
 
 /// Implicit Columns (Example 2): add the explicit column list from the
 /// schema. Requires the schema to know the table and the arities to match.
 pub fn implicit_columns(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
-    let Statement::Insert(ins) = &parsed.stmt else { return None };
-    if !ins.columns.is_empty() {
-        return None;
-    }
-    let table = ctx.schema.table(ins.table.name())?;
-    let InsertSource::Values(rows) = &ins.source else { return None };
-    let arity = rows.first()?.len();
-    if table.columns.len() != arity {
-        return None; // ambiguous — the paper falls back to a textual fix
-    }
-    let mut fixed = ins.clone();
-    fixed.columns = table.columns.iter().map(|c| c.name.clone()).collect();
-    let fixed = fixed.to_sql(&parsed.arena).into();
-    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed })
+    rewrite_at(d, ctx, |parsed| {
+        let Statement::Insert(ins) = &parsed.stmt else { return None };
+        if !ins.columns.is_empty() {
+            return None;
+        }
+        let table = ctx.schema.table(ins.table.name())?;
+        let InsertSource::Values(rows) = &ins.source else { return None };
+        let arity = rows.first()?.len();
+        if table.columns.len() != arity {
+            return None; // ambiguous — the paper falls back to a textual fix
+        }
+        let mut fixed = ins.clone();
+        fixed.columns = table.columns.iter().map(|c| c.name.clone()).collect();
+        Some(fixed.to_sql(&parsed.arena))
+    })
 }
 
 /// Column Wildcard: expand `*` to the explicit column list when every
 /// table in scope is known to the schema.
 pub fn column_wildcard(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
-    let Statement::Select(sel) = &parsed.stmt else { return None };
-    // New column-reference nodes go into a copy of the statement's arena
-    // (existing ids stay valid — the arena is append-only).
-    let mut arena = parsed.arena.clone();
-    let mut fixed = sel.clone();
-    let mut new_items = Vec::new();
-    for item in &fixed.items {
-        match item {
-            SelectItem::Wildcard { qualifier } => {
-                let expansions = expand_wildcard(sel, qualifier.as_deref(), ctx, &mut arena)?;
-                new_items.extend(expansions);
+    rewrite_at(d, ctx, |parsed| {
+        let Statement::Select(sel) = &parsed.stmt else { return None };
+        // New column-reference nodes go into a copy of the statement's
+        // arena (existing ids stay valid — the arena is append-only).
+        let mut arena = parsed.arena.clone();
+        let mut fixed = sel.clone();
+        let mut new_items = Vec::new();
+        for item in &fixed.items {
+            match item {
+                SelectItem::Wildcard { qualifier } => {
+                    let expansions = expand_wildcard(sel, qualifier.as_deref(), ctx, &mut arena)?;
+                    new_items.extend(expansions);
+                }
+                other => new_items.push(other.clone()),
             }
-            other => new_items.push(other.clone()),
         }
-    }
-    fixed.items = new_items;
-    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
+        fixed.items = new_items;
+        Some(fixed.to_sql(&arena))
+    })
 }
 
 fn expand_wildcard(
@@ -106,23 +140,24 @@ fn expand_wildcard(
 /// Concatenate Nulls: wrap nullable identifier operands of `||` in
 /// `COALESCE(x, '')`.
 pub fn concatenate_nulls(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
-    let Statement::Select(sel) = &parsed.stmt else { return None };
-    let mut arena = parsed.arena.clone();
-    let mut fixed = sel.clone();
-    let mut changed = false;
-    for item in &mut fixed.items {
-        if let SelectItem::Expr { expr, .. } = item {
-            *expr = rewrite_concat(&mut arena, *expr, &mut changed);
+    rewrite_at(d, ctx, |parsed| {
+        let Statement::Select(sel) = &parsed.stmt else { return None };
+        let mut arena = parsed.arena.clone();
+        let mut fixed = sel.clone();
+        let mut changed = false;
+        for item in &mut fixed.items {
+            if let SelectItem::Expr { expr, .. } = item {
+                *expr = rewrite_concat(&mut arena, *expr, &mut changed);
+            }
         }
-    }
-    if let Some(w) = fixed.where_clause.take() {
-        fixed.where_clause = Some(rewrite_concat(&mut arena, w, &mut changed));
-    }
-    if !changed {
-        return None;
-    }
-    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
+        if let Some(w) = fixed.where_clause.take() {
+            fixed.where_clause = Some(rewrite_concat(&mut arena, w, &mut changed));
+        }
+        if !changed {
+            return None;
+        }
+        Some(fixed.to_sql(&arena))
+    })
 }
 
 fn rewrite_concat(arena: &mut ExprArena, id: ExprId, changed: &mut bool) -> ExprId {
@@ -164,59 +199,60 @@ fn coalesce_ident(arena: &mut ExprArena, id: ExprId, changed: &mut bool) -> Expr
 /// rewrite the join as an EXISTS semi-join (which cannot produce
 /// duplicates), dropping the DISTINCT.
 pub fn distinct_join(d: &Detection, ctx: &Context) -> Option<Fix> {
-    let parsed = statement_at(d, ctx)?;
-    let Statement::Select(sel) = &parsed.stmt else { return None };
-    if !sel.distinct || sel.joins.len() != 1 {
-        return None;
-    }
-    let from = sel.from.as_ref()?;
-    let join = &sel.joins[0];
-    let on = join.on?;
-    if join.table.subquery.is_some() || from.subquery.is_some() {
-        return None;
-    }
-    // Every projected column must belong to the outer table.
-    let outer_binding = from.binding().to_ascii_lowercase();
-    let inner_binding = join.table.binding().to_ascii_lowercase();
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard { qualifier: Some(q) }
-                if q.to_ascii_lowercase() == outer_binding => {}
-            SelectItem::Wildcard { .. } => return None,
-            SelectItem::Expr { expr, .. } => {
-                for (q, _) in parsed.arena.column_refs(*expr) {
-                    match q {
-                        Some(q) if q.to_ascii_lowercase() == inner_binding => return None,
-                        _ => {}
+    rewrite_at(d, ctx, |parsed| {
+        let Statement::Select(sel) = &parsed.stmt else { return None };
+        if !sel.distinct || sel.joins.len() != 1 {
+            return None;
+        }
+        let from = sel.from.as_ref()?;
+        let join = &sel.joins[0];
+        let on = join.on?;
+        if join.table.subquery.is_some() || from.subquery.is_some() {
+            return None;
+        }
+        // Every projected column must belong to the outer table.
+        let outer_binding = from.binding().to_ascii_lowercase();
+        let inner_binding = join.table.binding().to_ascii_lowercase();
+        for item in &sel.items {
+            match item {
+                SelectItem::Wildcard { qualifier: Some(q) }
+                    if q.to_ascii_lowercase() == outer_binding => {}
+                SelectItem::Wildcard { .. } => return None,
+                SelectItem::Expr { expr, .. } => {
+                    for (q, _) in parsed.arena.column_refs(*expr) {
+                        match q {
+                            Some(q) if q.to_ascii_lowercase() == inner_binding => return None,
+                            _ => {}
+                        }
                     }
                 }
             }
         }
-    }
-    let mut arena = parsed.arena.clone();
-    let one = arena.alloc(Expr::NumberLit("1".into()));
-    let sub = Select {
-        distinct: false,
-        items: vec![SelectItem::Expr { expr: one, alias: None }],
-        from: Some(join.table.clone()),
-        joins: vec![],
-        where_clause: Some(on),
-        group_by: ExprRange::EMPTY,
-        having: None,
-        order_by: vec![],
-        limit: None,
-        set_op_tail: None,
-    };
-    let sub_id = arena.alloc(Expr::Subquery(Box::new(sub)));
-    let exists = arena.alloc(Expr::Unary { op: "EXISTS".into(), expr: sub_id });
-    let mut fixed = sel.clone();
-    fixed.distinct = false;
-    fixed.joins.clear();
-    fixed.where_clause = Some(match fixed.where_clause.take() {
-        Some(w) => arena.alloc(Expr::Binary { left: w, op: "AND".into(), right: exists }),
-        None => exists,
-    });
-    Some(Fix::Rewrite { original: Arc::clone(&parsed.source), fixed: fixed.to_sql(&arena).into() })
+        let mut arena = parsed.arena.clone();
+        let one = arena.alloc(Expr::NumberLit("1".into()));
+        let sub = Select {
+            distinct: false,
+            items: vec![SelectItem::Expr { expr: one, alias: None }],
+            from: Some(join.table.clone()),
+            joins: vec![],
+            where_clause: Some(on),
+            group_by: ExprRange::EMPTY,
+            having: None,
+            order_by: vec![],
+            limit: None,
+            set_op_tail: None,
+        };
+        let sub_id = arena.alloc(Expr::Subquery(Box::new(sub)));
+        let exists = arena.alloc(Expr::Unary { op: "EXISTS".into(), expr: sub_id });
+        let mut fixed = sel.clone();
+        fixed.distinct = false;
+        fixed.joins.clear();
+        fixed.where_clause = Some(match fixed.where_clause.take() {
+            Some(w) => arena.alloc(Expr::Binary { left: w, op: "AND".into(), right: exists }),
+            None => exists,
+        });
+        Some(fixed.to_sql(&arena))
+    })
 }
 
 /// Enumerated Types (Fig 5): introduce a lookup table and re-point the
@@ -247,7 +283,7 @@ pub fn enumerated_types(d: &Detection, ctx: &Context, impacts: &ImpactIndex<'_>)
     let impacted = impacts
         .impacted(&table, &column)
         .into_iter()
-        .map(|i| (i, ctx.statements[i].parsed.text().to_owned()))
+        .map(|i| (i, ctx.statements[i].text(&ctx.uniques).to_owned()))
         .collect();
     Some(Fix::SchemaChange { statements, impacted_queries: impacted })
 }
@@ -456,8 +492,7 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
             )],
             impacted_queries: vec![],
         }),
-        Locus::Statement { index } => {
-            let parsed = &ctx.statements.get(*index)?.parsed;
+        Locus::Statement { .. } => rewrite_at(d, ctx, |parsed| {
             let Statement::CreateTable(ct) = &parsed.stmt else { return None };
             let mut fixed = ct.clone();
             let mut changed = false;
@@ -473,11 +508,8 @@ pub fn rounding_errors(d: &Detection, ctx: &Context) -> Option<Fix> {
                     }
                 }
             }
-            changed.then(|| Fix::Rewrite {
-                original: Arc::clone(&parsed.source),
-                fixed: fixed.to_sql(&parsed.arena).into(),
-            })
-        }
+            changed.then(|| fixed.to_sql(&parsed.arena))
+        }),
         _ => None,
     }
 }

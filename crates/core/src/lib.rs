@@ -35,12 +35,14 @@
 //! * the front end splits and content-hashes the script **before**
 //!   parsing, and keeps one [`context::UniqueTable`] of distinct texts:
 //!   each is parsed, annotated and [fingerprinted](sqlcheck_parser::fingerprint)
-//!   once and shared by its occurrences via `Arc`;
-//! * intra-query rules run **once per unique text** and fan back out to
-//!   every occurrence with corrected loci (exact text, not the template,
-//!   keys the results because some rules inspect literal values);
+//!   once and shared by its occurrences via `Arc`, and DML texts that
+//!   differ only in number literals share one tree;
+//! * intra-query rules run **once per parse tree** and fan back out to
+//!   every occurrence with corrected loci (exact text, or its shape,
+//!   not the template, keys the results because some rules inspect
+//!   string literal values);
 //! * detection runs in panic-isolated units — intra-query rules per
-//!   unique text, inter-query rules per rule, data-analysis rules per
+//!   unique tree, inter-query rules per rule, data-analysis rules per
 //!   profiled table — merged in statement, rule, and table order;
 //! * every statement-locus [`Detection`] (and the fix derived from it)
 //!   carries the byte [`Span`] of **its own** occurrence in the source

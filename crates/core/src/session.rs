@@ -60,7 +60,7 @@ use crate::detect::{inter, BatchStats};
 use crate::report::{Detection, Locus, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
-use sqlcheck_parser::splitter::split_deduped;
+use sqlcheck_parser::splitter::{split_deduped, ShapeLex};
 use std::mem;
 use std::sync::Arc;
 use std::time::Instant;
@@ -348,6 +348,7 @@ impl CheckSession {
         let ctx = &mut state.outcome.outcome.context;
         let dialect = ctx.dialect;
         let mut times = PhaseTimes::default();
+        let mut lex = ShapeLex::default();
         for e in sorted {
             let split = split_deduped(&e.text, dialect);
             if split.uniques.len() != 1
@@ -357,7 +358,8 @@ impl CheckSession {
                 return None;
             }
             let u = &split.uniques[0];
-            let new = ctx.uniques.insert(u, &e.text, dialect, &self.opts.limits, &mut times);
+            let limits = &self.opts.limits;
+            let new = ctx.uniques.insert(u, &e.text, dialect, limits, &mut times, &mut lex);
             if !ctx.uniques[new].diags.is_empty() {
                 return None;
             }
@@ -618,7 +620,8 @@ impl CheckSession {
             statements: n,
             unique_templates: uniques.templates(),
             unique_texts: uniques.len(),
-            cache_hits: n - uniques.len(),
+            parsed_trees: uniques.trees(),
+            duplicate_statements: n - uniques.len(),
             warm_edit_micros,
             warm_profile_micros,
             warm_patch_micros,

@@ -72,11 +72,12 @@ fn assert_batch_matches(det: &Detector, script: &str, label: &str) {
     // fan-out bookkeeping.
     assert_eq!(batch.stats.statements, ctx.len(), "{label}");
     assert_eq!(
-        batch.stats.cache_hits,
+        batch.stats.duplicate_statements,
         batch.stats.statements - batch.stats.unique_texts,
         "{label}"
     );
     assert!(batch.stats.unique_templates <= batch.stats.unique_texts, "{label}");
+    assert!(batch.stats.parsed_trees <= batch.stats.unique_texts, "{label}");
 }
 
 /// The core property, across many random scripts and both detector
@@ -336,9 +337,9 @@ fn random_scripts_contain_duplicates() {
     let ctx = ContextBuilder::new().add_script(&script).build();
     let b = Detector::default().detect_batch(&ctx);
     assert!(
-        b.stats.cache_hits > 50,
-        "expected heavy duplication, got {} hits over {} statements",
-        b.stats.cache_hits,
+        b.stats.duplicate_statements > 50,
+        "expected heavy duplication, got {} duplicates over {} statements",
+        b.stats.duplicate_statements,
         b.stats.statements
     );
     assert!(b.stats.unique_templates < b.stats.unique_texts, "literal variants must fold");

@@ -228,7 +228,7 @@ fn built_statements_are_lexed_under_their_dialect() {
         assert!(ctx.len() >= 4, "{d}: {} statements", ctx.len());
         for (i, st) in ctx.statements.iter().enumerate() {
             let text = &script[st.span.start..st.span.end];
-            assert_eq!(st.parsed.text(), text, "{d}: statement {i}");
+            assert_eq!(st.text(&ctx.uniques), text, "{d}: statement {i}");
             assert_eq!(
                 st.parsed.to_sql(),
                 parse_one(text, d).to_sql(),

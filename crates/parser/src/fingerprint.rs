@@ -19,6 +19,9 @@
 //!   engine to.
 //! * [`content_hash_bytes`] hashes a statement's source bytes; every
 //!   caller hashes the slice.
+//! * [`ShapeHasher`] hashes a statement's token stream with number
+//!   literals reduced to their kind and length: the key under which the
+//!   context's unique-text table lets texts share one parse tree.
 //!
 //! ## What normalizes
 //!
@@ -41,8 +44,11 @@
 //!   same fingerprint can still behave differently under rules that
 //!   inspect literal values (e.g. leading-wildcard `LIKE` detection).
 //!   Consumers that need byte-identical analysis results must therefore
-//!   key their caches on the exact statement text *within* a fingerprint
-//!   group — which is exactly what `detect_batch` does.
+//!   key their results on more than the fingerprint: the context's
+//!   unique-text table keys each text by its exact bytes, and shares one
+//!   parse tree among DML texts only under the [shape](ShapeHasher) key,
+//!   which keeps every byte but the digits of number literals — the
+//!   string literals those rules read stay in the key.
 
 use crate::ast::ParsedStatement;
 use crate::dialect::Dialect;
@@ -349,6 +355,52 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(w)
 }
 
+/// The two 64-bit lanes of the Murmur3-x64-128-style hashes below: 16
+/// input bytes per mixing step, a tail of at most two words, and a
+/// length-salted finaliser.
+#[derive(Clone, Copy, Default)]
+struct Lanes {
+    h1: u64,
+    h2: u64,
+}
+
+impl Lanes {
+    /// Mix one 16-byte block (two little-endian words).
+    #[inline]
+    fn block(&mut self, k1: u64, k2: u64) {
+        self.h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
+        self.h1 =
+            self.h1.rotate_left(27).wrapping_add(self.h2).wrapping_mul(5).wrapping_add(0x52dc_e729);
+        self.h2 ^= k2.wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
+        self.h2 =
+            self.h2.rotate_left(31).wrapping_add(self.h1).wrapping_mul(5).wrapping_add(0x3849_5ab5);
+    }
+
+    /// Mix the first word of a tail shorter than one block.
+    #[inline]
+    fn tail1(&mut self, k1: u64) {
+        self.h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
+    }
+
+    /// Mix the second word of a tail longer than one word.
+    #[inline]
+    fn tail2(&mut self, k2: u64) {
+        self.h2 ^= k2.wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
+    }
+
+    /// The 128-bit hash of `total` input bytes.
+    fn finish(self, total: u64) -> u128 {
+        let (mut h1, mut h2) = (self.h1 ^ total, self.h2 ^ total);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        h1 = fmix64(h1);
+        h2 = fmix64(h2);
+        h1 = h1.wrapping_add(h2);
+        h2 = h2.wrapping_add(h1);
+        (h1 as u128) | ((h2 as u128) << 64)
+    }
+}
+
 /// The content hash: a Murmur3-x64-128-style hash over a statement's
 /// source bytes, two 64-bit lanes and 16 input bytes per mixing step.
 ///
@@ -361,34 +413,81 @@ fn le_word(bytes: &[u8]) -> u64 {
 /// accidental collisions negligible, which lets analysis use the hash
 /// alone as a result-cache key.
 pub fn content_hash_bytes(bytes: &[u8]) -> u128 {
-    let (mut h1, mut h2) = (0u64, 0u64);
+    let mut lanes = Lanes::default();
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
         let k1 = u64::from_le_bytes(b[..8].try_into().expect("8 bytes"));
         let k2 = u64::from_le_bytes(b[8..].try_into().expect("8 bytes"));
-        h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
-        h1 = h1.rotate_left(27).wrapping_add(h2).wrapping_mul(5).wrapping_add(0x52dc_e729);
-        h2 ^= k2.wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
-        h2 = h2.rotate_left(31).wrapping_add(h1).wrapping_mul(5).wrapping_add(0x3849_5ab5);
+        lanes.block(k1, k2);
     }
     let tail = blocks.remainder();
     if tail.len() > 8 {
-        h2 ^= le_word(&tail[8..]).wrapping_mul(MM_C2).rotate_left(33).wrapping_mul(MM_C1);
+        lanes.tail2(le_word(&tail[8..]));
     }
     if !tail.is_empty() {
-        let k1 = le_word(&tail[..tail.len().min(8)]);
-        h1 ^= k1.wrapping_mul(MM_C1).rotate_left(31).wrapping_mul(MM_C2);
+        lanes.tail1(le_word(&tail[..tail.len().min(8)]));
     }
-    let total = bytes.len() as u64;
-    h1 ^= total;
-    h2 ^= total;
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    h1 = fmix64(h1);
-    h2 = fmix64(h2);
-    h1 = h1.wrapping_add(h2);
-    h2 = h2.wrapping_add(h1);
-    (h1 as u128) | ((h2 as u128) << 64)
+    lanes.finish(bytes.len() as u64)
+}
+
+/// The shape hash of a statement: a 128-bit hash of its token stream in
+/// which every number literal counts only by its kind and byte length,
+/// and every other token — keywords, identifiers, string literals,
+/// parameters, trivia — by its kind, length and exact bytes.
+///
+/// Statements that differ only in the digits of equally long number
+/// literals share a shape; no rule, annotation or profile fold reads a
+/// number literal's value, so for DML such texts parse to
+/// interchangeable trees (only rendering, `ToSql`, prints the digits).
+/// Feed it tokens in source order ([`ShapeHasher::token`]); like the
+/// content hash, 128 bits are treated as collision-free.
+#[derive(Default)]
+pub struct ShapeHasher {
+    lanes: Lanes,
+    /// The first word of a block whose second has not arrived yet.
+    pending: Option<u64>,
+    words: u64,
+}
+
+impl ShapeHasher {
+    /// A fresh hasher (the empty stream).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.words += 1;
+        match self.pending.take() {
+            Some(k1) => self.lanes.block(k1, w),
+            None => self.pending = Some(w),
+        }
+    }
+
+    /// Feed one token: its kind and length, then — except for a number
+    /// literal — its bytes.
+    #[inline]
+    pub fn token(&mut self, kind: TokenKind, bytes: &[u8]) {
+        self.word(kind as u64 | (bytes.len() as u64) << 8);
+        if kind == TokenKind::NumberLit {
+            return;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        if !words.remainder().is_empty() {
+            self.word(le_word(words.remainder()));
+        }
+    }
+
+    /// The shape of everything fed.
+    pub fn finish(mut self) -> u128 {
+        if let Some(k1) = self.pending.take() {
+            self.lanes.tail1(k1);
+        }
+        self.lanes.finish(self.words * 8)
+    }
 }
 
 impl ParsedStatement {

@@ -12,8 +12,9 @@
 //! ([`crate::splitter::split_deduped`]) consumes tokens directly — the
 //! statement boundary scan keeps no whole-script token buffer and skips
 //! keyword classification. A script's pipeline lexes each byte once for
-//! that scan, and each new unique text once more at intake, into the
-//! token vector its parse and fingerprint read. The byte loop
+//! that scan, and each new unique text once more at intake
+//! ([`crate::splitter::ShapeLex`]), into span tokens and a shape hash
+//! that the owned tokens of a parse are built from. The byte loop
 //! dispatches through the `scan` module's class table and crosses long runs
 //! (comments, string bodies, whitespace, words) with `memchr`-style skip
 //! loops.

@@ -569,6 +569,11 @@ fn parse_select(cur: &mut Cursor) -> Option<Select> {
     if !cur.at_end() {
         select.set_op_tail = Some(cur.rest_text());
     }
+    // The tree lives as long as its text: hand the pushed lists off at
+    // their exact length.
+    select.items.shrink_to_fit();
+    select.joins.shrink_to_fit();
+    select.order_by.shrink_to_fit();
     Some(select)
 }
 
@@ -1380,6 +1385,8 @@ fn parse_create_table(cur: &mut Cursor) -> Option<CreateTable> {
         // the raw tokens of the statement.
     }
     let options = cur.rest_text();
+    columns.shrink_to_fit();
+    constraints.shrink_to_fit();
     Some(CreateTable { name, if_not_exists, columns, constraints, options })
 }
 
@@ -1536,6 +1543,7 @@ fn parse_column_def(cur: &mut Cursor) -> Option<ColumnDef> {
             }
         }
     }
+    constraints.shrink_to_fit();
     Some(ColumnDef { name, data_type, constraints })
 }
 

@@ -13,10 +13,10 @@
 //! exact bytes, and each **unique** text gets one content hash of its
 //! bytes. The split lexes nothing per unique text and computes no
 //! fingerprint. No whole-script token buffer is ever built; per-statement
-//! token vectors exist only for the texts a consumer
-//! [materialises](SplitStatement::materialize) for parsing — the one lex
-//! of a new unique text, which the context builder also fingerprints —
-//! and only until they are parsed: tokens are transient parse input, and
+//! token vectors exist only for the texts a consumer materialises for
+//! parsing — from the one lex of a new unique text ([`ShapeLex`]), which
+//! also hashes its shape; the context builder fingerprints those tokens
+//! — and only until they are parsed: tokens are transient parse input, and
 //! a [`ParsedStatement`](crate::ast::ParsedStatement) keeps the
 //! statement's source text, not its tokens. [`split`] is the owned-token
 //! view of the same pass.
@@ -31,9 +31,9 @@
 
 use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
-use crate::fingerprint::content_hash_bytes;
-use crate::lexer::{lex_into, TokenSink};
-use crate::token::{Span, Token, TokenKind};
+use crate::fingerprint::{content_hash_bytes, ShapeHasher};
+use crate::lexer::{lex_into, SpannedToken, TokenSink};
+use crate::token::{kw_lookup, Span, Token, TokenKind};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -111,31 +111,79 @@ impl SplitStatement {
 /// this module's splitters under the same dialect — it begins and ends on
 /// significant-token boundaries.
 pub fn materialize_span(script: &str, span: Span, dialect: Dialect) -> RawStatement {
-    let slice = &script[span.start..span.end];
-    // The source outlives the tokens (a parse keeps it and drops them),
-    // so it is allocated first: the token vector's growth and free then
-    // happen above it instead of leaving a hole beneath a pinned string.
-    let source: Arc<str> = slice.into();
-    let mut sink = MaterializeSink { src: slice, base: span.start, out: Vec::new() };
-    lex_into(slice, dialect, &mut sink);
-    RawStatement { tokens: sink.out, span, source }
+    let mut lex = ShapeLex::default();
+    lex.lex(script, span, dialect);
+    lex.materialize(script)
 }
 
-/// Sink building owned tokens with spans rebased to the original script.
-struct MaterializeSink<'a> {
-    src: &'a str,
-    base: usize,
-    out: Vec<Token>,
+/// One statement text's single lex at intake: its [shape](ShapeHasher)
+/// and its span tokens, kept so that a text which must be parsed builds
+/// its owned tokens without lexing again. Words stay unclassified
+/// (keyword lookup runs only for the tokens [`ShapeLex::materialize`]
+/// builds), and the span buffer is reused from one text to the next, so
+/// a text that shares an existing shape costs one allocation-free pass.
+#[derive(Debug, Default)]
+pub struct ShapeLex {
+    /// Span tokens of the last lexed text, relative to its start; words
+    /// are all [`TokenKind::Ident`].
+    spans: Vec<SpannedToken>,
+    /// The last lexed statement's span in its script.
+    span: Span,
 }
 
-impl TokenSink for MaterializeSink<'_> {
+impl ShapeLex {
+    /// Lex the statement covering `span` of `script` under `dialect`
+    /// (the dialect it was split under), keep its span tokens, and
+    /// return its shape.
+    pub fn lex(&mut self, script: &str, span: Span, dialect: Dialect) -> u128 {
+        self.spans.clear();
+        self.span = span;
+        let slice = &script[span.start..span.end];
+        let (bytes, spans) = (slice.as_bytes(), &mut self.spans);
+        let mut sink = ShapeSink { bytes, spans, shape: ShapeHasher::new() };
+        lex_into(slice, dialect, &mut sink);
+        sink.shape.finish()
+    }
+
+    /// The owned statement of the last [`ShapeLex::lex`] of `script`:
+    /// its tokens, words classified and spans script-absolute, exactly
+    /// as a classifying lex emits them.
+    pub fn materialize(&self, script: &str) -> RawStatement {
+        let (base, slice) = (self.span.start, &script[self.span.start..self.span.end]);
+        // The source outlives the tokens (a parse keeps it and drops
+        // them), so it is allocated first: the token vector's free then
+        // happens above it instead of leaving a hole beneath a pinned
+        // string.
+        let source: Arc<str> = slice.into();
+        let tokens = self
+            .spans
+            .iter()
+            .map(|t| {
+                let text = t.text(slice);
+                let kw = if t.kind == TokenKind::Ident { kw_lookup(text) } else { None };
+                let kind = if kw.is_some() { TokenKind::Keyword } else { t.kind };
+                let span = Span::new(base + t.span.start, base + t.span.end);
+                Token { kind, text: text.into(), span, kw }
+            })
+            .collect();
+        RawStatement { tokens, span: self.span, source }
+    }
+}
+
+/// The sink of [`ShapeLex::lex`]: span tokens and the shape hash.
+struct ShapeSink<'a> {
+    bytes: &'a [u8],
+    spans: &'a mut Vec<SpannedToken>,
+    shape: ShapeHasher,
+}
+
+impl TokenSink for ShapeSink<'_> {
+    const CLASSIFY_WORDS: bool = false;
+
     #[inline]
     fn token(&mut self, kind: TokenKind, start: usize, end: usize) {
-        self.out.push(Token::new(
-            kind,
-            &self.src[start..end],
-            Span::new(self.base + start, self.base + end),
-        ));
+        self.spans.push(SpannedToken { kind, span: Span::new(start, end) });
+        self.shape.token(kind, &self.bytes[start..end]);
     }
 }
 
@@ -745,8 +793,9 @@ mod tests {
 
     /// Development probe, not a test: the two lexes of the front door —
     /// the whole-script boundary scan ([`split_deduped`]) against the
-    /// intake lex of every unique text (materialise plus fingerprint, as
-    /// the context builder runs it before parsing). Run with
+    /// intake lex of every unique text: the shape lex alone, which is
+    /// all a text of a held shape costs, and materialise plus fingerprint,
+    /// as the context builder runs it before parsing a new shape. Run with
     /// `cargo test -q -p sqlcheck-parser --release -- --ignored
     /// profile_front_layers --nocapture`.
     #[test]
@@ -793,6 +842,10 @@ mod tests {
         let split = split_deduped(&script, G);
         println!("script: {bytes} bytes, {} unique texts", split.uniques.len());
         time("boundary scan + dedup", bytes, || split_deduped(&script, G).uniques.len() as u64);
+        let mut lex = ShapeLex::default();
+        time("intake shape lex", bytes, || {
+            split.uniques.iter().fold(0, |acc, u| acc ^ lex.lex(&script, u.span, G) as u64)
+        });
         time("intake lex + fingerprint", bytes, || {
             split.uniques.iter().fold(0, |acc, u| {
                 acc ^ fingerprint_of(&u.materialize(&script, G).tokens)

@@ -11,7 +11,7 @@ use crate::istr::IStr;
 use std::fmt;
 
 /// Byte range of a token within the original SQL text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Span {
     /// Inclusive start byte offset.
     pub start: usize,
