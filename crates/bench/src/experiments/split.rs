@@ -13,8 +13,8 @@
 //! * `deduped` — [`split_deduped`]: the pipeline's intake path — a
 //!   spans-only boundary scan groups duplicate texts by exact bytes and
 //!   each **unique** text's bytes are content-hashed once. Neither
-//!   configuration fingerprints: the context builder fingerprints a new
-//!   unique text from the tokens it materialises for parsing.
+//!   configuration lexes a unique text: the context builder lexes a new
+//!   one once, at intake, which hashes its shape.
 //!
 //! Both configurations are asserted to produce **identical statements**
 //! (spans and content hashes) before any timing is reported.

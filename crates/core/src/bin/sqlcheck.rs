@@ -180,10 +180,9 @@ fn main() {
             },
         );
         eprintln!(
-            "stats: {} statement(s), {} unique template(s), {} unique text(s), \
-             {} parsed tree(s), {} duplicate statement(s)",
+            "stats: {} statement(s), {} unique text(s), {} parsed tree(s), \
+             {} duplicate statement(s)",
             s.statements,
-            s.unique_templates,
             s.unique_texts,
             s.parsed_trees,
             s.duplicate_statements,

@@ -172,12 +172,11 @@ pub struct FrontendStats {
     pub parsed_trees: usize,
     /// Wall-clock microseconds in the split pass ([`split_deduped`]):
     /// the boundary scan, dedup grouping, and one content hash of each
-    /// unique text's bytes (no per-unique lex, no fingerprint).
+    /// unique text's bytes (no per-unique lex).
     pub split_micros: u128,
     /// Wall-clock microseconds in each new unique text's one lex at
     /// intake (which hashes its shape), and, for a text whose shape no
-    /// tree holds yet, building its owned tokens from that lex and
-    /// fingerprinting them.
+    /// tree holds yet, building its owned tokens from that lex.
     pub materialize_micros: u128,
     /// Wall-clock microseconds in intake bookkeeping (table lookups and
     /// occurrence records), excluding the materialise, parse and annotate
@@ -291,10 +290,10 @@ impl Default for FrontendOptions {
 /// before parsing, and without lexing any text twice. Each text the
 /// context's [`UniqueTable`] does not hold yet is lexed once at intake,
 /// which hashes its shape. A DML text whose shape the table holds shares
-/// that tree; any other is materialised from the same lex, fingerprinted,
-/// parsed and annotated, one at a time, so at most one token vector is
-/// live. A text the table holds is never lexed again: a unique text keeps
-/// only its source, tree, annotations and diagnostics, shared across its
+/// that tree; any other is materialised from the same lex, parsed and
+/// annotated, one at a time, so at most one token vector is live. A text
+/// the table holds is never lexed again: a unique text keeps only its
+/// source, tree, annotations and diagnostics, shared across its
 /// occurrences via [`Arc`]. The one [`FrontendOptions`] dialect governs
 /// every step.
 /// [`crate::detect::reference::context`] builds the same context without
@@ -329,8 +328,8 @@ impl ContextBuilder {
     /// Add every statement in a SQL script: [`split_deduped`] splits the
     /// script and groups duplicate texts before any parsing. Only texts
     /// this builder has not seen before are lexed, and of those only the
-    /// ones whose shape no tree holds yet are materialised, fingerprinted,
-    /// parsed and annotated, under the dialect the script was split under,
+    /// ones whose shape no tree holds yet are materialised, parsed and
+    /// annotated, under the dialect the script was split under,
     /// each token vector dropped as soon as its text is parsed; a
     /// duplicate costs one map lookup.
     pub fn add_script(mut self, script: &str) -> Self {

@@ -5,7 +5,6 @@ use crate::hashutil::Prehashed;
 use sqlcheck_parser::annotate::{annotate, Annotations};
 use sqlcheck_parser::ast::{ParsedStatement, Statement};
 use sqlcheck_parser::diag::{Diagnostic, Limits};
-use sqlcheck_parser::fingerprint::fingerprint_of;
 use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::{ShapeLex, SplitStatement};
 use sqlcheck_parser::Dialect;
@@ -29,12 +28,10 @@ pub struct UniqueText {
     pub ann: Arc<Annotations>,
     /// Degradation diagnostics from parsing it.
     pub diags: Arc<[Diagnostic]>,
-    /// Literal-sensitive 128-bit content hash: the key of the table.
+    /// Literal-sensitive 128-bit content hash
+    /// ([`sqlcheck_parser::hash::content_hash_bytes`]): the key of the
+    /// table.
     pub hash: u128,
-    /// Literal-insensitive template fingerprint
-    /// ([`sqlcheck_parser::fingerprint`]), computed from the tokens its
-    /// shape's first text materialised for parsing.
-    pub fingerprint: u64,
     /// Statements that refer to this text.
     pub count: usize,
     /// Id of its entry in the table's shape map; `None` for a text whose
@@ -50,14 +47,13 @@ impl UniqueText {
     }
 }
 
-/// One shape a tree is shared under: the tree, its annotations and
-/// fingerprint, the live texts holding it and their summed count.
+/// One shape a tree is shared under: the tree and its annotations, the
+/// live texts holding it and their summed count.
 #[derive(Debug, Clone)]
 struct Shape {
     key: u128,
     parsed: Arc<ParsedStatement>,
     ann: Arc<Annotations>,
-    fingerprint: u64,
     /// Live texts of this shape.
     texts: usize,
     /// Statements that refer to any of them.
@@ -69,10 +65,10 @@ struct Shape {
 /// tree per shape.
 ///
 /// Each new text is lexed once, and that pass hashes its
-/// [shape](sqlcheck_parser::fingerprint::ShapeHasher). A text whose shape
+/// [shape](sqlcheck_parser::hash::ShapeHasher). A text whose shape
 /// an eligible entry holds — a `SELECT`, `INSERT`, `UPDATE` or `DELETE`
-/// tree that parsed without diagnostics — takes that entry's tree,
-/// annotations and fingerprint and keeps only its own source; any other
+/// tree that parsed without diagnostics — takes that entry's tree and
+/// annotations and keeps only its own source; any other
 /// text builds its owned tokens from the same pass's spans and is parsed
 /// and annotated. DDL never shares: its number literals (type lengths,
 /// `CHECK` lists) reach the schema.
@@ -91,8 +87,6 @@ pub struct UniqueTable {
     free: Vec<usize>,
     /// Live ids by content hash.
     by_hash: HashMap<u128, usize, Prehashed>,
-    /// Live unique texts per template fingerprint.
-    templates: HashMap<u64, usize>,
     /// Shape entries by shape id; `None` for a freed one.
     shapes: Vec<Option<Shape>>,
     /// Freed shape ids.
@@ -131,11 +125,6 @@ impl UniqueTable {
     /// indexed by id.
     pub fn id_bound(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Distinct template fingerprints among the live texts.
-    pub fn templates(&self) -> usize {
-        self.templates.len()
     }
 
     /// Distinct parse trees among the live texts: one per shape, plus
@@ -198,8 +187,8 @@ impl UniqueTable {
     /// The insert path: the id of the text `u` splits to in `script`.
     /// A text the table holds is not lexed at all. A new text is lexed
     /// once into `lex`; when its shape is held, it shares that tree,
-    /// otherwise its tokens are materialised from the same pass,
-    /// fingerprinted, parsed (then dropped) and annotated. Counts no
+    /// otherwise its tokens are materialised from the same pass, parsed
+    /// (then dropped) and annotated. Counts no
     /// occurrence; adds the time spent to `times`.
     pub(crate) fn insert(
         &mut self,
@@ -224,7 +213,6 @@ impl UniqueTable {
                 ann: Arc::clone(&shape.ann),
                 diags: Arc::default(),
                 hash: u.content_hash,
-                fingerprint: shape.fingerprint,
                 count: 0,
                 shape: Some(s),
             };
@@ -232,7 +220,6 @@ impl UniqueTable {
             return self.add(entry);
         }
         let raw = lex.materialize(script);
-        let fingerprint = fingerprint_of(&raw.tokens);
         let tp = Instant::now();
         let (parsed, diags) = parse_raw_limited(raw, limits, dialect);
         let ta = Instant::now();
@@ -246,7 +233,6 @@ impl UniqueTable {
                 key,
                 parsed: Arc::clone(&parsed),
                 ann: Arc::clone(&ann),
-                fingerprint,
                 texts: 1,
                 count: 0,
             };
@@ -277,7 +263,6 @@ impl UniqueTable {
             ann,
             diags,
             hash: u.content_hash,
-            fingerprint,
             count: 0,
             shape,
         };
@@ -285,23 +270,18 @@ impl UniqueTable {
     }
 
     /// The id of the text with content hash `hash`, adding it with the
-    /// tree, annotations, diagnostics and fingerprint `parse` returns when
-    /// the table does not hold it yet. A text added here shares its tree
-    /// with no other text.
+    /// tree, annotations and diagnostics `parse` returns when the table
+    /// does not hold it yet. A text added here shares its tree with no
+    /// other text.
     pub(crate) fn intern(
         &mut self,
         hash: u128,
-        parse: impl FnOnce() -> (
-            Arc<ParsedStatement>,
-            Arc<Annotations>,
-            Arc<[Diagnostic]>,
-            u64,
-        ),
+        parse: impl FnOnce() -> (Arc<ParsedStatement>, Arc<Annotations>, Arc<[Diagnostic]>),
     ) -> usize {
         if let Some(id) = self.id_of(hash) {
             return id;
         }
-        let (parsed, ann, diags, fingerprint) = parse();
+        let (parsed, ann, diags) = parse();
         let source = Arc::clone(&parsed.source);
         self.add(UniqueText {
             parsed,
@@ -309,7 +289,6 @@ impl UniqueTable {
             ann,
             diags,
             hash,
-            fingerprint,
             count: 0,
             shape: None,
         })
@@ -317,7 +296,7 @@ impl UniqueTable {
 
     /// Add a text the table does not hold, reusing a freed id first.
     fn add(&mut self, entry: UniqueText) -> usize {
-        let (hash, fingerprint) = (entry.hash, entry.fingerprint);
+        let hash = entry.hash;
         let id = match self.free.pop() {
             Some(id) => {
                 self.entries[id] = Some(entry);
@@ -329,7 +308,6 @@ impl UniqueTable {
             }
         };
         self.by_hash.insert(hash, id);
-        *self.templates.entry(fingerprint).or_default() += 1;
         id
     }
 
@@ -367,12 +345,6 @@ impl UniqueTable {
         }
         let e = self.entries[id].take().expect("checked live above");
         self.by_hash.remove(&e.hash);
-        if let Some(c) = self.templates.get_mut(&e.fingerprint) {
-            *c -= 1;
-            if *c == 0 {
-                self.templates.remove(&e.fingerprint);
-            }
-        }
         if let Some(s) = e.shape {
             let shape = self.shapes[s].as_mut().expect("a live shape id");
             shape.texts -= 1;

@@ -1,5 +1,5 @@
 //! The detection engine: batched detection over large workloads
-//! (template dedup). Every production path runs it.
+//! (text dedup). Every production path runs it.
 //!
 //! Production logs contain millions of statements drawn from a few
 //! hundred templates. The batch engine exploits that redundancy:
@@ -9,12 +9,11 @@
 //!    per unique text, at its first occurrence (the engine builds no
 //!    grouping of its own), and once for all texts that share their
 //!    shape's tree. The results fan back out to every occurrence with
-//!    corrected loci. The shape key (rather than the template
-//!    [fingerprint](sqlcheck_parser::fingerprint)) is what makes the
-//!    fan-out byte-identical to the per-statement reference: several rules
-//!    inspect string literal *values* (leading-wildcard `LIKE`, token-list
-//!    `INSERT`s), and the shape keeps every string literal; no rule reads
-//!    a number literal's value.
+//!    corrected loci. The [shape](sqlcheck_parser::hash::ShapeHasher)
+//!    key is what keeps the fan-out byte-identical to the per-statement
+//!    reference: several rules inspect string literal *values*
+//!    (leading-wildcard `LIKE`, token-list `INSERT`s), and the shape
+//!    keeps every string literal; no rule reads a number literal's value.
 //! 2. **Units** — the intra-query phase slices into per-unique-text
 //!    units, the inter-query phase into per-rule units, and the
 //!    data-analysis phase into per-table units, each run in order under
@@ -46,8 +45,6 @@ use std::time::Instant;
 pub struct BatchStats {
     /// Statements in the workload.
     pub statements: usize,
-    /// Distinct template fingerprints (literal-insensitive).
-    pub unique_templates: usize,
     /// Distinct exact statement texts.
     pub unique_texts: usize,
     /// Distinct parse trees among the unique texts (texts of one shape
@@ -83,8 +80,8 @@ pub struct BatchStats {
     /// [`FrontendStats`]: crate::context::FrontendStats
     pub split_micros: u128,
     /// Front-end: microseconds materialising token streams for new unique
-    /// statement texts at intake (each new text's one lex) and
-    /// fingerprinting them from those tokens.
+    /// statement texts at intake: each new text's one lex, which hashes
+    /// its shape, and the owned tokens of a text of a new shape.
     pub materialize_micros: u128,
     /// Front-end: microseconds in intake bookkeeping — looking up each
     /// unique text in the context's table and recording occurrences.
@@ -333,7 +330,6 @@ impl Detector {
         diag_counts[DiagKind::RuleFailed.index()] += rule_failures;
         let stats = BatchStats {
             statements: ctx.statements.len(),
-            unique_templates: uniques.templates(),
             unique_texts: uniques.len(),
             parsed_trees: uniques.trees(),
             duplicate_statements: ctx.statements.len() - uniques.len(),
@@ -440,8 +436,6 @@ mod tests {
         let b = Detector::default().detect_batch(&ctx);
         assert_eq!(b.stats.statements, ctx.len());
         assert!(b.stats.unique_texts < b.stats.statements, "duplicates must dedup");
-        // The `a = {i}` family shares one template across 40 literals.
-        assert!(b.stats.unique_templates < b.stats.unique_texts);
         assert_eq!(b.stats.duplicate_statements, b.stats.statements - b.stats.unique_texts);
         // The 40 `a = {i}` texts of equal length share trees: 0..=9 and
         // 10..=39 parse twice, not 40 times.

@@ -39,7 +39,7 @@ pub fn context(script: &str, opts: &FrontendOptions) -> Context {
             let ann = annotate(&parsed.stmt, &parsed.arena);
             let (parsed, ann, diags) = (Arc::new(parsed), Arc::new(ann), diags.into());
             let unique = uniques.intern(s.content_hash, || {
-                (Arc::clone(&parsed), Arc::clone(&ann), Arc::clone(&diags), s.fingerprint(script))
+                (Arc::clone(&parsed), Arc::clone(&ann), Arc::clone(&diags))
             });
             uniques.add_occurrence(unique);
             AnalyzedStatement { parsed, ann, unique, span: s.span, diags }

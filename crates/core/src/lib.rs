@@ -32,15 +32,16 @@
 //! [`Detector::detect`] / [`Detector::detect_batch`] — runs one detection
 //! engine that exploits that redundancy:
 //!
-//! * the front end splits and content-hashes the script **before**
-//!   parsing, and keeps one [`context::UniqueTable`] of distinct texts:
-//!   each is parsed, annotated and [fingerprinted](sqlcheck_parser::fingerprint)
-//!   once and shared by its occurrences via `Arc`, and DML texts that
-//!   differ only in number literals share one tree;
+//! * the front end splits and [content-hashes](sqlcheck_parser::hash)
+//!   the script **before** parsing, and keeps one
+//!   [`context::UniqueTable`] of distinct texts: each is parsed and
+//!   annotated once and shared by its occurrences via `Arc`, and DML
+//!   texts that differ only in number literals share one tree (their
+//!   [shape](sqlcheck_parser::hash::ShapeHasher) keys it);
 //! * intra-query rules run **once per parse tree** and fan back out to
-//!   every occurrence with corrected loci (exact text, or its shape,
-//!   not the template, keys the results because some rules inspect
-//!   string literal values);
+//!   every occurrence with corrected loci (the exact text or its shape
+//!   keys the results, and the shape keeps every string literal, because
+//!   some rules inspect string literal values);
 //! * detection runs in panic-isolated units — intra-query rules per
 //!   unique tree, inter-query rules per rule, data-analysis rules per
 //!   profiled table — merged in statement, rule, and table order;
@@ -55,8 +56,8 @@
 //!
 //! The engine returns byte-identical detections, in the same order, as
 //! the per-statement reference loop the identity suites keep as their
-//! oracle — plus [`BatchStats`] instrumentation (template/dedup counts,
-//! per-phase front-end and detection timings).
+//! oracle — plus [`BatchStats`] instrumentation (text, tree and
+//! duplicate counts, per-phase front-end and detection timings).
 //!
 //! ```
 //! use sqlcheck::{FrontendOptions, SqlCheck};
@@ -67,7 +68,8 @@
 //! }
 //! let w = SqlCheck::new().check_workload(&script, &FrontendOptions::default());
 //! assert_eq!(w.stats.statements, 100);
-//! assert_eq!(w.stats.unique_templates, 1);
+//! // One-digit and two-digit ids: two shapes, so two parsed trees.
+//! assert_eq!(w.stats.parsed_trees, 2);
 //! assert!(!w.outcome.ranked().is_empty());
 //! ```
 //!

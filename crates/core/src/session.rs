@@ -618,7 +618,6 @@ impl CheckSession {
         // ---- stats ---------------------------------------------------
         let mut stats = BatchStats {
             statements: n,
-            unique_templates: uniques.templates(),
             unique_texts: uniques.len(),
             parsed_trees: uniques.trees(),
             duplicate_statements: n - uniques.len(),

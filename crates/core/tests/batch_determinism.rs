@@ -31,7 +31,9 @@ fn random_script(rng: &mut SmallRng, statements: usize) -> String {
     }
     // Literal pools kept tiny so duplicates dominate; pattern literals
     // include both AP-triggering (leading-wildcard) and benign shapes —
-    // the pair shares a fingerprint but must not share detections.
+    // the pair differs only in a string literal but must not share
+    // detections. The number pool has two one-digit literals, so their
+    // variants share a parse tree.
     let lits = ["1", "2", "42"];
     let pats = ["'%x%'", "'x%'", "'[[:<:]]U1[[:>:]]'", "'U1,U2,U3'"];
     for _ in 0..statements {
@@ -76,7 +78,6 @@ fn assert_batch_matches(det: &Detector, script: &str, label: &str) {
         batch.stats.statements - batch.stats.unique_texts,
         "{label}"
     );
-    assert!(batch.stats.unique_templates <= batch.stats.unique_texts, "{label}");
     assert!(batch.stats.parsed_trees <= batch.stats.unique_texts, "{label}");
 }
 
@@ -342,5 +343,5 @@ fn random_scripts_contain_duplicates() {
         b.stats.duplicate_statements,
         b.stats.statements
     );
-    assert!(b.stats.unique_templates < b.stats.unique_texts, "literal variants must fold");
+    assert!(b.stats.parsed_trees < b.stats.unique_texts, "literal variants must share a tree");
 }

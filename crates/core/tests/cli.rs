@@ -1,7 +1,7 @@
 //! End-to-end tests of the `sqlcheck` binary: exit codes, stdin input,
 //! command-line validation, agreement of the default listing with the
-//! batch-engine listings (`--stats`, `--cache`) and with `--no-fix`, the
-//! `--stats` peak-memory line, and output write errors.
+//! `--stats` listing and with `--no-fix`, the `--stats` count, timing and
+//! peak-memory lines, and output write errors.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -153,6 +153,29 @@ fn default_listing_matches_the_stats_listing() {
     let err = String::from_utf8_lossy(&stats.stderr);
     assert!(err.contains("stats: parse coverage"), "{err}");
     assert!(!err.contains("thread"), "{err}");
+    // The counts line names its fields in order, and the counts agree:
+    // every statement is a unique text or a duplicate of one, and texts
+    // of one shape share a tree.
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("stats: ").filter(|l| l.contains(" statement(s), ")))
+        .expect("the counts line");
+    let counts: Vec<(usize, &str)> = line
+        .split(", ")
+        .map(|pair| {
+            let (n, name) = pair.split_once(' ').expect("an `N name` pair");
+            (n.parse().expect("a count"), name)
+        })
+        .collect();
+    let names: Vec<&str> = counts.iter().map(|&(_, name)| name).collect();
+    assert_eq!(
+        names,
+        ["statement(s)", "unique text(s)", "parsed tree(s)", "duplicate statement(s)"],
+        "{err}"
+    );
+    let [statements, texts, trees, duplicates] = [0, 1, 2, 3].map(|i| counts[i].0);
+    assert_eq!(statements, texts + duplicates, "{err}");
+    assert!(duplicates > 0 && trees <= texts, "{err}");
     // The timing lines name every phase, and the detect phases account
     // for no more than the detect total.
     let front = timings(&err, "stats: front-end ");

@@ -17,7 +17,7 @@ use sqlcheck::{ContextBuilder, Detector, Edit, FrontendOptions, SqlCheck};
 use sqlcheck_minidb::stats::SmallRng;
 
 /// A skewed script: ~90% of statements instantiate one hot template with
-/// a fresh literal each (many cheap unique texts under one fingerprint),
+/// a fresh literal each (many cheap unique texts of one query),
 /// one statement is a giant `BEGIN…END` body (`sub_stmts` sub-statements
 /// — a single expensive intra unit), and the rest draw from a small
 /// varied pool. DDL up front so contextual rules have a catalog.

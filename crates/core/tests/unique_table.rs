@@ -2,20 +2,22 @@
 //! re-checks.
 //!
 //! Random edit rounds — fresh texts, texts revived from the original
-//! script, and DDL — run through a `CheckSession`, cache on and off.
-//! After every round the table must describe the statements exactly
-//! (counts, hash lookups, freed ids) and hold the same live texts, with
-//! the same counts, as the table of a cold check of the edited script.
+//! script, and DDL — run through a `CheckSession`. After every round the
+//! table must describe the statements exactly (counts, hash lookups,
+//! freed ids) and hold the same live texts, with the same counts and the
+//! same number of parse trees, as the table of a cold check of the
+//! edited script.
 //!
-//! The table fingerprints each new text from the tokens it materialises
-//! for parsing; every text's fingerprint must equal the per-occurrence
-//! reference context's and a re-lex of the parsed source, through edit
+//! The table keys each text by the content hash the splitter computed;
+//! every live text's source must hash to its key and equal the
+//! per-occurrence reference context's text under that key, through edit
 //! rounds and on random scripts under every dialect.
 
 use sqlcheck::context::Context;
 use sqlcheck::detect::reference;
 use sqlcheck::{Dialect, Edit, FrontendOptions, SqlCheck, WorkloadOutcome};
-use std::collections::{HashMap, HashSet};
+use sqlcheck_parser::hash::content_hash_bytes;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Deterministic xorshift so edit rounds are reproducible.
@@ -79,24 +81,22 @@ fn live_counts(ctx: &Context) -> Vec<(u128, usize)> {
     v
 }
 
-/// Every live text's fingerprint equals the reference context's entry
-/// for the same content hash and a re-lex of its parsed source, and the
-/// template count is the number of distinct reference fingerprints among
-/// the live texts.
+/// Every live text's source hashes to its key and equals the reference
+/// context's text under the same content hash, the live texts are
+/// exactly the reference's, and the table's tree count is the one the
+/// stats report.
 fn assert_fingerprints(w: &WorkloadOutcome, script: &str, opts: &FrontendOptions, what: &str) {
     let ctx = &w.outcome.context;
     let oracle = reference::context(script, opts);
-    let by_hash: HashMap<u128, u64> =
-        oracle.uniques.iter().map(|(_, u)| (u.hash, u.fingerprint)).collect();
-    let mut templates = HashSet::new();
+    let by_hash: HashMap<u128, &str> =
+        oracle.uniques.iter().map(|(_, u)| (u.hash, &*u.source)).collect();
     for (id, u) in ctx.uniques.iter().filter(|(_, u)| u.count > 0) {
         let want = by_hash.get(&u.hash).unwrap_or_else(|| panic!("{what}: id {id} not in oracle"));
-        assert_eq!(u.fingerprint, *want, "{what}: fingerprint of id {id}");
-        assert_eq!(u.fingerprint, u.parsed.fingerprint(ctx.dialect), "{what}: re-lex of id {id}");
-        templates.insert(*want);
+        assert_eq!(&*u.source, *want, "{what}: source of id {id}");
+        assert_eq!(content_hash_bytes(u.source.as_bytes()), u.hash, "{what}: key of id {id}");
     }
-    assert_eq!(ctx.uniques.templates(), templates.len(), "{what}: table templates");
-    assert_eq!(w.stats.unique_templates, templates.len(), "{what}: unique_templates");
+    assert_eq!(live_counts(ctx), live_counts(&oracle), "{what}: live texts");
+    assert_eq!(ctx.uniques.trees(), w.stats.parsed_trees, "{what}: parsed trees");
 }
 
 fn check_against_cold(w: &WorkloadOutcome, script: &str, what: &str) {
@@ -106,12 +106,14 @@ fn check_against_cold(w: &WorkloadOutcome, script: &str, what: &str) {
     let cold = SqlCheck::new().check_workload(script, &FrontendOptions::default());
     assert_consistent(&cold.outcome.context, what);
     assert_eq!(live_counts(ctx), live_counts(&cold.outcome.context), "{what}");
+    // A shape's eligibility to share a tree depends only on its tokens,
+    // so the same live texts hold the same number of trees however the
+    // edits reached them.
     assert_eq!(
-        (w.stats.unique_texts, w.stats.unique_templates),
-        (cold.stats.unique_texts, cold.stats.unique_templates),
+        (w.stats.unique_texts, w.stats.parsed_trees),
+        (cold.stats.unique_texts, cold.stats.parsed_trees),
         "{what}"
     );
-    assert_eq!(ctx.uniques.templates(), cold.stats.unique_templates, "{what}");
 }
 
 #[test]
@@ -156,7 +158,7 @@ fn table_matches_statements_and_cold_checks_through_edit_rounds() {
     }
 }
 
-/// A random script of statements that share templates in many spellings:
+/// A random script of statements that share a query in many spellings:
 /// literal and literal-list variants, keyword and identifier case, trivia,
 /// quoted identifiers that read `;`, `?` or `,`, and dialect-specific
 /// lexing (`#` comments, backticks, brackets, dollar quotes, compound
@@ -189,6 +191,8 @@ fn random_script(rng: &mut Rng) -> String {
     script
 }
 
+/// The table's keys — the content hash that dedups texts — match the
+/// reference's on every live text under every dialect.
 #[test]
 fn fingerprints_match_the_reference_on_random_scripts_under_every_dialect() {
     let mut rng = Rng(0xF1_6E12);

@@ -16,8 +16,8 @@ use std::sync::Arc;
 ///
 /// The statement's tokens are transient parse input: they are dropped
 /// once the tree is built, and only the source text is kept. Anything
-/// that needs tokens again (templates, fingerprints) re-lexes
-/// [`ParsedStatement::source`] under an explicit dialect.
+/// that needs tokens again re-lexes [`ParsedStatement::source`] under
+/// an explicit dialect.
 #[derive(Debug, Clone)]
 pub struct ParsedStatement {
     /// Structural interpretation of the statement.

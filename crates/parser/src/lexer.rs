@@ -104,7 +104,7 @@ pub fn tokenize_significant(input: &str, dialect: Dialect) -> Vec<Token> {
 
 /// A token at the span level: lexical class and byte range, **no owned
 /// text**. The allocation-free representation the parse-once front-end
-/// splits and fingerprints on; owned [`Token`]s are materialised (via
+/// splits and hashes on; owned [`Token`]s are materialised (via
 /// [`SpannedToken::materialize`]) only for the statement texts that
 /// actually get parsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,7 +40,7 @@ pub mod ast;
 mod block;
 pub mod diag;
 pub mod dialect;
-pub mod fingerprint;
+pub mod hash;
 pub mod istr;
 pub mod lexer;
 pub mod parser;

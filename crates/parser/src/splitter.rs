@@ -11,12 +11,11 @@
 //! The production path is [`split_deduped`]: a spans-only boundary scan
 //! (no keyword classification) groups statement occurrences by their
 //! exact bytes, and each **unique** text gets one content hash of its
-//! bytes. The split lexes nothing per unique text and computes no
-//! fingerprint. No whole-script token buffer is ever built; per-statement
-//! token vectors exist only for the texts a consumer materialises for
-//! parsing — from the one lex of a new unique text ([`ShapeLex`]), which
-//! also hashes its shape; the context builder fingerprints those tokens
-//! — and only until they are parsed: tokens are transient parse input, and
+//! bytes. The split lexes nothing per unique text. No whole-script token
+//! buffer is ever built; per-statement token vectors exist only for the
+//! texts a consumer materialises for parsing — from the one lex of a new
+//! unique text ([`ShapeLex`]), which also hashes its shape — and only
+//! until they are parsed: tokens are transient parse input, and
 //! a [`ParsedStatement`](crate::ast::ParsedStatement) keeps the
 //! statement's source text, not its tokens. [`split`] is the owned-token
 //! view of the same pass.
@@ -31,7 +30,7 @@
 
 use crate::block::{BlockTracker, SplitAction};
 use crate::dialect::Dialect;
-use crate::fingerprint::{content_hash_bytes, ShapeHasher};
+use crate::hash::{content_hash_bytes, ShapeHasher};
 use crate::lexer::{lex_into, SpannedToken, TokenSink};
 use crate::token::{kw_lookup, Span, Token, TokenKind};
 use std::collections::HashMap;
@@ -90,7 +89,7 @@ pub struct SplitStatement {
     /// the original script.
     pub span: Span,
     /// Literal-sensitive 128-bit content hash
-    /// ([`crate::fingerprint::content_hash_bytes`] of the span's bytes).
+    /// ([`crate::hash::content_hash_bytes`] of the span's bytes).
     pub content_hash: u128,
 }
 
@@ -446,7 +445,7 @@ pub fn split_deduped_dialect(script: &str, _threads: usize, dialect: Dialect) ->
 pub mod reference {
     use crate::block::{BlockTracker, SplitAction};
     use crate::dialect::Dialect;
-    use crate::fingerprint::{content_hash_bytes, fingerprint_spanned};
+    use crate::hash::content_hash_bytes;
     use crate::lexer::{lex_spans, SpannedToken};
     use crate::splitter::RawStatement;
     use crate::token::Span;
@@ -460,17 +459,11 @@ pub mod reference {
         /// Span covering the statement in the original script.
         pub span: Span,
         /// Literal-sensitive 128-bit content hash
-        /// ([`crate::fingerprint::content_hash_bytes`] of the span's bytes).
+        /// ([`crate::hash::content_hash_bytes`] of the span's bytes).
         pub content_hash: u128,
     }
 
     impl SpannedStatement {
-        /// Literal-insensitive template fingerprint, computed from the
-        /// spans (no parsing, no allocation).
-        pub fn fingerprint(&self, script: &str) -> u64 {
-            fingerprint_spanned(script, &self.tokens)
-        }
-
         /// Build the equivalent owned [`RawStatement`].
         pub fn materialize(&self, script: &str) -> RawStatement {
             RawStatement {
@@ -527,7 +520,6 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::fingerprint_of;
     use crate::splitter::reference::split_spanned;
 
     const G: Dialect = Dialect::Generic;
@@ -578,29 +570,21 @@ mod tests {
 
     #[test]
     fn fingerprinted_chunks_match_post_parse_hashes() {
-        // The pre-parse content hash, and the fingerprint of the tokens a
-        // unique text materialises to, must agree with the hashes
-        // computed from the parsed statement — consumers rely on that to
-        // skip parsing.
+        // The pre-parse content hash must agree with the hash computed
+        // from the parsed statement — consumers rely on that to skip
+        // parsing.
         let script = "SELECT a FROM t WHERE a = 1;\
                       select a from t where a = 2;\
                       INSERT INTO t VALUES (1, 'x');";
         let chunks = split_deduped(script, G).uniques;
         assert_eq!(chunks.len(), 3);
-        let fps: Vec<u64> = chunks
-            .iter()
-            .map(|c| {
-                let raw = c.materialize(script, G);
-                let fp = fingerprint_of(&raw.tokens);
-                let limits = crate::diag::Limits::default();
-                let parsed = crate::parser::parse_raw_limited(raw, &limits, G).0;
-                assert_eq!(fp, parsed.fingerprint(G));
-                assert_eq!(c.content_hash, parsed.content_hash());
-                fp
-            })
-            .collect();
-        // Literal-only variants share a template but not a content hash.
-        assert_eq!(fps[0], fps[1]);
+        for c in &chunks {
+            let raw = c.materialize(script, G);
+            let limits = crate::diag::Limits::default();
+            let parsed = crate::parser::parse_raw_limited(raw, &limits, G).0;
+            assert_eq!(c.content_hash, parsed.content_hash());
+        }
+        // Literal-only variants do not share a content hash.
         assert_ne!(chunks[0].content_hash, chunks[1].content_hash);
     }
 
@@ -659,11 +643,6 @@ mod tests {
                 let u = &d.uniques[*slot as usize];
                 assert_eq!(*span, l.span, "span on {script:?}");
                 assert_eq!(u.content_hash, l.content_hash, "content hash on {script:?}");
-                assert_eq!(
-                    fingerprint_of(&raw.tokens),
-                    l.fingerprint(script),
-                    "fingerprint on {script:?}"
-                );
                 // Re-lex materialisation must reproduce the legacy tokens
                 // exactly (kinds, texts, script-absolute spans).
                 let lm = l.materialize(script);
@@ -793,9 +772,8 @@ mod tests {
 
     /// Development probe, not a test: the two lexes of the front door —
     /// the whole-script boundary scan ([`split_deduped`]) against the
-    /// intake lex of every unique text: the shape lex alone, which is
-    /// all a text of a held shape costs, and materialise plus fingerprint,
-    /// as the context builder runs it before parsing a new shape. Run with
+    /// intake lex of every unique text, the shape lex a new text costs
+    /// before it shares a tree or is parsed. Run with
     /// `cargo test -q -p sqlcheck-parser --release -- --ignored
     /// profile_front_layers --nocapture`.
     #[test]
@@ -845,11 +823,6 @@ mod tests {
         let mut lex = ShapeLex::default();
         time("intake shape lex", bytes, || {
             split.uniques.iter().fold(0, |acc, u| acc ^ lex.lex(&script, u.span, G) as u64)
-        });
-        time("intake lex + fingerprint", bytes, || {
-            split.uniques.iter().fold(0, |acc, u| {
-                acc ^ fingerprint_of(&u.materialize(&script, G).tokens)
-            })
         });
     }
 

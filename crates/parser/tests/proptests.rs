@@ -6,7 +6,6 @@
 
 use sqlcheck_parser::annotate::annotate;
 use sqlcheck_parser::ast::Statement;
-use sqlcheck_parser::fingerprint::fingerprint_of;
 use sqlcheck_parser::lexer::tokenize;
 use sqlcheck_parser::parser::{parse, parse_one};
 use sqlcheck_parser::splitter::reference::split_spanned;
@@ -121,8 +120,7 @@ fn render_is_fixpoint_on_generated_selects() {
 }
 
 /// Keywords injected between identifiers still produce a total parse
-/// and a statement tag; the fingerprint is insensitive to case and
-/// whitespace mangling of the same statement.
+/// and a statement tag.
 #[test]
 fn statement_tag_is_always_defined() {
     const KWS: &[&str] =
@@ -205,8 +203,8 @@ fn random_script(rng: &mut Rng) -> String {
 
 /// The production splitter must emit exactly the statements of the
 /// two-pass `split_spanned` reference — same spans, same content hashes,
-/// and identical materialised token streams, whose fingerprint equals the
-/// reference's — on randomized scripts full of semicolon decoys.
+/// and identical materialised token streams — on randomized scripts full
+/// of semicolon decoys.
 #[test]
 fn fused_split_equals_legacy_split_on_random_scripts() {
     let mut rng = Rng::new(0x5B11);
@@ -221,11 +219,6 @@ fn fused_split_equals_legacy_split_on_random_scripts() {
             let u = &d.uniques[*slot as usize];
             assert_eq!(*span, l.span, "case {case}: span on {script:?}");
             assert_eq!(u.content_hash, l.content_hash, "case {case}: hash on {script:?}");
-            assert_eq!(
-                fingerprint_of(&raw.tokens),
-                l.fingerprint(&script),
-                "case {case}: fingerprint on {script:?}"
-            );
             assert_eq!(
                 raw.tokens,
                 l.materialize(&script).tokens,
@@ -252,47 +245,11 @@ fn deduped_split_round_trips_on_random_scripts() {
             assert_eq!(*span, s.span, "case {case}: occurrence span");
             let u = &d.uniques[*slot as usize];
             assert_eq!(u.content_hash, s.content_hash, "case {case}: unique hash");
-            assert_eq!(
-                fingerprint_of(&u.materialize(&script, Dialect::Generic).tokens),
-                s.fingerprint(&script),
-                "case {case}: unique fingerprint"
-            );
             assert_eq!(text(*span), text(u.span), "case {case}: occurrence text");
         }
         let distinct: std::collections::HashSet<&str> =
             d.uniques.iter().map(|u| text(u.span)).collect();
         assert_eq!(distinct.len(), d.uniques.len(), "case {case}: duplicate unique slot");
-    }
-}
-
-/// Fingerprints are literal-, case-, and whitespace-insensitive on
-/// generated statements, and the template never contains literal text.
-#[test]
-fn fingerprint_is_template_stable() {
-    let mut rng = Rng::new(0xF160);
-    for case in 0..CASES {
-        let table = rng.ident(8);
-        let col = rng.ident(6);
-        let v1 = rng.below(100_000);
-        let v2 = rng.below(100_000);
-        let a = format!("SELECT {col} FROM {table} WHERE {col} = {v1}");
-        let b = format!(
-            "select  {}  from {} where {} = {v2}",
-            col.to_ascii_uppercase(),
-            table.to_ascii_uppercase(),
-            col.to_ascii_uppercase()
-        );
-        let pa = parse_one(&a, Dialect::Generic);
-        let pb = parse_one(&b, Dialect::Generic);
-        assert_eq!(
-            pa.fingerprint(Dialect::Generic),
-            pb.fingerprint(Dialect::Generic),
-            "case {case}: {a} vs {b}"
-        );
-        assert!(
-            !pa.template(Dialect::Generic).contains(&v1.to_string()),
-            "case {case}: literal leaked"
-        );
     }
 }
 
