@@ -22,18 +22,21 @@
 //!    [`CheckSession`](crate::session::CheckSession) re-check alike; the
 //!    inter-query and data units read the whole context and run on every
 //!    check.
-//! 3. **Deterministic merge** — intra detections are re-emitted in
-//!    statement order, inter-query units in rule order, data units in
-//!    table order — exactly the orders the per-statement
-//!    [`reference::detect`](crate::detect::reference::detect) produces —
-//!    followed by the same `(kind, locus)` dedup. The engine therefore
-//!    returns the *same detections in the same order* as the reference,
-//!    for any input.
+//! 3. **Deterministic merge** — each tree's list is deduped once, where
+//!    it is computed, and `fan_out` writes it to every occurrence in
+//!    statement order with the occurrence's absolute span; inter-query
+//!    units follow in rule order and data units in table order, deduped
+//!    together as one tail (`dedup_tail`). Intra detections carry their
+//!    own statement's locus and tail detections never carry one, so no
+//!    dedup key is shared across these parts, and the engine returns the
+//!    *same detections in the same order* as the per-statement
+//!    [`reference::detect`](crate::detect::reference::detect), which
+//!    dedups the whole per-occurrence list, for any input.
 
 use crate::context::Context;
 use crate::detect::schedule::guarded;
-use crate::detect::{attach_spans, data, dedup, inter, intra, Detector};
-use crate::report::{Detection, Locus, Report};
+use crate::detect::{data, dedup, inter, intra, Detector};
+use crate::report::{Detection, Locus, Report, Span};
 use sqlcheck_parser::ast::Statement;
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
 use std::collections::HashMap;
@@ -60,7 +63,8 @@ pub struct BatchStats {
     pub group_micros: u128,
     /// Wall-clock microseconds spent in the intra-query phase.
     pub intra_micros: u128,
-    /// Wall-clock microseconds spent fanning results out to occurrences.
+    /// Wall-clock microseconds spent fanning results out to occurrences,
+    /// each written with its absolute source span.
     pub fanout_micros: u128,
     /// Wall-clock microseconds spent in the inter-query phase (per-rule
     /// units; 0 in intra-only mode).
@@ -68,8 +72,8 @@ pub struct BatchStats {
     /// Wall-clock microseconds spent in the data-analysis phase
     /// (per-table units; 0 without a database).
     pub data_micros: u128,
-    /// Wall-clock microseconds deduplicating the merged detections and
-    /// attaching their per-occurrence source spans.
+    /// Wall-clock microseconds deduplicating the inter/data tail (each
+    /// tree's intra-query list is deduped inside the intra-query phase).
     pub dedup_micros: u128,
     /// Wall-clock microseconds for the whole batch detection.
     pub total_micros: u128,
@@ -184,28 +188,60 @@ pub struct BatchReport {
 
 /// What one engine run resolved per unique text and per tail unit,
 /// handed to [`CheckSession`](crate::session::CheckSession) so that it
-/// adopts the cold run's results instead of recomputing them.
+/// adopts the cold run's results as they are.
 #[derive(Debug)]
 pub(crate) struct EngineUnits {
-    /// Canonical intra-query detections per unique id of the context's
-    /// table (see [`Detector::intra_results`]).
+    /// Canonical, deduped intra-query detections per unique id of the
+    /// context's table (see [`Detector::intra_results`]).
     pub(crate) intra: Vec<Arc<Vec<Detection>>>,
-    /// Per-rule inter-query results (empty in intra-only mode).
-    pub(crate) inter: Vec<Vec<Detection>>,
     /// Per-table data-analysis results, in `data.tables()` order.
     pub(crate) data: Vec<Vec<Detection>>,
+    /// Length of the deduped inter/data tail, which follows the intra
+    /// slices in the report.
+    pub(crate) tail_len: usize,
 }
 
-/// Zero the statement locus so the detections replay at any occurrence.
-/// Spans at this stage are statement-relative (body sub-statement
-/// ranges) and therefore already occurrence-independent.
+/// Zero the statement locus so the detections replay at any occurrence,
+/// then drop repeats. Spans at this stage are statement-relative (body
+/// sub-statement ranges) and therefore already occurrence-independent.
 fn canonicalize(mut dets: Vec<Detection>) -> Vec<Detection> {
     for d in &mut dets {
         if let Locus::Statement { index } = &mut d.locus {
             *index = 0;
         }
     }
+    dedup(&mut dets);
     dets
+}
+
+/// Append `canon` fanned out to occurrence `i` of a statement spanning
+/// `stmt_span`: the locus rewritten to `i`, a statement-relative span
+/// rebased onto the occurrence, an absent span becoming the whole
+/// statement's. The one fan-out of a cold check and a warm re-check.
+pub(crate) fn fan_out(out: &mut Vec<Detection>, canon: &[Detection], i: usize, stmt_span: Span) {
+    for d in canon {
+        let mut d = d.clone();
+        if let Locus::Statement { index } = &mut d.locus {
+            *index = i;
+        }
+        d.span = Some(match d.span {
+            Some(rel) => Span::new(stmt_span.start + rel.start, stmt_span.start + rel.end),
+            None => stmt_span,
+        });
+        out.push(d);
+    }
+}
+
+/// The inter-query units' detections, then the data units', deduped:
+/// the report portion between the intra slices and the registry extras.
+/// Tail rules emit table, column and index loci only, so no tail
+/// detection can repeat an intra detection's key.
+pub(crate) fn dedup_tail(inter: Vec<Vec<Detection>>, data: &[Vec<Detection>]) -> Vec<Detection> {
+    let mut tail: Vec<Detection> = inter.into_iter().flatten().collect();
+    tail.extend(data.iter().flatten().cloned());
+    debug_assert!(tail.iter().all(|d| !matches!(d.locus, Locus::Statement { .. })));
+    dedup(&mut tail);
+    tail
 }
 
 impl Detector {
@@ -259,21 +295,15 @@ impl Detector {
         }
         let intra_micros = t_intra.elapsed().as_micros();
 
-        // Phase 3: deterministic fan-out in statement order, the
-        // statement locus rewritten to the occurrence index.
+        // Phase 3: deterministic fan-out in statement order, each
+        // occurrence with its own index and absolute span.
         let t_fanout = Instant::now();
         let mut report = Report::default();
         report
             .detections
             .reserve_exact(uniques.iter().map(|(id, u)| u.count * intra[id].len()).sum());
         for (idx, s) in ctx.statements.iter().enumerate() {
-            for d in intra[s.unique].iter() {
-                let mut d = d.clone();
-                if let Locus::Statement { index } = &mut d.locus {
-                    *index = idx;
-                }
-                report.detections.push(d);
-            }
+            fan_out(&mut report.detections, &intra[s.unique], idx, s.span);
         }
         let fanout_micros = t_fanout.elapsed().as_micros();
 
@@ -291,7 +321,6 @@ impl Detector {
                         ));
                         Vec::new()
                     });
-                report.detections.extend(dets.iter().cloned());
                 inter_units.push(dets);
             }
         }
@@ -313,17 +342,18 @@ impl Detector {
                     ));
                     Vec::new()
                 });
-                report.detections.extend(dets.iter().cloned());
                 data_units.push(dets);
             }
         }
         let data_micros = t_data.elapsed().as_micros();
 
-        // The shared (kind, locus, span) dedup, then per-occurrence
-        // source spans.
+        // The inter/data tail, deduped on its own and appended once.
         let t_dedup = Instant::now();
-        dedup(&mut report.detections);
-        attach_spans(&mut report.detections, ctx);
+        let inter_units_run = inter_units.len();
+        let tail = dedup_tail(inter_units, &data_units);
+        let tail_len = tail.len();
+        report.detections.reserve_exact(tail_len);
+        report.detections.extend(tail);
         let dedup_micros = t_dedup.elapsed().as_micros();
 
         let rule_failures = diagnostics.len();
@@ -344,20 +374,21 @@ impl Detector {
             degraded_statements,
             diag_counts,
             rule_failures,
-            inter_units_recomputed: inter_units.len(),
+            inter_units_recomputed: inter_units_run,
             data_units_recomputed: data_units.len(),
             ..BatchStats::default()
         };
-        let units = EngineUnits { intra, inter: inter_units, data: data_units };
+        let units = EngineUnits { intra, data: data_units, tail_len };
         BatchReport { report, stats, diagnostics, units }
     }
 
     /// Canonical intra-query detections (statement locus zeroed, spans
-    /// statement-relative) of each representative statement in `reps`,
-    /// each computed under the panic guard, once per parse tree: texts
-    /// that share their shape's tree share its result. A panicking unit
-    /// yields no detections and adds a [`DiagKind::RuleFailed`]
-    /// diagnostic at each representative it covers.
+    /// statement-relative, repeats dropped) of each representative
+    /// statement in `reps`, each computed under the panic guard, once per
+    /// parse tree: texts that share their shape's tree share its result.
+    /// A panicking unit yields no detections and adds a
+    /// [`DiagKind::RuleFailed`] diagnostic at each representative it
+    /// covers.
     pub(crate) fn intra_results(
         &self,
         ctx: &Context,
@@ -417,6 +448,11 @@ mod tests {
             s.push_str(&format!("SELECT * FROM t WHERE a = {i};\n"));
             s.push_str("SELECT * FROM u WHERE user_ids LIKE '%U1%';\n");
             s.push_str("INSERT INTO t VALUES (1, 2.5);\n");
+        }
+        // Two float columns: Rounding Errors twice at one (kind, span),
+        // deduped once per tree and fanned out to both occurrences.
+        for _ in 0..2 {
+            s.push_str("CREATE TABLE v (id INT PRIMARY KEY, price FLOAT, tax DOUBLE PRECISION);\n");
         }
         s
     }

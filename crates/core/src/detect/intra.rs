@@ -19,7 +19,7 @@ use sqlcheck_parser::ast::*;
 /// PROCEDURE` / `CREATE FUNCTION`): a `SELECT *` or `ORDER BY RAND()`
 /// inside a trigger body is still an anti-pattern. Body detections carry
 /// the enclosing statement's locus plus a **statement-relative** span
-/// pointing into the body (`attach_spans` rebases it onto each
+/// pointing into the body (the engine's fan-out rebases it onto each
 /// occurrence's source range).
 pub fn detect_statement(
     idx: usize,

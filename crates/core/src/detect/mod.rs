@@ -80,36 +80,10 @@ impl Detector {
     }
 }
 
-/// Stamp every statement-locus detection with the source span of **its
-/// own** statement occurrence. Runs as the final step of the engine and
-/// of [`reference::detect`], after fan-out and dedup: duplicate
-/// texts share one analysis result, but each fanned-out detection's locus
-/// index is per-occurrence, so the span lookup lands on the right copy.
-///
-/// Before this step a detection's span, when present, is **relative to
-/// its statement's start** (a body sub-statement of compound DDL);
-/// relative spans are occurrence-independent, so they survive fan-out and
-/// a session's per-text memo unchanged, and are rebased here onto the
-/// occurrence's absolute source range. An absent span means the
-/// detection covers the whole statement.
-pub(crate) fn attach_spans(detections: &mut [Detection], ctx: &Context) {
-    for d in detections {
-        if let Locus::Statement { index } = d.locus {
-            d.span = ctx.statements.get(index).map(|s| match d.span {
-                Some(rel) => {
-                    crate::report::Span::new(s.span.start + rel.start, s.span.start + rel.end)
-                }
-                None => s.span,
-            });
-        }
-    }
-}
-
 /// Fill missing spans on externally-produced detections (custom
-/// registry rules) with their statement occurrence's span. Unlike
-/// [`attach_spans`], a span such a rule set itself is treated as
-/// **absolute** and left untouched — the statement-relative convention
-/// is internal to the intra-query body fan-out.
+/// registry rules) with their statement occurrence's span. Unlike the
+/// intra-query fan-out, which rebases a statement-relative span, a span
+/// such a rule set itself is treated as **absolute** and left untouched.
 pub(crate) fn attach_default_spans(detections: &mut [Detection], ctx: &Context) {
     for d in detections {
         if d.span.is_none() {
@@ -125,7 +99,9 @@ pub(crate) fn attach_default_spans(detections: &mut [Detection], ctx: &Context) 
 /// crediting the earliest (most specific) phase. The (still relative)
 /// span participates so that the same AP kind at two different body
 /// sub-statements of one compound statement is reported per
-/// sub-statement, not collapsed. Runs in O(n) via a hash set.
+/// sub-statement, not collapsed. Runs in O(n) via a hash set, over one
+/// tree's canonical list or the inter/data tail (and, in
+/// [`reference::detect`], over the whole per-occurrence list).
 pub(crate) fn dedup(detections: &mut Vec<Detection>) {
     let mut seen: HashSet<(
         crate::anti_pattern::AntiPatternKind,

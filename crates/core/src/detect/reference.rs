@@ -13,11 +13,11 @@
 //! this module is the oracle the identity suites and the bench identity
 //! asserts compare them against.
 
-use super::{attach_spans, data, dedup, inter, intra, DetectionConfig};
+use super::{data, dedup, inter, intra, DetectionConfig};
 use crate::context::{
     AnalyzedStatement, Context, FrontendOptions, SchemaCatalog, UniqueTable, WorkloadProfile,
 };
-use crate::report::Report;
+use crate::report::{Detection, Locus, Report, Span};
 use sqlcheck_parser::annotate::annotate;
 use sqlcheck_parser::parser::parse_raw_limited;
 use sqlcheck_parser::splitter::reference::split_spanned;
@@ -82,4 +82,20 @@ pub fn detect(ctx: &Context, cfg: &DetectionConfig) -> Report {
     dedup(&mut report.detections);
     attach_spans(&mut report.detections, ctx);
     report
+}
+
+/// Stamp every statement-locus detection with the source span of its
+/// own statement occurrence, after the global dedup: a detection's span,
+/// when present, is relative to its statement's start (a body
+/// sub-statement of compound DDL) and is rebased onto the occurrence's
+/// absolute source range; an absent span becomes the whole statement's.
+fn attach_spans(detections: &mut [Detection], ctx: &Context) {
+    for d in detections {
+        if let Locus::Statement { index } = d.locus {
+            d.span = ctx.statements.get(index).map(|s| match d.span {
+                Some(rel) => Span::new(s.span.start + rel.start, s.span.start + rel.end),
+                None => s.span,
+            });
+        }
+    }
 }

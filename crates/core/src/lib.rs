@@ -38,13 +38,15 @@
 //!   annotated once and shared by its occurrences via `Arc`, and DML
 //!   texts that differ only in number literals share one tree (their
 //!   [shape](sqlcheck_parser::hash::ShapeHasher) keys it);
-//! * intra-query rules run **once per parse tree** and fan back out to
-//!   every occurrence with corrected loci (the exact text or its shape
-//!   keys the results, and the shape keeps every string literal, because
-//!   some rules inspect string literal values);
+//! * intra-query rules run **once per parse tree**; each tree's list is
+//!   deduped once and fans back out to every occurrence with corrected
+//!   loci (the exact text or its shape keys the results, and the shape
+//!   keeps every string literal, because some rules inspect string
+//!   literal values) — the engine never dedups per occurrence;
 //! * detection runs in panic-isolated units — intra-query rules per
 //!   unique tree, inter-query rules per rule, data-analysis rules per
-//!   profiled table — merged in statement, rule, and table order;
+//!   profiled table — merged in statement, rule, and table order, the
+//!   inter-query and data results deduped together as one tail;
 //! * every statement-locus [`Detection`] (and the fix derived from it)
 //!   carries the byte [`Span`] of **its own** occurrence in the source
 //!   script, even when duplicate texts share one parse tree.

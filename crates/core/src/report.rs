@@ -66,8 +66,8 @@ pub struct Detection {
     /// body sub-statement. Spans are **per occurrence**: duplicate
     /// statement texts share one parse tree but each detection points at
     /// its own location in the source. (Internally, intra-query body
-    /// detections hold statement-relative spans until span attachment
-    /// rebases them; reported spans are always absolute.)
+    /// detections hold statement-relative spans until the fan-out to
+    /// each occurrence rebases them; reported spans are always absolute.)
     pub span: Option<Span>,
 }
 

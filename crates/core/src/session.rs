@@ -23,18 +23,20 @@
 //!   `retract(old unique) ⊕ insert(new unique)`. A DDL edit refolds the
 //!   schema and workload with the cold build's own fold (still without
 //!   touching the front-end).
-//! * **patch** — each unique text keeps its canonical intra-query
-//!   detections, and the report keeps per-statement slices with their
+//! * **patch** — each unique text keeps its canonical, deduped
+//!   intra-query detections (adopted from the cold build's engine as
+//!   they are), and the report keeps per-statement slices with their
 //!   offsets. The intra-query rules re-run on the edited texts — after a
 //!   DDL edit, on every live text, since any of them may read the
 //!   changed schema. Only edited statements and the occurrences of texts
-//!   whose canonical detections changed are re-emitted; everything else
-//!   **moves** — no re-analysis, just a span shift for statements after
-//!   the edit point. The lazy ranking and fixes are dropped first, so the
-//!   rebuilt report reuses their memory.
+//!   whose canonical detections changed are re-emitted, through the
+//!   engine's own fan-out; everything else **moves** — no re-analysis,
+//!   just a span shift for statements after the edit point. The lazy
+//!   ranking and fixes are dropped first, so the rebuilt report reuses
+//!   their memory.
 //! * **finalize** — the four inter-query rules re-run over the patched
-//!   context and the deduped inter/data tail is rebuilt (the data units
-//!   are kept from the cold build: the attached database is never
+//!   context and the engine's tail builder dedups them with the data
+//!   units (kept from the cold build: the attached database is never
 //!   re-profiled), then the registry runs — exactly the part a cold
 //!   check pays too.
 //!
@@ -54,10 +56,10 @@
 use crate::context::{
     FrontendOptions, PhaseTimes, SchemaCatalog, StatementContribution, WorkloadProfile,
 };
-use crate::detect::batch::EngineUnits;
+use crate::detect::batch::{dedup_tail, fan_out, EngineUnits};
 use crate::detect::schedule::guarded;
 use crate::detect::{inter, BatchStats};
-use crate::report::{Detection, Locus, Span};
+use crate::report::{Detection, Span};
 use crate::{parse_diagnostics, CheckOutcome, SqlCheck, WorkloadOutcome};
 use sqlcheck_parser::diag::{DiagKind, Diagnostic};
 use sqlcheck_parser::splitter::{split_deduped, ShapeLex};
@@ -89,11 +91,10 @@ impl Edit {
 /// What the session keeps per unique id of the context's table.
 #[derive(Default)]
 struct Slot {
-    /// Canonical **deduped** intra-query detections: statement locus
-    /// zeroed, spans statement-relative. Fan-out to occurrence `i`
-    /// rewrites the locus and rebases spans — exactly the batch engine's
-    /// global dedup ⊕ span attachment, factored per statement (dedup
-    /// keys are disjoint across statement loci).
+    /// Canonical **deduped** intra-query detections, as the engine's
+    /// `Detector::intra_results` computed them: statement locus zeroed,
+    /// spans statement-relative. The shared [`fan_out`] writes them to
+    /// occurrence `i`, locus rewritten and spans rebased.
     canon: Arc<Vec<Detection>>,
     /// Lazily computed workload contribution, valid for the current
     /// schema (cleared on DDL refolds — resolution consults the schema).
@@ -115,9 +116,10 @@ struct State {
     /// `data::detect_table` reads only its table's profile, and the
     /// attached database is not re-profiled within a session.
     data_units: Vec<Vec<Detection>>,
-    /// Something the incremental path cannot patch safely (diagnostics,
-    /// rule panics, derivation mismatch): every re-check falls back to a
-    /// full rebuild until an edit clears the condition away.
+    /// Something the incremental path cannot patch safely (parse or
+    /// script diagnostics other than the dialect guess, rule panics):
+    /// every re-check falls back to a full rebuild until an edit clears
+    /// the condition away.
     degraded: bool,
 }
 
@@ -165,77 +167,31 @@ impl SqlCheck {
     }
 }
 
-/// Dedup a canonical entry, reusing the allocation when already clean.
-fn dedup_arc(v: Arc<Vec<Detection>>) -> Arc<Vec<Detection>> {
-    let mut d = (*v).clone();
-    crate::detect::dedup(&mut d);
-    if d.len() == v.len() {
-        v
-    } else {
-        Arc::new(d)
-    }
-}
-
-/// The units' detections concatenated in order and deduped: the report
-/// portion between the intra slices and the registry extras.
-fn dedup_tail<'a>(units: impl IntoIterator<Item = &'a Vec<Detection>>) -> Vec<Detection> {
-    let mut tail: Vec<Detection> = units.into_iter().flatten().cloned().collect();
-    crate::detect::dedup(&mut tail);
-    tail
-}
-
-/// Emit `canon` fanned out to occurrence `i` of a statement spanning
-/// `stmt_span`: locus rewritten, relative spans rebased — byte-identical
-/// to the batch engine's fan-out + span attachment for this statement.
-fn emit_fanout(out: &mut Vec<Detection>, canon: &[Detection], i: usize, stmt_span: Span) {
-    for d in canon {
-        let mut d = d.clone();
-        if let Locus::Statement { index } = &mut d.locus {
-            *index = i;
-        }
-        d.span = Some(match d.span {
-            Some(rel) => Span::new(stmt_span.start + rel.start, stmt_span.start + rel.end),
-            None => stmt_span,
-        });
-        out.push(d);
-    }
-}
-
 impl State {
     /// Cold build: run the ordinary pipeline with the engine keeping its
-    /// per-unique and per-unit results, then adopt them as the retained
-    /// forms (per-unique canonical detections, per-statement slice
-    /// bounds, tail units). Nothing is recomputed.
+    /// per-unique and per-unit results, and adopt them as they are: the
+    /// report is the intra slices, the tail, then registry extras.
+    /// Nothing is recomputed.
     fn init(tool: &SqlCheck, script: &str, opts: &FrontendOptions) -> State {
-        let (base, EngineUnits { intra, inter, data: data_units }) =
+        let (base, EngineUnits { intra, data: data_units, tail_len }) =
             tool.run_workload(script, opts);
         let ctx = &base.outcome.context;
-        let n = ctx.statements.len();
-        let slots: Vec<Slot> = intra
-            .into_iter()
-            .map(|canon| Slot { canon: dedup_arc(canon), contribution: None })
-            .collect();
+        let slots: Vec<Slot> =
+            intra.into_iter().map(|canon| Slot { canon, contribution: None }).collect();
 
         // Conditions the incremental path refuses to patch around:
         // diagnostic attribution and panic replay are cheap to get right
-        // by rebuilding cold.
-        let mut degraded = !ctx.diagnostics.is_empty()
+        // by rebuilding cold. The dialect guess is not one of them: a
+        // re-check that keeps the guessed dialect keeps its diagnostic,
+        // and one that changes it rebuilds.
+        let degraded = ctx.diagnostics.iter().any(|d| d.kind != DiagKind::DialectGuessed)
             || base.stats.rule_failures > 0
             || ctx.uniques.iter().any(|(_, u)| !u.diags.is_empty());
 
-        let mut bounds: Vec<usize> = Vec::with_capacity(n + 1);
+        let mut bounds: Vec<usize> = Vec::with_capacity(ctx.statements.len() + 1);
         bounds.push(0);
         for s in &ctx.statements {
             bounds.push(bounds.last().unwrap() + slots[s.unique].canon.len());
-        }
-
-        let tail_len = dedup_tail(inter.iter().chain(&data_units)).len();
-
-        // The derivation must tile the retained report exactly: intra
-        // slices, then the tail, then registry extras. A mismatch means
-        // an assumption broke — degrade rather than patch blind.
-        if bounds[n] + tail_len > base.outcome.report.detections.len() {
-            degraded = true;
         }
 
         State { outcome: base, slots, bounds, tail_len, data_units, degraded }
@@ -512,7 +468,6 @@ impl CheckSession {
         // not (shared texts, texts a DDL edit changed).
         let mut changed = vec![false; state.slots.len()];
         for (&(id, _), canon) in need.iter().zip(refreshed) {
-            let canon = dedup_arc(canon);
             let slot = &mut state.slots[id];
             changed[id] = *canon != *slot.canon;
             slot.canon = canon;
@@ -527,7 +482,7 @@ impl CheckSession {
         let inter = (0..inter_units_run)
             .map(|rule| guarded(|| inter::detect_unit(rule, ctx_ref, &tool.detector.cfg)).ok())
             .collect::<Option<Vec<_>>>()?;
-        let tail = dedup_tail(inter.iter().chain(&state.data_units));
+        let tail = dedup_tail(inter, &state.data_units);
         let warm_finalize_a = t_finalize.elapsed().as_micros();
 
         // ---- patch (b): one-pass report rebuild ----------------------
@@ -559,7 +514,7 @@ impl CheckSession {
                     for _ in 0..old_cnt {
                         it.next()?;
                     }
-                    emit_fanout(&mut out, &state.slots[s.unique].canon, i, s.span);
+                    fan_out(&mut out, &state.slots[s.unique].canon, i, s.span);
                     warm_dirty_statements += 1;
                 } else {
                     for _ in 0..old_cnt {
@@ -591,15 +546,22 @@ impl CheckSession {
 
         // ---- finalize (b): registry + derived invalidation -----------
         let t_finalize2 = Instant::now();
-        // A non-degraded session has no script, parse, or unit
-        // diagnostics by construction (init checked, plan re-checks
-        // every replacement), so the base diagnostic set is empty
-        // without an O(statements) sweep; debug builds verify.
-        debug_assert!(parse_diagnostics(&state.outcome.outcome.context).is_empty());
-        let mut diagnostics: Vec<Diagnostic> = Vec::new();
-        let mut extra = tool.run_registry(&state.outcome.outcome.context, &mut diagnostics);
-        let registry_failures = diagnostics.len();
-        crate::detect::attach_default_spans(&mut extra, &state.outcome.outcome.context);
+        // A non-degraded session has no parse or unit diagnostics and no
+        // script diagnostic but the dialect guess, by construction (init
+        // checked, plan re-checks every replacement, recheck keeps the
+        // dialect), so the base diagnostic set is the script's without an
+        // O(statements) sweep; debug builds verify.
+        let ctx = &state.outcome.outcome.context;
+        let mut diagnostics = ctx.diagnostics.clone();
+        debug_assert!(diagnostics.iter().all(|d| d.kind == DiagKind::DialectGuessed));
+        debug_assert_eq!(parse_diagnostics(ctx), diagnostics);
+        let mut diag_counts = [0usize; DiagKind::COUNT];
+        for d in &diagnostics {
+            diag_counts[d.kind.index()] += 1;
+        }
+        let mut extra = tool.run_registry(ctx, &mut diagnostics);
+        let registry_failures = diagnostics.len() - ctx.diagnostics.len();
+        crate::detect::attach_default_spans(&mut extra, ctx);
         state.outcome.outcome.report.detections.extend(extra);
         state.outcome.outcome.diagnostics = diagnostics;
         let warm_finalize_micros = warm_finalize_a + t_finalize2.elapsed().as_micros();
@@ -616,7 +578,8 @@ impl CheckSession {
         }
 
         // ---- stats ---------------------------------------------------
-        let mut stats = BatchStats {
+        diag_counts[DiagKind::RuleFailed.index()] += registry_failures;
+        state.outcome.stats = BatchStats {
             statements: n,
             unique_texts: uniques.len(),
             parsed_trees: uniques.trees(),
@@ -629,11 +592,10 @@ impl CheckSession {
             inter_units_recomputed: inter_units_run,
             data_units_reused: state.data_units.len(),
             rule_failures: registry_failures,
+            diag_counts,
             total_micros: t_total.elapsed().as_micros(),
             ..BatchStats::default()
         };
-        stats.diag_counts[DiagKind::RuleFailed.index()] = registry_failures;
-        state.outcome.stats = stats;
         Some(())
     }
 }

@@ -13,7 +13,7 @@
 //!    matches cold (never-stale).
 
 use sqlcheck::context::{ColumnUsage, WorkloadProfile};
-use sqlcheck::{Dialect, FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
+use sqlcheck::{DiagKind, Dialect, FrontendOptions, Edit, SqlCheck, WorkloadOutcome};
 use sqlcheck_minidb::database::Database;
 use sqlcheck_minidb::schema::{Column, TableSchema};
 use sqlcheck_minidb::value::{DataType, Value};
@@ -515,6 +515,15 @@ fn edit_that_changes_the_guessed_dialect_matches_cold() {
     assert_eq!(cold.outcome.context.dialect, Dialect::MySql);
     assert_eq!(session.outcome().outcome.context.dialect, Dialect::MySql);
     assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
+    assert_eq!(session.fallbacks(), 1, "the dialect change rebuilds");
+    // The rebuilt session guessed its dialect: the guess is a script
+    // diagnostic, but no reason to stop patching.
+    session.recheck(&[Edit::new(5, "SELECT `a` FROM t WHERE id = 77")]);
+    assert_eq!(session.fallbacks(), 1, "an edit that keeps the guess patches in place");
+    let cold = SqlCheck::new().check_workload(session.script(), &opts);
+    assert!(cold.outcome.diagnostics.iter().any(|d| d.kind == DiagKind::DialectGuessed));
+    assert_eq!(fingerprint(session.outcome()), fingerprint(&cold));
+    assert_eq!(session.outcome().stats.diag_counts, cold.stats.diag_counts);
 }
 
 /// A DDL edit that changes the detections of a text re-emits every
